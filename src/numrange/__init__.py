@@ -20,10 +20,8 @@ from .exactpoly import (
     tri_gcd,
 )
 from .hermitian import (
-    FloatHermitian,
     GaussianRationalMatrix,
     HermitianPencil,
-    eig_hermitian,
     is_normal,
     rank_one_value,
     split,

@@ -194,7 +194,7 @@ def cmd_classify(args) -> int:
     pencil = split(A)
     curve = pencil_det(pencil)
     hyp = hyperbolicity_check(curve, trials=16)
-    verdict = polytope_detect(A)
+    verdict = polytope_detect(A, N=args.grid)
     lines = [
         f"n={A.n}",
         f"hermitian={str(A.is_hermitian()).lower()}",

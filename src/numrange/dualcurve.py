@@ -29,7 +29,7 @@ from .exactpoly import (
     repeated_part,
     tri_gcd,
 )
-from .pencil import CurveSample, CurveSampleSet, PencilCurve, line_roots_from_eigs
+from .pencil import CurveSample, CurveSampleSet, PencilCurve, SpectralGrid, line_roots_from_eigs
 
 __all__ = [
     "DualCurve",
@@ -329,16 +329,15 @@ def dual_sample(curve: PencilCurve, N: int) -> CurveSampleSet:
     """
     if N < 8:
         raise ValueError("need at least 8 rays")
-    p = curve.p
-    f1, f2 = curve.pencil.float_parts()
-    grads = [p.partial(i) for i in range(3)]
-    thetas = [2.0 * math.pi * k / N for k in range(N)]
-    stack = np.array([math.cos(t) * f1 + math.sin(t) * f2 for t in thetas])
-    eigs = np.linalg.eigvalsh(stack)
+    return _grid_dual_sample(curve, SpectralGrid(curve.pencil, N))
+
+
+def _grid_dual_sample(curve: PencilCurve, grid: SpectralGrid) -> CurveSampleSet:
+    grads = [curve.p.partial(i) for i in range(3)]
     samples = []
-    for k, th in enumerate(thetas):
-        d1, d2 = math.cos(th), math.sin(th)
-        for idx, t in line_roots_from_eigs(eigs[k]):
+    for th, d1, d2, eigs in zip(grid.thetas.tolist(), grid.cos.tolist(), grid.sin.tolist(),
+                                grid.eigvals):
+        for idx, t in line_roots_from_eigs(eigs):
             y = (1.0, t * d1, t * d2)
             pairs = [g.eval_with_scale(y) for g in grads]
             x = tuple(v for v, _ in pairs)

@@ -1,18 +1,17 @@
-"""Complex matrix intake, Hermitian splitting, and eigensolvers.
+"""Complex matrix intake, Hermitian splitting, and exact matrix algebra.
 
 Matrices carry exact Gaussian-rational entries; structural predicates
 (Hermitian, normal, the split identity A = A1 + i*A2) are decided exactly.
-Numeric analysis happens on a float view: a self-contained cyclic Jacobi
-solver for single calls, and a batched LAPACK path for angle grids where
-thousands of small Hermitian solves are needed.
+Numeric analysis works on a float view of a pencil, converted once per
+pencil; the angle-grid eigensolves that read it live in `pencil`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -21,12 +20,9 @@ from .exactpoly import GaussianRational
 __all__ = [
     "GaussianRationalMatrix",
     "HermitianPencil",
-    "FloatHermitian",
     "MatrixFormatError",
-    "JacobiConvergenceError",
     "NonHermitianError",
     "split",
-    "eig_hermitian",
     "is_normal",
     "rank_one_value",
     "charpoly",
@@ -39,10 +35,6 @@ INV_2I = GaussianRational(Fraction(0), Fraction(-1, 2))  # 1/(2i)
 
 
 class MatrixFormatError(ValueError):
-    pass
-
-
-class JacobiConvergenceError(RuntimeError):
     pass
 
 
@@ -192,11 +184,15 @@ class HermitianPencil:
         return self.A1.n
 
     def float_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.A1.to_complex(), self.A2.to_complex()
+        """Read-only complex128 views of (A1, A2), converted once per pencil."""
+        return self._float_parts
 
-    def combo(self, d1: float, d2: float) -> np.ndarray:
-        f1, f2 = self.float_parts()
-        return d1 * f1 + d2 * f2
+    @cached_property
+    def _float_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        parts = self.A1.to_complex(), self.A2.to_complex()
+        for f in parts:
+            f.flags.writeable = False
+        return parts
 
 
 def split(A: GaussianRationalMatrix) -> HermitianPencil:
@@ -207,104 +203,6 @@ def split(A: GaussianRationalMatrix) -> HermitianPencil:
     return HermitianPencil(A1, A2)
 
 
-class FloatHermitian:
-    """Float view of an exact Hermitian matrix, symmetrized at construction."""
-
-    __slots__ = ("n", "entries", "source_hash")
-
-    def __init__(self, entries: np.ndarray, source_hash: str = ""):
-        H = np.asarray(entries, dtype=np.complex128)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError("FloatHermitian needs a square matrix")
-        H = (H + H.conj().T) / 2
-        object.__setattr__(self, "n", H.shape[0])
-        object.__setattr__(self, "entries", H)
-        object.__setattr__(self, "source_hash", source_hash)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FloatHermitian is immutable")
-
-    @classmethod
-    def from_exact(cls, M: GaussianRationalMatrix) -> "FloatHermitian":
-        if not M.is_hermitian():
-            raise NonHermitianError("matrix is not exactly Hermitian")
-        digest = hashlib.sha256(M.canonical_json().encode()).hexdigest()
-        return cls(M.to_complex(), source_hash=digest)
-
-
-def _jacobi_rotation(app: float, aqq: float, apq: complex):
-    """Unitary 2x2 zeroing the (p,q) entry of a Hermitian block."""
-    r = abs(apq)
-    phase = apq / r
-    tau = (app - aqq) / (2.0 * r)
-    if tau >= 0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    return c, s, phase
-
-
-def eig_hermitian(H, max_sweeps: int = 60, tol_factor: float = 1e-13):
-    """Cyclic Jacobi for a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns).  Off-diagonal
-    threshold is tol_factor * ||H||_F; raises JacobiConvergenceError if the
-    sweep cap is exhausted (an ill-formed, non-Hermitian input).
-    """
-    if isinstance(H, FloatHermitian):
-        A = H.entries.copy()
-    else:
-        A = np.asarray(H, dtype=np.complex128).copy()
-        A = (A + A.conj().T) / 2
-    n = A.shape[0]
-    V = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return np.array([A[0, 0].real]), V
-    norm = np.linalg.norm(A)
-    if norm == 0.0:
-        return np.zeros(n), V
-    thresh = tol_factor * norm
-    skip = thresh / (2.0 * n * n)
-    offmask = ~np.eye(n, dtype=bool)
-
-    def _off() -> float:
-        # summed directly over off-diagonal entries: subtracting the diagonal
-        # from the full norm cancels catastrophically near convergence
-        return float(np.sqrt((np.abs(A[offmask]) ** 2).sum()))
-
-    for sweep in range(max_sweeps + 1):
-        off = _off()
-        if off <= thresh:
-            break
-        if sweep == max_sweeps:
-            raise JacobiConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps (off-diagonal {off:.3e})")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= skip:
-                    continue
-                c, s, phase = _jacobi_rotation(A[p, p].real, A[q, q].real, A[p, q])
-                # J columns p,q: [c, s*conj(phase)] and [-s*phase, c]
-                colp = c * A[:, p] + (s * np.conj(phase)) * A[:, q]
-                colq = (-s * phase) * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = colp, colq
-                rowp = c * A[p, :] + (s * phase) * A[q, :]
-                rowq = (-s * np.conj(phase)) * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rowp, rowq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                vcolp = c * V[:, p] + (s * np.conj(phase)) * V[:, q]
-                vcolq = (-s * phase) * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = vcolp, vcolq
-    w = np.diag(A).real
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
-
-
 def is_normal(A: GaussianRationalMatrix) -> bool:
     """Exact test A* A == A A*."""
     Astar = A.conj_transpose()
@@ -312,19 +210,18 @@ def is_normal(A: GaussianRationalMatrix) -> bool:
 
 
 def rank_one_value(A: GaussianRationalMatrix, w) -> tuple[float, float]:
-    """The point (w* A1 w, w* A2 w) of W(A) for a unit vector w."""
+    """The point (w* A1 w, w* A2 w) of W(A) for a unit vector w.
+
+    Read off w* A w = w* A1 w + i * w* A2 w, with both Hermitian forms real.
+    """
     w = np.asarray(w, dtype=np.complex128).reshape(-1)
     if w.shape[0] != A.n:
         raise ValueError("vector length does not match matrix size")
     nrm = np.linalg.norm(w)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"w is not a unit vector (||w|| = {nrm!r})")
-    pencil = split(A)
-    f1, f2 = pencil.float_parts()
-    x1 = (w.conj() @ f1 @ w)
-    x2 = (w.conj() @ f2 @ w)
-    # Hermitian forms are real; anything beyond roundoff means a bug upstream
-    return float(x1.real), float(x2.real)
+    z = w.conj() @ A.to_complex() @ w
+    return float(z.real), float(z.imag)
 
 
 def charpoly(A: GaussianRationalMatrix) -> list[GaussianRational]:

@@ -1,10 +1,16 @@
-"""The pencil determinant p(y) and the planar LMI set F(A).
+"""The pencil determinant p(y), the planar LMI set F(A), and the spectral grid.
 
 Everything lives in the affine chart y0 = 1, where the origin is interior by
 construction (F at the origin is the identity).  Boundary points are found by
 ray shooting: along direction d the set is left where the smallest eigenvalue
 of d1*A1 + d2*A2 hits -1/t.  Unboundedness is an explicit marker, never a
 large float.
+
+`SpectralGrid` is the one eigendecomposition of H(theta) = cos(theta)*A1 +
+sin(theta)*A2 over a fan of angles that every numeric layer reads: F(A)
+leaves the ray at -1/lambda_min(theta), W(A) is supported at theta by
+lambda_max(theta) with the top eigenvector as a rank-one witness, and the
+nonzero eigenvalues give every real point of p = 0 on the ray.
 """
 
 from __future__ import annotations
@@ -136,6 +142,67 @@ def pencil_det(pencil: HermitianPencil) -> PencilCurve:
     return PencilCurve(det, pencil)
 
 
+class SpectralGrid:
+    """Eigenpairs of H_k = cos_k*A1 + sin_k*A2, ascending, from one batched eigh.
+
+    SpectralGrid(pencil, N) is the uniform fan theta_k = 2*pi*k/N; `at` takes
+    arbitrary angles (and, optionally, their exact unit directions).
+    """
+
+    __slots__ = ("pencil", "thetas", "cos", "sin", "eigvals", "eigvecs")
+
+    def __init__(self, pencil: HermitianPencil, N: int):
+        thetas = np.array([2.0 * math.pi * k / N for k in range(N)])
+        self._solve(pencil, thetas, np.cos(thetas), np.sin(thetas))
+
+    @classmethod
+    def at(cls, pencil: HermitianPencil, thetas, cos=None, sin=None) -> "SpectralGrid":
+        grid = cls.__new__(cls)
+        thetas = np.asarray(thetas, dtype=float)
+        grid._solve(pencil, thetas,
+                    np.cos(thetas) if cos is None else np.asarray(cos, dtype=float),
+                    np.sin(thetas) if sin is None else np.asarray(sin, dtype=float))
+        return grid
+
+    def _solve(self, pencil, thetas, cos, sin):
+        f1, f2 = pencil.float_parts()
+        self.pencil, self.thetas, self.cos, self.sin = pencil, thetas, cos, sin
+        self.eigvals, self.eigvecs = np.linalg.eigh(
+            cos[:, None, None] * f1 + sin[:, None, None] * f2)
+
+    def every_other(self) -> "SpectralGrid":
+        """The N-grid contained in this 2N-grid, without a second solve."""
+        sub = SpectralGrid.__new__(SpectralGrid)
+        sub.pencil = self.pencil
+        for name in ("thetas", "cos", "sin", "eigvals", "eigvecs"):
+            setattr(sub, name, getattr(self, name)[::2])
+        return sub
+
+
+def _exits(grid: SpectralGrid) -> list[tuple[float, tuple[float, float], float] | None]:
+    """(t, exit point, lambda_min at the exit) per ray of the grid; None if unbounded.
+
+    The ray leaves F(A) at t = -1/lambda_min(H_k); lambda_min above
+    -UNBOUNDED_CUT*scale never reaches zero.  The residual lambda_min of
+    F(1, point) at every finite exit comes from one batched solve.
+    """
+    w = grid.eigvals
+    lam_min = w[:, 0]
+    scale = np.maximum(1.0, np.abs(w).max(axis=1))
+    finite = np.flatnonzero(lam_min < -UNBOUNDED_CUT * scale)
+    out: list = [None] * len(lam_min)
+    if finite.size:
+        t = -1.0 / lam_min[finite]
+        y1, y2 = t * grid.cos[finite], t * grid.sin[finite]
+        f1, f2 = grid.pencil.float_parts()
+        Fs = np.eye(grid.pencil.n) + y1[:, None, None] * f1 + y2[:, None, None] * f2
+        lams = np.linalg.eigvalsh(Fs)[:, 0]
+        for k, tk, a, b, lam in zip(finite.tolist(), t.tolist(), y1.tolist(), y2.tolist(),
+                                    lams.tolist()):
+            out[k] = (tk, (a, b), lam)
+    return out
+
+
 def lmi_member(pencil: HermitianPencil, y: tuple[float, float],
                tol: float = BOUNDARY_TOL) -> bool:
     """Membership y in F(A): lambda_min(F(1, y1, y2)) >= -tol."""
@@ -151,16 +218,10 @@ def ray_exit(pencil: HermitianPencil, direction: tuple[float, float]) -> RayExit
     nrm = math.hypot(d1, d2)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"direction must be a unit vector (got norm {nrm!r})")
-    H = pencil.combo(d1, d2)
-    w = np.linalg.eigvalsh(H)
-    lam_min = float(w[0])
-    scale = max(1.0, float(np.abs(w).max()))
-    if lam_min >= -UNBOUNDED_CUT * scale:
+    hit = _exits(SpectralGrid.at(pencil, [math.atan2(d2, d1)], [d1], [d2]))[0]
+    if hit is None:
         return RayExit((d1, d2), math.inf, None, None)
-    t = -1.0 / lam_min
-    point = (t * d1, t * d2)
-    F = np.eye(pencil.n) + point[0] * pencil.float_parts()[0] + point[1] * pencil.float_parts()[1]
-    lam_at = float(np.linalg.eigvalsh(F)[0])
+    t, point, lam_at = hit
     return RayExit((d1, d2), t, point, lam_at)
 
 
@@ -168,34 +229,21 @@ def boundary_F(pencil: HermitianPencil, N: int) -> CurveSampleSet:
     """Polygonal boundary of F(A): N ray exits at equally spaced angles."""
     if N < 3:
         raise ValueError("need at least 3 angles")
-    f1, f2 = pencil.float_parts()
+    return _grid_boundary(SpectralGrid(pencil, N))
+
+
+def _grid_boundary(grid: SpectralGrid) -> CurveSampleSet:
+    pencil = grid.pencil
     if pencil.A1.is_zero() and pencil.A2.is_zero():
         return CurveSampleSet(chart="y0=1", samples=[], all_unbounded=True)
-    thetas = [2.0 * math.pi * k / N for k in range(N)]
-    stack = np.array([math.cos(t) * f1 + math.sin(t) * f2 for t in thetas])
-    w = np.linalg.eigvalsh(stack)
-    lam_min = w[:, 0]
-    scale = np.maximum(1.0, np.abs(w).max(axis=1))
     samples = []
-    finite_pts = []
-    for k, th in enumerate(thetas):
-        lm = float(lam_min[k])
-        if lm >= -UNBOUNDED_CUT * float(scale[k]):
+    for th, hit in zip(grid.thetas.tolist(), _exits(grid)):
+        if hit is None:
             samples.append(CurveSample(theta=th, point=None, lambda_min=None))
-            continue
-        t = -1.0 / lm
-        pt = (t * math.cos(th), t * math.sin(th))
-        finite_pts.append((k, pt))
-        samples.append(CurveSample(theta=th, point=pt, lambda_min=None))
-    # lambda_min at all finite exit points in one batch
-    if finite_pts:
-        Fs = np.array([np.eye(pencil.n) + p[0] * f1 + p[1] * f2 for _, p in finite_pts])
-        lams = np.linalg.eigvalsh(Fs)[:, 0]
-        for (k, _), lam in zip(finite_pts, lams):
-            s = samples[k]
-            samples[k] = CurveSample(theta=s.theta, point=s.point, lambda_min=float(lam))
+        else:
+            samples.append(CurveSample(theta=th, point=hit[1], lambda_min=hit[2]))
     return CurveSampleSet(chart="y0=1", samples=samples,
-                          all_unbounded=not finite_pts)
+                          all_unbounded=all(s.point is None for s in samples))
 
 
 def boundary_csv(samples: CurveSampleSet) -> str:

@@ -16,15 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hermitian import (
-    GaussianRationalMatrix,
-    HermitianPencil,
-    charpoly,
-    eig_hermitian,
-    is_normal,
-    split,
-)
-from .pencil import boundary_F
+from .exactpoly import GaussianRational
+from .hermitian import GaussianRationalMatrix, charpoly, is_normal, split
+from .pencil import SpectralGrid, _grid_boundary
 
 __all__ = [
     "SupportSample",
@@ -188,43 +182,27 @@ class RangeHulls:
 def support(A: GaussianRationalMatrix, theta: float) -> SupportSample:
     """Support of W(A) in direction theta, with a rank-one witness point.
 
-    Uses the self-contained Jacobi solver; grid operations below use the
-    batched path instead.
+    A one-angle spectral grid: h is lambda_max of cos*A1 + sin*A2 and the
+    witness is the W(A) point of its top eigenvector.
     """
-    pencil = split(A)
-    f1, f2 = pencil.float_parts()
-    H = math.cos(theta) * f1 + math.sin(theta) * f2
-    w, V = eig_hermitian(H)
-    v = V[:, -1]
-    x1 = float((v.conj() @ f1 @ v).real)
-    x2 = float((v.conj() @ f2 @ v).real)
-    return SupportSample(theta=theta, h=float(w[-1]), witness=(x1, x2))
+    h, wit = _support_grid(SpectralGrid.at(split(A), [theta]))
+    return SupportSample(theta=theta, h=float(h[0]), witness=(float(wit[0, 0]), float(wit[0, 1])))
 
 
-def _support_grid(pencil: HermitianPencil, thetas: np.ndarray):
-    """Batched support values and witnesses over an angle grid."""
-    f1, f2 = pencil.float_parts()
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    stack = cos[:, None, None] * f1 + sin[:, None, None] * f2
-    w, V = np.linalg.eigh(stack)
-    top = V[:, :, -1]
+def _support_grid(grid: SpectralGrid):
+    """Support values and rank-one witnesses over the grid's angles."""
+    f1, f2 = grid.pencil.float_parts()
+    top = grid.eigvecs[:, :, -1]
     x1 = np.einsum("bi,ij,bj->b", top.conj(), f1, top).real
     x2 = np.einsum("bi,ij,bj->b", top.conj(), f2, top).real
-    return w[:, -1], np.stack([x1, x2], axis=1)
+    return grid.eigvals[:, -1], np.stack([x1, x2], axis=1)
 
 
-def _outer_polygon(thetas: np.ndarray, h: np.ndarray):
+def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
     """Intersection of the supporting half-planes {x . u(theta) <= h}."""
-    N = len(thetas)
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    cands = []
-    for i in range(N):
-        j = (i + 1) % N
-        det = cos[i] * sin[j] - sin[i] * cos[j]  # sin of the angle gap, never 0
-        x = (h[i] * sin[j] - h[j] * sin[i]) / det
-        y = (cos[i] * h[j] - cos[j] * h[i]) / det
-        cands.append((x, y))
-    C = np.array(cands)
+    cos_n, sin_n, h_n = np.roll(cos, -1), np.roll(sin, -1), np.roll(h, -1)  # next angle
+    det = cos * sin_n - sin * cos_n  # sin of the angle gap, never 0
+    C = np.stack([(h * sin_n - h_n * sin) / det, (cos * h_n - cos_n * h) / det], axis=1)
     scale = max(1.0, float(np.abs(C).max()))
     feas = (C[:, 0][:, None] * cos[None, :] + C[:, 1][:, None] * sin[None, :]
             <= h[None, :] + 1e-9 * scale).all(axis=1)
@@ -236,15 +214,17 @@ def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:
     """Inner (witness hull) and outer (half-plane) polygonal bounds for W(A)."""
     if N < 3:
         raise ValueError("need at least 3 support directions")
-    pencil = split(A)
-    thetas = np.array([2.0 * math.pi * k / N for k in range(N)])
-    h, wit = _support_grid(pencil, thetas)
+    return _grid_hulls(SpectralGrid(split(A), N))
+
+
+def _grid_hulls(grid: SpectralGrid) -> RangeHulls:
+    h, wit = _support_grid(grid)
     witnesses = [tuple(map(float, p)) for p in wit]
     inner = convex_hull(witnesses)
-    outer = _outer_polygon(thetas, h)
+    outer = _outer_polygon(grid.cos, grid.sin, h)
     scale = max(1.0, float(np.abs(wit).max()))
     degenerate = polygon_area(outer) <= 1e-12 * scale * scale
-    return RangeHulls(inner=inner, outer=outer, N=N, degenerate=degenerate,
+    return RangeHulls(inner=inner, outer=outer, N=len(h), degenerate=degenerate,
                       witnesses=witnesses, support_values=[float(v) for v in h])
 
 
@@ -259,20 +239,19 @@ def hulls_csv(hulls: RangeHulls) -> str:
 
 def member_W(A: GaussianRationalMatrix, x, N: int = 720,
              tol: float = MEMBER_TOL) -> bool:
-    """Membership via the support oracle, with one refinement pass."""
-    return _member_margin(split(A), (float(x[0]), float(x[1])), N) >= -tol
+    """Membership via the support oracle, with one refinement pass.
 
-
-def _member_margin(pencil: HermitianPencil, x, N: int) -> float:
-    thetas = np.array([2.0 * math.pi * k / N for k in range(N)])
-    h, _ = _support_grid(pencil, thetas)
-    g = h - x[0] * np.cos(thetas) - x[1] * np.sin(thetas)
+    The margin is min over angles of h(theta) - x . u(theta), refined on a
+    fine fan around the grid minimum.
+    """
+    x1, x2 = float(x[0]), float(x[1])
+    grid = SpectralGrid(split(A), N)
+    g = grid.eigvals[:, -1] - x1 * grid.cos - x2 * grid.sin
     k = int(np.argmin(g))
     mesh = 2.0 * math.pi / N
-    local = thetas[k] + np.linspace(-mesh, mesh, 65)
-    hl, _ = _support_grid(pencil, local)
-    gl = hl - x[0] * np.cos(local) - x[1] * np.sin(local)
-    return float(min(g.min(), gl.min()))
+    local = SpectralGrid.at(grid.pencil, grid.thetas[k] + np.linspace(-mesh, mesh, 65))
+    gl = local.eigvals[:, -1] - x1 * local.cos - x2 * local.sin
+    return float(min(g.min(), gl.min())) >= -tol
 
 
 # -- duality --------------------------------------------------------------------
@@ -324,12 +303,13 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     """
     if N < 16:
         raise ValueError("need N >= 16")
-    pencil = split(A)
-    boundary = boundary_F(pencil, N)
+    fine = SpectralGrid(split(A), 2 * N)
+    grid = fine.every_other()
+    boundary = _grid_boundary(grid)
     pts = boundary.finite_points()
     unbounded = sum(1 for s in boundary.samples if s.point is None)
-    hulls1 = range_hulls(A, N)
-    hulls2 = range_hulls(A, 2 * N)
+    hulls1 = _grid_hulls(grid)
+    hulls2 = _grid_hulls(fine)
     gap1 = hausdorff_outer_to_inner(hulls1.outer, hulls1.inner)
     gap2 = hausdorff_outer_to_inner(hulls2.outer, hulls2.inner)
     decreased = gap2 < gap1 or (gap1 <= GAP_FLOOR and gap2 <= GAP_FLOOR)
@@ -363,130 +343,24 @@ class PolytopeVerdict:
     exact: bool = False
 
 
-def _rational_roots(coeffs: list[Fraction]) -> dict[Fraction, int] | None:
-    """All roots with multiplicity if every root is rational, else None."""
-    work = list(coeffs)
-    while work and not work[-1]:
-        work.pop()
-    if len(work) <= 1:
-        return None
-    lcm = 1
-    for c in work:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in work]
-    roots: dict[Fraction, int] = {}
-    while len(ints) > 1:
-        # trailing zero coefficients are roots at 0
-        if ints[0] == 0:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            ints = ints[1:]
-            continue
-        a0, an = abs(ints[0]), abs(ints[-1])
-        if a0 > 10**12 or an > 10**12:
-            return None
-        found = None
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    val = Fraction(0)
-                    for c in reversed(ints):
-                        val = val * cand + c
-                    if val == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None
-        # synthetic division by (t - found)
-        out = [Fraction(c) for c in ints]
-        new = [Fraction(0)] * (len(out) - 1)
-        carry = Fraction(0)
-        for i in range(len(out) - 1, 0, -1):
-            carry = out[i] + carry
-            new[i - 1] = carry
-            carry = carry * found
-        ints_f = new
-        lcm2 = 1
-        for c in ints_f:
-            lcm2 = lcm2 * c.denominator // math.gcd(lcm2, c.denominator)
-        ints = [int(c * lcm2) for c in ints_f]
-        roots[found] = roots.get(found, 0) + 1
-    return roots
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n and d <= 10**6:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _eval_gauss_poly(coeffs, z):
-    val = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        val = val * z + c
-    return val
-
-
 def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
     """Detect polytopic numerical ranges.
 
     Normal matrices: W(A) is the convex hull of the spectrum; eigenvalues are
-    recovered exactly when they are Gaussian rational, numerically otherwise.
-    Non-normal matrices: best-effort witness clustering; "mixed/unknown" is a
-    legal verdict.
+    exact when they are Gaussian rational (certified against charpoly(A)),
+    numeric otherwise.  Non-normal matrices: best-effort witness clustering;
+    "mixed/unknown" is a legal verdict.
     """
-    from .exactpoly import GaussianRational
-
     if is_normal(A):
-        pencil = split(A)
-        chi1 = [c.re for c in charpoly(pencil.A1)]  # Hermitian => real coefficients
-        chi2 = [c.re for c in charpoly(pencil.A2)]
-        r1 = _rational_roots(chi1)
-        r2 = _rational_roots(chi2)
-        if r1 is not None and r2 is not None:
-            chiA = charpoly(A)
-            pts: dict[tuple[Fraction, Fraction], int] = {}
-            total = 0
-            for a in r1:
-                for b in r2:
-                    z = GaussianRational(a, b)
-                    if _eval_gauss_poly(chiA, z):
-                        continue
-                    # multiplicity by repeated synthetic division
-                    work = list(chiA)
-                    mult = 0
-                    while len(work) > 1 and not _eval_gauss_poly(work, z):
-                        new = []
-                        carry = GaussianRational.ZERO
-                        for c in reversed(work[1:]):
-                            carry = c + carry * z
-                            new.append(carry)
-                        work = list(reversed(new))
-                        mult += 1
-                    if mult:
-                        pts[(a, b)] = mult
-                        total += mult
-            if total == A.n:
-                verts = convex_hull(list(pts))
-                return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=True)
         eigs = np.linalg.eigvals(A.to_complex())
+        exact = _certified_spectrum(A, eigs)
+        if exact is not None:
+            verts = convex_hull([(z.re, z.im) for z in exact])
+            return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=True)
         verts = convex_hull([(float(z.real), float(z.imag)) for z in _dedupe(eigs)])
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
 
-    pencil = split(A)
-    thetas = np.array([2.0 * math.pi * k / N for k in range(N)])
-    _, wit = _support_grid(pencil, thetas)
+    _, wit = _support_grid(SpectralGrid(split(A), N))
     scale = max(1.0, float(np.abs(wit).max()))
     tol = 1e-8 * scale
     clusters: list[list[int]] = []
@@ -504,6 +378,37 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
     if max(len(c) for c in clusters) <= 2:
         return PolytopeVerdict(kind="smooth")
     return PolytopeVerdict(kind="mixed/unknown")
+
+
+def _certified_spectrum(A: GaussianRationalMatrix, eigs) -> list[GaussianRational] | None:
+    """The eigenvalues of A as exact Gaussian rationals, or None.
+
+    If D*A has Gaussian-integer entries, every Gaussian-rational eigenvalue
+    of A is z/D with z a Gaussian integer (Z[i] is integrally closed).  So is
+    it when D clears the denominators of charpoly(A), and then also for the
+    gcd of two such D.  The float eigenvalues are rounded to that lattice
+    and accepted only if prod (t - z_j/D) equals charpoly(A) coefficient by
+    coefficient.
+    """
+    chi = charpoly(A)
+    D = math.gcd(_denominator(e for row in A.entries for e in row), _denominator(chi))
+
+    def lattice(x: float) -> Fraction:
+        return Fraction(round(Fraction(x) * D), D)
+
+    roots = [GaussianRational(lattice(z.real), lattice(z.imag)) for z in eigs]
+    prod = [GaussianRational.ONE]            # ascending coefficients
+    for r in roots:
+        shifted = [GaussianRational.ZERO] + prod
+        for i, c in enumerate(prod):
+            shifted[i] = shifted[i] - r * c
+        prod = shifted
+    return roots if prod == chi else None
+
+
+def _denominator(values) -> int:
+    """The least D with D*z a Gaussian integer for every z in values."""
+    return math.lcm(*(d for z in values for d in (z.re.denominator, z.im.denominator)))
 
 
 def _dedupe(zs, tol: float = 1e-9):
@@ -528,11 +433,9 @@ def translate_scale_law(A: GaussianRationalMatrix, c, N: int = 360,
                         tol: float = 1e-9) -> TranslateScaleReport:
     """Check h_{A+cI}(theta) = h_A(theta) + c*cos(theta) on the grid."""
     c = Fraction(c)
-    from .exactpoly import GaussianRational
-
     shifted = A + GaussianRationalMatrix.identity(A.n).scale(GaussianRational.of(c))
-    thetas = np.array([2.0 * math.pi * k / N for k in range(N)])
-    h0, _ = _support_grid(split(A), thetas)
-    h1, _ = _support_grid(split(shifted), thetas)
-    dev = float(np.abs(h1 - h0 - float(c) * np.cos(thetas)).max())
+    grid = SpectralGrid(split(A), N)
+    h0 = grid.eigvals[:, -1]
+    h1 = SpectralGrid(split(shifted), N).eigvals[:, -1]
+    dev = float(np.abs(h1 - h0 - float(c) * grid.cos).max())
     return TranslateScaleReport(c=c, max_deviation=dev, ok=dev <= tol)

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .dualcurve import dual_sample
+from .dualcurve import _grid_dual_sample
 from .hermitian import GaussianRationalMatrix, split
-from .pencil import PencilCurve, boundary_F, line_roots_from_eigs, pencil_det
-from .rangegeom import range_hulls
+from .pencil import PencilCurve, SpectralGrid, _grid_boundary, line_roots_from_eigs, pencil_det
+from .rangegeom import _grid_hulls
 
 __all__ = ["ViewportRequiredError", "render_figure"]
 
@@ -125,23 +123,18 @@ def _branch_segments(branches, panel):
     return segs
 
 
-def _primal_branches(curve: PencilCurve, N: int):
-    """Points of p(1,.,.) = 0 along N rays, one branch per eigenvalue index."""
-    f1, f2 = curve.pencil.float_parts()
-    n = curve.pencil.n
-    thetas = [2.0 * math.pi * k / N for k in range(N)]
-    stack = np.array([math.cos(t) * f1 + math.sin(t) * f2 for t in thetas])
-    eigs = np.linalg.eigvalsh(stack)
-    branches = [[None] * N for _ in range(n)]
-    for k, th in enumerate(thetas):
-        d1, d2 = math.cos(th), math.sin(th)
-        for idx, t in line_roots_from_eigs(eigs[k]):
+def _primal_branches(grid: SpectralGrid):
+    """Points of p(1,.,.) = 0 along the grid's rays, one branch per eigenvalue index."""
+    N = len(grid.thetas)
+    branches = [[None] * N for _ in range(grid.pencil.n)]
+    for k, (d1, d2, eigs) in enumerate(zip(grid.cos.tolist(), grid.sin.tolist(), grid.eigvals)):
+        for idx, t in line_roots_from_eigs(eigs):
             branches[idx][k] = (t * d1, t * d2)
     return branches
 
 
-def _dual_branches(curve: PencilCurve, N: int):
-    samp = dual_sample(curve, N)
+def _dual_branches(curve: PencilCurve, grid: SpectralGrid):
+    samp = _grid_dual_sample(curve, grid)
     n = curve.pencil.n
     branches = [[] for _ in range(n)]
     for s in samp.samples:
@@ -153,18 +146,23 @@ def _dual_branches(curve: PencilCurve, N: int):
 def render_figure(A: GaussianRationalMatrix, N: int = 720,
                   viewport=None) -> str:
     """Render the two-panel figure; returns the SVG document."""
+    if N < 3:
+        raise ValueError("need at least 3 angles")
     pencil = split(A)
     curve = pencil_det(pencil)
-    boundary = boundary_F(pencil, N)
+    grid = SpectralGrid(pencil, N)
+    boundary = _grid_boundary(grid)
     f_pts = boundary.finite_points()
     unbounded = boundary.all_unbounded or len(f_pts) < len(boundary.samples)
     if unbounded and viewport is None:
         raise ViewportRequiredError(
             "F(A) is unbounded; pass an explicit viewport x1min,x1max,x2min,x2max")
-    hulls = range_hulls(A, N)
+    hulls = _grid_hulls(grid)
     left_view = viewport if viewport is not None else _bbox(f_pts)
     w_pts = hulls.outer or hulls.inner or hulls.witnesses
     right_view = viewport if viewport is not None else _bbox(w_pts)
+    # both curves are traced on at least 360 rays
+    curve_grid = grid if N >= 360 else SpectralGrid(pencil, 360)
 
     size, pad = 420.0, 30.0
     width, height = 2 * size + 3 * pad, size + 2 * pad
@@ -183,7 +181,7 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
         parts.append(left.polygon(f_pts, fill="#cccccc", stroke="none"))
     elif f_pts:
         parts.append(left.polygon(f_pts, fill="#cccccc", stroke="#888888"))
-    for seg in _branch_segments(_primal_branches(curve, max(N, 360)), left):
+    for seg in _branch_segments(_primal_branches(curve_grid), left):
         parts.append(left.polyline(seg, stroke="#000000"))
     parts.append(left.axes())
 
@@ -194,7 +192,7 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     elif hulls.outer or hulls.witnesses:
         for p in (hulls.outer or hulls.witnesses[:1]):
             parts.append(right.dot(p, 3.0, "#555555"))
-    for seg in _branch_segments(_dual_branches(curve, max(N, 360)), right):
+    for seg in _branch_segments(_dual_branches(curve, curve_grid), right):
         parts.append(right.polyline(seg, stroke="#000000"))
     parts.append(right.axes())
 

@@ -1,6 +1,6 @@
 import json
 
-
+import numrange.cli
 from numrange.cli import main
 
 from conftest import FIXTURES, GOLDEN
@@ -127,6 +127,19 @@ class TestClassifyCommand:
         assert run("classify", "--input", fx("disk.json")) == 0
         out = capsys.readouterr().out
         assert "shape=smooth" in out
+
+    def test_grid_reaches_polytope_detect(self, monkeypatch):
+        seen = []
+        real = numrange.cli.polytope_detect
+
+        def spy(A, N=360):
+            seen.append(N)
+            return real(A, N=N)
+
+        monkeypatch.setattr(numrange.cli, "polytope_detect", spy)
+        assert run("classify", "--input", fx("disk.json"), "--grid", "48") == 0
+        assert run("classify", "--input", fx("disk.json")) == 0
+        assert seen == [48, 360]
 
 
 class TestRenderCommand:

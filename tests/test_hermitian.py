@@ -7,13 +7,11 @@ import pytest
 
 from numrange.exactpoly import GaussianRational
 from numrange.hermitian import (
-    FloatHermitian,
     GaussianRationalMatrix,
     HermitianPencil,
     MatrixFormatError,
     NonHermitianError,
     charpoly,
-    eig_hermitian,
     is_normal,
     matrix_from_json,
     rank_one_value,
@@ -65,48 +63,13 @@ class TestSplit:
         with pytest.raises(NonHermitianError):
             HermitianPencil(NILPOTENT, GaussianRationalMatrix.zero(2))
 
-
-class TestEig:
-    def test_swap_matrix(self):
-        w, _ = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_cubic_fixture_real_part(self):
+    def test_float_parts_converted_once_and_read_only(self):
         pencil = split(fixture_matrix("cubic_cusp"))
-        w, _ = eig_hermitian(pencil.A1.to_complex())
-        assert np.allclose(w, [-1.0, 1.0, 1.0], atol=1e-12)
-
-    def test_diagonal_sorted(self):
-        w, _ = eig_hermitian(np.diag([3.0, -1.0, 2.0]).astype(complex))
-        assert np.allclose(w, [-1.0, 2.0, 3.0])
-
-    def test_against_lapack_and_residuals(self):
-        rng = random.Random(103)
-        for _ in range(10):
-            n = rng.randint(2, 10)
-            A = random_gaussian_matrix(n, rng)
-            H = (A + A.conj_transpose()).to_complex() / 2
-            w, V = eig_hermitian(H)
-            ref = np.linalg.eigvalsh(H)
-            norm = max(1.0, np.linalg.norm(H))
-            assert np.allclose(w, ref, atol=1e-10 * norm)
-            # per-pair residual and orthonormality
-            assert np.linalg.norm(H @ V - V @ np.diag(w)) <= 1e-12 * norm * n
-            assert np.linalg.norm(V.conj().T @ V - np.eye(n)) <= 1e-10
-            assert abs(np.trace(H).real - w.sum()) <= 1e-10 * norm
-
-    def test_float_hermitian_view(self):
-        A = fixture_matrix("cubic_cusp")
-        pencil = split(A)
-        fh = FloatHermitian.from_exact(pencil.A1)
-        assert fh.source_hash
-        assert np.allclose(fh.entries, fh.entries.conj().T)
-        w, _ = eig_hermitian(fh)
-        assert np.allclose(w, [-1.0, 1.0, 1.0])
-
-    def test_zero_matrix(self):
-        w, V = eig_hermitian(np.zeros((3, 3), dtype=complex))
-        assert np.allclose(w, 0) and np.allclose(V, np.eye(3))
+        f1, f2 = pencil.float_parts()
+        assert pencil.float_parts()[0] is f1 and pencil.float_parts()[1] is f2
+        assert np.array_equal(f1, pencil.A1.to_complex())
+        with pytest.raises(ValueError):
+            f1[0, 0] = 5.0
 
 
 class TestNormal:

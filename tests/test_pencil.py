@@ -10,6 +10,7 @@ from numrange.hermitian import GaussianRationalMatrix, split
 from numrange.pencil import (
     YVARS,
     PencilCurve,
+    SpectralGrid,
     boundary_F,
     boundary_csv,
     hyperbolicity_check,
@@ -185,6 +186,45 @@ class TestBoundary:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             boundary_F(split(fixture_matrix("disk")), 2)
+
+
+FIXTURE_NAMES = ("disk", "cubic_cusp", "cross_star", "nested_ovals", "polytope",
+                 "cardioid_circle")
+
+
+class TestSpectralGrid:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_other_is_the_half_grid(self, name):
+        pencil = split(fixture_matrix(name))
+        for N in (90, 720):
+            half, coarse = SpectralGrid(pencil, 2 * N).every_other(), SpectralGrid(pencil, N)
+            for attr in ("thetas", "cos", "sin", "eigvals", "eigvecs"):
+                got, want = getattr(half, attr), getattr(coarse, attr)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), attr
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_ray_exit_is_the_boundary_sample(self, name):
+        pencil = split(fixture_matrix(name))
+        N = 72
+        for k, s in enumerate(boundary_F(pencil, N).samples):
+            theta = 2.0 * math.pi * k / N
+            exit_ = ray_exit(pencil, (math.cos(theta), math.sin(theta)))
+            assert s.theta == theta
+            if s.point is None:
+                assert not exit_.bounded
+            else:
+                assert exit_.point == s.point
+                assert exit_.lambda_min_at_exit == s.lambda_min
+
+    def test_eigenpairs(self):
+        pencil = split(fixture_matrix("nested_ovals"))
+        f1, f2 = pencil.float_parts()
+        grid = SpectralGrid(pencil, 16)
+        for k, theta in enumerate(grid.thetas):
+            H = math.cos(theta) * f1 + math.sin(theta) * f2
+            V, w = grid.eigvecs[k], grid.eigvals[k]
+            assert np.all(np.diff(w) >= 0)
+            assert np.linalg.norm(H @ V - V * w) <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 class TestHyperbolicity:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from numrange.exactpoly import GaussianRational
-from numrange.hermitian import GaussianRationalMatrix, split
+from numrange.hermitian import GaussianRationalMatrix, is_normal, split
 from numrange.pencil import pencil_det
 from numrange.dualcurve import dual_sample
 from numrange.rangegeom import (
@@ -56,6 +56,16 @@ class TestSupport:
         A = fixture_matrix("disk")
         for th in np.linspace(0, 2 * math.pi, 9):
             assert abs(support(A, th).h - 0.5) < 1e-12
+
+    def test_matches_the_hull_grid(self):
+        N = 48
+        for name in ("disk", "cubic_cusp", "cross_star", "nested_ovals", "polytope"):
+            A = fixture_matrix(name)
+            hulls = range_hulls(A, N)
+            for k in range(N):
+                s = support(A, 2.0 * math.pi * k / N)
+                assert s.h == hulls.support_values[k]
+                assert s.witness == hulls.witnesses[k]
 
 
 class TestRangeHulls:
@@ -165,6 +175,23 @@ class TestDuality:
             assert _hausdorff_vs_polygon(hulls.outer, hull_cloud) <= 2e-3
 
 
+def _rotation(n, i, j, a, b, c):
+    """Exact rotation by (cos, sin) = (a/c, b/c) in the (i, j) plane."""
+    rows = [[F(int(r == k)) for k in range(n)] for r in range(n)]
+    rows[i][i] = rows[j][j] = F(a, c)
+    rows[i][j], rows[j][i] = F(-b, c), F(b, c)
+    return gmatrix(rows)
+
+
+def _conjugated(diag):
+    """Q D Q^T for a fixed rational orthogonal Q: normal, with the spectrum of D."""
+    n = len(diag)
+    Q = GaussianRationalMatrix.identity(n)
+    for i, triple in zip(range(n - 1), [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25)]):
+        Q = Q @ _rotation(n, i, i + 1, *triple)
+    return Q @ GaussianRationalMatrix.diagonal(diag) @ Q.conj_transpose()
+
+
 class TestPolytopeDetect:
     def test_polytope_fixture_exact(self):
         v = polytope_detect(fixture_matrix("polytope"))
@@ -177,6 +204,28 @@ class TestPolytopeDetect:
         v = polytope_detect(A)
         assert v.kind == "polytope" and v.exact
         assert set(v.vertices) == {(F(1), F(0)), (F(0), F(1)), (F(-1), F(0))}
+
+    def test_conjugated_repeated_fractional_eigenvalue(self):
+        a = GaussianRational(F(1, 2), F(1, 3))
+        b = GaussianRational(F(-3, 4), F(-1, 4))
+        c = GaussianRational(F(5, 6), F(-2, 7))
+        A = _conjugated([a, b, a, c])
+        assert is_normal(A) and any(A[i, j] for i in range(4) for j in range(4) if i != j)
+        v = polytope_detect(A)
+        assert v.kind == "polytope" and v.exact
+        assert set(v.vertices) == {(z.re, z.im) for z in (a, b, c)}
+
+    def test_denominators_past_float_precision_stay_numeric(self):
+        q = 2**61 - 1
+        a = GaussianRational(1 + F(1, q), F(1, 3))
+        b = GaussianRational(F(-2), F(1, 2))
+        c = GaussianRational(F(1, 5), F(-1))
+        A = _conjugated([a, b, c])
+        assert is_normal(A)
+        v = polytope_detect(A)
+        assert v.kind == "polytope" and not v.exact
+        want = sorted((float(z.re), float(z.im)) for z in (a, b, c))
+        assert np.allclose(sorted(v.vertices), want, atol=1e-9)
 
     def test_disk_smooth(self):
         v = polytope_detect(fixture_matrix("disk"))

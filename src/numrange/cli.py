@@ -15,7 +15,7 @@ from .craig import CraigDisagreementError, craig_verdict, verdict_line
 from .dualcurve import (
     DualCurve,
     dual_curve_exact,
-    dual_sample,
+    _grid_dual_sample,
     dual_sample_csv,
     dual_union,
 )
@@ -29,13 +29,14 @@ from .hermitian import (
 )
 from .pencil import (
     YVARS,
+    SpectralGrid,
     boundary_F,
     boundary_csv,
     hyperbolicity_check,
     lmi_polytope_vertices,
     pencil_det,
 )
-from .rangegeom import duality_check, hulls_csv, polytope_detect, range_hulls
+from .rangegeom import _grid_hulls, duality_check, hulls_csv, polytope_detect
 from .render import ViewportRequiredError, render_figure
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
@@ -156,12 +157,10 @@ def cmd_dual(args) -> int:
 
 
 def cmd_sample_w(args) -> int:
-    A = _load_matrix(args.input)
-    hulls = range_hulls(A, args.grid)
-    _write(hulls_csv(hulls), args.out)
+    grid = SpectralGrid(split(_load_matrix(args.input)), args.grid)
+    _write(hulls_csv(_grid_hulls(grid)), args.out)
     if args.curve:
-        curve = pencil_det(split(A))
-        _write(dual_sample_csv(dual_sample(curve, args.grid)), args.curve)
+        _write(dual_sample_csv(_grid_dual_sample(pencil_det(grid.pencil), grid)), args.curve)
     return OK
 
 

@@ -29,7 +29,7 @@ from .exactpoly import (
     repeated_part,
     tri_gcd,
 )
-from .pencil import CurveSample, CurveSampleSet, PencilCurve, SpectralGrid, line_roots_from_eigs
+from .pencil import CurveSample, CurveSampleSet, PencilCurve, SpectralGrid
 
 __all__ = [
     "DualCurve",
@@ -327,29 +327,42 @@ def dual_sample(curve: PencilCurve, N: int) -> CurveSampleSet:
     intersection maps to its tangent-line coordinates.  Ordering is by
     (angle index, root index); singular points are flagged, not dropped.
     """
-    if N < 8:
-        raise ValueError("need at least 8 rays")
     return _grid_dual_sample(curve, SpectralGrid(curve.pencil, N))
 
 
 def _grid_dual_sample(curve: PencilCurve, grid: SpectralGrid) -> CurveSampleSet:
-    grads = [curve.p.partial(i) for i in range(3)]
-    samples = []
-    for th, d1, d2, eigs in zip(grid.thetas.tolist(), grid.cos.tolist(), grid.sin.tolist(),
-                                grid.eigvals):
-        for idx, t in line_roots_from_eigs(eigs):
-            y = (1.0, t * d1, t * d2)
-            pairs = [g.eval_with_scale(y) for g in grads]
-            x = tuple(v for v, _ in pairs)
-            gscale = max(s for _, s in pairs)
-            gnorm = max(abs(v) for v in x)
-            singular = gscale == 0.0 or gnorm <= 1e-10 * gscale
-            pt = None
-            if not singular and abs(x[0]) > 1e-12 * gnorm:
-                pt = (x[1] / x[0], x[2] / x[0])
-            samples.append(CurveSample(theta=th, point=pt, root_index=idx,
-                                       singular=singular))
+    if len(grid.thetas) < 8:
+        raise ValueError("need at least 8 rays")
+    k, idx, t = grid.line_roots()
+    y1, y2 = t * grid.cos[k], t * grid.sin[k]
+    x, scales = zip(*(_eval_chart(curve.p.partial(i), y1, y2) for i in range(3)))
+    gscale = np.maximum.reduce(scales)
+    gnorm = np.maximum.reduce([np.abs(v) for v in x])
+    singular = (gscale == 0.0) | (gnorm <= 1e-10 * gscale)
+    finite = ~singular & (np.abs(x[0]) > 1e-12 * gnorm)
+    x0 = np.where(finite, x[0], 1.0)
+    pts = [(a, b) if ok else None for a, b, ok in
+           zip((x[1] / x0).tolist(), (x[2] / x0).tolist(), finite.tolist())]
+    samples = [CurveSample(theta=th, point=pt, root_index=i, singular=s)
+               for th, pt, i, s in zip(grid.thetas[k].tolist(), pts, idx.tolist(),
+                                       singular.tolist())]
     return CurveSampleSet(chart="x0=1", samples=samples)
+
+
+def _eval_chart(f: TriPoly, y1: np.ndarray, y2: np.ndarray):
+    """`f.eval_with_scale((1.0, y1, y2))` over float arrays.
+
+    The terms are multiplied and added in the scalar order (the factor
+    1.0**a is exact and left out), and `np.float_power`, unlike `np.power`,
+    rounds as the scalar `**` does, so every value is bitwise the scalar one.
+    """
+    total = np.zeros_like(y1)
+    scale = np.zeros_like(y1)
+    for (_, b, c), coef in f.terms.items():
+        v = float(coef) * np.float_power(y1, b) * np.float_power(y2, c)
+        total = total + v
+        scale = np.maximum(scale, np.abs(v))
+    return total, scale
 
 
 def dual_sample_csv(samples: CurveSampleSet) -> str:

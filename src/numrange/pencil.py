@@ -178,6 +178,15 @@ class SpectralGrid:
             setattr(sub, name, getattr(self, name)[::2])
         return sub
 
+    def line_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every real root of p(1, t*cos_k, t*sin_k) over the grid, as arrays.
+
+        Returns (k, index, t) in (angle, eigenvalue index) order: the roots
+        of `line_roots_from_eigs` for every row at once.
+        """
+        k, idx = np.nonzero(_root_eigs(self.eigvals))
+        return k, idx, -1.0 / self.eigvals[k, idx]
+
 
 def _exits(grid: SpectralGrid) -> list[tuple[float, tuple[float, float], float] | None]:
     """(t, exit point, lambda_min at the exit) per ray of the grid; None if unbounded.
@@ -270,12 +279,15 @@ def restrict_to_line(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction]:
 
 def line_roots_from_eigs(eigs: np.ndarray) -> list[tuple[int, float]]:
     """Real roots t = -1/lambda of det(I + t*H), tagged by eigenvalue index."""
-    out = []
-    scale = max(1.0, float(np.abs(eigs).max())) if len(eigs) else 1.0
-    for idx, lam in enumerate(eigs):
-        if abs(lam) > 1e-14 * scale:
-            out.append((idx, -1.0 / float(lam)))
-    return out
+    roots = np.flatnonzero(_root_eigs(eigs)).tolist()
+    return [(idx, -1.0 / float(eigs[idx])) for idx in roots]
+
+
+def _root_eigs(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues (last axis) that give a real root:
+    |lambda| > 1e-14 * max(1, max |lambda|)."""
+    w = np.abs(w)
+    return w > 1e-14 * np.maximum(1.0, w.max(axis=-1, keepdims=True, initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ grid (use an even grid size for exact pairing).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 MEMBER_TOL = 1e-7
-GAP_FLOOR = 1e-10   # below this, inner/outer already coincide to roundoff
+GAP_FLOOR = 1e-10   # times max(1, max|witness|): inner/outer coincide to roundoff
 
 
 # -- polygon utilities (work on floats and on exact Fractions alike) -----------
@@ -127,10 +128,17 @@ def point_to_polygon_distance(p, vertices) -> float:
 
 
 def hausdorff_outer_to_inner(outer, inner) -> float:
-    """Directed Hausdorff distance for nested convex polygons (outer around inner).
+    """Hausdorff distance between nested convex polygons (outer around inner).
 
-    Outer vertices cannot lie strictly inside the inner polygon (nested convex
-    sets), so the distance to the inner boundary is the distance to the set.
+    Both polygons are counter-clockwise and convex, as `convex_hull` returns
+    them (one or two vertices allowed), and inner lies inside outer.  For
+    nested convex sets K inside L the distance is max over unit u of
+    h_L(u) - h_K(u) (Schneider, Convex Bodies, section 1.8).  Between
+    consecutive outward edge normals of either polygon the supporting
+    vertices p of outer and v of inner are fixed, so there h_L - h_K is
+    u . (p - v): its maximum over the arc is |p - v| when p - v points into
+    the arc, else the larger endpoint value.  One sort of the merged normal
+    angles, then O(N + M) array work; roundoff below zero is clamped.
     """
     if not outer:
         return 0.0
@@ -140,16 +148,27 @@ def hausdorff_outer_to_inner(outer, inner) -> float:
     V = np.array([[float(x), float(y)] for x, y in inner])
     if len(V) == 1:
         return float(np.hypot(P[:, 0] - V[0, 0], P[:, 1] - V[0, 1]).max())
-    A = V
-    B = np.roll(V, -1, axis=0)
-    AB = B - A
-    L2 = (AB ** 2).sum(axis=1)
-    L2safe = np.where(L2 > 0, L2, 1.0)
-    AP = P[:, None, :] - A[None, :, :]
-    t = np.clip((AP * AB[None, :, :]).sum(axis=-1) / L2safe, 0.0, 1.0)
-    proj = A[None, :, :] + t[:, :, None] * AB[None, :, :]
-    d = np.sqrt(((P[:, None, :] - proj) ** 2).sum(axis=-1)).min(axis=1)
-    return float(d.max())
+    fans = [_normal_fan(P), _normal_fan(V)]
+    lo = np.sort(np.concatenate([angles for angles, _ in fans]))
+    hi = np.append(lo[1:], lo[0] + 2.0 * math.pi)
+    mid = 0.5 * (lo + hi)
+    p, v = (poly[(start + np.searchsorted(angles, mid, side="right")) % len(poly)]
+            for poly, (angles, start) in zip((P, V), fans))
+    dx, dy = p[:, 0] - v[:, 0], p[:, 1] - v[:, 1]
+    ends = np.maximum(np.cos(lo) * dx + np.sin(lo) * dy, np.cos(hi) * dx + np.sin(hi) * dy)
+    peak_inside = np.mod(np.arctan2(dy, dx) - lo, 2.0 * math.pi) <= hi - lo
+    gaps = np.where(peak_inside, np.hypot(dx, dy), ends)
+    return max(0.0, float(gaps.max()))
+
+
+def _normal_fan(poly: np.ndarray) -> tuple[np.ndarray, int]:
+    """Outward edge-normal angles of a CCW convex polygon, ascending, and the
+    index r such that angles[j] <= u < angles[j+1] is supported by vertex
+    (r + j + 1) mod len(poly) (u below angles[0] or past angles[-1]: vertex r)."""
+    e = np.roll(poly, -1, axis=0) - poly
+    phi = np.arctan2(-e[:, 0], e[:, 1])
+    r = int(np.argmin(phi))
+    return np.maximum.accumulate(np.roll(phi, -r)), r
 
 
 def polygon_support(vertices, thetas) -> np.ndarray:
@@ -199,15 +218,47 @@ def _support_grid(grid: SpectralGrid):
 
 
 def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
-    """Intersection of the supporting half-planes {x . u(theta) <= h}."""
+    """Intersection of the supporting half-planes {x . u(theta_k) <= h_k}.
+
+    The angles increase around the circle with gaps below pi, as on every
+    spectral grid.  One angle-ordered deque sweep (Preparata & Shamos,
+    Computational Geometry, section 7.2) keeps the half-planes that bound the
+    intersection: a vertex is cut off when it violates a half-plane by more
+    than 1e-9*scale.  The vertex of two neighbouring half-planes k, k+1 is
+    computed by one array expression, so when no half-plane is redundant the
+    result is the convex hull of those N points; the vertex of lines left
+    adjacent by a redundant one is computed by the same formula.
+    """
+    N = len(h)
     cos_n, sin_n, h_n = np.roll(cos, -1), np.roll(sin, -1), np.roll(h, -1)  # next angle
     det = cos * sin_n - sin * cos_n  # sin of the angle gap, never 0
     C = np.stack([(h * sin_n - h_n * sin) / det, (cos * h_n - cos_n * h) / det], axis=1)
-    scale = max(1.0, float(np.abs(C).max()))
-    feas = (C[:, 0][:, None] * cos[None, :] + C[:, 1][:, None] * sin[None, :]
-            <= h[None, :] + 1e-9 * scale).all(axis=1)
-    kept = [tuple(pt) for pt in C[feas]]
-    return convex_hull(kept)
+    slack = 1e-9 * max(1.0, float(np.abs(C).max()))
+    neighbours = [tuple(pt) for pt in C.tolist()]
+    c, s, hs = cos.tolist(), sin.tolist(), h.tolist()
+
+    def vertex(i, j):
+        if j == (i + 1) % N:
+            return neighbours[i]
+        d = c[i] * s[j] - s[i] * c[j]
+        return ((hs[i] * s[j] - hs[j] * s[i]) / d, (c[i] * hs[j] - c[j] * hs[i]) / d)
+
+    def cut(pt, j):
+        return pt[0] * c[j] + pt[1] * s[j] > hs[j] + slack
+
+    lines: deque[int] = deque()
+    for j in range(N):
+        while len(lines) >= 2 and cut(vertex(lines[-2], lines[-1]), j):
+            lines.pop()
+        while len(lines) >= 2 and cut(vertex(lines[0], lines[1]), j):
+            lines.popleft()
+        lines.append(j)
+    while len(lines) >= 3 and cut(vertex(lines[-2], lines[-1]), lines[0]):
+        lines.pop()
+    while len(lines) >= 3 and cut(vertex(lines[0], lines[1]), lines[-1]):
+        lines.popleft()
+    order = list(lines)
+    return convex_hull([vertex(i, j) for i, j in zip(order, order[1:] + order[:1])])
 
 
 def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:
@@ -299,7 +350,8 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
 
     (a) 1 + x.y >= -tol for every witness x and boundary sample y;
     (b) every boundary sample has a complementary witness with pairing <= tol;
-    (c) the inner/outer Hausdorff gap shrinks when the grid doubles.
+    (c) the inner/outer Hausdorff gap shrinks when the grid doubles, unless
+        both gaps are roundoff: at most GAP_FLOOR * max(1, max|witness|).
     """
     if N < 16:
         raise ValueError("need N >= 16")
@@ -312,7 +364,8 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     hulls2 = _grid_hulls(fine)
     gap1 = hausdorff_outer_to_inner(hulls1.outer, hulls1.inner)
     gap2 = hausdorff_outer_to_inner(hulls2.outer, hulls2.inner)
-    decreased = gap2 < gap1 or (gap1 <= GAP_FLOOR and gap2 <= GAP_FLOOR)
+    floor = GAP_FLOOR * max(1.0, float(np.abs(hulls1.witnesses).max()))
+    decreased = gap2 < gap1 or (gap1 <= floor and gap2 <= floor)
     if pts:
         Y = np.array(pts)
         X = np.array(hulls1.witnesses)

@@ -13,7 +13,7 @@ import math
 
 from .dualcurve import _grid_dual_sample
 from .hermitian import GaussianRationalMatrix, split
-from .pencil import PencilCurve, SpectralGrid, _grid_boundary, line_roots_from_eigs, pencil_det
+from .pencil import PencilCurve, SpectralGrid, _grid_boundary, pencil_det
 from .rangegeom import _grid_hulls
 
 __all__ = ["ViewportRequiredError", "render_figure"]
@@ -125,11 +125,11 @@ def _branch_segments(branches, panel):
 
 def _primal_branches(grid: SpectralGrid):
     """Points of p(1,.,.) = 0 along the grid's rays, one branch per eigenvalue index."""
-    N = len(grid.thetas)
-    branches = [[None] * N for _ in range(grid.pencil.n)]
-    for k, (d1, d2, eigs) in enumerate(zip(grid.cos.tolist(), grid.sin.tolist(), grid.eigvals)):
-        for idx, t in line_roots_from_eigs(eigs):
-            branches[idx][k] = (t * d1, t * d2)
+    branches = [[None] * len(grid.thetas) for _ in range(grid.pencil.n)]
+    k, idx, t = grid.line_roots()
+    for kk, i, y1, y2 in zip(k.tolist(), idx.tolist(), (t * grid.cos[k]).tolist(),
+                             (t * grid.sin[k]).tolist()):
+        branches[i][kk] = (y1, y2)
     return branches
 
 

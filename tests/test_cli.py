@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 import numrange.cli
 from numrange.cli import main
 
@@ -74,6 +76,24 @@ class TestSampleCommands:
                    "--out", str(hulls), "--curve", str(curve)) == 0
         assert hulls.read_text().startswith("kind,vertex_index,x1,x2")
         assert curve.read_text().startswith("theta,root_index,x1,x2,singular_flag")
+
+    def test_sample_w_with_curve_solves_the_grid_once(self, tmp_path, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        assert run("sample-w", "--input", fx("cubic_cusp.json"), "--grid", "720",
+                   "--out", str(tmp_path / "w.csv"), "--curve", str(tmp_path / "q.csv")) == 0
+        assert calls == [(720, 3, 3)]
+
+    def test_sample_w_curve_needs_eight_rays(self, tmp_path, capsys):
+        assert run("sample-w", "--input", fx("disk.json"), "--grid", "7",
+                   "--out", str(tmp_path / "w.csv"), "--curve", str(tmp_path / "q.csv")) == 2
+        assert "need at least 8 rays" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from numrange.exactpoly import TriPoly, parse_poly
+from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, split
 from numrange.pencil import (
     YVARS,
@@ -18,6 +18,7 @@ from numrange.pencil import (
     lmi_polytope_vertices,
     pencil_det,
     ray_exit,
+    line_roots_from_eigs,
     restrict_to_line,
 )
 from numrange.rangegeom import polygon_is_convex
@@ -215,6 +216,20 @@ class TestSpectralGrid:
             else:
                 assert exit_.point == s.point
                 assert exit_.lambda_min_at_exit == s.lambda_min
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ("zero_eigenvalue",))
+    def test_line_roots_are_the_per_angle_roots(self, name):
+        A = (GaussianRationalMatrix.diagonal([GaussianRational.ZERO, GaussianRational.ONE])
+             if name == "zero_eigenvalue" else fixture_matrix(name))
+        grid = SpectralGrid(split(A), 90)
+        want = []
+        for k, eigs in enumerate(grid.eigvals.tolist()):
+            scale = max(1.0, max(abs(lam) for lam in eigs))
+            roots = [(i, -1.0 / lam) for i, lam in enumerate(eigs) if abs(lam) > 1e-14 * scale]
+            assert line_roots_from_eigs(grid.eigvals[k]) == roots
+            want += [(k, i, t) for i, t in roots]
+        k, idx, t = grid.line_roots()
+        assert list(zip(k.tolist(), idx.tolist(), t.tolist())) == want
 
     def test_eigenpairs(self):
         pencil = split(fixture_matrix("nested_ovals"))

@@ -1,14 +1,24 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from numrange.exactpoly import GaussianRational
 from numrange.hermitian import GaussianRationalMatrix, is_normal, split
-from numrange.pencil import pencil_det
-from numrange.dualcurve import dual_sample
+from numrange.pencil import (
+    CurveSample,
+    CurveSampleSet,
+    SpectralGrid,
+    line_roots_from_eigs,
+    pencil_det,
+)
+from numrange.dualcurve import dual_sample, dual_sample_csv
 from numrange.rangegeom import (
+    _outer_polygon,
+    _support_grid,
     convex_hull,
     duality_check,
     hausdorff_outer_to_inner,
@@ -26,6 +36,9 @@ from conftest import fixture_matrix, random_gaussian_matrix
 
 F = Fraction
 G = GaussianRational.of
+
+FIXTURE_NAMES = ("disk", "cubic_cusp", "cross_star", "nested_ovals", "polytope",
+                 "cardioid_circle")
 
 
 def gmatrix(rows):
@@ -145,6 +158,23 @@ class TestDuality:
         assert rep.unbounded_count > 0
         assert abs(rep.pairing_min) <= 1e-12
         assert rep.ok
+
+    @pytest.mark.parametrize("c", [10**3, 10**6])
+    def test_scaled_polytope_passes(self, c):
+        # W(cA) = c W(A): the roundoff gaps of the polytope scale with c
+        A = fixture_matrix("polytope").scale(G(F(c)))
+        rep = duality_check(A, N=720)
+        assert rep.gap_decreased and rep.ok
+
+    def test_memory_stays_linear(self):
+        A = fixture_matrix("cubic_cusp")
+        tracemalloc.start()
+        try:
+            duality_check(A, N=1440)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_report_text_keys(self):
         rep = duality_check(fixture_matrix("disk"), N=64)
@@ -277,3 +307,131 @@ class TestHullHelpers:
         inner = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
         assert abs(hausdorff_outer_to_inner(outer, inner) - math.sqrt(2.0)) < 1e-12
         assert hausdorff_outer_to_inner(inner, inner) < 1e-12
+
+
+# -- the quadratic kernels the linear ones replaced, kept as references ------------
+
+
+def _hausdorff_reference(outer, inner) -> float:
+    """max over outer vertices of the distance to the inner boundary, O(N*M)."""
+    P = np.array(outer, dtype=float)
+    V = np.array(inner, dtype=float)
+    if len(V) == 1:
+        return float(np.hypot(P[:, 0] - V[0, 0], P[:, 1] - V[0, 1]).max())
+    A, AB = V, np.roll(V, -1, axis=0) - V
+    L2 = (AB ** 2).sum(axis=1)
+    L2safe = np.where(L2 > 0, L2, 1.0)
+    worst = 0.0
+    for rows in np.array_split(P, max(1, len(P) // 256)):   # bounded temporaries
+        AP = rows[:, None, :] - A[None, :, :]
+        t = np.clip((AP * AB[None, :, :]).sum(axis=-1) / L2safe, 0.0, 1.0)
+        proj = A[None, :, :] + t[:, :, None] * AB[None, :, :]
+        d = np.sqrt(((rows[:, None, :] - proj) ** 2).sum(axis=-1)).min(axis=1)
+        worst = max(worst, float(d.max()))
+    return worst
+
+
+def _outer_polygon_reference(cos, sin, h):
+    """Vertices of neighbouring half-planes that satisfy every half-plane, O(N^2)."""
+    cos_n, sin_n, h_n = np.roll(cos, -1), np.roll(sin, -1), np.roll(h, -1)
+    det = cos * sin_n - sin * cos_n
+    C = np.stack([(h * sin_n - h_n * sin) / det, (cos * h_n - cos_n * h) / det], axis=1)
+    scale = max(1.0, float(np.abs(C).max()))
+    feas = (C[:, 0][:, None] * cos[None, :] + C[:, 1][:, None] * sin[None, :]
+            <= h[None, :] + 1e-9 * scale).all(axis=1)
+    return convex_hull([tuple(pt) for pt in C[feas]])
+
+
+def _dual_sample_reference(curve, N):
+    """Per-point `eval_with_scale` gradient images, one ray at a time."""
+    grid = SpectralGrid(curve.pencil, N)
+    grads = [curve.p.partial(i) for i in range(3)]
+    samples = []
+    for th, d1, d2, eigs in zip(grid.thetas.tolist(), grid.cos.tolist(), grid.sin.tolist(),
+                                grid.eigvals):
+        for idx, t in line_roots_from_eigs(eigs):
+            pairs = [g.eval_with_scale((1.0, t * d1, t * d2)) for g in grads]
+            x = tuple(v for v, _ in pairs)
+            gscale = max(s for _, s in pairs)
+            gnorm = max(abs(v) for v in x)
+            singular = gscale == 0.0 or gnorm <= 1e-10 * gscale
+            pt = None
+            if not singular and abs(x[0]) > 1e-12 * gnorm:
+                pt = (x[1] / x[0], x[2] / x[0])
+            samples.append(CurveSample(theta=th, point=pt, root_index=idx, singular=singular))
+    return CurveSampleSet(chart="x0=1", samples=samples)
+
+
+def _grid_polygons(A, N):
+    grid = SpectralGrid(split(A), N)
+    h, wit = _support_grid(grid)
+    inner = convex_hull([tuple(map(float, p)) for p in wit])
+    return grid, h, inner, max(1.0, float(np.abs(wit).max()))
+
+
+def _random_nested_pair(rng):
+    """(outer, inner): inner is the hull of 1..12 random points, outer the hull of
+    those points and 0..12 more; a tenth of the pairs coincide."""
+    scale = 10.0 ** rng.uniform(-3, 3)
+    cx, cy = rng.uniform(-5, 5) * scale, rng.uniform(-5, 5) * scale
+
+    def pts(k, r):
+        return [(cx + r * scale * rng.gauss(0, 1), cy + r * scale * rng.gauss(0, 1))
+                for _ in range(k)]
+
+    base = pts(rng.choice([1, 2, rng.randint(3, 12)]), 1.0)
+    extra = [] if rng.random() < 0.1 else pts(rng.randint(1, 12), rng.uniform(0.5, 3.0))
+    return convex_hull(base + extra), convex_hull(base)
+
+
+class TestLinearKernelsAgainstReferences:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_grids(self, name):
+        for N in (90, 720, 1440, 2880):
+            grid, h, inner, scale = _grid_polygons(fixture_matrix(name), N)
+            outer = _outer_polygon(grid.cos, grid.sin, h)
+            assert outer == _outer_polygon_reference(grid.cos, grid.sin, h), N
+            gap = hausdorff_outer_to_inner(outer, inner)
+            assert abs(gap - _hausdorff_reference(outer, inner)) <= 1e-12 * scale, N
+
+    def test_generic_grids(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            A = random_gaussian_matrix(rng.randint(2, 6), rng)
+            grid, h, inner, scale = _grid_polygons(A, 360)
+            outer = _outer_polygon(grid.cos, grid.sin, h)
+            assert outer == _outer_polygon_reference(grid.cos, grid.sin, h)
+            gap = hausdorff_outer_to_inner(outer, inner)
+            assert abs(gap - _hausdorff_reference(outer, inner)) <= 1e-12 * scale
+
+    def test_random_nested_pairs(self):
+        rng = random.Random(9001)
+        sizes = set()
+        for _ in range(600):
+            outer, inner = _random_nested_pair(rng)
+            sizes.add(min(len(inner), 3))
+            scale = float(np.abs(np.array(outer)).max())
+            got = hausdorff_outer_to_inner(outer, inner)
+            assert abs(got - _hausdorff_reference(outer, inner)) <= 1e-12 * scale
+        assert sizes == {1, 2, 3}
+
+    def test_coincident_polygons(self):
+        _, _, inner, _ = _grid_polygons(fixture_matrix("nested_ovals"), 720)
+        assert hausdorff_outer_to_inner(inner, inner) == 0.0
+        assert hausdorff_outer_to_inner([(1.0, 2.0)], [(1.0, 2.0)]) == 0.0
+
+    def test_redundant_half_plane_keeps_the_corner(self):
+        # unit square, plus the half-plane x1 + x2 <= 2*sqrt(2) that misses it
+        thetas = np.array([0.0, math.pi / 4, math.pi / 2, math.pi, 1.5 * math.pi])
+        h = np.array([1.0, 2.0, 1.0, 1.0, 1.0])
+        outer = _outer_polygon(np.cos(thetas), np.sin(thetas), h)
+        assert np.allclose(outer, [(-1, -1), (1, -1), (1, 1), (-1, 1)], atol=1e-12)
+        assert len(_outer_polygon_reference(np.cos(thetas), np.sin(thetas), h)) == 3
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_dual_sample_is_the_per_point_evaluation(self, name):
+        curve = pencil_det(split(fixture_matrix(name)))
+        for N in (16, 90, 720):
+            got, want = dual_sample(curve, N), _dual_sample_reference(curve, N)
+            assert got.samples == want.samples, N
+            assert dual_sample_csv(got) == dual_sample_csv(want), N

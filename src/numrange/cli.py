@@ -180,7 +180,7 @@ def cmd_duality(args) -> int:
 def cmd_craig(args) -> int:
     A1, A2 = _load_pair(args.input)
     try:
-        v = craig_verdict(A1, A2)
+        v = craig_verdict(A1, A2, N=args.grid, rect_tol=args.tol)
     except CraigDisagreementError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED

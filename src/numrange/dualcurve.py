@@ -221,6 +221,10 @@ def dual_curve_exact(p: TriPoly, out_vars=XVARS) -> DualCurve:
             "(dual_of_linear / dual_union) or sample numerically")
     audit: list[TriPoly] = []
     sf = gcd_squarefree(p)
+    if sf.total_degree() == 1:
+        raise DegenerateDualError(
+            f"squarefree part {sf.to_text()} is linear; its dual is one point "
+            "(dual_of_linear)")
     if sf != p.primitive():
         audit.append(p.primitive().divexact(sf).primitive())
     n = sf.total_degree()

@@ -3,9 +3,10 @@
 Everything here is exact: coefficients are `fractions.Fraction` (or
 `GaussianRational` pairs of them), exponents are triples of non-negative
 ints, and no operation ever rounds.  This module is the elimination engine
-behind the pencil determinant p(y) and the dual curve q(x): determinants
-(fraction-free Bareiss), binary-form resultants on explicit Sylvester
-matrices, discriminants, and subresultant-PRS GCDs for squarefree parts.
+behind the pencil determinant p(y) and the dual curve q(x): one
+division-free determinant (minor expansion), binary-form resultants and
+discriminants on explicit Sylvester matrices, and subresultant-PRS GCDs for
+squarefree parts.
 
 Monomial order is graded lexicographic with var0 > var1 > var2 throughout,
 including the canonical text format.
@@ -172,8 +173,8 @@ class TriPoly:
 
     `terms` maps exponent triples to nonzero coefficients.  Coefficients are
     Fraction for the usual rational case, GaussianRational where a complex
-    determinant is being expanded (the pencil path); the two never mix within
-    one polynomial.
+    determinant is being expanded (the complex pencil path and `charpoly`);
+    the two never mix within one polynomial.
     """
 
     __slots__ = ("vars", "terms", "_hash")
@@ -561,55 +562,26 @@ def parse_poly(text: str, vars: Sequence[str]) -> TriPoly:
 # -- determinants -------------------------------------------------------------
 
 
-def _det_cofactor(M: list[list[TriPoly]]) -> TriPoly:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    vars = M[0][0].vars
-    det = TriPoly.zero(vars)
-    for j in range(n):
-        if M[0][j].is_zero():
-            continue
-        minor = [[M[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = M[0][j] * _det_cofactor(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
+def _addmul(acc: dict, f: dict, g: dict, negate: bool) -> None:
+    """acc += (-f if negate else f) * g, on raw term dicts; zeros may remain."""
+    for ef, cf in f.items():
+        if negate:
+            cf = -cf
+        a, b, c = ef
+        for eg, cg in g.items():
+            k = (a + eg[0], b + eg[1], c + eg[2])
+            v = acc.get(k)
+            acc[k] = cf * cg if v is None else v + cf * cg
 
 
-def _det_bareiss(M: list[list[TriPoly]]) -> TriPoly:
-    n = len(M)
-    vars = M[0][0].vars
-    A = [row[:] for row in M]
-    sign = 1
-    prev = TriPoly.constant(1, vars)
-    for k in range(n - 1):
-        if A[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not A[r][k].is_zero():
-                    A[k], A[r] = A[r], A[k]
-                    sign = -sign
-                    break
-            else:
-                return TriPoly.zero(vars)
-        pivot = A[k][k]
-        for i in range(k + 1, n):
-            aik = A[i][k]
-            for j in range(k + 1, n):
-                num = A[i][j] * pivot - aik * A[k][j]
-                A[i][j] = num.divexact(prev)
-            A[i][k] = TriPoly.zero(vars)
-        prev = pivot
-    det = A[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def det_poly_matrix(M: Sequence[Sequence[TriPoly]], method: str = "auto") -> TriPoly:
+def det_poly_matrix(M: Sequence[Sequence[TriPoly]]) -> TriPoly:
     """Exact determinant of a square matrix of TriPoly over one variable triple.
 
-    Fraction-free Bareiss elimination for size > 4, cofactor expansion for
-    small matrices (method="auto"); both available explicitly for cross checks.
+    Laplace expansion along the rows, bottom up: the minors on the last k
+    rows are kept in a dict keyed by their column bitmask, and each one is
+    built from the minors on the last k-1 rows, so every minor is computed
+    once (at most n*2^(n-1) products).  It never divides, and it skips zero
+    entries and zero minors, which the banded Sylvester matrices are full of.
     """
     rows = [list(r) for r in M]
     n = len(rows)
@@ -623,11 +595,24 @@ def det_poly_matrix(M: Sequence[Sequence[TriPoly]], method: str = "auto") -> Tri
         for p in r:
             if p.vars != vars:
                 raise VariableMismatchError("matrix entries use different variable triples")
-    if method == "cofactor" or (method == "auto" and n <= 4):
-        return _det_cofactor(rows)
-    if method in ("bareiss", "auto"):
-        return _det_bareiss(rows)
-    raise ValueError(f"unknown method {method!r}")
+    minors = {1 << j: p for j, p in enumerate(rows[-1]) if p.terms}
+    for row in reversed(rows[:-1]):
+        sums: dict[int, dict] = {}
+        for mask, minor in minors.items():
+            # sign of entry j in the expansion: parity of the columns of mask left of j
+            negate = False
+            for j, p in enumerate(row):
+                bit = 1 << j
+                if mask & bit:
+                    negate = not negate
+                elif p.terms:
+                    _addmul(sums.setdefault(mask | bit, {}), p.terms, minor.terms, negate)
+        minors = {}
+        for mask, terms in sums.items():
+            minor = TriPoly(vars, terms)
+            if minor.terms:
+                minors[mask] = minor
+    return minors.get((1 << n) - 1, TriPoly.zero(vars))
 
 
 # -- binary forms, resultants, discriminants -----------------------------------
@@ -670,6 +655,21 @@ class BinaryForm:
         return BinaryForm(d - 1, tuple((d - i) * self.coeffs[i] for i in range(d)))
 
 
+def _sylvester(f: BinaryForm, g: BinaryForm) -> list[list[TriPoly]]:
+    """Sylvester matrix: deg(g) shifted rows of f's coefficients, then deg(f) of g's."""
+    m, n = f.degree, g.degree
+    size = m + n
+    zero = TriPoly.zero(f.vars)
+    M = [[zero] * size for _ in range(size)]
+    for r in range(n):
+        for i, c in enumerate(f.coeffs):
+            M[r][r + i] = c
+    for r in range(m):
+        for i, c in enumerate(g.coeffs):
+            M[n + r][r + i] = c
+    return M
+
+
 def resultant(f: BinaryForm, g: BinaryForm) -> TriPoly:
     """Sylvester resultant of two binary forms.
 
@@ -682,35 +682,28 @@ def resultant(f: BinaryForm, g: BinaryForm) -> TriPoly:
         raise VariableMismatchError("resultant operands use different variable triples")
     if f.degree < 1 or g.degree < 1:
         raise ValueError("resultant needs degrees >= 1")
-    m, n = f.degree, g.degree
-    size = m + n
-    zero = TriPoly.zero(f.vars)
-    M = [[zero] * size for _ in range(size)]
-    for r in range(n):
-        for i, c in enumerate(f.coeffs):
-            M[r][r + i] = c
-    for r in range(m):
-        for i, c in enumerate(g.coeffs):
-            M[n + r][r + i] = c
-    return det_poly_matrix(M)
+    return det_poly_matrix(_sylvester(f, g))
 
 
 def discriminant_binary(g: BinaryForm) -> TriPoly:
     """Discriminant of a binary form: (-1)^(d(d-1)/2) * res(g, dg/dz) / lc.
 
     Vanishes exactly when g has a repeated linear factor; this is the
-    tangency detector used in dual-curve elimination.
+    tangency detector used in dual-curve elimination.  The division by lc is
+    done on the Sylvester matrix, not on the resultant: subtracting d times
+    row 0 from the first dg/dz row leaves (lc, 0, ..., 0) in column 0, so
+    res(g, dg/dz) = lc * (the minor without row 0 and column 0).
     """
     if g.is_zero():
         raise ZeroPolynomialError("discriminant of the zero form")
     if g.degree < 2:
         raise ValueError("discriminant needs degree >= 2")
-    lead = g.coeffs[0]
-    if lead.is_zero():
+    if g.coeffs[0].is_zero():
         raise ZeroPolynomialError("leading coefficient vanishes; discriminant normalization undefined")
-    r = resultant(g, g.derivative_z())
     d = g.degree
-    q = r.divexact(lead)
+    M = _sylvester(g, g.derivative_z())
+    M[d - 1] = [a - d * b for a, b in zip(M[d - 1], M[0])]
+    q = det_poly_matrix([row[1:] for row in M[1:]])
     if (d * (d - 1) // 2) % 2:
         q = -q
     return q
@@ -895,25 +888,11 @@ def _uni_trim_q(c: list[Fraction]) -> list[Fraction]:
     return c
 
 
-def uni_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = _uni_trim_q(list(a))
-    b = _uni_trim_q(list(b))
-    if not b:
-        raise ZeroDivisionError
-    while len(a) >= len(b) and a:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i in range(len(b)):
-            a[shift + i] -= f * b[i]
-        a = _uni_trim_q(a)
-    return a
-
-
 def uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = _uni_trim_q(list(a))
     b = _uni_trim_q(list(b))
     while b:
-        a, b = b, uni_rem(a, b)
+        a, b = b, uni_divmod(a, b)[1]
     if a:
         lead = a[-1]
         a = [c / lead for c in a]
@@ -969,7 +948,7 @@ def sturm_real_root_count(coeffs: list[Fraction]) -> int:
         return 0
     chain = [c, uni_derivative(c)]
     while _uni_trim_q(list(chain[-1])):
-        r = uni_rem(chain[-2], chain[-1])
+        r = uni_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-x for x in r])

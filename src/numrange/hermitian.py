@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactpoly import GaussianRational
+from .exactpoly import GaussianRational, TriPoly, det_poly_matrix
 
 __all__ = [
     "GaussianRationalMatrix",
@@ -32,6 +32,7 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 INV_2I = GaussianRational(Fraction(0), Fraction(-1, 2))  # 1/(2i)
+_TVARS = ("t", "_", "__")  # charpoly entries are polynomials in t alone
 
 
 class MatrixFormatError(ValueError):
@@ -115,12 +116,6 @@ class GaussianRationalMatrix:
     def scale(self, c) -> "GaussianRationalMatrix":
         c = _entry(c)
         return GaussianRationalMatrix([[c * e for e in row] for row in self.entries])
-
-    def trace(self) -> GaussianRational:
-        t = GaussianRational.ZERO
-        for i in range(self.n):
-            t = t + self.entries[i][i]
-        return t
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
@@ -225,21 +220,16 @@ def rank_one_value(A: GaussianRationalMatrix, w) -> tuple[float, float]:
 
 
 def charpoly(A: GaussianRationalMatrix) -> list[GaussianRational]:
-    """Exact characteristic polynomial det(t*I - A) by Faddeev-LeVerrier.
+    """Exact characteristic polynomial det(t*I - A), expanded by `det_poly_matrix`.
 
     Returns coefficients [c_0, ..., c_n] with c_n = 1, ascending powers of t.
     """
-    n = A.n
-    coeffs = [GaussianRational.ZERO] * (n + 1)
-    coeffs[n] = GaussianRational.ONE
-    M = GaussianRationalMatrix.identity(n)
-    for k in range(1, n + 1):
-        M = A @ M
-        ck = M.trace() * GaussianRational.of(Fraction(-1, k))
-        coeffs[n - k] = ck
-        if k < n:
-            M = M + GaussianRationalMatrix.identity(n).scale(ck)
-    return coeffs
+    rows = [[TriPoly(_TVARS, {(1, 0, 0): GaussianRational.ONE, (0, 0, 0): -a} if i == j
+                     else {(0, 0, 0): -a})
+             for j, a in enumerate(row)]
+            for i, row in enumerate(A.entries)]
+    det = det_poly_matrix(rows).terms
+    return [det.get((k, 0, 0), GaussianRational.ZERO) for k in range(A.n + 1)]
 
 
 # -- matrix file format --------------------------------------------------------

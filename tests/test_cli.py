@@ -35,6 +35,12 @@ class TestPencilCommand:
 
 
 class TestDualCommand:
+    def test_linear_squarefree_part_refused(self, tmp_path, capsys):
+        one_by_one = tmp_path / "a.json"
+        one_by_one.write_text(json.dumps({"n": 1, "entries": [[[2, 3]]]}))
+        assert run("dual", "--input", str(one_by_one)) == 2
+        assert "one point" in capsys.readouterr().err
+
     def test_exact_dual(self, tmp_path):
         out = tmp_path / "q.txt"
         assert run("dual", "--input", fx("cubic_cusp.json"), "--out", str(out)) == 0
@@ -128,6 +134,20 @@ class TestCraigCommand:
         assert run("craig", "--input", fx("disk.json")) == 0
         out = capsys.readouterr().out
         assert "identity=false product_zero=false" in out
+
+    def test_grid_and_tol_reach_craig_verdict(self, monkeypatch):
+        seen = []
+        real = numrange.cli.craig_verdict
+
+        def spy(A1, A2, N=720, rect_tol=1e-6):
+            seen.append((N, rect_tol))
+            return real(A1, A2, N=N, rect_tol=rect_tol)
+
+        monkeypatch.setattr(numrange.cli, "craig_verdict", spy)
+        pair = fx("craig_pair_diag.json")
+        assert run("craig", "--input", pair, "--grid", "48", "--tol", "1e-3") == 0
+        assert run("craig", "--input", pair) == 0
+        assert seen == [(48, 1e-3), (720, 1e-6)]
 
 
 class TestClassifyCommand:

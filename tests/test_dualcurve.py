@@ -18,8 +18,8 @@ from numrange.dualcurve import (
     dual_union,
     sample_real_curve_points,
 )
-from numrange.exactpoly import TriPoly, parse_poly
-from numrange.hermitian import split
+from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
+from numrange.hermitian import GaussianRationalMatrix, split
 from numrange.pencil import YVARS, pencil_det
 
 from conftest import fixture_matrix, golden_poly
@@ -146,6 +146,14 @@ class TestDualCurveExact:
             dual_curve_exact(Y0 ** 2 - Y1 ** 2)  # no y2 dependence
         with pytest.raises(DegenerateDualError):
             dual_curve_exact((Y0 + Y1) * Y2)     # y2 divides p
+
+    def test_linear_squarefree_part_is_a_point(self):
+        one_by_one = GaussianRationalMatrix([[GaussianRational.of(2, 3)]])
+        scalar = GaussianRationalMatrix.identity(3).scale(GaussianRational.of(1, 1))
+        for A in (one_by_one, scalar):
+            p = pencil_det(split(A)).p
+            with pytest.raises(DegenerateDualError, match="one point"):
+                dual_curve_exact(p)
 
 
 class TestDualOfLinear:

@@ -103,12 +103,31 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             det_poly_matrix([[Y0, Y1]])
 
-    def test_bareiss_equals_cofactor(self):
+    def test_matches_cofactor_reference(self):
         rng = random.Random(11)
+        cases = []
         for _ in range(12):
             n = rng.randint(2, 4)
-            M = [[random_tripoly(rng, max_deg=1, terms=2) for _ in range(n)] for _ in range(n)]
-            assert det_poly_matrix(M, "bareiss") == det_poly_matrix(M, "cofactor")
+            cases.append([[random_tripoly(rng, max_deg=1, terms=2) for _ in range(n)]
+                          for _ in range(n)])
+        for n in range(1, 7):
+            for gaussian in (False, True):
+                M = [[_random_entry(rng, gaussian) for _ in range(n)] for _ in range(n)]
+                cases.append(M)
+                if n >= 2:
+                    z = TriPoly.zero(YVARS)
+                    cases.append([[z] * n] + M[1:])           # zero row
+                    cases.append(M[:-1] + [M[0]])             # repeated row
+                    cases.append(M[:-1] + [[3 * e for e in M[0]]])  # proportional row
+        for d1 in range(1, 4):
+            for d2 in range(1, 4):
+                f = BinaryForm(d1, tuple(random_tripoly(rng, max_deg=1, terms=2)
+                                         for _ in range(d1 + 1)))
+                g = BinaryForm(d2, tuple(random_tripoly(rng, max_deg=1, terms=2)
+                                         for _ in range(d2 + 1)))
+                cases.append(_sylvester_reference(f, g))
+        for M in cases:
+            assert det_poly_matrix(M) == _det_cofactor_reference(M)
 
     def test_eval_commutes_with_det(self):
         rng = random.Random(13)
@@ -128,6 +147,37 @@ class TestDeterminant:
                              [TriPoly.constant(i, YVARS), Y0]])
         re, im = d.real_imag()
         assert re == Y0 ** 2 + 1 and im.is_zero()
+
+
+def _det_cofactor_reference(M):
+    """Plain cofactor expansion along the first row, no shared minors."""
+    if len(M) == 1:
+        return M[0][0]
+    det = TriPoly.zero(M[0][0].vars)
+    for j, e in enumerate(M[0]):
+        minor = [row[:j] + row[j + 1:] for row in M[1:]]
+        term = e * _det_cofactor_reference(minor)
+        det = det + term if j % 2 == 0 else det - term
+    return det
+
+
+def _random_entry(rng, gaussian):
+    """A linear form in YVARS, sometimes zero, with Fraction or Gaussian coefficients."""
+    terms = {}
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        if rng.random() < 0.6:
+            re = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            im = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            terms[e] = GaussianRational(re, im) if gaussian else re
+    return TriPoly(YVARS, terms)
+
+
+def _sylvester_reference(f, g):
+    m, n = f.degree, g.degree
+    z = TriPoly.zero(f.vars)
+    rows = [[z] * r + list(f.coeffs) + [z] * (n - 1 - r) for r in range(n)]
+    rows += [[z] * r + list(g.coeffs) + [z] * (m - 1 - r) for r in range(m)]
+    return rows
 
 
 def _scalar_form(vars, coeffs):
@@ -217,6 +267,19 @@ class TestDiscriminant:
                 # (z - r w)(z - s w): simple roots, disc != 0
                 simple = [Fraction(1), -(r + s), r * s]
                 assert not discriminant_binary(_scalar_form(YVARS, simple)).is_zero()
+
+    def test_matches_resultant_over_leading_coefficient(self):
+        rng = random.Random(37)
+        for d in range(2, 7):
+            for _ in range(3 if d <= 4 else 1):
+                coeffs = [random_tripoly(rng, max_deg=1, terms=2) for _ in range(d + 1)]
+                while coeffs[0].is_zero():
+                    coeffs[0] = random_tripoly(rng, max_deg=1, terms=2)
+                g = BinaryForm(d, tuple(coeffs))
+                ref = resultant(g, g.derivative_z()).divexact(coeffs[0])
+                if (d * (d - 1) // 2) % 2:
+                    ref = -ref
+                assert discriminant_binary(g) == ref
 
     def test_matches_sympy(self):
         rng = random.Random(31)

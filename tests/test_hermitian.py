@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from numrange.exactpoly import GaussianRational
 from numrange.hermitian import (
@@ -139,6 +140,21 @@ class TestCharpoly:
             poly = np.array([complex(c) for c in coeffs[::-1]])
             vals = np.polyval(poly, z)
             assert np.abs(vals).max() < 1e-6 * max(1.0, np.abs(z).max()) ** n
+
+    def test_matches_sympy_exactly(self):
+        rng = random.Random(113)
+        t = sp.symbols("t")
+        for n in range(1, 7):
+            A = random_gaussian_matrix(n, rng)
+            M = sp.Matrix([[sp.Rational(e.re.numerator, e.re.denominator)
+                            + sp.I * sp.Rational(e.im.numerator, e.im.denominator)
+                            for e in row] for row in A.entries])
+            ref = [sp.expand(c) for c in M.charpoly(t).all_coeffs()[::-1]]
+            got = [sp.Rational(c.re.numerator, c.re.denominator)
+                   + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
+                   for c in charpoly(A)]
+            assert got == ref
+            assert all(isinstance(c, GaussianRational) for c in charpoly(A))
 
 
 class TestMatrixJson:

@@ -14,7 +14,7 @@ audit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -72,12 +72,20 @@ class ProductMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class DualCurve:
-    """Primitive defining polynomial of the dual curve plus an audit trail."""
+    """Primitive defining polynomial of the dual curve plus an audit trail.
+
+    `validation_points` counts the gradient images q was checked on, and
+    `worst_residual` is the largest relative residual |q(x)| / scale among
+    them; it is None when validation was skipped because fewer than 8 real
+    curve points were found.
+    """
 
     q: TriPoly
     provenance: str                      # exact-elimination | factor-union | numeric-only
     extraneous: tuple[TriPoly, ...] = ()
     source_degree: int | None = None
+    validation_points: int = 0
+    worst_residual: float | None = None
 
     @property
     def degree(self) -> int:
@@ -108,6 +116,14 @@ def restricted_line_form(p: TriPoly, out_vars=XVARS) -> BinaryForm:
             d = coeffs[wpow]
             d[key] = d.get(key, Fraction(0)) + cc
     return BinaryForm(n, tuple(TriPoly(out_vars, t) for t in coeffs))
+
+
+def _in_float_range(f: TriPoly) -> TriPoly:
+    """f scaled by a power of two so that no coefficient exceeds 2**512; f
+    itself when none does.  Relative residuals |f(x)| / scale do not change."""
+    bits = max(abs(c.numerator).bit_length() - c.denominator.bit_length()
+               for c in f.terms.values())
+    return f if bits <= 512 else f * Fraction(1, 1 << (bits - 512))
 
 
 def _strip_var0_power(f: TriPoly) -> tuple[TriPoly, int]:
@@ -255,23 +271,32 @@ def dual_curve_exact(p: TriPoly, out_vars=XVARS) -> DualCurve:
             "(supply factors for reducible p)")
     if q_cand.total_degree() > n * (n - 1):
         raise ReducibleCurveError("candidate dual exceeds the degree bound n(n-1)")
-    # vanishing validation on gradient images of sampled smooth points
-    samples = sample_real_curve_points(sf, 200)
+    # vanishing validation on gradient images of sampled smooth points; q is
+    # homogeneous, so each image is scaled to max |x_i| = 1 before evaluating
+    sf_f = _in_float_range(sf)
+    q_f = _in_float_range(q_cand)
+    samples = sample_real_curve_points(sf_f, 200)
+    checked, worst = 0, None
     if len(samples) >= 8:
+        grads = [sf_f.partial(i) for i in range(3)]
         worst = 0.0
         for y in samples:
-            pairs = [sf.partial(i).eval_with_scale(y) for i in range(3)]
-            x = tuple(v for v, _ in pairs)
-            val, scale = q_cand.eval_with_scale(x)
+            x = [gi.eval_with_scale(y)[0] for gi in grads]
+            m = max(abs(v) for v in x)
+            if not 0.0 < m < math.inf:
+                continue
+            val, scale = q_f.eval_with_scale([v / m for v in x])
             if scale == 0.0:
                 continue
+            checked += 1
             worst = max(worst, abs(val) / scale)
         if worst > VANISH_RTOL:
             raise ReducibleCurveError(
                 f"dual candidate fails to vanish on gradient images "
                 f"(residual {worst:.2e}); if p is reducible, supply its factors")
     return DualCurve(q=q_cand, provenance="exact-elimination",
-                     extraneous=tuple(audit), source_degree=n)
+                     extraneous=tuple(audit), source_degree=n,
+                     validation_points=checked, worst_residual=worst)
 
 
 def dual_of_linear(l: TriPoly) -> tuple[Fraction, Fraction, Fraction]:
@@ -316,10 +341,7 @@ def dual_union(p: TriPoly, factors: list[TriPoly], out_vars=XVARS):
         if f.total_degree() == 1:
             out.append(dual_of_linear(f))
         else:
-            comp = dual_curve_exact(f, out_vars)
-            out.append(DualCurve(q=comp.q, provenance="factor-union",
-                                 extraneous=comp.extraneous,
-                                 source_degree=comp.source_degree))
+            out.append(replace(dual_curve_exact(f, out_vars), provenance="factor-union"))
     return out
 
 
@@ -356,13 +378,14 @@ def _grid_dual_sample(curve: PencilCurve, grid: SpectralGrid) -> CurveSampleSet:
 def _eval_chart(f: TriPoly, y1: np.ndarray, y2: np.ndarray):
     """`f.eval_with_scale((1.0, y1, y2))` over float arrays.
 
-    The terms are multiplied and added in the scalar order (the factor
-    1.0**a is exact and left out), and `np.float_power`, unlike `np.power`,
-    rounds as the scalar `**` does, so every value is bitwise the scalar one.
+    The terms are multiplied and added in the scalar order, `sorted_terms`
+    (the factor 1.0**a is exact and left out), and `np.float_power`, unlike
+    `np.power`, rounds as the scalar `**` does, so every value is bitwise the
+    scalar one.
     """
     total = np.zeros_like(y1)
     scale = np.zeros_like(y1)
-    for (_, b, c), coef in f.terms.items():
+    for (_, b, c), coef in f.sorted_terms():
         v = float(coef) * np.float_power(y1, b) * np.float_power(y2, c)
         total = total + v
         scale = np.maximum(scale, np.abs(v))

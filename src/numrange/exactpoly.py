@@ -5,8 +5,14 @@ Everything here is exact: coefficients are `fractions.Fraction` (or
 ints, and no operation ever rounds.  This module is the elimination engine
 behind the pencil determinant p(y) and the dual curve q(x): one
 division-free determinant (minor expansion), binary-form resultants and
-discriminants on explicit Sylvester matrices, and subresultant-PRS GCDs for
-squarefree parts.
+discriminants on explicit Sylvester matrices, and GCDs for squarefree parts.
+
+The GCD layer is certificate-first and runs on integers.  `repeated_part`
+and `tri_gcd` first restrict their inputs to a fixed list of integer lines;
+a restriction that keeps full degree and is squarefree (or two that are
+coprime) proves the answer is 1.  Only when no line certifies do they run the
+subresultant PRS, on int-coefficient term dicts after clearing denominators
+once (Gauss's lemma).
 
 Monomial order is graded lexicographic with var0 > var1 > var2 throughout,
 including the canonical text format.
@@ -177,7 +183,7 @@ class TriPoly:
     the two never mix within one polynomial.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms", "_hash", "_sorted")
 
     def __init__(self, vars: Sequence[str], terms: dict | None = None,
                  homogeneous_degree: int | None = None):
@@ -201,6 +207,7 @@ class TriPoly:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, *a):
         raise AttributeError("TriPoly is immutable")
@@ -251,6 +258,15 @@ class TriPoly:
             raise ZeroPolynomialError("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex)
         return e, self.terms[e]
+
+    def sorted_terms(self) -> tuple[tuple[Expo, Scalar], ...]:
+        """(exponent, coefficient) pairs in descending graded lex order, the
+        order of `to_text`; sorted once per polynomial."""
+        items = self._sorted
+        if items is None:
+            items = tuple(sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True))
+            object.__setattr__(self, "_sorted", items)
+        return items
 
     def constant_value(self) -> Scalar:
         if self.is_zero():
@@ -378,12 +394,14 @@ class TriPoly:
         """(value, largest monomial magnitude) at a float point.
 
         The scale anchors relative vanishing tests: |f(x)| / scale is the
-        meaningful residual for points produced by numeric sampling.
+        meaningful residual for points produced by numeric sampling.  Terms
+        are summed in `sorted_terms` order, so equal polynomials give equal
+        floats however they were built.
         """
         p0, p1, p2 = (float(x) for x in point)
         total = 0.0
         scale = 0.0
-        for (a, b, c), coef in self.terms.items():
+        for (a, b, c), coef in self.sorted_terms():
             v = float(coef) * (p0 ** a) * (p1 ** b) * (p2 ** c)
             total += v
             scale = max(scale, abs(v))
@@ -478,8 +496,7 @@ class TriPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[e]
+        for e, c in self.sorted_terms():
             if isinstance(c, GaussianRational):
                 raise TypeError("canonical text requires rational coefficients")
             mono = []
@@ -504,9 +521,7 @@ class TriPoly:
 
     def __str__(self):
         if self.has_gaussian_coeffs():
-            items = sorted(self.terms, key=_grlex, reverse=True)
-            return " + ".join(
-                f"({self.terms[e]})*{e}" for e in items) or "0"
+            return " + ".join(f"({c})*{e}" for e, c in self.sorted_terms()) or "0"
         return self.to_text()
 
     def __repr__(self):
@@ -709,90 +724,270 @@ def discriminant_binary(g: BinaryForm) -> TriPoly:
     return q
 
 
-# -- multivariate GCD (subresultant PRS) ---------------------------------------
+# -- integer polynomial kernels -------------------------------------------------
+#
+# The gcd layer runs on plain term dicts {exponent: int}.  Denominators are
+# cleared once at the entry (`primitive`); by Gauss's lemma the gcd of two
+# primitive integer polynomials in Z[v] is their gcd in Q[v] up to a unit.
+
+IntPoly = dict  # {Expo: int}, no zero values; {} is the zero polynomial
+
+_ONE: IntPoly = {(0, 0, 0): 1}
 
 
-def _as_univar(f: TriPoly, k: int) -> list[TriPoly]:
-    """Coefficient list of f seen as univariate in variable k (index = degree)."""
-    d = f.degree_in(k)
-    coeffs = [dict() for _ in range(d + 1)]
-    for e, c in f.terms.items():
+def _int_terms(f: TriPoly) -> IntPoly:
+    """The coefficients of f.primitive() as ints."""
+    return {e: c.numerator for e, c in f.primitive().terms.items()}
+
+
+def _is_const(f: IntPoly) -> bool:
+    return len(f) == 1 and (0, 0, 0) in f
+
+
+def _clean(acc: dict) -> IntPoly:
+    return {e: c for e, c in acc.items() if c}
+
+
+def _imul(f: IntPoly, g: IntPoly) -> IntPoly:
+    acc: dict = {}
+    _addmul(acc, f, g, False)
+    return _clean(acc)
+
+
+def _ipow(f: IntPoly, k: int) -> IntPoly:
+    out = _ONE
+    for _ in range(k):
+        out = _imul(out, f)
+    return out
+
+
+def _idivexact(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Exact quotient f/g in Z[v]; raises ExactDivisionError otherwise."""
+    glead = max(g, key=_grlex)
+    gc = g[glead]
+    rem = dict(f)
+    q: IntPoly = {}
+    while rem:
+        flead = max(rem, key=_grlex)
+        e = (flead[0] - glead[0], flead[1] - glead[1], flead[2] - glead[2])
+        qc, r = divmod(rem[flead], gc)
+        if r or min(e) < 0:
+            raise ExactDivisionError("division is not exact")
+        q[e] = qc
+        for eg, cg in g.items():
+            k = (e[0] + eg[0], e[1] + eg[1], e[2] + eg[2])
+            v = rem.get(k, 0) - qc * cg
+            if v:
+                rem[k] = v
+            else:
+                del rem[k]
+    return q
+
+
+def _iprimitive(f: IntPoly) -> IntPoly:
+    """f over its integer content, with a positive grlex lead."""
+    c = 0
+    for v in f.values():
+        c = math.gcd(c, v)
+    if f[max(f, key=_grlex)] < 0:
+        c = -c
+    return f if c == 1 else {e: v // c for e, v in f.items()}
+
+
+# Univariate views: f as a list of coefficient polynomials in variable k
+# (index = degree in k, the k-slot of their exponents zeroed), trimmed so the
+# last entry is nonzero; [] is the zero polynomial.
+
+
+def _as_univar(f: IntPoly, k: int) -> list[IntPoly]:
+    coeffs: list[IntPoly] = [{} for _ in range(max(e[k] for e in f) + 1)]
+    for e, c in f.items():
         rest = list(e)
-        deg = rest[k]
         rest[k] = 0
-        coeffs[deg][tuple(rest)] = c
-    return [TriPoly(f.vars, t) for t in coeffs]
+        coeffs[e[k]][tuple(rest)] = c
+    return coeffs
 
 
-def _from_univar(coeffs: Sequence[TriPoly], k: int) -> TriPoly:
-    vars = coeffs[0].vars
-    terms: dict[Expo, Scalar] = {}
+def _from_univar(coeffs: list[IntPoly], k: int) -> IntPoly:
+    out: IntPoly = {}
     for deg, poly in enumerate(coeffs):
-        for e, c in poly.terms.items():
+        for e, c in poly.items():
             key = list(e)
             key[k] += deg
-            terms[tuple(key)] = c
-    return TriPoly(vars, terms)
+            out[tuple(key)] = c
+    return out
 
 
-def _uni_deg(coeffs: list[TriPoly]) -> int:
-    for d in range(len(coeffs) - 1, -1, -1):
-        if not coeffs[d].is_zero():
-            return d
-    return -1
-
-
-def _uni_trim(coeffs: list[TriPoly]) -> list[TriPoly]:
-    d = _uni_deg(coeffs)
-    return coeffs[: d + 1] if d >= 0 else coeffs[:1]
-
-
-def _uni_scale(coeffs: list[TriPoly], s: TriPoly) -> list[TriPoly]:
-    return [c * s for c in coeffs]
-
-
-def _uni_prem(A: list[TriPoly], B: list[TriPoly]) -> list[TriPoly]:
+def _uni_prem(A: list[IntPoly], B: list[IntPoly]) -> list[IntPoly]:
     """Pseudo-remainder of A by B: lc(B)^(degA-degB+1) * A mod B."""
-    A = _uni_trim(list(A))
-    B = _uni_trim(list(B))
-    da, db = _uni_deg(A), _uni_deg(B)
-    if db < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
+    db = len(B) - 1
     lb = B[db]
-    R = list(A)
-    e = da - db + 1
-    while True:
-        dr = _uni_deg(R)
-        if dr < db:
-            break
-        lr = R[dr]
-        R = _uni_scale(R, lb)
-        shift = dr - db
-        for i in range(db + 1):
-            R[shift + i] = R[shift + i] - lr * B[i]
-        R = _uni_trim(R)
+    R = A
+    e = len(A) - db
+    while len(R) > db:
+        lr = R[-1]
+        shift = len(R) - 1 - db
+        nxt = []
+        for i in range(len(R) - 1):
+            acc: dict = {}
+            _addmul(acc, R[i], lb, False)
+            if i >= shift:
+                _addmul(acc, lr, B[i - shift], True)
+            nxt.append(_clean(acc))
+        while nxt and not nxt[-1]:
+            nxt.pop()
+        R = nxt
         e -= 1
-    if e > 0 and _uni_deg(R) >= 0:
-        f = lb ** e
-        R = _uni_scale(R, f)
-    return _uni_trim(R)
+    if e > 0 and R:
+        s = _ipow(lb, e)
+        R = [_imul(c, s) for c in R]
+    return R
 
 
-def _content_along(coeffs: list[TriPoly]) -> TriPoly:
-    g = TriPoly.zero(coeffs[0].vars)
+def _content(coeffs: list[IntPoly]) -> IntPoly:
+    """gcd of the nonzero coefficients, primitive with a positive grlex lead."""
+    g = None
     for c in coeffs:
-        if c.is_zero():
-            continue
-        g = c if g.is_zero() else tri_gcd(g, c)
-        if g.is_constant():
-            break
-    if g.is_zero():
-        raise ZeroPolynomialError("content of zero polynomial")
+        if c:
+            g = _iprimitive(c) if g is None else _igcd(g, c)
+            if _is_const(g):
+                return _ONE
     return g
 
 
+def _igcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """gcd of two nonzero integer polynomials by the subresultant PRS (Brown &
+    Traub 1971), recursive in the variables: primitive, positive grlex lead."""
+    if _is_const(f) or _is_const(g):
+        return _ONE
+    # main variable: first one occurring in either operand
+    k = next(i for i in range(3) if any(e[i] for e in f) or any(e[i] for e in g))
+    fu, gu = _as_univar(f, k), _as_univar(g, k)
+    cf, cg = _content(fu), _content(gu)
+    cont = _igcd(cf, cg)
+    if len(fu) == 1 or len(gu) == 1:
+        # one operand does not involve var k, so neither does the gcd
+        return cont
+    A = [_idivexact(c, cf) if c else c for c in fu]
+    B = [_idivexact(c, cg) if c else c for c in gu]
+    if len(A) < len(B):
+        A, B = B, A
+    gg = hh = _ONE
+    while True:
+        delta = len(A) - len(B)
+        R = _uni_prem(A, B)
+        if not R:
+            pp = _content(B)
+            return _iprimitive(_imul(cont, _from_univar(
+                [_idivexact(c, pp) if c else c for c in B], k)))
+        if len(R) == 1:
+            return cont
+        A = B
+        denom = _imul(gg, _ipow(hh, delta))
+        B = [_idivexact(c, denom) if c else c for c in R]
+        gg = A[-1]
+        if delta == 1:
+            hh = gg
+        elif delta > 1:
+            hh = _idivexact(_ipow(gg, delta), _ipow(hh, delta - 1))
+
+
+# -- line-restriction certificates ----------------------------------------------
+#
+# Restrict F to a line x = a + t*b.  The t^d coefficient of F(a + t*b), for
+# d = deg F, is F_top(b), the top-degree part of F at b.  When it is nonzero,
+# every factor h of F keeps its degree on the line, so a square factor h^2 of F
+# would survive as h(a + t*b)^2, and a common factor of F and G as a common
+# factor of both restrictions.  A squarefree restriction of full degree thus
+# certifies that F is squarefree, and coprime restrictions of full degree that
+# F and G are coprime; homogeneous or not.  The restrictions are computed
+# modulo the prime P > deg F, which keeps the test exact: F_top(b) != 0 mod P
+# fixes the degree, and a constant gcd mod P makes the resultant (of r and r',
+# or of the two restrictions) nonzero mod P, hence nonzero.  If no line
+# certifies, the caller falls back to the PRS.
+
+_P = (1 << 61) - 1  # a Mersenne prime
+# The fixed lines (a, b), tried in this order: runs repeat bit for bit.
+_CERT_LINES = (((2, -3, 5), (7, 11, -13)), ((-5, 1, 4), (3, 8, 2)))
+
+
+def _trim_p(u: list[int]) -> list[int]:
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def _restrict_mod_p(F: IntPoly, a, b) -> list[int] | None:
+    """Coefficients (constant term first) of F(a + t*b) mod P, of degree
+    exactly deg F, or None when F_top(b) = 0 mod P.  Evaluates at t = 0..d and
+    interpolates (Newton divided differences on the nodes 0..d)."""
+    d = max(sum(e) for e in F)
+    terms = [(e, c % _P) for e, c in F.items()]
+    c = []
+    for t in range(d + 1):
+        pw = []
+        for ai, bi in zip(a, b):
+            x = (ai + t * bi) % _P
+            row = [1] * (d + 1)
+            for j in range(1, d + 1):
+                row[j] = row[j - 1] * x % _P
+            pw.append(row)
+        p0, p1, p2 = pw
+        c.append(sum(v * p0[e0] * p1[e1] * p2[e2] for (e0, e1, e2), v in terms) % _P)
+    for j in range(1, d + 1):
+        inv = pow(j, _P - 2, _P)
+        for i in range(d, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % _P
+    r = [c[d]]
+    for k in range(d - 1, -1, -1):  # r <- r*(t - k) + c[k]
+        nxt = [0] + r
+        for i, v in enumerate(r):
+            nxt[i] -= k * v
+        nxt[0] += c[k]
+        r = [v % _P for v in nxt]
+    return r if r[-1] else None
+
+
+def _gcd_degree_mod_p(u: list[int], v: list[int]) -> int:
+    """Degree of gcd(u, v) in F_P[t] (Euclid); u nonzero."""
+    u, v = _trim_p(list(u)), _trim_p(list(v))
+    while v:
+        inv = pow(v[-1], _P - 2, _P)
+        while len(u) >= len(v):
+            f = u[-1] * inv % _P
+            shift = len(u) - len(v)
+            for i, x in enumerate(v):
+                u[shift + i] = (u[shift + i] - f * x) % _P
+            _trim_p(u)
+        u, v = v, u
+    return len(u) - 1
+
+
+def _squarefree_on_a_line(F: IntPoly) -> bool:
+    for a, b in _CERT_LINES:
+        r = _restrict_mod_p(F, a, b)
+        if r is not None and _gcd_degree_mod_p(r, [i * v % _P for i, v in enumerate(r)][1:]) == 0:
+            return True
+    return False
+
+
+def _coprime_on_a_line(F: IntPoly, G: IntPoly) -> bool:
+    for a, b in _CERT_LINES:
+        rf, rg = _restrict_mod_p(F, a, b), _restrict_mod_p(G, a, b)
+        if rf is not None and rg is not None and _gcd_degree_mod_p(rf, rg) == 0:
+            return True
+    return False
+
+
+# -- gcds and squarefree parts ----------------------------------------------------
+
+
 def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
-    """GCD over Q[v0,v1,v2], primitive-normalized (subresultant PRS)."""
+    """GCD over Q[v0,v1,v2], primitive-normalized.
+
+    Certificate first: 1 when the restrictions to one of the fixed lines are
+    coprime; otherwise the subresultant PRS on integer coefficients.
+    """
     if f.vars != g.vars:
         raise VariableMismatchError("gcd operands use different variable triples")
     if f.has_gaussian_coeffs() or g.has_gaussian_coeffs():
@@ -803,68 +998,32 @@ def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
         return f.primitive()
     if f.is_constant() or g.is_constant():
         return TriPoly.constant(1, f.vars)
-    # main variable: first one occurring in either operand
-    k = next(i for i in range(3) if f.degree_in(i) > 0 or g.degree_in(i) > 0)
-    if f.degree_in(k) == 0 or g.degree_in(k) == 0:
-        # the gcd cannot involve var k; recurse on the k-content of the poly using it
-        fu = _as_univar(f, k)
-        gu = _as_univar(g, k)
-        return tri_gcd(_content_along(fu), _content_along(gu))
-    fu = _as_univar(f, k)
-    gu = _as_univar(g, k)
-    cf = _content_along(fu)
-    cg = _content_along(gu)
-    cont = tri_gcd(cf, cg)
-    A = [c.divexact(cf) for c in fu]
-    B = [c.divexact(cg) for c in gu]
-    if _uni_deg(A) < _uni_deg(B):
-        A, B = B, A
-    one = TriPoly.constant(1, f.vars)
-    gg, hh = one, one
-    while True:
-        da, db = _uni_deg(A), _uni_deg(B)
-        delta = da - db
-        R = _uni_prem(A, B)
-        if _uni_deg(R) < 0:
-            pp = _prim_univar(B, k)
-            return (cont * pp).primitive()
-        if _uni_deg(R) == 0:
-            return cont.primitive()
-        A = B
-        denom = gg * (hh ** delta)
-        B = [c.divexact(denom) for c in R]
-        gg = A[_uni_deg(A)]
-        if delta == 0:
-            # h unchanged
-            pass
-        elif delta == 1:
-            hh = gg
-        else:
-            hh = (gg ** delta).divexact(hh ** (delta - 1))
-
-
-def _prim_univar(coeffs: list[TriPoly], k: int) -> TriPoly:
-    c = _content_along(coeffs)
-    return _from_univar([x.divexact(c) for x in _uni_trim(coeffs)], k)
+    F, G = _int_terms(f), _int_terms(g)
+    if _coprime_on_a_line(F, G):
+        return TriPoly.constant(1, f.vars)
+    return TriPoly(f.vars, _igcd(F, G))
 
 
 def repeated_part(f: TriPoly) -> TriPoly:
     """gcd of f with all three partials: product of prime factors with
-    multiplicity one less than in f."""
+    multiplicity one less than in f.  1 at once when a fixed line certifies
+    that f is squarefree."""
     if f.is_zero():
         raise ZeroPolynomialError("repeated part of zero polynomial")
-    g = TriPoly.zero(f.vars)
-    for i in range(3):
-        d = f.partial(i)
-        if d.is_zero():
-            continue
-        g = d if g.is_zero() else tri_gcd(g, d)
-        if g.is_constant():
-            break
-    if g.is_zero():
-        # constant polynomial
+    F = _int_terms(f)
+    if _is_const(F) or _squarefree_on_a_line(F):
         return TriPoly.constant(1, f.vars)
-    return tri_gcd(f, g)
+    g = None
+    for i in range(3):
+        d = _int_terms(f.partial(i))
+        if d:
+            g = d if g is None else _igcd(g, d)
+            if _is_const(g):
+                break
+    if f.is_homogeneous():
+        # Euler: deg(f) * f = sum v_i * df/dv_i, so g already divides f
+        return TriPoly(f.vars, g)
+    return TriPoly(f.vars, _igcd(F, g))
 
 
 def gcd_squarefree(f: TriPoly) -> TriPoly:
@@ -872,6 +1031,8 @@ def gcd_squarefree(f: TriPoly) -> TriPoly:
     if f.is_zero():
         raise ZeroPolynomialError("squarefree part of zero polynomial")
     rep = repeated_part(f)
+    if rep.is_constant():
+        return f.primitive()
     return f.divexact(rep).primitive()
 
 

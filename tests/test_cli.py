@@ -61,6 +61,15 @@ class TestDualCommand:
                    "--factors", fx("polytope_factors.txt"), "--out", str(out)) == 0
         assert out.read_text() == (GOLDEN / "polytope_dual_points.txt").read_text()
 
+    def test_huge_entries(self, tmp_path):
+        doc = json.loads((FIXTURES / "cubic_cusp.json").read_text())
+        doc["entries"] = [[[re * 10 ** 100, im * 10 ** 100] for re, im in row]
+                          for row in doc["entries"]]
+        src, out = tmp_path / "a.json", tmp_path / "q.txt"
+        src.write_text(json.dumps(doc))
+        assert run("dual", "--input", str(src), "--out", str(out)) == 0
+        assert out.read_text().startswith("27" + "0" * 200 + "*x0^2*x2^2 ")
+
     def test_reducible_without_factors_fails_cleanly(self, capsys):
         code = run("dual", "--input", fx("polytope.json"))
         assert code == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from numrange.dualcurve import (
+    VANISH_RTOL,
     XVARS,
     DegenerateDualError,
     ProductMismatchError,
@@ -17,12 +18,13 @@ from numrange.dualcurve import (
     dual_sample_csv,
     dual_union,
     sample_real_curve_points,
+    _grid_dual_sample,
 )
 from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, split
-from numrange.pencil import YVARS, pencil_det
+from numrange.pencil import YVARS, PencilCurve, SpectralGrid, pencil_det
 
-from conftest import fixture_matrix, golden_poly
+from conftest import fixture_matrix, golden_poly, random_gaussian_matrix
 
 F = Fraction
 Y0 = TriPoly.variable(0, YVARS)
@@ -147,6 +149,38 @@ class TestDualCurveExact:
         with pytest.raises(DegenerateDualError):
             dual_curve_exact((Y0 + Y1) * Y2)     # y2 divides p
 
+    def test_generic_quartic(self):
+        curve = pencil_det(split(random_gaussian_matrix(4, random.Random(1))))
+        dc = dual_curve_exact(curve.p)
+        assert 0 < dc.degree <= 12
+        assert dc.validation_points >= 8 and dc.worst_residual <= VANISH_RTOL
+        checked = 0
+        for s in dual_sample(curve, 64).samples:
+            if s.singular or s.point is None:
+                continue
+            val, scale = dc.q.eval_with_scale((1.0, *s.point))
+            assert abs(val) <= VANISH_RTOL * scale
+            checked += 1
+        assert checked >= 64
+
+    def test_huge_entries(self):
+        # entries times s scale p to p(y0, s*y1, s*y2), hence q to q(s*x0, x1, x2)
+        s = 10 ** 100
+        A = fixture_matrix("cubic_cusp").scale(GaussianRational.of(s))
+        dc = dual_curve_exact(pencil_det(split(A)).p)
+        q = golden_poly("cubic_cusp_q.txt", XVARS)
+        assert dc.q == TriPoly(XVARS, {e: c * s ** e[0] for e, c in q.terms.items()}).primitive()
+        assert dc.validation_points >= 8 and dc.worst_residual <= VANISH_RTOL
+
+    def test_audit_trail(self):
+        dc = dual_curve_exact(cubic_p())
+        assert dc.validation_points >= 8
+        assert 0.0 <= dc.worst_residual <= VANISH_RTOL
+        # no real points: validation is skipped, and says so
+        empty = dual_curve_exact(Y0 ** 2 + Y1 ** 2 + Y2 ** 2)
+        assert empty.q == parse_poly("x0^2 + x1^2 + x2^2", XVARS)
+        assert empty.validation_points == 0 and empty.worst_residual is None
+
     def test_linear_squarefree_part_is_a_point(self):
         one_by_one = GaussianRationalMatrix([[GaussianRational.of(2, 3)]])
         scalar = GaussianRationalMatrix.identity(3).scale(GaussianRational.of(1, 1))
@@ -176,6 +210,7 @@ class TestDualUnion:
         conic = parse_poly("4*y0^2 - y1^2 - y2^2", YVARS)
         comps = dual_union(p, [cubic, conic])
         assert len(comps) == 2
+        assert all(c.validation_points >= 8 for c in comps)
         assert comps[0].q == golden_poly("cardioid_circle_dual_cardioid.txt", XVARS)
         assert comps[1].q == golden_poly("cardioid_circle_dual_circle.txt", XVARS)
         assert all(c.provenance == "factor-union" for c in comps)
@@ -245,6 +280,19 @@ class TestDualSample:
         assert a == b
         keys = [(s.theta, s.root_index) for s in dual_sample(curve, 16).samples]
         assert keys == sorted(keys)
+
+    def test_term_order_does_not_move_samples(self):
+        mats = [fixture_matrix(name) for name in ("cross_star", "nested_ovals", "polytope")]
+        rng = random.Random(83)
+        mats += [random_gaussian_matrix(n, rng) for n in (3, 4, 5)]
+        for A in mats:
+            curve = pencil_det(split(A))
+            flipped = PencilCurve(TriPoly(YVARS, dict(reversed(curve.p.terms.items()))),
+                                  curve.pencil)
+            grid = SpectralGrid(curve.pencil, 720)
+            a, b = (_grid_dual_sample(c, grid) for c in (curve, flipped))
+            assert a.samples == b.samples
+            assert dual_sample_csv(a) == dual_sample_csv(b)
 
     def test_point_budget(self):
         curve = pencil_det(split(fixture_matrix("cross_star")))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+import numrange.exactpoly as exactpoly
 from numrange.exactpoly import (
     BinaryForm,
     ExactDivisionError,
@@ -82,6 +83,17 @@ class TestEval:
     def test_eval_with_scale(self):
         val, scale = CUBIC.eval_with_scale((1.0, 1.0, 0.0))
         assert abs(val) <= 1e-12 * scale
+
+    def test_eval_with_scale_ignores_construction_order(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            f = random_tripoly(rng, max_deg=6, terms=12)
+            items = list(f.terms.items())
+            rng.shuffle(items)
+            g = TriPoly(YVARS, dict(items))
+            assert f == g and g.sorted_terms() == f.sorted_terms()
+            pt = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
+            assert g.eval_with_scale(pt) == f.eval_with_scale(pt)
 
 
 class TestDeterminant:
@@ -408,3 +420,108 @@ class TestRepeatedPart:
         f = (Y0 + Y1) ** 3 * (Y0 - Y2) ** 2 * (Y1 + Y2)
         rep = repeated_part(f)
         assert rep == ((Y0 + Y1) ** 2 * (Y0 - Y2)).primitive()
+
+
+def _from_sympy(expr, syms) -> TriPoly:
+    poly = sp.Poly(expr, *syms)
+    return TriPoly(YVARS, {tuple(int(x) for x in mono): Fraction(int(c.p), int(c.q))
+                           for mono, c in zip(poly.monoms(), poly.coeffs())})
+
+
+def _rational_factor(rng) -> TriPoly:
+    """A non-constant, non-homogeneous factor with non-integer rational coefficients."""
+    while True:
+        f = random_tripoly(rng, max_deg=2, terms=3) + Fraction(rng.randint(1, 5), rng.randint(2, 4))
+        if f.total_degree() > 0:
+            return f
+
+
+class TestGcdDifferential:
+    """Seeded comparison with sympy on rational, non-homogeneous inputs."""
+
+    SYMS = sp.symbols("y0 y1 y2")
+
+    def test_tri_gcd(self):
+        rng = random.Random(59)
+        for _ in range(12):
+            a, b, c = (_rational_factor(rng) for _ in range(3))
+            f, g = a * b, a * c * (b if rng.random() < 0.3 else 1)
+            ref = sp.gcd(_to_sympy(f, self.SYMS), _to_sympy(g, self.SYMS))
+            assert tri_gcd(f, g) == _from_sympy(ref, self.SYMS).primitive()
+
+    def test_repeated_part_and_squarefree_part(self):
+        rng = random.Random(61)
+        for _ in range(12):
+            a, b, c = (_rational_factor(rng) for _ in range(3))
+            f = a ** rng.randint(1, 3) * b ** rng.randint(1, 2) * c
+            fs = _to_sympy(f, self.SYMS)
+            sqf = sp.sqf_part(fs, *self.SYMS)
+            assert gcd_squarefree(f) == _from_sympy(sqf, self.SYMS).primitive()
+            rep = sp.quo(fs, sqf, *self.SYMS)
+            assert repeated_part(f) == _from_sympy(rep, self.SYMS).primitive()
+
+
+def _normal_to(b) -> TriPoly:
+    """A linear form in YVARS vanishing at the point b."""
+    return b[2] * Y1 - b[1] * Y2
+
+
+class TestLineCertificates:
+    """The certificates answer only when they are sure; else the PRS decides."""
+
+    def test_square_factor_never_certified(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            f, g = _rational_factor(rng), _rational_factor(rng)
+            F = exactpoly._int_terms(f * f * g)
+            assert not exactpoly._squarefree_on_a_line(F)
+            assert not exactpoly._coprime_on_a_line(F, exactpoly._int_terms(f * (g + 1)))
+            assert f.primitive().divides(repeated_part(f * f * g))
+
+    def test_squarefree_inputs_are_certified(self):
+        rng = random.Random(71)
+        for _ in range(10):
+            f, g = _rational_factor(rng), _rational_factor(rng)
+            if tri_gcd(f, g).is_constant() and repeated_part(f * g).is_constant():
+                assert exactpoly._squarefree_on_a_line(exactpoly._int_terms(f * g))
+
+    def test_degree_loss_on_every_line_takes_the_prs(self, monkeypatch):
+        # the top-degree part of each input vanishes at the direction b of every line
+        l1, l2 = (_normal_to(b) for _, b in exactpoly._CERT_LINES)
+        calls = []
+        prs = exactpoly._igcd
+        monkeypatch.setattr(exactpoly, "_igcd", lambda f, g: calls.append(1) or prs(f, g))
+        cases = [
+            (l1 * l2 + Y0 + 1, TriPoly.constant(1, YVARS)),   # squarefree, non-homogeneous
+            (l1 * l2, TriPoly.constant(1, YVARS)),            # squarefree, homogeneous
+            (l1 ** 2 * l2, l1.primitive()),                   # restrictions lose the square
+            (l1 ** 3 * l2 ** 2, (l1 ** 2 * l2).primitive()),
+        ]
+        for f, rep in cases:
+            F = exactpoly._int_terms(f)
+            assert all(exactpoly._restrict_mod_p(F, a, b) is None
+                       for a, b in exactpoly._CERT_LINES)
+            calls.clear()
+            assert repeated_part(f) == rep
+            assert calls
+        h = Y0 + 2 * Y1 + 3
+        for f, g, gcd in ((l1 * l2 * h, l1 * (l2 + 1) * h, l1 * h),
+                          (l1 * (Y0 + 1), l1 * (Y1 + 2), l1)):  # l1 is constant on line 0
+            calls.clear()
+            assert tri_gcd(f, g) == gcd.primitive()
+            assert calls
+
+    def test_restriction_matches_exact_substitution(self):
+        rng = random.Random(73)
+        t = sp.symbols("t")
+        for _ in range(10):
+            f = random_tripoly(rng, max_deg=5, terms=8) + Y0 ** 5
+            F = exactpoly._int_terms(f)
+            for a, b in exactpoly._CERT_LINES:
+                expr = _to_sympy(f.primitive(), [a[i] + t * b[i] for i in range(3)])
+                ref = [int(c) % exactpoly._P for c in reversed(sp.Poly(expr, t).all_coeffs())]
+                got = exactpoly._restrict_mod_p(F, a, b)
+                if got is None:
+                    assert len(ref) <= f.total_degree()
+                else:
+                    assert got == ref

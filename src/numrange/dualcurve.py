@@ -9,11 +9,14 @@ also picks up known spurious components: a power of x0 and the dual lines of
 singular points of p = 0; those carry multiplicity >= 2 while q itself comes
 out with multiplicity one, which is how they are split off (and kept for
 audit).
+
+The validation of q and the dual samples run on arrays through one chart
+evaluator, after an exact power-of-two rescaling of the chart variables
+(`_chart_normal`) that keeps the roots of huge or tiny entries near 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
@@ -29,7 +32,7 @@ from .exactpoly import (
     repeated_part,
     tri_gcd,
 )
-from .pencil import CurveSample, CurveSampleSet, PencilCurve, SpectralGrid
+from .pencil import CurveSample, CurveSampleSet, PencilCurve, SpectralGrid, _chart_normal
 
 __all__ = [
     "DualCurve",
@@ -118,14 +121,6 @@ def restricted_line_form(p: TriPoly, out_vars=XVARS) -> BinaryForm:
     return BinaryForm(n, tuple(TriPoly(out_vars, t) for t in coeffs))
 
 
-def _in_float_range(f: TriPoly) -> TriPoly:
-    """f scaled by a power of two so that no coefficient exceeds 2**512; f
-    itself when none does.  Relative residuals |f(x)| / scale do not change."""
-    bits = max(abs(c.numerator).bit_length() - c.denominator.bit_length()
-               for c in f.terms.values())
-    return f if bits <= 512 else f * Fraction(1, 1 << (bits - 512))
-
-
 def _strip_var0_power(f: TriPoly) -> tuple[TriPoly, int]:
     a = min(e[0] for e in f.terms)
     if a == 0:
@@ -133,61 +128,51 @@ def _strip_var0_power(f: TriPoly) -> tuple[TriPoly, int]:
     return TriPoly(f.vars, {(e[0] - a, e[1], e[2]): c for e, c in f.terms.items()}), a
 
 
-def sample_real_curve_points(p: TriPoly, count: int, max_angles: int = 256):
-    """Real affine points of p(1,y1,y2) = 0 collected along rays from the origin.
+def sample_real_curve_points(p: TriPoly, count: int):
+    """Up to `count` real points (1.0, y1, y2) of p = 0, found on rays from the origin.
 
-    Roots come from the companion matrix and are polished by a few Newton
-    steps; near-singular points are dropped.
+    Each sweep of 64 rays, theta = pi*(k + 1/2)/64 + 0.013*sweep (at most four),
+    restricts p to all its rays as one array summed in `sorted_terms` order,
+    takes the roots from one stacked companion eigensolve and polishes them by
+    four array Newton steps.  Real roots (|Im t| <= 1e-9*(1+|t|)) on the curve
+    (|p| <= 1e-9*scale) and not near-singular (max|grad p| > 1e-8*scale) are
+    kept in (angle, root) order.  `dual_curve_exact` samples p as normalized by
+    `_chart_normal`, whose roots stay near 1 whatever the size of the entries.
     """
-    pts = []
-    fl_p = [(e, float(c)) for e, c in p.terms.items()]
-    grads = [p.partial(i) for i in range(3)]
-    angles = 0
-    k = 0
-    while len(pts) < count and angles < max_angles:
-        theta = math.pi * (k + 0.5) / 64 + 0.013 * (k // 64)  # shifted sweeps
-        k += 1
-        angles += 1
-        d1, d2 = math.cos(theta), math.sin(theta)
-        coeffs: dict[int, float] = {}
-        for (a, b, c), _ in fl_p:
-            coeffs[b + c] = 0.0
-        for (a, b, c), cf in fl_p:
-            coeffs[b + c] += cf * d1**b * d2**c
-        deg = max(coeffs)
-        poly = [coeffs.get(i, 0.0) for i in range(deg, -1, -1)]
-        while poly and abs(poly[0]) < 1e-300:
-            poly = poly[1:]
-        if len(poly) < 2:
-            continue
-        roots = np.roots(poly)
-        for t in roots:
-            if abs(t.imag) > 1e-9 * (1 + abs(t)):
-                continue
-            t = float(t.real)
-            # Newton polish on r(t)
-            for _ in range(4):
-                val = dval = 0.0
-                for i, c in enumerate(reversed(poly)):
-                    val += c * t**i
-                    if i >= 1:
-                        dval += i * c * t ** (i - 1)
-                if dval == 0.0:
-                    break
-                t -= val / dval
-            y = (1.0, t * d1, t * d2)
-            value, scale = p.eval_with_scale(y)
-            if scale == 0.0 or abs(value) > 1e-9 * scale:
-                continue
-            g = [gi.eval_with_scale(y) for gi in grads]
-            gnorm = max(abs(v) for v, _ in g)
-            gscale = max(s for _, s in g)
-            if gscale == 0.0 or gnorm <= 1e-8 * gscale:
-                continue
-            pts.append(y)
-            if len(pts) >= count:
-                break
-    return pts
+    terms = p.sorted_terms()
+    degrees = [b + c for (_, b, c), _ in terms]
+    lo, hi, pts = min(degrees), max(degrees), []
+    n = hi - lo
+    for sweep in range(4 if n else 0):
+        theta = np.pi * (np.arange(64) + 0.5) / 64 + 0.013 * sweep
+        d1, d2 = np.cos(theta), np.sin(theta)
+        r = np.zeros((64, hi + 1))
+        for (_, b, c), coef in terms:
+            r[:, b + c] += float(coef) * np.float_power(d1, b) * np.float_power(d2, c)
+        # rays on which p keeps its degree, coefficients highest first and
+        # without the roots t = 0 (p's scale is 0 there)
+        rays = np.flatnonzero(np.abs(r[:, hi]) >= 1e-300)
+        c = r[rays, lo:][:, ::-1]
+        comp = np.zeros((len(rays), n, n))
+        comp[:, 0] = -c[:, 1:] / c[:, :1]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        roots = np.linalg.eigvals(comp)
+        row, col = np.nonzero(np.abs(roots.imag) <= 1e-9 * (1 + np.abs(roots)))
+        t, c, rays = roots.real[row, col], c[row], rays[row]
+        for _ in range(4):
+            val, dval = c[:, 0], 0.0
+            for j in range(1, n + 1):
+                val, dval = val * t + c[:, j], dval * t + val
+            t = t - np.divide(val, dval, out=np.zeros_like(t), where=dval != 0.0)
+        y1, y2 = t * d1[rays], t * d2[rays]
+        val, scale = _eval_chart(p, y1, y2)
+        on = np.flatnonzero((scale != 0.0) & (np.abs(val) <= 1e-9 * scale))
+        _, gnorm, gscale, _, _ = _gradient_images(p, y1[on], y2[on])
+        keep = on[gnorm > 1e-8 * gscale]
+        pts += zip([1.0] * len(keep), y1[keep].tolist(), y2[keep].tolist())
+        if len(pts) >= count:
+            break
+    return pts[:count]
 
 
 def dual_point(p: TriPoly, y, rtol: float = ON_CURVE_RTOL) -> DualPoint:
@@ -203,23 +188,19 @@ def dual_point(p: TriPoly, y, rtol: float = ON_CURVE_RTOL) -> DualPoint:
         grad = tuple(p.partial(i).eval(y) for i in range(3))
         if not any(grad):
             raise SingularPointError(f"zero gradient at {y}; singular point of the curve")
-        fx = tuple(float(g) for g in grad)
+        x = np.array([float(g) for g in grad])
+        chart = abs(x[0]) > 1e-12 * np.abs(x).max()
     else:
         yf = tuple(float(v) for v in y)
         val, scale = p.eval_with_scale(yf)
         if scale == 0.0 or abs(val) > rtol * scale:
             raise ValueError(f"point is not on the curve (relative residual {abs(val)/max(scale,1e-300):.2e})")
-        pairs = [p.partial(i).eval_with_scale(yf) for i in range(3)]
-        grad = tuple(v for v, _ in pairs)
-        gscale = max(s for _, s in pairs)
-        if gscale == 0.0 or max(abs(v) for v in grad) <= 1e-10 * gscale:
+        x, _, _, singular, chart = _gradient_images(p, yf[1], yf[2], yf[0])
+        if singular:
             raise SingularPointError(f"zero gradient at {y}; singular point of the curve")
-        fx = grad
-    mag = max(abs(v) for v in fx)
-    chart = None
-    if abs(fx[0]) > 1e-12 * mag:
-        chart = (fx[1] / fx[0], fx[2] / fx[0])
-    return DualPoint(raw=grad, chart=chart, exact=exact)
+        grad = tuple(x.tolist())
+    return DualPoint(raw=grad, chart=tuple((x[1:] / x[0]).tolist()) if chart else None,
+                     exact=exact)
 
 
 def dual_curve_exact(p: TriPoly, out_vars=XVARS) -> DualCurve:
@@ -271,25 +252,18 @@ def dual_curve_exact(p: TriPoly, out_vars=XVARS) -> DualCurve:
             "(supply factors for reducible p)")
     if q_cand.total_degree() > n * (n - 1):
         raise ReducibleCurveError("candidate dual exceeds the degree bound n(n-1)")
-    # vanishing validation on gradient images of sampled smooth points; q is
-    # homogeneous, so each image is scaled to max |x_i| = 1 before evaluating
-    sf_f = _in_float_range(sf)
-    q_f = _in_float_range(q_cand)
+    # q of the normalized curve vanishes on its gradient images; q is homogeneous,
+    # so each image is scaled to max |x_i| = 1 before evaluating
+    sf_f, k = _chart_normal(sf)
     samples = sample_real_curve_points(sf_f, 200)
     checked, worst = 0, None
     if len(samples) >= 8:
-        grads = [sf_f.partial(i) for i in range(3)]
-        worst = 0.0
-        for y in samples:
-            x = [gi.eval_with_scale(y)[0] for gi in grads]
-            m = max(abs(v) for v in x)
-            if not 0.0 < m < math.inf:
-                continue
-            val, scale = q_f.eval_with_scale([v / m for v in x])
-            if scale == 0.0:
-                continue
-            checked += 1
-            worst = max(worst, abs(val) / scale)
+        _, y1, y2 = np.array(samples).T
+        x, gnorm, _, _, _ = _gradient_images(sf_f, y1, y2)
+        x = x / gnorm
+        val, scale = _eval_chart(_chart_normal(q_cand, -k)[0], x[1], x[2], x[0])
+        ok = scale != 0.0
+        checked, worst = int(ok.sum()), float(np.max(np.abs(val[ok] / scale[ok]), initial=0.0))
         if worst > VANISH_RTOL:
             raise ReducibleCurveError(
                 f"dual candidate fails to vanish on gradient images "
@@ -360,33 +334,39 @@ def _grid_dual_sample(curve: PencilCurve, grid: SpectralGrid) -> CurveSampleSet:
     if len(grid.thetas) < 8:
         raise ValueError("need at least 8 rays")
     k, idx, t = grid.line_roots()
-    y1, y2 = t * grid.cos[k], t * grid.sin[k]
-    x, scales = zip(*(_eval_chart(curve.p.partial(i), y1, y2) for i in range(3)))
-    gscale = np.maximum.reduce(scales)
-    gnorm = np.maximum.reduce([np.abs(v) for v in x])
-    singular = (gscale == 0.0) | (gnorm <= 1e-10 * gscale)
-    finite = ~singular & (np.abs(x[0]) > 1e-12 * gnorm)
-    x0 = np.where(finite, x[0], 1.0)
+    # gradient images of p(y0, s*y1, s*y2) are (x0, s*x1, s*x2): charts map back by 1/s
+    f, e = _chart_normal(curve.p)
+    s = 2.0 ** e
+    x, _, _, singular, finite = _gradient_images(f, t * grid.cos[k] / s, t * grid.sin[k] / s)
+    x0 = np.where(finite, s * x[0], 1.0)
     pts = [(a, b) if ok else None for a, b, ok in
            zip((x[1] / x0).tolist(), (x[2] / x0).tolist(), finite.tolist())]
-    samples = [CurveSample(theta=th, point=pt, root_index=i, singular=s)
-               for th, pt, i, s in zip(grid.thetas[k].tolist(), pts, idx.tolist(),
-                                       singular.tolist())]
+    samples = [CurveSample(theta=th, point=pt, root_index=i, singular=sg)
+               for th, pt, i, sg in zip(grid.thetas[k].tolist(), pts, idx.tolist(),
+                                        singular.tolist())]
     return CurveSampleSet(chart="x0=1", samples=samples)
 
 
-def _eval_chart(f: TriPoly, y1: np.ndarray, y2: np.ndarray):
-    """`f.eval_with_scale((1.0, y1, y2))` over float arrays.
+def _gradient_images(f: TriPoly, y1, y2, y0=1.0):
+    """(x, gnorm, gscale, singular, chart): gradient images x = grad f(y0, y1, y2)
+    over float arrays, max |x_i|, the largest monomial magnitude of the partials,
+    where gnorm <= 1e-10*gscale, and where the chart point (x1/x0, x2/x0) is
+    usable: the image is not singular and |x0| > 1e-12*gnorm."""
+    x, scales = zip(*(_eval_chart(f.partial(i), y1, y2, y0) for i in range(3)))
+    x = np.array(x)
+    gnorm, gscale = np.abs(x).max(axis=0), np.maximum.reduce(scales)
+    singular = (gscale == 0.0) | (gnorm <= 1e-10 * gscale)
+    return x, gnorm, gscale, singular, ~singular & (np.abs(x[0]) > 1e-12 * gnorm)
 
-    The terms are multiplied and added in the scalar order, `sorted_terms`
-    (the factor 1.0**a is exact and left out), and `np.float_power`, unlike
-    `np.power`, rounds as the scalar `**` does, so every value is bitwise the
-    scalar one.
-    """
+
+def _eval_chart(f: TriPoly, y1, y2, y0=1.0):
+    """`f.eval_with_scale((y0, y1, y2))` over float arrays, bitwise: the terms are
+    multiplied and added in its order, `sorted_terms`, and `np.float_power`,
+    unlike `np.power`, rounds as the scalar `**` does."""
     total = np.zeros_like(y1)
     scale = np.zeros_like(y1)
-    for (_, b, c), coef in f.sorted_terms():
-        v = float(coef) * np.float_power(y1, b) * np.float_power(y2, c)
+    for (a, b, c), coef in f.sorted_terms():
+        v = float(coef) * np.float_power(y0, a) * np.float_power(y1, b) * np.float_power(y2, c)
         total = total + v
         scale = np.maximum(scale, np.abs(v))
     return total, scale

@@ -277,6 +277,28 @@ def restrict_to_line(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction]:
     return coeffs
 
 
+def _chart_normal(f: TriPoly, k: int | None = None) -> tuple[TriPoly, int]:
+    """(f(y0, 2**k*y1, 2**k*y2) with its largest coefficient scaled by a power of
+    two to at most 2**512, k): exact, and its dual is that of f normalized with
+    -k.  The default k brings the real chart roots near 1, or is 0 while they lie
+    within about 2**32 of it, so that ordinary inputs keep their floats.  With A_j
+    the largest |coefficient| of chart degree j = b + c and m the lowest, Fujiwara
+    (1916) puts every nonzero root on a unit ray beyond 2**(e-1), e as below.
+    """
+    bits = {key: abs(c.numerator).bit_length() - c.denominator.bit_length()
+            for key, c in f.terms.items()}
+    if k is None:
+        m = min(b + c for _, b, c in bits)
+        am = max(v for (_, b, c), v in bits.items() if b + c == m)
+        e = min(((am - v) / (b + c - m) for (_, b, c), v in bits.items() if b + c > m), default=0.0)
+        k = round(e) if abs(e) > 32 else 0
+    cap = max(v + k * (key[1] + key[2]) for key, v in bits.items()) - 512
+    if k or cap > 0:
+        f = TriPoly(f.vars, {key: c * Fraction(2) ** (k * (key[1] + key[2]) - max(cap, 0))
+                             for key, c in f.terms.items()})
+    return f, k
+
+
 def line_roots_from_eigs(eigs: np.ndarray) -> list[tuple[int, float]]:
     """Real roots t = -1/lambda of det(I + t*H), tagged by eigenvalue index."""
     roots = np.flatnonzero(_root_eigs(eigs)).tolist()
@@ -329,6 +351,8 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
         raise ValueError("need at least one trial line")
     rng = random.Random(seed)
     f1, f2 = curve.pencil.float_parts()
+    # exact restrictions of p(y0, 2**e*y1, 2**e*y2): roots t/2**e near 1, float coefficients
+    p, e = _chart_normal(curve.p)
     checks = []
     for _ in range(trials):
         while True:
@@ -336,7 +360,7 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
             d2 = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
             if d1 or d2:
                 break
-        coeffs = restrict_to_line(curve.p, d1, d2)
+        coeffs = restrict_to_line(p, d1, d2)
         sf = uni_squarefree(coeffs)
         deg_sf = len(sf) - 1
         distinct = sturm_real_root_count(coeffs)
@@ -345,15 +369,10 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
         H = float(d1) * f1 + float(d2) * f2
         eigs = np.linalg.eigvalsh(H)
         fl = [float(c) for c in coeffs]
-        resid = 0.0
-        for _, t in line_roots_from_eigs(eigs):
-            val = 0.0
-            mag = 0.0
-            for k, c in enumerate(fl):
-                term = c * t**k
-                val += term
-                mag = max(mag, abs(term))
-            resid = max(resid, abs(val) / max(mag, 1e-300))
+        t = np.ldexp([r for _, r in line_roots_from_eigs(eigs)], -e)
+        terms = np.array([c * np.float_power(t, k) for k, c in enumerate(fl)])
+        resid = float(np.max(np.abs(np.add.reduce(terms))
+                             / np.maximum(np.abs(terms).max(axis=0), 1e-300), initial=0.0))
         roots = np.roots(fl[::-1]) if len(fl) > 1 else np.array([])
         imag_max = float(np.abs(roots.imag).max()) if roots.size else 0.0
         rel_imag = imag_max / max(1.0, float(np.abs(roots).max())) if roots.size else 0.0

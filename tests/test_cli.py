@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import numrange.cli
 from numrange.cli import main
@@ -248,6 +249,22 @@ class TestInputErrors:
     def test_bad_flag_values(self):
         assert run("duality", "--input", fx("disk.json"), "--tol", "-1") == 2
         assert run("sample-f", "--input", fx("disk.json"), "--grid", "2") == 2
+
+
+class TestExtremeEntries:
+    @pytest.mark.parametrize("name", ["cubic_cusp", "nested_ovals"])
+    @pytest.mark.parametrize("power", [100, -100])
+    def test_no_arithmetic_error_escapes(self, tmp_path, name, power):
+        doc = json.loads((FIXTURES / f"{name}.json").read_text())
+        scale = (lambda v: v * 10 ** 100) if power > 0 else (lambda v: [v, 10 ** 100])
+        doc["entries"] = [[[scale(re), scale(im)] for re, im in row] for row in doc["entries"]]
+        src, out = tmp_path / "a.json", str(tmp_path / "out")
+        src.write_text(json.dumps(doc))
+        for argv in (["pencil"], ["dual"], ["classify"], ["sample-f"],
+                     ["sample-w", "--curve", str(tmp_path / "q.csv")], ["duality"],
+                     ["render", "--viewport=-1,1,-1,1"], ["craig"]):
+            code = run(argv[0], "--input", str(src), "--grid", "90", "--out", out, *argv[1:])
+            assert code in (0, 1, 2), argv
 
 
 class TestDecompose:

@@ -172,6 +172,27 @@ class TestDualCurveExact:
         assert dc.q == TriPoly(XVARS, {e: c * s ** e[0] for e, c in q.terms.items()}).primitive()
         assert dc.validation_points >= 8 and dc.worst_residual <= VANISH_RTOL
 
+    @pytest.mark.parametrize("name,power", [("cubic_cusp", -100), ("nested_ovals", -100),
+                                            ("nested_ovals", 100)])
+    def test_tiny_and_huge_entries(self, name, power):
+        # validation runs on p(y0, 2^k*y1, 2^k*y2), whose chart roots are near 1
+        s = F(10) ** power
+        A = fixture_matrix(name).scale(GaussianRational.of(s))
+        dc = dual_curve_exact(pencil_det(split(A)).p)
+        q = golden_poly(f"{name}_q.txt", XVARS)
+        assert dc.q == TriPoly(XVARS, {e: c * s ** e[0] for e, c in q.terms.items()}).primitive()
+        assert dc.validation_points >= 8 and dc.worst_residual <= VANISH_RTOL
+
+    def test_term_order_does_not_move_the_audit(self):
+        mats = [fixture_matrix(name) for name in ("cubic_cusp", "nested_ovals", "cross_star")]
+        rng = random.Random(3)
+        mats += [random_gaussian_matrix(3, rng) for _ in range(6)]
+        for A in mats:
+            p = pencil_det(split(A)).p
+            flipped = TriPoly(YVARS, dict(reversed(p.terms.items())))
+            assert sample_real_curve_points(flipped, 200) == sample_real_curve_points(p, 200)
+            assert dual_curve_exact(flipped) == dual_curve_exact(p)
+
     def test_audit_trail(self):
         dc = dual_curve_exact(cubic_p())
         assert dc.validation_points >= 8
@@ -293,6 +314,18 @@ class TestDualSample:
             a, b = (_grid_dual_sample(c, grid) for c in (curve, flipped))
             assert a.samples == b.samples
             assert dual_sample_csv(a) == dual_sample_csv(b)
+
+    def test_huge_entries_scale_the_samples(self):
+        # entries times 10^100 scale W(A), hence every chart point, by 10^100
+        base = dual_sample(pencil_det(split(fixture_matrix("nested_ovals"))), 90)
+        A = fixture_matrix("nested_ovals").scale(GaussianRational.of(10 ** 100))
+        huge = dual_sample(pencil_det(split(A)), 90)
+        assert len(huge.samples) == len(base.samples)
+        for a, b in zip(base.samples, huge.samples):
+            assert (a.theta, a.root_index, a.singular) == (b.theta, b.root_index, b.singular)
+            assert (a.point is None) == (b.point is None)
+            if a.point is not None:
+                assert np.allclose(np.array(b.point) / 1e100, a.point, rtol=1e-9, atol=0)
 
     def test_point_budget(self):
         curve = pencil_det(split(fixture_matrix("cross_star")))

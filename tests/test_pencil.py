@@ -263,6 +263,13 @@ class TestHyperbolicity:
         report = hyperbolicity_check(curve, trials=10)
         assert report.ok
 
+    def test_huge_entries(self):
+        # the exact line restrictions reach 10^400; the float cross-check scales them
+        A = fixture_matrix("nested_ovals").scale(GaussianRational.of(10 ** 100))
+        report = hyperbolicity_check(pencil_det(split(A)), trials=16)
+        assert report.ok
+        assert report.max_eig_residual < 1e-8
+
     def test_restrict_to_line_exact(self):
         curve = pencil_det(split(fixture_matrix("cubic_cusp")))
         coeffs = restrict_to_line(curve.p, F(1), F(0))

@@ -56,23 +56,18 @@ def _check_pair(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix):
 
 
 def craig_identity(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix) -> bool:
-    """Exact polynomial identity det(I+y1A1+y2A2) = det(I+y1A1)det(I+y2A2)."""
+    """Exact polynomial identity det(I+y1A1+y2A2) = det(I+y1A1)det(I+y2A2).
+
+    Both right-hand factors are read off the left side: det(I + y1*A1) is its
+    part free of y2, and det(I + y2*A2) its part free of y1.
+    """
     _check_pair(A1, A2)
-    z = GaussianRationalMatrix.zero(A1.n)
-    both = pencil_det(HermitianPencil(A1, A2)).p
-    left = _dehomogenize(both)
-    right1 = _dehomogenize(pencil_det(HermitianPencil(A1, z)).p)
-    right2 = _dehomogenize(pencil_det(HermitianPencil(z, A2)).p)
+    p = pencil_det(HermitianPencil(A1, A2)).p
+    # p is homogeneous, so y0 = 1 merges no two of its terms
+    left = TriPoly(p.vars, {(0, b, c): coef for (_, b, c), coef in p.terms.items()})
+    right1 = TriPoly(p.vars, {e: coef for e, coef in left.terms.items() if not e[2]})
+    right2 = TriPoly(p.vars, {e: coef for e, coef in left.terms.items() if not e[1]})
     return left == right1 * right2
-
-
-def _dehomogenize(p: TriPoly) -> TriPoly:
-    """Set y0 = 1 (the chart the identity lives in)."""
-    terms: dict = {}
-    for (a, b, c), coef in p.terms.items():
-        k = (0, b, c)
-        terms[k] = terms.get(k, Fraction(0)) + coef
-    return TriPoly(p.vars, terms)
 
 
 def product_zero(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix) -> bool:

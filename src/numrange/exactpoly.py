@@ -1,11 +1,14 @@
 """Exact sparse trivariate polynomial arithmetic over big rationals.
 
-Everything here is exact: coefficients are `fractions.Fraction` (or
-`GaussianRational` pairs of them), exponents are triples of non-negative
-ints, and no operation ever rounds.  This module is the elimination engine
-behind the pencil determinant p(y) and the dual curve q(x): one
-division-free determinant (minor expansion), binary-form resultants and
-discriminants on explicit Sylvester matrices, and GCDs for squarefree parts.
+Everything here is exact: `TriPoly` coefficients are `fractions.Fraction`,
+exponents are triples of non-negative ints, and no operation ever rounds.
+This module is the elimination engine behind the pencil determinant p(y) and
+the dual curve q(x): one division-free determinant (minor expansion over the
+integers), binary-form resultants and discriminants on explicit Sylvester
+matrices, and GCDs for squarefree parts.  Complex matrices enter the
+determinant as a pair of rational matrices, their real and imaginary parts;
+`GaussianRational` is the scalar type of the matrix layer, never a
+polynomial coefficient.
 
 The GCD layer is certificate-first and runs on integers.  `repeated_part`
 and `tri_gcd` first restrict their inputs to a fixed list of integer lines;
@@ -24,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 __all__ = [
     "GaussianRational",
@@ -47,7 +50,6 @@ __all__ = [
 ]
 
 Expo = tuple[int, int, int]
-Scalar = Union[Fraction, "GaussianRational"]
 
 
 class VariableMismatchError(ValueError):
@@ -166,21 +168,12 @@ def _grlex(e: Expo):
     return (e[0] + e[1] + e[2], e)
 
 
-def _coerce_scalar(c) -> Scalar:
-    if isinstance(c, (Fraction, GaussianRational)):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"bad coefficient type {type(c).__name__}")
-
-
 class TriPoly:
     """Sparse trivariate polynomial; immutable after construction.
 
-    `terms` maps exponent triples to nonzero coefficients.  Coefficients are
-    Fraction for the usual rational case, GaussianRational where a complex
-    determinant is being expanded (the complex pencil path and `charpoly`);
-    the two never mix within one polynomial.
+    `terms` maps exponent triples to nonzero Fraction coefficients; int
+    coefficients are converted, any other type (GaussianRational included)
+    raises TypeError.
     """
 
     __slots__ = ("vars", "terms", "_hash", "_sorted")
@@ -190,9 +183,9 @@ class TriPoly:
         vs = tuple(vars)
         if len(vs) != 3:
             raise ValueError("TriPoly needs exactly three variable names")
-        clean: dict[Expo, Scalar] = {}
+        clean: dict[Expo, Fraction] = {}
         for e, c in (terms or {}).items():
-            c = _coerce_scalar(c)
+            c = _frac(c)
             if not c:
                 continue
             e = (int(e[0]), int(e[1]), int(e[2]))
@@ -252,14 +245,14 @@ class TriPoly:
         degs = {e[0] + e[1] + e[2] for e in self.terms}
         return len(degs) == 1
 
-    def leading(self) -> tuple[Expo, Scalar]:
+    def leading(self) -> tuple[Expo, Fraction]:
         """Leading (exponent, coefficient) under graded lex."""
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex)
         return e, self.terms[e]
 
-    def sorted_terms(self) -> tuple[tuple[Expo, Scalar], ...]:
+    def sorted_terms(self) -> tuple[tuple[Expo, Fraction], ...]:
         """(exponent, coefficient) pairs in descending graded lex order, the
         order of `to_text`; sorted once per polynomial."""
         items = self._sorted
@@ -268,7 +261,7 @@ class TriPoly:
             object.__setattr__(self, "_sorted", items)
         return items
 
-    def constant_value(self) -> Scalar:
+    def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
@@ -283,7 +276,7 @@ class TriPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, TriPoly):
             other = TriPoly.constant(other, self.vars)
         self._check_vars(other)
         out = dict(self.terms)
@@ -300,7 +293,7 @@ class TriPoly:
         return TriPoly(self.vars, out)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, TriPoly):
             other = TriPoly.constant(other, self.vars)
         return self + (-other)
 
@@ -308,8 +301,8 @@ class TriPoly:
         return TriPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = _coerce_scalar(other)
+        if not isinstance(other, TriPoly):
+            other = _frac(other)
             if not other:
                 return TriPoly.zero(self.vars)
             return TriPoly(self.vars, {e: c * other for e, c in self.terms.items()})
@@ -317,20 +310,8 @@ class TriPoly:
         f, g = self.terms, other.terms
         if len(f) > len(g):
             f, g = g, f
-        out: dict[Expo, Scalar] = {}
-        for ef, cf in f.items():
-            a, b, c0 = ef
-            for eg, cg in g.items():
-                k = (a + eg[0], b + eg[1], c0 + eg[2])
-                v = out.get(k)
-                if v is None:
-                    out[k] = cf * cg
-                else:
-                    v = v + cf * cg
-                    if v:
-                        out[k] = v
-                    else:
-                        del out[k]
+        out: dict = {}
+        _addmul(out, f, g, False)
         return TriPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -372,7 +353,7 @@ class TriPoly:
             out[tuple(k)] = c * e[i]
         return TriPoly(self.vars, out)
 
-    def eval(self, point) -> Scalar | float | complex:
+    def eval(self, point) -> Fraction | float | complex:
         """Evaluate at a 3-point; exact for Fraction coordinates."""
         p0, p1, p2 = point
         total = None
@@ -407,54 +388,24 @@ class TriPoly:
             scale = max(scale, abs(v))
         return total, scale
 
-    # -- Gaussian/real views --------------------------------------------------
-
-    def has_gaussian_coeffs(self) -> bool:
-        return any(isinstance(c, GaussianRational) for c in self.terms.values())
-
-    def real_imag(self) -> tuple["TriPoly", "TriPoly"]:
-        re_terms, im_terms = {}, {}
-        for e, c in self.terms.items():
-            g = _gauss(c) if not isinstance(c, GaussianRational) else c
-            if g.re:
-                re_terms[e] = g.re
-            if g.im:
-                im_terms[e] = g.im
-        return TriPoly(self.vars, re_terms), TriPoly(self.vars, im_terms)
-
     # -- exact division / normalization ---------------------------------------
 
     def divexact(self, other: "TriPoly") -> "TriPoly":
-        """Exact quotient self/other; raises ExactDivisionError otherwise."""
+        """Exact quotient self/other; raises ExactDivisionError otherwise.
+
+        With self = a*F and other = b*G for integer-primitive F and G, the
+        quotient is (a/b) * F/G, and F/G is integral whenever it exists
+        (Gauss's lemma), so the division itself runs on integers.
+        """
         self._check_vars(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return TriPoly.zero(self.vars)
-        glead = max(other.terms, key=_grlex)
-        gc = other.terms[glead]
-        rem = dict(self.terms)
-        q: dict[Expo, Scalar] = {}
-        while rem:
-            flead = max(rem, key=_grlex)
-            e = (flead[0] - glead[0], flead[1] - glead[1], flead[2] - glead[2])
-            if min(e) < 0:
-                raise ExactDivisionError("division is not exact")
-            qc = rem[flead] / gc
-            q[e] = qc
-            for eg, cg in other.terms.items():
-                k = (e[0] + eg[0], e[1] + eg[1], e[2] + eg[2])
-                v = rem.get(k, None)
-                d = qc * cg
-                if v is None:
-                    rem[k] = -d
-                else:
-                    v = v - d
-                    if v:
-                        rem[k] = v
-                    else:
-                        del rem[k]
-        return TriPoly(self.vars, q)
+        F, G = _int_terms(self), _int_terms(other)
+        e, k = next(iter(F)), next(iter(G))
+        ratio = self.terms[e] / F[e] / (other.terms[k] / G[k])
+        return TriPoly(self.vars, {m: c * ratio for m, c in _idivexact(F, G).items()})
 
     def divides(self, other: "TriPoly") -> bool:
         try:
@@ -464,17 +415,10 @@ class TriPoly:
             return False
 
     def rational_content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive (Fraction coeffs only)."""
-        if self.is_zero():
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            if not isinstance(c, Fraction):
-                raise TypeError("content only defined for rational coefficients")
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        """Positive rational c with self/c integer-primitive; 0 for the zero polynomial."""
+        coeffs = self.terms.values()
+        return Fraction(math.gcd(*(c.numerator for c in coeffs)),
+                        math.lcm(*(c.denominator for c in coeffs)))
 
     def primitive(self) -> "TriPoly":
         """Primitive form: integer coefficients, content 1, positive grlex lead."""
@@ -497,8 +441,6 @@ class TriPoly:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
-            if isinstance(c, GaussianRational):
-                raise TypeError("canonical text requires rational coefficients")
             mono = []
             for name, k in zip(self.vars, e):
                 if k == 1:
@@ -519,13 +461,10 @@ class TriPoly:
                 parts.append(("- " if neg else "+ ") + body)
         return " ".join(parts)
 
-    def __str__(self):
-        if self.has_gaussian_coeffs():
-            return " + ".join(f"({c})*{e}" for e, c in self.sorted_terms()) or "0"
-        return self.to_text()
+    __str__ = to_text
 
     def __repr__(self):
-        return f"TriPoly({self.vars}, {self.to_text() if not self.has_gaussian_coeffs() else self.terms})"
+        return f"TriPoly({self.vars}, {self.to_text()})"
 
 
 _TERM_RE = re.compile(r"^\s*(?P<coef>[+-]?\d+(?:/\d+)?)?\s*(?P<rest>(?:\*?\s*[A-Za-z_]\w*(?:\^\d+)?\s*)*)$")
@@ -589,45 +528,77 @@ def _addmul(acc: dict, f: dict, g: dict, negate: bool) -> None:
             acc[k] = cf * cg if v is None else v + cf * cg
 
 
-def det_poly_matrix(M: Sequence[Sequence[TriPoly]]) -> TriPoly:
+def _cleared(p: TriPoly, L: int) -> IntPoly:
+    """The terms of L*p as ints; L is a multiple of every denominator of p."""
+    return {e: c.numerator * (L // c.denominator) for e, c in p.terms.items()}
+
+
+def det_poly_matrix(M: Sequence[Sequence[TriPoly]],
+                    imag: Sequence[Sequence[TriPoly]] | None = None
+                    ) -> TriPoly | tuple[TriPoly, TriPoly]:
     """Exact determinant of a square matrix of TriPoly over one variable triple.
 
-    Laplace expansion along the rows, bottom up: the minors on the last k
-    rows are kept in a dict keyed by their column bitmask, and each one is
-    built from the minors on the last k-1 rows, so every minor is computed
-    once (at most n*2^(n-1) products).  It never divides, and it skips zero
-    entries and zero minors, which the banded Sylvester matrices are full of.
+    Returns det M as a TriPoly; with `imag`, the matrix is M + i*imag and the
+    result is the pair (real part, imaginary part) of its determinant.
+
+    Each row is scaled once by the lcm of the denominators in its real and
+    imaginary parts, so the expansion runs on integer term dicts, with every
+    minor kept as a pair of real and imaginary parts; the result is divided
+    by the product of the row scales at the end.  The expansion is Laplace's,
+    along the rows, bottom up: the minors on the last k rows are kept in a
+    dict keyed by their column bitmask, and each one is built from the minors
+    on the last k-1 rows, so every minor is computed once (at most n*2^(n-1)
+    products).  It never divides, and it skips zero entries and zero minors,
+    which the banded Sylvester matrices are full of.
     """
     rows = [list(r) for r in M]
     n = len(rows)
     if n == 0:
         raise NonSquareMatrixError("empty matrix")
-    for r in rows:
+    ims = None if imag is None else [list(r) for r in imag]
+    if ims is not None and len(ims) != n:
+        raise NonSquareMatrixError(f"imaginary part has {len(ims)} rows, real part {n}")
+    for r in rows + (ims or []):
         if len(r) != n:
             raise NonSquareMatrixError(f"matrix is {n}x{len(r)}")
     vars = rows[0][0].vars
-    for r in rows:
+    for r in rows + (ims or []):
         for p in r:
             if p.vars != vars:
                 raise VariableMismatchError("matrix entries use different variable triples")
-    minors = {1 << j: p for j, p in enumerate(rows[-1]) if p.terms}
-    for row in reversed(rows[:-1]):
-        sums: dict[int, dict] = {}
-        for mask, minor in minors.items():
+    zeros = [TriPoly.zero(vars)] * n
+    denom = 1
+    pairs = []  # row i as (real, imaginary) int term dicts, times its scale
+    for i, row in enumerate(rows):
+        im_row = ims[i] if ims else zeros
+        L = math.lcm(*(c.denominator for p in row + im_row for c in p.terms.values()))
+        denom *= L
+        pairs.append([(_cleared(a, L), _cleared(b, L)) for a, b in zip(row, im_row)])
+    minors = {1 << j: ab for j, ab in enumerate(pairs[-1]) if ab[0] or ab[1]}
+    for row in reversed(pairs[:-1]):
+        sums: dict[int, tuple[dict, dict]] = {}
+        for mask, (c, d) in minors.items():
             # sign of entry j in the expansion: parity of the columns of mask left of j
             negate = False
-            for j, p in enumerate(row):
+            for j, (a, b) in enumerate(row):
                 bit = 1 << j
                 if mask & bit:
                     negate = not negate
-                elif p.terms:
-                    _addmul(sums.setdefault(mask | bit, {}), p.terms, minor.terms, negate)
+                elif a or b:
+                    # (a + i*b) * (c + i*d) = (a*c - b*d) + i*(a*d + b*c)
+                    re, im = sums.setdefault(mask | bit, ({}, {}))
+                    _addmul(re, a, c, negate)
+                    _addmul(re, b, d, not negate)
+                    _addmul(im, a, d, negate)
+                    _addmul(im, b, c, negate)
         minors = {}
-        for mask, terms in sums.items():
-            minor = TriPoly(vars, terms)
-            if minor.terms:
-                minors[mask] = minor
-    return minors.get((1 << n) - 1, TriPoly.zero(vars))
+        for mask, (re, im) in sums.items():
+            re, im = _clean(re), _clean(im)
+            if re or im:
+                minors[mask] = (re, im)
+    re, im = (TriPoly(vars, {e: Fraction(c, denom) for e, c in part.items()})
+              for part in minors.get((1 << n) - 1, ({}, {})))
+    return re if imag is None else (re, im)
 
 
 # -- binary forms, resultants, discriminants -----------------------------------
@@ -990,8 +961,6 @@ def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
     """
     if f.vars != g.vars:
         raise VariableMismatchError("gcd operands use different variable triples")
-    if f.has_gaussian_coeffs() or g.has_gaussian_coeffs():
-        raise TypeError("gcd only implemented for rational coefficients")
     if f.is_zero():
         return g.primitive()
     if g.is_zero():

@@ -9,6 +9,8 @@ pencil; the angle-grid eigensolves that read it live in `pencil`.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,6 +24,7 @@ __all__ = [
     "HermitianPencil",
     "MatrixFormatError",
     "NonHermitianError",
+    "FloatRangeError",
     "split",
     "is_normal",
     "rank_one_value",
@@ -41,6 +44,11 @@ class MatrixFormatError(ValueError):
 
 class NonHermitianError(ValueError):
     pass
+
+
+class FloatRangeError(ValueError):
+    """An entry has a nonzero part that no normal float represents, so the
+    numeric layers would see it as inf or (near) zero."""
 
 
 class GaussianRationalMatrix:
@@ -127,7 +135,11 @@ class GaussianRationalMatrix:
         return all(e.is_real for row in self.entries for e in row)
 
     def to_complex(self) -> np.ndarray:
-        return np.array([[complex(e) for e in row] for row in self.entries],
+        """complex128 copy; FloatRangeError when a nonzero part of an entry is
+        beyond the largest float or below the smallest normal one."""
+        return np.array([[complex(_normal_float(e.re, i, j, "real"),
+                                  _normal_float(e.im, i, j, "imaginary"))
+                          for j, e in enumerate(row)] for i, row in enumerate(self.entries)],
                         dtype=np.complex128)
 
     def _same_size(self, other):
@@ -147,6 +159,19 @@ class GaussianRationalMatrix:
         for row in self.entries:
             body.append("[" + ", ".join(str(e) for e in row) + "]")
         return "[" + ",\n ".join(body) + "]"
+
+
+def _normal_float(x: Fraction, i: int, j: int, part: str) -> float:
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if x and not sys.float_info.min <= abs(f) < math.inf:
+        exp10 = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+        raise FloatRangeError(
+            f"entry ({i}, {j}) has a {part} part of about 1e{exp10:+.0f}, outside the "
+            f"normal float range [{sys.float_info.min:.3g}, {sys.float_info.max:.3g}]")
+    return f
 
 
 def _entry(e) -> GaussianRational:
@@ -220,16 +245,18 @@ def rank_one_value(A: GaussianRationalMatrix, w) -> tuple[float, float]:
 
 
 def charpoly(A: GaussianRationalMatrix) -> list[GaussianRational]:
-    """Exact characteristic polynomial det(t*I - A), expanded by `det_poly_matrix`.
+    """Exact characteristic polynomial det(t*I - A), expanded by `det_poly_matrix`
+    on the real and imaginary parts of t*I - A.
 
     Returns coefficients [c_0, ..., c_n] with c_n = 1, ascending powers of t.
     """
-    rows = [[TriPoly(_TVARS, {(1, 0, 0): GaussianRational.ONE, (0, 0, 0): -a} if i == j
-                     else {(0, 0, 0): -a})
-             for j, a in enumerate(row)]
-            for i, row in enumerate(A.entries)]
-    det = det_poly_matrix(rows).terms
-    return [det.get((k, 0, 0), GaussianRational.ZERO) for k in range(A.n + 1)]
+    re = [[TriPoly(_TVARS, {(1, 0, 0): int(i == j), (0, 0, 0): -a.re}) for j, a in enumerate(row)]
+          for i, row in enumerate(A.entries)]
+    im = [[TriPoly.constant(-a.im, _TVARS) for a in row] for row in A.entries]
+    det_re, det_im = (d.terms for d in det_poly_matrix(re, im))
+    zero = Fraction(0)
+    return [GaussianRational(det_re.get((k, 0, 0), zero), det_im.get((k, 0, 0), zero))
+            for k in range(A.n + 1)]
 
 
 # -- matrix file format --------------------------------------------------------

@@ -23,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .exactpoly import (
-    GaussianRational,
     TriPoly,
     det_poly_matrix,
     sturm_real_root_count,
@@ -107,38 +106,17 @@ class CurveSampleSet:
 
 
 def pencil_det(pencil: HermitianPencil) -> PencilCurve:
-    """Exact det(y0*I + y1*A1 + y2*A2); imaginary parts must cancel exactly."""
-    n = pencil.n
-    a1, a2 = pencil.A1.entries, pencil.A2.entries
-    real_input = pencil.A1.is_real() and pencil.A2.is_real()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            if i == j:
-                terms[(1, 0, 0)] = Fraction(1)
-            if real_input:
-                if a1[i][j]:
-                    terms[(0, 1, 0)] = a1[i][j].re
-                if a2[i][j]:
-                    terms[(0, 0, 1)] = a2[i][j].re
-            else:
-                if i == j:
-                    terms[(1, 0, 0)] = GaussianRational.ONE
-                if a1[i][j]:
-                    terms[(0, 1, 0)] = a1[i][j]
-                if a2[i][j]:
-                    terms[(0, 0, 1)] = a2[i][j]
-            row.append(TriPoly(YVARS, terms))
-        rows.append(row)
-    det = det_poly_matrix(rows)
-    if det.has_gaussian_coeffs():
-        re, im = det.real_imag()
-        if not im.is_zero():
-            raise NonHermitianError(
-                "pencil determinant has a nonzero imaginary residue; pencil is not Hermitian")
-        det = re
+    """Exact det(y0*I + y1*A1 + y2*A2), expanded with the real and imaginary
+    parts of the entries kept apart; the imaginary part must cancel exactly."""
+    re, im = [], []
+    for i, (r1, r2) in enumerate(zip(pencil.A1.entries, pencil.A2.entries)):
+        re.append([TriPoly(YVARS, {(1, 0, 0): int(i == j), (0, 1, 0): a.re, (0, 0, 1): b.re})
+                   for j, (a, b) in enumerate(zip(r1, r2))])
+        im.append([TriPoly(YVARS, {(0, 1, 0): a.im, (0, 0, 1): b.im}) for a, b in zip(r1, r2)])
+    det, residue = det_poly_matrix(re, im)
+    if not residue.is_zero():
+        raise NonHermitianError(
+            "pencil determinant has a nonzero imaginary residue; pencil is not Hermitian")
     return PencilCurve(det, pencil)
 
 

@@ -251,20 +251,41 @@ class TestInputErrors:
         assert run("sample-f", "--input", fx("disk.json"), "--grid", "2") == 2
 
 
+def _scaled_fixture(tmp_path, name, power):
+    """The fixture with every entry part multiplied by 10**power, written to a file."""
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    k = 10 ** abs(power)
+    scale = (lambda v: v * k) if power > 0 else (lambda v: [v, k])
+    doc["entries"] = [[[scale(re), scale(im)] for re, im in row] for row in doc["entries"]]
+    src = tmp_path / "a.json"
+    src.write_text(json.dumps(doc))
+    return str(src)
+
+
 class TestExtremeEntries:
     @pytest.mark.parametrize("name", ["cubic_cusp", "nested_ovals"])
     @pytest.mark.parametrize("power", [100, -100])
     def test_no_arithmetic_error_escapes(self, tmp_path, name, power):
-        doc = json.loads((FIXTURES / f"{name}.json").read_text())
-        scale = (lambda v: v * 10 ** 100) if power > 0 else (lambda v: [v, 10 ** 100])
-        doc["entries"] = [[[scale(re), scale(im)] for re, im in row] for row in doc["entries"]]
-        src, out = tmp_path / "a.json", str(tmp_path / "out")
-        src.write_text(json.dumps(doc))
+        src, out = _scaled_fixture(tmp_path, name, power), str(tmp_path / "out")
         for argv in (["pencil"], ["dual"], ["classify"], ["sample-f"],
                      ["sample-w", "--curve", str(tmp_path / "q.csv")], ["duality"],
                      ["render", "--viewport=-1,1,-1,1"], ["craig"]):
-            code = run(argv[0], "--input", str(src), "--grid", "90", "--out", out, *argv[1:])
+            code = run(argv[0], "--input", src, "--grid", "90", "--out", out, *argv[1:])
             assert code in (0, 1, 2), argv
+
+    @pytest.mark.parametrize("power", [400, -400])
+    def test_beyond_float_range(self, tmp_path, capsys, power):
+        # the exact subcommands answer; the numeric ones refuse, naming the entry
+        src, out = _scaled_fixture(tmp_path, "cubic_cusp", power), str(tmp_path / "out")
+        for argv in (["decompose"], ["pencil"], ["dual"], ["craig"]):
+            assert run(argv[0], "--input", src, "--grid", "90", "--out", out) == 0, argv
+        for argv in (["classify"], ["sample-f"], ["sample-w", "--curve", str(tmp_path / "q.csv")],
+                     ["duality"], ["render", "--viewport=-1,1,-1,1"]):
+            capsys.readouterr()
+            code = run(argv[0], "--input", src, "--grid", "90", "--out", out, *argv[1:])
+            assert code == 2, argv
+            err = capsys.readouterr().err
+            assert "entry (0, 2) has a real part" in err and "normal float range" in err, argv
 
 
 class TestDecompose:

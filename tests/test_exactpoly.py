@@ -9,6 +9,7 @@ from numrange.exactpoly import (
     BinaryForm,
     ExactDivisionError,
     GaussianRational,
+    NonSquareMatrixError,
     PolyParseError,
     TriPoly,
     VariableMismatchError,
@@ -67,6 +68,14 @@ class TestArithmetic:
         assert 2 * Y0 == Y0 * Fraction(2)
         assert (Y0 + 1) - 1 == Y0
 
+    def test_gaussian_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            TriPoly(YVARS, {(1, 0, 0): GaussianRational.I})
+        with pytest.raises(TypeError):
+            Y0 * GaussianRational.ONE
+        with pytest.raises(TypeError):
+            Y0 + GaussianRational.I
+
 
 class TestEval:
     def test_root_on_cubic(self):
@@ -114,32 +123,53 @@ class TestDeterminant:
     def test_non_square(self):
         with pytest.raises(ValueError):
             det_poly_matrix([[Y0, Y1]])
+        with pytest.raises(NonSquareMatrixError):
+            det_poly_matrix([[Y0]], [[Y0, Y1]])
+        with pytest.raises(NonSquareMatrixError):
+            det_poly_matrix([[Y0]], [[Y0], [Y1]])
+        with pytest.raises(VariableMismatchError):
+            det_poly_matrix([[Y0]], [[TriPoly.variable(0, XVARS)]])
 
     def test_matches_cofactor_reference(self):
         rng = random.Random(11)
         cases = []
         for _ in range(12):
             n = rng.randint(2, 4)
-            cases.append([[random_tripoly(rng, max_deg=1, terms=2) for _ in range(n)]
-                          for _ in range(n)])
+            cases.append(([[random_tripoly(rng, max_deg=1, terms=2) for _ in range(n)]
+                           for _ in range(n)],))
         for n in range(1, 7):
             for gaussian in (False, True):
-                M = [[_random_entry(rng, gaussian) for _ in range(n)] for _ in range(n)]
-                cases.append(M)
+                pairs = [[_random_entry(rng) for _ in range(n)] for _ in range(n)]
+                parts = [[[e[k] for e in row] for row in pairs] for k in range(1 + gaussian)]
+                cases.append(parts)
                 if n >= 2:
                     z = TriPoly.zero(YVARS)
-                    cases.append([[z] * n] + M[1:])           # zero row
-                    cases.append(M[:-1] + [M[0]])             # repeated row
-                    cases.append(M[:-1] + [[3 * e for e in M[0]]])  # proportional row
+                    cases.append([[[z] * n] + M[1:] for M in parts])           # zero row
+                    cases.append([M[:-1] + [M[0]] for M in parts])             # repeated row
+                    cases.append([M[:-1] + [[3 * e for e in M[0]]] for M in parts])  # proportional row
         for d1 in range(1, 4):
             for d2 in range(1, 4):
                 f = BinaryForm(d1, tuple(random_tripoly(rng, max_deg=1, terms=2)
                                          for _ in range(d1 + 1)))
                 g = BinaryForm(d2, tuple(random_tripoly(rng, max_deg=1, terms=2)
                                          for _ in range(d2 + 1)))
-                cases.append(_sylvester_reference(f, g))
-        for M in cases:
-            assert det_poly_matrix(M) == _det_cofactor_reference(M)
+                cases.append((_sylvester_reference(f, g),))
+        for parts in cases:
+            if len(parts) == 1:
+                assert det_poly_matrix(*parts) == _det_cofactor_reference(*parts)
+            else:
+                assert det_poly_matrix(*parts) == _det_pair_reference(*parts)
+
+    def test_coprime_denominators_and_extreme_entries(self):
+        rng = random.Random(17)
+        dens = (3, 7, 2 ** 60)
+        for scale in (Fraction(1), Fraction(10 ** 100), Fraction(1, 10 ** 100)):
+            for n in (2, 3, 4):
+                re, im = ([[TriPoly(YVARS, {e: scale * Fraction(rng.randint(-9, 9), rng.choice(dens))
+                                            for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
+                            for _ in range(n)] for _ in range(n)] for _ in range(2))
+                assert det_poly_matrix(re) == _det_cofactor_reference(re)
+                assert det_poly_matrix(re, im) == _det_pair_reference(re, im)
 
     def test_eval_commutes_with_det(self):
         rng = random.Random(13)
@@ -154,11 +184,13 @@ class TestDeterminant:
             assert sp.Rational(got.numerator, got.denominator) == scalar
 
     def test_gaussian_coefficients(self):
-        i = GaussianRational.I
-        d = det_poly_matrix([[Y0, TriPoly.constant(i, YVARS)],
-                             [TriPoly.constant(i, YVARS), Y0]])
-        re, im = d.real_imag()
+        # det [[y0, i], [i, y0]] = y0^2 + 1, given as real and imaginary parts
+        z, one = TriPoly.zero(YVARS), TriPoly.constant(1, YVARS)
+        re, im = det_poly_matrix([[Y0, z], [z, Y0]], [[z, one], [one, z]])
         assert re == Y0 ** 2 + 1 and im.is_zero()
+        # det [[y0, i*y1], [1, y0]] = y0^2 - i*y1
+        re, im = det_poly_matrix([[Y0, z], [one, Y0]], [[z, Y1], [z, z]])
+        assert re == Y0 ** 2 and im == -Y1
 
 
 def _det_cofactor_reference(M):
@@ -173,15 +205,27 @@ def _det_cofactor_reference(M):
     return det
 
 
-def _random_entry(rng, gaussian):
-    """A linear form in YVARS, sometimes zero, with Fraction or Gaussian coefficients."""
-    terms = {}
+def _det_pair_reference(re, im):
+    """(real, imaginary) parts of det(re + i*im) by plain cofactor expansion."""
+    if len(re) == 1:
+        return re[0][0], im[0][0]
+    det_re = det_im = TriPoly.zero(re[0][0].vars)
+    for j, (a, b) in enumerate(zip(re[0], im[0])):
+        c, d = _det_pair_reference(*([row[:j] + row[j + 1:] for row in M[1:]] for M in (re, im)))
+        sign = 1 if j % 2 == 0 else -1
+        det_re = det_re + sign * (a * c - b * d)
+        det_im = det_im + sign * (a * d + b * c)
+    return det_re, det_im
+
+
+def _random_entry(rng):
+    """(real, imaginary) parts of a linear form in YVARS, sometimes zero."""
+    re, im = {}, {}
     for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         if rng.random() < 0.6:
-            re = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            im = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            terms[e] = GaussianRational(re, im) if gaussian else re
-    return TriPoly(YVARS, terms)
+            re[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            im[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return TriPoly(YVARS, re), TriPoly(YVARS, im)
 
 
 def _sylvester_reference(f, g):

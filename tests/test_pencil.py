@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, split
@@ -26,6 +27,10 @@ from numrange.rangegeom import polygon_is_convex
 from conftest import fixture_matrix, golden_poly, random_gaussian_matrix
 
 F = Fraction
+
+
+def _rat(x: Fraction) -> sp.Rational:
+    return sp.Rational(x.numerator, x.denominator)
 
 
 class TestPencilDet:
@@ -57,7 +62,21 @@ class TestPencilDet:
             assert curve.p.eval((F(1), F(0), F(0))) == 1
             assert curve.p.is_homogeneous()
             assert curve.p.total_degree() == A.n
-            assert not curve.p.has_gaussian_coeffs()
+
+    def test_matches_sympy_determinant(self):
+        # complex draws, and real non-symmetric ones, whose A2 is purely imaginary
+        y = sp.symbols("y0 y1 y2")
+        rng = random.Random(223)
+        for n in range(1, 6):
+            for complex_entries in (True, False):
+                pencil = split(random_gaussian_matrix(n, rng, complex_entries=complex_entries))
+                M = sp.Matrix(n, n, lambda i, j: (y[0] if i == j else 0) + sum(
+                    yk * (_rat(X[i, j].re) + sp.I * _rat(X[i, j].im))
+                    for yk, X in ((y[1], pencil.A1), (y[2], pencil.A2))))
+                p = pencil_det(pencil).p
+                got = sum(_rat(c) * y[0] ** a * y[1] ** b * y[2] ** e
+                          for (a, b, e), c in p.terms.items())
+                assert sp.expand(M.det(method="berkowitz") - got) == 0
 
     def test_complex_pencil_imaginary_cancellation(self):
         curve = pencil_det(split(fixture_matrix("nested_ovals")))

@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exactpoly import GaussianRational, TriPoly
-from .hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError
+from .hermitian import (GaussianRationalMatrix, HermitianPencil, NonHermitianError,
+                        _cleared_parts, _int_matmul)
 from .pencil import pencil_det
 from .rangegeom import range_hulls
 
@@ -71,10 +72,11 @@ def craig_identity(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix) -> bo
 
 
 def product_zero(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix) -> bool:
-    """Exact test A1 @ A2 == 0."""
+    """Exact test A1 @ A2 == 0, on integers: scaling A1, A2 by L1, L2 > 0 keeps it."""
     if A1.n != A2.n:
         raise ValueError("matrices must share one size")
-    return (A1 @ A2).is_zero()
+    re, im = _int_matmul(_cleared_parts(A1), _cleared_parts(A2))
+    return not any(map(any, re + im))
 
 
 def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,

@@ -10,12 +10,13 @@ determinant as a pair of rational matrices, their real and imaginary parts;
 `GaussianRational` is the scalar type of the matrix layer, never a
 polynomial coefficient.
 
-The GCD layer is certificate-first and runs on integers.  `repeated_part`
-and `tri_gcd` first restrict their inputs to a fixed list of integer lines;
-a restriction that keeps full degree and is squarefree (or two that are
-coprime) proves the answer is 1.  Only when no line certifies do they run the
-subresultant PRS, on int-coefficient term dicts after clearing denominators
-once (Gauss's lemma).
+The GCD layer runs on integers, after clearing denominators once (Gauss's
+lemma).  `repeated_part` and `tri_gcd` first restrict their inputs to a fixed
+list of integer lines; a restriction that keeps full degree and is squarefree
+(or two that are coprime) proves the answer is 1.  Otherwise they compute the
+gcd from its images on lines modulo 61-bit primes: univariate gcds,
+interpolated over the lines, combined by CRT, and proven by exact trial
+division.
 
 Monomial order is graded lexicographic with var0 > var1 > var2 throughout,
 including the canonical text format.
@@ -23,6 +24,7 @@ including the canonical text format.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -134,10 +136,6 @@ class GaussianRational:
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -719,19 +717,6 @@ def _clean(acc: dict) -> IntPoly:
     return {e: c for e, c in acc.items() if c}
 
 
-def _imul(f: IntPoly, g: IntPoly) -> IntPoly:
-    acc: dict = {}
-    _addmul(acc, f, g, False)
-    return _clean(acc)
-
-
-def _ipow(f: IntPoly, k: int) -> IntPoly:
-    out = _ONE
-    for _ in range(k):
-        out = _imul(out, f)
-    return out
-
-
 def _idivexact(f: IntPoly, g: IntPoly) -> IntPoly:
     """Exact quotient f/g in Z[v]; raises ExactDivisionError otherwise."""
     glead = max(g, key=_grlex)
@@ -765,105 +750,23 @@ def _iprimitive(f: IntPoly) -> IntPoly:
     return f if c == 1 else {e: v // c for e, v in f.items()}
 
 
-# Univariate views: f as a list of coefficient polynomials in variable k
-# (index = degree in k, the k-slot of their exponents zeroed), trimmed so the
-# last entry is nonzero; [] is the zero polynomial.
+def _shear(f: IntPoly, a: int, b: int) -> IntPoly:
+    """f(v0 + a*v1, v1, v2 + b*v1), exactly."""
+    if not a and not b:
+        return f
+    out: dict = {}
+    for (e0, e1, e2), c in f.items():
+        for i in range(e0 + 1):
+            ci = c * math.comb(e0, i) * a ** (e0 - i)
+            for l in range(e2 + 1):
+                v = ci * math.comb(e2, l) * b ** (e2 - l)
+                if v:
+                    k = (i, e1 + e0 - i + e2 - l, l)
+                    out[k] = out.get(k, 0) + v
+    return _clean(out)
 
 
-def _as_univar(f: IntPoly, k: int) -> list[IntPoly]:
-    coeffs: list[IntPoly] = [{} for _ in range(max(e[k] for e in f) + 1)]
-    for e, c in f.items():
-        rest = list(e)
-        rest[k] = 0
-        coeffs[e[k]][tuple(rest)] = c
-    return coeffs
-
-
-def _from_univar(coeffs: list[IntPoly], k: int) -> IntPoly:
-    out: IntPoly = {}
-    for deg, poly in enumerate(coeffs):
-        for e, c in poly.items():
-            key = list(e)
-            key[k] += deg
-            out[tuple(key)] = c
-    return out
-
-
-def _uni_prem(A: list[IntPoly], B: list[IntPoly]) -> list[IntPoly]:
-    """Pseudo-remainder of A by B: lc(B)^(degA-degB+1) * A mod B."""
-    db = len(B) - 1
-    lb = B[db]
-    R = A
-    e = len(A) - db
-    while len(R) > db:
-        lr = R[-1]
-        shift = len(R) - 1 - db
-        nxt = []
-        for i in range(len(R) - 1):
-            acc: dict = {}
-            _addmul(acc, R[i], lb, False)
-            if i >= shift:
-                _addmul(acc, lr, B[i - shift], True)
-            nxt.append(_clean(acc))
-        while nxt and not nxt[-1]:
-            nxt.pop()
-        R = nxt
-        e -= 1
-    if e > 0 and R:
-        s = _ipow(lb, e)
-        R = [_imul(c, s) for c in R]
-    return R
-
-
-def _content(coeffs: list[IntPoly]) -> IntPoly:
-    """gcd of the nonzero coefficients, primitive with a positive grlex lead."""
-    g = None
-    for c in coeffs:
-        if c:
-            g = _iprimitive(c) if g is None else _igcd(g, c)
-            if _is_const(g):
-                return _ONE
-    return g
-
-
-def _igcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """gcd of two nonzero integer polynomials by the subresultant PRS (Brown &
-    Traub 1971), recursive in the variables: primitive, positive grlex lead."""
-    if _is_const(f) or _is_const(g):
-        return _ONE
-    # main variable: first one occurring in either operand
-    k = next(i for i in range(3) if any(e[i] for e in f) or any(e[i] for e in g))
-    fu, gu = _as_univar(f, k), _as_univar(g, k)
-    cf, cg = _content(fu), _content(gu)
-    cont = _igcd(cf, cg)
-    if len(fu) == 1 or len(gu) == 1:
-        # one operand does not involve var k, so neither does the gcd
-        return cont
-    A = [_idivexact(c, cf) if c else c for c in fu]
-    B = [_idivexact(c, cg) if c else c for c in gu]
-    if len(A) < len(B):
-        A, B = B, A
-    gg = hh = _ONE
-    while True:
-        delta = len(A) - len(B)
-        R = _uni_prem(A, B)
-        if not R:
-            pp = _content(B)
-            return _iprimitive(_imul(cont, _from_univar(
-                [_idivexact(c, pp) if c else c for c in B], k)))
-        if len(R) == 1:
-            return cont
-        A = B
-        denom = _imul(gg, _ipow(hh, delta))
-        B = [_idivexact(c, denom) if c else c for c in R]
-        gg = A[-1]
-        if delta == 1:
-            hh = gg
-        elif delta > 1:
-            hh = _idivexact(_ipow(gg, delta), _ipow(hh, delta - 1))
-
-
-# -- line-restriction certificates ----------------------------------------------
+# -- line restrictions modulo primes ----------------------------------------------
 #
 # Restrict F to a line x = a + t*b.  The t^d coefficient of F(a + t*b), for
 # d = deg F, is F_top(b), the top-degree part of F at b.  When it is nonzero,
@@ -872,72 +775,116 @@ def _igcd(f: IntPoly, g: IntPoly) -> IntPoly:
 # factor of both restrictions.  A squarefree restriction of full degree thus
 # certifies that F is squarefree, and coprime restrictions of full degree that
 # F and G are coprime; homogeneous or not.  The restrictions are computed
-# modulo the prime P > deg F, which keeps the test exact: F_top(b) != 0 mod P
+# modulo a prime P > deg F, which keeps the test exact: F_top(b) != 0 mod P
 # fixes the degree, and a constant gcd mod P makes the resultant (of r and r',
-# or of the two restrictions) nonzero mod P, hence nonzero.  If no line
-# certifies, the caller falls back to the PRS.
+# or of the two restrictions) nonzero mod P, hence nonzero.
 
-_P = (1 << 61) - 1  # a Mersenne prime
+_P = (1 << 61) - 1  # a Mersenne prime, the first modulus of every computation
 # The fixed lines (a, b), tried in this order: runs repeat bit for bit.
 _CERT_LINES = (((2, -3, 5), (7, 11, -13)), ((-5, 1, 4), (3, 8, 2)))
+_FIRST_NODE = 0  # the line images of `_line_gcd` run through nodes 0, 1, 2, ...
+# Caches filled on demand; entries are replaced whole, so threads may share them.
+_INVERSES: dict[int, list[int]] = {}  # P -> [0, 1, 1/2, 1/3, ...] mod P
+_PRIME_BELOW: dict[int, int] = {}     # P -> the largest prime below P
 
 
-def _trim_p(u: list[int]) -> list[int]:
-    while u and not u[-1]:
-        u.pop()
-    return u
+def _inverses(P: int, n: int) -> list[int]:
+    """1/j mod P for 0 < j < n (at least), by 1/j = -(P // j) / (P mod j)."""
+    inv = _INVERSES.get(P, [0, 1])
+    if len(inv) < n:
+        inv = list(inv)
+        for j in range(len(inv), n):
+            inv.append(-(P // j) * inv[P % j] % P)
+        _INVERSES[P] = inv
+    return inv
 
 
-def _restrict_mod_p(F: IntPoly, a, b) -> list[int] | None:
-    """Coefficients (constant term first) of F(a + t*b) mod P, of degree
-    exactly deg F, or None when F_top(b) = 0 mod P.  Evaluates at t = 0..d and
-    interpolates (Newton divided differences on the nodes 0..d)."""
-    d = max(sum(e) for e in F)
-    terms = [(e, c % _P) for e, c in F.items()]
-    c = []
-    for t in range(d + 1):
-        pw = []
-        for ai, bi in zip(a, b):
-            x = (ai + t * bi) % _P
-            row = [1] * (d + 1)
-            for j in range(1, d + 1):
-                row[j] = row[j - 1] * x % _P
-            pw.append(row)
-        p0, p1, p2 = pw
-        c.append(sum(v * p0[e0] * p1[e1] * p2[e2] for (e0, e1, e2), v in terms) % _P)
-    for j in range(1, d + 1):
-        inv = pow(j, _P - 2, _P)
-        for i in range(d, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * inv % _P
-    r = [c[d]]
-    for k in range(d - 1, -1, -1):  # r <- r*(t - k) + c[k]
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: exact for odd 37 < n < 3.3e24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(base, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    return True
+
+
+def _primes():
+    """_P, then the primes below it in decreasing order (all far above any degree)."""
+    P = _P
+    while True:
+        yield P
+        if P not in _PRIME_BELOW:
+            _PRIME_BELOW[P] = next(n for n in range(P - 2, 0, -2) if _is_prime(n))
+        P = _PRIME_BELOW[P]
+
+
+def _interpolate(xs, ys, P: int) -> list[int]:
+    """Coefficients (constant term first) of the polynomial of degree < len(xs) through
+    the points (xs[i], ys[i]) mod P, xs increasing; Newton divided differences."""
+    n = len(xs)
+    inv = _inverses(P, xs[-1] - xs[0] + 1)
+    c = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv[xs[i] - xs[i - j]] % P
+    r = [c[-1]]
+    for k in range(n - 2, -1, -1):  # r <- r*(t - xs[k]) + c[k]
         nxt = [0] + r
         for i, v in enumerate(r):
-            nxt[i] -= k * v
+            nxt[i] -= xs[k] * v
         nxt[0] += c[k]
-        r = [v % _P for v in nxt]
+        r = [v % P for v in nxt]
+    return r
+
+
+def _powers(x: int, d: int, P: int) -> list[int]:
+    """[1, x, x^2, ..., x^d] mod P."""
+    return list(itertools.accumulate(itertools.repeat(x % P, d), lambda y, z: y * z % P, initial=1))
+
+
+def _restrict_mod_p(F: IntPoly, a, b, P: int = _P) -> list[int] | None:
+    """Coefficients (constant term first) of F(a + t*b) mod P, of degree
+    exactly deg F, or None when F_top(b) = 0 mod P.  On a line (a0, 0, a2) +
+    t*(0, 1, 0) they are read off the terms; on any other line F is evaluated
+    at t = 0..d and interpolated."""
+    d = max(sum(e) for e in F)
+    terms = [(e, c % P) for e, c in F.items()]
+    if a[1] == 0 and b == (0, 1, 0):
+        p0, p2, r = _powers(a[0], d, P), _powers(a[2], d, P), [0] * (d + 1)
+        for (e0, e1, e2), v in terms:
+            r[e1] += v * p0[e0] * p2[e2]
+        r = [v % P for v in r]
+    else:
+        vals = []
+        for t in range(d + 1):
+            p0, p1, p2 = (_powers(ai + t * bi, d, P) for ai, bi in zip(a, b))
+            vals.append(sum(v * p0[e0] * p1[e1] * p2[e2] for (e0, e1, e2), v in terms) % P)
+        r = _interpolate(range(d + 1), vals, P)
     return r if r[-1] else None
 
 
-def _gcd_degree_mod_p(u: list[int], v: list[int]) -> int:
-    """Degree of gcd(u, v) in F_P[t] (Euclid); u nonzero."""
-    u, v = _trim_p(list(u)), _trim_p(list(v))
+def _gcd_mod_p(u: list[int], v: list[int], P: int = _P) -> list[int]:
+    """Monic gcd of u and v in F_P[t] (Euclid), constant term first, for u and
+    v with nonzero leading coefficients."""
+    u, v = list(u), list(v)
     while v:
-        inv = pow(v[-1], _P - 2, _P)
+        inv = pow(v[-1], P - 2, P)
         while len(u) >= len(v):
-            f = u[-1] * inv % _P
+            f = u[-1] * inv % P
             shift = len(u) - len(v)
-            for i, x in enumerate(v):
-                u[shift + i] = (u[shift + i] - f * x) % _P
-            _trim_p(u)
+            u[shift:] = [(x - f * y) % P for x, y in zip(u[shift:], v)]
+            while u and not u[-1]:
+                u.pop()
         u, v = v, u
-    return len(u) - 1
+    inv = pow(u[-1], P - 2, P)
+    return [c * inv % P for c in u]
 
 
 def _squarefree_on_a_line(F: IntPoly) -> bool:
     for a, b in _CERT_LINES:
         r = _restrict_mod_p(F, a, b)
-        if r is not None and _gcd_degree_mod_p(r, [i * v % _P for i, v in enumerate(r)][1:]) == 0:
+        if r is not None and len(_gcd_mod_p(r, [i * v % _P for i, v in enumerate(r)][1:])) == 1:
             return True
     return False
 
@@ -945,9 +892,122 @@ def _squarefree_on_a_line(F: IntPoly) -> bool:
 def _coprime_on_a_line(F: IntPoly, G: IntPoly) -> bool:
     for a, b in _CERT_LINES:
         rf, rg = _restrict_mod_p(F, a, b), _restrict_mod_p(G, a, b)
-        if rf is not None and rg is not None and _gcd_degree_mod_p(rf, rg) == 0:
+        if rf is not None and rg is not None and len(_gcd_mod_p(rf, rg)) == 1:
             return True
     return False
+
+
+def _interpolated(image_at, nodes, P: int) -> tuple[dict, int]:
+    """Images {key: c} mod P at fresh nodes, interpolated over the nodes:
+    ({key + (power of the node,): c}, k).  Only images of k, the lowest degree
+    seen, are kept; one of higher degree is unlucky and dropped (Brown).  The
+    coefficient under key has degree <= k - sum(key) in the node, so k + 1
+    images determine them all."""
+    k, pts = None, []
+    for x in nodes:
+        img, deg = image_at(x)
+        if k is None or deg < k:
+            k, pts = deg, []
+        if deg == k:
+            pts.append((x, img))
+            if len(pts) > k:
+                break
+    xs = [x for x, _ in pts]
+    out = {}
+    for key in sorted(set().union(*(img for _, img in pts))):
+        n = k - sum(key) + 1
+        for i, c in enumerate(_interpolate(xs[:n], [img.get(key, 0) for _, img in pts[:n]], P)):
+            if c:
+                out[key + (i,)] = c
+    return out, k
+
+
+def _image_mod_p(ops: list[IntPoly], P: int, nodes, homogeneous: bool) -> tuple[dict, int]:
+    """(gcd(ops) mod P up to a scalar, its degree k), from the monic gcd images
+    on the lines (u0, 0, u2) + t*(0, 1, 0)."""
+    def on_line(u0, u2):
+        rs = [_restrict_mod_p(H, (u0, 0, u2), (0, 1, 0), P) for H in ops]
+        if len(rs) == 1:
+            rs.append([i * v % P for i, v in enumerate(rs[0])][1:])
+        g = _gcd_mod_p(*rs, P)
+        return {(j,): c for j, c in enumerate(g) if c}, len(g) - 1
+
+    def on_plane(u0):
+        return _interpolated(lambda u2: on_line(u0, u2), nodes, P)
+
+    if homogeneous:  # the gcd from its values at v0 = 1
+        img, k = on_plane(1)
+        return {(k - j - l, j, l): c for (j, l), c in img.items()}, k
+    img, k = _interpolated(on_plane, nodes, P)
+    return {(i, j, l): c for (j, l, i), c in img.items()}, k
+
+
+def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
+    """The gcd C of `targets` from images on lines modulo primes (Brown 1971;
+    von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6), primitive
+    with a positive grlex lead.  The image on a line is the monic gcd mod P of
+    the restrictions of ops (F, G), for gcd(F, G), or of op F and its
+    t-derivative, for the repeated part gcd(F, dF/dv0, dF/dv1, dF/dv2).
+
+    The lines share one direction w = (a, 1, b): the first (a, b) in {0..d}^2,
+    d the sum of the ops' degrees, where no op's top-degree part vanishes (a
+    nonzero polynomial of degree <= d in a and in b cannot vanish on that
+    grid).  C restricts to a common divisor of degree k = deg C whose t^k
+    coefficient is C_top(w) on every line, so no image has degree below k, an
+    image of degree k is C(u + t*w) / C_top(w), and gamma times it, gamma the
+    gcd of the ops' tops at w, is the image of one integer polynomial
+    gamma / C_top(w) * C.  The ops are sheared so that w is (0, 1, 0), primes
+    that divide gamma are skipped, and the images are interpolated
+    (`_image_mod_p`) and combined by CRT until the lift stops changing.
+    Sheared back and made primitive, the candidate is proven by exact
+    division: it divides every target, hence C, and its degree, the lowest
+    image degree, is no less than deg C.
+
+    The loop terminates: for the fixed w, the unlucky nodes are the finitely
+    many roots of a nonzero polynomial (a subresultant of the restrictions),
+    and any other node is unlucky only modulo the finitely many primes that
+    divide its value.  Every prime takes nodes not used before, so a failed
+    division is never retried on the same nodes and modulus, and once an
+    image of degree k is seen, each lucky prime adds a correct image until
+    the lift holds gamma / C_top(w) * C.
+    """
+    degs = [max(sum(e) for e in H) for H in ops]
+    tops = [{e: c for e, c in H.items() if sum(e) == dh} for H, dh in zip(ops, degs)]
+    for a, b in itertools.product(range(sum(degs) + 1), repeat=2):
+        vals = [sum(c * a ** e[0] * b ** e[2] for e, c in T.items()) for T in tops]
+        if all(vals):
+            break
+    gamma = math.gcd(*vals)
+    homogeneous = all(len(T) == len(H) for T, H in zip(tops, ops))
+    ops = [_shear(H, a, b) for H in ops]  # now w = (0, 1, 0)
+    nodes = itertools.count(_FIRST_NODE)
+    k, lift, M = None, {}, 1
+    for P in _primes():
+        if any(v % P == 0 for v in vals):
+            continue
+        img, kp = _image_mod_p(ops, P, nodes, homogeneous)
+        if kp == 0:
+            return _ONE
+        if k is not None and kp > k:
+            continue
+        if kp != k:
+            k, lift, M = kp, {}, 1
+        inv, g = pow(M, P - 2, P), gamma % P
+        new = {}
+        for e in lift.keys() | img.keys():
+            x = lift.get(e, 0)
+            y = x + M * ((img.get(e, 0) * g - x) * inv % P)  # nonzero mod M or P
+            new[e] = y - M * P if 2 * y > M * P else y
+        M *= P
+        if new == lift:
+            C = _iprimitive(_shear(new, -a, -b))
+            try:
+                for T in targets:
+                    _idivexact(T, C)
+                return C
+            except ExactDivisionError:
+                pass
+        lift = new
 
 
 # -- gcds and squarefree parts ----------------------------------------------------
@@ -957,7 +1017,7 @@ def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
     """GCD over Q[v0,v1,v2], primitive-normalized.
 
     Certificate first: 1 when the restrictions to one of the fixed lines are
-    coprime; otherwise the subresultant PRS on integer coefficients.
+    coprime; otherwise from line images modulo primes, proven by division.
     """
     if f.vars != g.vars:
         raise VariableMismatchError("gcd operands use different variable triples")
@@ -970,29 +1030,21 @@ def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
     F, G = _int_terms(f), _int_terms(g)
     if _coprime_on_a_line(F, G):
         return TriPoly.constant(1, f.vars)
-    return TriPoly(f.vars, _igcd(F, G))
+    return TriPoly(f.vars, _line_gcd([F, G], [F, G]))
 
 
 def repeated_part(f: TriPoly) -> TriPoly:
     """gcd of f with all three partials: product of prime factors with
     multiplicity one less than in f.  1 at once when a fixed line certifies
-    that f is squarefree."""
+    that f is squarefree; otherwise from line images modulo primes."""
     if f.is_zero():
         raise ZeroPolynomialError("repeated part of zero polynomial")
     F = _int_terms(f)
     if _is_const(F) or _squarefree_on_a_line(F):
         return TriPoly.constant(1, f.vars)
-    g = None
-    for i in range(3):
-        d = _int_terms(f.partial(i))
-        if d:
-            g = d if g is None else _igcd(g, d)
-            if _is_const(g):
-                break
-    if f.is_homogeneous():
-        # Euler: deg(f) * f = sum v_i * df/dv_i, so g already divides f
-        return TriPoly(f.vars, g)
-    return TriPoly(f.vars, _igcd(F, g))
+    partials = [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in F.items() if e[i]}
+                for i in range(3)]
+    return TriPoly(f.vars, _line_gcd([F], [F] + [d for d in partials if d]))
 
 
 def gcd_squarefree(f: TriPoly) -> TriPoly:
@@ -1073,24 +1125,22 @@ def _sign_changes(vals: Iterable[Fraction]) -> int:
 
 def sturm_real_root_count(coeffs: list[Fraction]) -> int:
     """Number of distinct real roots of the rational polynomial (all of R)."""
+    return _sturm(coeffs)[0]
+
+
+def _sturm(coeffs: list[Fraction]) -> tuple[int, int]:
+    """(distinct real roots, degree of the squarefree part) of a rational
+    polynomial, read off one Sturm chain: its last element is gcd(c, c')."""
     c = _uni_trim_q([_frac(x) for x in coeffs])
     if len(c) <= 1:
-        return 0
+        return 0, len(c) - 1
     chain = [c, uni_derivative(c)]
-    while _uni_trim_q(list(chain[-1])):
+    while True:
         r = uni_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-x for x in r])
     # signs at -infinity and +infinity from leading terms
-    at_pos = []
-    at_neg = []
-    for poly in chain:
-        p = _uni_trim_q(list(poly))
-        if not p:
-            continue
-        lead = p[-1]
-        deg = len(p) - 1
-        at_pos.append(lead)
-        at_neg.append(lead if deg % 2 == 0 else -lead)
-    return _sign_changes(at_neg) - _sign_changes(at_pos)
+    at_pos = [p[-1] for p in chain]
+    at_neg = [p[-1] if len(p) % 2 else -p[-1] for p in chain]
+    return _sign_changes(at_neg) - _sign_changes(at_pos), len(c) - len(chain[-1])

@@ -131,9 +131,6 @@ class GaussianRationalMatrix:
     def is_hermitian(self) -> bool:
         return self == self.conj_transpose()
 
-    def is_real(self) -> bool:
-        return all(e.is_real for row in self.entries for e in row)
-
     def to_complex(self) -> np.ndarray:
         """complex128 copy; FloatRangeError when a nonzero part of an entry is
         beyond the largest float or below the smallest normal one."""
@@ -223,10 +220,26 @@ def split(A: GaussianRationalMatrix) -> HermitianPencil:
     return HermitianPencil(A1, A2)
 
 
+def _cleared_parts(A: GaussianRationalMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer real and imaginary parts of L*A, L > 0 the lcm of A's denominators."""
+    L = math.lcm(*(x.denominator for row in A.entries for e in row for x in (e.re, e.im)))
+    return ([[e.re.numerator * (L // e.re.denominator) for e in row] for row in A.entries],
+            [[e.im.numerator * (L // e.im.denominator) for e in row] for row in A.entries])
+
+
+def _int_matmul(A, B) -> tuple[list[list[int]], list[list[int]]]:
+    """(re, im) of the product of two Gaussian integer matrices given as (re, im)."""
+    (ar, ai), (br, bi) = A, B
+    n = range(len(ar))
+    return ([[sum(ar[i][k] * br[k][j] - ai[i][k] * bi[k][j] for k in n) for j in n] for i in n],
+            [[sum(ar[i][k] * bi[k][j] + ai[i][k] * br[k][j] for k in n) for j in n] for i in n])
+
+
 def is_normal(A: GaussianRationalMatrix) -> bool:
-    """Exact test A* A == A A*."""
-    Astar = A.conj_transpose()
-    return (Astar @ A) == (A @ Astar)
+    """Exact test A* A == A A*, on integers: L*A in place of A scales both by L^2."""
+    re, im = _cleared_parts(A)
+    star = ([list(col) for col in zip(*re)], [[-x for x in col] for col in zip(*im)])
+    return _int_matmul(star, (re, im)) == _int_matmul((re, im), star)
 
 
 def rank_one_value(A: GaussianRationalMatrix, w) -> tuple[float, float]:

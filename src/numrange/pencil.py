@@ -22,12 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactpoly import (
-    TriPoly,
-    det_poly_matrix,
-    sturm_real_root_count,
-    uni_squarefree,
-)
+from .exactpoly import TriPoly, _sturm, det_poly_matrix
 from .hermitian import HermitianPencil, NonHermitianError
 
 __all__ = [
@@ -339,9 +334,7 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
             if d1 or d2:
                 break
         coeffs = restrict_to_line(p, d1, d2)
-        sf = uni_squarefree(coeffs)
-        deg_sf = len(sf) - 1
-        distinct = sturm_real_root_count(coeffs)
+        distinct, deg_sf = _sturm(coeffs)
         all_real = distinct == deg_sf
         # eigenvalue cross-check
         H = float(d1) * f1 + float(d2) * f2

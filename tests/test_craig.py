@@ -53,6 +53,19 @@ class TestProductZero:
             assert A1.is_hermitian() and A2.is_hermitian()
             assert product_zero(A1, A2)
 
+    def test_matches_rational_products(self):
+        # against A1 @ A2 over Q(i), with coprime huge denominators
+        rng = random.Random(509)
+        seen = set()
+        for k in range(12):
+            pair = planted_product_zero_pair if k % 2 else generic_hermitian_pair
+            A1, A2 = pair(rng.randint(2, 5), rng)
+            A2 = A2.scale(GaussianRational.of(F(1, 10 ** 40 + 3)))
+            ref = (A1 @ A2).is_zero()
+            assert product_zero(A1, A2) == ref
+            seen.add(ref)
+        assert seen == {True, False}
+
 
 class TestVerdict:
     def test_unit_square_rectangle(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from numrange.exactpoly import (
     resultant,
     sturm_real_root_count,
     tri_gcd,
+    uni_squarefree,
 )
 
 from conftest import XVARS, YVARS, random_tripoly
@@ -458,6 +460,18 @@ class TestSturm:
         # (t^2+1)(t-2)
         assert sturm_real_root_count([Fraction(-2), Fraction(1), Fraction(-2), Fraction(1)]) == 1
 
+    def test_one_chain_gives_the_squarefree_degree(self):
+        # planted real roots, some repeated, times t^2 + 1 half of the time
+        rng = random.Random(101)
+        for k in range(20):
+            roots = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            c = [Fraction(1), Fraction(0), Fraction(1)] if k % 2 else [Fraction(1)]
+            for r in roots + roots[:rng.randint(0, 2)]:
+                c = [a - r * b for a, b in zip([Fraction(0)] + c, c + [Fraction(0)])]
+            distinct, deg_sf = exactpoly._sturm(c)
+            assert distinct == len(set(roots))
+            assert deg_sf == len(uni_squarefree(c)) - 1 == len(set(roots)) + 2 * (k % 2)
+
 
 class TestRepeatedPart:
     def test_multiplicity_structure(self):
@@ -511,7 +525,7 @@ def _normal_to(b) -> TriPoly:
 
 
 class TestLineCertificates:
-    """The certificates answer only when they are sure; else the PRS decides."""
+    """The certificates answer only when they are sure; else the line images decide."""
 
     def test_square_factor_never_certified(self):
         rng = random.Random(67)
@@ -529,12 +543,13 @@ class TestLineCertificates:
             if tri_gcd(f, g).is_constant() and repeated_part(f * g).is_constant():
                 assert exactpoly._squarefree_on_a_line(exactpoly._int_terms(f * g))
 
-    def test_degree_loss_on_every_line_takes_the_prs(self, monkeypatch):
+    def test_degree_loss_on_every_line_takes_the_line_images(self, monkeypatch):
         # the top-degree part of each input vanishes at the direction b of every line
         l1, l2 = (_normal_to(b) for _, b in exactpoly._CERT_LINES)
         calls = []
-        prs = exactpoly._igcd
-        monkeypatch.setattr(exactpoly, "_igcd", lambda f, g: calls.append(1) or prs(f, g))
+        images = exactpoly._line_gcd
+        monkeypatch.setattr(exactpoly, "_line_gcd",
+                            lambda ops, targets: calls.append(1) or images(ops, targets))
         cases = [
             (l1 * l2 + Y0 + 1, TriPoly.constant(1, YVARS)),   # squarefree, non-homogeneous
             (l1 * l2, TriPoly.constant(1, YVARS)),            # squarefree, homogeneous
@@ -556,12 +571,13 @@ class TestLineCertificates:
             assert calls
 
     def test_restriction_matches_exact_substitution(self):
+        # the fixed lines, and a line along v1 (the terms are read off, not interpolated)
         rng = random.Random(73)
         t = sp.symbols("t")
         for _ in range(10):
-            f = random_tripoly(rng, max_deg=5, terms=8) + Y0 ** 5
+            f = random_tripoly(rng, max_deg=5, terms=8) + Y0 ** 5 + 2 * Y1 ** 5
             F = exactpoly._int_terms(f)
-            for a, b in exactpoly._CERT_LINES:
+            for a, b in exactpoly._CERT_LINES + (((3, 0, -2), (0, 1, 0)),):
                 expr = _to_sympy(f.primitive(), [a[i] + t * b[i] for i in range(3)])
                 ref = [int(c) % exactpoly._P for c in reversed(sp.Poly(expr, t).all_coeffs())]
                 got = exactpoly._restrict_mod_p(F, a, b)
@@ -569,3 +585,249 @@ class TestLineCertificates:
                     assert len(ref) <= f.total_degree()
                 else:
                     assert got == ref
+
+
+# -- the subresultant PRS, the reference for the line-image gcds -------------------
+#
+# gcd of integer term dicts by the subresultant PRS (Brown & Traub 1971),
+# recursive in the variables: an algorithm independent of line images.
+
+_ONE, _is_const = exactpoly._ONE, exactpoly._is_const
+
+
+def _imul(f, g):
+    acc = {}
+    exactpoly._addmul(acc, f, g, False)
+    return exactpoly._clean(acc)
+
+
+def _ipow(f, k):
+    out = _ONE
+    for _ in range(k):
+        out = _imul(out, f)
+    return out
+
+
+def _as_univar(f, k):
+    """f as a list of coefficient polynomials in variable k, index = degree."""
+    coeffs = [{} for _ in range(max(e[k] for e in f) + 1)]
+    for e, c in f.items():
+        rest = list(e)
+        rest[k] = 0
+        coeffs[e[k]][tuple(rest)] = c
+    return coeffs
+
+
+def _from_univar(coeffs, k):
+    out = {}
+    for deg, poly in enumerate(coeffs):
+        for e, c in poly.items():
+            key = list(e)
+            key[k] += deg
+            out[tuple(key)] = c
+    return out
+
+
+def _uni_prem(A, B):
+    """Pseudo-remainder of A by B: lc(B)^(degA-degB+1) * A mod B."""
+    db = len(B) - 1
+    lb = B[db]
+    R = A
+    e = len(A) - db
+    while len(R) > db:
+        lr = R[-1]
+        shift = len(R) - 1 - db
+        nxt = []
+        for i in range(len(R) - 1):
+            acc = {}
+            exactpoly._addmul(acc, R[i], lb, False)
+            if i >= shift:
+                exactpoly._addmul(acc, lr, B[i - shift], True)
+            nxt.append(exactpoly._clean(acc))
+        while nxt and not nxt[-1]:
+            nxt.pop()
+        R = nxt
+        e -= 1
+    if e > 0 and R:
+        s = _ipow(lb, e)
+        R = [_imul(c, s) for c in R]
+    return R
+
+
+def _content(coeffs):
+    g = None
+    for c in coeffs:
+        if c:
+            g = exactpoly._iprimitive(c) if g is None else _igcd_reference(g, c)
+            if _is_const(g):
+                return _ONE
+    return g
+
+
+def _igcd_reference(f, g):
+    divexact = exactpoly._idivexact
+    if _is_const(f) or _is_const(g):
+        return _ONE
+    k = next(i for i in range(3) if any(e[i] for e in f) or any(e[i] for e in g))
+    fu, gu = _as_univar(f, k), _as_univar(g, k)
+    cf, cg = _content(fu), _content(gu)
+    cont = _igcd_reference(cf, cg)
+    if len(fu) == 1 or len(gu) == 1:
+        return cont
+    A = [divexact(c, cf) if c else c for c in fu]
+    B = [divexact(c, cg) if c else c for c in gu]
+    if len(A) < len(B):
+        A, B = B, A
+    gg = hh = _ONE
+    while True:
+        delta = len(A) - len(B)
+        R = _uni_prem(A, B)
+        if not R:
+            pp = _content(B)
+            return exactpoly._iprimitive(_imul(cont, _from_univar(
+                [divexact(c, pp) if c else c for c in B], k)))
+        if len(R) == 1:
+            return cont
+        A = B
+        denom = _imul(gg, _ipow(hh, delta))
+        B = [divexact(c, denom) if c else c for c in R]
+        gg = A[-1]
+        if delta == 1:
+            hh = gg
+        elif delta > 1:
+            hh = divexact(_ipow(gg, delta), _ipow(hh, delta - 1))
+
+
+def _prs_gcd_reference(f: TriPoly, g: TriPoly) -> TriPoly:
+    return TriPoly(f.vars, _igcd_reference(exactpoly._int_terms(f), exactpoly._int_terms(g)))
+
+
+def _prs_repeated_part_reference(f: TriPoly) -> TriPoly:
+    g = f
+    for i in range(3):
+        if not f.partial(i).is_zero():
+            g = _prs_gcd_reference(g, f.partial(i))
+    return g
+
+
+def _homogeneous_factor(rng, deg) -> TriPoly:
+    """A homogeneous form of degree deg in YVARS with rational coefficients."""
+    while True:
+        f = TriPoly(YVARS, {(a, b, deg - a - b): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                            for a in range(deg + 1) for b in range(deg + 1 - a)
+                            if rng.random() < 0.6})
+        if f.total_degree() == deg:
+            return f
+
+
+def _scaled(f: TriPoly, s: int) -> TriPoly:
+    """f(y0, 10^s * y1, y2): coefficient sizes spread like those of a scaled matrix."""
+    return TriPoly(f.vars, {e: c * Fraction(10) ** (s * e[1]) for e, c in f.terms.items()})
+
+
+class TestLineImageGcd:
+    """Seeded differential of the line-image gcds against the PRS and sympy."""
+
+    SYMS = sp.symbols("y0 y1 y2")
+
+    @staticmethod
+    def _factors(rng, homogeneous):
+        if homogeneous:
+            return [_homogeneous_factor(rng, rng.randint(1, 2)) for _ in range(3)]
+        return [_rational_factor(rng) for _ in range(3)]
+
+    @pytest.mark.parametrize("scale", [0, 100, -100])
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_repeated_part_matches_prs_and_sympy(self, homogeneous, scale):
+        rng = random.Random(83 + scale + homogeneous)
+        for _ in range(3):
+            a, b, _ = (_scaled(h, scale) for h in self._factors(rng, homogeneous))
+            # a planted square or cube; squares only when scaled, where the PRS is slow
+            f = a ** (2 if scale else rng.randint(2, 3)) * b
+            rep = repeated_part(f)
+            assert rep == _prs_repeated_part_reference(f)
+            fs = _to_sympy(f, self.SYMS)
+            ref = sp.quo(fs, sp.sqf_part(fs, *self.SYMS), *self.SYMS)
+            assert rep == _from_sympy(ref, self.SYMS).primitive()
+            assert gcd_squarefree(f) == (a * b).primitive()
+
+    @pytest.mark.parametrize("scale", [0, 100, -100])
+    @pytest.mark.parametrize("homogeneous", [True, False])
+    def test_tri_gcd_matches_prs_and_sympy(self, homogeneous, scale):
+        rng = random.Random(89 + scale + homogeneous)
+        for _ in range(3):
+            a, b, c = (_scaled(h, scale) for h in self._factors(rng, homogeneous))
+            f, g = a * a * b, a * c * (b if rng.random() < 0.5 else 1)   # planted common factor
+            got = tri_gcd(f, g)
+            assert got == _prs_gcd_reference(f, g)
+            ref = sp.gcd(_to_sympy(f, self.SYMS), _to_sympy(g, self.SYMS))
+            assert got == _from_sympy(ref, self.SYMS).primitive()
+
+
+class TestLineImageInjection:
+    """Unlucky nodes and primes are dropped, and a wrong candidate fails its division."""
+
+    @staticmethod
+    def _spy(monkeypatch, name, log):
+        """Record (args, result) of every call of exactpoly.<name>."""
+        real = getattr(exactpoly, name)
+
+        def spy(*args):
+            out = real(*args)
+            log.append((args, out))
+            return out
+
+        monkeypatch.setattr(exactpoly, name, spy)
+
+    @pytest.mark.parametrize("first_node, degrees", [(1, [1, 1]), (2, [2, 2, 1, 1])])
+    def test_unlucky_nodes(self, monkeypatch, first_node, degrees):
+        # on the line (1, t, x) of direction w = (0, 1, 0) the root t = -1 of
+        # (y0 + y1)^2 meets the root of y1 - y2 + s*y0 at the node x = s - 1,
+        # so the nodes 2..7 all give the unlucky image (t + 1)^2.  From node 1,
+        # the lucky first image makes them skipped.  From node 2, the first two
+        # primes agree on the wrong candidate (y0 + y1)^2, which fails its
+        # division, and the third prime's nodes 8, 9 give the true degree 1.
+        f = (Y0 + Y1) ** 2
+        for s in range(3, 9):
+            f = f * (Y1 - Y2 + s * Y0)
+        images = []
+        self._spy(monkeypatch, "_image_mod_p", images)
+        monkeypatch.setattr(exactpoly, "_FIRST_NODE", first_node)
+        assert repeated_part(f) == Y0 + Y1
+        assert [k for _, (_, k) in images] == degrees
+        g = (Y0 + Y1) * (Y1 - Y2 + 3 * Y0) * (Y1 - Y2 + 4 * Y0)
+        assert tri_gcd(f, g) == g
+
+    def test_unlucky_prime_is_skipped(self, monkeypatch):
+        # modulo q the factor y1 + y2 + q*y0 is y1 + y2, so every image has
+        # degree 2; after the first prime has shown degree 1, q is skipped
+        q = 1000003
+        real = exactpoly._primes
+        monkeypatch.setattr(exactpoly, "_primes",
+                            lambda: itertools.chain([exactpoly._P, q], itertools.islice(real(), 1, None)))
+        images = []
+        self._spy(monkeypatch, "_image_mod_p", images)
+        f = (Y0 + Y1) ** 2 * (Y1 + Y2) * (Y1 + Y2 + q * Y0)
+        assert repeated_part(f) == Y0 + Y1
+        assert [(args[1] == q, k) for args, (_, k) in images] == [(False, 1), (True, 2), (False, 1)]
+
+    def test_primes_dividing_gamma_and_small_primes(self, monkeypatch):
+        # gamma = f_top(0, 1, 0) is a multiple of q, so the first prime is
+        # skipped, and the small primes after it need many CRT steps
+        q = 1000003
+        small = [q] + [n for n in range(10007, 10400, 2) if exactpoly._is_prime(n)]
+        real = exactpoly._primes
+        monkeypatch.setattr(exactpoly, "_primes", lambda: itertools.chain(small, real()))
+        images = []
+        self._spy(monkeypatch, "_image_mod_p", images)
+        h = (q * Y1 + Y0 + 7 * Y2) * Fraction(10 ** 30 + 1, 3) + Y2
+        f = h ** 2 * (Y1 + Y2)
+        assert repeated_part(f) == h.primitive()
+        primes = [args[1] for args, _ in images]
+        assert primes[0] == small[1] and q not in primes and len(primes) > 10
+        assert all(P in small for P in primes)
+        assert tri_gcd(f, h * (Y1 - Y2)) == h.primitive()
+        rng = random.Random(97)
+        for _ in range(3):
+            a, b = _rational_factor(rng), _rational_factor(rng)
+            assert repeated_part(a ** 2 * b) == _prs_repeated_part_reference(a ** 2 * b)

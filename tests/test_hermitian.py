@@ -87,6 +87,22 @@ class TestNormal:
             H = split(A).A1
             assert is_normal(H)
 
+    def test_matches_rational_products(self):
+        # against A* A == A A* over Q(i); H + i*c*H^2 is normal, a random A is not
+        rng = random.Random(109)
+        seen = set()
+        for k in range(12):
+            A = random_gaussian_matrix(rng.randint(1, 5), rng)
+            if k % 2:
+                H = split(A).A1
+                A = H + (H @ H).scale(G(0, Fraction(rng.randint(1, 5), 3)))
+            A = A.scale(G(Fraction(1, 10 ** 40 + rng.randint(1, 9))))
+            Astar = A.conj_transpose()
+            ref = (Astar @ A) == (A @ Astar)
+            assert is_normal(A) == ref
+            seen.add(ref)
+        assert seen == {True, False}
+
 
 class TestRankOneValue:
     def test_identity(self):

@@ -3,12 +3,20 @@
 Everything here is exact: `TriPoly` coefficients are `fractions.Fraction`,
 exponents are triples of non-negative ints, and no operation ever rounds.
 This module is the elimination engine behind the pencil determinant p(y) and
-the dual curve q(x): one division-free determinant (minor expansion over the
-integers), binary-form resultants and discriminants on explicit Sylvester
-matrices, and GCDs for squarefree parts.  Complex matrices enter the
-determinant as a pair of rational matrices, their real and imaginary parts;
+the dual curve q(x): two determinants, binary-form resultants and
+discriminants on explicit Sylvester matrices, and GCDs for squarefree parts.
 `GaussianRational` is the scalar type of the matrix layer, never a
 polynomial coefficient.
+
+The two determinants serve two shapes of matrix.  A pencil y0*I + y1*C1 +
+y2*C2 of Gaussian integer matrices (`det_pencil`, behind `pencil_det` and
+`charpoly`) is read off the characteristic polynomials of C1 + j*C2, taken by
+Hessenberg reduction modulo 61-bit primes (with i -> sqrt(-1) mod P),
+interpolated over j and combined by CRT under a proven coefficient bound.
+A Sylvester matrix, banded
+with general polynomial entries, takes a division-free minor expansion over
+the integers that skips zero entries (`det_poly_matrix`), which beats
+evaluation and interpolation on a grid of points there.
 
 The GCD layer runs on integers, after clearing denominators once (Gauss's
 lemma).  `repeated_part` and `tri_gcd` first restrict their inputs to a fixed
@@ -41,6 +49,7 @@ __all__ = [
     "ExactDivisionError",
     "PolyParseError",
     "det_poly_matrix",
+    "det_pencil",
     "resultant",
     "discriminant_binary",
     "tri_gcd",
@@ -531,72 +540,60 @@ def _cleared(p: TriPoly, L: int) -> IntPoly:
     return {e: c.numerator * (L // c.denominator) for e, c in p.terms.items()}
 
 
-def det_poly_matrix(M: Sequence[Sequence[TriPoly]],
-                    imag: Sequence[Sequence[TriPoly]] | None = None
-                    ) -> TriPoly | tuple[TriPoly, TriPoly]:
+def det_poly_matrix(M: Sequence[Sequence[TriPoly]]) -> TriPoly:
     """Exact determinant of a square matrix of TriPoly over one variable triple.
 
-    Returns det M as a TriPoly; with `imag`, the matrix is M + i*imag and the
-    result is the pair (real part, imaginary part) of its determinant.
+    This is the determinant of the Sylvester matrices behind `resultant` and
+    `discriminant_binary`; pencils take `det_pencil`, which reads the
+    determinant off characteristic polynomials modulo primes.  Here the
+    entries are general polynomials in banded matrices, where a minor
+    expansion that skips zeros beats evaluation and interpolation.
 
-    Each row is scaled once by the lcm of the denominators in its real and
-    imaginary parts, so the expansion runs on integer term dicts, with every
-    minor kept as a pair of real and imaginary parts; the result is divided
-    by the product of the row scales at the end.  The expansion is Laplace's,
-    along the rows, bottom up: the minors on the last k rows are kept in a
-    dict keyed by their column bitmask, and each one is built from the minors
-    on the last k-1 rows, so every minor is computed once (at most n*2^(n-1)
-    products).  It never divides, and it skips zero entries and zero minors,
-    which the banded Sylvester matrices are full of.
+    Each row is scaled once by the lcm of its denominators, so the expansion
+    runs on integer term dicts; the result is divided by the product of the
+    row scales at the end.  The expansion is Laplace's, along the rows, bottom
+    up: the minors on the last k rows are kept in a dict keyed by their column
+    bitmask, and each one is built from the minors on the last k-1 rows, so
+    every minor is computed once (at most n*2^(n-1) products).  It never
+    divides, and it skips zero entries and zero minors, which the banded
+    Sylvester matrices are full of.
     """
     rows = [list(r) for r in M]
     n = len(rows)
     if n == 0:
         raise NonSquareMatrixError("empty matrix")
-    ims = None if imag is None else [list(r) for r in imag]
-    if ims is not None and len(ims) != n:
-        raise NonSquareMatrixError(f"imaginary part has {len(ims)} rows, real part {n}")
-    for r in rows + (ims or []):
+    for r in rows:
         if len(r) != n:
             raise NonSquareMatrixError(f"matrix is {n}x{len(r)}")
     vars = rows[0][0].vars
-    for r in rows + (ims or []):
+    for r in rows:
         for p in r:
             if p.vars != vars:
                 raise VariableMismatchError("matrix entries use different variable triples")
-    zeros = [TriPoly.zero(vars)] * n
     denom = 1
-    pairs = []  # row i as (real, imaginary) int term dicts, times its scale
-    for i, row in enumerate(rows):
-        im_row = ims[i] if ims else zeros
-        L = math.lcm(*(c.denominator for p in row + im_row for c in p.terms.values()))
+    cleared = []  # row i as int term dicts, times its scale
+    for row in rows:
+        L = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
         denom *= L
-        pairs.append([(_cleared(a, L), _cleared(b, L)) for a, b in zip(row, im_row)])
-    minors = {1 << j: ab for j, ab in enumerate(pairs[-1]) if ab[0] or ab[1]}
-    for row in reversed(pairs[:-1]):
-        sums: dict[int, tuple[dict, dict]] = {}
-        for mask, (c, d) in minors.items():
+        cleared.append([_cleared(a, L) for a in row])
+    minors = {1 << j: a for j, a in enumerate(cleared[-1]) if a}
+    for row in reversed(cleared[:-1]):
+        sums: dict[int, dict] = {}
+        for mask, c in minors.items():
             # sign of entry j in the expansion: parity of the columns of mask left of j
             negate = False
-            for j, (a, b) in enumerate(row):
+            for j, a in enumerate(row):
                 bit = 1 << j
                 if mask & bit:
                     negate = not negate
-                elif a or b:
-                    # (a + i*b) * (c + i*d) = (a*c - b*d) + i*(a*d + b*c)
-                    re, im = sums.setdefault(mask | bit, ({}, {}))
-                    _addmul(re, a, c, negate)
-                    _addmul(re, b, d, not negate)
-                    _addmul(im, a, d, negate)
-                    _addmul(im, b, c, negate)
+                elif a:
+                    _addmul(sums.setdefault(mask | bit, {}), a, c, negate)
         minors = {}
-        for mask, (re, im) in sums.items():
-            re, im = _clean(re), _clean(im)
-            if re or im:
-                minors[mask] = (re, im)
-    re, im = (TriPoly(vars, {e: Fraction(c, denom) for e, c in part.items()})
-              for part in minors.get((1 << n) - 1, ({}, {})))
-    return re if imag is None else (re, im)
+        for mask, acc in sums.items():
+            acc = _clean(acc)
+            if acc:
+                minors[mask] = acc
+    return TriPoly(vars, {e: Fraction(c, denom) for e, c in minors.get((1 << n) - 1, {}).items()})
 
 
 # -- binary forms, resultants, discriminants -----------------------------------
@@ -786,6 +783,7 @@ _FIRST_NODE = 0  # the line images of `_line_gcd` run through nodes 0, 1, 2, ...
 # Caches filled on demand; entries are replaced whole, so threads may share them.
 _INVERSES: dict[int, list[int]] = {}  # P -> [0, 1, 1/2, 1/3, ...] mod P
 _PRIME_BELOW: dict[int, int] = {}     # P -> the largest prime below P
+_SQRT_M1: dict[int, int] = {}         # P = 1 mod 4 -> a square root of -1 mod P
 
 
 def _inverses(P: int, n: int) -> list[int]:
@@ -1008,6 +1006,145 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
             except ExactDivisionError:
                 pass
         lift = new
+
+
+# -- pencil determinants modulo primes --------------------------------------------
+
+
+def _sqrt_minus_one(P: int) -> int:
+    """A square root of -1 mod a prime P = 1 (mod 4): c^((P-1)/4) for the
+    first quadratic non-residue c."""
+    s = _SQRT_M1.get(P)
+    if s is None:
+        s = next(x for x in (pow(c, (P - 1) // 4, P) for c in itertools.count(2)) if x * x % P == P - 1)
+        _SQRT_M1[P] = s
+    return s
+
+
+def _charpoly_mod_p(H: list[list[int]], P: int) -> list[int]:
+    """det(x*I - H) mod P, constant term first, for H with entries in [0, P).
+
+    H is brought to upper Hessenberg form in place by similarity transforms
+    (elimination on the subdiagonal, with row and column swaps), and the
+    characteristic polynomial is read off the Hessenberg recurrence (Cohen,
+    *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9).
+    """
+    n = len(H)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        inv = pow(H[m][m - 1], -1, P)
+        top, us = H[m], []
+        for i in range(m + 1, n):  # row i -= u_i * row m
+            u = H[i][m - 1] * inv % P
+            if u:
+                H[i] = [(a - u * b) % P for a, b in zip(H[i], top)]
+                us.append((i, u))
+        if us:  # then column m += u_i * column i, for all i at once (the steps commute)
+            for row in H:
+                row[m] = (row[m] + sum(u * row[i] for i, u in us)) % P
+    polys = [[1]]
+    for m in range(n):
+        # p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im * h_{i+1,i} ... h_{m,m-1} * p_i
+        h, prev = H[m][m], polys[m]
+        nxt = [a - h * b for a, b in zip([0] + prev, prev + [0])]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % P
+            if not t:
+                break
+            f = H[i][m] * t % P
+            if f:
+                for d, c in enumerate(polys[i]):
+                    nxt[d] -= f * c
+        polys.append([c % P for c in nxt])
+    return polys[n]
+
+
+def det_pencil(C1, C2=None) -> tuple[IntPoly, IntPoly]:
+    """(Re Q, Im Q) as int term dicts over (y0, y1, y2), for the pencil
+    determinant Q = det(y0*I + y1*C1 + y2*C2) of Gaussian integer matrices.
+
+    Each matrix is a pair (re, im) of n x n int lists; C2 = None is the zero
+    matrix.  Because y0 enters only as y0*I, Q(y0, t, j*t) = sum_k
+    e_k(C1 + j*C2) * y0^(n-k) * t^k, with e_k the sum of the principal
+    k-minors: the degree-k part of Q, a polynomial of degree <= k in j, is
+    fixed by the characteristic polynomials of C1 + j*C2 at j = 0..k (at j = 0
+    alone when C2 = 0).  Modulo each prime P those come from Hessenberg
+    reductions and are interpolated over j.  A complex pencil takes only
+    primes P = 1 (mod 4) and is mapped to F_P by i -> s, s^2 = -1, which
+    gives Re Q + s*Im Q.  A Hermitian pencil (C1 and C2 Hermitian) needs no
+    more: its determinant is real at every real y, so Im Q = 0.  Any other
+    complex pencil is also mapped by i -> -s, and the two images give both
+    parts.  The primes are combined by CRT in the symmetric range.
+
+    The result is exact.  With ||z|| = |Re z| + |Im z| summed over the
+    coefficients of a polynomial over Z[i], a submultiplicative norm, every
+    coefficient of Q has both parts at most ||Q|| <= perm(||M_ij||) <=
+    prod_i sum_j ||M_ij|| = B, M_ij = [i = j]*y0 + C1_ij*y1 + C2_ij*y2 the
+    entries of the pencil, since the permanent of a non-negative matrix is at
+    most the product of its row sums.  Primes are added until their product
+    exceeds 2B, never fewer, so the symmetric residues are the coefficients.
+    Every prime is good: the reduction Z[i] -> F_P is a ring map that commutes
+    with the determinant, and P > n keeps the nodes j distinct.
+    """
+    r1, i1 = C1
+    n = len(r1)
+    zero = [[0] * n for _ in range(n)]
+    r2, i2 = (zero, zero) if C2 is None else C2
+    nodes = n + 1 if any(map(any, r2 + i2)) else 1
+    real = not any(map(any, i1 + i2))
+    hermitian = all(R == [list(c) for c in zip(*R)] and I == [[-x for x in c] for c in zip(*I)]
+                    for R, I in ((r1, i1), (r2, i2)))
+    bound = 2 * math.prod(1 + sum(abs(a) + abs(b) + abs(c) + abs(d) for a, b, c, d in zip(*rows))
+                          for rows in zip(r1, i1, r2, i2))
+    size = (n + 1) * (n + 2) // 2  # Q_(n-k, k-c, c) at index k*(k+1)/2 + c
+    re, im, M = [0] * size, [0] * size, 1
+    for P in _primes():
+        if not real and P % 4 != 1:
+            continue
+        s = 0 if real else _sqrt_minus_one(P)
+        images = []
+        for root in ((s,) if real or hermitian else (s, P - s)):  # the images of i
+            e1 = [[(a + root * b) % P for a, b in zip(ra, ia)] for ra, ia in zip(r1, i1)]
+            e2 = [[(a + root * b) % P for a, b in zip(ra, ia)] for ra, ia in zip(r2, i2)]
+            # det(x*I + C1 + j*C2) = sum_k e_k(C1 + j*C2) x^(n-k)
+            cps = [_charpoly_mod_p([[-(a + j * b) % P for a, b in zip(u, v)]
+                                    for u, v in zip(e1, e2)], P) for j in range(nodes)]
+            img = []
+            for k in range(n + 1):
+                m = min(k + 1, nodes)
+                img += _interpolate(range(m), [cp[n - k] for cp in cps[:m]], P) + [0] * (k + 1 - m)
+            images.append(img)
+        if len(images) == 1:
+            parts = zip(images[0], itertools.repeat(0))
+        else:
+            half = (P + 1) // 2
+            i_half = half * (P - s) % P  # 1/(2s), as 1/s = -s
+            parts = (((a + b) * half % P, (a - b) * i_half % P) for a, b in zip(*images))
+        inv = pow(M, -1, P)
+        for x, (a, b) in enumerate(parts):
+            re[x] += M * ((a - re[x]) * inv % P)
+            im[x] += M * ((b - im[x]) * inv % P)
+        M *= P
+        if M > bound:
+            break
+    out = []
+    for part in (re, im):
+        terms, x = {}, 0
+        for k in range(n + 1):
+            for c in range(k + 1):
+                v = part[x] - M if 2 * part[x] > M else part[x]
+                if v:
+                    terms[(n - k, k - c, c)] = v
+                x += 1
+        out.append(terms)
+    return out[0], out[1]
 
 
 # -- gcds and squarefree parts ----------------------------------------------------

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactpoly import GaussianRational, TriPoly, det_poly_matrix
+from .exactpoly import GaussianRational, det_pencil
 
 __all__ = [
     "GaussianRationalMatrix",
@@ -35,7 +35,6 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 INV_2I = GaussianRational(Fraction(0), Fraction(-1, 2))  # 1/(2i)
-_TVARS = ("t", "_", "__")  # charpoly entries are polynomials in t alone
 
 
 class MatrixFormatError(ValueError):
@@ -220,9 +219,17 @@ def split(A: GaussianRationalMatrix) -> HermitianPencil:
     return HermitianPencil(A1, A2)
 
 
-def _cleared_parts(A: GaussianRationalMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer real and imaginary parts of L*A, L > 0 the lcm of A's denominators."""
-    L = math.lcm(*(x.denominator for row in A.entries for e in row for x in (e.re, e.im)))
+def _denominator_lcm(*mats: GaussianRationalMatrix) -> int:
+    """The lcm of the denominators of every entry part of the matrices."""
+    return math.lcm(*(x.denominator for A in mats for row in A.entries for e in row
+                      for x in (e.re, e.im)))
+
+
+def _cleared_parts(A: GaussianRationalMatrix,
+                   L: int | None = None) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer real and imaginary parts of L*A, L > 0 a multiple of A's
+    denominators, by default their lcm."""
+    L = L or _denominator_lcm(A)
     return ([[e.re.numerator * (L // e.re.denominator) for e in row] for row in A.entries],
             [[e.im.numerator * (L // e.im.denominator) for e in row] for row in A.entries])
 
@@ -258,18 +265,20 @@ def rank_one_value(A: GaussianRationalMatrix, w) -> tuple[float, float]:
 
 
 def charpoly(A: GaussianRationalMatrix) -> list[GaussianRational]:
-    """Exact characteristic polynomial det(t*I - A), expanded by `det_poly_matrix`
-    on the real and imaginary parts of t*I - A.
+    """Exact characteristic polynomial det(t*I - A).
 
     Returns coefficients [c_0, ..., c_n] with c_n = 1, ascending powers of t.
+    With C = L*A cleared to Gaussian integers, det(t*I - A) is
+    L^-n * det(L*t*I - C), and det(y0*I - y1*C) comes from `det_pencil`, which
+    takes characteristic polynomials modulo primes: c_k is its y0^k *
+    y1^(n-k) coefficient over L^(n-k).
     """
-    re = [[TriPoly(_TVARS, {(1, 0, 0): int(i == j), (0, 0, 0): -a.re}) for j, a in enumerate(row)]
-          for i, row in enumerate(A.entries)]
-    im = [[TriPoly.constant(-a.im, _TVARS) for a in row] for row in A.entries]
-    det_re, det_im = (d.terms for d in det_poly_matrix(re, im))
-    zero = Fraction(0)
-    return [GaussianRational(det_re.get((k, 0, 0), zero), det_im.get((k, 0, 0), zero))
-            for k in range(A.n + 1)]
+    L, n = _denominator_lcm(A), A.n
+    re, im = _cleared_parts(A, L)
+    det_re, det_im = det_pencil(([[-x for x in row] for row in re], [[-x for x in row] for row in im]))
+    return [GaussianRational(Fraction(det_re.get((k, n - k, 0), 0), L ** (n - k)),
+                             Fraction(det_im.get((k, n - k, 0), 0), L ** (n - k)))
+            for k in range(n + 1)]
 
 
 # -- matrix file format --------------------------------------------------------

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactpoly import TriPoly, _sturm, det_poly_matrix
-from .hermitian import HermitianPencil, NonHermitianError
+from .exactpoly import TriPoly, _sturm, det_pencil
+from .hermitian import HermitianPencil, NonHermitianError, _cleared_parts, _denominator_lcm
 
 __all__ = [
     "PencilCurve",
@@ -101,18 +101,21 @@ class CurveSampleSet:
 
 
 def pencil_det(pencil: HermitianPencil) -> PencilCurve:
-    """Exact det(y0*I + y1*A1 + y2*A2), expanded with the real and imaginary
-    parts of the entries kept apart; the imaginary part must cancel exactly."""
-    re, im = [], []
-    for i, (r1, r2) in enumerate(zip(pencil.A1.entries, pencil.A2.entries)):
-        re.append([TriPoly(YVARS, {(1, 0, 0): int(i == j), (0, 1, 0): a.re, (0, 0, 1): b.re})
-                   for j, (a, b) in enumerate(zip(r1, r2))])
-        im.append([TriPoly(YVARS, {(0, 1, 0): a.im, (0, 0, 1): b.im}) for a, b in zip(r1, r2)])
-    det, residue = det_poly_matrix(re, im)
-    if not residue.is_zero():
+    """Exact det(y0*I + y1*A1 + y2*A2); its imaginary part must cancel exactly.
+
+    With C1 = L*A1 and C2 = L*A2 cleared to Gaussian integers by the lcm L of
+    the denominators, p(y) = L^-n * det(L*y0*I + y1*C1 + y2*C2), so the
+    coefficient of y0^a * y1^b * y2^c is that of det(y0*I + y1*C1 + y2*C2)
+    over L^(b+c); `det_pencil` gives it from characteristic polynomials
+    modulo primes.
+    """
+    L = _denominator_lcm(pencil.A1, pencil.A2)
+    re, im = det_pencil(_cleared_parts(pencil.A1, L), _cleared_parts(pencil.A2, L))
+    if im:
         raise NonHermitianError(
             "pencil determinant has a nonzero imaginary residue; pencil is not Hermitian")
-    return PencilCurve(det, pencil)
+    return PencilCurve(TriPoly(YVARS, {e: Fraction(c, L ** (e[1] + e[2])) for e, c in re.items()}),
+                       pencil)
 
 
 class SpectralGrid:
@@ -157,7 +160,7 @@ class SpectralGrid:
         Returns (k, index, t) in (angle, eigenvalue index) order: the roots
         of `line_roots_from_eigs` for every row at once.
         """
-        k, idx = np.nonzero(_root_eigs(self.eigvals))
+        k, idx = np.nonzero(_root_eigs(self.eigvals, _entry_scale(self.pencil)))
         return k, idx, -1.0 / self.eigvals[k, idx]
 
 
@@ -272,17 +275,28 @@ def _chart_normal(f: TriPoly, k: int | None = None) -> tuple[TriPoly, int]:
     return f, k
 
 
-def line_roots_from_eigs(eigs: np.ndarray) -> list[tuple[int, float]]:
-    """Real roots t = -1/lambda of det(I + t*H), tagged by eigenvalue index."""
-    roots = np.flatnonzero(_root_eigs(eigs)).tolist()
+def line_roots_from_eigs(eigs: np.ndarray, scale: float = 1.0) -> list[tuple[int, float]]:
+    """Real roots t = -1/lambda of det(I + t*H), tagged by eigenvalue index;
+    `scale` is the pencil's `_entry_scale`."""
+    roots = np.flatnonzero(_root_eigs(eigs, scale)).tolist()
     return [(idx, -1.0 / float(eigs[idx])) for idx in roots]
 
 
-def _root_eigs(w: np.ndarray) -> np.ndarray:
+def _entry_scale(pencil: HermitianPencil) -> float:
+    """The largest |entry| of A1 and A2 rounded down to a power of two 2**k, or
+    1 while |k| <= 32 (as in `_chart_normal`), so that ordinary pencils keep
+    their floats bit for bit."""
+    f1, f2 = pencil.float_parts()
+    m = max(float(np.abs(f1).max()), float(np.abs(f2).max()))
+    k = math.frexp(m)[1] - 1 if m else 0
+    return math.ldexp(1.0, k) if abs(k) > 32 else 1.0
+
+
+def _root_eigs(w: np.ndarray, scale: float) -> np.ndarray:
     """Mask of the eigenvalues (last axis) that give a real root:
-    |lambda| > 1e-14 * max(1, max |lambda|)."""
+    |lambda| > 1e-14 * max(scale, max |lambda|), scale the pencil's `_entry_scale`."""
     w = np.abs(w)
-    return w > 1e-14 * np.maximum(1.0, w.max(axis=-1, keepdims=True, initial=0.0))
+    return w > 1e-14 * np.maximum(scale, w.max(axis=-1, keepdims=True, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -324,6 +338,7 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
         raise ValueError("need at least one trial line")
     rng = random.Random(seed)
     f1, f2 = curve.pencil.float_parts()
+    scale = _entry_scale(curve.pencil)
     # exact restrictions of p(y0, 2**e*y1, 2**e*y2): roots t/2**e near 1, float coefficients
     p, e = _chart_normal(curve.p)
     checks = []
@@ -340,7 +355,7 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
         H = float(d1) * f1 + float(d2) * f2
         eigs = np.linalg.eigvalsh(H)
         fl = [float(c) for c in coeffs]
-        t = np.ldexp([r for _, r in line_roots_from_eigs(eigs)], -e)
+        t = np.ldexp([r for _, r in line_roots_from_eigs(eigs, scale)], -e)
         terms = np.array([c * np.float_power(t, k) for k, c in enumerate(fl)])
         resid = float(np.max(np.abs(np.add.reduce(terms))
                              / np.maximum(np.abs(terms).max(axis=0), 1e-300), initial=0.0))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exactpoly import GaussianRational
 from .hermitian import GaussianRationalMatrix, charpoly, is_normal, split
-from .pencil import SpectralGrid, _grid_boundary
+from .pencil import SpectralGrid, _entry_scale, _grid_boundary
 
 __all__ = [
     "SupportSample",
@@ -413,8 +413,9 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
         verts = convex_hull([(float(z.real), float(z.imag)) for z in _dedupe(eigs)])
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
 
-    _, wit = _support_grid(SpectralGrid(split(A), N))
-    scale = max(1.0, float(np.abs(wit).max()))
+    grid = SpectralGrid(split(A), N)
+    _, wit = _support_grid(grid)
+    scale = max(_entry_scale(grid.pencil), float(np.abs(wit).max()))
     tol = 1e-8 * scale
     clusters: list[list[int]] = []
     for i in range(N):

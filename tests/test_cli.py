@@ -273,6 +273,25 @@ class TestExtremeEntries:
             code = run(argv[0], "--input", src, "--grid", "90", "--out", out, *argv[1:])
             assert code in (0, 1, 2), argv
 
+    def test_tiny_entries_keep_every_curve_sample(self, tmp_path, capsys):
+        # the ray roots of a pencil scaled by 10**-100 are the unscaled ones
+        # times 10**100, and its dual samples the unscaled ones times 10**-100
+        rows = {}
+        for power in (0, -100):
+            (tmp_path / str(power)).mkdir()
+            src, curve = _scaled_fixture(tmp_path / str(power), "cubic_cusp", power), tmp_path / f"q{power}.csv"
+            assert run("sample-w", "--input", src, "--grid", "90", "--out", str(tmp_path / "w.csv"),
+                       "--curve", str(curve)) == 0
+            rows[power] = [line.split(",") for line in curve.read_text().splitlines()[1:]]
+            capsys.readouterr()
+            run("classify", "--input", src, "--grid", "90")
+            assert "shape=smooth" in capsys.readouterr().out.splitlines()
+        assert len(rows[-100]) == len(rows[0]) > 0
+        for base, tiny in zip(rows[0], rows[-100]):
+            assert (base[0], base[1], base[4]) == (tiny[0], tiny[1], tiny[4])
+            np.testing.assert_allclose(np.array(tiny[2:4], dtype=float),
+                                       np.array(base[2:4], dtype=float) * 1e-100, rtol=1e-9)
+
     @pytest.mark.parametrize("power", [400, -400])
     def test_beyond_float_range(self, tmp_path, capsys, power):
         # the exact subcommands answer; the numeric ones refuse, naming the entry

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from numrange.exactpoly import (
     TriPoly,
     VariableMismatchError,
     ZeroPolynomialError,
+    det_pencil,
     det_poly_matrix,
     discriminant_binary,
     gcd_squarefree,
@@ -25,6 +27,8 @@ from numrange.exactpoly import (
     tri_gcd,
     uni_squarefree,
 )
+
+from numrange.hermitian import GaussianRationalMatrix, charpoly
 
 from conftest import XVARS, YVARS, random_tripoly
 
@@ -126,52 +130,44 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             det_poly_matrix([[Y0, Y1]])
         with pytest.raises(NonSquareMatrixError):
-            det_poly_matrix([[Y0]], [[Y0, Y1]])
-        with pytest.raises(NonSquareMatrixError):
-            det_poly_matrix([[Y0]], [[Y0], [Y1]])
+            det_poly_matrix([[Y0, Y1], [Y0]])
         with pytest.raises(VariableMismatchError):
-            det_poly_matrix([[Y0]], [[TriPoly.variable(0, XVARS)]])
+            det_poly_matrix([[Y0, Y1], [Y1, TriPoly.variable(0, XVARS)]])
 
     def test_matches_cofactor_reference(self):
         rng = random.Random(11)
         cases = []
         for _ in range(12):
             n = rng.randint(2, 4)
-            cases.append(([[random_tripoly(rng, max_deg=1, terms=2) for _ in range(n)]
-                           for _ in range(n)],))
+            cases.append([[random_tripoly(rng, max_deg=1, terms=2) for _ in range(n)]
+                          for _ in range(n)])
         for n in range(1, 7):
-            for gaussian in (False, True):
-                pairs = [[_random_entry(rng) for _ in range(n)] for _ in range(n)]
-                parts = [[[e[k] for e in row] for row in pairs] for k in range(1 + gaussian)]
-                cases.append(parts)
-                if n >= 2:
-                    z = TriPoly.zero(YVARS)
-                    cases.append([[[z] * n] + M[1:] for M in parts])           # zero row
-                    cases.append([M[:-1] + [M[0]] for M in parts])             # repeated row
-                    cases.append([M[:-1] + [[3 * e for e in M[0]]] for M in parts])  # proportional row
+            M = [[_random_entry(rng)[0] for _ in range(n)] for _ in range(n)]
+            cases.append(M)
+            if n >= 2:
+                z = TriPoly.zero(YVARS)
+                cases.append([[z] * n] + M[1:])                  # zero row
+                cases.append(M[:-1] + [M[0]])                    # repeated row
+                cases.append(M[:-1] + [[3 * e for e in M[0]]])   # proportional row
         for d1 in range(1, 4):
             for d2 in range(1, 4):
                 f = BinaryForm(d1, tuple(random_tripoly(rng, max_deg=1, terms=2)
                                          for _ in range(d1 + 1)))
                 g = BinaryForm(d2, tuple(random_tripoly(rng, max_deg=1, terms=2)
                                          for _ in range(d2 + 1)))
-                cases.append((_sylvester_reference(f, g),))
-        for parts in cases:
-            if len(parts) == 1:
-                assert det_poly_matrix(*parts) == _det_cofactor_reference(*parts)
-            else:
-                assert det_poly_matrix(*parts) == _det_pair_reference(*parts)
+                cases.append(_sylvester_reference(f, g))
+        for M in cases:
+            assert det_poly_matrix(M) == _det_cofactor_reference(M)
 
     def test_coprime_denominators_and_extreme_entries(self):
         rng = random.Random(17)
         dens = (3, 7, 2 ** 60)
         for scale in (Fraction(1), Fraction(10 ** 100), Fraction(1, 10 ** 100)):
             for n in (2, 3, 4):
-                re, im = ([[TriPoly(YVARS, {e: scale * Fraction(rng.randint(-9, 9), rng.choice(dens))
-                                            for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
-                            for _ in range(n)] for _ in range(n)] for _ in range(2))
-                assert det_poly_matrix(re) == _det_cofactor_reference(re)
-                assert det_poly_matrix(re, im) == _det_pair_reference(re, im)
+                M = [[TriPoly(YVARS, {e: scale * Fraction(rng.randint(-9, 9), rng.choice(dens))
+                                      for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))})
+                      for _ in range(n)] for _ in range(n)]
+                assert det_poly_matrix(M) == _det_cofactor_reference(M)
 
     def test_eval_commutes_with_det(self):
         rng = random.Random(13)
@@ -185,14 +181,118 @@ class TestDeterminant:
             got = det.eval(pt)
             assert sp.Rational(got.numerator, got.denominator) == scalar
 
+
+class TestDetPencil:
+    """det(y0*I + y1*C1 + y2*C2) from characteristic polynomials modulo primes,
+    against the cofactor expansion of its real and imaginary parts."""
+
+    @staticmethod
+    def _random_pair(rng, n, complex_entries=True, top=5):
+        """(re, im) int lists of a random n x n Gaussian integer matrix, some entries zero."""
+        def part(on):
+            return [[rng.randint(-top, top) if on and rng.random() < 0.7 else 0 for _ in range(n)]
+                    for _ in range(n)]
+        return part(True), part(complex_entries)
+
     def test_gaussian_coefficients(self):
-        # det [[y0, i], [i, y0]] = y0^2 + 1, given as real and imaginary parts
-        z, one = TriPoly.zero(YVARS), TriPoly.constant(1, YVARS)
-        re, im = det_poly_matrix([[Y0, z], [z, Y0]], [[z, one], [one, z]])
-        assert re == Y0 ** 2 + 1 and im.is_zero()
-        # det [[y0, i*y1], [1, y0]] = y0^2 - i*y1
-        re, im = det_poly_matrix([[Y0, z], [one, Y0]], [[z, Y1], [z, z]])
-        assert re == Y0 ** 2 and im == -Y1
+        # det(y0*I + y1*[[0, i], [i, 0]]) = y0^2 + y1^2
+        C1 = ([[0, 0], [0, 0]], [[0, 1], [1, 0]])
+        assert det_pencil(C1) == _int_dicts(Y0 ** 2 + Y1 ** 2, TriPoly.zero(YVARS))
+        assert charpoly(GaussianRationalMatrix([[0, GaussianRational.I], [GaussianRational.I, 0]])) == [
+            GaussianRational.ONE, GaussianRational.ZERO, GaussianRational.ONE]
+        # det(y0*I + y1*[[0, i], [0, 0]] + y2*[[0, 0], [1, 0]]) = y0^2 - i*y1*y2
+        C1, C2 = ([[0, 0], [0, 0]], [[0, 1], [0, 0]]), ([[0, 0], [1, 0]], [[0, 0], [0, 0]])
+        assert det_pencil(C1, C2) == _int_dicts(Y0 ** 2, -Y1 * Y2)
+
+    def test_matches_pair_reference(self):
+        rng = random.Random(11)
+        cases = []
+        for n in range(1, 7):
+            for complex_entries in (False, True):
+                C1, C2 = (self._random_pair(rng, n, complex_entries) for _ in range(2))
+                cases += [(C1, C2), (C1, None)]
+                if n >= 2:
+                    for change in (lambda M: [[0] * n] + M[1:],                 # zero row
+                                   lambda M: M[:-1] + [M[0]],                   # repeated row
+                                   lambda M: M[:-1] + [[3 * e for e in M[0]]]):  # proportional row
+                        cases.append(tuple(tuple(change(M) for M in C) for C in (C1, C2)))
+        for C1, C2 in cases:
+            assert det_pencil(C1, C2) == _int_dicts(*_det_pair_reference(*_pencil_matrix(C1, C2)))
+
+    def test_charpoly_with_coprime_denominators_and_extreme_entries(self):
+        rng = random.Random(17)
+        dens = (3, 7, 2 ** 60)
+        t = TriPoly.variable(0, YVARS)
+        for scale in (Fraction(1), Fraction(10 ** 100), Fraction(1, 10 ** 100)):
+            for n in (2, 3, 4):
+                A = GaussianRationalMatrix([[GaussianRational(*(scale * Fraction(rng.randint(-9, 9), rng.choice(dens))
+                                                                for _ in range(2)))
+                                             for _ in range(n)] for _ in range(n)])
+                re = [[(t if i == j else TriPoly.zero(YVARS)) - e.re for j, e in enumerate(row)]
+                      for i, row in enumerate(A.entries)]
+                im = [[TriPoly.constant(-e.im, YVARS) for e in row] for row in A.entries]
+                ref_re, ref_im = _det_pair_reference(re, im)
+                assert charpoly(A) == [GaussianRational(ref_re.terms.get((k, 0, 0), Fraction(0)),
+                                                        ref_im.terms.get((k, 0, 0), Fraction(0)))
+                                       for k in range(n + 1)]
+
+    @pytest.mark.parametrize("kind", ["real", "hermitian", "complex"])
+    def test_crt_over_many_small_primes(self, monkeypatch, kind):
+        # the primes from just above n on: many CRT steps; on a complex pencil
+        # every prime 3 mod 4 is skipped, and only a non-Hermitian one is
+        # mapped to F_P twice
+        n = 6
+        rng = random.Random(29)
+        C1, C2 = (self._random_pair(rng, n, kind != "real", top=40) for _ in range(2))
+        if kind == "hermitian":
+            C1, C2 = (([[a + b for a, b in zip(r, c)] for r, c in zip(re, zip(*re))],
+                       [[a - b for a, b in zip(r, c)] for r, c in zip(im, zip(*im))]) for re, im in (C1, C2))
+        expected = det_pencil(C1, C2)
+        small = [q for q in range(n + 1, 3000) if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+        real = exactpoly._primes
+        monkeypatch.setattr(exactpoly, "_primes", lambda: itertools.chain(small, real()))
+        used = []
+        spy = exactpoly._charpoly_mod_p
+        monkeypatch.setattr(exactpoly, "_charpoly_mod_p", lambda H, P: used.append(P) or spy(H, P))
+        assert det_pencil(C1, C2) == expected == _int_dicts(*_det_pair_reference(*_pencil_matrix(C1, C2)))
+        primes = sorted(set(used))
+        assert len(primes) > 5 and all(P in small for P in primes)
+        if kind == "real":
+            assert primes[0] == 7 and any(P % 4 == 3 for P in primes)
+        else:
+            assert all(P % 4 == 1 for P in primes)
+            assert used.count(primes[0]) == (n + 1) * (1 if kind == "hermitian" else 2)
+        assert bool(expected[1]) == (kind == "complex")
+
+    def test_stops_only_at_the_bound(self, monkeypatch):
+        # C1 = c*[[1, 1], [-1, -1]] is nilpotent, so det(y0*I + y1*C1) = y0^2:
+        # the lift is right after the first prime, but the primes go on until
+        # their product exceeds the bound
+        c = 10 ** 40
+        C1 = ([[c, c], [-c, -c]], [[0, 0], [0, 0]])
+        used = []
+        spy = exactpoly._charpoly_mod_p
+        monkeypatch.setattr(exactpoly, "_charpoly_mod_p", lambda H, P: used.append(P) or spy(H, P))
+        assert det_pencil(C1) == _int_dicts(Y0 ** 2, TriPoly.zero(YVARS))
+        bound = 2 * (1 + 2 * c) ** 2
+        assert math.prod(used) > bound >= math.prod(used[:-1])
+
+
+def _int_dicts(re: TriPoly, im: TriPoly):
+    """The term dicts of two integer polynomials, with int coefficients."""
+    return tuple({e: int(c) for e, c in f.terms.items()} for f in (re, im))
+
+
+def _pencil_matrix(C1, C2):
+    """(real, imaginary) TriPoly matrices of y0*I + y1*C1 + y2*C2; C2 = None is zero."""
+    n = len(C1[0])
+    zero = [[0] * n for _ in range(n)]
+    (r1, i1), (r2, i2) = C1, C2 or (zero, zero)
+    re = [[TriPoly(YVARS, {(1, 0, 0): int(i == j), (0, 1, 0): r1[i][j], (0, 0, 1): r2[i][j]})
+           for j in range(n)] for i in range(n)]
+    im = [[TriPoly(YVARS, {(0, 1, 0): i1[i][j], (0, 0, 1): i2[i][j]}) for j in range(n)]
+          for i in range(n)]
+    return re, im
 
 
 def _det_cofactor_reference(M):

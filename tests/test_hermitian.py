@@ -160,7 +160,7 @@ class TestCharpoly:
     def test_matches_sympy_exactly(self):
         rng = random.Random(113)
         t = sp.symbols("t")
-        for n in range(1, 7):
+        for n in range(1, 9):
             A = random_gaussian_matrix(n, rng)
             M = sp.Matrix([[sp.Rational(e.re.numerator, e.re.denominator)
                             + sp.I * sp.Rational(e.im.numerator, e.im.denominator)

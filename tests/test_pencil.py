@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
-from numrange.hermitian import GaussianRationalMatrix, split
+from numrange.craig import planted_product_zero_pair
+from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError, split
 from numrange.pencil import (
     YVARS,
     PencilCurve,
@@ -64,19 +66,53 @@ class TestPencilDet:
             assert curve.p.total_degree() == A.n
 
     def test_matches_sympy_determinant(self):
-        # complex draws, and real non-symmetric ones, whose A2 is purely imaginary
+        # complex draws, real non-symmetric ones (whose A2 is purely imaginary),
+        # zero, scalar and Hermitian matrices, planted Craig pairs (denominators
+        # near 2**60 after clearing), and entries scaled by 10**(+-100)
         y = sp.symbols("y0 y1 y2")
+        ring = sp.QQ_I[y]
         rng = random.Random(223)
-        for n in range(1, 6):
+        pencils = []
+        for n in range(1, 9):
             for complex_entries in (True, False):
-                pencil = split(random_gaussian_matrix(n, rng, complex_entries=complex_entries))
-                M = sp.Matrix(n, n, lambda i, j: (y[0] if i == j else 0) + sum(
-                    yk * (_rat(X[i, j].re) + sp.I * _rat(X[i, j].im))
-                    for yk, X in ((y[1], pencil.A1), (y[2], pencil.A2))))
-                p = pencil_det(pencil).p
-                got = sum(_rat(c) * y[0] ** a * y[1] ** b * y[2] ** e
-                          for (a, b, e), c in p.terms.items())
-                assert sp.expand(M.det(method="berkowitz") - got) == 0
+                pencils.append(split(random_gaussian_matrix(n, rng, complex_entries=complex_entries)))
+        pencils.append(split(GaussianRationalMatrix.zero(3)))
+        pencils.append(split(GaussianRationalMatrix.identity(4).scale(GaussianRational.of(F(3, 2), F(-2, 5)))))
+        A = random_gaussian_matrix(5, rng)
+        pencils.append(split(A + A.conj_transpose()))
+        pencils += [HermitianPencil(*planted_product_zero_pair(n, rng)) for n in (3, 8)]
+        for power in (100, -100):
+            pencils.append(split(random_gaussian_matrix(4, rng).scale(F(10) ** power)))
+        for pencil in pencils:
+            n = pencil.n
+            M = sp.Matrix(n, n, lambda i, j: (y[0] if i == j else 0) + sum(
+                yk * (_rat(X[i, j].re) + sp.I * _rat(X[i, j].im))
+                for yk, X in ((y[1], pencil.A1), (y[2], pencil.A2))))
+            p = pencil_det(pencil).p
+            got = sum(_rat(c) * y[0] ** a * y[1] ** b * y[2] ** e
+                      for (a, b, e), c in p.terms.items())
+            assert DomainMatrix.from_Matrix(M).convert_to(ring).det() == ring.from_sympy(got)
+
+    def test_large_pencils_match_numpy(self):
+        rng = random.Random(227)
+        for n in (10, 12):
+            pencil = split(random_gaussian_matrix(n, rng))
+            p = pencil_det(pencil).p
+            f1, f2 = pencil.float_parts()
+            for _ in range(8):
+                y1, y2 = rng.uniform(-1, 1), rng.uniform(-1, 1)
+                det = float(np.linalg.det(np.eye(n) + y1 * f1 + y2 * f2).real)
+                val, scale = p.eval_with_scale((1.0, y1, y2))
+                assert abs(val - det) <= 1e-9 * max(scale, abs(det))
+
+    def test_non_hermitian_part_is_refused(self):
+        # a pencil built around HermitianPencil's own check
+        A = random_gaussian_matrix(3, random.Random(229))
+        pencil = object.__new__(HermitianPencil)
+        object.__setattr__(pencil, "A1", split(A).A1)
+        object.__setattr__(pencil, "A2", A)
+        with pytest.raises(NonHermitianError):
+            pencil_det(pencil)
 
     def test_complex_pencil_imaginary_cancellation(self):
         curve = pencil_det(split(fixture_matrix("nested_ovals")))

@@ -8,6 +8,7 @@ missing viewport for an unbounded set).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -297,8 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parsing leaves no state in the parser, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "tol", 1.0) <= 0:
             raise InputError(f"tolerance must be positive (got {args.tol})")

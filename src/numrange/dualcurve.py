@@ -374,9 +374,12 @@ def _eval_chart(f: TriPoly, y1, y2, y0=1.0):
 
 def dual_sample_csv(samples: CurveSampleSet) -> str:
     """CSV per the dual-sample interface: theta,root_index,x1,x2,singular_flag."""
-    lines = ["theta,root_index,x1,x2,singular_flag"]
+    lines, values = ["theta,root_index,x1,x2,singular_flag"], []
     for s in samples.samples:
-        x1 = f"{s.point[0]:.12g}" if s.point is not None else "nan"
-        x2 = f"{s.point[1]:.12g}" if s.point is not None else "nan"
-        lines.append(f"{s.theta:.12g},{s.root_index},{x1},{x2},{int(s.singular)}")
-    return "\n".join(lines) + "\n"
+        if s.point is None:
+            lines.append("%.12g,%s,nan,nan,%d")
+            values += (s.theta, s.root_index, s.singular)
+        else:
+            lines.append("%.12g,%s,%.12g,%.12g,%d")
+            values += (s.theta, s.root_index, s.point[0], s.point[1], s.singular)
+    return ("\n".join(lines) + "\n") % tuple(values)

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-INV_2I = GaussianRational(Fraction(0), Fraction(-1, 2))  # 1/(2i)
 
 
 class MatrixFormatError(ValueError):
@@ -128,7 +127,10 @@ class GaussianRationalMatrix:
         return all(not e for row in self.entries for e in row)
 
     def is_hermitian(self) -> bool:
-        return self == self.conj_transpose()
+        """Exact test A == A*, entry by entry: e_ij == conj(e_ji)."""
+        e = self.entries
+        return all(e[i][j].re == e[j][i].re and e[i][j].im == -e[j][i].im
+                   for i in range(self.n) for j in range(i, self.n))
 
     def to_complex(self) -> np.ndarray:
         """complex128 copy; FloatRangeError when a nonzero part of an entry is
@@ -212,11 +214,19 @@ class HermitianPencil:
 
 
 def split(A: GaussianRationalMatrix) -> HermitianPencil:
-    """Hermitian splitting A = A1 + i*A2 with A1 = (A+A*)/2, A2 = (A-A*)/(2i)."""
-    Astar = A.conj_transpose()
-    A1 = (A + Astar).scale(HALF)
-    A2 = (A - Astar).scale(INV_2I)
-    return HermitianPencil(A1, A2)
+    """Hermitian splitting A = A1 + i*A2 with A1 = (A+A*)/2, A2 = (A-A*)/(2i).
+
+    Entry by entry, with a = A_ij and b = A_ji: A1_ij = (a + conj b)/2 and
+    A2_ij = (a - conj b)/(2i), that is
+    A1_ij = ((a.re + b.re)/2, (a.im - b.im)/2) and
+    A2_ij = ((a.im + b.im)/2, (b.re - a.re)/2).
+    """
+    e, n = A.entries, A.n
+    A1 = [[GaussianRational((e[i][j].re + e[j][i].re) * HALF, (e[i][j].im - e[j][i].im) * HALF)
+           for j in range(n)] for i in range(n)]
+    A2 = [[GaussianRational((e[i][j].im + e[j][i].im) * HALF, (e[j][i].re - e[i][j].re) * HALF)
+           for j in range(n)] for i in range(n)]
+    return HermitianPencil(GaussianRationalMatrix(A1), GaussianRationalMatrix(A2))
 
 
 def _denominator_lcm(*mats: GaussianRationalMatrix) -> int:

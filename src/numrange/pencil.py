@@ -233,13 +233,15 @@ def _grid_boundary(grid: SpectralGrid) -> CurveSampleSet:
 
 def boundary_csv(samples: CurveSampleSet) -> str:
     """CSV per the boundary interface: theta,y1,y2,lambda_min ('inf' when unbounded)."""
-    lines = ["theta,y1,y2,lambda_min"]
+    lines, values = ["theta,y1,y2,lambda_min"], []
     for s in samples.samples:
         if s.point is None:
-            lines.append(f"{s.theta:.12g},inf,inf,inf")
+            lines.append("%.12g,inf,inf,inf")
+            values.append(s.theta)
         else:
-            lines.append(f"{s.theta:.12g},{s.point[0]:.12g},{s.point[1]:.12g},{s.lambda_min:.12g}")
-    return "\n".join(lines) + "\n"
+            lines.append("%.12g,%.12g,%.12g,%.12g")
+            values += (s.theta, s.point[0], s.point[1], s.lambda_min)
+    return ("\n".join(lines) + "\n") % tuple(values)
 
 
 def restrict_to_line(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction]:

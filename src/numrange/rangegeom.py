@@ -70,6 +70,41 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
+def _pairs(P: np.ndarray) -> list[tuple[float, float]]:
+    """The rows of an (m, 2) float array as (x, y) tuples of Python floats."""
+    return list(zip(P[:, 0].tolist(), P[:, 1].tolist()))
+
+
+def _cycle_hull(P: np.ndarray) -> list[tuple[float, float]]:
+    """`convex_hull` of the rows of an (m, 2) float array, given in
+    counter-clockwise cyclic order.
+
+    After consecutive exact repeats are dropped (the first of equal points
+    stays, as in `convex_hull`'s set), the cycle is certified in one array
+    pass: every turn prev -> cur -> next is strictly left by `_cross`'s own
+    float expression, the turn that `convex_hull` tests between neighbours,
+    and the turning angles sum below 3*pi, so the cycle winds once.  A
+    certified cycle is then its own hull (Graham 1972; Preparata & Shamos,
+    section 3.3), and only needs to start at its lexicographically smallest
+    vertex.  Any other input goes to `convex_hull`.
+    """
+    keep = np.ones(len(P), dtype=bool)
+    keep[1:] = (P[1:] != P[:-1]).any(axis=1)
+    Q = P[keep]
+    if len(Q) > 1 and (Q[-1] == Q[0]).all():
+        Q = Q[:-1]
+    if len(Q) >= 3:
+        o, b = np.roll(Q, 1, axis=0), np.roll(Q, -1, axis=0)
+        ax, ay = Q[:, 0] - o[:, 0], Q[:, 1] - o[:, 1]
+        turn = ax * (b[:, 1] - o[:, 1]) - ay * (b[:, 0] - o[:, 0])
+        if (turn > 0).all():
+            ex, ey = b[:, 0] - Q[:, 0], b[:, 1] - Q[:, 1]
+            if np.arctan2(turn, ax * ex + ay * ey).sum() < 3.0 * math.pi:
+                start = int(np.lexsort((Q[:, 1], Q[:, 0]))[0])
+                return _pairs(np.roll(Q, -start, axis=0))
+    return convex_hull(_pairs(P))
+
+
 def polygon_is_convex(vertices, tol: float = 0.0) -> bool:
     n = len(vertices)
     if n <= 2:
@@ -228,12 +263,23 @@ def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
     computed by one array expression, so when no half-plane is redundant the
     result is the convex hull of those N points; the vertex of lines left
     adjacent by a redundant one is computed by the same formula.
+
+    The sweep pops a half-plane only if some test it makes cuts a vertex.
+    With nothing popped those tests are exactly C[k] . u[k+2] against
+    h[k+2] (k = 0..N-2, indices mod N) and C[0] . u[j] against h[j]
+    (j = 2..N-1), C[k] the vertex of half-planes k and k+1.  They are
+    evaluated at once, in the sweep's own operation order; when none cuts,
+    the sweep would keep every half-plane and is skipped.
     """
     N = len(h)
     cos_n, sin_n, h_n = np.roll(cos, -1), np.roll(sin, -1), np.roll(h, -1)  # next angle
     det = cos * sin_n - sin * cos_n  # sin of the angle gap, never 0
     C = np.stack([(h * sin_n - h_n * sin) / det, (cos * h_n - cos_n * h) / det], axis=1)
     slack = 1e-9 * max(1.0, float(np.abs(C).max()))
+    k2 = (np.arange(N - 1) + 2) % N
+    if not ((C[:-1, 0] * cos[k2] + C[:-1, 1] * sin[k2] > h[k2] + slack).any()
+            or (C[0, 0] * cos[2:] + C[0, 1] * sin[2:] > h[2:] + slack).any()):
+        return _cycle_hull(C)
     neighbours = [tuple(pt) for pt in C.tolist()]
     c, s, hs = cos.tolist(), sin.tolist(), h.tolist()
 
@@ -258,7 +304,7 @@ def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
     while len(lines) >= 3 and cut(vertex(lines[0], lines[1]), lines[-1]):
         lines.popleft()
     order = list(lines)
-    return convex_hull([vertex(i, j) for i, j in zip(order, order[1:] + order[:1])])
+    return _cycle_hull(np.array([vertex(i, j) for i, j in zip(order, order[1:] + order[:1])]))
 
 
 def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:
@@ -270,22 +316,21 @@ def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:
 
 def _grid_hulls(grid: SpectralGrid) -> RangeHulls:
     h, wit = _support_grid(grid)
-    witnesses = [tuple(map(float, p)) for p in wit]
-    inner = convex_hull(witnesses)
+    inner = _cycle_hull(wit)
     outer = _outer_polygon(grid.cos, grid.sin, h)
     scale = max(1.0, float(np.abs(wit).max()))
     degenerate = polygon_area(outer) <= 1e-12 * scale * scale
     return RangeHulls(inner=inner, outer=outer, N=len(h), degenerate=degenerate,
-                      witnesses=witnesses, support_values=[float(v) for v in h])
+                      witnesses=_pairs(wit), support_values=h.tolist())
 
 
 def hulls_csv(hulls: RangeHulls) -> str:
     """CSV per the hull interface: kind{inner|outer},vertex_index,x1,x2."""
-    lines = ["kind,vertex_index,x1,x2"]
+    lines, values = ["kind,vertex_index,x1,x2"], []
     for kind, poly in (("inner", hulls.inner), ("outer", hulls.outer)):
-        for i, (x, y) in enumerate(poly):
-            lines.append(f"{kind},{i},{x:.12g},{y:.12g}")
-    return "\n".join(lines) + "\n"
+        lines += [kind + ",%d,%.12g,%.12g"] * len(poly)
+        values += [v for i, (x, y) in enumerate(poly) for v in (i, x, y)]
+    return ("\n".join(lines) + "\n") % tuple(values)
 
 
 def member_W(A: GaussianRationalMatrix, x, N: int = 720,

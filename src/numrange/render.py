@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .dualcurve import _grid_dual_sample
 from .hermitian import GaussianRationalMatrix, split
 from .pencil import PencilCurve, SpectralGrid, _grid_boundary, pencil_det
@@ -50,10 +52,18 @@ class _Panel:
         dy = (vy1 - vy0) * slack
         return vx0 - dx <= x <= vx1 + dx and vy0 - dy <= y <= vy1 + dy
 
+    def coords(self, pts) -> str:
+        """The mapped points as "x,y x,y ...", each number as `_fmt` writes it:
+        `map` over an array, in its operation order, and one `%` for the text."""
+        P = np.array(pts, dtype=float)
+        x = self.px + (P[:, 0] - self.view[0]) * self.scale
+        y = self.py + (self.view[3] - P[:, 1]) * self.scale
+        return " ".join(["%.6f,%.6f"] * len(P)) % tuple(np.stack((x, y), axis=1).ravel().tolist())
+
     def polygon(self, pts, fill, stroke, width=1.0, dash=None):
         if not pts:
             return ""
-        coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (self.map(p) for p in pts))
+        coords = self.coords(pts)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (f'<polygon points="{coords}" fill="{fill}" stroke="{stroke}" '
                 f'stroke-width="{_fmt(width)}"{dash_attr}/>')
@@ -61,7 +71,7 @@ class _Panel:
     def polyline(self, pts, stroke, width=1.2):
         if len(pts) < 2:
             return ""
-        coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (self.map(p) for p in pts))
+        coords = self.coords(pts)
         return (f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
                 f'stroke-width="{_fmt(width)}"/>')
 

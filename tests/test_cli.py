@@ -320,3 +320,40 @@ class TestDecompose:
         assert run("decompose", "--input", str(m)) == 0
         out = capsys.readouterr().out
         assert "hermitian=true" in out and "normal=true" in out
+
+
+class TestParserCache:
+    def _calls(self, tmp_path, capsys):
+        """stdout, stderr, exit code and output file of several calls in one process."""
+        argvs = [
+            ["pencil", "--input", fx("cubic_cusp.json")],
+            ["render", "--input", fx("disk.json"), "--grid", "16", "--out", "{out}"],
+            ["render", "--input", fx("disk.json"), "--grid", "x"],
+            ["sample-w", "--input", fx("disk.json"), "--grid", "7", "--curve", "{out}"],
+            ["nosuch"],
+            ["classify", "--input", fx("polytope.json"),
+             "--factors", fx("polytope_factors.txt")],
+            ["render", "--input", fx("polytope.json"), "--grid", "16"],
+            ["craig", "--input", fx("craig_pair_diag.json"), "--grid", "48", "--tol", "1e-3"],
+            ["duality", "--input", fx("disk.json"), "--grid", "16", "--tol", "-1"],
+            ["sample-f", "--input", fx("disk.json"), "--grid", "12", "--out", "{out}"],
+            ["decompose", "--input", fx("cubic_cusp.json")],
+        ]
+        seen = []
+        for k, argv in enumerate(argvs):
+            out = tmp_path / f"out{k}"
+            try:
+                code = main([a.replace("{out}", str(out)) for a in argv])
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            text = capsys.readouterr()
+            seen.append((code, text.out, text.err, out.read_bytes() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        return seen
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        assert numrange.cli._parser() is numrange.cli._parser()
+        cached = self._calls(tmp_path, capsys)
+        assert [c[0] for c in cached] == [0, 0, ("exit", 2), 2, ("exit", 2), 0, 2, 0, 2, 0, 0]
+        monkeypatch.setattr(numrange.cli, "_parser", numrange.cli.build_parser)
+        assert self._calls(tmp_path, capsys) == cached

@@ -64,6 +64,46 @@ class TestSplit:
         with pytest.raises(NonHermitianError):
             HermitianPencil(NILPOTENT, GaussianRationalMatrix.zero(2))
 
+    @staticmethod
+    def _split_reference(A):
+        """The splitting through matrix sums and Gaussian-rational scalings."""
+        star = A.conj_transpose()
+        return ((A + star).scale(G(Fraction(1, 2))),
+                (A - star).scale(GaussianRational(Fraction(0), Fraction(-1, 2))))
+
+    def test_entrywise_split_matches_the_matrix_formula(self):
+        rng = random.Random(2024)
+        mats = [fixture_matrix(name) for name in ("cubic_cusp", "cross_star", "nested_ovals",
+                                                  "cardioid_circle", "disk", "polytope")]
+        for n in range(1, 9):
+            for cx in (False, True):
+                for power in (0, 100, -100):
+                    mats.append(random_gaussian_matrix(n, rng, cx).scale(G(Fraction(10) ** power)))
+        for A in mats:
+            pencil = split(A)
+            assert (pencil.A1, pencil.A2) == self._split_reference(A)
+
+    def test_is_hermitian_matches_the_conjugate_transpose(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            A = random_gaussian_matrix(rng.randint(1, 5), rng, rng.random() < 0.5)
+            for M in (A, A + A.conj_transpose(), split(A).A2):
+                assert M.is_hermitian() == (M == M.conj_transpose())
+        # one off-diagonal entry that is the transpose, not the conjugate
+        assert not matrix([[1, I_UNIT], [I_UNIT, 1]]).is_hermitian()
+        assert not matrix([[I_UNIT, 0], [0, 1]]).is_hermitian()
+
+    def test_non_hermitian_pairs_are_refused(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            A = random_gaussian_matrix(rng.randint(2, 5), rng)
+            pencil = split(A)
+            assert not A.is_hermitian()
+            with pytest.raises(NonHermitianError, match="A1"):
+                HermitianPencil(A, pencil.A2)
+            with pytest.raises(NonHermitianError, match="A2"):
+                HermitianPencil(pencil.A1, A)
+
     def test_float_parts_converted_once_and_read_only(self):
         pencil = split(fixture_matrix("cubic_cusp"))
         f1, f2 = pencil.float_parts()

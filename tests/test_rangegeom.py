@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,11 @@ from numrange.pencil import (
     pencil_det,
 )
 from numrange.dualcurve import dual_sample, dual_sample_csv
+import numrange.rangegeom as rangegeom
 from numrange.rangegeom import (
+    _cross,
+    _cycle_hull,
+    _grid_hulls,
     _outer_polygon,
     _support_grid,
     convex_hull,
@@ -420,6 +425,32 @@ class TestLinearKernelsAgainstReferences:
         assert hausdorff_outer_to_inner(inner, inner) == 0.0
         assert hausdorff_outer_to_inner([(1.0, 2.0)], [(1.0, 2.0)]) == 0.0
 
+    @pytest.mark.parametrize("name", ("disk", "cubic_cusp", "polytope"))
+    def test_both_sides_of_the_sweep_check(self, name, monkeypatch):
+        # on a spectral grid every half-plane touches W(A) at its witness, so
+        # the sweep is skipped; raising every fourth support value by
+        # max(1, max|witness|) makes those half-planes redundant, the sweep
+        # runs, and it must give the polygon of the grid without them
+        sweeps = []
+
+        def spy(*args):
+            sweeps.append(1)
+            return deque(*args)
+
+        monkeypatch.setattr(rangegeom, "deque", spy)
+        for N in (16, 90, 720):
+            grid, h, _, scale = _grid_polygons(fixture_matrix(name), N)
+            outer = _outer_polygon(grid.cos, grid.sin, h)
+            assert not sweeps
+            assert outer == _outer_polygon_reference(grid.cos, grid.sin, h), N
+            raised = np.arange(N) % 4 == 1
+            swept = _outer_polygon(grid.cos, grid.sin, np.where(raised, h + scale, h))
+            assert sweeps, N
+            sweeps.clear()
+            keep = ~raised
+            assert swept == _outer_polygon(grid.cos[keep], grid.sin[keep], h[keep]), N
+            assert not sweeps
+
     def test_redundant_half_plane_keeps_the_corner(self):
         # unit square, plus the half-plane x1 + x2 <= 2*sqrt(2) that misses it
         thetas = np.array([0.0, math.pi / 4, math.pi / 2, math.pi, 1.5 * math.pi])
@@ -435,3 +466,108 @@ class TestLinearKernelsAgainstReferences:
             got, want = dual_sample(curve, N), _dual_sample_reference(curve, N)
             assert got.samples == want.samples, N
             assert dual_sample_csv(got) == dual_sample_csv(want), N
+
+
+# -- hulls of angle-ordered points against the monotone chain ---------------------
+
+
+def _regular(m, phase=0.1):
+    return [(math.cos(phase + 2 * math.pi * k / m), math.sin(phase + 2 * math.pi * k / m))
+            for k in range(m)]
+
+
+def _hull_inputs():
+    """Matrices for the hull differential: seeded draws n = 1..6, real and
+    complex, plain, Hermitian, diagonal (polytope) and x 10^12."""
+    rng = random.Random(31337)
+    out = []
+    for k in range(240):
+        n = 1 + k % 6
+        A = random_gaussian_matrix(n, rng, complex_entries=k % 2 == 0)
+        kind = ("plain", "plain", "hermitian", "diagonal", "big")[k % 5]
+        if kind == "hermitian":
+            A = A + A.conj_transpose()
+        elif kind == "diagonal":
+            A = GaussianRationalMatrix.diagonal([A[i, i] for i in range(n)])
+        elif kind == "big":
+            A = A.scale(G(10 ** 12))
+        out.append(A)
+    return out
+
+
+class TestCycleHull:
+    """`_cycle_hull` and `_grid_hulls` equal the `convex_hull` reference."""
+
+    @staticmethod
+    def _check(grid):
+        h, wit = _support_grid(grid)
+        hulls = _grid_hulls(grid)
+        witnesses = [tuple(map(float, p)) for p in wit]
+        assert hulls.witnesses == witnesses
+        assert hulls.support_values == [float(v) for v in h]
+        assert hulls.inner == convex_hull(witnesses)
+        assert hulls.outer == _outer_polygon_reference(grid.cos, grid.sin, h)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_grids(self, name):
+        pencil = split(fixture_matrix(name))
+        for N in (3, 4, 8, 16, 90, 720, 1440, 2880):
+            self._check(SpectralGrid(pencil, N))
+
+    def test_seeded_draws(self):
+        for k, A in enumerate(_hull_inputs()):
+            self._check(SpectralGrid(split(A), (16, 90, 360)[k % 3]))
+
+    def test_fallback_cases(self, monkeypatch):
+        calls = []
+
+        def spy(points):
+            calls.append(1)
+            return convex_hull(points)
+
+        monkeypatch.setattr(rangegeom, "convex_hull", spy)
+        circle = _regular(40)
+        reflex = list(circle)
+        # the midpoint of its neighbours, nudged inwards by roundoff
+        (x0, y0), (x1, y1) = circle[4], circle[6]
+        reflex[5] = ((x0 + x1) / 2 * (1 - 1e-14), (y0 + y1) / 2 * (1 - 1e-14))
+        assert _cross(reflex[4], reflex[5], reflex[6]) < 0
+        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        cases = {
+            "non-consecutive repeat": square[:3] + [square[0]] + square[3:],
+            "all equal": [(0.5, -2.0)] * 7,
+            "two points": [(1.0, 2.0), (3.0, -1.0)],
+            "two points repeated": [(1.0, 2.0), (1.0, 2.0), (3.0, -1.0), (3.0, -1.0)],
+            "collinear": [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)],
+            "all collinear": [(float(k), 2.0 * k) for k in range(6)],
+            "roundoff reflex": reflex,
+            "square twice": square * 2,
+            "pentagram": [_regular(5)[(2 * k) % 5] for k in range(5)],
+            "clockwise": circle[::-1],
+        }
+        for label, pts in cases.items():
+            calls.clear()
+            got = _cycle_hull(np.array(pts))
+            assert calls == [1], label
+            assert got == convex_hull(pts), label
+
+    def test_certified_cases(self, monkeypatch):
+        monkeypatch.setattr(rangegeom, "convex_hull", None)  # must not be reached
+        circle = _regular(40)
+        cases = {
+            "circle": circle,
+            "rotated": circle[17:] + circle[:17],
+            "triangle": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+            "consecutive repeats": [circle[0]] * 3 + circle[1:9] + [circle[9]] * 2 + circle[10:]
+            + [circle[0]] * 2,
+            "ties in x": [(0.0, 1.0), (0.0, -1.0), (1.0, -1.0), (1.0, 1.0)],
+        }
+        for label, pts in cases.items():
+            assert _cycle_hull(np.array(pts)) == convex_hull(pts), label
+
+    def test_signed_zero_repeat_keeps_the_first(self):
+        pts = [(0.0, 0.0), (-0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, -0.0)]
+        got = _cycle_hull(np.array(pts))
+        assert got == convex_hull(pts)
+        assert [math.copysign(1.0, c) for c in got[0]] == [
+            math.copysign(1.0, c) for c in convex_hull(pts)[0]]

@@ -255,50 +255,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="print the Hermitian splitting A1, A2")
     common(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("pencil", help="exact pencil determinant p(y)")
     common(p)
-    p.set_defaults(func=cmd_pencil)
 
     p = sub.add_parser("dual", help="exact dual curve q(x)")
     common(p)
     p.add_argument("--factors", default=None,
                    help="file of linear/irreducible factors of p (one per line)")
-    p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("sample-w", help="hull CSV for W(A) (optionally dual-curve samples)")
     common(p)
     p.add_argument("--curve", default=None, help="also write dual-curve sample CSV here")
-    p.set_defaults(func=cmd_sample_w)
 
     p = sub.add_parser("sample-f", help="boundary CSV for F(A)")
     common(p)
-    p.set_defaults(func=cmd_sample_f)
 
     p = sub.add_parser("duality", help="verify the W/F pairing; exit 1 on violation")
     common(p)
-    p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("craig", help="craig factorization verdict")
     common(p)
-    p.set_defaults(func=cmd_craig)
 
     p = sub.add_parser("classify", help="structure report: normality, hyperbolicity, shape")
     common(p, grid_default=360)
     p.add_argument("--factors", default=None,
                    help="factors of p for exact polytope vertices")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("render", help="two-panel SVG of F(A)/P and W(A)/Q")
     common(p)
     p.add_argument("--viewport", default=None,
                    help="x1min,x1max,x2min,x2max clipping box (required if F is unbounded)")
-    p.set_defaults(func=cmd_render)
     return ap
 
 
-# parsing leaves no state in the parser, so one serves every call
+# parsing leaves no state in the parser, so one serves every call; the handler
+# is looked up by name on each call, so a rebound cmd_* is the one that runs
 _parser = functools.cache(build_parser)
 
 
@@ -309,7 +301,7 @@ def main(argv=None) -> int:
             raise InputError(f"tolerance must be positive (got {args.tol})")
         if getattr(args, "grid", 3) < 3:
             raise InputError(f"grid must be at least 3 (got {args.grid})")
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -270,6 +270,13 @@ def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
     (j = 2..N-1), C[k] the vertex of half-planes k and k+1.  They are
     evaluated at once, in the sweep's own operation order; when none cuts,
     the sweep would keep every half-plane and is skipped.
+
+    On a spectral grid none cuts: every half-plane touches W(A) at its
+    witness, and the roundoff in C stays far inside the slack (checked on
+    the fixtures at N = 3..2880 and on seeded draws).  The sweep is a safety
+    fallback for support values that break this, such as a grid so fine that
+    dividing by det lifts roundoff past the slack; no benchmark input
+    reaches it, and only the tests' raised support values exercise it.
     """
     N = len(h)
     cos_n, sin_n, h_n = np.roll(cos, -1), np.roll(sin, -1), np.roll(h, -1)  # next angle

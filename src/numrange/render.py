@@ -40,10 +40,11 @@ class _Panel:
         self.view = (cx - span / 2, cx + span / 2, cy - span / 2, cy + span / 2)
         self.scale = size / span
 
-    def map(self, pt):
-        x, y = float(pt[0]), float(pt[1])
-        return (self.px + (x - self.view[0]) * self.scale,
-                self.py + (self.view[3] - y) * self.scale)
+    def map(self, pts):
+        """Pixel coordinates (x, y) of one point, or arrays of them for a list."""
+        P = np.asarray(pts, dtype=float)
+        return (self.px + (P[..., 0] - self.view[0]) * self.scale,
+                self.py + (self.view[3] - P[..., 1]) * self.scale)
 
     def contains(self, pt, slack: float = 0.0) -> bool:
         x, y = float(pt[0]), float(pt[1])
@@ -53,12 +54,9 @@ class _Panel:
         return vx0 - dx <= x <= vx1 + dx and vy0 - dy <= y <= vy1 + dy
 
     def coords(self, pts) -> str:
-        """The mapped points as "x,y x,y ...", each number as `_fmt` writes it:
-        `map` over an array, in its operation order, and one `%` for the text."""
-        P = np.array(pts, dtype=float)
-        x = self.px + (P[:, 0] - self.view[0]) * self.scale
-        y = self.py + (self.view[3] - P[:, 1]) * self.scale
-        return " ".join(["%.6f,%.6f"] * len(P)) % tuple(np.stack((x, y), axis=1).ravel().tolist())
+        """The mapped points as "x,y x,y ...", each number as `_fmt` writes it."""
+        x, y = self.map(pts)
+        return " ".join(["%.6f,%.6f"] * len(x)) % tuple(np.stack((x, y), axis=1).ravel().tolist())
 
     def polygon(self, pts, fill, stroke, width=1.0, dash=None):
         if not pts:

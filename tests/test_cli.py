@@ -357,3 +357,19 @@ class TestParserCache:
         assert [c[0] for c in cached] == [0, 0, ("exit", 2), 2, ("exit", 2), 0, 2, 0, 2, 0, 0]
         monkeypatch.setattr(numrange.cli, "_parser", numrange.cli.build_parser)
         assert self._calls(tmp_path, capsys) == cached
+
+    def test_rebound_handler_runs_after_an_earlier_call(self, capsys, monkeypatch):
+        assert run("pencil", "--input", fx("cubic_cusp.json")) == 0
+        capsys.readouterr()
+        seen = []
+
+        def spy(args):
+            seen.append(args.input)
+            return 0
+
+        for name in ("cmd_pencil", "cmd_sample_w"):
+            monkeypatch.setattr(numrange.cli, name, spy)
+        assert run("pencil", "--input", fx("cubic_cusp.json")) == 0
+        assert run("sample-w", "--input", fx("disk.json")) == 0
+        assert seen == [fx("cubic_cusp.json"), fx("disk.json")]
+        assert capsys.readouterr().out == ""

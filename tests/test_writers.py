@@ -60,8 +60,14 @@ def _dual_sample_csv_reference(samples):
     return "\n".join(lines) + "\n"
 
 
+def _map_reference(self, pt):
+    x, y = float(pt[0]), float(pt[1])
+    return (self.px + (x - self.view[0]) * self.scale,
+            self.py + (self.view[3] - y) * self.scale)
+
+
 def _coords_reference(self, pts):
-    return " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (self.map(p) for p in pts))
+    return " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (_map_reference(self, p) for p in pts))
 
 
 def _inputs():
@@ -106,6 +112,7 @@ def test_render_matches_the_per_point_reference(label, A, monkeypatch):
                 continue
             with monkeypatch.context() as m:
                 m.setattr(_Panel, "coords", _coords_reference)
+                m.setattr(_Panel, "map", _map_reference)
                 assert got == render_figure(A, N=N, viewport=viewport), (N, viewport)
 
 
@@ -141,6 +148,8 @@ def test_panel_coordinates():
            (Fraction(1, 3), 2)]
     assert panel.coords(pts) == _coords_reference(panel, pts)
     assert panel.coords(pts).startswith("-0.000000,0.000000 -0.000000,0.500000 ")
+    for p in pts:
+        assert [repr(float(v)) for v in panel.map(p)] == [repr(v) for v in _map_reference(panel, p)]
     rng = np.random.default_rng(8)
     for _ in range(20):
         panel = _Panel(*rng.uniform(0, 100, 2), 420.0, tuple(np.sort(rng.normal(size=4))[[0, 3, 1, 2]]))

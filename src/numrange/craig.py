@@ -80,8 +80,7 @@ def product_zero(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix) -> bool
 
 
 def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
-                  N: int = 720, rect_tol: float = RECT_TOL,
-                  cross_check: bool = True) -> CraigVerdict:
+                  N: int = 720, rect_tol: float = RECT_TOL) -> CraigVerdict:
     """Run both predicates, assert their agreement, and extract the rectangle.
 
     When the criterion holds the rectangle spans the spectra of A1 and A2 and
@@ -101,20 +100,19 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     lo1, hi1 = float(w1[0]), float(w1[-1])
     lo2, hi2 = float(w2[0]), float(w2[-1])
     rect = ((lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2))
-    if cross_check:
-        # The rectangle is the exact bounding box of W(A1 + i*A2): each axis
-        # projection of the numerical range is the corresponding spectrum
-        # interval.  (W itself is the eigenvalue hull, which stays inside.)
-        A = _recombine(A1, A2)
-        hulls = range_hulls(A, N)
-        pts = hulls.outer or hulls.inner or hulls.witnesses
-        xs = [float(p[0]) for p in pts]
-        ys = [float(p[1]) for p in pts]
-        worst = max(abs(min(xs) - lo1), abs(max(xs) - hi1),
-                    abs(min(ys) - lo2), abs(max(ys) - hi2))
-        if worst > rect_tol:
-            raise CraigDisagreementError(
-                f"rectangle disagrees with the bounding box of sampled W(A) by {worst:.2e}")
+    # The rectangle is the exact bounding box of W(A1 + i*A2): each axis
+    # projection of the numerical range is the corresponding spectrum
+    # interval.  (W itself is the eigenvalue hull, which stays inside.)
+    A = _recombine(A1, A2)
+    hulls = range_hulls(A, N)
+    pts = hulls.outer or hulls.inner or hulls.witnesses
+    xs = [float(p[0]) for p in pts]
+    ys = [float(p[1]) for p in pts]
+    worst = max(abs(min(xs) - lo1), abs(max(xs) - hi1),
+                abs(min(ys) - lo2), abs(max(ys) - hi2))
+    if worst > rect_tol:
+        raise CraigDisagreementError(
+            f"rectangle disagrees with the bounding box of sampled W(A) by {worst:.2e}")
     return CraigVerdict(identity_holds=True, product_zero=True,
                         rectangle=rect, eigen_pairs=(tuple(map(float, w1)),
                                                      tuple(map(float, w2))))

@@ -102,7 +102,7 @@ class DualPoint:
     exact: bool
 
 
-def restricted_line_form(p: TriPoly, out_vars=XVARS) -> BinaryForm:
+def restricted_line_form(p: TriPoly) -> BinaryForm:
     """Binary form g(z,w) = x0^n * p(-(x1 z + x2 w)/x0, z, w).
 
     Coefficients are polynomials in the dual variables; g has a double root
@@ -118,7 +118,7 @@ def restricted_line_form(p: TriPoly, out_vars=XVARS) -> BinaryForm:
             cc = coef * comb(ea, j) * (-1) ** ea
             d = coeffs[wpow]
             d[key] = d.get(key, Fraction(0)) + cc
-    return BinaryForm(n, tuple(TriPoly(out_vars, t) for t in coeffs))
+    return BinaryForm(n, tuple(TriPoly(XVARS, t) for t in coeffs))
 
 
 def _strip_var0_power(f: TriPoly) -> tuple[TriPoly, int]:
@@ -175,7 +175,7 @@ def sample_real_curve_points(p: TriPoly, count: int):
     return pts[:count]
 
 
-def dual_point(p: TriPoly, y, rtol: float = ON_CURVE_RTOL) -> DualPoint:
+def dual_point(p: TriPoly, y) -> DualPoint:
     """Gradient image x = grad p(y) of a smooth point y on p = 0."""
     exact = all(isinstance(v, (int, Fraction)) for v in y)
     if exact:
@@ -183,7 +183,7 @@ def dual_point(p: TriPoly, y, rtol: float = ON_CURVE_RTOL) -> DualPoint:
         val = p.eval(y)
         if val != 0:
             fval, scale = p.eval_with_scale(tuple(float(v) for v in y))
-            if scale == 0.0 or abs(fval) > rtol * scale:
+            if scale == 0.0 or abs(fval) > ON_CURVE_RTOL * scale:
                 raise ValueError(f"point is not on the curve: p(y) = {val}")
         grad = tuple(p.partial(i).eval(y) for i in range(3))
         if not any(grad):
@@ -193,7 +193,7 @@ def dual_point(p: TriPoly, y, rtol: float = ON_CURVE_RTOL) -> DualPoint:
     else:
         yf = tuple(float(v) for v in y)
         val, scale = p.eval_with_scale(yf)
-        if scale == 0.0 or abs(val) > rtol * scale:
+        if scale == 0.0 or abs(val) > ON_CURVE_RTOL * scale:
             raise ValueError(f"point is not on the curve (relative residual {abs(val)/max(scale,1e-300):.2e})")
         x, _, _, singular, chart = _gradient_images(p, yf[1], yf[2], yf[0])
         if singular:
@@ -203,7 +203,7 @@ def dual_point(p: TriPoly, y, rtol: float = ON_CURVE_RTOL) -> DualPoint:
                      exact=exact)
 
 
-def dual_curve_exact(p: TriPoly, out_vars=XVARS) -> DualCurve:
+def dual_curve_exact(p: TriPoly) -> DualCurve:
     """Exact dual curve of p = 0 by discriminant elimination.
 
     p should be squarefree (repeated factors are stripped and audited); the
@@ -225,7 +225,7 @@ def dual_curve_exact(p: TriPoly, out_vars=XVARS) -> DualCurve:
     if sf != p.primitive():
         audit.append(p.primitive().divexact(sf).primitive())
     n = sf.total_degree()
-    g = restricted_line_form(sf, out_vars)
+    g = restricted_line_form(sf)
     if g.coeffs[0].is_zero():
         raise DegenerateDualError(
             "restricted form loses its leading coefficient (a chart variable divides p); "
@@ -236,7 +236,7 @@ def dual_curve_exact(p: TriPoly, out_vars=XVARS) -> DualCurve:
     D1, x0_power = _strip_var0_power(D)
     D1 = D1.primitive()
     if x0_power:
-        audit.append(TriPoly(out_vars, {(x0_power, 0, 0): Fraction(1)}))
+        audit.append(TriPoly(XVARS, {(x0_power, 0, 0): Fraction(1)}))
     rep = repeated_part(D1)
     if rep.is_constant():
         q_cand = D1
@@ -284,7 +284,7 @@ def dual_of_linear(l: TriPoly) -> tuple[Fraction, Fraction, Fraction]:
             l.terms.get((0, 0, 1), Fraction(0)))
 
 
-def dual_union(p: TriPoly, factors: list[TriPoly], out_vars=XVARS):
+def dual_union(p: TriPoly, factors: list[TriPoly]):
     """Duals of the components of a reducible curve, one per supplied factor.
 
     The factors must be squarefree, pairwise coprime, and multiply to the
@@ -315,7 +315,7 @@ def dual_union(p: TriPoly, factors: list[TriPoly], out_vars=XVARS):
         if f.total_degree() == 1:
             out.append(dual_of_linear(f))
         else:
-            out.append(replace(dual_curve_exact(f, out_vars), provenance="factor-union"))
+            out.append(replace(dual_curve_exact(f), provenance="factor-union"))
     return out
 
 

@@ -19,12 +19,10 @@ the integers that skips zero entries (`det_poly_matrix`), which beats
 evaluation and interpolation on a grid of points there.
 
 The GCD layer runs on integers, after clearing denominators once (Gauss's
-lemma).  `repeated_part` and `tri_gcd` first restrict their inputs to a fixed
-list of integer lines; a restriction that keeps full degree and is squarefree
-(or two that are coprime) proves the answer is 1.  Otherwise they compute the
-gcd from its images on lines modulo 61-bit primes: univariate gcds,
-interpolated over the lines, combined by CRT, and proven by exact trial
-division.
+lemma).  `repeated_part` and `tri_gcd` take one path (`_line_gcd`): the gcd
+from its images on parallel lines modulo 61-bit primes, univariate gcds read
+off the terms, interpolated over the lines, combined by CRT and proven by
+exact trial division.  A first image of degree 0 proves the gcd is 1 at once.
 
 Monomial order is graded lexicographic with var0 > var1 > var2 throughout,
 including the canonical text format.
@@ -185,8 +183,7 @@ class TriPoly:
 
     __slots__ = ("vars", "terms", "_hash", "_sorted")
 
-    def __init__(self, vars: Sequence[str], terms: dict | None = None,
-                 homogeneous_degree: int | None = None):
+    def __init__(self, vars: Sequence[str], terms: dict | None = None):
         vs = tuple(vars)
         if len(vs) != 3:
             raise ValueError("TriPoly needs exactly three variable names")
@@ -199,11 +196,6 @@ class TriPoly:
             if min(e) < 0:
                 raise ValueError("negative exponent")
             clean[e] = c
-        if homogeneous_degree is not None:
-            for e in clean:
-                if sum(e) != homogeneous_degree:
-                    raise ValueError(
-                        f"term {e} violates declared homogeneous degree {homogeneous_degree}")
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -763,22 +755,9 @@ def _shear(f: IntPoly, a: int, b: int) -> IntPoly:
     return _clean(out)
 
 
-# -- line restrictions modulo primes ----------------------------------------------
-#
-# Restrict F to a line x = a + t*b.  The t^d coefficient of F(a + t*b), for
-# d = deg F, is F_top(b), the top-degree part of F at b.  When it is nonzero,
-# every factor h of F keeps its degree on the line, so a square factor h^2 of F
-# would survive as h(a + t*b)^2, and a common factor of F and G as a common
-# factor of both restrictions.  A squarefree restriction of full degree thus
-# certifies that F is squarefree, and coprime restrictions of full degree that
-# F and G are coprime; homogeneous or not.  The restrictions are computed
-# modulo a prime P > deg F, which keeps the test exact: F_top(b) != 0 mod P
-# fixes the degree, and a constant gcd mod P makes the resultant (of r and r',
-# or of the two restrictions) nonzero mod P, hence nonzero.
+# -- line images modulo primes ---------------------------------------------------
 
 _P = (1 << 61) - 1  # a Mersenne prime, the first modulus of every computation
-# The fixed lines (a, b), tried in this order: runs repeat bit for bit.
-_CERT_LINES = (((2, -3, 5), (7, 11, -13)), ((-5, 1, 4), (3, 8, 2)))
 _FIRST_NODE = 0  # the line images of `_line_gcd` run through nodes 0, 1, 2, ...
 # Caches filled on demand; entries are replaced whole, so threads may share them.
 _INVERSES: dict[int, list[int]] = {}  # P -> [0, 1, 1/2, 1/3, ...] mod P
@@ -841,28 +820,19 @@ def _powers(x: int, d: int, P: int) -> list[int]:
     return list(itertools.accumulate(itertools.repeat(x % P, d), lambda y, z: y * z % P, initial=1))
 
 
-def _restrict_mod_p(F: IntPoly, a, b, P: int = _P) -> list[int] | None:
-    """Coefficients (constant term first) of F(a + t*b) mod P, of degree
-    exactly deg F, or None when F_top(b) = 0 mod P.  On a line (a0, 0, a2) +
-    t*(0, 1, 0) they are read off the terms; on any other line F is evaluated
-    at t = 0..d and interpolated."""
+def _restrict_mod_p(F: IntPoly, u0: int, u2: int, P: int) -> list[int]:
+    """Coefficients (constant term first) of F(u0, t, u2) mod P, F restricted
+    to the line (u0, 0, u2) + t*(0, 1, 0), read off the terms.  `_line_gcd`
+    skips every prime that divides the t^d coefficient F_top(0, 1, 0),
+    d = deg F, so the list has degree exactly d."""
     d = max(sum(e) for e in F)
-    terms = [(e, c % P) for e, c in F.items()]
-    if a[1] == 0 and b == (0, 1, 0):
-        p0, p2, r = _powers(a[0], d, P), _powers(a[2], d, P), [0] * (d + 1)
-        for (e0, e1, e2), v in terms:
-            r[e1] += v * p0[e0] * p2[e2]
-        r = [v % P for v in r]
-    else:
-        vals = []
-        for t in range(d + 1):
-            p0, p1, p2 = (_powers(ai + t * bi, d, P) for ai, bi in zip(a, b))
-            vals.append(sum(v * p0[e0] * p1[e1] * p2[e2] for (e0, e1, e2), v in terms) % P)
-        r = _interpolate(range(d + 1), vals, P)
-    return r if r[-1] else None
+    p0, p2, r = _powers(u0, d, P), _powers(u2, d, P), [0] * (d + 1)
+    for (e0, e1, e2), v in F.items():
+        r[e1] += v % P * p0[e0] * p2[e2]
+    return [v % P for v in r]
 
 
-def _gcd_mod_p(u: list[int], v: list[int], P: int = _P) -> list[int]:
+def _gcd_mod_p(u: list[int], v: list[int], P: int) -> list[int]:
     """Monic gcd of u and v in F_P[t] (Euclid), constant term first, for u and
     v with nonzero leading coefficients."""
     u, v = list(u), list(v)
@@ -877,22 +847,6 @@ def _gcd_mod_p(u: list[int], v: list[int], P: int = _P) -> list[int]:
         u, v = v, u
     inv = pow(u[-1], P - 2, P)
     return [c * inv % P for c in u]
-
-
-def _squarefree_on_a_line(F: IntPoly) -> bool:
-    for a, b in _CERT_LINES:
-        r = _restrict_mod_p(F, a, b)
-        if r is not None and len(_gcd_mod_p(r, [i * v % _P for i, v in enumerate(r)][1:])) == 1:
-            return True
-    return False
-
-
-def _coprime_on_a_line(F: IntPoly, G: IntPoly) -> bool:
-    for a, b in _CERT_LINES:
-        rf, rg = _restrict_mod_p(F, a, b), _restrict_mod_p(G, a, b)
-        if rf is not None and rg is not None and len(_gcd_mod_p(rf, rg)) == 1:
-            return True
-    return False
 
 
 def _interpolated(image_at, nodes, P: int) -> tuple[dict, int]:
@@ -924,7 +878,7 @@ def _image_mod_p(ops: list[IntPoly], P: int, nodes, homogeneous: bool) -> tuple[
     """(gcd(ops) mod P up to a scalar, its degree k), from the monic gcd images
     on the lines (u0, 0, u2) + t*(0, 1, 0)."""
     def on_line(u0, u2):
-        rs = [_restrict_mod_p(H, (u0, 0, u2), (0, 1, 0), P) for H in ops]
+        rs = [_restrict_mod_p(H, u0, u2, P) for H in ops]
         if len(rs) == 1:
             rs.append([i * v % P for i, v in enumerate(rs[0])][1:])
         g = _gcd_mod_p(*rs, P)
@@ -950,16 +904,19 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
     The lines share one direction w = (a, 1, b): the first (a, b) in {0..d}^2,
     d the sum of the ops' degrees, where no op's top-degree part vanishes (a
     nonzero polynomial of degree <= d in a and in b cannot vanish on that
-    grid).  C restricts to a common divisor of degree k = deg C whose t^k
-    coefficient is C_top(w) on every line, so no image has degree below k, an
-    image of degree k is C(u + t*w) / C_top(w), and gamma times it, gamma the
-    gcd of the ops' tops at w, is the image of one integer polynomial
-    gamma / C_top(w) * C.  The ops are sheared so that w is (0, 1, 0), primes
-    that divide gamma are skipped, and the images are interpolated
-    (`_image_mod_p`) and combined by CRT until the lift stops changing.
-    Sheared back and made primitive, the candidate is proven by exact
-    division: it divides every target, hence C, and its degree, the lowest
-    image degree, is no less than deg C.
+    grid).  Primes that divide gamma, the gcd of the ops' tops at w, are
+    skipped, so every op restricts with its full degree mod P.  C divides
+    every op and, for the repeated part, every partial, so its restriction
+    divides every restriction and the t-derivative of F's; and C_top(w)
+    divides gamma.  Since C restricts with degree deg C and top coefficient
+    C_top(w) != 0 mod P on every line, no image has degree below deg C, and a
+    first image of degree 0 returns 1 with no division.  An image of degree
+    k = deg C is C(u + t*w) / C_top(w), and gamma times it is the image of one
+    integer polynomial gamma / C_top(w) * C.  The ops are sheared so that w is
+    (0, 1, 0), and the images are interpolated (`_image_mod_p`) and combined
+    by CRT until the lift stops changing.  Sheared back and made primitive,
+    the candidate is proven by exact division: it divides every target,
+    hence C, and its degree, the lowest image degree, is no less than deg C.
 
     The loop terminates: for the fixed w, the unlucky nodes are the finitely
     many roots of a nonzero polynomial (a subresultant of the restrictions),
@@ -1151,11 +1108,8 @@ def det_pencil(C1, C2=None) -> tuple[IntPoly, IntPoly]:
 
 
 def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
-    """GCD over Q[v0,v1,v2], primitive-normalized.
-
-    Certificate first: 1 when the restrictions to one of the fixed lines are
-    coprime; otherwise from line images modulo primes, proven by division.
-    """
+    """GCD over Q[v0,v1,v2], primitive-normalized, from line images modulo
+    primes (`_line_gcd`)."""
     if f.vars != g.vars:
         raise VariableMismatchError("gcd operands use different variable triples")
     if f.is_zero():
@@ -1165,19 +1119,17 @@ def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
     if f.is_constant() or g.is_constant():
         return TriPoly.constant(1, f.vars)
     F, G = _int_terms(f), _int_terms(g)
-    if _coprime_on_a_line(F, G):
-        return TriPoly.constant(1, f.vars)
     return TriPoly(f.vars, _line_gcd([F, G], [F, G]))
 
 
 def repeated_part(f: TriPoly) -> TriPoly:
     """gcd of f with all three partials: product of prime factors with
-    multiplicity one less than in f.  1 at once when a fixed line certifies
-    that f is squarefree; otherwise from line images modulo primes."""
+    multiplicity one less than in f, from line images modulo primes of f and
+    its derivative along the lines (`_line_gcd`)."""
     if f.is_zero():
         raise ZeroPolynomialError("repeated part of zero polynomial")
     F = _int_terms(f)
-    if _is_const(F) or _squarefree_on_a_line(F):
+    if _is_const(F):
         return TriPoly.constant(1, f.vars)
     partials = [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in F.items() if e[i]}
                 for i in range(3)]

@@ -90,7 +90,7 @@ class TestVerdict:
     def test_rotated_planted_pair_cross_check(self):
         rng = random.Random(509)
         A1, A2 = planted_product_zero_pair(5, rng)
-        v = craig_verdict(A1, A2, cross_check=True)
+        v = craig_verdict(A1, A2)
         assert v.identity_holds and v.product_zero
         w1 = np.linalg.eigvalsh(A1.to_complex())
         assert abs(v.rectangle[0][0] - w1[0]) < 1e-12

@@ -62,10 +62,6 @@ class TestArithmetic:
         with pytest.raises(VariableMismatchError):
             Y0 + TriPoly.variable(0, XVARS)
 
-    def test_homogeneous_flag_validated(self):
-        with pytest.raises(ValueError):
-            TriPoly(YVARS, {(1, 0, 0): 1, (2, 0, 0): 1}, homogeneous_degree=1)
-
     def test_pow_matches_repeated_mul(self):
         f = Y0 + 2 * Y1 - Y2
         assert f ** 3 == f * f * f
@@ -624,67 +620,78 @@ def _normal_to(b) -> TriPoly:
     return b[2] * Y1 - b[1] * Y2
 
 
+def _lines(log):
+    """The (u0, u2) of each logged `_restrict_mod_p(F, u0, u2, P)` call."""
+    return [args[1:3] for args, _ in log]
+
+
 class TestLineCertificates:
-    """The certificates answer only when they are sure; else the line images decide."""
+    """A first line image of degree 0 proves gcd = 1; other inputs take more images."""
+
+    def test_tangent_first_line_takes_a_second(self, monkeypatch):
+        # the conic's first line (1, t, 0) is tangent to it: t^2 has a double root
+        log = []
+        TestLineImageInjection._spy(monkeypatch, "_restrict_mod_p", log)
+        assert repeated_part(Y1 ** 2 - Y0 * Y2) == TriPoly.constant(1, YVARS)
+        assert _lines(log) == [(1, 0), (1, 1)]
 
     def test_square_factor_never_certified(self):
         rng = random.Random(67)
         for _ in range(30):
             f, g = _rational_factor(rng), _rational_factor(rng)
-            F = exactpoly._int_terms(f * f * g)
-            assert not exactpoly._squarefree_on_a_line(F)
-            assert not exactpoly._coprime_on_a_line(F, exactpoly._int_terms(f * (g + 1)))
             assert f.primitive().divides(repeated_part(f * f * g))
+            assert f.primitive().divides(tri_gcd(f * f * g, f * (g + 1)))
 
-    def test_squarefree_inputs_are_certified(self):
+    def test_squarefree_inputs_are_certified(self, monkeypatch):
+        # one line decides: one restriction of f*g, or one each of f and g
         rng = random.Random(71)
+        log = []
+        TestLineImageInjection._spy(monkeypatch, "_restrict_mod_p", log)
         for _ in range(10):
             f, g = _rational_factor(rng), _rational_factor(rng)
-            if tri_gcd(f, g).is_constant() and repeated_part(f * g).is_constant():
-                assert exactpoly._squarefree_on_a_line(exactpoly._int_terms(f * g))
+            log.clear()
+            assert repeated_part(f * g).is_constant()
+            assert len(log) == 1
+            log.clear()
+            assert tri_gcd(f, g).is_constant()
+            lines = _lines(log)
+            assert len(lines) == 2 and lines[0] == lines[1]
 
-    def test_degree_loss_on_every_line_takes_the_line_images(self, monkeypatch):
-        # the top-degree part of each input vanishes at the direction b of every line
-        l1, l2 = (_normal_to(b) for _, b in exactpoly._CERT_LINES)
-        calls = []
-        images = exactpoly._line_gcd
-        monkeypatch.setattr(exactpoly, "_line_gcd",
-                            lambda ops, targets: calls.append(1) or images(ops, targets))
+    def test_degree_loss_on_every_line_takes_the_line_images(self):
+        # the top-degree parts vanish at some directions: l1 and l2 at
+        # (7, 11, -13) and (3, 8, 2), y0*y2 at every (a, 1, b) with a*b = 0,
+        # which the line images skip by a shear
+        l1, l2 = _normal_to((7, 11, -13)), _normal_to((3, 8, 2))
+        one = TriPoly.constant(1, YVARS)
         cases = [
-            (l1 * l2 + Y0 + 1, TriPoly.constant(1, YVARS)),   # squarefree, non-homogeneous
-            (l1 * l2, TriPoly.constant(1, YVARS)),            # squarefree, homogeneous
+            (l1 * l2 + Y0 + 1, one),                          # squarefree, non-homogeneous
+            (l1 * l2, one),                                   # squarefree, homogeneous
             (l1 ** 2 * l2, l1.primitive()),                   # restrictions lose the square
             (l1 ** 3 * l2 ** 2, (l1 ** 2 * l2).primitive()),
+            (Y0 * Y2 * (Y0 - Y2), one),
+            (Y0 ** 2 * Y2 * (Y0 + Y1), Y0),
         ]
         for f, rep in cases:
-            F = exactpoly._int_terms(f)
-            assert all(exactpoly._restrict_mod_p(F, a, b) is None
-                       for a, b in exactpoly._CERT_LINES)
-            calls.clear()
             assert repeated_part(f) == rep
-            assert calls
         h = Y0 + 2 * Y1 + 3
         for f, g, gcd in ((l1 * l2 * h, l1 * (l2 + 1) * h, l1 * h),
-                          (l1 * (Y0 + 1), l1 * (Y1 + 2), l1)):  # l1 is constant on line 0
-            calls.clear()
+                          (l1 * (Y0 + 1), l1 * (Y1 + 2), l1),
+                          (Y0 * Y2 * h, Y0 * (Y2 + 1) * h, Y0 * h)):
             assert tri_gcd(f, g) == gcd.primitive()
-            assert calls
 
     def test_restriction_matches_exact_substitution(self):
-        # the fixed lines, and a line along v1 (the terms are read off, not interpolated)
+        # F(u0, t, u2) mod P, read off the terms
         rng = random.Random(73)
         t = sp.symbols("t")
+        P = exactpoly._P
         for _ in range(10):
             f = random_tripoly(rng, max_deg=5, terms=8) + Y0 ** 5 + 2 * Y1 ** 5
             F = exactpoly._int_terms(f)
-            for a, b in exactpoly._CERT_LINES + (((3, 0, -2), (0, 1, 0)),):
-                expr = _to_sympy(f.primitive(), [a[i] + t * b[i] for i in range(3)])
-                ref = [int(c) % exactpoly._P for c in reversed(sp.Poly(expr, t).all_coeffs())]
-                got = exactpoly._restrict_mod_p(F, a, b)
-                if got is None:
-                    assert len(ref) <= f.total_degree()
-                else:
-                    assert got == ref
+            for u0, u2 in ((0, 0), (3, -2), (-5, 0), (0, 7), (-1, -4), (10 ** 20, 1)):
+                expr = _to_sympy(f.primitive(), [u0, t, u2])
+                ref = [int(c) % P for c in reversed(sp.Poly(expr, t).all_coeffs())]
+                got = exactpoly._restrict_mod_p(F, u0, u2, P)
+                assert got == ref and len(got) == f.total_degree() + 1
 
 
 # -- the subresultant PRS, the reference for the line-image gcds -------------------

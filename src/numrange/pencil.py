@@ -246,13 +246,65 @@ def boundary_csv(samples: CurveSampleSet) -> str:
 
 def restrict_to_line(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction]:
     """Exact coefficients of t -> p(1, t*d1, t*d2), ascending."""
-    deg = max(0, p.total_degree())
-    coeffs = [Fraction(0)] * (deg + 1)
-    for (a, b, c), coef in p.terms.items():
-        coeffs[b + c] += coef * d1**b * d2**c
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+    return _restriction(_integer_form(p), d1, d2)[2]
+
+
+def _integer_form(p: TriPoly) -> tuple[int, list[list[tuple[int, int, int]]]]:
+    """(L, by_degree): L*p has integer coefficients, and by_degree[k] lists
+    (b, c, L*coefficient) for the terms y0**a * y1**b * y2**c with b + c = k."""
+    L = math.lcm(*(c.denominator for c in p.terms.values()))
+    by_degree = [[] for _ in range(max(0, p.total_degree()) + 1)]
+    for (_, b, c), coef in p.terms.items():
+        by_degree[b + c].append((b, c, coef.numerator * (L // coef.denominator)))
+    return L, by_degree
+
+
+def _restriction(form, d1: Fraction, d2: Fraction) -> tuple[list[int], int, list[Fraction]]:
+    """(N, w, coeffs) for the p of form = `_integer_form(p)` on the line (d1, d2).
+
+    With d1 = a1/b1 and d2 = a2/b2, coefficient k of p(1, t*d1, t*d2) is
+    N[k] / (L * w**k) for the integers N[k] = sum L*coef * (a1*b2)**b * (a2*b1)**c
+    and w = b1*b2 > 0; coeffs holds those Fractions.  Top zeros are dropped.
+    """
+    L, by_degree = form
+    u, v = d1.numerator * d2.denominator, d2.numerator * d1.denominator
+    w = d1.denominator * d2.denominator
+    upow, vpow = [u**i for i in range(len(by_degree))], [v**i for i in range(len(by_degree))]
+    N = [sum(C * upow[b] * vpow[c] for b, c, C in terms) for terms in by_degree]
+    while len(N) > 1 and not N[-1]:
+        N.pop()
+    return N, w, [Fraction(n, L * w ** k) for k, n in enumerate(N)]
+
+
+def _sign_certificate(N: list[int], w: int, roots: list[float]) -> bool:
+    """Do exact signs prove that c(t) = sum_k N[k] * (t/w)**k, w > 0, has
+    d = len(N) - 1 distinct real roots?
+
+    The d predicted roots only place d + 1 points: the midpoints of the sorted
+    predictions and one point beyond each end.  If c is nonzero there with
+    alternating signs, each of the d gaps holds a root.  At x = m/D, D a power
+    of two, c(x) has the sign of sum_k N[k] * m**k * (D*w)**(d-k).
+    """
+    d = len(N) - 1
+    if d < 1 or len(roots) != d:
+        return False
+    r = sorted(roots)
+    xs = [r[0] - 1.0 - abs(r[0]), *((a + b) / 2 for a, b in zip(r, r[1:])),
+          r[-1] + 1.0 + abs(r[-1])]
+    if not all(map(math.isfinite, xs)):
+        return False
+    ratios = [x.as_integer_ratio() for x in xs]
+    D = max(den for _, den in ratios)
+    scaled = [n * (D * w) ** (d - k) for k, n in enumerate(N)]
+    prev = 0
+    for num, den in ratios:
+        m, acc = num * (D // den), 0
+        for s in reversed(scaled):
+            acc = acc * m + s
+        if acc == 0 or (prev and (acc > 0) == (prev > 0)):
+            return False
+        prev = acc
+    return True
 
 
 def _chart_normal(f: TriPoly, k: int | None = None) -> tuple[TriPoly, int]:
@@ -333,8 +385,10 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
                         seed: int = 20259) -> HyperbolicityReport:
     """Real-zero check: every line through the origin meets p = 0 in real points only.
 
-    Verified two ways per line: Sturm root counting on the exact restriction,
-    and residuals of the roots predicted by pencil eigenvalues.
+    Verified two ways per line: exactly, by the sign-change certificate on the
+    restriction at points placed by the eigenvalue-predicted roots, or a Sturm
+    count where it fails (repeated or missed roots); numerically, by residuals
+    of the predicted roots.
     """
     if trials < 1:
         raise ValueError("need at least one trial line")
@@ -343,6 +397,7 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
     scale = _entry_scale(curve.pencil)
     # exact restrictions of p(y0, 2**e*y1, 2**e*y2): roots t/2**e near 1, float coefficients
     p, e = _chart_normal(curve.p)
+    form = _integer_form(p)
     checks = []
     for _ in range(trials):
         while True:
@@ -350,14 +405,17 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
             d2 = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
             if d1 or d2:
                 break
-        coeffs = restrict_to_line(p, d1, d2)
-        distinct, deg_sf = _sturm(coeffs)
-        all_real = distinct == deg_sf
-        # eigenvalue cross-check
+        N, w, coeffs = _restriction(form, d1, d2)
         H = float(d1) * f1 + float(d2) * f2
         eigs = np.linalg.eigvalsh(H)
-        fl = [float(c) for c in coeffs]
         t = np.ldexp([r for _, r in line_roots_from_eigs(eigs, scale)], -e)
+        if _sign_certificate(N, w, t.tolist()):
+            distinct = deg_sf = len(N) - 1
+        else:
+            distinct, deg_sf = _sturm(coeffs)
+        all_real = distinct == deg_sf
+        # eigenvalue cross-check
+        fl = [float(c) for c in coeffs]
         terms = np.array([c * np.float_power(t, k) for k, c in enumerate(fl)])
         resid = float(np.max(np.abs(np.add.reduce(terms))
                              / np.maximum(np.abs(terms).max(axis=0), 1e-300), initial=0.0))

@@ -33,9 +33,7 @@ __all__ = [
     "polytope_detect",
     "translate_scale_law",
     "convex_hull",
-    "polygon_is_convex",
     "polygon_area",
-    "point_to_polygon_distance",
     "hausdorff_outer_to_inner",
     "polygon_support",
     "hulls_csv",
@@ -105,18 +103,6 @@ def _cycle_hull(P: np.ndarray) -> list[tuple[float, float]]:
     return convex_hull(_pairs(P))
 
 
-def polygon_is_convex(vertices, tol: float = 0.0) -> bool:
-    n = len(vertices)
-    if n <= 2:
-        return True
-    scale = max(max(abs(float(x)), abs(float(y))) for x, y in vertices) or 1.0
-    for i in range(n):
-        c = _cross(vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n])
-        if float(c) < -tol * scale * scale:
-            return False
-    return True
-
-
 def polygon_area(vertices) -> float:
     n = len(vertices)
     if n < 3:
@@ -127,39 +113,6 @@ def polygon_area(vertices) -> float:
         x2, y2 = vertices[(i + 1) % n]
         s += float(x1) * float(y2) - float(x2) * float(y1)
     return abs(s) / 2.0
-
-
-def _point_segment_dist(p, a, b) -> float:
-    px, py = float(p[0]), float(p[1])
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    vx, vy = bx - ax, by - ay
-    L2 = vx * vx + vy * vy
-    if L2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = max(0.0, min(1.0, ((px - ax) * vx + (py - ay) * vy) / L2))
-    return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
-
-
-def point_to_polygon_distance(p, vertices) -> float:
-    """Distance from p to a convex polygon (0 inside)."""
-    n = len(vertices)
-    if n == 0:
-        return math.inf
-    if n == 1:
-        return math.hypot(float(p[0]) - float(vertices[0][0]),
-                          float(p[1]) - float(vertices[0][1]))
-    if n == 2:
-        return _point_segment_dist(p, vertices[0], vertices[1])
-    inside = True
-    for i in range(n):
-        if float(_cross(vertices[i], vertices[(i + 1) % n], p)) < 0.0:
-            inside = False
-            break
-    if inside:
-        return 0.0
-    return min(_point_segment_dist(p, vertices[i], vertices[(i + 1) % n])
-               for i in range(n))
 
 
 def hausdorff_outer_to_inner(outer, inner) -> float:
@@ -457,11 +410,15 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
     "mixed/unknown" is a legal verdict.
     """
     if is_normal(A):
-        eigs = np.linalg.eigvals(A.to_complex())
+        M = A.to_complex()
+        eigs = np.linalg.eigvals(M)
         exact = _certified_spectrum(A, eigs)
         if exact is not None:
             verts = convex_hull([(z.re, z.im) for z in exact])
             return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=True)
+        if A.is_hermitian():
+            # a real spectrum: W(A) is a segment of the real axis, with no eigvals noise off it
+            eigs = np.linalg.eigvalsh(M)
         verts = convex_hull([(float(z.real), float(z.imag)) for z in _dedupe(eigs)])
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ class TestClassifyCommand:
         assert "f_vertices=(-1/5, -1/5); (-1/5, 1/5)" in out
         assert "f_bounded=false" in out
         assert "f_facet_frame=(-1/5, -1/5); (-1/5, 1/5); (-1/4, 0)" in out
+
+    def test_hermitian_vertices_on_the_real_axis(self, tmp_path, capsys):
+        # eigenvalues 2 -+ sqrt(6) are not Gaussian rationals: float vertices of a real segment
+        src = tmp_path / "h.json"
+        src.write_text(json.dumps({"n": 2, "entries": [[[1, 0], [2, 1]], [[2, -1], [3, 0]]]}))
+        assert run("classify", "--input", str(src)) == 0
+        out = capsys.readouterr().out
+        assert "shape=polytope" in out and "vertices_exact=false" in out
+        line = next(l for l in out.splitlines() if l.startswith("vertices="))
+        pts = [tuple(map(float, v.strip("()").split(", ")))
+               for v in line[len("vertices="):].split("; ")]
+        assert [y for _, y in pts] == [0.0, 0.0]
+        assert [x for x, _ in pts] == pytest.approx([2 - math.sqrt(6), 2 + math.sqrt(6)])
 
     def test_disk(self, capsys):
         assert run("classify", "--input", fx("disk.json")) == 0

@@ -7,13 +7,15 @@ import pytest
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
-from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
+import numrange.pencil as pencil_module
+from numrange.exactpoly import GaussianRational, TriPoly, _sturm, parse_poly
 from numrange.craig import planted_product_zero_pair
 from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError, split
 from numrange.pencil import (
     YVARS,
     PencilCurve,
     SpectralGrid,
+    _sign_certificate,
     boundary_F,
     boundary_csv,
     hyperbolicity_check,
@@ -24,9 +26,14 @@ from numrange.pencil import (
     line_roots_from_eigs,
     restrict_to_line,
 )
-from numrange.rangegeom import polygon_is_convex
 
-from conftest import fixture_matrix, golden_poly, random_gaussian_matrix
+from conftest import (
+    fixture_matrix,
+    golden_poly,
+    polygon_is_convex,
+    random_gaussian_matrix,
+    random_tripoly,
+)
 
 F = Fraction
 
@@ -330,6 +337,108 @@ class TestHyperbolicity:
         coeffs = restrict_to_line(curve.p, F(1), F(0))
         # p(1, t, 0) = (1-t)(1+t)^2
         assert coeffs == [F(1), F(1), F(-1), F(-1)]
+
+    def test_restrict_to_line_matches_term_by_term(self):
+        rng = random.Random(4141)
+        polys = [pencil_det(split(fixture_matrix(n))).p for n in FIXTURE_NAMES]
+        polys += [random_tripoly(rng, max_deg=5, terms=8) for _ in range(20)] + [TriPoly(YVARS, {})]
+        for p in polys:
+            dirs = [(F(0), F(0)), (F(0), F(-3, 7)), (F(5, 2), F(0)), (F(-4, 9), F(-7, 3))]
+            dirs += [(F(rng.randint(-20, 20), rng.randint(1, 9)),
+                      F(rng.randint(-20, 20), rng.randint(1, 9))) for _ in range(8)]
+            for d1, d2 in dirs:
+                assert restrict_to_line(p, d1, d2) == _restrict_reference(p, d1, d2)
+
+
+def _restrict_reference(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction]:
+    """p(1, t*d1, t*d2) term by term in Fractions."""
+    coeffs = [F(0)] * (max(0, p.total_degree()) + 1)
+    for (_, b, c), coef in p.terms.items():
+        coeffs[b + c] += coef * d1**b * d2**c
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _certificate_inputs() -> dict[str, HermitianPencil]:
+    out = {}
+    for name in FIXTURE_NAMES:
+        A = fixture_matrix(name)
+        out[name] = split(A)
+        for k in (100, -100):
+            out[f"{name}*10^{k}"] = split(A.scale(GaussianRational.of(F(10) ** k)))
+    rng = random.Random(1212)
+    for n in range(2, 13):
+        out[f"generic{n}"] = split(random_gaussian_matrix(n, rng))
+    B = random_gaussian_matrix(5, rng)
+    out["hermitian5"] = split(B + B.conj_transpose())
+    out["identity3"] = split(GaussianRationalMatrix.identity(3))
+    out["scalar3"] = split(GaussianRationalMatrix.identity(3).scale(GaussianRational(F(2), F(-3))))
+    out["diagonal6"] = split(GaussianRationalMatrix.diagonal(
+        [GaussianRational(F(rng.randint(-4, 4), 3), F(rng.randint(-4, 4), 2)) for _ in range(6)]))
+    out["craig6"] = HermitianPencil(*planted_product_zero_pair(6, rng))
+    return out
+
+
+CERTIFICATE_INPUTS = _certificate_inputs()
+
+
+class TestSignCertificate:
+    @pytest.mark.parametrize("name", list(CERTIFICATE_INPUTS))
+    def test_lines_equal_the_sturm_reference(self, name, monkeypatch):
+        curve = pencil_det(CERTIFICATE_INPUTS[name])
+        report = hyperbolicity_check(curve, trials=16)
+        monkeypatch.setattr(pencil_module, "_sign_certificate", lambda N, w, roots: False)
+        assert report.lines == hyperbolicity_check(curve, trials=16).lines
+
+    def test_sturm_runs_only_where_the_signs_fall_short(self, monkeypatch):
+        chains = []
+
+        def spy(coeffs):
+            chains.append(coeffs)
+            return _sturm(coeffs)
+
+        monkeypatch.setattr(pencil_module, "_sturm", spy)
+        rng = random.Random(68)
+        for n in (6, 8):
+            assert hyperbolicity_check(pencil_det(split(random_gaussian_matrix(n, rng))),
+                                       trials=16).ok
+        assert chains == []
+        # p = (y0 + y1)^2: a double root or none on every line
+        curve = pencil_det(split(GaussianRationalMatrix.identity(2)))
+        assert hyperbolicity_check(curve, trials=16).ok
+        assert len(chains) == 16
+
+    def test_exact_predictions_certify(self):
+        # c(t) = (t + 1)(t - 1)(t - 10), and the same in t/5
+        N = [10, -1, -10, 1]
+        assert _sign_certificate(N, 1, [10.0, -1.0, 1.0])
+        assert _sign_certificate(N, 5, [-5.0, 5.0, 50.0])
+        assert not _sign_certificate(N, 5, [-1.0, 1.0, 10.0])
+
+    def test_one_sign_change_short_is_refused(self):
+        # predictions that miss the root at 10 give the signs -, +, -, -: d - 1
+        # changes, which prove no more than the parity argument would
+        N = [10, -1, -10, 1]
+        assert not _sign_certificate(N, 1, [-1.0, 1.0, 2.0])
+        # a missing or an extra prediction
+        assert not _sign_certificate(N, 1, [-1.0, 1.0])
+        assert not _sign_certificate(N, 1, [-1.0, 1.0, 10.0, 11.0])
+        # t^2 - 1 with a point on the root t = 1: a zero sign
+        assert not _sign_certificate([-1, 0, 1], 1, [-1.0, 3.0])
+        assert not _sign_certificate([1], 1, [])
+
+    def test_forged_predictions_never_certify_a_complex_pair(self):
+        # c(t) = (t^2 + 1)(t - 2)(t + 3): two real roots of four
+        N = [-6, 1, -5, 1, 1]
+        assert _sturm([F(c) for c in N]) == (2, 4)
+        rng = random.Random(7)
+        forged = [[-3.0, 2.0, 0.0, 0.0], [-3.0, -1.0, 1.0, 2.0], [-3.0, -3.0, 2.0, 2.0],
+                  [-1e300, -3.0, 2.0, 1e300]]
+        forged += [sorted(rng.uniform(-6, 6) for _ in range(4)) for _ in range(400)]
+        for w in (1, 3):
+            for roots in forged:
+                assert not _sign_certificate(N, w, [w * r for r in roots])
 
 
 class TestLmiPolytope:

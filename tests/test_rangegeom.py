@@ -28,8 +28,6 @@ from numrange.rangegeom import (
     duality_check,
     hausdorff_outer_to_inner,
     member_W,
-    point_to_polygon_distance,
-    polygon_is_convex,
     polygon_support,
     polytope_detect,
     range_hulls,
@@ -37,7 +35,12 @@ from numrange.rangegeom import (
     translate_scale_law,
 )
 
-from conftest import fixture_matrix, random_gaussian_matrix
+from conftest import (
+    fixture_matrix,
+    point_to_polygon_distance,
+    polygon_is_convex,
+    random_gaussian_matrix,
+)
 
 F = Fraction
 G = GaussianRational.of

@@ -32,7 +32,7 @@ from .exactpoly import (
     repeated_part,
     tri_gcd,
 )
-from .pencil import CurveSample, CurveSampleSet, PencilCurve, SpectralGrid, _chart_normal
+from .pencil import CurveSampleSet, PencilCurve, SpectralGrid, _chart_normal
 
 __all__ = [
     "DualCurve",
@@ -339,12 +339,9 @@ def _grid_dual_sample(curve: PencilCurve, grid: SpectralGrid) -> CurveSampleSet:
     s = 2.0 ** e
     x, _, _, singular, finite = _gradient_images(f, t * grid.cos[k] / s, t * grid.sin[k] / s)
     x0 = np.where(finite, s * x[0], 1.0)
-    pts = [(a, b) if ok else None for a, b, ok in
-           zip((x[1] / x0).tolist(), (x[2] / x0).tolist(), finite.tolist())]
-    samples = [CurveSample(theta=th, point=pt, root_index=i, singular=sg)
-               for th, pt, i, sg in zip(grid.thetas[k].tolist(), pts, idx.tolist(),
-                                        singular.tolist())]
-    return CurveSampleSet(chart="x0=1", samples=samples)
+    return CurveSampleSet.of_columns(
+        "x0=1", grid.thetas[k], np.where(finite, x[1] / x0, np.nan),
+        np.where(finite, x[2] / x0, np.nan), finite, root_index=idx, singular=singular)
 
 
 def _gradient_images(f: TriPoly, y1, y2, y0=1.0):
@@ -373,13 +370,11 @@ def _eval_chart(f: TriPoly, y1, y2, y0=1.0):
 
 
 def dual_sample_csv(samples: CurveSampleSet) -> str:
-    """CSV per the dual-sample interface: theta,root_index,x1,x2,singular_flag."""
-    lines, values = ["theta,root_index,x1,x2,singular_flag"], []
-    for s in samples.samples:
-        if s.point is None:
-            lines.append("%.12g,%s,nan,nan,%d")
-            values += (s.theta, s.root_index, s.singular)
-        else:
-            lines.append("%.12g,%s,%.12g,%.12g,%d")
-            values += (s.theta, s.root_index, s.point[0], s.point[1], s.singular)
-    return ("\n".join(lines) + "\n") % tuple(values)
+    """CSV per the dual-sample interface: theta,root_index,x1,x2,singular_flag
+    ('nan' for a sample without a chart point)."""
+    f, m = samples.finite, len(samples)
+    index = [None] * m if samples.root_index is None else samples.root_index.tolist()
+    rows = zip(samples.theta.tolist(), index, np.where(f, samples.x, np.nan).tolist(),
+               np.where(f, samples.y, np.nan).tolist(), samples.singular.tolist())
+    return ("theta,root_index,x1,x2,singular_flag\n" + "%.12g,%s,%.12g,%.12g,%d\n" * m) % tuple(
+        v for row in rows for v in row)

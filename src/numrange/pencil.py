@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -88,16 +88,70 @@ class CurveSample:
     singular: bool = False
 
 
-@dataclass
 class CurveSampleSet:
-    """Ordered affine samples of a curve or boundary, with chart metadata."""
+    """Ordered affine samples of a curve or boundary, with chart metadata.
 
-    chart: str
-    samples: list[CurveSample] = field(default_factory=list)
-    all_unbounded: bool = False
+    The samples are held as columns, one entry per sample: the float arrays
+    `theta`, `x` and `y`, the mask `finite` of the samples that have a point
+    (x, y) (x and y are not read elsewhere), the bools `singular`, and the
+    floats `lambda_min` (read where `finite`) and the ints `root_index`
+    (objects when some are None), each None when the set has none.
+    `CurveSampleSet(chart, samples, all_unbounded)` converts a list of
+    `CurveSample`s to columns once; `of_columns` takes the columns.  The
+    `samples` list is built from the columns on first use, so the numeric
+    layers make no object per sample.
+    """
+
+    def __init__(self, chart: str, samples: list[CurveSample] = (),
+                 all_unbounded: bool = False):
+        samples = list(samples)
+        finite = [s.point is not None for s in samples]
+        xy = np.array([s.point if ok else (math.nan, math.nan) for s, ok in zip(samples, finite)],
+                      dtype=float).reshape(-1, 2)
+        lam = [s.lambda_min if ok else 0.0 for s, ok in zip(samples, finite)]
+        index = [s.root_index for s in samples]
+        if all(i is None for i in index):
+            index = None
+        self._fill(chart, all_unbounded, np.array([s.theta for s in samples], dtype=float),
+                   xy[:, 0], xy[:, 1], np.array(finite, dtype=bool),
+                   None if None in lam else np.array(lam, dtype=float),
+                   None if index is None else np.array(index, dtype=object if None in index else int),
+                   np.array([s.singular for s in samples], dtype=bool))
+        self._samples = samples
+
+    @classmethod
+    def of_columns(cls, chart: str, theta, x, y, finite, all_unbounded: bool = False,
+                   lambda_min=None, root_index=None, singular=None) -> "CurveSampleSet":
+        out = cls.__new__(cls)
+        out._fill(chart, all_unbounded, theta, x, y, finite, lambda_min, root_index,
+                  np.zeros(len(theta), dtype=bool) if singular is None else singular)
+        out._samples = None
+        return out
+
+    def _fill(self, chart, all_unbounded, theta, x, y, finite, lambda_min, root_index, singular):
+        self.chart, self.all_unbounded = chart, all_unbounded
+        self.theta, self.x, self.y, self.finite = theta, x, y, finite
+        self.lambda_min, self.root_index, self.singular = lambda_min, root_index, singular
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    @property
+    def samples(self) -> list[CurveSample]:
+        if self._samples is None:
+            n = len(self)
+            pts = [(a, b) if ok else None for a, b, ok in
+                   zip(self.x.tolist(), self.y.tolist(), self.finite.tolist())]
+            lam = [None] * n if self.lambda_min is None else self.lambda_min.tolist()
+            index = [None] * n if self.root_index is None else self.root_index.tolist()
+            self._samples = [CurveSample(th, pt, None if pt is None else lm, i, sg)
+                             for th, pt, lm, i, sg in
+                             zip(self.theta.tolist(), pts, lam, index, self.singular.tolist())]
+        return self._samples
 
     def finite_points(self) -> list[tuple[float, float]]:
-        return [s.point for s in self.samples if s.point is not None]
+        f = self.finite
+        return list(zip(self.x[f].tolist(), self.y[f].tolist()))
 
 
 def pencil_det(pencil: HermitianPencil) -> PencilCurve:
@@ -128,7 +182,7 @@ class SpectralGrid:
     __slots__ = ("pencil", "thetas", "cos", "sin", "eigvals", "eigvecs")
 
     def __init__(self, pencil: HermitianPencil, N: int):
-        thetas = np.array([2.0 * math.pi * k / N for k in range(N)])
+        thetas = np.arange(N) * (2.0 * math.pi) / N   # 2*pi*k/N bit for bit
         self._solve(pencil, thetas, np.cos(thetas), np.sin(thetas))
 
     @classmethod
@@ -164,28 +218,26 @@ class SpectralGrid:
         return k, idx, -1.0 / self.eigvals[k, idx]
 
 
-def _exits(grid: SpectralGrid) -> list[tuple[float, tuple[float, float], float] | None]:
-    """(t, exit point, lambda_min at the exit) per ray of the grid; None if unbounded.
+def _exit_points(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(k, t, y1, y2): the rays k of the grid that leave F(A), and where.
 
-    The ray leaves F(A) at t = -1/lambda_min(H_k); lambda_min above
-    -UNBOUNDED_CUT*scale never reaches zero.  The residual lambda_min of
-    F(1, point) at every finite exit comes from one batched solve.
+    The ray leaves F(A) at t = -1/lambda_min(H_k), at the point (y1, y2) =
+    t*(cos_k, sin_k); lambda_min above -UNBOUNDED_CUT*scale never reaches
+    zero, and that ray is unbounded.
     """
     w = grid.eigvals
     lam_min = w[:, 0]
     scale = np.maximum(1.0, np.abs(w).max(axis=1))
-    finite = np.flatnonzero(lam_min < -UNBOUNDED_CUT * scale)
-    out: list = [None] * len(lam_min)
-    if finite.size:
-        t = -1.0 / lam_min[finite]
-        y1, y2 = t * grid.cos[finite], t * grid.sin[finite]
-        f1, f2 = grid.pencil.float_parts()
-        Fs = np.eye(grid.pencil.n) + y1[:, None, None] * f1 + y2[:, None, None] * f2
-        lams = np.linalg.eigvalsh(Fs)[:, 0]
-        for k, tk, a, b, lam in zip(finite.tolist(), t.tolist(), y1.tolist(), y2.tolist(),
-                                    lams.tolist()):
-            out[k] = (tk, (a, b), lam)
-    return out
+    k = np.flatnonzero(lam_min < -UNBOUNDED_CUT * scale)
+    t = -1.0 / lam_min[k]
+    return k, t, t * grid.cos[k], t * grid.sin[k]
+
+
+def _exit_residuals(pencil: HermitianPencil, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """lambda_min(F(1, y1, y2)) at every exit point, from one batched solve."""
+    f1, f2 = pencil.float_parts()
+    Fs = np.eye(pencil.n) + y1[:, None, None] * f1 + y2[:, None, None] * f2
+    return np.linalg.eigvalsh(Fs)[:, 0]
 
 
 def lmi_member(pencil: HermitianPencil, y: tuple[float, float],
@@ -203,11 +255,12 @@ def ray_exit(pencil: HermitianPencil, direction: tuple[float, float]) -> RayExit
     nrm = math.hypot(d1, d2)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"direction must be a unit vector (got norm {nrm!r})")
-    hit = _exits(SpectralGrid.at(pencil, [math.atan2(d2, d1)], [d1], [d2]))[0]
-    if hit is None:
+    grid = SpectralGrid.at(pencil, [math.atan2(d2, d1)], [d1], [d2])
+    k, t, y1, y2 = _exit_points(grid)
+    if not k.size:
         return RayExit((d1, d2), math.inf, None, None)
-    t, point, lam_at = hit
-    return RayExit((d1, d2), t, point, lam_at)
+    lam = _exit_residuals(pencil, y1, y2)
+    return RayExit((d1, d2), float(t[0]), (float(y1[0]), float(y2[0])), float(lam[0]))
 
 
 def boundary_F(pencil: HermitianPencil, N: int) -> CurveSampleSet:
@@ -218,30 +271,25 @@ def boundary_F(pencil: HermitianPencil, N: int) -> CurveSampleSet:
 
 
 def _grid_boundary(grid: SpectralGrid) -> CurveSampleSet:
-    pencil = grid.pencil
-    if pencil.A1.is_zero() and pencil.A2.is_zero():
-        return CurveSampleSet(chart="y0=1", samples=[], all_unbounded=True)
-    samples = []
-    for th, hit in zip(grid.thetas.tolist(), _exits(grid)):
-        if hit is None:
-            samples.append(CurveSample(theta=th, point=None, lambda_min=None))
-        else:
-            samples.append(CurveSample(theta=th, point=hit[1], lambda_min=hit[2]))
-    return CurveSampleSet(chart="y0=1", samples=samples,
-                          all_unbounded=all(s.point is None for s in samples))
+    """The boundary samples of F(A) on the grid's rays, with the residual
+    lambda_min at every exit; unbounded rays hold inf."""
+    k, _, y1, y2 = _exit_points(grid)
+    N = len(grid.thetas)
+    finite = np.zeros(N, dtype=bool)
+    finite[k] = True
+    x, y, lam = np.full(N, math.inf), np.full(N, math.inf), np.full(N, math.inf)
+    x[k], y[k], lam[k] = y1, y2, _exit_residuals(grid.pencil, y1, y2)
+    return CurveSampleSet.of_columns("y0=1", grid.thetas, x, y, finite,
+                                     all_unbounded=not k.size, lambda_min=lam)
 
 
 def boundary_csv(samples: CurveSampleSet) -> str:
     """CSV per the boundary interface: theta,y1,y2,lambda_min ('inf' when unbounded)."""
-    lines, values = ["theta,y1,y2,lambda_min"], []
-    for s in samples.samples:
-        if s.point is None:
-            lines.append("%.12g,inf,inf,inf")
-            values.append(s.theta)
-        else:
-            lines.append("%.12g,%.12g,%.12g,%.12g")
-            values += (s.theta, s.point[0], s.point[1], s.lambda_min)
-    return ("\n".join(lines) + "\n") % tuple(values)
+    f = samples.finite
+    cols = np.stack([samples.theta] + [np.where(f, c, math.inf) for c in
+                                       (samples.x, samples.y, samples.lambda_min)], axis=1)
+    return ("theta,y1,y2,lambda_min\n" + "%.12g,%.12g,%.12g,%.12g\n" * len(f)) % tuple(
+        cols.ravel().tolist())
 
 
 def restrict_to_line(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .exactpoly import GaussianRational
 from .hermitian import GaussianRationalMatrix, charpoly, is_normal, split
-from .pencil import SpectralGrid, _entry_scale, _grid_boundary
+from .pencil import SpectralGrid, _entry_scale, _exit_points
 
 __all__ = [
     "SupportSample",
@@ -104,15 +104,13 @@ def _cycle_hull(P: np.ndarray) -> list[tuple[float, float]]:
 
 
 def polygon_area(vertices) -> float:
-    n = len(vertices)
-    if n < 3:
+    """Area of a simple polygon by the shoelace sum."""
+    if len(vertices) < 3:
         return 0.0
-    s = 0.0
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
-        s += float(x1) * float(y2) - float(x2) * float(y1)
-    return abs(s) / 2.0
+    V = np.asarray(vertices, dtype=float)
+    x, y = V[:, 0], V[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    return abs(float((x * yn - xn * y).sum())) / 2.0
 
 
 def hausdorff_outer_to_inner(outer, inner) -> float:
@@ -132,8 +130,8 @@ def hausdorff_outer_to_inner(outer, inner) -> float:
         return 0.0
     if not inner:
         return math.inf
-    P = np.array([[float(x), float(y)] for x, y in outer])
-    V = np.array([[float(x), float(y)] for x, y in inner])
+    P = np.asarray(outer, dtype=float)
+    V = np.asarray(inner, dtype=float)
     if len(V) == 1:
         return float(np.hypot(P[:, 0] - V[0, 0], P[:, 1] - V[0, 1]).max())
     fans = [_normal_fan(P), _normal_fan(V)]
@@ -161,7 +159,7 @@ def _normal_fan(poly: np.ndarray) -> tuple[np.ndarray, int]:
 
 def polygon_support(vertices, thetas) -> np.ndarray:
     """Support function of the polygon at the given angles."""
-    V = np.array([[float(x), float(y)] for x, y in vertices])
+    V = np.asarray(vertices, dtype=float)
     U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     return (U @ V.T).max(axis=1)
 
@@ -362,19 +360,15 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
         raise ValueError("need N >= 16")
     fine = SpectralGrid(split(A), 2 * N)
     grid = fine.every_other()
-    boundary = _grid_boundary(grid)
-    pts = boundary.finite_points()
-    unbounded = sum(1 for s in boundary.samples if s.point is None)
+    k, _, y1, y2 = _exit_points(grid)
     hulls1 = _grid_hulls(grid)
     hulls2 = _grid_hulls(fine)
     gap1 = hausdorff_outer_to_inner(hulls1.outer, hulls1.inner)
     gap2 = hausdorff_outer_to_inner(hulls2.outer, hulls2.inner)
     floor = GAP_FLOOR * max(1.0, float(np.abs(hulls1.witnesses).max()))
     decreased = gap2 < gap1 or (gap1 <= floor and gap2 <= floor)
-    if pts:
-        Y = np.array(pts)
-        X = np.array(hulls1.witnesses)
-        P = 1.0 + Y @ X.T
+    if k.size:
+        P = 1.0 + np.stack((y1, y2), axis=1) @ np.array(hulls1.witnesses).T
         pairing_min = float(P.min())
         complementary_worst = float(P.min(axis=1).max())
     else:
@@ -385,7 +379,7 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
         pairing_min=pairing_min,
         complementary_worst=complementary_worst,
         gap_at_N=gap1, gap_at_2N=gap2, gap_decreased=decreased,
-        boundary_count=len(pts), unbounded_count=unbounded,
+        boundary_count=k.size, unbounded_count=N - k.size,
         pairing_ok=pairing_min >= -tol,
         complementary_ok=complementary_worst <= tol,
     )

@@ -4,7 +4,10 @@ One figure, two panels: the LMI set F(A) with the pencil curve p = 0 on the
 left, the numerical range W(A) with the dual curve on the right.  Curves are
 traced by intersecting every ray through the origin with p = 0 (all real
 roots come from pencil eigenvalues) and, on the dual side, by gradient
-images.  No timestamps, fixed float formatting: same input, same bytes.
+images.  Each curve branch is one array of points in angle order, cut into
+polylines by array masks (viewport and jumps), and every polyline is
+formatted in one call.  No timestamps, fixed float formatting: same input,
+same bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .dualcurve import _grid_dual_sample
 from .hermitian import GaussianRationalMatrix, split
-from .pencil import PencilCurve, SpectralGrid, _grid_boundary, pencil_det
+from .pencil import PencilCurve, SpectralGrid, _exit_points, pencil_det
 from .rangegeom import _grid_hulls
 
 __all__ = ["ViewportRequiredError", "render_figure"]
@@ -46,20 +49,13 @@ class _Panel:
         return (self.px + (P[..., 0] - self.view[0]) * self.scale,
                 self.py + (self.view[3] - P[..., 1]) * self.scale)
 
-    def contains(self, pt, slack: float = 0.0) -> bool:
-        x, y = float(pt[0]), float(pt[1])
-        vx0, vx1, vy0, vy1 = self.view
-        dx = (vx1 - vx0) * slack
-        dy = (vy1 - vy0) * slack
-        return vx0 - dx <= x <= vx1 + dx and vy0 - dy <= y <= vy1 + dy
-
     def coords(self, pts) -> str:
         """The mapped points as "x,y x,y ...", each number as `_fmt` writes it."""
         x, y = self.map(pts)
         return " ".join(["%.6f,%.6f"] * len(x)) % tuple(np.stack((x, y), axis=1).ravel().tolist())
 
     def polygon(self, pts, fill, stroke, width=1.0, dash=None):
-        if not pts:
+        if not len(pts):
             return ""
         coords = self.coords(pts)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
@@ -96,72 +92,72 @@ class _Panel:
 
 
 def _bbox(points, margin: float = 0.1):
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    P = np.asarray(points, dtype=float)
+    (x0, y0), (x1, y1) = P.min(axis=0).tolist(), P.max(axis=0).tolist()
     dx = (x1 - x0) or 1.0
     dy = (y1 - y0) or 1.0
     return (x0 - margin * dx, x1 + margin * dx, y0 - margin * dy, y1 + margin * dy)
 
 
 def _branch_segments(branches, panel):
-    """Split each branch polyline where it leaves the viewport or jumps."""
+    """Split each branch where it leaves the viewport (with a quarter of its
+    width as slack) or jumps by more than half its diagonal.
+
+    A branch is an (m, 2) array in curve order, NaN rows where it has no
+    point; the segments are its maximal runs of at least two kept points
+    without a jump, as array slices.
+    """
     segs = []
     vx0, vx1, vy0, vy1 = panel.view
+    dx, dy = (vx1 - vx0) * 0.25, (vy1 - vy0) * 0.25
     jump = 0.5 * math.hypot(vx1 - vx0, vy1 - vy0)
-    for pts in branches:
-        cur = []
-        prev = None
-        for p in pts:
-            ok = p is not None and panel.contains(p, slack=0.25)
-            if ok and prev is not None and math.hypot(p[0] - prev[0], p[1] - prev[1]) > jump:
-                ok_continue = False
-            else:
-                ok_continue = ok
-            if ok_continue:
-                cur.append(p)
-                prev = p
-            else:
-                if len(cur) >= 2:
-                    segs.append(cur)
-                cur = [p] if ok else []
-                prev = p if ok else None
-        if len(cur) >= 2:
-            segs.append(cur)
+    for P in branches:
+        x, y = P[:, 0], P[:, 1]
+        ok = (vx0 - dx <= x) & (x <= vx1 + dx) & (vy0 - dy <= y) & (y <= vy1 + dy)
+        # point i continues the run of point i - 1
+        cont = np.zeros(len(ok), dtype=bool)
+        cont[1:] = ok[1:] & ok[:-1] & ~(np.hypot(np.diff(x), np.diff(y)) > jump)
+        starts = np.flatnonzero(~cont)
+        ends = np.append(starts[1:], len(P))
+        long = ends - starts >= 2
+        segs += [P[a:b] for a, b in zip(starts[long].tolist(), ends[long].tolist())]
     return segs
 
 
-def _primal_branches(grid: SpectralGrid):
-    """Points of p(1,.,.) = 0 along the grid's rays, one branch per eigenvalue index."""
-    branches = [[None] * len(grid.thetas) for _ in range(grid.pencil.n)]
+def _primal_branches(grid: SpectralGrid) -> np.ndarray:
+    """Points of p(1,.,.) = 0 along the grid's rays, one branch per eigenvalue
+    index: an (n, N, 2) array, NaN where a ray has no root of that index."""
+    branches = np.full((grid.pencil.n, len(grid.thetas), 2), np.nan)
     k, idx, t = grid.line_roots()
-    for kk, i, y1, y2 in zip(k.tolist(), idx.tolist(), (t * grid.cos[k]).tolist(),
-                             (t * grid.sin[k]).tolist()):
-        branches[i][kk] = (y1, y2)
+    branches[idx, k, 0], branches[idx, k, 1] = t * grid.cos[k], t * grid.sin[k]
     return branches
 
 
-def _dual_branches(curve: PencilCurve, grid: SpectralGrid):
+def _dual_branches(curve: PencilCurve, grid: SpectralGrid) -> list[np.ndarray]:
+    """The dual samples of each root index in angle order, NaN where a
+    sample has no chart point."""
     samp = _grid_dual_sample(curve, grid)
-    n = curve.pencil.n
-    branches = [[] for _ in range(n)]
-    for s in samp.samples:
-        if s.root_index is not None:
-            branches[s.root_index].append(s.point)
-    return branches
+    P = np.stack((samp.x, samp.y), axis=1)
+    return [P[samp.root_index == i] for i in range(curve.pencil.n)]
 
 
 def render_figure(A: GaussianRationalMatrix, N: int = 720,
                   viewport=None) -> str:
-    """Render the two-panel figure; returns the SVG document."""
+    """Render the two-panel figure; returns the SVG document.
+
+    F(A) is the polygon of the grid's ray exits and W(A) its dashed outer
+    hull; both curves are traced on at least 360 rays.  An unbounded F(A)
+    needs `viewport` (x1min, x1max, x2min, x2max), which then frames both
+    panels; without it each panel frames its own set.
+    """
     if N < 3:
         raise ValueError("need at least 3 angles")
     pencil = split(A)
     curve = pencil_det(pencil)
     grid = SpectralGrid(pencil, N)
-    boundary = _grid_boundary(grid)
-    f_pts = boundary.finite_points()
-    unbounded = boundary.all_unbounded or len(f_pts) < len(boundary.samples)
+    k, _, y1, y2 = _exit_points(grid)
+    f_pts = np.stack((y1, y2), axis=1)
+    unbounded = len(k) < N
     if unbounded and viewport is None:
         raise ViewportRequiredError(
             "F(A) is unbounded; pass an explicit viewport x1min,x1max,x2min,x2max")
@@ -187,7 +183,7 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     # left: F(A) region + pencil curve
     if len(f_pts) >= 3 and not unbounded:
         parts.append(left.polygon(f_pts, fill="#cccccc", stroke="none"))
-    elif f_pts:
+    elif len(f_pts):
         parts.append(left.polygon(f_pts, fill="#cccccc", stroke="#888888"))
     for seg in _branch_segments(_primal_branches(curve_grid), left):
         parts.append(left.polyline(seg, stroke="#000000"))

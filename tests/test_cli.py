@@ -130,6 +130,31 @@ class TestDualityCommand:
         assert "ok=true" in out.read_text()
 
 
+class TestZeroMatrix:
+    """F(0) is the whole plane: every ray is an unbounded boundary row."""
+
+    def _zero(self, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}))
+        return str(path)
+
+    def test_sample_f_has_every_row(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert run("sample-f", "--input", self._zero(tmp_path), "--grid", "8",
+                   "--out", str(out)) == 0
+        lines = out.read_text().split("\n")
+        assert lines[0] == "theta,y1,y2,lambda_min" and lines[-1] == ""
+        assert lines[1:-1] == [f"{2 * math.pi * k / 8:.12g},inf,inf,inf" for k in range(8)]
+
+    def test_duality_counts_unbounded_rays(self, tmp_path):
+        out = tmp_path / "report.txt"
+        assert run("duality", "--input", self._zero(tmp_path), "--grid", "16",
+                   "--out", str(out)) == 0
+        text = out.read_text()
+        assert "\nboundary_samples=0\nunbounded_rays=16\n" in text
+        assert "ok=true" in text
+
+
 class TestCraigCommand:
     def test_pair_file(self, capsys):
         assert run("craig", "--input", fx("craig_pair_diag.json")) == 0

@@ -18,11 +18,19 @@ from numrange.dualcurve import (
     dual_sample_csv,
     dual_union,
     sample_real_curve_points,
+    _gradient_images,
     _grid_dual_sample,
 )
 from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, split
-from numrange.pencil import YVARS, PencilCurve, SpectralGrid, pencil_det
+from numrange.pencil import (
+    YVARS,
+    CurveSample,
+    PencilCurve,
+    SpectralGrid,
+    _chart_normal,
+    pencil_det,
+)
 
 from conftest import fixture_matrix, golden_poly, random_gaussian_matrix
 
@@ -326,6 +334,34 @@ class TestDualSample:
             assert (a.point is None) == (b.point is None)
             if a.point is not None:
                 assert np.allclose(np.array(b.point) / 1e100, a.point, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("name", ("cubic_cusp", "polytope", "cardioid_circle", "tiny"))
+    def test_lazy_samples_are_the_per_point_list(self, name):
+        """The samples built from the columns are the list made one point at a
+        time from the same gradient images: Python floats, ints and bools,
+        and None where a sample has no chart point."""
+        A = fixture_matrix("nested_ovals" if name == "tiny" else name)
+        if name == "tiny":
+            A = A.scale(GaussianRational.of(Fraction(1, 10 ** 100)))
+        curve = pencil_det(split(A))
+        for N in (16, 90, 720):
+            grid = SpectralGrid(curve.pencil, N)
+            k, idx, t = grid.line_roots()
+            f, e = _chart_normal(curve.p)
+            s = 2.0 ** e
+            x, _, _, singular, finite = _gradient_images(f, t * grid.cos[k] / s,
+                                                         t * grid.sin[k] / s)
+            want = []
+            for j in range(len(k)):
+                pt = None
+                if finite[j]:
+                    x0 = s * float(x[0, j])
+                    pt = (float(x[1, j]) / x0, float(x[2, j]) / x0)
+                want.append(CurveSample(theta=float(grid.thetas[k[j]]), point=pt,
+                                        root_index=int(idx[j]), singular=bool(singular[j])))
+            got = _grid_dual_sample(curve, grid)
+            assert repr(got.samples) == repr(want), N
+            assert (name == "tiny") == all(s.point is not None for s in want), N
 
     def test_point_budget(self):
         curve = pencil_det(split(fixture_matrix("cross_star")))

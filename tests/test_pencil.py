@@ -13,6 +13,8 @@ from numrange.craig import planted_product_zero_pair
 from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError, split
 from numrange.pencil import (
     YVARS,
+    CurveSample,
+    CurveSampleSet,
     PencilCurve,
     SpectralGrid,
     _sign_certificate,
@@ -236,7 +238,9 @@ class TestBoundary:
 
     def test_degenerate_all_unbounded(self):
         samples = boundary_F(split(GaussianRationalMatrix.zero(3)), 8)
-        assert samples.all_unbounded and not samples.samples
+        assert samples.all_unbounded and len(samples.samples) == 8
+        assert all(s.point is None and s.lambda_min is None for s in samples.samples)
+        assert [s.theta for s in samples.samples] == [2 * math.pi * k / 8 for k in range(8)]
 
     def test_csv_format(self):
         samples = boundary_F(split(GaussianRationalMatrix.identity(2)), 4)
@@ -253,6 +257,71 @@ class TestBoundary:
 
 FIXTURE_NAMES = ("disk", "cubic_cusp", "cross_star", "nested_ovals", "polytope",
                  "cardioid_circle")
+
+
+def _boundary_reference(pencil, N):
+    """The boundary samples one ray at a time: lambda_min of H(theta), its exit,
+    and the residual lambda_min of F(1, exit) from a solve of its own."""
+    grid = SpectralGrid(pencil, N)
+    f1, f2 = pencil.float_parts()
+    samples = []
+    for th, c, s, eigs in zip(grid.thetas.tolist(), grid.cos.tolist(), grid.sin.tolist(),
+                              grid.eigvals.tolist()):
+        if eigs[0] < -1e-12 * max(1.0, max(abs(lam) for lam in eigs)):
+            t = -1.0 / eigs[0]
+            point = (t * c, t * s)
+            lam = float(np.linalg.eigvalsh(np.eye(pencil.n) + point[0] * f1 + point[1] * f2)[0])
+            samples.append(CurveSample(th, point, lambda_min=lam))
+        else:
+            samples.append(CurveSample(th, None))
+    return samples
+
+
+class TestCurveSampleColumns:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ("identity", "zero"))
+    def test_boundary_samples_are_the_per_ray_reference(self, name):
+        A = {"identity": GaussianRationalMatrix.identity(2),
+             "zero": GaussianRationalMatrix.zero(2)}.get(name) or fixture_matrix(name)
+        pencil = split(A)
+        for N in (16, 90, 720):
+            got = boundary_F(pencil, N)
+            assert repr(got.samples) == repr(_boundary_reference(pencil, N)), N
+            assert got.all_unbounded == (not any(s.point for s in got.samples))
+            assert got.finite_points() == [s.point for s in got.samples if s.point]
+
+    def test_list_round_trip(self):
+        """A hand-made list: -0.0, NaN and inf coordinates, missing points and
+        root indices; its columns rebuild the same samples."""
+        nan, inf = math.nan, math.inf
+        listed = [
+            CurveSample(-0.0, None, root_index=None, singular=True),
+            CurveSample(0.5, (nan, -0.0), lambda_min=-1e-17, root_index=2),
+            CurveSample(1.0, (1e300, -inf), lambda_min=0.0, root_index=None),
+            CurveSample(nan, (-0.0, 1.5), lambda_min=nan, root_index=0, singular=True),
+        ]
+        made = CurveSampleSet("x0=1", listed)
+        assert made.samples == listed and len(made) == 4
+        assert made.finite.tolist() == [False, True, True, True]
+        assert made.root_index.tolist() == [None, 2, None, 0]
+        rebuilt = CurveSampleSet.of_columns(made.chart, made.theta, made.x, made.y, made.finite,
+                                            lambda_min=made.lambda_min,
+                                            root_index=made.root_index, singular=made.singular)
+        assert repr(rebuilt.samples) == repr(listed)
+        assert repr(rebuilt.finite_points()) == repr([s.point for s in listed[1:]])
+        assert boundary_csv(rebuilt) == boundary_csv(made) == (
+            "theta,y1,y2,lambda_min\n-0,inf,inf,inf\n0.5,nan,-0,-1e-17\n"
+            "1,1e+300,-inf,0\nnan,-0,1.5,nan\n")
+
+    def test_columns_without_indices_or_residuals(self):
+        listed = [CurveSample(0.0, (1.0, 2.0)), CurveSample(1.0, None)]
+        made = CurveSampleSet("y0=1", listed, all_unbounded=False)
+        assert made.root_index is None and made.lambda_min is None
+        assert made.singular.tolist() == [False, False]
+        rebuilt = CurveSampleSet.of_columns("y0=1", made.theta, made.x, made.y, made.finite)
+        assert rebuilt.samples == listed
+        empty = CurveSampleSet("y0=1", [], all_unbounded=True)
+        assert len(empty) == 0 and empty.samples == [] and empty.finite_points() == []
+        assert boundary_csv(empty) == "theta,y1,y2,lambda_min\n"
 
 
 class TestSpectralGrid:

@@ -28,6 +28,7 @@ from numrange.rangegeom import (
     duality_check,
     hausdorff_outer_to_inner,
     member_W,
+    polygon_area,
     polygon_support,
     polytope_detect,
     range_hulls,
@@ -315,6 +316,56 @@ class TestHullHelpers:
         inner = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
         assert abs(hausdorff_outer_to_inner(outer, inner) - math.sqrt(2.0)) < 1e-12
         assert hausdorff_outer_to_inner(inner, inner) < 1e-12
+
+    def test_hausdorff_exact_vertices(self):
+        # Fraction vertices convert as float() does, one polygon or both
+        outer = [(F(-5, 2), F(-2)), (F(2), F(-7, 3)), (F(9, 4), F(2)), (F(-2), F(13, 6))]
+        inner = [(F(-1), F(-1, 3)), (F(1, 7), F(-1)), (F(1), F(1)), (F(-1, 5), F(1))]
+        floats = [[(float(x), float(y)) for x, y in poly] for poly in (outer, inner)]
+        want = hausdorff_outer_to_inner(*floats)
+        assert want > 1.0
+        assert hausdorff_outer_to_inner(outer, inner) == want
+        assert hausdorff_outer_to_inner(outer, floats[1]) == want
+        assert hausdorff_outer_to_inner([(F(1, 3), F(2, 3))], [(F(1, 3), F(-1, 3))]) == 1.0
+
+    def test_polygon_area_against_fsum(self):
+        def reference(vertices):
+            n = len(vertices)
+            return abs(math.fsum(
+                float(vertices[i][0]) * float(vertices[(i + 1) % n][1])
+                - float(vertices[(i + 1) % n][0]) * float(vertices[i][1])
+                for i in range(n))) / 2.0
+
+        rng = random.Random(77)
+        polys = [[(F(0), F(0)), (F(1), F(0)), (F(1, 3), F(2, 3))], [(0.0, 0.0), (1.0, 1.0)], []]
+        for _ in range(200):
+            m = rng.choice([3, 4, 17, 720, 1441])
+            scale = 10.0 ** rng.uniform(-6, 6)
+            polys.append(convex_hull([(scale * rng.gauss(0, 1), scale * rng.gauss(0, 1))
+                                      for _ in range(m)]))
+        assert polygon_area(polys[0]) == 1.0 / 3.0
+        for poly in polys[1:]:
+            want = reference(poly)
+            assert abs(polygon_area(poly) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_degenerate_flag_unchanged(self, name):
+        # the flag as the per-vertex float loop computed it
+        def loop_area(vertices):
+            s = 0.0
+            for i in range(len(vertices)):
+                x1, y1 = vertices[i]
+                x2, y2 = vertices[(i + 1) % len(vertices)]
+                s += float(x1) * float(y2) - float(x2) * float(y1)
+            return abs(s) / 2.0 if len(vertices) >= 3 else 0.0
+
+        pencil = split(fixture_matrix(name))
+        for N in (16, 90, 720):
+            hulls = _grid_hulls(SpectralGrid(pencil, N))
+            scale = max(1.0, float(np.abs(hulls.witnesses).max()))
+            assert hulls.degenerate == (loop_area(hulls.outer) <= 1e-12 * scale * scale), N
+            assert abs(polygon_area(hulls.outer) - loop_area(hulls.outer)) <= (
+                1e-13 * loop_area(hulls.outer)), N
 
 
 # -- the quadratic kernels the linear ones replaced, kept as references ------------

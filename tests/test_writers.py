@@ -2,7 +2,8 @@
 
 Each writer builds one format string per document and applies `%` once;
 the references below format every number on its own, as the writers did
-before, and must give the same bytes.
+before, and must give the same bytes.  The render branches and their
+viewport/jump segments are checked against per-point references too.
 """
 
 import math
@@ -24,7 +25,17 @@ from numrange.pencil import (
     pencil_det,
 )
 from numrange.rangegeom import RangeHulls, _grid_hulls, hulls_csv
-from numrange.render import ViewportRequiredError, _fmt, _Panel, render_figure
+import numrange.render as render
+from numrange.rangegeom import duality_check
+from numrange.render import (
+    ViewportRequiredError,
+    _branch_segments,
+    _dual_branches,
+    _fmt,
+    _Panel,
+    _primal_branches,
+    render_figure,
+)
 
 from conftest import fixture_matrix, random_gaussian_matrix
 
@@ -68,6 +79,57 @@ def _map_reference(self, pt):
 
 def _coords_reference(self, pts):
     return " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (_map_reference(self, p) for p in pts))
+
+
+def _contains_reference(panel, pt, slack):
+    x, y = float(pt[0]), float(pt[1])
+    vx0, vx1, vy0, vy1 = panel.view
+    dx = (vx1 - vx0) * slack
+    dy = (vy1 - vy0) * slack
+    return vx0 - dx <= x <= vx1 + dx and vy0 - dy <= y <= vy1 + dy
+
+
+def _branch_segments_reference(branches, panel):
+    """Lists of points, None for a missing one; one point at a time."""
+    segs = []
+    vx0, vx1, vy0, vy1 = panel.view
+    jump = 0.5 * math.hypot(vx1 - vx0, vy1 - vy0)
+    for pts in branches:
+        cur = []
+        prev = None
+        for p in pts:
+            ok = p is not None and _contains_reference(panel, p, 0.25)
+            if ok and prev is not None and math.hypot(p[0] - prev[0], p[1] - prev[1]) > jump:
+                ok_continue = False
+            else:
+                ok_continue = ok
+            if ok_continue:
+                cur.append(p)
+                prev = p
+            else:
+                if len(cur) >= 2:
+                    segs.append(cur)
+                cur = [p] if ok else []
+                prev = p if ok else None
+        if len(cur) >= 2:
+            segs.append(cur)
+    return segs
+
+
+def _primal_branches_reference(grid):
+    branches = [[None] * len(grid.thetas) for _ in range(grid.pencil.n)]
+    k, idx, t = grid.line_roots()
+    for kk, i, y1, y2 in zip(k.tolist(), idx.tolist(), (t * grid.cos[k]).tolist(),
+                             (t * grid.sin[k]).tolist()):
+        branches[i][kk] = (y1, y2)
+    return branches
+
+
+def _dual_branches_reference(curve, grid):
+    branches = [[] for _ in range(curve.pencil.n)]
+    for s in _grid_dual_sample(curve, grid).samples:
+        branches[s.root_index].append(s.point)
+    return branches
 
 
 def _inputs():
@@ -155,3 +217,71 @@ def test_panel_coordinates():
         panel = _Panel(*rng.uniform(0, 100, 2), 420.0, tuple(np.sort(rng.normal(size=4))[[0, 3, 1, 2]]))
         pts = [tuple(p) for p in rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(50, 2))]
         assert panel.coords(pts) == _coords_reference(panel, pts)
+
+
+# None: the bounding boxes; the unit box; a box that cuts every curve
+VIEWPORTS = (None, (-1.0, 1.0, -1.0, 1.0), (-0.3, 0.2, -0.25, 0.4))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_branch_segments_match_the_per_point_reference(name, monkeypatch):
+    A = fixture_matrix(name)
+    pencil = split(A)
+    curve = pencil_det(pencil)
+    panels = []
+    monkeypatch.setattr(render, "_branch_segments",
+                        lambda branches, panel: panels.append(panel) or [])
+    clipped = 0
+    for N in GRIDS:
+        curve_grid = SpectralGrid(pencil, max(N, 360))
+        primal = (_primal_branches(curve_grid), _primal_branches_reference(curve_grid))
+        dual = (_dual_branches(curve, curve_grid), _dual_branches_reference(curve, curve_grid))
+        for viewport in VIEWPORTS:
+            panels.clear()
+            try:
+                render_figure(A, N=N, viewport=viewport)
+            except ViewportRequiredError:
+                assert viewport is None
+                continue
+            for panel, (branches, reference) in zip(panels, (primal, dual)):
+                got = _branch_segments(branches, panel)
+                want = _branch_segments_reference(reference, panel)
+                assert all(isinstance(seg, np.ndarray) for seg in got)
+                assert repr([seg.tolist() for seg in got]) == repr(
+                    [[list(p) for p in seg] for seg in want]), (N, viewport)
+                clipped += len(want) > len(branches)
+    assert clipped
+
+
+def test_branch_segments_split_at_gaps_exits_and_jumps():
+    panel = _Panel(0.0, 0.0, 100.0, (0.0, 1.0, 0.0, 1.0))   # keeps [-0.25, 1.25]^2
+    nan = math.nan
+    branch = [(0.0, 0.0), (0.1, 0.1), (nan, nan), (0.2, 0.2), (0.3, 0.3), (2.0, 2.0),
+              (0.4, 0.4), (0.5, 0.5), (1.2, -0.2), (0.6, 0.6), (0.65, 0.6)]
+    got = _branch_segments([np.array(branch), np.empty((0, 2)), np.array([branch[0]])], panel)
+    assert [seg.tolist() for seg in got] == [
+        [[0.0, 0.0], [0.1, 0.1]], [[0.2, 0.2], [0.3, 0.3]], [[0.4, 0.4], [0.5, 0.5]],
+        [[0.6, 0.6], [0.65, 0.6]]]
+    # the jump of 0.99 from (0.5, 0.5) to (1.2, -0.2) is beyond half the diagonal, 0.707
+    assert [len(s) for s in _branch_segments_reference(
+        [[None if math.isnan(p[0]) else p for p in branch]], panel)] == [2, 2, 2, 2]
+
+
+def test_render_and_duality_make_no_residual_solve(monkeypatch):
+    """Neither prints lambda_min at the exits, so neither solves F(1, y) there;
+    sample-f's boundary makes the one batched solve."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    A = fixture_matrix("cubic_cusp")
+    render_figure(A, N=90)
+    render_figure(A, N=90, viewport=(-1.0, 1.0, -1.0, 1.0))
+    assert duality_check(A, N=90).boundary_count == 90
+    assert calls == []
+    _grid_boundary(SpectralGrid(split(A), 90))
+    assert calls == [(90, 3, 3)]

@@ -18,8 +18,8 @@ import numpy as np
 from .exactpoly import GaussianRational, TriPoly
 from .hermitian import (GaussianRationalMatrix, HermitianPencil, NonHermitianError,
                         _cleared_parts, _int_matmul)
-from .pencil import pencil_det
-from .rangegeom import range_hulls
+from .pencil import SpectralGrid, pencil_det
+from .rangegeom import _grid_hulls
 
 __all__ = [
     "CraigVerdict",
@@ -95,16 +95,17 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     if not ident:
         return CraigVerdict(identity_holds=False, product_zero=False,
                             rectangle=None, eigen_pairs=None)
-    w1 = np.linalg.eigvalsh(A1.to_complex())
-    w2 = np.linalg.eigvalsh(A2.to_complex())
+    pencil = HermitianPencil(A1, A2)
+    w1, w2 = map(np.linalg.eigvalsh, pencil.float_parts())
     lo1, hi1 = float(w1[0]), float(w1[-1])
     lo2, hi2 = float(w2[0]), float(w2[-1])
     rect = ((lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2))
     # The rectangle is the exact bounding box of W(A1 + i*A2): each axis
     # projection of the numerical range is the corresponding spectrum
     # interval.  (W itself is the eigenvalue hull, which stays inside.)
-    A = _recombine(A1, A2)
-    hulls = range_hulls(A, N)
+    if N < 3:
+        raise ValueError("need at least 3 support directions")
+    hulls = _grid_hulls(SpectralGrid(pencil, N))
     pts = hulls.outer or hulls.inner or hulls.witnesses
     xs = [float(p[0]) for p in pts]
     ys = [float(p[1]) for p in pts]
@@ -116,12 +117,6 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     return CraigVerdict(identity_holds=True, product_zero=True,
                         rectangle=rect, eigen_pairs=(tuple(map(float, w1)),
                                                      tuple(map(float, w2))))
-
-
-def _recombine(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix) -> GaussianRationalMatrix:
-    """A = A1 + i*A2 (so that the Hermitian splitting recovers A1, A2)."""
-    i = GaussianRational.I
-    return A1 + A2.scale(i)
 
 
 def verdict_line(v: CraigVerdict) -> str:

@@ -349,21 +349,31 @@ def _gradient_images(f: TriPoly, y1, y2, y0=1.0):
     over float arrays, max |x_i|, the largest monomial magnitude of the partials,
     where gnorm <= 1e-10*gscale, and where the chart point (x1/x0, x2/x0) is
     usable: the image is not singular and |x0| > 1e-12*gnorm."""
-    x, scales = zip(*(_eval_chart(f.partial(i), y1, y2, y0) for i in range(3)))
+    powers = _powers((y0, y1, y2), f)
+    x, scales = zip(*(_eval_chart(f.partial(i), y1, y2, y0, powers) for i in range(3)))
     x = np.array(x)
     gnorm, gscale = np.abs(x).max(axis=0), np.maximum.reduce(scales)
     singular = (gscale == 0.0) | (gnorm <= 1e-10 * gscale)
     return x, gnorm, gscale, singular, ~singular & (np.abs(x[0]) > 1e-12 * gnorm)
 
 
-def _eval_chart(f: TriPoly, y1, y2, y0=1.0):
+def _powers(y, f: TriPoly) -> list[list]:
+    """Power tables: powers[i][e] = np.float_power(y[i], e) for every exponent
+    e of variable i in f; its partials need no higher power."""
+    return [[np.float_power(v, e) for e in range(f.degree_in(i) + 1)]
+            for i, v in enumerate(y)]
+
+
+def _eval_chart(f: TriPoly, y1, y2, y0=1.0, powers=None):
     """`f.eval_with_scale((y0, y1, y2))` over float arrays, bitwise: the terms are
     multiplied and added in its order, `sorted_terms`, and `np.float_power`,
-    unlike `np.power`, rounds as the scalar `**` does."""
+    unlike `np.power`, rounds as the scalar `**` does.  `powers` are the
+    `_powers` tables of the point, shared by the polynomials evaluated there."""
+    p0, p1, p2 = _powers((y0, y1, y2), f) if powers is None else powers
     total = np.zeros_like(y1)
     scale = np.zeros_like(y1)
     for (a, b, c), coef in f.sorted_terms():
-        v = float(coef) * np.float_power(y0, a) * np.float_power(y1, b) * np.float_power(y2, c)
+        v = float(coef) * p0[a] * p1[b] * p2[c]
         total = total + v
         scale = np.maximum(scale, np.abs(v))
     return total, scale
@@ -373,8 +383,12 @@ def dual_sample_csv(samples: CurveSampleSet) -> str:
     """CSV per the dual-sample interface: theta,root_index,x1,x2,singular_flag
     ('nan' for a sample without a chart point)."""
     f, m = samples.finite, len(samples)
-    index = [None] * m if samples.root_index is None else samples.root_index.tolist()
-    rows = zip(samples.theta.tolist(), index, np.where(f, samples.x, np.nan).tolist(),
-               np.where(f, samples.y, np.nan).tolist(), samples.singular.tolist())
+    values = [None] * (5 * m)
+    values[0::5] = samples.theta.tolist()
+    if samples.root_index is not None:
+        values[1::5] = samples.root_index.tolist()
+    values[2::5] = np.where(f, samples.x, np.nan).tolist()
+    values[3::5] = np.where(f, samples.y, np.nan).tolist()
+    values[4::5] = samples.singular.tolist()
     return ("theta,root_index,x1,x2,singular_flag\n" + "%.12g,%s,%.12g,%.12g,%d\n" * m) % tuple(
-        v for row in rows for v in row)
+        values)

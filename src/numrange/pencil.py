@@ -10,7 +10,11 @@ large float.
 sin(theta)*A2 over a fan of angles that every numeric layer reads: F(A)
 leaves the ray at -1/lambda_min(theta), W(A) is supported at theta by
 lambda_max(theta) with the top eigenvector as a rank-one witness, and the
-nonzero eigenvalues give every real point of p = 0 on the ray.
+nonzero eigenvalues give every real point of p = 0 on the ray.  Since
+H(theta + pi) = -H(theta), lambda_max(theta + pi) = -lambda_min(theta)
+(Kippenhahn 1951): the complementary W(A) witness of boundary sample k, the
+top eigenvector of row k + N/2 on an even grid, is the bottom eigenvector of
+the solve that places the sample.
 """
 
 from __future__ import annotations
@@ -176,7 +180,12 @@ class SpectralGrid:
     """Eigenpairs of H_k = cos_k*A1 + sin_k*A2, ascending, from one batched eigh.
 
     SpectralGrid(pencil, N) is the uniform fan theta_k = 2*pi*k/N; `at` takes
-    arbitrary angles (and, optionally, their exact unit directions).
+    arbitrary angles (and, optionally, their exact unit directions).  Every
+    angle is solved, odd N and even N alike; on an even grid row k + N/2 is
+    the reflection of row k up to roundoff (cos and sin negated, eigenvalues
+    negated in reverse order, eigenvector columns reversed), but not bit for
+    bit, and the printed hull vertices of a polytopal W(A) depend on those
+    bits.
     """
 
     __slots__ = ("pencil", "thetas", "cos", "sin", "eigvals", "eigvecs")

@@ -5,7 +5,10 @@ rank-one witnesses (eigenvectors realizing the support), the outer hull is
 the intersection of the supporting half-planes.  The pairing
 1 + x1*y1 + x2*y2 >= 0 between W(A) points and F(A) points is the duality
 being verified; complementary pairs sit at antipodal angles of the shared
-grid (use an even grid size for exact pairing).
+grid (use an even grid size for exact pairing).  There H(theta + pi) =
+-H(theta), so one eigenpair serves both: the complementary witness of the F(A)
+boundary sample k, the top eigenvector of row k + N/2, is the bottom
+eigenvector of the solve that places the sample.
 """
 
 from __future__ import annotations
@@ -287,7 +290,11 @@ def hulls_csv(hulls: RangeHulls) -> str:
     lines, values = ["kind,vertex_index,x1,x2"], []
     for kind, poly in (("inner", hulls.inner), ("outer", hulls.outer)):
         lines += [kind + ",%d,%.12g,%.12g"] * len(poly)
-        values += [v for i, (x, y) in enumerate(poly) for v in (i, x, y)]
+        block = [None] * (3 * len(poly))
+        block[0::3] = range(len(poly))
+        block[1::3] = [x for x, _ in poly]
+        block[2::3] = [y for _, y in poly]
+        values += block
     return ("\n".join(lines) + "\n") % tuple(values)
 
 

@@ -106,6 +106,10 @@ class TestSampleCommands:
         assert run("sample-w", "--input", fx("cubic_cusp.json"), "--grid", "720",
                    "--out", str(tmp_path / "w.csv"), "--curve", str(tmp_path / "q.csv")) == 0
         assert calls == [(720, 3, 3)]
+        calls.clear()
+        assert run("sample-w", "--input", fx("cubic_cusp.json"), "--grid", "91",
+                   "--out", str(tmp_path / "w.csv"), "--curve", str(tmp_path / "q.csv")) == 0
+        assert calls == [(91, 3, 3)]
 
     def test_sample_w_curve_needs_eight_rays(self, tmp_path, capsys):
         assert run("sample-w", "--input", fx("disk.json"), "--grid", "7",

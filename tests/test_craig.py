@@ -74,6 +74,10 @@ class TestVerdict:
         assert v.rectangle == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
         assert verdict_line(v) == "identity=true product_zero=true rectangle=0,1,0,1"
 
+    def test_needs_three_support_directions(self):
+        with pytest.raises(ValueError, match="need at least 3 support directions"):
+            craig_verdict(diag(1, 0), diag(0, 1), N=2)
+
     def test_negative_case_has_no_rectangle(self):
         v = craig_verdict(diag(1, 1), diag(1, 1))
         assert not v.identity_holds and not v.product_zero

@@ -334,6 +334,43 @@ class TestSpectralGrid:
                 got, want = getattr(half, attr), getattr(coarse, attr)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), attr
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ("generic",))
+    def test_antipodal_rows_are_reflections(self, name):
+        """H(theta + pi) = -H(theta): on an even grid row k + N/2 is row k
+        reflected (cos and sin negated, eigenvalues negated in reverse order,
+        the top eigenvector the bottom one) up to roundoff; every row, also
+        on odd grids, is the solve at its own angle."""
+        if name == "generic":
+            rng = random.Random(1978)
+            pencils = [split(random_gaussian_matrix(n, rng)) for n in range(2, 9)]
+        else:
+            pencils = [split(fixture_matrix(name))]
+        for pencil in pencils:
+            f1, f2 = pencil.float_parts()
+            for N in (16, 90, 720, 45, 91):
+                grid = SpectralGrid(pencil, N)
+                assert grid.thetas.tolist() == [2.0 * math.pi * k / N for k in range(N)]
+                solved = SpectralGrid.at(pencil, grid.thetas)
+                for attr in ("cos", "sin", "eigvals", "eigvecs"):
+                    assert getattr(grid, attr).tobytes() == getattr(solved, attr).tobytes()
+                if N % 2:
+                    continue
+                m, w = N // 2, grid.eigvals
+                scale = max(1.0, float(np.abs(w).max()))
+                assert np.abs(grid.cos[m:] + grid.cos[:m]).max() <= 4e-15
+                assert np.abs(grid.sin[m:] + grid.sin[:m]).max() <= 4e-15
+                assert np.abs(w[m:] + w[:m, ::-1]).max() <= 1e-13 * scale
+                top, bottom = grid.eigvecs[m:, :, -1], grid.eigvecs[:m, :, 0]
+                x_top, x_bottom = (np.stack([np.einsum("bi,ij,bj->b", v.conj(), f, v).real
+                                             for f in (f1, f2)], axis=1) for v in (top, bottom))
+                h = w[m:, -1]
+                simple = np.minimum(w[:m, 1] - w[:m, 0], w[m:, -1] - w[m:, -2]) > 1e-8 * scale
+                assert np.hypot(*(x_top - x_bottom)[simple].T).max(initial=0.0) <= 1e-13 * scale
+                # a multiple top eigenvalue: both witnesses lie on the supporting line
+                for x in (x_top, x_bottom):
+                    on_line = x[:, 0] * grid.cos[m:] + x[:, 1] * grid.sin[m:] - h
+                    assert np.abs(on_line[~simple]).max(initial=0.0) <= 1e-12 * scale
+
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_ray_exit_is_the_boundary_sample(self, name):
         pencil = split(fixture_matrix(name))

@@ -37,7 +37,7 @@ from .pencil import (
     lmi_polytope_vertices,
     pencil_det,
 )
-from .rangegeom import _grid_hulls, duality_check, hulls_csv, polytope_detect
+from .rangegeom import _grid_hulls, _polytope_verdict, duality_check, hulls_csv
 from .render import ViewportRequiredError, render_figure
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
@@ -194,11 +194,12 @@ def cmd_classify(args) -> int:
     pencil = split(A)
     curve = pencil_det(pencil)
     hyp = hyperbolicity_check(curve, trials=16)
-    verdict = polytope_detect(A, N=args.grid)
+    normal = is_normal(A)
+    verdict = _polytope_verdict(A, pencil, normal, N=args.grid)
     lines = [
         f"n={A.n}",
         f"hermitian={str(A.is_hermitian()).lower()}",
-        f"normal={str(is_normal(A)).lower()}",
+        f"normal={str(normal).lower()}",
         f"pencil_degree={curve.degree}",
         f"hyperbolic={str(hyp.ok).lower()}",
         f"max_eig_residual={hyp.max_eig_residual:.3e}",

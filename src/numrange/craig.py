@@ -57,13 +57,16 @@ def _check_pair(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix):
 
 
 def craig_identity(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix) -> bool:
-    """Exact polynomial identity det(I+y1A1+y2A2) = det(I+y1A1)det(I+y2A2).
-
-    Both right-hand factors are read off the left side: det(I + y1*A1) is its
-    part free of y2, and det(I + y2*A2) its part free of y1.
-    """
+    """Exact polynomial identity det(I+y1A1+y2A2) = det(I+y1A1)det(I+y2A2)."""
     _check_pair(A1, A2)
-    p = pencil_det(HermitianPencil(A1, A2)).p
+    return _craig_identity(HermitianPencil(A1, A2))
+
+
+def _craig_identity(pencil: HermitianPencil) -> bool:
+    """`craig_identity` of the pencil's parts.  Both right-hand factors are
+    read off the left side: det(I + y1*A1) is its part free of y2, and
+    det(I + y2*A2) its part free of y1."""
+    p = pencil_det(pencil).p
     # p is homogeneous, so y0 = 1 merges no two of its terms
     left = TriPoly(p.vars, {(0, b, c): coef for (_, b, c), coef in p.terms.items()})
     right1 = TriPoly(p.vars, {e: coef for e, coef in left.terms.items() if not e[2]})
@@ -87,7 +90,8 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     is cross-checked against the sampled hulls of W(A1 + i*A2).
     """
     _check_pair(A1, A2)
-    ident = craig_identity(A1, A2)
+    pencil = HermitianPencil(A1, A2)
+    ident = _craig_identity(pencil)
     prod = product_zero(A1, A2)
     if ident != prod:
         raise CraigDisagreementError(
@@ -95,7 +99,6 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     if not ident:
         return CraigVerdict(identity_holds=False, product_zero=False,
                             rectangle=None, eigen_pairs=None)
-    pencil = HermitianPencil(A1, A2)
     w1, w2 = map(np.linalg.eigvalsh, pencil.float_parts())
     lo1, hi1 = float(w1[0]), float(w1[-1])
     lo2, hi2 = float(w2[0]), float(w2[-1])

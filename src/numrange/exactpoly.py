@@ -10,9 +10,10 @@ polynomial coefficient.
 
 The two determinants serve two shapes of matrix.  A pencil y0*I + y1*C1 +
 y2*C2 of Gaussian integer matrices (`det_pencil`, behind `pencil_det` and
-`charpoly`) is read off the characteristic polynomials of C1 + j*C2, taken by
-Hessenberg reduction modulo 61-bit primes (with i -> sqrt(-1) mod P),
-interpolated over j and combined by CRT under a proven coefficient bound.
+`charpoly`) is read off the characteristic polynomials of C1 + j*C2 modulo
+primes below 2^31 (with i -> sqrt(-1) mod P), all taken in one batched,
+division-free Berkowitz pass on int64 arrays, interpolated over j and
+combined by CRT under a proven coefficient bound.
 A Sylvester matrix, banded
 with general polynomial entries, takes a division-free minor expansion over
 the integers that skips zero entries (`det_poly_matrix`), which beats
@@ -32,10 +33,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "GaussianRational",
@@ -763,6 +767,8 @@ _FIRST_NODE = 0  # the line images of `_line_gcd` run through nodes 0, 1, 2, ...
 _INVERSES: dict[int, list[int]] = {}  # P -> [0, 1, 1/2, 1/3, ...] mod P
 _PRIME_BELOW: dict[int, int] = {}     # P -> the largest prime below P
 _SQRT_M1: dict[int, int] = {}         # P = 1 mod 4 -> a square root of -1 mod P
+_VANDERMONDE: dict[tuple[int, int], np.ndarray] = {}  # (m, P) -> [j^d]^-1 mod P, j, d < m
+_PENCIL_PRIMES = 1 << 31  # `det_pencil` takes the primes below this, so products fit int64
 
 
 def _inverses(P: int, n: int) -> list[int]:
@@ -786,14 +792,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes():
-    """_P, then the primes below it in decreasing order (all far above any degree)."""
-    P = _P
+def _primes(below: int = _P + 1):
+    """The primes below `below` in decreasing order, _P first by default
+    (all far above any degree)."""
+    P = below
     while True:
-        yield P
         if P not in _PRIME_BELOW:
-            _PRIME_BELOW[P] = next(n for n in range(P - 2, 0, -2) if _is_prime(n))
+            _PRIME_BELOW[P] = next(n for n in range(P - 1 - P % 2, 0, -2) if _is_prime(n))
         P = _PRIME_BELOW[P]
+        yield P
 
 
 def _interpolate(xs, ys, P: int) -> list[int]:
@@ -978,49 +985,55 @@ def _sqrt_minus_one(P: int) -> int:
     return s
 
 
-def _charpoly_mod_p(H: list[list[int]], P: int) -> list[int]:
-    """det(x*I - H) mod P, constant term first, for H with entries in [0, P).
+def _vandermonde_inverse(m: int, P: int) -> np.ndarray:
+    """The inverse mod P >= m of the Vandermonde matrix [j^d] of the nodes
+    j = 0..m-1 (row j, column d): its column j holds the coefficients of the
+    polynomial of degree < m that is 1 at node j and 0 at the others."""
+    W = _VANDERMONDE.get((m, P))
+    if W is None:
+        units = ([int(i == j) for i in range(m)] for j in range(m))
+        W = np.array([_interpolate(range(m), e, P) for e in units], dtype=np.int64).T
+        _VANDERMONDE[(m, P)] = W
+    return W
 
-    H is brought to upper Hessenberg form in place by similarity transforms
-    (elimination on the subdiagonal, with row and column swaps), and the
-    characteristic polynomial is read off the Hessenberg recurrence (Cohen,
-    *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9).
+
+def _dotmod(a, b, P):
+    """sum(a * b) mod P over the last axis, for int64 residues in [0, P) and
+    moduli P < 2^31 shaped like the result: each product, below 2^62, is
+    reduced before the sum, and fewer than 2^32 residues add up below 2^63."""
+    return np.fmod(np.add.reduce(np.fmod(a * b, P[..., None]), axis=-1), P)
+
+
+def _charpolys_mod(H: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """E[b, k] = e_k(H[b]) mod P[b], the sum of the principal k-minors, so
+    that det(x*I + H[b]) = sum_k E[b, k] * x^(n-k), for a batch H of n x n
+    int64 matrices with entries in [0, P[b]), P[b] < 2^31.
+
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) runs
+    on the whole batch at once.  With A the leading r x r block, R and C the
+    rest of its row and column r, and a = H[r, r], the coefficients of
+    det(x*I + H_(r+1)) are the product of the lower-triangular Toeplitz
+    matrix with first column (1, a, -R C, R A C, -R A^2 C, ...) and those of
+    det(x*I + A).  No pivot and no inverse is taken, so no modulus is bad.
     """
-    n = len(H)
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            H[m], H[piv] = H[piv], H[m]
-            for row in H:
-                row[m], row[piv] = row[piv], row[m]
-        inv = pow(H[m][m - 1], -1, P)
-        top, us = H[m], []
-        for i in range(m + 1, n):  # row i -= u_i * row m
-            u = H[i][m - 1] * inv % P
-            if u:
-                H[i] = [(a - u * b) % P for a, b in zip(H[i], top)]
-                us.append((i, u))
-        if us:  # then column m += u_i * column i, for all i at once (the steps commute)
-            for row in H:
-                row[m] = (row[m] + sum(u * row[i] for i, u in us)) % P
-    polys = [[1]]
-    for m in range(n):
-        # p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im * h_{i+1,i} ... h_{m,m-1} * p_i
-        h, prev = H[m][m], polys[m]
-        nxt = [a - h * b for a, b in zip([0] + prev, prev + [0])]
-        t = 1
-        for i in range(m - 1, -1, -1):
-            t = t * H[i + 1][i] % P
-            if not t:
-                break
-            f = H[i][m] * t % P
-            if f:
-                for d, c in enumerate(polys[i]):
-                    nxt[d] -= f * c
-        polys.append([c % P for c in nxt])
-    return polys[n]
+    b, n = H.shape[:2]
+    Pv = P[:, None]
+    windows = np.add.outer(np.arange(n + 1), np.arange(n))  # windows[i, m] = i + m
+    p = np.ones((b, 2), dtype=np.int64)
+    p[:, 1] = H[:, 0, 0]
+    for r in range(1, n):
+        K = np.empty((b, r, r), dtype=np.int64)  # K[:, k] = A^k C for k < r
+        K[:, 0] = H[:, :r, r]
+        for k in range(1, r):
+            K[:, k] = _dotmod(H[:, :r, :r], K[:, None, k - 1], Pv)
+        t = np.zeros((b, 2 * r + 2), dtype=np.int64)  # r zeros, then the Toeplitz column
+        t[:, r], t[:, r + 1] = 1, H[:, r, r]
+        u = _dotmod(H[:, None, r, :r], K, Pv)  # R A^k C
+        t[:, r + 2:] = u
+        t[:, r + 2::2] = np.fmod(Pv - u[:, ::2], Pv)
+        # p <- (t * p)[:r + 2]: window i of t against p reversed
+        p = _dotmod(t[:, windows[:r + 2, :r + 1]], p[:, None, ::-1], Pv)
+    return p
 
 
 def det_pencil(C1, C2=None) -> tuple[IntPoly, IntPoly]:
@@ -1031,24 +1044,32 @@ def det_pencil(C1, C2=None) -> tuple[IntPoly, IntPoly]:
     matrix.  Because y0 enters only as y0*I, Q(y0, t, j*t) = sum_k
     e_k(C1 + j*C2) * y0^(n-k) * t^k, with e_k the sum of the principal
     k-minors: the degree-k part of Q, a polynomial of degree <= k in j, is
-    fixed by the characteristic polynomials of C1 + j*C2 at j = 0..k (at j = 0
-    alone when C2 = 0).  Modulo each prime P those come from Hessenberg
-    reductions and are interpolated over j.  A complex pencil takes only
-    primes P = 1 (mod 4) and is mapped to F_P by i -> s, s^2 = -1, which
-    gives Re Q + s*Im Q.  A Hermitian pencil (C1 and C2 Hermitian) needs no
-    more: its determinant is real at every real y, so Im Q = 0.  Any other
-    complex pencil is also mapped by i -> -s, and the two images give both
-    parts.  The primes are combined by CRT in the symmetric range.
+    fixed by e_k(C1 + j*C2) at the nodes j = 0..n (at j = 0 alone when
+    C2 = 0).  All primes are picked up front, C1 and C2 are reduced once per
+    prime, the e_k of every (prime, image of i, node) matrix come from one
+    batched Berkowitz pass (`_charpolys_mod`), and a cached Vandermonde
+    inverse per (nodes, prime) interpolates them over j.  A complex pencil
+    takes only primes P = 1 (mod 4) and is mapped to F_P by i -> s, s^2 =
+    -1, which gives Re Q + s*Im Q.  A Hermitian pencil (C1 and C2 Hermitian)
+    needs no more: its determinant is real at every real y, so Im Q = 0.  Any
+    other complex pencil is also mapped by i -> -s, and the two images give
+    both parts.  The primes are combined by CRT in the symmetric range.
 
     The result is exact.  With ||z|| = |Re z| + |Im z| summed over the
     coefficients of a polynomial over Z[i], a submultiplicative norm, every
     coefficient of Q has both parts at most ||Q|| <= perm(||M_ij||) <=
     prod_i sum_j ||M_ij|| = B, M_ij = [i = j]*y0 + C1_ij*y1 + C2_ij*y2 the
     entries of the pencil, since the permanent of a non-negative matrix is at
-    most the product of its row sums.  Primes are added until their product
-    exceeds 2B, never fewer, so the symmetric residues are the coefficients.
-    Every prime is good: the reduction Z[i] -> F_P is a ring map that commutes
-    with the determinant, and P > n keeps the nodes j distinct.
+    most the product of its row sums.  The primes below 2^31, largest first,
+    are taken until their product exceeds 2B, never fewer, so the symmetric
+    residues are the coefficients.  Every prime is good: the reduction
+    Z[i] -> F_P is a ring map that commutes with the determinant, and P > n
+    keeps the nodes j distinct.
+
+    No int64 arithmetic overflows.  Residues lie in [0, P), P < 2^31, so a
+    product of two is below 2^62; every such product is reduced mod P before
+    it enters a sum (here and in `_dotmod`), and a sum of fewer than 2^32
+    residues stays below 2^63.  A node times a residue is below n * 2^31.
     """
     r1, i1 = C1
     n = len(r1)
@@ -1060,48 +1081,55 @@ def det_pencil(C1, C2=None) -> tuple[IntPoly, IntPoly]:
                     for R, I in ((r1, i1), (r2, i2)))
     bound = 2 * math.prod(1 + sum(abs(a) + abs(b) + abs(c) + abs(d) for a, b, c, d in zip(*rows))
                           for rows in zip(r1, i1, r2, i2))
-    size = (n + 1) * (n + 2) // 2  # Q_(n-k, k-c, c) at index k*(k+1)/2 + c
-    re, im, M = [0] * size, [0] * size, 1
-    for P in _primes():
-        if not real and P % 4 != 1:
-            continue
-        s = 0 if real else _sqrt_minus_one(P)
-        images = []
-        for root in ((s,) if real or hermitian else (s, P - s)):  # the images of i
-            e1 = [[(a + root * b) % P for a, b in zip(ra, ia)] for ra, ia in zip(r1, i1)]
-            e2 = [[(a + root * b) % P for a, b in zip(ra, ia)] for ra, ia in zip(r2, i2)]
-            # det(x*I + C1 + j*C2) = sum_k e_k(C1 + j*C2) x^(n-k)
-            cps = [_charpoly_mod_p([[-(a + j * b) % P for a, b in zip(u, v)]
-                                    for u, v in zip(e1, e2)], P) for j in range(nodes)]
-            img = []
-            for k in range(n + 1):
-                m = min(k + 1, nodes)
-                img += _interpolate(range(m), [cp[n - k] for cp in cps[:m]], P) + [0] * (k + 1 - m)
-            images.append(img)
-        if len(images) == 1:
-            parts = zip(images[0], itertools.repeat(0))
-        else:
-            half = (P + 1) // 2
-            i_half = half * (P - s) % P  # 1/(2s), as 1/s = -s
-            parts = (((a + b) * half % P, (a - b) * i_half % P) for a, b in zip(*images))
-        inv = pow(M, -1, P)
-        for x, (a, b) in enumerate(parts):
-            re[x] += M * ((a - re[x]) * inv % P)
-            im[x] += M * ((b - im[x]) * inv % P)
-        M *= P
-        if M > bound:
-            break
-    out = []
-    for part in (re, im):
-        terms, x = {}, 0
-        for k in range(n + 1):
-            for c in range(k + 1):
-                v = part[x] - M if 2 * part[x] > M else part[x]
-                if v:
-                    terms[(n - k, k - c, c)] = v
-                x += 1
-        out.append(terms)
-    return out[0], out[1]
+    primes, M = [], 1
+    for Q in _primes(_PENCIL_PRIMES):
+        if real or Q % 4 == 1:
+            primes.append(Q)
+            M *= Q
+            if M > bound:
+                break
+    parts = [r1, r2] if real else [r1, r2, i1, i2]
+    if nodes == 1:
+        del parts[1::2]  # C2 = 0
+    P = np.array(primes, dtype=np.int64)
+    P4 = P[:, None, None, None]
+    X = np.array(parts, dtype=object) % P.astype(object)[:, None, None, None]
+    X = X.astype(np.int64)  # (prime, part, row, column)
+    if real:
+        E = X[:, None]  # (prime, image of i, C1 or C2, row, column)
+    else:
+        h = len(parts) // 2
+        s = np.array([_sqrt_minus_one(Q) for Q in primes], dtype=np.int64)[:, None, None, None]
+        E = np.stack([np.fmod(X[:, :h] + np.fmod(X[:, h:] * root, P4), P4)
+                      for root in ((s,) if hermitian else (s, P4 - s))], axis=1)
+    images = E.shape[1]
+    H = E[:, :, None, 0]
+    if nodes > 1:  # C1 + j*C2 at j = 0..n
+        H = np.fmod(H + np.arange(nodes)[:, None, None] * E[:, :, None, 1], P4[..., None])
+    cps = _charpolys_mod(H.reshape(-1, n, n), np.repeat(P, images * nodes))
+    cps = cps.reshape(len(primes), images, nodes, n + 1)  # e_k(C1 + j*C2) at [prime, image, j, k]
+    if nodes > 1:  # the coefficient of j^c in e_k, at [prime, image, c, k]
+        V = np.array([_vandermonde_inverse(nodes, Q) for Q in primes])
+        cps = _dotmod(V[:, None, :, None, :], cps.transpose(0, 1, 3, 2)[:, :, None], P4)
+    ks, cs = zip(*((k, c) for k in range(n + 1) for c in range(min(k + 1, nodes))))  # Q_(n-k, k-c, c)
+    img = cps[:, :, cs, ks]
+    if images == 1:
+        res = [img[:, 0]]
+    else:  # Re = (a + b) / 2, Im = (a - b) / (2s), as 1/s = -s
+        Pv = P[:, None]
+        half = (Pv + 1) // 2
+        a, b = img[:, 0], img[:, 1]
+        res = [np.fmod(np.fmod(a + b, Pv) * half, Pv),
+               np.fmod(np.fmod(np.fmod(a - b + Pv, Pv) * half, Pv) * (Pv - s[:, :, 0, 0]), Pv)]
+    weights = [M // Q * pow(M // Q, -1, Q) for Q in primes]  # CRT: x = sum(x_Q * weight_Q) mod M
+    out = ({}, {})
+    for part, terms in zip(res, out):
+        for k, c, col in zip(ks, cs, part.T.tolist()):
+            v = sum(map(operator.mul, col, weights)) % M
+            v = v - M if 2 * v > M else v
+            if v:
+                terms[(n - k, k - c, c)] = v
+    return out
 
 
 # -- gcds and squarefree parts ----------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactpoly import GaussianRational
-from .hermitian import GaussianRationalMatrix, charpoly, is_normal, split
+from .hermitian import GaussianRationalMatrix, HermitianPencil, charpoly, is_normal, split
 from .pencil import SpectralGrid, _entry_scale, _exit_points
 
 __all__ = [
@@ -410,7 +410,15 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
     numeric otherwise.  Non-normal matrices: best-effort witness clustering;
     "mixed/unknown" is a legal verdict.
     """
-    if is_normal(A):
+    normal = is_normal(A)
+    return _polytope_verdict(A, None if normal else split(A), normal, N)
+
+
+def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil | None, normal: bool,
+                      N: int) -> PolytopeVerdict:
+    """`polytope_detect` for a caller that has split A (pencil = split(A);
+    None is allowed when A is normal) and knows normal = is_normal(A)."""
+    if normal:
         M = A.to_complex()
         eigs = np.linalg.eigvals(M)
         exact = _certified_spectrum(A, eigs)
@@ -423,18 +431,10 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
         verts = convex_hull([(float(z.real), float(z.imag)) for z in _dedupe(eigs)])
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
 
-    grid = SpectralGrid(split(A), N)
+    grid = SpectralGrid(pencil, N)
     _, wit = _support_grid(grid)
     scale = max(_entry_scale(grid.pencil), float(np.abs(wit).max()))
-    tol = 1e-8 * scale
-    clusters: list[list[int]] = []
-    for i in range(N):
-        if clusters and np.hypot(*(wit[i] - wit[clusters[-1][-1]])) <= tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    if len(clusters) > 1 and np.hypot(*(wit[0] - wit[clusters[-1][-1]])) <= tol:
-        clusters[0] = clusters.pop() + clusters[0]
+    clusters = _witness_clusters(wit, 1e-8 * scale)
     big = [c for c in clusters if len(c) >= 3]
     if len(big) >= 3 and sum(len(c) for c in big) >= 0.9 * N:
         verts = convex_hull([tuple(np.mean(wit[c], axis=0)) for c in big])
@@ -442,6 +442,18 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
     if max(len(c) for c in clusters) <= 2:
         return PolytopeVerdict(kind="smooth")
     return PolytopeVerdict(kind="mixed/unknown")
+
+
+def _witness_clusters(wit: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The indices of the witnesses (one row each, in angle order) split into
+    runs of witnesses each within tol of the one before it; the last run
+    joins the first when the fan closes within tol."""
+    step = np.diff(wit, axis=0)
+    breaks = np.flatnonzero(~(np.hypot(step[:, 0], step[:, 1]) <= tol)) + 1
+    clusters = np.split(np.arange(len(wit)), breaks)
+    if len(clusters) > 1 and np.hypot(*(wit[0] - wit[-1])) <= tol:
+        clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
+    return clusters
 
 
 def _certified_spectrum(A: GaussianRationalMatrix, eigs) -> list[GaussianRational] | None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import numrange.cli
+import numrange.rangegeom
 from numrange.cli import main
 
 from conftest import FIXTURES, GOLDEN
@@ -223,16 +224,27 @@ class TestClassifyCommand:
 
     def test_grid_reaches_polytope_detect(self, monkeypatch):
         seen = []
-        real = numrange.cli.polytope_detect
+        real = numrange.cli._polytope_verdict
 
-        def spy(A, N=360):
+        def spy(A, pencil, normal, N):
             seen.append(N)
-            return real(A, N=N)
+            return real(A, pencil, normal, N=N)
 
-        monkeypatch.setattr(numrange.cli, "polytope_detect", spy)
+        monkeypatch.setattr(numrange.cli, "_polytope_verdict", spy)
         assert run("classify", "--input", fx("disk.json"), "--grid", "48") == 0
         assert run("classify", "--input", fx("disk.json")) == 0
         assert seen == [48, 360]
+
+    @pytest.mark.parametrize("name", ["disk", "polytope"])
+    def test_splits_once_and_tests_normality_once(self, monkeypatch, capsys, name):
+        calls = []
+        for module in (numrange.cli, numrange.rangegeom):
+            for fn in ("split", "is_normal"):
+                real = getattr(module, fn)
+                monkeypatch.setattr(module, fn, lambda A, real=real, fn=fn: calls.append(fn) or real(A))
+        assert run("classify", "--input", fx(f"{name}.json")) == 0
+        assert sorted(calls) == ["is_normal", "split"]
+        assert f"normal={str(name == 'polytope').lower()}" in capsys.readouterr().out
 
 
 class TestRenderCommand:

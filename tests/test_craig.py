@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import numrange.craig
 from numrange.craig import (
     craig_identity,
     craig_verdict,
@@ -90,6 +91,22 @@ class TestVerdict:
         assert (lo1, hi1, lo2, hi2) == (0.0, 2.0, -1.0, 3.0)
         assert v.eigen_pairs[0] == (0.0, 0.0, 2.0)
         assert v.eigen_pairs[1] == (-1.0, 0.0, 3.0)
+
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_one_pencil_per_verdict(self, monkeypatch, planted):
+        # the identity and the sampled hulls share one pencil, so the pair is
+        # checked for Hermitian parts twice (once for the messages), not four times
+        rng = random.Random(503)
+        A1, A2 = (planted_product_zero_pair if planted else generic_hermitian_pair)(4, rng)
+        built = []
+        real = numrange.craig.HermitianPencil
+        monkeypatch.setattr(numrange.craig, "HermitianPencil", lambda *a: built.append(a) or real(*a))
+        checks = []
+        is_hermitian = GaussianRationalMatrix.is_hermitian
+        monkeypatch.setattr(GaussianRationalMatrix, "is_hermitian",
+                            lambda self: checks.append(self) or is_hermitian(self))
+        assert craig_verdict(A1, A2, N=48).identity_holds == planted
+        assert built == [(A1, A2)] and len(checks) == 4
 
     def test_rotated_planted_pair_cross_check(self):
         rng = random.Random(509)

@@ -3,8 +3,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
+from sympy.polys.domains import ZZ_I
+from sympy.polys.matrices import DomainMatrix
 
 import numrange.exactpoly as exactpoly
 from numrange.exactpoly import (
@@ -180,7 +183,8 @@ class TestDeterminant:
 
 class TestDetPencil:
     """det(y0*I + y1*C1 + y2*C2) from characteristic polynomials modulo primes,
-    against the cofactor expansion of its real and imaginary parts."""
+    against the cofactor expansion of its real and imaginary parts, exact
+    characteristic polynomials and the Hessenberg reduction."""
 
     @staticmethod
     def _random_pair(rng, n, complex_entries=True, top=5):
@@ -241,15 +245,12 @@ class TestDetPencil:
         rng = random.Random(29)
         C1, C2 = (self._random_pair(rng, n, kind != "real", top=40) for _ in range(2))
         if kind == "hermitian":
-            C1, C2 = (([[a + b for a, b in zip(r, c)] for r, c in zip(re, zip(*re))],
-                       [[a - b for a, b in zip(r, c)] for r, c in zip(im, zip(*im))]) for re, im in (C1, C2))
+            C1, C2 = _hermitian(C1, C2)
         expected = det_pencil(C1, C2)
         small = [q for q in range(n + 1, 3000) if all(q % d for d in range(2, int(q ** 0.5) + 1))]
         real = exactpoly._primes
-        monkeypatch.setattr(exactpoly, "_primes", lambda: itertools.chain(small, real()))
-        used = []
-        spy = exactpoly._charpoly_mod_p
-        monkeypatch.setattr(exactpoly, "_charpoly_mod_p", lambda H, P: used.append(P) or spy(H, P))
+        monkeypatch.setattr(exactpoly, "_primes", lambda below: itertools.chain(small, real(below)))
+        used = self._spy_moduli(monkeypatch)
         assert det_pencil(C1, C2) == expected == _int_dicts(*_det_pair_reference(*_pencil_matrix(C1, C2)))
         primes = sorted(set(used))
         assert len(primes) > 5 and all(P in small for P in primes)
@@ -266,12 +267,160 @@ class TestDetPencil:
         # their product exceeds the bound
         c = 10 ** 40
         C1 = ([[c, c], [-c, -c]], [[0, 0], [0, 0]])
-        used = []
-        spy = exactpoly._charpoly_mod_p
-        monkeypatch.setattr(exactpoly, "_charpoly_mod_p", lambda H, P: used.append(P) or spy(H, P))
+        used = self._spy_moduli(monkeypatch)
         assert det_pencil(C1) == _int_dicts(Y0 ** 2, TriPoly.zero(YVARS))
         bound = 2 * (1 + 2 * c) ** 2
         assert math.prod(used) > bound >= math.prod(used[:-1])
+
+    @staticmethod
+    def _spy_moduli(monkeypatch) -> list[int]:
+        """The modulus of every matrix the batched kernel is given, in order."""
+        used = []
+        kernel = exactpoly._charpolys_mod
+        monkeypatch.setattr(exactpoly, "_charpolys_mod", lambda H, P: used.extend(P.tolist()) or kernel(H, P))
+        return used
+
+    def test_kernel_matches_hessenberg_reference(self):
+        # every modulus of one batch, small and near 2^31, against Hessenberg
+        # reductions one matrix at a time; all entries P - 1 is the largest
+        # product the int64 bound has to take
+        rng = random.Random(37)
+        for n in range(1, 13):
+            P = [13, 8191, 1000003, 2 ** 31 - 1, 2147483629, 2147483629]
+            H = [[[rng.randrange(Q) for _ in range(n)] for _ in range(n)] for Q in P[:-1]]
+            H.append([[P[-1] - 1] * n for _ in range(n)])
+            got = exactpoly._charpolys_mod(np.array(H, dtype=np.int64), np.array(P, dtype=np.int64))
+            for M, Q, e in zip(H, P, got.tolist()):
+                # det(x*I + M) = det(x*I - (-M))
+                assert e == _charpoly_mod_p([[-x % Q for x in row] for row in M], Q)[::-1]
+        # det(x*I - J), J all ones, is x^(n-1) * (x - n)
+        n, Q = 12, 2 ** 31 - 1
+        e = exactpoly._charpolys_mod(np.full((1, n, n), Q - 1, dtype=np.int64), np.array([Q]))
+        assert e.tolist() == [[1, Q - n] + [0] * (n - 1)]
+
+    def test_differential_up_to_n12(self):
+        # real, Hermitian, non-Hermitian complex and C2 = None pencils with
+        # entries up to 10^40, against exact characteristic polynomials over
+        # Z[i] (sympy) interpolated over the rationals, and for n <= 6 against
+        # the cofactor expansion too
+        for n, C1, C2 in _differential_pencils():
+            got = det_pencil(C1, C2)
+            assert got == _det_pencil_reference(C1, C2)
+            if n <= 6:
+                assert got == _int_dicts(*_det_pair_reference(*_pencil_matrix(C1, C2)))
+
+    def test_all_minus_one_at_n12(self):
+        # C1 = -J has residue P - 1 in every entry modulo every prime:
+        # det(y0*I - y1*J) = y0^11 * (y0 - 12*y1)
+        n = 12
+        C1 = ([[-1] * n for _ in range(n)], [[0] * n for _ in range(n)])
+        assert det_pencil(C1) == ({(12, 0, 0): 1, (11, 1, 0): -12}, {})
+        C1i = (C1[1], C1[0])  # -i*J: det(y0*I - i*y1*J) = y0^11 * (y0 - 12*i*y1)
+        assert det_pencil(C1i) == ({(12, 0, 0): 1}, {(11, 1, 0): -12})
+        assert det_pencil(C1, C1) == _det_pencil_reference(C1, C1)
+
+
+def _hermitian(C1, C2):
+    """The Hermitian parts C + C^H of two Gaussian integer matrices."""
+    return tuple(([[a + b for a, b in zip(r, c)] for r, c in zip(re, zip(*re))],
+                  [[a - b for a, b in zip(r, c)] for r, c in zip(im, zip(*im))]) for re, im in (C1, C2))
+
+
+def _differential_pencils():
+    """(n, C1, C2) for n = 1..12: one real, Hermitian, non-Hermitian complex
+    and C2 = None pencil each, entries up to 10^40 with some zeros."""
+    rng = random.Random(41)
+    for n in range(1, 13):
+        top = (5, 10 ** 12, 10 ** 40)[n % 3]
+        pair = TestDetPencil._random_pair
+        yield n, pair(rng, n, False, top), pair(rng, n, False, top)
+        yield (n, *_hermitian(pair(rng, n, True, top), pair(rng, n, True, top)))
+        yield n, pair(rng, n, True, top), pair(rng, n, True, top)
+        yield n, pair(rng, n, n % 2 == 0, top), None
+
+
+def _det_pencil_reference(C1, C2=None):
+    """(Re, Im) term dicts of det(y0*I + y1*C1 + y2*C2) by another route: e_k
+    of C1 + j*C2 at j = 0..n from sympy's exact characteristic polynomials
+    over Z[i], interpolated over j by exact integer divided differences."""
+    n = len(C1[0])
+    zero = [[0] * n for _ in range(n)]
+    (r1, i1), (r2, i2) = C1, C2 or (zero, zero)
+    # det(x*I + C) = det(x*I - (-C)): the x^(n-k) coefficient is e_k(C)
+    values = [DomainMatrix([[-ZZ_I(r1[a][b] + j * r2[a][b], i1[a][b] + j * i2[a][b]) for b in range(n)]
+                            for a in range(n)], (n, n), ZZ_I).charpoly()
+              for j in range(n + 1 if C2 else 1)]
+    out = ({}, {})
+    for k in range(n + 1):
+        for part, terms in zip(("x", "y"), out):
+            coeffs = _interpolate_int([int(getattr(v[k], part)) for v in values])
+            assert not any(coeffs[k + 1:])
+            for c, v in enumerate(coeffs):
+                if v:
+                    terms[(n - k, k - c, c)] = v
+    return out
+
+
+def _interpolate_int(ys):
+    """Coefficients (constant first) of the integer polynomial through (j, ys[j]):
+    its divided differences at consecutive integers are integers."""
+    d, m = list(ys), len(ys)
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            q, r = divmod(d[i] - d[i - 1], k)
+            assert r == 0
+            d[i] = q
+    out = [d[-1]]
+    for k in range(m - 2, -1, -1):  # out <- out * (x - k) + d[k]
+        out = [a - k * b for a, b in zip([0] + out, out + [0])]
+        out[0] += d[k]
+    return out
+
+
+def _charpoly_mod_p(H: list[list[int]], P: int) -> list[int]:
+    """det(x*I - H) mod P, constant term first, for H with entries in [0, P):
+    the Hessenberg reference for the batched kernel.
+
+    H is brought to upper Hessenberg form in place by similarity transforms
+    (elimination on the subdiagonal, with row and column swaps), and the
+    characteristic polynomial is read off the Hessenberg recurrence (Cohen,
+    *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9).
+    """
+    n = len(H)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        inv = pow(H[m][m - 1], -1, P)
+        top, us = H[m], []
+        for i in range(m + 1, n):  # row i -= u_i * row m
+            u = H[i][m - 1] * inv % P
+            if u:
+                H[i] = [(a - u * b) % P for a, b in zip(H[i], top)]
+                us.append((i, u))
+        if us:  # then column m += u_i * column i, for all i at once (the steps commute)
+            for row in H:
+                row[m] = (row[m] + sum(u * row[i] for i, u in us)) % P
+    polys = [[1]]
+    for m in range(n):
+        # p_{m+1} = (x - h_mm) p_m - sum_{i<m} h_im * h_{i+1,i} ... h_{m,m-1} * p_i
+        h, prev = H[m][m], polys[m]
+        nxt = [a - h * b for a, b in zip([0] + prev, prev + [0])]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % P
+            if not t:
+                break
+            f = H[i][m] * t % P
+            if f:
+                for d, c in enumerate(polys[i]):
+                    nxt[d] -= f * c
+        polys.append([c % P for c in nxt])
+    return polys[n]
 
 
 def _int_dicts(re: TriPoly, im: TriPoly):

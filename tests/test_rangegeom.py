@@ -24,6 +24,7 @@ from numrange.rangegeom import (
     _grid_hulls,
     _outer_polygon,
     _support_grid,
+    _witness_clusters,
     convex_hull,
     duality_check,
     hausdorff_outer_to_inner,
@@ -269,6 +270,32 @@ class TestPolytopeDetect:
     def test_disk_smooth(self):
         v = polytope_detect(fixture_matrix("disk"))
         assert v.kind == "smooth" and v.vertices is None
+
+    def test_witness_clusters_match_the_scan(self):
+        # runs of repeated witnesses, with gaps just past and just inside tol,
+        # against the one-witness-at-a-time scan
+        rng = random.Random(61)
+        for trial in range(200):
+            N, tol = rng.randint(1, 40), 1e-8
+            pts, p = [], np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
+            for _ in range(N):
+                if rng.random() < 0.4:
+                    p = p + rng.choice([0.0, 0.5, 0.9, 1.1, 5.0]) * tol * np.array([0.6, 0.8])
+                else:
+                    p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
+                pts.append(p)
+            if trial % 3 == 0:
+                pts[-1] = pts[0] + 0.5 * tol
+            wit = np.array(pts)
+            scan: list[list[int]] = []
+            for i in range(N):
+                if scan and np.hypot(*(wit[i] - wit[scan[-1][-1]])) <= tol:
+                    scan[-1].append(i)
+                else:
+                    scan.append([i])
+            if len(scan) > 1 and np.hypot(*(wit[0] - wit[scan[-1][-1]])) <= tol:
+                scan[0] = scan.pop() + scan[0]
+            assert [c.tolist() for c in _witness_clusters(wit, tol)] == scan
 
     def test_normal_with_irrational_spectrum_falls_back_to_floats(self):
         A = gmatrix([[1, 1], [1, 0]])  # symmetric, eigenvalues (1 +- sqrt(5))/2

@@ -161,7 +161,7 @@ def cmd_sample_w(args) -> int:
     grid = SpectralGrid(split(_load_matrix(args.input)), args.grid)
     _write(hulls_csv(_grid_hulls(grid)), args.out)
     if args.curve:
-        _write(dual_sample_csv(_grid_dual_sample(pencil_det(grid.pencil), grid)), args.curve)
+        _write(dual_sample_csv(_grid_dual_sample(grid)), args.curve)
     return OK
 
 

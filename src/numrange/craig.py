@@ -19,7 +19,7 @@ from .exactpoly import GaussianRational, TriPoly
 from .hermitian import (GaussianRationalMatrix, HermitianPencil, NonHermitianError,
                         _cleared_parts, _int_matmul)
 from .pencil import SpectralGrid, pencil_det
-from .rangegeom import _grid_hulls
+from .rangegeom import _outer_polygon, _support_grid
 
 __all__ = [
     "CraigVerdict",
@@ -108,10 +108,9 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     # interval.  (W itself is the eigenvalue hull, which stays inside.)
     if N < 3:
         raise ValueError("need at least 3 support directions")
-    hulls = _grid_hulls(SpectralGrid(pencil, N))
-    pts = hulls.outer or hulls.inner or hulls.witnesses
-    xs = [float(p[0]) for p in pts]
-    ys = [float(p[1]) for p in pts]
+    grid = SpectralGrid(pencil, N)
+    pts = _outer_polygon(grid.cos, grid.sin, _support_grid(grid)[0])
+    xs, ys = zip(*pts)
     worst = max(abs(min(xs) - lo1), abs(max(xs) - hi1),
                 abs(min(ys) - lo2), abs(max(ys) - hi2))
     if worst > rect_tol:

@@ -10,7 +10,9 @@ singular points of p = 0; those carry multiplicity >= 2 while q itself comes
 out with multiplicity one, which is how they are split off (and kept for
 audit).
 
-The validation of q and the dual samples run on arrays through one chart
+The dual samples are the Rayleigh pairs (v*A1v, v*A2v) of the spectral grid's
+ray-root eigenvectors (Kippenhahn 1951) and read no p.  The validation of q
+and `dual_point` evaluate gradients of p on arrays through one chart
 evaluator, after an exact power-of-two rescaling of the chart variables
 (`_chart_normal`) that keeps the roots of huge or tiny entries near 1.
 """
@@ -54,6 +56,7 @@ __all__ = [
 XVARS = ("x0", "x1", "x2")
 
 VANISH_RTOL = 1e-6
+EIG_GAP_RTOL = 1e-8
 ON_CURVE_RTOL = 1e-8
 
 
@@ -167,7 +170,7 @@ def sample_real_curve_points(p: TriPoly, count: int):
         y1, y2 = t * d1[rays], t * d2[rays]
         val, scale = _eval_chart(p, y1, y2)
         on = np.flatnonzero((scale != 0.0) & (np.abs(val) <= 1e-9 * scale))
-        _, gnorm, gscale, _, _ = _gradient_images(p, y1[on], y2[on])
+        _, gnorm, gscale, _ = _gradient_images(p, y1[on], y2[on])
         keep = on[gnorm > 1e-8 * gscale]
         pts += zip([1.0] * len(keep), y1[keep].tolist(), y2[keep].tolist())
         if len(pts) >= count:
@@ -189,16 +192,16 @@ def dual_point(p: TriPoly, y) -> DualPoint:
         if not any(grad):
             raise SingularPointError(f"zero gradient at {y}; singular point of the curve")
         x = np.array([float(g) for g in grad])
-        chart = abs(x[0]) > 1e-12 * np.abs(x).max()
     else:
         yf = tuple(float(v) for v in y)
         val, scale = p.eval_with_scale(yf)
         if scale == 0.0 or abs(val) > ON_CURVE_RTOL * scale:
             raise ValueError(f"point is not on the curve (relative residual {abs(val)/max(scale,1e-300):.2e})")
-        x, _, _, singular, chart = _gradient_images(p, yf[1], yf[2], yf[0])
+        x, _, _, singular = _gradient_images(p, yf[1], yf[2], yf[0])
         if singular:
             raise SingularPointError(f"zero gradient at {y}; singular point of the curve")
         grad = tuple(x.tolist())
+    chart = abs(x[0]) > 1e-12 * np.abs(x).max()
     return DualPoint(raw=grad, chart=tuple((x[1:] / x[0]).tolist()) if chart else None,
                      exact=exact)
 
@@ -259,7 +262,7 @@ def dual_curve_exact(p: TriPoly) -> DualCurve:
     checked, worst = 0, None
     if len(samples) >= 8:
         _, y1, y2 = np.array(samples).T
-        x, gnorm, _, _, _ = _gradient_images(sf_f, y1, y2)
+        x, gnorm, _, _ = _gradient_images(sf_f, y1, y2)
         x = x / gnorm
         val, scale = _eval_chart(_chart_normal(q_cand, -k)[0], x[1], x[2], x[0])
         ok = scale != 0.0
@@ -320,41 +323,39 @@ def dual_union(p: TriPoly, factors: list[TriPoly]):
 
 
 def dual_sample(curve: PencilCurve, N: int) -> CurveSampleSet:
-    """Numeric samples of the dual curve: gradient images of ray/curve intersections.
-
-    Each of N rays is intersected with p = 0 at every real root (the
-    eigenvalues of the pencil restriction supply them all), and each smooth
-    intersection maps to its tangent-line coordinates.  Ordering is by
-    (angle index, root index); singular points are flagged, not dropped.
-    """
-    return _grid_dual_sample(curve, SpectralGrid(curve.pencil, N))
+    """Numeric samples of the dual curve on an N-angle `SpectralGrid`: each real
+    ray root with unit eigenvector v maps to the Rayleigh pair (v*A1v, v*A2v),
+    since grad p is proportional to (v*v, v*A1v, v*A2v) there (Jacobi).  A root
+    whose eigenvalue is within EIG_GAP_RTOL*max|lambda| of a row neighbour is
+    flagged singular, without a point.  Order: (angle index, root index)."""
+    return _grid_dual_sample(SpectralGrid(curve.pencil, N))
 
 
-def _grid_dual_sample(curve: PencilCurve, grid: SpectralGrid) -> CurveSampleSet:
+def _grid_dual_sample(grid: SpectralGrid) -> CurveSampleSet:
     if len(grid.thetas) < 8:
         raise ValueError("need at least 8 rays")
-    k, idx, t = grid.line_roots()
-    # gradient images of p(y0, s*y1, s*y2) are (x0, s*x1, s*x2): charts map back by 1/s
-    f, e = _chart_normal(curve.p)
-    s = 2.0 ** e
-    x, _, _, singular, finite = _gradient_images(f, t * grid.cos[k] / s, t * grid.sin[k] / s)
-    x0 = np.where(finite, s * x[0], 1.0)
-    return CurveSampleSet.of_columns(
-        "x0=1", grid.thetas[k], np.where(finite, x[1] / x0, np.nan),
-        np.where(finite, x[2] / x0, np.nan), finite, root_index=idx, singular=singular)
+    k, idx, _ = grid.line_roots()
+    w = grid.eigvals
+    # close[:, i]: eigenvalues i and i + 1 of a row are within the gap tolerance
+    close = np.diff(w, axis=1) <= EIG_GAP_RTOL * np.abs(w).max(axis=1, keepdims=True)
+    edge = np.zeros((len(w), 1), dtype=bool)
+    singular = (np.hstack((edge, close)) | np.hstack((close, edge)))[k, idx]
+    v = grid.eigvecs[k, :, idx]
+    x1, x2 = (np.where(singular, np.nan, np.einsum("bi,ij,bj->b", v.conj(), f, v).real)
+              for f in grid.pencil.float_parts())
+    return CurveSampleSet.of_columns("x0=1", grid.thetas[k], x1, x2, ~singular,
+                                     root_index=idx, singular=singular)
 
 
 def _gradient_images(f: TriPoly, y1, y2, y0=1.0):
-    """(x, gnorm, gscale, singular, chart): gradient images x = grad f(y0, y1, y2)
-    over float arrays, max |x_i|, the largest monomial magnitude of the partials,
-    where gnorm <= 1e-10*gscale, and where the chart point (x1/x0, x2/x0) is
-    usable: the image is not singular and |x0| > 1e-12*gnorm."""
+    """(x, gnorm, gscale, singular): gradient images x = grad f(y0, y1, y2) over
+    float arrays, max |x_i|, the largest monomial magnitude of the partials,
+    and where gnorm <= 1e-10*gscale."""
     powers = _powers((y0, y1, y2), f)
     x, scales = zip(*(_eval_chart(f.partial(i), y1, y2, y0, powers) for i in range(3)))
     x = np.array(x)
     gnorm, gscale = np.abs(x).max(axis=0), np.maximum.reduce(scales)
-    singular = (gscale == 0.0) | (gnorm <= 1e-10 * gscale)
-    return x, gnorm, gscale, singular, ~singular & (np.abs(x[0]) > 1e-12 * gnorm)
+    return x, gnorm, gscale, (gscale == 0.0) | (gnorm <= 1e-10 * gscale)
 
 
 def _powers(y, f: TriPoly) -> list[list]:

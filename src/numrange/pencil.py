@@ -9,9 +9,10 @@ large float.
 `SpectralGrid` is the one eigendecomposition of H(theta) = cos(theta)*A1 +
 sin(theta)*A2 over a fan of angles that every numeric layer reads: F(A)
 leaves the ray at -1/lambda_min(theta), W(A) is supported at theta by
-lambda_max(theta) with the top eigenvector as a rank-one witness, and the
-nonzero eigenvalues give every real point of p = 0 on the ray.  Since
-H(theta + pi) = -H(theta), lambda_max(theta + pi) = -lambda_min(theta)
+lambda_max(theta) with the top eigenvector as a rank-one witness, the
+nonzero eigenvalues give every real point of p = 0 on the ray, and their
+eigenvectors v the tangent lines there, the points (v*A1v, v*A2v) of q = 0.
+Since H(theta + pi) = -H(theta), lambda_max(theta + pi) = -lambda_min(theta)
 (Kippenhahn 1951): the complementary W(A) witness of boundary sample k, the
 top eigenvector of row k + N/2 on an even grid, is the bottom eigenvector of
 the solve that places the sample.
@@ -61,7 +62,7 @@ class PencilCurve:
     pencil: HermitianPencil
 
     def __post_init__(self):
-        if self.p.eval((Fraction(1), Fraction(0), Fraction(0))) != 1:
+        if sum(c for (_, b, e), c in self.p.terms.items() if not b and not e) != 1:
             raise ValueError("pencil determinant must satisfy p(1,0,0) = 1")
         if not self.p.is_homogeneous() or self.p.total_degree() != self.pencil.n:
             raise ValueError("pencil determinant must be homogeneous of degree n")
@@ -177,7 +178,8 @@ def pencil_det(pencil: HermitianPencil) -> PencilCurve:
 
 
 class SpectralGrid:
-    """Eigenpairs of H_k = cos_k*A1 + sin_k*A2, ascending, from one batched eigh.
+    """Eigenpairs of H_k = cos_k*A1 + sin_k*A2, ascending, from one batched eigh;
+    the eigenvectors give W(A)'s witnesses and the points of q = 0.
 
     SpectralGrid(pencil, N) is the uniform fan theta_k = 2*pi*k/N; `at` takes
     arbitrary angles (and, optionally, their exact unit directions).  Every

@@ -2,12 +2,12 @@
 
 One figure, two panels: the LMI set F(A) with the pencil curve p = 0 on the
 left, the numerical range W(A) with the dual curve on the right.  Curves are
-traced by intersecting every ray through the origin with p = 0 (all real
-roots come from pencil eigenvalues) and, on the dual side, by gradient
-images.  Each curve branch is one array of points in angle order, cut into
-polylines by array masks (viewport and jumps), and every polyline is
-formatted in one call.  No timestamps, fixed float formatting: same input,
-same bytes.
+traced on one spectral grid, without the exact p: every ray through the
+origin meets p = 0 at its nonzero eigenvalues, and the dual curve at the
+Rayleigh pairs of their eigenvectors.  Each curve branch is one array of
+points in angle order, cut into polylines by array masks (viewport and
+jumps), and every polyline is formatted in one call.  No timestamps, fixed
+float formatting: same input, same bytes.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .dualcurve import _grid_dual_sample
 from .hermitian import GaussianRationalMatrix, split
-from .pencil import PencilCurve, SpectralGrid, _exit_points, pencil_det
-from .rangegeom import _grid_hulls
+from .pencil import SpectralGrid, _exit_points
+from .rangegeom import _outer_polygon, _support_grid
 
 __all__ = ["ViewportRequiredError", "render_figure"]
 
@@ -133,12 +133,12 @@ def _primal_branches(grid: SpectralGrid) -> np.ndarray:
     return branches
 
 
-def _dual_branches(curve: PencilCurve, grid: SpectralGrid) -> list[np.ndarray]:
+def _dual_branches(grid: SpectralGrid) -> list[np.ndarray]:
     """The dual samples of each root index in angle order, NaN where a
     sample has no chart point."""
-    samp = _grid_dual_sample(curve, grid)
+    samp = _grid_dual_sample(grid)
     P = np.stack((samp.x, samp.y), axis=1)
-    return [P[samp.root_index == i] for i in range(curve.pencil.n)]
+    return [P[samp.root_index == i] for i in range(grid.pencil.n)]
 
 
 def render_figure(A: GaussianRationalMatrix, N: int = 720,
@@ -153,7 +153,6 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     if N < 3:
         raise ValueError("need at least 3 angles")
     pencil = split(A)
-    curve = pencil_det(pencil)
     grid = SpectralGrid(pencil, N)
     k, _, y1, y2 = _exit_points(grid)
     f_pts = np.stack((y1, y2), axis=1)
@@ -161,10 +160,9 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     if unbounded and viewport is None:
         raise ViewportRequiredError(
             "F(A) is unbounded; pass an explicit viewport x1min,x1max,x2min,x2max")
-    hulls = _grid_hulls(grid)
+    outer = _outer_polygon(grid.cos, grid.sin, _support_grid(grid)[0])
     left_view = viewport if viewport is not None else _bbox(f_pts)
-    w_pts = hulls.outer or hulls.inner or hulls.witnesses
-    right_view = viewport if viewport is not None else _bbox(w_pts)
+    right_view = viewport if viewport is not None else _bbox(outer)
     # both curves are traced on at least 360 rays
     curve_grid = grid if N >= 360 else SpectralGrid(pencil, 360)
 
@@ -190,13 +188,12 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     parts.append(left.axes())
 
     # right: W(A) region + dual curve
-    if len(hulls.outer) >= 3:
-        parts.append(right.polygon(hulls.outer, fill="#cccccc", stroke="#555555",
+    if len(outer) >= 3:
+        parts.append(right.polygon(outer, fill="#cccccc", stroke="#555555",
                                    width=1.0, dash="6,4"))
-    elif hulls.outer or hulls.witnesses:
-        for p in (hulls.outer or hulls.witnesses[:1]):
-            parts.append(right.dot(p, 3.0, "#555555"))
-    for seg in _branch_segments(_dual_branches(curve, curve_grid), right):
+    else:
+        parts += [right.dot(p, 3.0, "#555555") for p in outer]
+    for seg in _branch_segments(_dual_branches(curve_grid), right):
         parts.append(right.polyline(seg, stroke="#000000"))
     parts.append(right.axes())
 

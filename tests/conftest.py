@@ -34,6 +34,14 @@ def golden_poly(name: str, vars) -> TriPoly:
     return parse_poly((GOLDEN / name).read_text().strip(), vars)
 
 
+def cardioid_circle_dual_residual(x1: float, x2: float) -> float:
+    """The smallest relative residual |q(1, x1, x2)| / scale over the golden
+    duals of cardioid_circle's two components, the cardioid and the circle."""
+    qs = [golden_poly(f"cardioid_circle_dual_{part}.txt", ("x0", "x1", "x2"))
+          for part in ("cardioid", "circle")]
+    return min(abs(v) / s for v, s in (q.eval_with_scale((1.0, x1, x2)) for q in qs))
+
+
 def random_gaussian_matrix(n: int, rng: random.Random,
                            complex_entries: bool = True) -> GaussianRationalMatrix:
     def entry():

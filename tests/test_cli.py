@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import numrange.cli
+import numrange.pencil
 import numrange.rangegeom
 from numrange.cli import main
 
@@ -111,6 +112,22 @@ class TestSampleCommands:
         assert run("sample-w", "--input", fx("cubic_cusp.json"), "--grid", "91",
                    "--out", str(tmp_path / "w.csv"), "--curve", str(tmp_path / "q.csv")) == 0
         assert calls == [(91, 3, 3)]
+
+    def test_sample_w_curve_and_render_make_no_exact_determinant(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the dual samples come from the grid's eigenvectors, not from p
+        calls = []
+        real = numrange.pencil.det_pencil
+        monkeypatch.setattr(numrange.pencil, "det_pencil",
+                            lambda *args: calls.append(1) or real(*args))
+        for name in ("cubic_cusp.json", "cardioid_circle.json", "polytope.json"):
+            assert run("sample-w", "--input", fx(name), "--grid", "90",
+                       "--out", str(tmp_path / "w.csv"), "--curve", str(tmp_path / "q.csv")) == 0
+            assert run("render", "--input", fx(name), "--grid", "90", "--viewport=-2,2,-2,2",
+                       "--out", str(tmp_path / "a.svg")) == 0
+        assert calls == []
+        assert run("pencil", "--input", fx("cubic_cusp.json")) == 0
+        assert calls == [1]
 
     def test_sample_w_curve_needs_eight_rays(self, tmp_path, capsys):
         assert run("sample-w", "--input", fx("disk.json"), "--grid", "7",
@@ -342,10 +359,14 @@ class TestExtremeEntries:
             run("classify", "--input", src, "--grid", "90")
             assert "shape=smooth" in capsys.readouterr().out.splitlines()
         assert len(rows[-100]) == len(rows[0]) > 0
+        # a coordinate that is 0 up to roundoff is compared against the largest one
+        coords = np.array([tiny[2:4] for tiny in rows[-100]], dtype=float)
+        floor = 1e-12 * np.nanmax(np.abs(coords))
         for base, tiny in zip(rows[0], rows[-100]):
             assert (base[0], base[1], base[4]) == (tiny[0], tiny[1], tiny[4])
             np.testing.assert_allclose(np.array(tiny[2:4], dtype=float),
-                                       np.array(base[2:4], dtype=float) * 1e-100, rtol=1e-9)
+                                       np.array(base[2:4], dtype=float) * 1e-100, rtol=1e-9,
+                                       atol=floor)
 
     @pytest.mark.parametrize("power", [400, -400])
     def test_beyond_float_range(self, tmp_path, capsys, power):

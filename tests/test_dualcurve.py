@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from numrange.dualcurve import (
+    EIG_GAP_RTOL,
     VANISH_RTOL,
     XVARS,
     DegenerateDualError,
@@ -18,7 +19,6 @@ from numrange.dualcurve import (
     dual_sample_csv,
     dual_union,
     sample_real_curve_points,
-    _gradient_images,
     _grid_dual_sample,
 )
 from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
@@ -26,13 +26,14 @@ from numrange.hermitian import GaussianRationalMatrix, split
 from numrange.pencil import (
     YVARS,
     CurveSample,
-    PencilCurve,
     SpectralGrid,
-    _chart_normal,
+    _entry_scale,
+    line_roots_from_eigs,
     pencil_det,
 )
 
-from conftest import fixture_matrix, golden_poly, random_gaussian_matrix
+from conftest import (cardioid_circle_dual_residual, fixture_matrix, golden_poly,
+                      random_gaussian_matrix)
 
 F = Fraction
 Y0 = TriPoly.variable(0, YVARS)
@@ -310,19 +311,6 @@ class TestDualSample:
         keys = [(s.theta, s.root_index) for s in dual_sample(curve, 16).samples]
         assert keys == sorted(keys)
 
-    def test_term_order_does_not_move_samples(self):
-        mats = [fixture_matrix(name) for name in ("cross_star", "nested_ovals", "polytope")]
-        rng = random.Random(83)
-        mats += [random_gaussian_matrix(n, rng) for n in (3, 4, 5)]
-        for A in mats:
-            curve = pencil_det(split(A))
-            flipped = PencilCurve(TriPoly(YVARS, dict(reversed(curve.p.terms.items()))),
-                                  curve.pencil)
-            grid = SpectralGrid(curve.pencil, 720)
-            a, b = (_grid_dual_sample(c, grid) for c in (curve, flipped))
-            assert a.samples == b.samples
-            assert dual_sample_csv(a) == dual_sample_csv(b)
-
     def test_huge_entries_scale_the_samples(self):
         # entries times 10^100 scale W(A), hence every chart point, by 10^100
         base = dual_sample(pencil_det(split(fixture_matrix("nested_ovals"))), 90)
@@ -338,30 +326,42 @@ class TestDualSample:
     @pytest.mark.parametrize("name", ("cubic_cusp", "polytope", "cardioid_circle", "tiny"))
     def test_lazy_samples_are_the_per_point_list(self, name):
         """The samples built from the columns are the list made one point at a
-        time from the same gradient images: Python floats, ints and bools,
-        and None where a sample has no chart point."""
+        time from the grid's eigenpairs: Python floats, ints and bools, and
+        None where a sample has no chart point."""
         A = fixture_matrix("nested_ovals" if name == "tiny" else name)
         if name == "tiny":
             A = A.scale(GaussianRational.of(Fraction(1, 10 ** 100)))
-        curve = pencil_det(split(A))
+        pencil = split(A)
+        f1, f2 = pencil.float_parts()
         for N in (16, 90, 720):
-            grid = SpectralGrid(curve.pencil, N)
-            k, idx, t = grid.line_roots()
-            f, e = _chart_normal(curve.p)
-            s = 2.0 ** e
-            x, _, _, singular, finite = _gradient_images(f, t * grid.cos[k] / s,
-                                                         t * grid.sin[k] / s)
+            grid = SpectralGrid(pencil, N)
             want = []
-            for j in range(len(k)):
-                pt = None
-                if finite[j]:
-                    x0 = s * float(x[0, j])
-                    pt = (float(x[1, j]) / x0, float(x[2, j]) / x0)
-                want.append(CurveSample(theta=float(grid.thetas[k[j]]), point=pt,
-                                        root_index=int(idx[j]), singular=bool(singular[j])))
-            got = _grid_dual_sample(curve, grid)
+            for theta, w, vecs in zip(grid.thetas.tolist(), grid.eigvals, grid.eigvecs):
+                for i, _ in line_roots_from_eigs(w, _entry_scale(pencil)):
+                    gap = min((abs(w[i] - w[j]) for j in (i - 1, i + 1) if 0 <= j < len(w)),
+                              default=math.inf)
+                    singular = bool(gap <= EIG_GAP_RTOL * np.abs(w).max())
+                    v = vecs[:, i]
+                    pt = None if singular else tuple(
+                        float(np.einsum("i,ij,j->", v.conj(), f, v).real) for f in (f1, f2))
+                    want.append(CurveSample(theta=theta, point=pt, root_index=i,
+                                            singular=singular))
+            got = _grid_dual_sample(grid)
             assert repr(got.samples) == repr(want), N
             assert (name == "tiny") == all(s.point is not None for s in want), N
+
+    def test_cardioid_circle_rows_near_the_axis_are_smooth(self):
+        # p is the cubic times the conic cubed; on the rays next to the x-axis the
+        # roots of eigenvalue index 0, 4 and 8 lie clear of the conic's triple
+        # eigenvalue, and their samples are smooth points on a golden dual
+        samples = dual_sample(pencil_det(split(fixture_matrix("cardioid_circle"))), 1440)
+        k = np.rint(samples.theta * 1440 / (2 * math.pi)).astype(int)
+        rows = np.flatnonzero(np.isin(k, (1, 719, 721, 1439))
+                              & np.isin(samples.root_index, (0, 4, 8)))
+        assert set(k[rows].tolist()) == {1, 719, 721, 1439}
+        for j in rows.tolist():
+            assert not samples.singular[j] and samples.finite[j]
+            assert cardioid_circle_dual_residual(samples.x[j], samples.y[j]) <= 1e-12
 
     def test_point_budget(self):
         curve = pencil_det(split(fixture_matrix("cross_star")))

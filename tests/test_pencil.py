@@ -133,6 +133,15 @@ class TestPencilDet:
         with pytest.raises(ValueError):
             PencilCurve(p=2 * y0 ** 2, pencil=pencil)
 
+    def test_normalization_sums_the_pure_y0_coefficients(self):
+        pencil = split(fixture_matrix("disk"))
+        y0, y1, y2 = (TriPoly.variable(i, YVARS) for i in range(3))
+        with pytest.raises(ValueError, match=r"must satisfy p\(1,0,0\) = 1"):
+            PencilCurve(p=2 * y0 ** 2 - y1 * y2, pencil=pencil)
+        # the pure-y0 coefficients sum to 2 - 1 = 1, but p is not homogeneous
+        with pytest.raises(ValueError, match="must be homogeneous of degree n"):
+            PencilCurve(p=2 * y0 ** 2 - y0 + y1 * y2, pencil=pencil)
+
     def test_det_matches_eigenvalue_product(self):
         rng = random.Random(229)
         for name in ("cubic_cusp", "nested_ovals", "cross_star", "disk"):

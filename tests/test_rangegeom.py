@@ -16,7 +16,7 @@ from numrange.pencil import (
     line_roots_from_eigs,
     pencil_det,
 )
-from numrange.dualcurve import dual_sample, dual_sample_csv
+from numrange.dualcurve import dual_sample
 import numrange.rangegeom as rangegeom
 from numrange.rangegeom import (
     _cross,
@@ -38,6 +38,7 @@ from numrange.rangegeom import (
 )
 
 from conftest import (
+    cardioid_circle_dual_residual,
     fixture_matrix,
     point_to_polygon_distance,
     polygon_is_convex,
@@ -542,11 +543,24 @@ class TestLinearKernelsAgainstReferences:
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_dual_sample_is_the_per_point_evaluation(self, name):
+        """The eigenvector samples keep the rows, flags and NaN pattern of the
+        gradient images.  Where p is squarefree their points agree within 1e-9
+        of each point's largest |coordinate|; on cardioid_circle (a cubic times
+        a conic cubed), where the gradient images are off by about 4e-7, every
+        point lies on a golden dual."""
         curve = pencil_det(split(fixture_matrix(name)))
         for N in (16, 90, 720):
             got, want = dual_sample(curve, N), _dual_sample_reference(curve, N)
-            assert got.samples == want.samples, N
-            assert dual_sample_csv(got) == dual_sample_csv(want), N
+            for col in ("theta", "root_index", "singular", "finite"):
+                assert getattr(got, col).tolist() == getattr(want, col).tolist(), (col, N)
+            assert np.isnan(got.x).tolist() == np.isnan(want.x).tolist(), N
+            assert np.isnan(got.y).tolist() == np.isnan(want.y).tolist(), N
+            f = got.finite
+            P, Q = (np.stack((s.x[f], s.y[f]), axis=1) for s in (got, want))
+            if name == "cardioid_circle":
+                assert max(map(cardioid_circle_dual_residual, *P.T.tolist())) <= 1e-12, N
+            else:
+                assert (np.abs(P - Q).max(axis=1) <= 1e-9 * np.abs(Q).max(axis=1)).all(), N
 
 
 # -- hulls of angle-ordered points against the monotone chain ---------------------

@@ -22,7 +22,6 @@ from numrange.pencil import (
     SpectralGrid,
     _grid_boundary,
     boundary_csv,
-    pencil_det,
 )
 from numrange.rangegeom import RangeHulls, _grid_hulls, hulls_csv
 import numrange.render as render
@@ -125,9 +124,9 @@ def _primal_branches_reference(grid):
     return branches
 
 
-def _dual_branches_reference(curve, grid):
-    branches = [[] for _ in range(curve.pencil.n)]
-    for s in _grid_dual_sample(curve, grid).samples:
+def _dual_branches_reference(grid):
+    branches = [[] for _ in range(grid.pencil.n)]
+    for s in _grid_dual_sample(grid).samples:
         branches[s.root_index].append(s.point)
     return branches
 
@@ -152,14 +151,13 @@ INPUTS = _inputs()
 @pytest.mark.parametrize("label, A", INPUTS, ids=[label for label, _ in INPUTS])
 def test_csv_writers_match_the_per_row_references(label, A):
     pencil = split(A)
-    curve = pencil_det(pencil)
     for N in GRIDS:
         grid = SpectralGrid(pencil, N)
         hulls = _grid_hulls(grid)
         assert hulls_csv(hulls) == _hulls_csv_reference(hulls), N
         boundary = _grid_boundary(grid)
         assert boundary_csv(boundary) == _boundary_csv_reference(boundary), N
-        dual = _grid_dual_sample(curve, grid)
+        dual = _grid_dual_sample(grid)
         assert dual_sample_csv(dual) == _dual_sample_csv_reference(dual), N
 
 
@@ -227,7 +225,6 @@ VIEWPORTS = (None, (-1.0, 1.0, -1.0, 1.0), (-0.3, 0.2, -0.25, 0.4))
 def test_branch_segments_match_the_per_point_reference(name, monkeypatch):
     A = fixture_matrix(name)
     pencil = split(A)
-    curve = pencil_det(pencil)
     panels = []
     monkeypatch.setattr(render, "_branch_segments",
                         lambda branches, panel: panels.append(panel) or [])
@@ -235,7 +232,7 @@ def test_branch_segments_match_the_per_point_reference(name, monkeypatch):
     for N in GRIDS:
         curve_grid = SpectralGrid(pencil, max(N, 360))
         primal = (_primal_branches(curve_grid), _primal_branches_reference(curve_grid))
-        dual = (_dual_branches(curve, curve_grid), _dual_branches_reference(curve, curve_grid))
+        dual = (_dual_branches(curve_grid), _dual_branches_reference(curve_grid))
         for viewport in VIEWPORTS:
             panels.clear()
             try:

@@ -2,9 +2,9 @@
 
 For Hermitian A1, A2 the bivariate identity
 det(I + y1 A1 + y2 A2) = det(I + y1 A1) det(I + y2 A2) holds exactly when
-A1 A2 = 0; both predicates are decided with exact arithmetic and their
-agreement is itself the theorem under test.  When they hold, W(A1 + i A2) is
-the axis-aligned rectangle over the two spectra.
+A1 A2 = 0; both predicates are decided exactly, on L*A1 and L*A2 cleared to
+Gaussian integers, and their agreement is itself the theorem under test.
+When they hold, W(A1 + i A2) is the axis-aligned rectangle over the two spectra.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactpoly import GaussianRational, TriPoly
+from .exactpoly import GaussianRational
 from .hermitian import (GaussianRationalMatrix, HermitianPencil, NonHermitianError,
                         _cleared_parts, _int_matmul)
-from .pencil import SpectralGrid, pencil_det
-from .rangegeom import _outer_polygon, _support_grid
+from .pencil import _integer_pencil
+from .rangegeom import _outer_vertices
 
 __all__ = [
     "CraigVerdict",
@@ -59,26 +59,29 @@ def _check_pair(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix):
 def craig_identity(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix) -> bool:
     """Exact polynomial identity det(I+y1A1+y2A2) = det(I+y1A1)det(I+y2A2)."""
     _check_pair(A1, A2)
-    return _craig_identity(HermitianPencil(A1, A2))
+    return _craig_identity(_integer_pencil(A1, A2)[3])
 
 
-def _craig_identity(pencil: HermitianPencil) -> bool:
-    """`craig_identity` of the pencil's parts.  Both right-hand factors are
-    read off the left side: det(I + y1*A1) is its part free of y2, and
-    det(I + y2*A2) its part free of y1."""
-    p = pencil_det(pencil).p
-    # p is homogeneous, so y0 = 1 merges no two of its terms
-    left = TriPoly(p.vars, {(0, b, c): coef for (_, b, c), coef in p.terms.items()})
-    right1 = TriPoly(p.vars, {e: coef for e, coef in left.terms.items() if not e[2]})
-    right2 = TriPoly(p.vars, {e: coef for e, coef in left.terms.items() if not e[1]})
-    return left == right1 * right2
+def _craig_identity(Q: dict) -> bool:
+    """`craig_identity` on the int terms {(a, b, c): v} of Q(y) = p(y0, L*y1, L*y2), L > 0,
+    p the pencil determinant: the identity holds for Q iff for p.  Its factors are Q's terms
+    with c = 0 and those with b = 0; Q is homogeneous, so y0 = 1 merges no two terms."""
+    left = {(b, c): v for (_, b, c), v in Q.items()}
+    r1 = {b: v for (b, c), v in left.items() if not c}
+    r2 = {c: v for (b, c), v in left.items() if not b}
+    return left == {(b, c): u * v for b, u in r1.items() for c, v in r2.items()}
 
 
 def product_zero(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix) -> bool:
     """Exact test A1 @ A2 == 0, on integers: scaling A1, A2 by L1, L2 > 0 keeps it."""
     if A1.n != A2.n:
         raise ValueError("matrices must share one size")
-    re, im = _int_matmul(_cleared_parts(A1), _cleared_parts(A2))
+    return _product_zero(_cleared_parts(A1), _cleared_parts(A2))
+
+
+def _product_zero(C1, C2) -> bool:
+    """Is the product of the Gaussian integer matrices C1, C2, given as (re, im), zero?"""
+    re, im = _int_matmul(C1, C2)
     return not any(map(any, re + im))
 
 
@@ -86,33 +89,35 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
                   N: int = 720, rect_tol: float = RECT_TOL) -> CraigVerdict:
     """Run both predicates, assert their agreement, and extract the rectangle.
 
-    When the criterion holds the rectangle spans the spectra of A1 and A2 and
-    is cross-checked against the sampled hulls of W(A1 + i*A2).
+    Both predicates read one integer clearing of the pair.  When the criterion holds
+    the rectangle spans the spectra of A1 and A2, checked against the box of the half-planes
+    x . u_k <= lambda_max(cos_k*A1 + sin_k*A2) around W, theta_k = 2*pi*k/N (one eigvalsh).
     """
     _check_pair(A1, A2)
     pencil = HermitianPencil(A1, A2)
-    ident = _craig_identity(pencil)
-    prod = product_zero(A1, A2)
+    _, C1, C2, Q = _integer_pencil(A1, A2)
+    ident = _craig_identity(Q)
+    prod = _product_zero(C1, C2)
     if ident != prod:
         raise CraigDisagreementError(
             f"identity={ident} but product_zero={prod}; exact arithmetic is broken")
     if not ident:
         return CraigVerdict(identity_holds=False, product_zero=False,
                             rectangle=None, eigen_pairs=None)
-    w1, w2 = map(np.linalg.eigvalsh, pencil.float_parts())
+    f1, f2 = pencil.float_parts()
+    w1, w2 = map(np.linalg.eigvalsh, (f1, f2))
     lo1, hi1 = float(w1[0]), float(w1[-1])
     lo2, hi2 = float(w2[0]), float(w2[-1])
     rect = ((lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2))
     # The rectangle is the exact bounding box of W(A1 + i*A2): each axis
-    # projection of the numerical range is the corresponding spectrum
-    # interval.  (W itself is the eigenvalue hull, which stays inside.)
+    # projection of the numerical range is the corresponding spectrum interval.
     if N < 3:
         raise ValueError("need at least 3 support directions")
-    grid = SpectralGrid(pencil, N)
-    pts = _outer_polygon(grid.cos, grid.sin, _support_grid(grid)[0])
-    xs, ys = zip(*pts)
-    worst = max(abs(min(xs) - lo1), abs(max(xs) - hi1),
-                abs(min(ys) - lo2), abs(max(ys) - hi2))
+    thetas = np.arange(N) * (2.0 * np.pi) / N
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    h = np.linalg.eigvalsh(cos[:, None, None] * f1 + sin[:, None, None] * f2)[:, -1]
+    V = _outer_vertices(cos, sin, h)
+    worst = float(np.abs(np.r_[V.min(axis=0) - (lo1, lo2), V.max(axis=0) - (hi1, hi2)]).max())
     if worst > rect_tol:
         raise CraigDisagreementError(
             f"rectangle disagrees with the bounding box of sampled W(A) by {worst:.2e}")

@@ -207,7 +207,12 @@ def _support_grid(grid: SpectralGrid):
 
 
 def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
-    """Intersection of the supporting half-planes {x . u(theta_k) <= h_k}.
+    """Intersection of the supporting half-planes {x . u(theta_k) <= h_k}, as a hull."""
+    return _cycle_hull(_outer_vertices(cos, sin, h))
+
+
+def _outer_vertices(cos: np.ndarray, sin: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The vertices of `_outer_polygon` before the hull, an (m, 2) array in angle order.
 
     The angles increase around the circle with gaps below pi, as on every
     spectral grid.  One angle-ordered deque sweep (Preparata & Shamos,
@@ -215,8 +220,8 @@ def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
     intersection: a vertex is cut off when it violates a half-plane by more
     than 1e-9*scale.  The vertex of two neighbouring half-planes k, k+1 is
     computed by one array expression, so when no half-plane is redundant the
-    result is the convex hull of those N points; the vertex of lines left
-    adjacent by a redundant one is computed by the same formula.
+    vertices are those N points; the vertex of lines left adjacent by a
+    redundant one is computed by the same formula.
 
     The sweep pops a half-plane only if some test it makes cuts a vertex.
     With nothing popped those tests are exactly C[k] . u[k+2] against
@@ -240,7 +245,7 @@ def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
     k2 = (np.arange(N - 1) + 2) % N
     if not ((C[:-1, 0] * cos[k2] + C[:-1, 1] * sin[k2] > h[k2] + slack).any()
             or (C[0, 0] * cos[2:] + C[0, 1] * sin[2:] > h[2:] + slack).any()):
-        return _cycle_hull(C)
+        return C
     neighbours = [tuple(pt) for pt in C.tolist()]
     c, s, hs = cos.tolist(), sin.tolist(), h.tolist()
 
@@ -265,7 +270,7 @@ def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
     while len(lines) >= 3 and cut(vertex(lines[0], lines[1]), lines[-1]):
         lines.popleft()
     order = list(lines)
-    return _cycle_hull(np.array([vertex(i, j) for i, j in zip(order, order[1:] + order[:1])]))
+    return np.array([vertex(i, j) for i, j in zip(order, order[1:] + order[:1])])
 
 
 def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:

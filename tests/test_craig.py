@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import numrange.craig
+import numrange.pencil
+import numrange.rangegeom
 from numrange.craig import (
+    CraigDisagreementError,
     craig_identity,
     craig_verdict,
     generic_hermitian_pair,
@@ -13,8 +16,9 @@ from numrange.craig import (
     product_zero,
     verdict_line,
 )
-from numrange.exactpoly import GaussianRational
-from numrange.hermitian import GaussianRationalMatrix, NonHermitianError
+from numrange.exactpoly import GaussianRational, TriPoly
+from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError
+from numrange.pencil import pencil_det
 
 
 F = Fraction
@@ -22,6 +26,15 @@ F = Fraction
 
 def diag(*vals):
     return GaussianRationalMatrix.diagonal([GaussianRational.of(F(v)) for v in vals])
+
+
+def _craig_identity_reference(A1, A2) -> bool:
+    """The identity on the rational pencil determinant, with `TriPoly` products."""
+    p = pencil_det(HermitianPencil(A1, A2)).p
+    left = TriPoly(p.vars, {(0, b, c): coef for (_, b, c), coef in p.terms.items()})
+    right1 = TriPoly(p.vars, {e: coef for e, coef in left.terms.items() if not e[2]})
+    right2 = TriPoly(p.vars, {e: coef for e, coef in left.terms.items() if not e[1]})
+    return left == right1 * right2
 
 
 class TestIdentity:
@@ -108,6 +121,29 @@ class TestVerdict:
         assert craig_verdict(A1, A2, N=48).identity_holds == planted
         assert built == [(A1, A2)] and len(checks) == 4
 
+    def test_planted_verdict_solves_no_eigenvectors_and_no_hull(self, monkeypatch):
+        # the cross-check reads lambda_max on the fan from eigvalsh and the box
+        # of the half-plane vertices; p and its Fractions are never built
+        A1, A2 = planted_product_zero_pair(5, random.Random(503))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("craig_verdict called a solve or hull it does not read")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        for module in (numrange.craig, numrange.pencil, numrange.rangegeom):
+            for name in ("pencil_det", "_cycle_hull", "convex_hull"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        assert craig_verdict(A1, A2).identity_holds
+
+    def test_cross_check_failure_path(self):
+        A1, A2 = planted_product_zero_pair(5, random.Random(509))
+        assert craig_verdict(A1, A2).identity_holds
+        with pytest.raises(CraigDisagreementError) as info:
+            craig_verdict(A1, A2, rect_tol=1e-300)
+        assert str(info.value).startswith(
+            "rectangle disagrees with the bounding box of sampled W(A) by")
+
     def test_rotated_planted_pair_cross_check(self):
         rng = random.Random(509)
         A1, A2 = planted_product_zero_pair(5, rng)
@@ -127,6 +163,20 @@ class TestEquivalence:
             A1, A2 = generic_hermitian_pair(rng.randint(2, 5), rng,
                                             complex_entries=(k % 3 == 0))
             assert craig_identity(A1, A2) == product_zero(A1, A2)
+
+    def test_integer_identity_matches_the_rational_reference(self):
+        rng = random.Random(523)
+        seen = set()
+        for n in range(2, 9):
+            pairs = [planted_product_zero_pair(n, rng), generic_hermitian_pair(n, rng),
+                     generic_hermitian_pair(n, rng, complex_entries=True)]
+            small = GaussianRational.of(F(1, 10 ** 40 + 3))
+            pairs += [(A1, A2.scale(small)) for A1, A2 in pairs]
+            for A1, A2 in pairs:
+                ref = _craig_identity_reference(A1, A2)
+                assert craig_identity(A1, A2) == ref, n
+                seen.add(ref)
+        assert seen == {True, False}
 
     def test_exactness_no_tolerance(self):
         # a pair whose product is tiny but nonzero must come out false

@@ -15,8 +15,13 @@ from numrange.pencil import (
     YVARS,
     CurveSample,
     CurveSampleSet,
+    LineCheck,
     PencilCurve,
     SpectralGrid,
+    _chart_normal,
+    _entry_scale,
+    _integer_form,
+    _restriction,
     _sign_certificate,
     boundary_F,
     boundary_csv,
@@ -475,6 +480,41 @@ def _restrict_reference(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction
     return coeffs
 
 
+def _hyperbolicity_reference(curve: PencilCurve, trials: int = 24, seed: int = 20259):
+    """`hyperbolicity_check`'s lines one at a time: one eigvalsh and one np.roots per line."""
+    rng = random.Random(seed)
+    f1, f2 = curve.pencil.float_parts()
+    scale = _entry_scale(curve.pencil)
+    p, e = _chart_normal(curve.p)
+    form = _integer_form(p)
+    checks = []
+    for _ in range(trials):
+        while True:
+            d1 = F(rng.randint(-20, 20), rng.randint(1, 9))
+            d2 = F(rng.randint(-20, 20), rng.randint(1, 9))
+            if d1 or d2:
+                break
+        N, w, coeffs = _restriction(form, d1, d2)
+        eigs = np.linalg.eigvalsh(float(d1) * f1 + float(d2) * f2)
+        t = np.ldexp([r for _, r in line_roots_from_eigs(eigs, scale)], -e)
+        if _sign_certificate(N, w, t.tolist()):
+            distinct = deg_sf = len(N) - 1
+        else:
+            distinct, deg_sf = _sturm(coeffs)
+        fl = [float(c) for c in coeffs]
+        terms = np.array([c * np.float_power(t, k) for k, c in enumerate(fl)])
+        resid = float(np.max(np.abs(np.add.reduce(terms))
+                             / np.maximum(np.abs(terms).max(axis=0), 1e-300), initial=0.0))
+        roots = np.roots(fl[::-1]) if len(fl) > 1 else np.array([])
+        imag_max = float(np.abs(roots.imag).max()) if roots.size else 0.0
+        rel_imag = imag_max / max(1.0, float(np.abs(roots).max())) if roots.size else 0.0
+        checks.append(LineCheck(
+            direction=(d1, d2), degree=len(coeffs) - 1,
+            distinct_real_roots=distinct, distinct_roots_expected=deg_sf,
+            all_real=distinct == deg_sf, eig_residual_max=resid, imag_residue_max=rel_imag))
+    return checks
+
+
 def _certificate_inputs() -> dict[str, HermitianPencil]:
     out = {}
     for name in FIXTURE_NAMES:
@@ -523,6 +563,34 @@ class TestSignCertificate:
         curve = pencil_det(split(GaussianRationalMatrix.identity(2)))
         assert hyperbolicity_check(curve, trials=16).ok
         assert len(chains) == 16
+
+    def test_batched_lines_equal_the_per_line_reference(self):
+        rng = random.Random(1313)
+        pencils = [split(fixture_matrix(name)) for name in FIXTURE_NAMES]
+        pencils += [split(random_gaussian_matrix(n, rng)) for n in range(2, 9)]
+        pencils += [HermitianPencil(*planted_product_zero_pair(n, rng)) for n in range(2, 9)]
+        # a singular A2: seed 7 draws the line d1 = 0, where the restriction
+        # drops to degree 2, so the lines fall into two companion sizes
+        A1 = random_gaussian_matrix(3, rng)
+        pencils.append(HermitianPencil(A1 + A1.conj_transpose(), GaussianRationalMatrix.diagonal(
+            [GaussianRational.of(F(v)) for v in (2, -1, 0)])))
+        degrees = []
+        for pencil in pencils:
+            curve = pencil_det(pencil)
+            for trials, seed in ((16, 20259), (40, 7)):
+                got = hyperbolicity_check(curve, trials=trials, seed=seed).lines
+                assert list(map(repr, got)) == list(map(repr, _hyperbolicity_reference(
+                    curve, trials, seed)))
+                degrees.append({line.degree for line in got})
+        assert degrees[-1] == {2, 3}
+
+    def test_one_eigvalsh_over_all_lines(self, monkeypatch):
+        curve = pencil_det(split(fixture_matrix("cubic_cusp")))
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        hyperbolicity_check(curve, trials=16)
+        assert shapes == [(16, 3, 3)]
 
     def test_exact_predictions_certify(self):
         # c(t) = (t + 1)(t - 1)(t - 10), and the same in t/5

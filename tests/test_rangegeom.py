@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from numrange.craig import planted_product_zero_pair
 from numrange.exactpoly import GaussianRational
-from numrange.hermitian import GaussianRationalMatrix, is_normal, split
+from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, is_normal, split
 from numrange.pencil import (
     CurveSample,
     CurveSampleSet,
@@ -23,6 +24,7 @@ from numrange.rangegeom import (
     _cycle_hull,
     _grid_hulls,
     _outer_polygon,
+    _outer_vertices,
     _support_grid,
     _witness_clusters,
     convex_hull,
@@ -532,6 +534,24 @@ class TestLinearKernelsAgainstReferences:
             keep = ~raised
             assert swept == _outer_polygon(grid.cos[keep], grid.sin[keep], h[keep]), N
             assert not sweeps
+
+    def test_vertices_have_the_bounding_box_of_the_polygon(self):
+        # the Craig cross-check reads the box of the vertices, skipping the hull;
+        # the monotone chain may drop a point by roundoff, so the boxes agree
+        # to roundoff, not bit for bit
+        rng = random.Random(5252)
+        pencils = [split(fixture_matrix(name)) for name in FIXTURE_NAMES]
+        pencils += [HermitianPencil(*planted_product_zero_pair(rng.randint(2, 6), rng))
+                    for _ in range(20)]
+        for pencil in pencils:
+            for N in (3, 4, 16, 45, 90, 91, 720, 1440):
+                grid = SpectralGrid(pencil, N)
+                h = _support_grid(grid)[0]
+                V = _outer_vertices(grid.cos, grid.sin, h)
+                P = np.array(_outer_polygon(grid.cos, grid.sin, h))
+                scale = max(1.0, float(np.abs(V).max()))
+                for got, want in ((V.min(axis=0), P.min(axis=0)), (V.max(axis=0), P.max(axis=0))):
+                    assert np.abs(got - want).max() <= 1e-12 * scale, N
 
     def test_redundant_half_plane_keeps_the_corner(self):
         # unit square, plus the half-plane x1 + x2 <= 2*sqrt(2) that misses it

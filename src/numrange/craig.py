@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactpoly import GaussianRational
-from .hermitian import (GaussianRationalMatrix, HermitianPencil, NonHermitianError,
-                        _cleared_parts, _int_matmul)
+from .hermitian import GaussianRationalMatrix, NonHermitianError, _int_matmul
 from .pencil import _integer_pencil
 from .rangegeom import _outer_vertices
 
@@ -76,7 +75,7 @@ def product_zero(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix) -> bool
     """Exact test A1 @ A2 == 0, on integers: scaling A1, A2 by L1, L2 > 0 keeps it."""
     if A1.n != A2.n:
         raise ValueError("matrices must share one size")
-    return _product_zero(_cleared_parts(A1), _cleared_parts(A2))
+    return _product_zero((A1.re, A1.im), (A2.re, A2.im))
 
 
 def _product_zero(C1, C2) -> bool:
@@ -94,7 +93,6 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     x . u_k <= lambda_max(cos_k*A1 + sin_k*A2) around W, theta_k = 2*pi*k/N (one eigvalsh).
     """
     _check_pair(A1, A2)
-    pencil = HermitianPencil(A1, A2)
     _, C1, C2, Q = _integer_pencil(A1, A2)
     ident = _craig_identity(Q)
     prod = _product_zero(C1, C2)
@@ -104,7 +102,7 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     if not ident:
         return CraigVerdict(identity_holds=False, product_zero=False,
                             rectangle=None, eigen_pairs=None)
-    f1, f2 = pencil.float_parts()
+    f1, f2 = A1.to_complex(), A2.to_complex()
     w1, w2 = map(np.linalg.eigvalsh, (f1, f2))
     lo1, hi1 = float(w1[0]), float(w1[-1])
     lo2, hi2 = float(w2[0]), float(w2[-1])

@@ -1,8 +1,13 @@
 """Complex matrix intake, Hermitian splitting, and exact matrix algebra.
 
-Matrices carry exact Gaussian-rational entries; structural predicates
-(Hermitian, normal, the split identity A = A1 + i*A2) are decided exactly.
-Numeric analysis works on a float view of a pencil, converted once per
+A matrix over Q(i) is kept in one canonical integer store: its size n, one
+denominator L > 0 and the int rows `re` and `im` with A = (re + i*im)/L.  L
+is the least common denominator of all entry parts, that is gcd(L, every
+part) = 1, so the store is unique and `==` and `hash` read it.  The
+structural predicates (Hermitian, normal, the split A = A1 + i*A2) and the
+exact consumers (`charpoly`, the pencil determinant) work on these integers;
+`entries`, the rows of `GaussianRational` entries, is built on first access.
+Numeric analysis works on the float view `to_complex`, converted once per
 pencil; the angle-grid eigensolves that read it live in `pencil`.
 """
 
@@ -14,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -33,7 +39,8 @@ __all__ = [
     "load_matrix",
 ]
 
-HALF = Fraction(1, 2)
+# ints up to 2^53 in magnitude are exact doubles
+_EXACT_INT = 2 ** 53
 
 
 class MatrixFormatError(ValueError):
@@ -50,30 +57,50 @@ class FloatRangeError(ValueError):
 
 
 class GaussianRationalMatrix:
-    """Square matrix over Q(i), immutable."""
+    """Square matrix over Q(i), immutable, stored as (re + i*im)/L.
 
-    __slots__ = ("n", "entries")
+    Built from rows of entries (`GaussianRational`, int or Fraction), which
+    are cleared to the store once; `entries` gives them back as
+    `GaussianRational`s with reduced Fraction parts, built on first access.
+    """
+
+    __slots__ = ("n", "L", "re", "im", "_entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(_entry(e) for e in row) for row in entries)
+        rows = [[_entry(e) for e in row] for row in entries]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise MatrixFormatError("matrix must be square and non-empty")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
+        L = math.lcm(*(x.denominator for row in rows for e in row for x in (e.re, e.im)))
+        _store(self, L, [[e.re.numerator * (L // e.re.denominator) for e in row] for row in rows],
+               [[e.im.numerator * (L // e.im.denominator) for e in row] for row in rows])
+
+    @classmethod
+    def _of(cls, L: int, re, im) -> "GaussianRationalMatrix":
+        """The matrix (re + i*im)/L for int rows re, im and an int L > 0."""
+        A = object.__new__(cls)
+        _store(A, L, re, im)
+        return A
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRationalMatrix is immutable")
 
+    @property
+    def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        if self._entries is None:
+            L = self.L
+            object.__setattr__(self, "_entries", tuple(
+                tuple(GaussianRational(Fraction(a, L), Fraction(b, L)) for a, b in zip(ra, ia))
+                for ra, ia in zip(self.re, self.im)))
+        return self._entries
+
     @classmethod
     def identity(cls, n: int) -> "GaussianRationalMatrix":
-        one, zero = GaussianRational.ONE, GaussianRational.ZERO
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._of(1, [[int(i == j) for j in range(n)] for i in range(n)], [[0] * n] * n)
 
     @classmethod
     def zero(cls, n: int) -> "GaussianRationalMatrix":
-        z = GaussianRational.ZERO
-        return cls([[z] * n for _ in range(n)])
+        return cls._of(1, [[0] * n] * n, [[0] * n] * n)
 
     @classmethod
     def diagonal(cls, values) -> "GaussianRationalMatrix":
@@ -89,56 +116,65 @@ class GaussianRationalMatrix:
     def __eq__(self, other):
         if not isinstance(other, GaussianRationalMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.L == other.L and self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.L, self.re, self.im))
 
     def conj_transpose(self) -> "GaussianRationalMatrix":
-        n = self.n
-        return GaussianRationalMatrix(
-            [[self.entries[j][i].conjugate() for j in range(n)] for i in range(n)])
+        return GaussianRationalMatrix._of(self.L, list(zip(*self.re)),
+                                          [[-x for x in col] for col in zip(*self.im)])
 
     def __add__(self, other):
         self._same_size(other)
-        return GaussianRationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        L = math.lcm(self.L, other.L)
+        a, b = L // self.L, L // other.L
+        return GaussianRationalMatrix._of(
+            L, *([[a * x + b * y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
+                 for X, Y in ((self.re, other.re), (self.im, other.im))))
 
     def __sub__(self, other):
-        self._same_size(other)
-        return GaussianRationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        return self + other.scale(-1)
 
     def __matmul__(self, other):
         self._same_size(other)
-        n = self.n
-        bt = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append([sum((a * b for a, b in zip(row, col)), GaussianRational.ZERO)
-                        for col in bt])
-        return GaussianRationalMatrix(out)
+        return GaussianRationalMatrix._of(self.L * other.L,
+                                          *_int_matmul((self.re, self.im), (other.re, other.im)))
 
     def scale(self, c) -> "GaussianRationalMatrix":
         c = _entry(c)
-        return GaussianRationalMatrix([[c * e for e in row] for row in self.entries])
+        d = math.lcm(c.re.denominator, c.im.denominator)
+        cr, ci = c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator)
+        return GaussianRationalMatrix._of(
+            self.L * d, [[cr * x - ci * y for x, y in zip(rx, ry)] for rx, ry in zip(self.re, self.im)],
+            [[ci * x + cr * y for x, y in zip(rx, ry)] for rx, ry in zip(self.re, self.im)])
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        return not any(map(any, self.re + self.im))
 
     def is_hermitian(self) -> bool:
-        """Exact test A == A*, entry by entry: e_ij == conj(e_ji)."""
-        e = self.entries
-        return all(e[i][j].re == e[j][i].re and e[i][j].im == -e[j][i].im
-                   for i in range(self.n) for j in range(i, self.n))
+        """Exact test A == A*: re symmetric and im antisymmetric."""
+        return (self.re == tuple(zip(*self.re))
+                and self.im == tuple(tuple(-x for x in col) for col in zip(*self.im)))
 
     def to_complex(self) -> np.ndarray:
-        """complex128 copy; FloatRangeError when a nonzero part of an entry is
-        beyond the largest float or below the smallest normal one."""
-        return np.array([[complex(_normal_float(e.re, i, j, "real"),
-                                  _normal_float(e.im, i, j, "imaginary"))
-                          for j, e in enumerate(row)] for i, row in enumerate(self.entries)],
-                        dtype=np.complex128)
+        """complex128 copy, each part correctly rounded, as float(Fraction) is.
+
+        When L and every |part| are at most 2^53, all are exact doubles and one
+        numpy division rounds each quotient correctly; otherwise each part is
+        Python's int / int, also correctly rounded.  FloatRangeError when a
+        nonzero part is beyond the largest float or below the smallest normal one.
+        """
+        L, re, im = self.L, self.re, self.im
+        if max(L, *map(abs, chain(*re, *im))) <= _EXACT_INT:
+            out = np.empty((self.n, self.n), dtype=np.complex128)
+            out.real = np.array(re, dtype=np.float64) / L
+            out.imag = np.array(im, dtype=np.float64) / L
+            return out
+        return np.array([[complex(_normal_float(a, L, i, j, "real"),
+                                  _normal_float(b, L, i, j, "imaginary"))
+                          for j, (a, b) in enumerate(zip(ra, ia))]
+                         for i, (ra, ia) in enumerate(zip(re, im))], dtype=np.complex128)
 
     def _same_size(self, other):
         if self.n != other.n:
@@ -159,12 +195,26 @@ class GaussianRationalMatrix:
         return "[" + ",\n ".join(body) + "]"
 
 
-def _normal_float(x: Fraction, i: int, j: int, part: str) -> float:
+def _store(A: GaussianRationalMatrix, L: int, re, im) -> None:
+    """Fill A's slots with (re + i*im)/L reduced by the gcd of L and every part."""
+    g = math.gcd(L, *chain(*re, *im))
+    if g > 1:
+        re, im = ([[x // g for x in row] for row in part] for part in (re, im))
+    put = object.__setattr__
+    put(A, "n", len(re))
+    put(A, "L", L // g)
+    put(A, "re", tuple(map(tuple, re)))
+    put(A, "im", tuple(map(tuple, im)))
+    put(A, "_entries", None)
+
+
+def _normal_float(num: int, L: int, i: int, j: int, part: str) -> float:
     try:
-        f = float(x)
+        f = num / L
     except OverflowError:
         f = math.inf
-    if x and not sys.float_info.min <= abs(f) < math.inf:
+    if num and not sys.float_info.min <= abs(f) < math.inf:
+        x = Fraction(num, L)
         exp10 = math.log10(abs(x.numerator)) - math.log10(x.denominator)
         raise FloatRangeError(
             f"entry ({i}, {j}) has a {part} part of about 1e{exp10:+.0f}, outside the "
@@ -216,32 +266,23 @@ class HermitianPencil:
 def split(A: GaussianRationalMatrix) -> HermitianPencil:
     """Hermitian splitting A = A1 + i*A2 with A1 = (A+A*)/2, A2 = (A-A*)/(2i).
 
-    Entry by entry, with a = A_ij and b = A_ji: A1_ij = (a + conj b)/2 and
-    A2_ij = (a - conj b)/(2i), that is
-    A1_ij = ((a.re + b.re)/2, (a.im - b.im)/2) and
-    A2_ij = ((a.im + b.im)/2, (b.re - a.re)/2).
+    On the store C = L*A = R + i*I: A1 = (C + C*)/(2L) = (R + R^T + i*(I - I^T))/(2L)
+    and A2 = (C - C*)/(2iL) = (I + I^T + i*(R^T - R))/(2L), each reduced by one gcd.
     """
-    e, n = A.entries, A.n
-    A1 = [[GaussianRational((e[i][j].re + e[j][i].re) * HALF, (e[i][j].im - e[j][i].im) * HALF)
-           for j in range(n)] for i in range(n)]
-    A2 = [[GaussianRational((e[i][j].im + e[j][i].im) * HALF, (e[j][i].re - e[i][j].re) * HALF)
-           for j in range(n)] for i in range(n)]
-    return HermitianPencil(GaussianRationalMatrix(A1), GaussianRationalMatrix(A2))
+    R, I, L = A.re, A.im, 2 * A.L
+    Rt, It = list(zip(*R)), list(zip(*I))
+
+    def rows(X, Y, sign):
+        return [[x + sign * y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
+
+    return HermitianPencil(GaussianRationalMatrix._of(L, rows(R, Rt, 1), rows(I, It, -1)),
+                           GaussianRationalMatrix._of(L, rows(I, It, 1), rows(Rt, R, -1)))
 
 
-def _denominator_lcm(*mats: GaussianRationalMatrix) -> int:
-    """The lcm of the denominators of every entry part of the matrices."""
-    return math.lcm(*(x.denominator for A in mats for row in A.entries for e in row
-                      for x in (e.re, e.im)))
-
-
-def _cleared_parts(A: GaussianRationalMatrix,
-                   L: int | None = None) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer real and imaginary parts of L*A, L > 0 a multiple of A's
-    denominators, by default their lcm."""
-    L = L or _denominator_lcm(A)
-    return ([[e.re.numerator * (L // e.re.denominator) for e in row] for row in A.entries],
-            [[e.im.numerator * (L // e.im.denominator) for e in row] for row in A.entries])
+def _cleared_parts(A: GaussianRationalMatrix, L: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer real and imaginary parts of L*A, L > 0 a multiple of A.L."""
+    k = L // A.L
+    return tuple([[k * x for x in row] for row in part] for part in (A.re, A.im))
 
 
 def _int_matmul(A, B) -> tuple[list[list[int]], list[list[int]]]:
@@ -254,7 +295,7 @@ def _int_matmul(A, B) -> tuple[list[list[int]], list[list[int]]]:
 
 def is_normal(A: GaussianRationalMatrix) -> bool:
     """Exact test A* A == A A*, on integers: L*A in place of A scales both by L^2."""
-    re, im = _cleared_parts(A)
+    re, im = A.re, A.im
     star = ([list(col) for col in zip(*re)], [[-x for x in col] for col in zip(*im)])
     return _int_matmul(star, (re, im)) == _int_matmul((re, im), star)
 
@@ -283,9 +324,8 @@ def charpoly(A: GaussianRationalMatrix) -> list[GaussianRational]:
     takes characteristic polynomials modulo primes: c_k is its y0^k *
     y1^(n-k) coefficient over L^(n-k).
     """
-    L, n = _denominator_lcm(A), A.n
-    re, im = _cleared_parts(A, L)
-    det_re, det_im = det_pencil(([[-x for x in row] for row in re], [[-x for x in row] for row in im]))
+    L, n = A.L, A.n
+    det_re, det_im = det_pencil(tuple([[-x for x in row] for row in part] for part in (A.re, A.im)))
     return [GaussianRational(Fraction(det_re.get((k, n - k, 0), 0), L ** (n - k)),
                              Fraction(det_im.get((k, n - k, 0), 0), L ** (n - k)))
             for k in range(n + 1)]
@@ -294,29 +334,32 @@ def charpoly(A: GaussianRationalMatrix) -> list[GaussianRational]:
 # -- matrix file format --------------------------------------------------------
 
 
-def _rational_from_json(v) -> Fraction:
+def _rational_from_json(v) -> tuple[int, int]:
+    """(num, den) with den > 0 of an int or [num, den] part; JSON true is 1."""
     if isinstance(v, int):
-        return Fraction(v)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, int) for x in v)):
-        if v[1] == 0:
-            raise MatrixFormatError(f"zero denominator in {v}")
-        return Fraction(v[0], v[1])
+        return v, 1
+    if isinstance(v, list) and len(v) == 2:
+        num, den = v
+        if isinstance(num, int) and isinstance(den, int):
+            if den == 0:
+                raise MatrixFormatError(f"zero denominator in {v}")
+            return (num, den) if den > 0 else (-num, -den)
     raise MatrixFormatError(f"bad rational {v!r}: expected int or [num, den]")
 
 
-def _entry_from_json(e) -> GaussianRational:
+def _entry_from_json(e) -> tuple[tuple[int, int], tuple[int, int]]:
     if not isinstance(e, list) or len(e) != 2:
         raise MatrixFormatError(
             f"bad entry {e!r}: expected [re, im] ints or [[re_num,re_den],[im_num,im_den]]")
-    return GaussianRational(_rational_from_json(e[0]), _rational_from_json(e[1]))
+    return _rational_from_json(e[0]), _rational_from_json(e[1])
 
 
 def matrix_from_json(obj) -> GaussianRationalMatrix:
     """Read the matrix JSON schema: {"n": k, "entries": [[entry, ...], ...]}.
 
     Each entry is [[re_num, re_den], [im_num, im_den]]; the shorthand
-    [re_int, im_int] is accepted.
+    [re_int, im_int] is accepted.  The parts go straight into the integer
+    store, over the lcm of their denominators.
     """
     if not isinstance(obj, dict):
         raise MatrixFormatError("matrix document must be a JSON object")
@@ -334,7 +377,9 @@ def matrix_from_json(obj) -> GaussianRationalMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise MatrixFormatError(f"row {i} must have {n} entries")
         rows.append([_entry_from_json(e) for e in row])
-    return GaussianRationalMatrix(rows)
+    L = math.lcm(*(d for row in rows for e in row for _, d in e))
+    re, im = ([[e[k][0] * (L // e[k][1]) for e in row] for row in rows] for k in (0, 1))
+    return GaussianRationalMatrix._of(L, re, im)
 
 
 def load_matrix(path) -> GaussianRationalMatrix:

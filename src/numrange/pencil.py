@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactpoly import TriPoly, _sturm, det_pencil
-from .hermitian import HermitianPencil, NonHermitianError, _cleared_parts, _denominator_lcm
+from .hermitian import HermitianPencil, NonHermitianError, _cleared_parts
 
 __all__ = [
     "PencilCurve",
@@ -177,7 +177,7 @@ def pencil_det(pencil: HermitianPencil) -> PencilCurve:
 def _integer_pencil(A1, A2) -> tuple[int, tuple, tuple, dict]:
     """(L, C1, C2, Q): the joint denominator lcm L, the `_cleared_parts` Cj of
     L*Aj, and the int terms {(a, b, c): v} of the real Q = det(y0*I + y1*C1 + y2*C2)."""
-    L = _denominator_lcm(A1, A2)
+    L = math.lcm(A1.L, A2.L)
     C1, C2 = _cleared_parts(A1, L), _cleared_parts(A2, L)
     re, im = det_pencil(C1, C2)
     if im:

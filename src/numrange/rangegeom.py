@@ -472,7 +472,7 @@ def _certified_spectrum(A: GaussianRationalMatrix, eigs) -> list[GaussianRationa
     coefficient.
     """
     chi = charpoly(A)
-    D = math.gcd(_denominator(e for row in A.entries for e in row), _denominator(chi))
+    D = math.gcd(A.L, _denominator(chi))
 
     def lattice(x: float) -> Fraction:
         return Fraction(round(Fraction(x) * D), D)

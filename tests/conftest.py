@@ -1,8 +1,10 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
@@ -110,3 +112,144 @@ def point_to_polygon_distance(p, vertices) -> float:
         return 0.0
     return min(_point_segment_dist(p, vertices[i], vertices[(i + 1) % n])
                for i in range(n))
+
+
+# -- a Fraction reference of the matrix intake ---------------------------------
+#
+# Matrices as lists of rows of GaussianRational entries with Fraction parts,
+# each operation entry by entry, as the matrix layer computed them before it
+# kept one integer store per matrix.
+
+
+def reference_from_json(obj) -> list[list[GaussianRational]]:
+    """The entries of a well-formed matrix document."""
+    part = lambda v: Fraction(v) if isinstance(v, int) else Fraction(v[0], v[1])
+    return [[GaussianRational(part(e[0]), part(e[1])) for e in row] for row in obj["entries"]]
+
+
+def reference_split(rows):
+    n, half = len(rows), Fraction(1, 2)
+    e = rows
+    A1 = [[GaussianRational((e[i][j].re + e[j][i].re) * half, (e[i][j].im - e[j][i].im) * half)
+           for j in range(n)] for i in range(n)]
+    A2 = [[GaussianRational((e[i][j].im + e[j][i].im) * half, (e[j][i].re - e[i][j].re) * half)
+           for j in range(n)] for i in range(n)]
+    return A1, A2
+
+
+def reference_matmul(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), GaussianRational.ZERO) for col in zip(*B)]
+            for row in A]
+
+
+def reference_conj_transpose(A):
+    return [[e.conjugate() for e in col] for col in zip(*A)]
+
+
+def reference_is_hermitian(A) -> bool:
+    return A == reference_conj_transpose(A)
+
+
+def reference_is_normal(A) -> bool:
+    star = reference_conj_transpose(A)
+    return reference_matmul(star, A) == reference_matmul(A, star)
+
+
+def reference_cleared_parts(A) -> tuple[int, list, list]:
+    """(L, re, im): L the lcm of the denominators of every part, L*A = re + i*im."""
+    L = math.lcm(*(x.denominator for row in A for e in row for x in (e.re, e.im)))
+    return (L, [[int(e.re * L) for e in row] for row in A],
+            [[int(e.im * L) for e in row] for row in A])
+
+
+def reference_to_complex(A):
+    """The complex128 view from float(Fraction) per part, or the text of the
+    FloatRangeError for the first part, in row-major order, outside the
+    normal float range."""
+    out = np.empty((len(A), len(A)), dtype=np.complex128)
+    for i, row in enumerate(A):
+        for j, e in enumerate(row):
+            for x, part in ((e.re, "real"), (e.im, "imaginary")):
+                try:
+                    f = float(x)
+                except OverflowError:
+                    f = math.inf
+                if x and not sys.float_info.min <= abs(f) < math.inf:
+                    exp10 = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+                    return (f"entry ({i}, {j}) has a {part} part of about 1e{exp10:+.0f}, outside "
+                            f"the normal float range [{sys.float_info.min:.3g}, "
+                            f"{sys.float_info.max:.3g}]")
+                if part == "real":
+                    out.real[i, j] = f
+                else:
+                    out.imag[i, j] = f
+    return out
+
+
+def reference_charpoly(A) -> list[GaussianRational]:
+    """Ascending coefficients of det(t*I - A): those of det(t*I - C) for the
+    Gaussian integer matrix C = L*A over L^(n-k), the latter by
+    Faddeev-LeVerrier on (re, im) int pairs."""
+    L, cr, ci = reference_cleared_parts(A)
+    n = len(A)
+
+    def mul(X, Y):
+        (xr, xi), (yr, yi) = X, Y
+        return ([[sum(xr[i][k] * yr[k][j] - xi[i][k] * yi[k][j] for k in range(n))
+                  for j in range(n)] for i in range(n)],
+                [[sum(xr[i][k] * yi[k][j] + xi[i][k] * yr[k][j] for k in range(n))
+                  for j in range(n)] for i in range(n)])
+
+    c = [(0, 0)] * n + [(1, 0)]
+    M = ([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
+    for k in range(1, n + 1):
+        M = mul((cr, ci), M)
+        for i in range(n):
+            M[0][i][i] += c[n - k + 1][0]
+            M[1][i][i] += c[n - k + 1][1]
+        CM = mul((cr, ci), M)
+        tr = (sum(CM[0][i][i] for i in range(n)), sum(CM[1][i][i] for i in range(n)))
+        assert tr[0] % k == 0 and tr[1] % k == 0
+        c[n - k] = (-tr[0] // k, -tr[1] // k)
+    return [GaussianRational(Fraction(a, L ** (n - k)), Fraction(b, L ** (n - k)))
+            for k, (a, b) in enumerate(c)]
+
+
+def matrix_document(rows, rng: random.Random) -> dict:
+    """A matrix document of the entries, each part written in a random one of
+    the accepted forms: an int (when it is one), [num, den] with a negative
+    denominator, or [num, den] not in lowest terms."""
+
+    def part(x: Fraction):
+        form = rng.randrange(3)
+        if form == 0 and x.denominator == 1:
+            return x.numerator
+        k = rng.choice((1, 2, 3, 10 ** 20))
+        sign = -1 if form == 1 else 1
+        return [sign * k * x.numerator, sign * k * x.denominator]
+
+    return {"n": len(rows), "entries": [[[part(e.re), part(e.im)] for e in row] for row in rows]}
+
+
+def random_intake_entries(n: int, rng: random.Random, kind: str) -> list[list[GaussianRational]]:
+    """Seeded entries of one of the kinds "small" (parts k/d with |k| <= 9),
+    "wide" (numerators up to 2^54 or 2^62 over the denominators 1, 3 and 7,
+    or up to 2^70 over 1 and two denominators up to 2^60),
+    "huge" and "tiny" (small parts but two, of size 10^(+-300..400))."""
+
+    bits, dens = rng.choice(((54, [1, 3, 7]), (62, [1, 3, 7]),
+                             (70, [rng.randint(1, 2 ** 60) for _ in range(2)] + [1])))
+
+    def part():
+        if kind == "wide":
+            return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.choice(dens))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    rows = [[[part(), part() if rng.random() < 0.8 else Fraction(0)] for _ in range(n)]
+            for _ in range(n)]
+    if kind in ("huge", "tiny"):
+        for _ in range(2):
+            big = rng.randint(1, 999) * Fraction(10) ** rng.randint(300, 400)
+            row = rows[rng.randrange(n)][rng.randrange(n)]
+            row[rng.randrange(2)] = (big if kind == "huge" else 1 / big) * rng.choice((-1, 1))
+    return [[GaussianRational(*e) for e in row] for row in rows]

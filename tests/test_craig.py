@@ -54,6 +54,16 @@ class TestIdentity:
         with pytest.raises(NonHermitianError):
             craig_identity(nil, diag(0, 1))
 
+    def test_non_hermitian_message(self):
+        nil = GaussianRationalMatrix(
+            [[GaussianRational.ZERO, GaussianRational.ONE],
+             [GaussianRational.ZERO, GaussianRational.ZERO]])
+        for pair in ((nil, diag(0, 1)), (diag(0, 1), nil)):
+            for check in (craig_identity, craig_verdict):
+                with pytest.raises(NonHermitianError) as exc:
+                    check(*pair)
+                assert str(exc.value) == "craig predicates need Hermitian inputs"
+
 
 class TestProductZero:
     def test_examples(self):
@@ -107,19 +117,21 @@ class TestVerdict:
 
     @pytest.mark.parametrize("planted", [True, False])
     def test_one_pencil_per_verdict(self, monkeypatch, planted):
-        # the identity and the sampled hulls share one pencil, so the pair is
-        # checked for Hermitian parts twice (once for the messages), not four times
+        # the identity reads the integer store and the cross-check the float
+        # views of A1 and A2, so no pencil is built and each matrix is checked
+        # for Hermitian symmetry once, by `_check_pair`
         rng = random.Random(503)
         A1, A2 = (planted_product_zero_pair if planted else generic_hermitian_pair)(4, rng)
         built = []
-        real = numrange.craig.HermitianPencil
-        monkeypatch.setattr(numrange.craig, "HermitianPencil", lambda *a: built.append(a) or real(*a))
+        post_init = HermitianPencil.__post_init__
+        monkeypatch.setattr(HermitianPencil, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
         checks = []
         is_hermitian = GaussianRationalMatrix.is_hermitian
         monkeypatch.setattr(GaussianRationalMatrix, "is_hermitian",
                             lambda self: checks.append(self) or is_hermitian(self))
         assert craig_verdict(A1, A2, N=48).identity_holds == planted
-        assert built == [(A1, A2)] and len(checks) == 4
+        assert built == [] and checks == [A1, A2]
 
     def test_planted_verdict_solves_no_eigenvectors_and_no_hull(self, monkeypatch):
         # the cross-check reads lambda_max on the fan from eigvalsh and the box

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,12 +7,16 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import numrange.cli
+
 from numrange.exactpoly import GaussianRational
 from numrange.hermitian import (
+    FloatRangeError,
     GaussianRationalMatrix,
     HermitianPencil,
     MatrixFormatError,
     NonHermitianError,
+    _cleared_parts,
     charpoly,
     is_normal,
     matrix_from_json,
@@ -19,7 +24,20 @@ from numrange.hermitian import (
     split,
 )
 
-from conftest import fixture_matrix, random_gaussian_matrix
+from conftest import (
+    fixture_matrix,
+    matrix_document,
+    random_gaussian_matrix,
+    random_intake_entries,
+    reference_charpoly,
+    reference_cleared_parts,
+    reference_from_json,
+    reference_is_hermitian,
+    reference_is_normal,
+    reference_matmul,
+    reference_split,
+    reference_to_complex,
+)
 
 G = GaussianRational.of
 I_UNIT = GaussianRational.I
@@ -63,6 +81,15 @@ class TestSplit:
     def test_pencil_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             HermitianPencil(NILPOTENT, GaussianRationalMatrix.zero(2))
+
+    def test_non_hermitian_messages(self):
+        zero = GaussianRationalMatrix.zero(2)
+        for pair, text in (((NILPOTENT, zero), "A1 is not Hermitian"),
+                           ((zero, NILPOTENT), "A2 is not Hermitian"),
+                           ((NILPOTENT, NILPOTENT), "A1 is not Hermitian")):
+            with pytest.raises(NonHermitianError) as exc:
+                HermitianPencil(*pair)
+            assert str(exc.value) == text
 
     @staticmethod
     def _split_reference(A):
@@ -213,6 +240,32 @@ class TestCharpoly:
             assert all(isinstance(c, GaussianRational) for c in charpoly(A))
 
 
+MALFORMED = [
+    ([], "matrix document must be a JSON object"),
+    ({"n": 2}, "missing key 'entries'"),
+    ({"n": 0, "entries": []}, "bad size n=0"),
+    ({"n": 2, "entries": [[[0, 0]], [[0, 0], [0, 0]]]}, "row 0 must have 2 entries"),
+    ({"n": 1, "entries": [[[[1, 0], [0, 0]]]]}, "zero denominator in [1, 0]"),
+    ({"n": 1, "entries": [["x"]]},
+     "bad entry 'x': expected [re, im] ints or [[re_num,re_den],[im_num,im_den]]"),
+    ({"entries": []}, "missing key 'n'"),
+    ({"n": "2", "entries": []}, "bad size n='2'"),
+    ({"n": 2, "entries": 5}, "expected 2 rows, got int"),
+    ({"n": 2, "entries": [[0, 0]]}, "expected 2 rows, got 1"),
+    ({"n": 1, "entries": [[[0, [1, False]]]]}, "zero denominator in [1, False]"),
+    ({"n": 1, "entries": [[[1.5, 0]]]}, "bad rational 1.5: expected int or [num, den]"),
+    ({"n": 1, "entries": [[[[1, 2, 3], 0]]]}, "bad rational [1, 2, 3]: expected int or [num, den]"),
+    ({"n": 1, "entries": [[[[1, 2.0], 0]]]}, "bad rational [1, 2.0]: expected int or [num, den]"),
+    ({"n": 1, "entries": [[[0, 0, 0]]]},
+     "bad entry [0, 0, 0]: expected [re, im] ints or [[re_num,re_den],[im_num,im_den]]"),
+    ({"n": 2, "entries": [[["x"], [0, 0]], [[0, 0]]]},
+     "bad entry ['x']: expected [re, im] ints or [[re_num,re_den],[im_num,im_den]]"),
+    ({"n": 2, "entries": [[[0, 0], [0, 0]], 7]}, "row 1 must have 2 entries"),
+    ({"n": 1, "entries": [[[[1, 0], "y"]]]}, "zero denominator in [1, 0]"),
+    ({"n": 1, "entries": [[[None, [1, 0]]]]}, "bad rational None: expected int or [num, den]"),
+]
+
+
 class TestMatrixJson:
     def test_full_and_shorthand(self):
         obj = {"n": 2, "entries": [[[[1, 2], [0, 1]], [3, -1]], [[0, 0], [1, 0]]]}
@@ -227,14 +280,120 @@ class TestMatrixJson:
         again = matrix_from_json(json.loads(A.canonical_json()))
         assert again == A
 
-    @pytest.mark.parametrize("obj", [
-        [],
-        {"n": 2},
-        {"n": 0, "entries": []},
-        {"n": 2, "entries": [[[0, 0]], [[0, 0], [0, 0]]]},
-        {"n": 1, "entries": [[[[1, 0], [0, 0]]]]},   # zero denominator
-        {"n": 1, "entries": [["x"]]},
-    ])
-    def test_malformed(self, obj):
-        with pytest.raises(MatrixFormatError):
+    @pytest.mark.parametrize("obj, message", MALFORMED, ids=[f"obj{i}" for i in range(len(MALFORMED))])
+    def test_malformed(self, obj, message, tmp_path):
+        # the first failing check in row-major order (real part before imaginary
+        # part) names the error; the CLI prefixes the file name
+        with pytest.raises(MatrixFormatError) as exc:
             matrix_from_json(obj)
+        assert str(exc.value) == message
+        path = tmp_path / "m.json"
+        for doc in (obj, {"A1": obj, "A2": {"n": 1, "entries": [[[0, 0]]]}}):
+            path.write_text(json.dumps(doc))
+            loaders = (numrange.cli._load_pair,) if "A1" in doc else (numrange.cli._load_matrix,
+                                                                       numrange.cli._load_pair)
+            for load in loaders:
+                with pytest.raises(numrange.cli.InputError) as exc:
+                    load(str(path))
+                assert str(exc.value) == f"{path}: {message}"
+
+    def test_denominators_are_normalised(self):
+        # a negative denominator moves its sign to the numerator, a non-reduced
+        # one is reduced, and JSON true is the int 1
+        A = matrix_from_json({"n": 2, "entries": [[[[1, -2], [2, 4]], [True, [False, True]]],
+                                                  [[[-6, -4], [0, -3]], [[5, 10], 1]]]})
+        assert A == matrix(
+            [[GaussianRational(Fraction(-1, 2), Fraction(1, 2)), G(1)],
+             [G(Fraction(3, 2)), GaussianRational(Fraction(1, 2), Fraction(1))]])
+        assert A.canonical_json() == (
+            '{"n":2,"entries":[[[[-1,2],[1,2]],[[1,1],[0,1]]],[[[3,2],[0,1]],[[1,2],[1,1]]]]}')
+
+    @pytest.mark.parametrize("part, exponents", [
+        ([[10 ** 400, 1], 0], ("real", "+400", "+400")),
+        ([[1, -10 ** 400], 0], ("real", "-400", "-400")),
+        ([0, [7, 10 ** 400]], ("imaginary", "-399", "-399")),
+        ([0, [-10 ** 400, 3]], ("imaginary", "+400", "+399")),
+        ([[1, 2 ** 1074], 0], ("real", "-323", "-324")),
+    ])
+    def test_float_range_error(self, part, exponents):
+        # the float view of A, then that of A1 = (A + A*)/2 or A2, each of
+        # whose parts at (0, 1) is half the one of A
+        A = matrix_from_json({"n": 2, "entries": [[[1, 0], part], [[0, 0], [0, 1]]]})
+        kind, *exps = exponents
+        for to_float, exp in zip((A.to_complex, lambda: split(A).float_parts()), exps):
+            with pytest.raises(FloatRangeError) as exc:
+                to_float()
+            assert str(exc.value) == (f"entry (0, 1) has a {kind} part of about 1e{exp}, "
+                                      f"outside the normal float range [2.23e-308, 1.8e+308]")
+
+    def test_float_range_error_of_a_split_part(self):
+        # 2^-1022 is the smallest normal float; the split halves it
+        A = matrix_from_json({"n": 2, "entries": [[[1, 0], [[1, 2 ** 1022], 0]], [[0, 0], [0, 1]]]})
+        assert A.to_complex()[0, 1] == 2.0 ** -1022
+        with pytest.raises(FloatRangeError) as exc:
+            split(A).float_parts()
+        assert str(exc.value) == ("entry (0, 1) has a real part of about 1e-308, outside the "
+                                  "normal float range [2.23e-308, 1.8e+308]")
+
+
+
+def _intake_cases():
+    """(rows, document) pairs: n = 1..8, each entry kind of
+    `random_intake_entries`, its Hermitian part H and, for the kinds without
+    10^(+-300) parts, the normal H + i*c*H^2."""
+    rng = random.Random(1807)
+    for n in range(1, 9):
+        for kind in ("small", "wide", "huge", "tiny"):
+            rows = random_intake_entries(n, rng, kind)
+            H = reference_split(rows)[0]
+            yield rows, matrix_document(rows, rng)
+            yield H, matrix_document(H, rng)
+            if kind in ("small", "wide"):
+                c = GaussianRational(Fraction(0), Fraction(rng.randint(1, 5), 3))
+                N = [[h + c * h2 for h, h2 in zip(r, r2)]
+                     for r, r2 in zip(H, reference_matmul(H, H))]
+                yield N, matrix_document(N, rng)
+
+
+class TestIntakeAgainstFractionReference:
+    """The integer store against the Fraction reference of `conftest`, on
+    matrices read from documents and built from entries alike."""
+
+    def test_every_intake_operation(self):
+        seen = set()
+        for rows, doc in _intake_cases():
+            assert reference_from_json(doc) == rows
+            A, B = matrix_from_json(doc), GaussianRationalMatrix(rows)
+            assert A.entries == B.entries == tuple(map(tuple, rows))
+            assert A == B and hash(A) == hash(B) and A.n == B.n == len(rows)
+            ref = reference_to_complex(rows)
+            for M in (A, B):
+                if isinstance(ref, str):
+                    with pytest.raises(FloatRangeError) as exc:
+                        M.to_complex()
+                    assert str(exc.value) == ref
+                else:
+                    # bit for bit, signed zeros included
+                    assert M.to_complex().view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+            pencil, (R1, R2) = split(A), reference_split(rows)
+            assert pencil.A1.entries == tuple(map(tuple, R1))
+            assert pencil.A2.entries == tuple(map(tuple, R2))
+            hermitian, normal = reference_is_hermitian(rows), reference_is_normal(rows)
+            assert A.is_hermitian() == hermitian and is_normal(A) == normal
+            L, re, im = reference_cleared_parts(rows)
+            assert A.L == L
+            assert _cleared_parts(A, L) == (re, im)
+            assert _cleared_parts(A, 6 * L) == tuple([[6 * x for x in row] for row in p]
+                                                     for p in (re, im))
+            assert charpoly(A) == reference_charpoly(rows)
+            seen |= {("float range error", isinstance(ref, str)), ("hermitian", hermitian),
+                     ("normal", normal)}
+            for part in (x for row in doc["entries"] for e in row for x in e):
+                if isinstance(part, list):
+                    seen |= {"negative" if part[1] < 0 else "fraction",
+                             "non-reduced" if math.gcd(*part) > 1 else "fraction",
+                             "wide" if abs(part[0]) > 2 ** 53 else "fraction"}
+        # the cases reach every input form and both sides of each predicate
+        assert seen == {"negative", "fraction", "non-reduced", "wide"} | {
+            (name, value) for name in ("float range error", "hermitian", "normal")
+            for value in (True, False)}

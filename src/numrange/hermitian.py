@@ -1,14 +1,13 @@
 """Complex matrix intake, Hermitian splitting, and exact matrix algebra.
 
-A matrix over Q(i) is kept in one canonical integer store: its size n, one
-denominator L > 0 and the int rows `re` and `im` with A = (re + i*im)/L.  L
-is the least common denominator of all entry parts, that is gcd(L, every
-part) = 1, so the store is unique and `==` and `hash` read it.  The
+A matrix over Q(i) is kept in one canonical integer store: its size n, the
+least common denominator L > 0 of its entry parts and the int rows `re` and
+`im` with A = (re + i*im)/L, so `==` and `hash` read the store.  The
 structural predicates (Hermitian, normal, the split A = A1 + i*A2) and the
 exact consumers (`charpoly`, the pencil determinant) work on these integers;
 `entries`, the rows of `GaussianRational` entries, is built on first access.
-Numeric analysis works on the float view `to_complex`, converted once per
-pencil; the angle-grid eigensolves that read it live in `pencil`.
+The float view `to_complex` rounds each part correctly, as float(Fraction)
+does; the angle-grid eigensolves that read it live in `pencil`.
 """
 
 from __future__ import annotations
@@ -39,10 +38,6 @@ __all__ = [
     "load_matrix",
 ]
 
-# ints up to 2^53 in magnitude are exact doubles
-_EXACT_INT = 2 ** 53
-
-
 class MatrixFormatError(ValueError):
     pass
 
@@ -67,13 +62,8 @@ class GaussianRationalMatrix:
     __slots__ = ("n", "L", "re", "im", "_entries")
 
     def __init__(self, entries):
-        rows = [[_entry(e) for e in row] for row in entries]
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise MatrixFormatError("matrix must be square and non-empty")
-        L = math.lcm(*(x.denominator for row in rows for e in row for x in (e.re, e.im)))
-        _store(self, L, [[e.re.numerator * (L // e.re.denominator) for e in row] for row in rows],
-               [[e.im.numerator * (L // e.im.denominator) for e in row] for row in rows])
+        _store(self, *_cleared([[(e.re.as_integer_ratio(), e.im.as_integer_ratio())
+                                 for e in map(_entry, row)] for row in entries]))
 
     @classmethod
     def _of(cls, L: int, re, im) -> "GaussianRationalMatrix":
@@ -142,11 +132,10 @@ class GaussianRationalMatrix:
                                           *_int_matmul((self.re, self.im), (other.re, other.im)))
 
     def scale(self, c) -> "GaussianRationalMatrix":
-        c = _entry(c)
-        d = math.lcm(c.re.denominator, c.im.denominator)
-        cr, ci = c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator)
+        c = GaussianRationalMatrix([[c]])
+        cr, ci = c.re[0][0], c.im[0][0]
         return GaussianRationalMatrix._of(
-            self.L * d, [[cr * x - ci * y for x, y in zip(rx, ry)] for rx, ry in zip(self.re, self.im)],
+            self.L * c.L, [[cr * x - ci * y for x, y in zip(rx, ry)] for rx, ry in zip(self.re, self.im)],
             [[ci * x + cr * y for x, y in zip(rx, ry)] for rx, ry in zip(self.re, self.im)])
 
     def is_zero(self) -> bool:
@@ -158,19 +147,11 @@ class GaussianRationalMatrix:
                 and self.im == tuple(tuple(-x for x in col) for col in zip(*self.im)))
 
     def to_complex(self) -> np.ndarray:
-        """complex128 copy, each part correctly rounded, as float(Fraction) is.
-
-        When L and every |part| are at most 2^53, all are exact doubles and one
-        numpy division rounds each quotient correctly; otherwise each part is
-        Python's int / int, also correctly rounded.  FloatRangeError when a
-        nonzero part is beyond the largest float or below the smallest normal one.
+        """complex128 copy, each part Python's int / int: correctly rounded, as
+        float(Fraction) is.  FloatRangeError when a nonzero part is beyond the
+        largest float or below the smallest normal one.
         """
         L, re, im = self.L, self.re, self.im
-        if max(L, *map(abs, chain(*re, *im))) <= _EXACT_INT:
-            out = np.empty((self.n, self.n), dtype=np.complex128)
-            out.real = np.array(re, dtype=np.float64) / L
-            out.imag = np.array(im, dtype=np.float64) / L
-            return out
         return np.array([[complex(_normal_float(a, L, i, j, "real"),
                                   _normal_float(b, L, i, j, "imaginary"))
                           for j, (a, b) in enumerate(zip(ra, ia))]
@@ -181,8 +162,8 @@ class GaussianRationalMatrix:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
 
     def canonical_json(self) -> str:
-        ents = [[[[e.re.numerator, e.re.denominator], [e.im.numerator, e.im.denominator]]
-                 for e in row] for row in self.entries]
+        ents = [[(e.re.as_integer_ratio(), e.im.as_integer_ratio()) for e in row]
+                for row in self.entries]
         return json.dumps({"n": self.n, "entries": ents}, separators=(",", ":"))
 
     def __repr__(self):
@@ -197,6 +178,8 @@ class GaussianRationalMatrix:
 
 def _store(A: GaussianRationalMatrix, L: int, re, im) -> None:
     """Fill A's slots with (re + i*im)/L reduced by the gcd of L and every part."""
+    if not re or any(len(r) != len(re) for r in re):
+        raise MatrixFormatError("matrix must be square and non-empty")
     g = math.gcd(L, *chain(*re, *im))
     if g > 1:
         re, im = ([[x // g for x in row] for row in part] for part in (re, im))
@@ -206,6 +189,13 @@ def _store(A: GaussianRationalMatrix, L: int, re, im) -> None:
     put(A, "re", tuple(map(tuple, re)))
     put(A, "im", tuple(map(tuple, im)))
     put(A, "_entries", None)
+
+
+def _cleared(rows) -> tuple[int, list[list[int]], list[list[int]]]:
+    """(L, re, im) of rows of ((re_num, re_den), (im_num, im_den)) entries, L
+    the lcm of the denominators."""
+    L = math.lcm(*(d for row in rows for e in row for _, d in e))
+    return L, *([[e[k][0] * (L // e[k][1]) for e in row] for row in rows] for k in (0, 1))
 
 
 def _normal_float(num: int, L: int, i: int, j: int, part: str) -> float:
@@ -377,9 +367,7 @@ def matrix_from_json(obj) -> GaussianRationalMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise MatrixFormatError(f"row {i} must have {n} entries")
         rows.append([_entry_from_json(e) for e in row])
-    L = math.lcm(*(d for row in rows for e in row for _, d in e))
-    re, im = ([[e[k][0] * (L // e[k][1]) for e in row] for row in rows] for k in (0, 1))
-    return GaussianRationalMatrix._of(L, re, im)
+    return GaussianRationalMatrix._of(*_cleared(rows))
 
 
 def load_matrix(path) -> GaussianRationalMatrix:

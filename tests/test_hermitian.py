@@ -297,6 +297,18 @@ class TestMatrixJson:
                     load(str(path))
                 assert str(exc.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("build", [
+        lambda: GaussianRationalMatrix([]),
+        lambda: GaussianRationalMatrix.identity(0),
+        lambda: GaussianRationalMatrix.identity(-1),
+        lambda: GaussianRationalMatrix.zero(0),
+        lambda: GaussianRationalMatrix.zero(-2),
+        lambda: GaussianRationalMatrix.diagonal([]),
+    ], ids=["entries", "identity0", "identity-1", "zero0", "zero-2", "diagonal"])
+    def test_empty_matrix_refused(self, build):
+        with pytest.raises(MatrixFormatError, match=r"^matrix must be square and non-empty$"):
+            build()
+
     def test_denominators_are_normalised(self):
         # a negative denominator moves its sign to the numerator, a non-reduced
         # one is reduced, and JSON true is the int 1

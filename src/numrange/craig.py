@@ -89,8 +89,9 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     """Run both predicates, assert their agreement, and extract the rectangle.
 
     Both predicates read one integer clearing of the pair.  When the criterion holds
-    the rectangle spans the spectra of A1 and A2, checked against the box of the half-planes
-    x . u_k <= lambda_max(cos_k*A1 + sin_k*A2) around W, theta_k = 2*pi*k/N (one eigvalsh).
+    the rectangle spans the spectra of A1 and A2, checked against the box of the points where
+    neighbouring supporting lines x . u_k = lambda_max(cos_k*A1 + sin_k*A2) meet, theta_k =
+    2*pi*k/N (one eigvalsh; `_outer_vertices`).
     """
     _check_pair(A1, A2)
     _, C1, C2, Q = _integer_pencil(A1, A2)

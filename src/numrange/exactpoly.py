@@ -58,8 +58,6 @@ __all__ = [
     "repeated_part",
     "gcd_squarefree",
     "parse_poly",
-    "sturm_real_root_count",
-    "uni_squarefree",
 ]
 
 Expo = tuple[int, int, int]
@@ -468,9 +466,6 @@ class TriPoly:
 
     def __repr__(self):
         return f"TriPoly({self.vars}, {self.to_text()})"
-
-
-_TERM_RE = re.compile(r"^\s*(?P<coef>[+-]?\d+(?:/\d+)?)?\s*(?P<rest>(?:\*?\s*[A-Za-z_]\w*(?:\^\d+)?\s*)*)$")
 
 
 def parse_poly(text: str, vars: Sequence[str]) -> TriPoly:
@@ -1040,8 +1035,8 @@ def det_pencil(C1, C2=None) -> tuple[IntPoly, IntPoly]:
     """(Re Q, Im Q) as int term dicts over (y0, y1, y2), for the pencil
     determinant Q = det(y0*I + y1*C1 + y2*C2) of Gaussian integer matrices.
 
-    Each matrix is a pair (re, im) of n x n int lists; C2 = None is the zero
-    matrix.  Because y0 enters only as y0*I, Q(y0, t, j*t) = sum_k
+    Each matrix is a pair (re, im) of n x n int rows, lists or tuples; C2 =
+    None is the zero matrix.  Because y0 enters only as y0*I, Q(y0, t, j*t) = sum_k
     e_k(C1 + j*C2) * y0^(n-k) * t^k, with e_k the sum of the principal
     k-minors: the degree-k part of Q, a polynomial of degree <= k in j, is
     fixed by e_k(C1 + j*C2) at the nodes j = 0..n (at j = 0 alone when
@@ -1075,9 +1070,10 @@ def det_pencil(C1, C2=None) -> tuple[IntPoly, IntPoly]:
     n = len(r1)
     zero = [[0] * n for _ in range(n)]
     r2, i2 = (zero, zero) if C2 is None else C2
-    nodes = n + 1 if any(map(any, r2 + i2)) else 1
-    real = not any(map(any, i1 + i2))
-    hermitian = all(R == [list(c) for c in zip(*R)] and I == [[-x for x in c] for c in zip(*I)]
+    nodes = n + 1 if any(map(any, (*r2, *i2))) else 1
+    real = not any(map(any, (*i1, *i2)))
+    hermitian = all(list(map(tuple, R)) == list(zip(*R))
+                    and list(map(tuple, I)) == [tuple(-x for x in c) for c in zip(*I)]
                     for R, I in ((r1, i1), (r2, i2)))
     bound = 2 * math.prod(1 + sum(abs(a) + abs(b) + abs(c) + abs(d) for a, b, c, d in zip(*rows))
                           for rows in zip(r1, i1, r2, i2))
@@ -1187,30 +1183,6 @@ def _uni_trim_q(c: list[Fraction]) -> list[Fraction]:
     return c
 
 
-def uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = _uni_trim_q(list(a))
-    b = _uni_trim_q(list(b))
-    while b:
-        a, b = b, uni_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def uni_squarefree(coeffs: list[Fraction]) -> list[Fraction]:
-    c = _uni_trim_q(list(coeffs))
-    if len(c) <= 1:
-        return c
-    g = uni_gcd(c, uni_derivative(c))
-    if len(g) <= 1:
-        return c
-    # exact univariate division
-    q, r = uni_divmod(c, g)
-    assert not r
-    return q
-
-
 def uni_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     a = _uni_trim_q(list(a))
     b = _uni_trim_q(list(b))
@@ -1238,11 +1210,6 @@ def _sign_changes(vals: Iterable[Fraction]) -> int:
             changes += 1
         prev = s
     return changes
-
-
-def sturm_real_root_count(coeffs: list[Fraction]) -> int:
-    """Number of distinct real roots of the rational polynomial (all of R)."""
-    return _sturm(coeffs)[0]
 
 
 def _sturm(coeffs: list[Fraction]) -> tuple[int, int]:

@@ -45,7 +45,6 @@ __all__ = [
     "HyperbolicityReport",
     "LmiPolytope",
     "lmi_polytope_vertices",
-    "restrict_to_line",
     "line_roots_from_eigs",
 ]
 
@@ -263,10 +262,8 @@ def _exit_residuals(pencil: HermitianPencil, y1: np.ndarray, y2: np.ndarray) -> 
 def lmi_member(pencil: HermitianPencil, y: tuple[float, float],
                tol: float = BOUNDARY_TOL) -> bool:
     """Membership y in F(A): lambda_min(F(1, y1, y2)) >= -tol."""
-    f1, f2 = pencil.float_parts()
-    F = np.eye(pencil.n) + float(y[0]) * f1 + float(y[1]) * f2
-    w = np.linalg.eigvalsh(F)
-    return bool(w[0] >= -tol)
+    y1, y2 = np.array([float(y[0])]), np.array([float(y[1])])
+    return bool(_exit_residuals(pencil, y1, y2)[0] >= -tol)
 
 
 def ray_exit(pencil: HermitianPencil, direction: tuple[float, float]) -> RayExit:
@@ -310,11 +307,6 @@ def boundary_csv(samples: CurveSampleSet) -> str:
                                        (samples.x, samples.y, samples.lambda_min)], axis=1)
     return ("theta,y1,y2,lambda_min\n" + "%.12g,%.12g,%.12g,%.12g\n" * len(f)) % tuple(
         cols.ravel().tolist())
-
-
-def restrict_to_line(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction]:
-    """Exact coefficients of t -> p(1, t*d1, t*d2), ascending."""
-    return _restriction(_integer_form(p), d1, d2)[2]
 
 
 def _integer_form(p: TriPoly) -> tuple[int, list[list[tuple[int, int, int]]]]:
@@ -429,7 +421,6 @@ class LineCheck:
     distinct_roots_expected: int
     all_real: bool
     eig_residual_max: float
-    imag_residue_max: float
 
 
 @dataclass
@@ -439,10 +430,6 @@ class HyperbolicityReport:
     @property
     def ok(self) -> bool:
         return all(l.all_real for l in self.lines)
-
-    @property
-    def max_imag_residue(self) -> float:
-        return max((l.imag_residue_max for l in self.lines), default=0.0)
 
     @property
     def max_eig_residual(self) -> float:
@@ -455,8 +442,10 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
 
     Verified two ways per line: exactly, by the sign-change certificate on the
     restriction at points placed by the eigenvalue-predicted roots, or a Sturm
-    count where it fails (repeated or missed roots); numerically, by residuals
-    of the predicted roots.  One batched eigvalsh predicts the roots of all lines.
+    count where it fails (repeated or missed roots); numerically, by the
+    relative residual of the float restriction at the predicted roots, the
+    max_eig_residual that `classify` prints.  One batched eigvalsh predicts the
+    roots of all lines; no other root solve runs.
     """
     if trials < 1:
         raise ValueError("need at least one trial line")
@@ -471,40 +460,20 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
     p, e = _chart_normal(curve.p)
     form = _integer_form(p)
     restrictions = [_restriction(form, d1, d2) for d1, d2 in dirs]
-    fls = [[float(c) for c in coeffs] for _, _, coeffs in restrictions]
     checks = []
-    for d, (N, w, coeffs), fl, line_eigs, imag in zip(dirs, restrictions, fls, eigs,
-                                                       _imag_residues(fls)):
+    for d, (N, w, coeffs), line_eigs in zip(dirs, restrictions, eigs):
         t = np.ldexp([r for _, r in line_roots_from_eigs(line_eigs, scale)], -e)
         if _sign_certificate(N, w, t.tolist()):
             distinct = deg_sf = len(N) - 1
         else:
             distinct, deg_sf = _sturm(coeffs)
         # eigenvalue cross-check
-        terms = np.array([c * np.float_power(t, k) for k, c in enumerate(fl)])
+        terms = np.array([float(c) * np.float_power(t, k) for k, c in enumerate(coeffs)])
         resid = float(np.max(np.abs(np.add.reduce(terms))
                              / np.maximum(np.abs(terms).max(axis=0), 1e-300), initial=0.0))
         checks.append(LineCheck(d, len(coeffs) - 1, distinct, deg_sf, distinct == deg_sf,
-                                eig_residual_max=resid, imag_residue_max=imag))
+                                eig_residual_max=resid))
     return HyperbolicityReport(checks)
-
-
-def _imag_residues(polys: list[list[float]]) -> list[float]:
-    """max |Im r| / max(1, max |r|) over r = `np.roots(c[::-1])` for each ascending
-    float list c, 0.0 without roots: np.roots's own companion matrices (zeros at
-    both ends stripped, c[0] = 0 only adds roots at 0), one batched eigvals per size."""
-    out = np.zeros(len(polys))
-    trimmed = [(i, c[nz[0]:nz[-1] + 1][::-1]) for i, c in enumerate(polys)
-               for nz in [np.flatnonzero(c)] if nz.size > 1]
-    for m in {len(c) - 1 for _, c in trimmed}:
-        rows, P = zip(*((i, c) for i, c in trimmed if len(c) == m + 1))
-        P, A = np.array(P), np.zeros((len(rows), m, m))
-        A[:, 1:, :-1] = np.eye(m - 1)
-        A[:, 0] = -P[:, 1:] / P[:, :1]
-        roots = np.linalg.eigvals(A)
-        rel = np.abs(roots.imag).max(axis=1) / np.maximum(1.0, np.abs(roots).max(axis=1))
-        out[list(rows)] = rel
-    return out.tolist()
 
 
 @dataclass(frozen=True)

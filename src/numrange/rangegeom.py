@@ -14,7 +14,6 @@ eigenvector of the solve that places the sample.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -212,65 +211,19 @@ def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
 
 
 def _outer_vertices(cos: np.ndarray, sin: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The vertices of `_outer_polygon` before the hull, an (m, 2) array in angle order.
+    """The vertices of `_outer_polygon` before the hull, an (N, 2) array in angle order.
 
-    The angles increase around the circle with gaps below pi, as on every
-    spectral grid.  One angle-ordered deque sweep (Preparata & Shamos,
-    Computational Geometry, section 7.2) keeps the half-planes that bound the
-    intersection: a vertex is cut off when it violates a half-plane by more
-    than 1e-9*scale.  The vertex of two neighbouring half-planes k, k+1 is
-    computed by one array expression, so when no half-plane is redundant the
-    vertices are those N points; the vertex of lines left adjacent by a
-    redundant one is computed by the same formula.
-
-    The sweep pops a half-plane only if some test it makes cuts a vertex.
-    With nothing popped those tests are exactly C[k] . u[k+2] against
-    h[k+2] (k = 0..N-2, indices mod N) and C[0] . u[j] against h[j]
-    (j = 2..N-1), C[k] the vertex of half-planes k and k+1.  They are
-    evaluated at once, in the sweep's own operation order; when none cuts,
-    the sweep would keep every half-plane and is skipped.
-
-    On a spectral grid none cuts: every half-plane touches W(A) at its
-    witness, and the roundoff in C stays far inside the slack (checked on
-    the fixtures at N = 3..2880 and on seeded draws).  The sweep is a safety
-    fallback for support values that break this, such as a grid so fine that
-    dividing by det lifts roundoff past the slack; no benchmark input
-    reaches it, and only the tests' raised support values exercise it.
+    Precondition: h is a support function sampled on a fan whose angles
+    increase around the circle with gaps below pi, as on every spectral grid.
+    Then every supporting line touches W(A) (at its rank-one witness), no
+    half-plane is redundant, and the intersection's vertices are the N points
+    C[k] where the lines of neighbouring angles k, k+1 meet.  Should roundoff
+    break the precondition, `_cycle_hull` still returns a convex polygon that
+    contains W(A).
     """
-    N = len(h)
     cos_n, sin_n, h_n = np.roll(cos, -1), np.roll(sin, -1), np.roll(h, -1)  # next angle
     det = cos * sin_n - sin * cos_n  # sin of the angle gap, never 0
-    C = np.stack([(h * sin_n - h_n * sin) / det, (cos * h_n - cos_n * h) / det], axis=1)
-    slack = 1e-9 * max(1.0, float(np.abs(C).max()))
-    k2 = (np.arange(N - 1) + 2) % N
-    if not ((C[:-1, 0] * cos[k2] + C[:-1, 1] * sin[k2] > h[k2] + slack).any()
-            or (C[0, 0] * cos[2:] + C[0, 1] * sin[2:] > h[2:] + slack).any()):
-        return C
-    neighbours = [tuple(pt) for pt in C.tolist()]
-    c, s, hs = cos.tolist(), sin.tolist(), h.tolist()
-
-    def vertex(i, j):
-        if j == (i + 1) % N:
-            return neighbours[i]
-        d = c[i] * s[j] - s[i] * c[j]
-        return ((hs[i] * s[j] - hs[j] * s[i]) / d, (c[i] * hs[j] - c[j] * hs[i]) / d)
-
-    def cut(pt, j):
-        return pt[0] * c[j] + pt[1] * s[j] > hs[j] + slack
-
-    lines: deque[int] = deque()
-    for j in range(N):
-        while len(lines) >= 2 and cut(vertex(lines[-2], lines[-1]), j):
-            lines.pop()
-        while len(lines) >= 2 and cut(vertex(lines[0], lines[1]), j):
-            lines.popleft()
-        lines.append(j)
-    while len(lines) >= 3 and cut(vertex(lines[-2], lines[-1]), lines[0]):
-        lines.pop()
-    while len(lines) >= 3 and cut(vertex(lines[0], lines[1]), lines[-1]):
-        lines.popleft()
-    order = list(lines)
-    return np.array([vertex(i, j) for i, j in zip(order, order[1:] + order[:1])])
+    return np.stack([(h * sin_n - h_n * sin) / det, (cos * h_n - cos_n * h) / det], axis=1)
 
 
 def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:

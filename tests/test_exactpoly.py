@@ -26,14 +26,12 @@ from numrange.exactpoly import (
     parse_poly,
     repeated_part,
     resultant,
-    sturm_real_root_count,
     tri_gcd,
-    uni_squarefree,
 )
 
-from numrange.hermitian import GaussianRationalMatrix, charpoly
+from numrange.hermitian import GaussianRationalMatrix, _cleared_parts, charpoly, split
 
-from conftest import XVARS, YVARS, random_tripoly
+from conftest import XVARS, YVARS, fixture_matrix, random_tripoly
 
 Y0 = TriPoly.variable(0, YVARS)
 Y1 = TriPoly.variable(1, YVARS)
@@ -271,6 +269,24 @@ class TestDetPencil:
         assert det_pencil(C1) == _int_dicts(Y0 ** 2, TriPoly.zero(YVARS))
         bound = 2 * (1 + 2 * c) ** 2
         assert math.prod(used) > bound >= math.prod(used[:-1])
+
+    def test_tuple_rows_take_one_image_of_i(self, monkeypatch):
+        # nested_ovals is a complex Hermitian pencil, so each prime maps i to
+        # one root s of -1 at the n + 1 nodes, whether the rows are lists or
+        # tuples; with C2 = None too
+        pencil = split(fixture_matrix("nested_ovals"))
+        L = math.lcm(pencil.A1.L, pencil.A2.L)
+        lists = [_cleared_parts(A, L) for A in (pencil.A1, pencil.A2)]
+        tuples = [tuple(tuple(map(tuple, part)) for part in C) for C in lists]
+        assert any(map(any, lists[0][1] + lists[1][1]))
+        expected = det_pencil(*lists), det_pencil(lists[0])
+        used = self._spy_moduli(monkeypatch)
+        for pencils, want, nodes in ((lists, expected[0], pencil.n + 1),
+                                     (tuples, expected[0], pencil.n + 1),
+                                     (lists[:1], expected[1], 1), (tuples[:1], expected[1], 1)):
+            used.clear()
+            assert det_pencil(*pencils) == want
+            assert used and all(used.count(P) == nodes for P in used), (type(pencils[0][0]), nodes)
 
     @staticmethod
     def _spy_moduli(monkeypatch) -> list[int]:
@@ -696,14 +712,14 @@ class TestTextFormat:
 class TestSturm:
     def test_all_real_cubic(self):
         # (t-1)(t-2)(t-3)
-        assert sturm_real_root_count([Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]) == 3
+        assert exactpoly._sturm([Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)])[0] == 3
 
     def test_complex_pair(self):
-        assert sturm_real_root_count([Fraction(1), Fraction(0), Fraction(1)]) == 0
+        assert exactpoly._sturm([Fraction(1), Fraction(0), Fraction(1)])[0] == 0
 
     def test_mixed(self):
         # (t^2+1)(t-2)
-        assert sturm_real_root_count([Fraction(-2), Fraction(1), Fraction(-2), Fraction(1)]) == 1
+        assert exactpoly._sturm([Fraction(-2), Fraction(1), Fraction(-2), Fraction(1)])[0] == 1
 
     def test_one_chain_gives_the_squarefree_degree(self):
         # planted real roots, some repeated, times t^2 + 1 half of the time
@@ -715,7 +731,7 @@ class TestSturm:
                 c = [a - r * b for a, b in zip([Fraction(0)] + c, c + [Fraction(0)])]
             distinct, deg_sf = exactpoly._sturm(c)
             assert distinct == len(set(roots))
-            assert deg_sf == len(uni_squarefree(c)) - 1 == len(set(roots)) + 2 * (k % 2)
+            assert deg_sf == len(set(roots)) + 2 * (k % 2)
 
 
 class TestRepeatedPart:

@@ -839,7 +839,7 @@ def _gcd_mod_p(u: list[int], v: list[int], P: int) -> list[int]:
     v with nonzero leading coefficients."""
     u, v = list(u), list(v)
     while v:
-        inv = pow(v[-1], P - 2, P)
+        inv = pow(v[-1], -1, P)
         while len(u) >= len(v):
             f = u[-1] * inv % P
             shift = len(u) - len(v)
@@ -847,7 +847,7 @@ def _gcd_mod_p(u: list[int], v: list[int], P: int) -> list[int]:
             while u and not u[-1]:
                 u.pop()
         u, v = v, u
-    inv = pow(u[-1], P - 2, P)
+    inv = pow(u[-1], -1, P)
     return [c * inv % P for c in u]
 
 
@@ -949,7 +949,7 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
             continue
         if kp != k:
             k, lift, M = kp, {}, 1
-        inv, g = pow(M, P - 2, P), gamma % P
+        inv, g = pow(M, -1, P), gamma % P
         new = {}
         for e in lift.keys() | img.keys():
             x = lift.get(e, 0)

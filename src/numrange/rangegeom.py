@@ -70,14 +70,9 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _pairs(P: np.ndarray) -> list[tuple[float, float]]:
-    """The rows of an (m, 2) float array as (x, y) tuples of Python floats."""
-    return list(zip(P[:, 0].tolist(), P[:, 1].tolist()))
-
-
-def _cycle_hull(P: np.ndarray) -> list[tuple[float, float]]:
-    """`convex_hull` of the rows of an (m, 2) float array, given in
-    counter-clockwise cyclic order.
+def _cycle_hull(P: np.ndarray) -> np.ndarray:
+    """`convex_hull` of the rows of an (m, 2) float array in counter-clockwise
+    cyclic order, as a float array of `convex_hull`'s rows.
 
     After consecutive exact repeats are dropped (the first of equal points
     stays, as in `convex_hull`'s set), the cycle is certified in one array
@@ -101,8 +96,8 @@ def _cycle_hull(P: np.ndarray) -> list[tuple[float, float]]:
             ex, ey = b[:, 0] - Q[:, 0], b[:, 1] - Q[:, 1]
             if np.arctan2(turn, ax * ex + ay * ey).sum() < 3.0 * math.pi:
                 start = int(np.lexsort((Q[:, 1], Q[:, 0]))[0])
-                return _pairs(np.roll(Q, -start, axis=0))
-    return convex_hull(_pairs(P))
+                return np.roll(Q, -start, axis=0)
+    return np.array(convex_hull(P.tolist()), dtype=float).reshape(-1, 2)
 
 
 def polygon_area(vertices) -> float:
@@ -128,9 +123,9 @@ def hausdorff_outer_to_inner(outer, inner) -> float:
     the arc, else the larger endpoint value.  One sort of the merged normal
     angles, then O(N + M) array work; roundoff below zero is clamped.
     """
-    if not outer:
+    if len(outer) == 0:
         return 0.0
-    if not inner:
+    if len(inner) == 0:
         return math.inf
     P = np.asarray(outer, dtype=float)
     V = np.asarray(inner, dtype=float)
@@ -178,12 +173,14 @@ class SupportSample:
 
 @dataclass
 class RangeHulls:
-    inner: list[tuple[float, float]]
-    outer: list[tuple[float, float]]
+    """Bounds of W(A) on an N-angle fan: the CCW hulls and the witnesses as
+    (m, 2) float arrays, one (x, y) row each, the support values as (N,)."""
+    inner: np.ndarray
+    outer: np.ndarray
     N: int
     degenerate: bool = False
-    witnesses: list[tuple[float, float]] = field(default_factory=list)
-    support_values: list[float] = field(default_factory=list)
+    witnesses: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+    support_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def support(A: GaussianRationalMatrix, theta: float) -> SupportSample:
@@ -240,18 +237,20 @@ def _grid_hulls(grid: SpectralGrid) -> RangeHulls:
     scale = max(1.0, float(np.abs(wit).max()))
     degenerate = polygon_area(outer) <= 1e-12 * scale * scale
     return RangeHulls(inner=inner, outer=outer, N=len(h), degenerate=degenerate,
-                      witnesses=_pairs(wit), support_values=h.tolist())
+                      witnesses=wit, support_values=h)
 
 
 def hulls_csv(hulls: RangeHulls) -> str:
-    """CSV per the hull interface: kind{inner|outer},vertex_index,x1,x2."""
+    """CSV per the hull interface: kind{inner|outer},vertex_index,x1,x2, each
+    polygon read as an (m, 2) float array (pairs too) and printed by column."""
     lines, values = ["kind,vertex_index,x1,x2"], []
     for kind, poly in (("inner", hulls.inner), ("outer", hulls.outer)):
-        lines += [kind + ",%d,%.12g,%.12g"] * len(poly)
-        block = [None] * (3 * len(poly))
-        block[0::3] = range(len(poly))
-        block[1::3] = [x for x, _ in poly]
-        block[2::3] = [y for _, y in poly]
+        V = np.asarray(poly, dtype=float).reshape(-1, 2)
+        lines += [kind + ",%d,%.12g,%.12g"] * len(V)
+        block = [None] * (3 * len(V))
+        block[0::3] = range(len(V))
+        block[1::3] = V[:, 0].tolist()
+        block[2::3] = V[:, 1].tolist()
         values += block
     return ("\n".join(lines) + "\n") % tuple(values)
 
@@ -333,9 +332,9 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     floor = GAP_FLOOR * max(1.0, float(np.abs(hulls1.witnesses).max()))
     decreased = gap2 < gap1 or (gap1 <= floor and gap2 <= floor)
     if k.size:
-        P = 1.0 + np.stack((y1, y2), axis=1) @ np.array(hulls1.witnesses).T
-        pairing_min = float(P.min())
-        complementary_worst = float(P.min(axis=1).max())
+        row_min = (1.0 + np.stack((y1, y2), axis=1) @ hulls1.witnesses.T).min(axis=1)
+        pairing_min = float(row_min.min())
+        complementary_worst = float(row_min.max())
     else:
         pairing_min = 0.0
         complementary_worst = 0.0

@@ -19,7 +19,7 @@ import numpy as np
 from .dualcurve import _grid_dual_sample
 from .hermitian import GaussianRationalMatrix, split
 from .pencil import SpectralGrid, _exit_points
-from .rangegeom import _outer_polygon, _support_grid
+from .rangegeom import _outer_polygon
 
 __all__ = ["ViewportRequiredError", "render_figure"]
 
@@ -160,7 +160,7 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     if unbounded and viewport is None:
         raise ViewportRequiredError(
             "F(A) is unbounded; pass an explicit viewport x1min,x1max,x2min,x2max")
-    outer = _outer_polygon(grid.cos, grid.sin, _support_grid(grid)[0])
+    outer = _outer_polygon(grid.cos, grid.sin, grid.eigvals[:, -1])
     left_view = viewport if viewport is not None else _bbox(f_pts)
     right_view = viewport if viewport is not None else _bbox(outer)
     # both curves are traced on at least 360 rays

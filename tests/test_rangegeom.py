@@ -90,7 +90,7 @@ class TestSupport:
             for k in range(N):
                 s = support(A, 2.0 * math.pi * k / N)
                 assert s.h == hulls.support_values[k]
-                assert s.witness == hulls.witnesses[k]
+                assert s.witness == tuple(hulls.witnesses[k].tolist())
 
 
 class TestRangeHulls:
@@ -106,10 +106,10 @@ class TestRangeHulls:
         w = np.linalg.eigvalsh(A.to_complex())
         hulls = range_hulls(A, 240)
         assert hulls.degenerate
-        for x, y in hulls.inner + hulls.outer:
+        for x, y in np.concatenate((hulls.inner, hulls.outer)).tolist():
             assert abs(y) < 1e-8
             assert w[0] - 1e-8 <= x <= w[-1] + 1e-8
-        xs = [x for x, _ in hulls.inner]
+        xs = hulls.inner[:, 0].tolist()
         assert abs(min(xs) - w[0]) < 1e-8 and abs(max(xs) - w[-1]) < 1e-8
 
     def test_polytope_quadrilateral(self):
@@ -450,6 +450,11 @@ def _dual_sample_reference(curve, N):
     return CurveSampleSet(chart="x0=1", samples=samples)
 
 
+def _rows(V):
+    """The rows of an (m, 2) array as (x, y) tuples of Python floats."""
+    return [tuple(p) for p in V.tolist()]
+
+
 def _grid_polygons(A, N):
     grid = SpectralGrid(split(A), N)
     h, wit = _support_grid(grid)
@@ -478,7 +483,7 @@ class TestLinearKernelsAgainstReferences:
         for N in (3, 4, 16, 90, 91, 720, 1440, 2880):
             grid, h, inner, scale = _grid_polygons(fixture_matrix(name), N)
             outer = _outer_polygon(grid.cos, grid.sin, h)
-            assert outer == _outer_polygon_reference(grid.cos, grid.sin, h), N
+            assert _rows(outer) == _outer_polygon_reference(grid.cos, grid.sin, h), N
             gap = hausdorff_outer_to_inner(outer, inner)
             assert abs(gap - _hausdorff_reference(outer, inner)) <= 1e-12 * scale, N
 
@@ -488,7 +493,7 @@ class TestLinearKernelsAgainstReferences:
             A = random_gaussian_matrix(rng.randint(2, 6), rng)
             grid, h, inner, scale = _grid_polygons(A, 360)
             outer = _outer_polygon(grid.cos, grid.sin, h)
-            assert outer == _outer_polygon_reference(grid.cos, grid.sin, h)
+            assert _rows(outer) == _outer_polygon_reference(grid.cos, grid.sin, h)
             gap = hausdorff_outer_to_inner(outer, inner)
             assert abs(gap - _hausdorff_reference(outer, inner)) <= 1e-12 * scale
 
@@ -583,10 +588,10 @@ class TestCycleHull:
         h, wit = _support_grid(grid)
         hulls = _grid_hulls(grid)
         witnesses = [tuple(map(float, p)) for p in wit]
-        assert hulls.witnesses == witnesses
-        assert hulls.support_values == [float(v) for v in h]
-        assert hulls.inner == convex_hull(witnesses)
-        assert hulls.outer == _outer_polygon_reference(grid.cos, grid.sin, h)
+        assert _rows(hulls.witnesses) == witnesses
+        assert hulls.support_values.tolist() == [float(v) for v in h]
+        assert _rows(hulls.inner) == convex_hull(witnesses)
+        assert _rows(hulls.outer) == _outer_polygon_reference(grid.cos, grid.sin, h)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixture_grids(self, name):
@@ -629,7 +634,7 @@ class TestCycleHull:
             calls.clear()
             got = _cycle_hull(np.array(pts))
             assert calls == [1], label
-            assert got == convex_hull(pts), label
+            assert _rows(got) == convex_hull(pts), label
 
     def test_certified_cases(self, monkeypatch):
         monkeypatch.setattr(rangegeom, "convex_hull", None)  # must not be reached
@@ -643,11 +648,38 @@ class TestCycleHull:
             "ties in x": [(0.0, 1.0), (0.0, -1.0), (1.0, -1.0), (1.0, 1.0)],
         }
         for label, pts in cases.items():
-            assert _cycle_hull(np.array(pts)) == convex_hull(pts), label
+            assert _rows(_cycle_hull(np.array(pts))) == convex_hull(pts), label
 
     def test_signed_zero_repeat_keeps_the_first(self):
         pts = [(0.0, 0.0), (-0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, -0.0)]
-        got = _cycle_hull(np.array(pts))
+        got = _rows(_cycle_hull(np.array(pts)))
         assert got == convex_hull(pts)
         assert [math.copysign(1.0, c) for c in got[0]] == [
             math.copysign(1.0, c) for c in convex_hull(pts)[0]]
+
+    def test_both_branches_return_float_arrays_of_the_hull_rows(self, monkeypatch):
+        calls = []
+
+        def spy(points):
+            calls.append(1)
+            return convex_hull(points)
+
+        monkeypatch.setattr(rangegeom, "convex_hull", spy)
+        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        cases = {
+            # label: (points, takes the monotone-chain fallback)
+            "circle": (_regular(40), False),
+            "signed-zero repeat": ([(0.0, 0.0), (-0.0, 0.0)] + square[1:] + [(0.0, -0.0)], False),
+            "signed-zero non-consecutive repeat": (square[:3] + [(-0.0, 0.0)] + square[3:], True),
+            "square twice": (square * 2, True),
+            "all equal": ([(-0.0, 2.0)] * 3, True),
+            "two points": ([(1.0, 2.0), (3.0, -1.0)], True),
+        }
+        for label, (pts, fallback) in cases.items():
+            calls.clear()
+            got = _cycle_hull(np.array(pts))
+            assert calls == ([1] if fallback else []), label
+            assert got.dtype == np.float64 and got.ndim == 2 and got.shape[1] == 2, label
+            assert got.flags.c_contiguous, label
+            want = np.array(convex_hull(pts), dtype=np.float64)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label

@@ -200,6 +200,12 @@ def test_special_values():
         "kind,vertex_index,x1,x2\ninner,0,-0,0\ninner,1,1e+100,1e-100\n")
     empty = RangeHulls(inner=[], outer=[], N=3)
     assert hulls_csv(empty) == _hulls_csv_reference(empty)
+    # the arrays `_grid_hulls` stores, one of them with no rows
+    arrays = RangeHulls(inner=np.array([(-0.0, 0.0), (big, -tiny), (-big, tiny)]),
+                        outer=np.empty((0, 2)), N=3)
+    assert hulls_csv(arrays) == _hulls_csv_reference(arrays) == (
+        "kind,vertex_index,x1,x2\ninner,0,-0,0\ninner,1,1e+100,-1e-100\n"
+        "inner,2,-1e+100,1e-100\n")
 
 
 def test_panel_coordinates():

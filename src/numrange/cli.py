@@ -298,8 +298,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "tol", 1.0) <= 0:
-            raise InputError(f"tolerance must be positive (got {args.tol})")
+        if not 0.0 < getattr(args, "tol", 1.0) < float("inf"):   # refuses nan too
+            raise InputError(f"tolerance must be positive and finite (got {args.tol})")
         if getattr(args, "grid", 3) < 3:
             raise InputError(f"grid must be at least 3 (got {args.grid})")
         return globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -93,6 +93,8 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     neighbouring supporting lines x . u_k = lambda_max(cos_k*A1 + sin_k*A2) meet, theta_k =
     2*pi*k/N (one eigvalsh; `_outer_vertices`).
     """
+    if not 0.0 < rect_tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite (got {rect_tol})")
     _check_pair(A1, A2)
     _, C1, C2, Q = _integer_pencil(A1, A2)
     ident = _craig_identity(Q)

@@ -276,11 +276,10 @@ def _cleared_parts(A: GaussianRationalMatrix, L: int) -> tuple[list[list[int]], 
 
 
 def _int_matmul(A, B) -> tuple[list[list[int]], list[list[int]]]:
-    """(re, im) of the product of two Gaussian integer matrices given as (re, im)."""
-    (ar, ai), (br, bi) = A, B
-    n = range(len(ar))
-    return ([[sum(ar[i][k] * br[k][j] - ai[i][k] * bi[k][j] for k in n) for j in n] for i in n],
-            [[sum(ar[i][k] * bi[k][j] + ai[i][k] * br[k][j] for k in n) for j in n] for i in n])
+    """(re, im) of the product of two Gaussian integer matrices given as (re, im),
+    from numpy products of object arrays of the Python ints: exact at any size."""
+    (ar, ai), (br, bi) = ([np.array(P, dtype=object) for P in M] for M in (A, B))
+    return (ar @ br - ai @ bi).tolist(), (ar @ bi + ai @ br).tolist()
 
 
 def is_normal(A: GaussianRationalMatrix) -> bool:

@@ -231,7 +231,11 @@ def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:
 
 
 def _grid_hulls(grid: SpectralGrid) -> RangeHulls:
-    h, wit = _support_grid(grid)
+    return _hulls_of(grid, *_support_grid(grid))
+
+
+def _hulls_of(grid: SpectralGrid, h: np.ndarray, wit: np.ndarray) -> RangeHulls:
+    """The hulls of the grid from its support values h and witnesses wit."""
     inner = _cycle_hull(wit)
     outer = _outer_polygon(grid.cos, grid.sin, h)
     scale = max(1.0, float(np.abs(wit).max()))
@@ -319,25 +323,25 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     (b) every boundary sample has a complementary witness with pairing <= tol;
     (c) the inner/outer Hausdorff gap shrinks when the grid doubles, unless
         both gaps are roundoff: at most GAP_FLOOR * max(1, max|witness|).
+    One 2N-grid solve and one Rayleigh pass serve both levels; (a) and (b) take O(N) memory.
     """
     if N < 16:
         raise ValueError("need N >= 16")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite (got {tol})")
     fine = SpectralGrid(split(A), 2 * N)
     grid = fine.every_other()
     k, _, y1, y2 = _exit_points(grid)
-    hulls1 = _grid_hulls(grid)
-    hulls2 = _grid_hulls(fine)
+    h, wit = _support_grid(fine)          # one Rayleigh pass; the N-grid is rows [::2]
+    hulls1 = _hulls_of(grid, h[::2], wit[::2])
+    hulls2 = _hulls_of(fine, h, wit)
     gap1 = hausdorff_outer_to_inner(hulls1.outer, hulls1.inner)
     gap2 = hausdorff_outer_to_inner(hulls2.outer, hulls2.inner)
     floor = GAP_FLOOR * max(1.0, float(np.abs(hulls1.witnesses).max()))
     decreased = gap2 < gap1 or (gap1 <= floor and gap2 <= floor)
-    if k.size:
-        row_min = (1.0 + np.stack((y1, y2), axis=1) @ hulls1.witnesses.T).min(axis=1)
-        pairing_min = float(row_min.min())
-        complementary_worst = float(row_min.max())
-    else:
-        pairing_min = 0.0
-        complementary_worst = 0.0
+    row_min = (_pairing_row_min(np.stack((y1, y2), axis=1), hulls1.witnesses)
+               if k.size else np.zeros(1))   # no bounded ray: both report 0
+    pairing_min, complementary_worst = float(row_min.min()), float(row_min.max())
     return DualityReport(
         N=N, tol=tol,
         pairing_min=pairing_min,
@@ -347,6 +351,14 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
         pairing_ok=pairing_min >= -tol,
         complementary_ok=complementary_worst <= tol,
     )
+
+
+def _pairing_row_min(Y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """min over the rows x of W of 1 + y.x for each of the K >= 1 rows y of Y, in O(N) memory:
+    ceil(K/128) row blocks of >= 2 rows when K >= 2 keep the gemm rounding of Y @ W.T (one row
+    takes gemv), and min fl(1 + z) = fl(1 + min z) bit for bit, as rounding is monotone."""
+    blocks = np.array_split(Y, -(-len(Y) // 128))
+    return 1.0 + np.concatenate([(Yb @ W.T).min(axis=1) for Yb in blocks])
 
 
 # -- polytope detection ----------------------------------------------------------

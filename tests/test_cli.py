@@ -322,6 +322,18 @@ class TestInputErrors:
         assert run("duality", "--input", fx("disk.json"), "--tol", "-1") == 2
         assert run("sample-f", "--input", fx("disk.json"), "--grid", "2") == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("command, name", [("duality", "disk.json"),
+                                               ("craig", "craig_pair_diag.json")])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tmp_path, command, name, tol):
+        # a nan tolerance would switch the check off (worst > nan is false), inf
+        # would pass every input; "=" keeps argparse from reading -inf as a flag
+        out = tmp_path / "out.txt"
+        assert run(command, "--input", fx(name), "--grid", "16", f"--tol={tol}",
+                   "--out", str(out)) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _scaled_fixture(tmp_path, name, power):
     """The fixture with every entry part multiplied by 10**power, written to a file."""

@@ -102,6 +102,13 @@ class TestVerdict:
         with pytest.raises(ValueError, match="need at least 3 support directions"):
             craig_verdict(diag(1, 0), diag(0, 1), N=2)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0])
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_refuses_a_tolerance_that_is_not_positive_and_finite(self, tol, planted):
+        pair = (diag(1, 0), diag(0, 1)) if planted else (diag(1, 1), diag(1, 1))
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            craig_verdict(*pair, rect_tol=tol)
+
     def test_negative_case_has_no_rectangle(self):
         v = craig_verdict(diag(1, 1), diag(1, 1))
         assert not v.identity_holds and not v.product_zero

@@ -17,6 +17,7 @@ from numrange.hermitian import (
     MatrixFormatError,
     NonHermitianError,
     _cleared_parts,
+    _int_matmul,
     charpoly,
     is_normal,
     matrix_from_json,
@@ -169,6 +170,31 @@ class TestNormal:
             assert is_normal(A) == ref
             seen.add(ref)
         assert seen == {True, False}
+
+
+def _int_matmul_reference(A, B):
+    (ar, ai), (br, bi) = A, B
+    n = range(len(ar))
+    return ([[sum(ar[i][k] * br[k][j] - ai[i][k] * bi[k][j] for k in n) for j in n] for i in n],
+            [[sum(ar[i][k] * bi[k][j] + ai[i][k] * br[k][j] for k in n) for j in n] for i in n])
+
+
+class TestIntMatmul:
+    def test_matches_the_triple_loop_past_int64(self):
+        # parts up to 2^100 overflow any fixed-width product; the sums must stay exact
+        rng = random.Random(2718)
+        for n in (1, 2, 3, 5, 8):
+            for bits in (10, 63, 64, 100):
+                part = lambda: [[rng.randint(-2**bits, 2**bits) for _ in range(n)] for _ in range(n)]
+                A, B = (part(), part()), (part(), part())
+                got = _int_matmul(A, B)
+                assert got == _int_matmul_reference(A, B), (n, bits)
+                assert all(type(x) is int for P in got for row in P for x in row)
+                assert all(type(row) is list for P in got for row in P)
+
+    def test_reads_tuple_rows(self):
+        A = ([(1, 2), (3, 4)], [(0, 1), (1, 0)])
+        assert _int_matmul(A, A) == _int_matmul_reference(A, A)
 
 
 class TestRankOneValue:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -13,6 +14,7 @@ from numrange.pencil import (
     CurveSample,
     CurveSampleSet,
     SpectralGrid,
+    _exit_points,
     line_roots_from_eigs,
     pencil_det,
 )
@@ -22,8 +24,10 @@ from numrange.rangegeom import (
     _cross,
     _cycle_hull,
     _grid_hulls,
+    _hulls_of,
     _outer_polygon,
     _outer_vertices,
+    _pairing_row_min,
     _support_grid,
     _witness_clusters,
     convex_hull,
@@ -179,14 +183,27 @@ class TestDuality:
         assert rep.gap_decreased and rep.ok
 
     def test_memory_stays_linear(self):
+        # the K x N pairing matrix alone took 2 * 8 * 2048 * 4096 bytes = 128 MiB
         A = fixture_matrix("cubic_cusp")
         tracemalloc.start()
         try:
-            duality_check(A, N=1440)
+            duality_check(A, N=4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+    def test_refuses_a_tolerance_that_is_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            duality_check(fixture_matrix("disk"), N=16, tol=tol)
+
+    def test_one_rayleigh_pass_for_both_levels(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rangegeom, "_support_grid",
+                            lambda grid: calls.append(len(grid.thetas)) or _support_grid(grid))
+        duality_check(fixture_matrix("cubic_cusp"), N=90)
+        assert calls == [180]
 
     def test_report_text_keys(self):
         rep = duality_check(fixture_matrix("disk"), N=64)
@@ -683,3 +700,66 @@ class TestCycleHull:
             assert got.flags.c_contiguous, label
             want = np.array(convex_hull(pts), dtype=np.float64)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _duality_grids():
+    """(name, N, fine 2N-grid) for the fixtures and seeded n = 3 and n = 5 draws."""
+    rng = random.Random(2021)
+    draws = [(f"generic n={n}", random_gaussian_matrix(n, rng)) for n in (3, 3, 5, 5)]
+    for name, A in [(name, fixture_matrix(name)) for name in FIXTURE_NAMES] + draws:
+        pencil = split(A)
+        for N in (16, 90, 361, 720, 1440):
+            yield name, N, SpectralGrid(pencil, 2 * N)
+
+
+class TestDualityInLinearMemory:
+    """The shared Rayleigh pass and the blocked pairing against the per-level
+    hulls and the whole K x N pairing matrix, bit for bit."""
+
+    def test_blocked_row_minima_match_the_whole_matrix(self):
+        ks = set()
+        for name, N, fine in _duality_grids():
+            grid = fine.every_other()
+            k, _, y1, y2 = _exit_points(grid)
+            if not k.size:
+                continue
+            Y = np.stack((y1, y2), axis=1)
+            W = _grid_hulls(grid).witnesses
+            reference = (1.0 + Y @ W.T).min(axis=1)
+            assert _same_bits(_pairing_row_min(Y, _support_grid(fine)[1][::2]), reference), (name, N)
+            ks.add((name, N, k.size))
+        assert ("polytope", 1440, 833) in ks
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 127, 128, 129, 130, 255, 256, 257, 383])
+    def test_block_boundaries(self, K):
+        # K = 1 takes gemv in the reference too; every other K keeps >= 2 rows a block
+        fine = SpectralGrid(split(fixture_matrix("polytope")), 2880)
+        k, _, y1, y2 = _exit_points(fine.every_other())
+        Y = np.stack((y1, y2), axis=1)[:K]
+        W = _support_grid(fine)[1][::2]
+        assert len(Y) == K
+        assert _same_bits(_pairing_row_min(Y, W), (1.0 + Y @ W.T).min(axis=1))
+
+    def test_one_bounded_ray(self):
+        # A = -c with c just above UNBOUNDED_CUT / cos(2 pi / 16): only theta = 0 is bounded
+        A = gmatrix([[F(-101, 10**14)]])
+        rep = duality_check(A, N=16)
+        assert (rep.boundary_count, rep.unbounded_count) == (1, 15)
+        grid = SpectralGrid(split(A), 32).every_other()
+        _, _, y1, y2 = _exit_points(grid)
+        Y = np.stack((y1, y2), axis=1)
+        row = (1.0 + Y @ _grid_hulls(grid).witnesses.T).min(axis=1)
+        assert rep.pairing_min == rep.complementary_worst == float(row[0])
+
+    def test_coarse_hulls_from_the_shared_pass(self):
+        for name, N, fine in _duality_grids():
+            h, wit = _support_grid(fine)
+            shared, alone = _hulls_of(fine.every_other(), h[::2], wit[::2]), _grid_hulls(fine.every_other())
+            for f in dataclasses.fields(alone):
+                a, b = getattr(shared, f.name), getattr(alone, f.name)
+                assert np.array_equal(a, b) and _same_bits(a, b), (name, N, f.name)

@@ -248,11 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact primal/dual geometry of the numerical range")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_default=720):
+    def common(p, grid=None, tol=False):
+        """--input and --out; --grid (default `grid`) and --tol where the command reads them."""
         p.add_argument("--input", required=True, help="matrix JSON file")
         p.add_argument("--out", default=None, help="output file (stdout if omitted)")
-        p.add_argument("--grid", type=int, default=grid_default, help="angle grid size")
-        p.add_argument("--tol", type=float, default=1e-6, help="tolerance for checks")
+        if grid:
+            p.add_argument("--grid", type=int, default=grid, help="angle grid size")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-6, help="tolerance for checks")
 
     p = sub.add_parser("decompose", help="print the Hermitian splitting A1, A2")
     common(p)
@@ -266,25 +269,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file of linear/irreducible factors of p (one per line)")
 
     p = sub.add_parser("sample-w", help="hull CSV for W(A) (optionally dual-curve samples)")
-    common(p)
+    common(p, grid=720)
     p.add_argument("--curve", default=None, help="also write dual-curve sample CSV here")
 
     p = sub.add_parser("sample-f", help="boundary CSV for F(A)")
-    common(p)
+    common(p, grid=720)
 
     p = sub.add_parser("duality", help="verify the W/F pairing; exit 1 on violation")
-    common(p)
+    common(p, grid=720, tol=True)
 
     p = sub.add_parser("craig", help="craig factorization verdict")
-    common(p)
+    common(p, grid=720, tol=True)
 
     p = sub.add_parser("classify", help="structure report: normality, hyperbolicity, shape")
-    common(p, grid_default=360)
+    common(p, grid=360)
     p.add_argument("--factors", default=None,
                    help="factors of p for exact polytope vertices")
 
     p = sub.add_parser("render", help="two-panel SVG of F(A)/P and W(A)/Q")
-    common(p)
+    common(p, grid=720)
     p.add_argument("--viewport", default=None,
                    help="x1min,x1max,x2min,x2max clipping box (required if F is unbounded)")
     return ap
@@ -303,10 +306,7 @@ def main(argv=None) -> int:
         if getattr(args, "grid", 3) < 3:
             raise InputError(f"grid must be at least 3 (got {args.grid})")
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except (PolyParseError, MatrixFormatError, ValueError) as exc:
+    except (InputError, PolyParseError, MatrixFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

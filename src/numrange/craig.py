@@ -18,7 +18,7 @@ import numpy as np
 from .exactpoly import GaussianRational
 from .hermitian import GaussianRationalMatrix, NonHermitianError, _int_matmul
 from .pencil import _integer_pencil
-from .rangegeom import _outer_vertices
+from .rangegeom import _check_grid, _outer_vertices
 
 __all__ = [
     "CraigVerdict",
@@ -95,6 +95,7 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     """
     if not 0.0 < rect_tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite (got {rect_tol})")
+    _check_grid(N)
     _check_pair(A1, A2)
     _, C1, C2, Q = _integer_pencil(A1, A2)
     ident = _craig_identity(Q)
@@ -112,8 +113,6 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     rect = ((lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2))
     # The rectangle is the exact bounding box of W(A1 + i*A2): each axis
     # projection of the numerical range is the corresponding spectrum interval.
-    if N < 3:
-        raise ValueError("need at least 3 support directions")
     thetas = np.arange(N) * (2.0 * np.pi) / N
     cos, sin = np.cos(thetas), np.sin(thetas)
     h = np.linalg.eigvalsh(cos[:, None, None] * f1 + sin[:, None, None] * f2)[:, -1]

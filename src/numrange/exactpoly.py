@@ -37,7 +37,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -1168,63 +1168,3 @@ def gcd_squarefree(f: TriPoly) -> TriPoly:
     if rep.is_constant():
         return f.primitive()
     return f.divexact(rep).primitive()
-
-
-# -- univariate helpers (restrictions of p to lines) ---------------------------
-
-
-def uni_derivative(coeffs: list[Fraction]) -> list[Fraction]:
-    return [coeffs[i] * i for i in range(1, len(coeffs))]
-
-
-def _uni_trim_q(c: list[Fraction]) -> list[Fraction]:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def uni_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _uni_trim_q(list(a))
-    b = _uni_trim_q(list(b))
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i in range(len(b)):
-            a[shift + i] -= f * b[i]
-        a = _uni_trim_q(a)
-    return _uni_trim_q(q), a
-
-
-def _sign_changes(vals: Iterable[Fraction]) -> int:
-    prev = 0
-    changes = 0
-    for v in vals:
-        s = (v > 0) - (v < 0)
-        if s == 0:
-            continue
-        if prev and s != prev:
-            changes += 1
-        prev = s
-    return changes
-
-
-def _sturm(coeffs: list[Fraction]) -> tuple[int, int]:
-    """(distinct real roots, degree of the squarefree part) of a rational
-    polynomial, read off one Sturm chain: its last element is gcd(c, c')."""
-    c = _uni_trim_q([_frac(x) for x in coeffs])
-    if len(c) <= 1:
-        return 0, len(c) - 1
-    chain = [c, uni_derivative(c)]
-    while True:
-        r = uni_divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append([-x for x in r])
-    # signs at -infinity and +infinity from leading terms
-    at_pos = [p[-1] for p in chain]
-    at_neg = [p[-1] if len(p) % 2 else -p[-1] for p in chain]
-    return _sign_changes(at_neg) - _sign_changes(at_pos), len(c) - len(chain[-1])

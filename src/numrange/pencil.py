@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactpoly import TriPoly, _sturm, det_pencil
+from .exactpoly import TriPoly, det_pencil
 from .hermitian import HermitianPencil, NonHermitianError, _cleared_parts
 
 __all__ = [
@@ -319,12 +319,13 @@ def _integer_form(p: TriPoly) -> tuple[int, list[list[tuple[int, int, int]]]]:
     return L, by_degree
 
 
-def _restriction(form, d1: Fraction, d2: Fraction) -> tuple[list[int], int, list[Fraction]]:
+def _restriction(form, d1: Fraction, d2: Fraction) -> tuple[list[int], int, list[float]]:
     """(N, w, coeffs) for the p of form = `_integer_form(p)` on the line (d1, d2).
 
     With d1 = a1/b1 and d2 = a2/b2, coefficient k of p(1, t*d1, t*d2) is
     N[k] / (L * w**k) for the integers N[k] = sum L*coef * (a1*b2)**b * (a2*b1)**c
-    and w = b1*b2 > 0; coeffs holds those Fractions.  Top zeros are dropped.
+    and w = b1*b2 > 0; coeffs holds those quotients correctly rounded to floats
+    (int / int is, as `float(Fraction)` is).  Top zeros are dropped.
     """
     L, by_degree = form
     u, v = d1.numerator * d2.denominator, d2.numerator * d1.denominator
@@ -333,7 +334,7 @@ def _restriction(form, d1: Fraction, d2: Fraction) -> tuple[list[int], int, list
     N = [sum(C * upow[b] * vpow[c] for b, c, C in terms) for terms in by_degree]
     while len(N) > 1 and not N[-1]:
         N.pop()
-    return N, w, [Fraction(n, L * w ** k) for k, n in enumerate(N)]
+    return N, w, [n / (L * w ** k) for k, n in enumerate(N)]
 
 
 def _sign_certificate(N: list[int], w: int, roots: list[float]) -> bool:
@@ -365,6 +366,40 @@ def _sign_certificate(N: list[int], w: int, roots: list[float]) -> bool:
             return False
         prev = acc
     return True
+
+
+def _sturm(N: list[int]) -> tuple[int, int]:
+    """(distinct real roots, degree of the squarefree part) of c(t) = sum_k N[k] * (t/w)**k,
+    w > 0, from one Sturm chain of the integer polynomial sum_k N[k] * s**k (s = t/w
+    keeps roots and multiplicities); its last element is gcd(c, c').
+
+    Each remainder is a pseudo-remainder that scales the dividend by |lead| at
+    every step (lead**(delta+1) could be negative), divided by its content and
+    negated: a positive multiple of the rational chain's element, so degrees and
+    signs agree.  The counts at -inf and +inf read the leads.
+    """
+    c = list(N)
+    while c and not c[-1]:
+        c.pop()
+    if len(c) <= 1:
+        return 0, len(c) - 1
+    chain = [c, [k * x for k, x in enumerate(c)][1:]]
+    while True:
+        a, b = chain[-2], chain[-1]
+        g, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(a) >= len(b):
+            f, shift = s * a[-1], len(a) - len(b)
+            a = [g * x for x in a[:shift]] + [g * x - f * y for x, y in zip(a[shift:-1], b)]
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            break
+        content = math.gcd(*a)
+        chain.append([-x // content for x in a])
+    at_pos = [p[-1] > 0 for p in chain]
+    at_neg = [up == (len(p) % 2 == 1) for up, p in zip(at_pos, chain)]
+    neg, pos = (sum(x != y for x, y in zip(v, v[1:])) for v in (at_neg, at_pos))
+    return neg - pos, len(c) - len(chain[-1])
 
 
 def _chart_normal(f: TriPoly, k: int | None = None) -> tuple[TriPoly, int]:
@@ -466,9 +501,9 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
         if _sign_certificate(N, w, t.tolist()):
             distinct = deg_sf = len(N) - 1
         else:
-            distinct, deg_sf = _sturm(coeffs)
+            distinct, deg_sf = _sturm(N)
         # eigenvalue cross-check
-        terms = np.array([float(c) * np.float_power(t, k) for k, c in enumerate(coeffs)])
+        terms = np.array([c * np.float_power(t, k) for k, c in enumerate(coeffs)])
         resid = float(np.max(np.abs(np.add.reduce(terms))
                              / np.maximum(np.abs(terms).max(axis=0), 1e-300), initial=0.0))
         checks.append(LineCheck(d, len(coeffs) - 1, distinct, deg_sf, distinct == deg_sf,

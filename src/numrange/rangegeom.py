@@ -223,10 +223,14 @@ def _outer_vertices(cos: np.ndarray, sin: np.ndarray, h: np.ndarray) -> np.ndarr
     return np.stack([(h * sin_n - h_n * sin) / det, (cos * h_n - cos_n * h) / det], axis=1)
 
 
-def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:
-    """Inner (witness hull) and outer (half-plane) polygonal bounds for W(A)."""
+def _check_grid(N: int) -> None:
     if N < 3:
         raise ValueError("need at least 3 support directions")
+
+
+def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:
+    """Inner (witness hull) and outer (half-plane) polygonal bounds for W(A)."""
+    _check_grid(N)
     return _grid_hulls(SpectralGrid(split(A), N))
 
 
@@ -266,6 +270,7 @@ def member_W(A: GaussianRationalMatrix, x, N: int = 720,
     The margin is min over angles of h(theta) - x . u(theta), refined on a
     fine fan around the grid minimum.
     """
+    _check_grid(N)
     x1, x2 = float(x[0]), float(x[1])
     grid = SpectralGrid(split(A), N)
     g = grid.eigvals[:, -1] - x1 * grid.cos - x2 * grid.sin
@@ -379,6 +384,7 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
     numeric otherwise.  Non-normal matrices: best-effort witness clustering;
     "mixed/unknown" is a legal verdict.
     """
+    _check_grid(N)
     normal = is_normal(A)
     return _polytope_verdict(A, None if normal else split(A), normal, N)
 
@@ -477,6 +483,7 @@ class TranslateScaleReport:
 def translate_scale_law(A: GaussianRationalMatrix, c, N: int = 360,
                         tol: float = 1e-9) -> TranslateScaleReport:
     """Check h_{A+cI}(theta) = h_A(theta) + c*cos(theta) on the grid."""
+    _check_grid(N)
     c = Fraction(c)
     shifted = A + GaussianRationalMatrix.identity(A.n).scale(GaussianRational.of(c))
     grid = SpectralGrid(split(A), N)

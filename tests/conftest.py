@@ -65,6 +65,45 @@ def random_tripoly(rng: random.Random, vars=YVARS, max_deg: int = 3,
     return TriPoly(vars, t)
 
 
+# -- the rational Sturm chain, the reference for pencil._sturm -------------------
+
+
+def _trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _rational_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a = _trim(list(a))
+    while len(a) >= len(b):
+        f, shift = a[-1] / b[-1], len(a) - len(b)
+        for i, y in enumerate(b):
+            a[shift + i] -= f * y
+        a = _trim(a)
+    return a
+
+
+def _sign_changes(vals) -> int:
+    signs = [v > 0 for v in vals if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def reference_sturm(coeffs) -> tuple[int, int]:
+    """(distinct real roots, degree of the squarefree part) of a rational
+    polynomial, from the Sturm chain c, c', -rem(c, c'), ... in Fractions; its
+    last element is gcd(c, c')."""
+    c = _trim([Fraction(x) for x in coeffs])
+    if len(c) <= 1:
+        return 0, len(c) - 1
+    chain = [c, [x * k for k, x in enumerate(c)][1:]]
+    while r := _rational_rem(chain[-2], chain[-1]):
+        chain.append([-x for x in r])
+    at_pos = [p[-1] for p in chain]
+    at_neg = [p[-1] if len(p) % 2 else -p[-1] for p in chain]
+    return _sign_changes(at_neg) - _sign_changes(at_pos), len(c) - len(chain[-1])
+
+
 # -- polygon checks on hulls (floats and Fractions alike) ----------------------
 
 

@@ -334,6 +334,20 @@ class TestInputErrors:
         assert "tolerance must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("decompose", "--grid=90"), ("pencil", "--grid=90"), ("dual", "--grid=90"),
+        *((c, "--tol=nan") for c in ("decompose", "pencil", "dual", "sample-w", "sample-f",
+                                     "classify", "render"))])
+    def test_flags_a_command_does_not_read_are_refused(self, capsys, command, flag):
+        # each subcommand takes only the flags it reads; argparse refuses the rest
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--input", fx("disk.json"), flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+GRID_90 = ("--grid", "90")
+
 
 def _scaled_fixture(tmp_path, name, power):
     """The fixture with every entry part multiplied by 10**power, written to a file."""
@@ -351,10 +365,11 @@ class TestExtremeEntries:
     @pytest.mark.parametrize("power", [100, -100])
     def test_no_arithmetic_error_escapes(self, tmp_path, name, power):
         src, out = _scaled_fixture(tmp_path, name, power), str(tmp_path / "out")
-        for argv in (["pencil"], ["dual"], ["classify"], ["sample-f"],
-                     ["sample-w", "--curve", str(tmp_path / "q.csv")], ["duality"],
-                     ["render", "--viewport=-1,1,-1,1"], ["craig"]):
-            code = run(argv[0], "--input", src, "--grid", "90", "--out", out, *argv[1:])
+        for argv in (["pencil"], ["dual"], ["classify", *GRID_90], ["sample-f", *GRID_90],
+                     ["sample-w", *GRID_90, "--curve", str(tmp_path / "q.csv")],
+                     ["duality", *GRID_90], ["render", *GRID_90, "--viewport=-1,1,-1,1"],
+                     ["craig", *GRID_90]):
+            code = run(argv[0], "--input", src, "--out", out, *argv[1:])
             assert code in (0, 1, 2), argv
 
     def test_tiny_entries_keep_every_curve_sample(self, tmp_path, capsys):
@@ -384,8 +399,8 @@ class TestExtremeEntries:
     def test_beyond_float_range(self, tmp_path, capsys, power):
         # the exact subcommands answer; the numeric ones refuse, naming the entry
         src, out = _scaled_fixture(tmp_path, "cubic_cusp", power), str(tmp_path / "out")
-        for argv in (["decompose"], ["pencil"], ["dual"], ["craig"]):
-            assert run(argv[0], "--input", src, "--grid", "90", "--out", out) == 0, argv
+        for argv in (["decompose"], ["pencil"], ["dual"], ["craig", *GRID_90]):
+            assert run(argv[0], "--input", src, "--out", out, *argv[1:]) == 0, argv
         for argv in (["classify"], ["sample-f"], ["sample-w", "--curve", str(tmp_path / "q.csv")],
                      ["duality"], ["render", "--viewport=-1,1,-1,1"]):
             capsys.readouterr()

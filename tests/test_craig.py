@@ -102,6 +102,14 @@ class TestVerdict:
         with pytest.raises(ValueError, match="need at least 3 support directions"):
             craig_verdict(diag(1, 0), diag(0, 1), N=2)
 
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_grid_is_checked_before_either_branch(self, N, planted):
+        # the overlapping pair has no rectangle, so it never reaches the grid
+        pair = (diag(1, 0), diag(0, 1)) if planted else (diag(1, 1), diag(1, 1))
+        with pytest.raises(ValueError, match="need at least 3 support directions"):
+            craig_verdict(*pair, N=N)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0])
     @pytest.mark.parametrize("planted", [True, False])
     def test_refuses_a_tolerance_that_is_not_positive_and_finite(self, tol, planted):

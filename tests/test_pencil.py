@@ -8,7 +8,7 @@ import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
 import numrange.pencil as pencil_module
-from numrange.exactpoly import GaussianRational, TriPoly, _sturm, parse_poly
+from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
 from numrange.craig import planted_product_zero_pair
 from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError, split
 from numrange.pencil import (
@@ -23,6 +23,7 @@ from numrange.pencil import (
     _integer_form,
     _restriction,
     _sign_certificate,
+    _sturm,
     boundary_F,
     boundary_csv,
     hyperbolicity_check,
@@ -39,6 +40,7 @@ from conftest import (
     polygon_is_convex,
     random_gaussian_matrix,
     random_tripoly,
+    reference_sturm,
 )
 
 F = Fraction
@@ -452,20 +454,35 @@ class TestHyperbolicity:
 
     def test_restrict_to_line_exact(self):
         curve = pencil_det(split(fixture_matrix("cubic_cusp")))
-        coeffs = _restriction(_integer_form(curve.p), F(1), F(0))[2]
+        form = _integer_form(curve.p)
+        N, w, coeffs = _restriction(form, F(1), F(0))
         # p(1, t, 0) = (1-t)(1+t)^2
-        assert coeffs == [F(1), F(1), F(-1), F(-1)]
+        assert _exact_coeffs(N, w, form[0]) == [F(1), F(1), F(-1), F(-1)]
+        assert coeffs == [1.0, 1.0, -1.0, -1.0]
 
     def test_restrict_to_line_matches_term_by_term(self):
         rng = random.Random(4141)
         polys = [pencil_det(split(fixture_matrix(n))).p for n in FIXTURE_NAMES]
         polys += [random_tripoly(rng, max_deg=5, terms=8) for _ in range(20)] + [TriPoly(YVARS, {})]
+        # chart-normalized determinants of huge and tiny pencils: coefficients near 2**512
+        polys += [_chart_normal(pencil_det(split(fixture_matrix(n).scale(
+            GaussianRational.of(F(10) ** k)))).p)[0] for n in FIXTURE_NAMES for k in (100, -100)]
         for p in polys:
+            form = _integer_form(p)
             dirs = [(F(0), F(0)), (F(0), F(-3, 7)), (F(5, 2), F(0)), (F(-4, 9), F(-7, 3))]
             dirs += [(F(rng.randint(-20, 20), rng.randint(1, 9)),
                       F(rng.randint(-20, 20), rng.randint(1, 9))) for _ in range(8)]
             for d1, d2 in dirs:
-                assert _restriction(_integer_form(p), d1, d2)[2] == _restrict_reference(p, d1, d2)
+                N, w, coeffs = _restriction(form, d1, d2)
+                exact = _exact_coeffs(N, w, form[0])
+                assert exact == _restrict_reference(p, d1, d2)
+                # the floats are float(Fraction) bit for bit
+                assert list(map(float.hex, coeffs)) == [float(c).hex() for c in exact]
+
+
+def _exact_coeffs(N: list[int], w: int, L: int) -> list[Fraction]:
+    """The rational restriction that `_restriction`'s (N, w) and the form's L encode."""
+    return [F(n, L * w**k) for k, n in enumerate(N)]
 
 
 def _restrict_reference(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction]:
@@ -478,8 +495,11 @@ def _restrict_reference(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction
     return coeffs
 
 
-def _hyperbolicity_reference(curve: PencilCurve, trials: int = 24, seed: int = 20259):
-    """`hyperbolicity_check`'s lines one at a time: one eigvalsh per line."""
+def _hyperbolicity_reference(curve: PencilCurve, trials: int = 24, seed: int = 20259,
+                             certificate: bool = True):
+    """`hyperbolicity_check`'s lines one at a time: one eigvalsh per line, the
+    restriction substituted term by term in Fractions, and the rational Sturm
+    chain where the certificate is off or falls short."""
     rng = random.Random(seed)
     f1, f2 = curve.pencil.float_parts()
     scale = _entry_scale(curve.pencil)
@@ -492,13 +512,14 @@ def _hyperbolicity_reference(curve: PencilCurve, trials: int = 24, seed: int = 2
             d2 = F(rng.randint(-20, 20), rng.randint(1, 9))
             if d1 or d2:
                 break
-        N, w, coeffs = _restriction(form, d1, d2)
+        N, w, _ = _restriction(form, d1, d2)
+        coeffs = _restrict_reference(p, d1, d2)
         eigs = np.linalg.eigvalsh(float(d1) * f1 + float(d2) * f2)
         t = np.ldexp([r for _, r in line_roots_from_eigs(eigs, scale)], -e)
-        if _sign_certificate(N, w, t.tolist()):
+        if certificate and _sign_certificate(N, w, t.tolist()):
             distinct = deg_sf = len(N) - 1
         else:
-            distinct, deg_sf = _sturm(coeffs)
+            distinct, deg_sf = reference_sturm(coeffs)
         terms = np.array([float(c) * np.float_power(t, k) for k, c in enumerate(coeffs)])
         resid = float(np.max(np.abs(np.add.reduce(terms))
                              / np.maximum(np.abs(terms).max(axis=0), 1e-300), initial=0.0))
@@ -539,13 +560,16 @@ class TestSignCertificate:
         report = hyperbolicity_check(curve, trials=16)
         monkeypatch.setattr(pencil_module, "_sign_certificate", lambda N, w, roots: False)
         assert report.lines == hyperbolicity_check(curve, trials=16).lines
+        # the rational chain on every line, on a restriction substituted in Fractions
+        assert list(map(repr, report.lines)) == list(map(repr, _hyperbolicity_reference(
+            curve, 16, certificate=False)))
 
     def test_sturm_runs_only_where_the_signs_fall_short(self, monkeypatch):
         chains = []
 
-        def spy(coeffs):
-            chains.append(coeffs)
-            return _sturm(coeffs)
+        def spy(N):
+            chains.append(N)
+            return _sturm(N)
 
         monkeypatch.setattr(pencil_module, "_sturm", spy)
         rng = random.Random(68)
@@ -608,7 +632,7 @@ class TestSignCertificate:
     def test_forged_predictions_never_certify_a_complex_pair(self):
         # c(t) = (t^2 + 1)(t - 2)(t + 3): two real roots of four
         N = [-6, 1, -5, 1, 1]
-        assert _sturm([F(c) for c in N]) == (2, 4)
+        assert _sturm(N) == (2, 4)
         rng = random.Random(7)
         forged = [[-3.0, 2.0, 0.0, 0.0], [-3.0, -1.0, 1.0, 2.0], [-3.0, -3.0, 2.0, 2.0],
                   [-1e300, -3.0, 2.0, 1e300]]
@@ -616,6 +640,54 @@ class TestSignCertificate:
         for w in (1, 3):
             for roots in forged:
                 assert not _sign_certificate(N, w, [w * r for r in roots])
+
+
+def _times(c: list[int], f: list[int]) -> list[int]:
+    out = [0] * (len(c) + len(f) - 1)
+    for i, a in enumerate(c):
+        for j, b in enumerate(f):
+            out[i + j] += a * b
+    return out
+
+
+def _sturm_sweep(rng: random.Random):
+    """Integer polynomials of degree <= 12: planted rational roots with
+    multiplicities times t^2 + 1 or t^2 + t + 1, dense and sparse draws, leads
+    of both signs, coefficients up to 2**600."""
+    for _ in range(150):
+        c = [rng.choice((1, -1)) * rng.randint(1, 2 ** rng.choice((1, 20, 600)))]
+        for f in rng.sample([[1, 0, 1], [1, 1, 1]], rng.randint(0, 2)):
+            c = _times(c, f)
+        while len(c) < 13 and rng.random() < 0.8:
+            p, q = rng.randint(-9, 9), rng.randint(1, 5)
+            for _ in range(min(rng.choice((1, 1, 2, 3)), 13 - len(c))):
+                c = _times(c, [-p, q])
+        yield c
+    for _ in range(100):
+        bits, d = rng.choice((4, 64, 600)), rng.randint(1, 12)
+        c = [rng.randint(-2 ** bits, 2 ** bits) if rng.random() < 0.6 else 0 for _ in range(d)]
+        yield c + [rng.choice((1, -1)) * rng.randint(1, 2 ** bits)]
+
+
+class TestIntegerSturm:
+    def test_equals_the_rational_chain(self):
+        for N in _sturm_sweep(random.Random(2718)):
+            assert _sturm(N) == reference_sturm(N), N
+
+    @pytest.mark.parametrize("N, counts", [
+        ([5], (0, 0)), ([0], (0, -1)), ([1, 1], (1, 1)),
+        # s^4 + 2s = s(s^3 + 2): the chain s^4 + 2s, 4s^3 + 2, -3s/2, ... drops
+        # two degrees behind the lead -3/2, where lead^(delta+1) is negative
+        ([0, 2, 0, 0, 1], (2, 4)), ([0, -6, 0, 0, -3], (2, 4)),
+        ([0, 2 ** 600, 0, 0, 2 ** 599], (2, 4))])
+    def test_named_inputs(self, N, counts):
+        assert _sturm(N) == reference_sturm(N) == counts
+
+    def test_roots_in_t_over_w(self):
+        # N(s) = (s - 2)^2 (s + 6) (s^2 + 1) and c(t) = N(t/3): the same counts
+        N = _times(_times(_times([-2, 1], [-2, 1]), [6, 1]), [1, 0, 1])
+        assert _sturm(N) == reference_sturm(
+            [F(n, 3 ** k) for k, n in enumerate(N)]) == (2, 4)
 
 
 class TestLmiPolytope:

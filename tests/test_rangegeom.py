@@ -97,7 +97,24 @@ class TestSupport:
                 assert s.witness == tuple(hulls.witnesses[k].tolist())
 
 
+_GRID_CALLS = {
+    "range_hulls": lambda A, N: range_hulls(A, N),
+    "member_W": lambda A, N: member_W(A, (0, 0), N=N),
+    "polytope_detect": lambda A, N: polytope_detect(A, N=N),
+    "translate_scale_law": lambda A, N: translate_scale_law(A, 1, N=N),
+}
+
+
 class TestRangeHulls:
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["disk", "polytope"])
+    @pytest.mark.parametrize("call", list(_GRID_CALLS))
+    def test_grid_size_is_checked_first(self, call, name, N):
+        # polytope is normal with an exact spectrum, where polytope_detect
+        # reads no grid; the check runs before any work all the same
+        with pytest.raises(ValueError, match="need at least 3 support directions"):
+            _GRID_CALLS[call](fixture_matrix(name), N)
+
     def test_disk_hausdorff(self):
         hulls = range_hulls(fixture_matrix("disk"), 360)
         th = np.linspace(0, 2 * np.pi, 1440, endpoint=False)

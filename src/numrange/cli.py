@@ -68,16 +68,12 @@ def _load_matrix(path) -> GaussianRationalMatrix:
 
 def _load_pair(path):
     obj = _load_json(path)
-    if isinstance(obj, dict) and "A1" in obj and "A2" in obj:
-        try:
-            return matrix_from_json(obj["A1"]), matrix_from_json(obj["A2"])
-        except MatrixFormatError as exc:
-            raise InputError(f"{path}: {exc}") from None
     try:
-        A = matrix_from_json(obj)
+        if isinstance(obj, dict) and "A1" in obj and "A2" in obj:
+            return matrix_from_json(obj["A1"]), matrix_from_json(obj["A2"])
+        pencil = split(matrix_from_json(obj))
     except MatrixFormatError as exc:
         raise InputError(f"{path}: {exc}") from None
-    pencil = split(A)
     return pencil.A1, pencil.A2
 
 

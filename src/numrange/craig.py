@@ -4,7 +4,11 @@ For Hermitian A1, A2 the bivariate identity
 det(I + y1 A1 + y2 A2) = det(I + y1 A1) det(I + y2 A2) holds exactly when
 A1 A2 = 0; both predicates are decided exactly, on L*A1 and L*A2 cleared to
 Gaussian integers, and their agreement is itself the theorem under test.
-When they hold, W(A1 + i A2) is the axis-aligned rectangle over the two spectra.
+The axis-aligned rectangle over the two spectra is the bounding box of
+W(A1 + i A2) for every pair: W projects onto the axes as W(A1) and W(A2).
+When the criterion holds, A = A1 + i A2 is normal and W(A) is the convex hull
+of its eigenvalues, which lie on the two axes: for A = diag(1, i), W(A) is the
+segment from 1 to i inside the unit box.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import numpy as np
 
 from .exactpoly import GaussianRational
 from .hermitian import GaussianRationalMatrix, NonHermitianError, _int_matmul
-from .pencil import _integer_pencil
-from .rangegeom import _check_grid, _outer_vertices
+from .pencil import _check_grid, _entry_scale, _integer_pencil
+from .rangegeom import _outer_vertices
 
 __all__ = [
     "CraigVerdict",
@@ -89,9 +93,10 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     """Run both predicates, assert their agreement, and extract the rectangle.
 
     Both predicates read one integer clearing of the pair.  When the criterion holds
-    the rectangle spans the spectra of A1 and A2, checked against the box of the points where
-    neighbouring supporting lines x . u_k = lambda_max(cos_k*A1 + sin_k*A2) meet, theta_k =
-    2*pi*k/N (one eigvalsh; `_outer_vertices`).
+    the rectangle spans the spectra of A1 and A2, checked to within rect_tol*s (s the
+    pair's `_entry_scale`) against the box of the points where neighbouring supporting
+    lines x . u_k = lambda_max(cos_k*A1 + sin_k*A2) meet, theta_k = 2*pi*k/N (one
+    eigvalsh; `_outer_vertices`).
     """
     if not 0.0 < rect_tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite (got {rect_tol})")
@@ -111,14 +116,12 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     lo1, hi1 = float(w1[0]), float(w1[-1])
     lo2, hi2 = float(w2[0]), float(w2[-1])
     rect = ((lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2))
-    # The rectangle is the exact bounding box of W(A1 + i*A2): each axis
-    # projection of the numerical range is the corresponding spectrum interval.
     thetas = np.arange(N) * (2.0 * np.pi) / N
     cos, sin = np.cos(thetas), np.sin(thetas)
     h = np.linalg.eigvalsh(cos[:, None, None] * f1 + sin[:, None, None] * f2)[:, -1]
     V = _outer_vertices(cos, sin, h)
     worst = float(np.abs(np.r_[V.min(axis=0) - (lo1, lo2), V.max(axis=0) - (hi1, hi2)]).max())
-    if worst > rect_tol:
+    if worst > rect_tol * _entry_scale(f1, f2):
         raise CraigDisagreementError(
             f"rectangle disagrees with the bounding box of sampled W(A) by {worst:.2e}")
     return CraigVerdict(identity_holds=True, product_zero=True,

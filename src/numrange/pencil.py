@@ -185,9 +185,15 @@ def _integer_pencil(A1, A2) -> tuple[int, tuple, tuple, dict]:
     return L, C1, C2, re
 
 
+def _check_grid(N: int) -> None:
+    if N < 3:
+        raise ValueError("need at least 3 support directions")
+
+
 class SpectralGrid:
     """Eigenpairs of H_k = cos_k*A1 + sin_k*A2, ascending, from one batched eigh;
-    the eigenvectors give W(A)'s witnesses and the points of q = 0.
+    the eigenvectors give W(A)'s witnesses and the points of q = 0.  `scale` is
+    the pencil's `_entry_scale`, the unit of every tolerance on the grid's values.
 
     SpectralGrid(pencil, N) is the uniform fan theta_k = 2*pi*k/N; `at` takes
     arbitrary angles (and, optionally, their exact unit directions).  Every
@@ -198,7 +204,7 @@ class SpectralGrid:
     bits.
     """
 
-    __slots__ = ("pencil", "thetas", "cos", "sin", "eigvals", "eigvecs")
+    __slots__ = ("pencil", "scale", "thetas", "cos", "sin", "eigvals", "eigvecs")
 
     def __init__(self, pencil: HermitianPencil, N: int):
         thetas = np.arange(N) * (2.0 * math.pi) / N   # 2*pi*k/N bit for bit
@@ -215,14 +221,15 @@ class SpectralGrid:
 
     def _solve(self, pencil, thetas, cos, sin):
         f1, f2 = pencil.float_parts()
-        self.pencil, self.thetas, self.cos, self.sin = pencil, thetas, cos, sin
+        self.pencil, self.scale = pencil, _entry_scale(f1, f2)
+        self.thetas, self.cos, self.sin = thetas, cos, sin
         self.eigvals, self.eigvecs = np.linalg.eigh(
             cos[:, None, None] * f1 + sin[:, None, None] * f2)
 
     def every_other(self) -> "SpectralGrid":
         """The N-grid contained in this 2N-grid, without a second solve."""
         sub = SpectralGrid.__new__(SpectralGrid)
-        sub.pencil = self.pencil
+        sub.pencil, sub.scale = self.pencil, self.scale
         for name in ("thetas", "cos", "sin", "eigvals", "eigvecs"):
             setattr(sub, name, getattr(self, name)[::2])
         return sub
@@ -233,7 +240,7 @@ class SpectralGrid:
         Returns (k, index, t) in (angle, eigenvalue index) order: the roots
         of `line_roots_from_eigs` for every row at once.
         """
-        k, idx = np.nonzero(_root_eigs(self.eigvals, _entry_scale(self.pencil)))
+        k, idx = np.nonzero(_root_eigs(self.eigvals, self.scale))
         return k, idx, -1.0 / self.eigvals[k, idx]
 
 
@@ -241,12 +248,12 @@ def _exit_points(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """(k, t, y1, y2): the rays k of the grid that leave F(A), and where.
 
     The ray leaves F(A) at t = -1/lambda_min(H_k), at the point (y1, y2) =
-    t*(cos_k, sin_k); lambda_min above -UNBOUNDED_CUT*scale never reaches
-    zero, and that ray is unbounded.
+    t*(cos_k, sin_k); lambda_min above -UNBOUNDED_CUT*max(s, the row's max |lambda|),
+    s the grid's `scale`, never reaches zero, and that ray is unbounded.
     """
     w = grid.eigvals
     lam_min = w[:, 0]
-    scale = np.maximum(1.0, np.abs(w).max(axis=1))
+    scale = np.maximum(grid.scale, np.abs(w).max(axis=1))
     k = np.flatnonzero(lam_min < -UNBOUNDED_CUT * scale)
     t = -1.0 / lam_min[k]
     return k, t, t * grid.cos[k], t * grid.sin[k]
@@ -282,8 +289,7 @@ def ray_exit(pencil: HermitianPencil, direction: tuple[float, float]) -> RayExit
 
 def boundary_F(pencil: HermitianPencil, N: int) -> CurveSampleSet:
     """Polygonal boundary of F(A): N ray exits at equally spaced angles."""
-    if N < 3:
-        raise ValueError("need at least 3 angles")
+    _check_grid(N)
     return _grid_boundary(SpectralGrid(pencil, N))
 
 
@@ -431,11 +437,11 @@ def line_roots_from_eigs(eigs: np.ndarray, scale: float = 1.0) -> list[tuple[int
     return [(idx, -1.0 / float(eigs[idx])) for idx in roots]
 
 
-def _entry_scale(pencil: HermitianPencil) -> float:
-    """The largest |entry| of A1 and A2 rounded down to a power of two 2**k, or
-    1 while |k| <= 32 (as in `_chart_normal`), so that ordinary pencils keep
-    their floats bit for bit."""
-    f1, f2 = pencil.float_parts()
+def _entry_scale(f1: np.ndarray, f2: np.ndarray) -> float:
+    """s, the unit of every tolerance in the units of A (W(cA) = c*W(A)): the
+    largest |entry| of the float parts f1, f2 of A1 and A2 rounded down to a power
+    of two 2**k, or 1 while |k| <= 32 (as in `_chart_normal`), so that ordinary
+    pencils keep their floats bit for bit."""
     m = max(float(np.abs(f1).max()), float(np.abs(f2).max()))
     k = math.frexp(m)[1] - 1 if m else 0
     return math.ldexp(1.0, k) if abs(k) > 32 else 1.0
@@ -490,7 +496,7 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
     dirs = list(itertools.islice(filter(any, draws), trials))
     f1, f2 = curve.pencil.float_parts()
     eigs = np.linalg.eigvalsh(np.array([float(d1) * f1 + float(d2) * f2 for d1, d2 in dirs]))
-    scale = _entry_scale(curve.pencil)
+    scale = _entry_scale(f1, f2)
     # exact restrictions of p(y0, 2**e*y1, 2**e*y2): roots t/2**e near 1, float coefficients
     p, e = _chart_normal(curve.p)
     form = _integer_form(p)

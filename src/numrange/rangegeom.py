@@ -21,7 +21,7 @@ import numpy as np
 
 from .exactpoly import GaussianRational
 from .hermitian import GaussianRationalMatrix, HermitianPencil, charpoly, is_normal, split
-from .pencil import SpectralGrid, _entry_scale, _exit_points
+from .pencil import SpectralGrid, _check_grid, _entry_scale, _exit_points
 
 __all__ = [
     "SupportSample",
@@ -41,8 +41,8 @@ __all__ = [
     "hulls_csv",
 ]
 
-MEMBER_TOL = 1e-7
-GAP_FLOOR = 1e-10   # times max(1, max|witness|): inner/outer coincide to roundoff
+MEMBER_TOL = 1e-7   # times s, the pencil's `_entry_scale`
+GAP_FLOOR = 1e-10   # times max(s, max|witness|): inner/outer coincide to roundoff
 
 
 # -- polygon utilities (work on floats and on exact Fractions alike) -----------
@@ -223,11 +223,6 @@ def _outer_vertices(cos: np.ndarray, sin: np.ndarray, h: np.ndarray) -> np.ndarr
     return np.stack([(h * sin_n - h_n * sin) / det, (cos * h_n - cos_n * h) / det], axis=1)
 
 
-def _check_grid(N: int) -> None:
-    if N < 3:
-        raise ValueError("need at least 3 support directions")
-
-
 def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:
     """Inner (witness hull) and outer (half-plane) polygonal bounds for W(A)."""
     _check_grid(N)
@@ -242,7 +237,7 @@ def _hulls_of(grid: SpectralGrid, h: np.ndarray, wit: np.ndarray) -> RangeHulls:
     """The hulls of the grid from its support values h and witnesses wit."""
     inner = _cycle_hull(wit)
     outer = _outer_polygon(grid.cos, grid.sin, h)
-    scale = max(1.0, float(np.abs(wit).max()))
+    scale = max(grid.scale, float(np.abs(wit).max()))
     degenerate = polygon_area(outer) <= 1e-12 * scale * scale
     return RangeHulls(inner=inner, outer=outer, N=len(h), degenerate=degenerate,
                       witnesses=wit, support_values=h)
@@ -268,7 +263,7 @@ def member_W(A: GaussianRationalMatrix, x, N: int = 720,
     """Membership via the support oracle, with one refinement pass.
 
     The margin is min over angles of h(theta) - x . u(theta), refined on a
-    fine fan around the grid minimum.
+    fine fan around the grid minimum; x is in W(A) when it is >= -tol*s.
     """
     _check_grid(N)
     x1, x2 = float(x[0]), float(x[1])
@@ -278,7 +273,7 @@ def member_W(A: GaussianRationalMatrix, x, N: int = 720,
     mesh = 2.0 * math.pi / N
     local = SpectralGrid.at(grid.pencil, grid.thetas[k] + np.linspace(-mesh, mesh, 65))
     gl = local.eigvals[:, -1] - x1 * local.cos - x2 * local.sin
-    return float(min(g.min(), gl.min())) >= -tol
+    return float(min(g.min(), gl.min())) >= -tol * grid.scale
 
 
 # -- duality --------------------------------------------------------------------
@@ -327,7 +322,7 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     (a) 1 + x.y >= -tol for every witness x and boundary sample y;
     (b) every boundary sample has a complementary witness with pairing <= tol;
     (c) the inner/outer Hausdorff gap shrinks when the grid doubles, unless
-        both gaps are roundoff: at most GAP_FLOOR * max(1, max|witness|).
+        both gaps are roundoff: at most GAP_FLOOR * max(s, max|witness|).
     One 2N-grid solve and one Rayleigh pass serve both levels; (a) and (b) take O(N) memory.
     """
     if N < 16:
@@ -342,7 +337,7 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     hulls2 = _hulls_of(fine, h, wit)
     gap1 = hausdorff_outer_to_inner(hulls1.outer, hulls1.inner)
     gap2 = hausdorff_outer_to_inner(hulls2.outer, hulls2.inner)
-    floor = GAP_FLOOR * max(1.0, float(np.abs(hulls1.witnesses).max()))
+    floor = GAP_FLOOR * max(grid.scale, float(np.abs(hulls1.witnesses).max()))
     decreased = gap2 < gap1 or (gap1 <= floor and gap2 <= floor)
     row_min = (_pairing_row_min(np.stack((y1, y2), axis=1), hulls1.witnesses)
                if k.size else np.zeros(1))   # no bounded ray: both report 0
@@ -385,14 +380,13 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
     "mixed/unknown" is a legal verdict.
     """
     _check_grid(N)
-    normal = is_normal(A)
-    return _polytope_verdict(A, None if normal else split(A), normal, N)
+    return _polytope_verdict(A, split(A), is_normal(A), N)
 
 
-def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil | None, normal: bool,
+def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil, normal: bool,
                       N: int) -> PolytopeVerdict:
-    """`polytope_detect` for a caller that has split A (pencil = split(A);
-    None is allowed when A is normal) and knows normal = is_normal(A)."""
+    """`polytope_detect` for a caller that has split A (pencil = split(A)) and
+    knows normal = is_normal(A)."""
     if normal:
         M = A.to_complex()
         eigs = np.linalg.eigvals(M)
@@ -403,12 +397,13 @@ def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil | None,
         if A.is_hermitian():
             # a real spectrum: W(A) is a segment of the real axis, with no eigvals noise off it
             eigs = np.linalg.eigvalsh(M)
-        verts = convex_hull([(float(z.real), float(z.imag)) for z in _dedupe(eigs)])
+        eigs = _dedupe(eigs, _entry_scale(*pencil.float_parts()))
+        verts = convex_hull([(float(z.real), float(z.imag)) for z in eigs])
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
 
     grid = SpectralGrid(pencil, N)
     _, wit = _support_grid(grid)
-    scale = max(_entry_scale(grid.pencil), float(np.abs(wit).max()))
+    scale = max(grid.scale, float(np.abs(wit).max()))
     clusters = _witness_clusters(wit, 1e-8 * scale)
     big = [c for c in clusters if len(c) >= 3]
     if len(big) >= 3 and sum(len(c) for c in big) >= 0.9 * N:
@@ -462,10 +457,11 @@ def _denominator(values) -> int:
     return math.lcm(*(d for z in values for d in (z.re.denominator, z.im.denominator)))
 
 
-def _dedupe(zs, tol: float = 1e-9):
+def _dedupe(zs, scale: float, tol: float = 1e-9):
+    """The values zs without those within tol*(scale + |z|) of an earlier kept one."""
     out = []
     for z in zs:
-        if not any(abs(z - w) <= tol * (1 + abs(z)) for w in out):
+        if not any(abs(z - w) <= tol * (scale + abs(z)) for w in out):
             out.append(z)
     return out
 
@@ -482,12 +478,11 @@ class TranslateScaleReport:
 
 def translate_scale_law(A: GaussianRationalMatrix, c, N: int = 360,
                         tol: float = 1e-9) -> TranslateScaleReport:
-    """Check h_{A+cI}(theta) = h_A(theta) + c*cos(theta) on the grid."""
+    """Check h_{A+cI}(theta) = h_A(theta) + c*cos(theta) on the grid, to within
+    tol*s, s the larger `_entry_scale` of A and A + cI."""
     _check_grid(N)
     c = Fraction(c)
     shifted = A + GaussianRationalMatrix.identity(A.n).scale(GaussianRational.of(c))
-    grid = SpectralGrid(split(A), N)
-    h0 = grid.eigvals[:, -1]
-    h1 = SpectralGrid(split(shifted), N).eigvals[:, -1]
-    dev = float(np.abs(h1 - h0 - float(c) * grid.cos).max())
-    return TranslateScaleReport(c=c, max_deviation=dev, ok=dev <= tol)
+    grid, grid_c = SpectralGrid(split(A), N), SpectralGrid(split(shifted), N)
+    dev = float(np.abs(grid_c.eigvals[:, -1] - grid.eigvals[:, -1] - float(c) * grid.cos).max())
+    return TranslateScaleReport(c, dev, ok=dev <= tol * max(grid.scale, grid_c.scale))

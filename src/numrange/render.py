@@ -18,7 +18,7 @@ import numpy as np
 
 from .dualcurve import _grid_dual_sample
 from .hermitian import GaussianRationalMatrix, split
-from .pencil import SpectralGrid, _exit_points
+from .pencil import SpectralGrid, _check_grid, _exit_points
 from .rangegeom import _outer_polygon
 
 __all__ = ["ViewportRequiredError", "render_figure"]
@@ -150,8 +150,7 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     needs `viewport` (x1min, x1max, x2min, x2max), which then frames both
     panels; without it each panel frames its own set.
     """
-    if N < 3:
-        raise ValueError("need at least 3 angles")
+    _check_grid(N)
     pencil = split(A)
     grid = SpectralGrid(pencil, N)
     k, _, y1, y2 = _exit_points(grid)

@@ -17,8 +17,9 @@ from numrange.craig import (
     verdict_line,
 )
 from numrange.exactpoly import GaussianRational, TriPoly
-from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError
+from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError, split
 from numrange.pencil import pencil_det
+from numrange.rangegeom import member_W, polytope_detect
 
 
 F = Fraction
@@ -116,6 +117,17 @@ class TestVerdict:
         pair = (diag(1, 0), diag(0, 1)) if planted else (diag(1, 1), diag(1, 1))
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             craig_verdict(*pair, rect_tol=tol)
+
+    def test_rectangle_is_the_bounding_box_of_a_segment(self):
+        # A = diag(1, i) = A1 + i*A2 is normal: W(A) is the segment from 1 to i, and
+        # the unit square of the verdict is only its bounding box
+        A = GaussianRationalMatrix.diagonal([GaussianRational.ONE, GaussianRational(F(0), F(1))])
+        pencil = split(A)
+        assert (pencil.A1, pencil.A2) == (diag(1, 0), diag(0, 1))
+        assert verdict_line(craig_verdict(pencil.A1, pencil.A2)).endswith("rectangle=0,1,0,1")
+        assert member_W(A, (0.5, 0.5)) and not member_W(A, (0.9, 0.9))
+        v = polytope_detect(A)
+        assert (v.kind, v.exact, v.vertices) == ("polytope", True, ((F(0), F(1)), (F(1), F(0))))
 
     def test_negative_case_has_no_rectangle(self):
         v = craig_verdict(diag(1, 1), diag(1, 1))

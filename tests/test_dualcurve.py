@@ -337,7 +337,7 @@ class TestDualSample:
             grid = SpectralGrid(pencil, N)
             want = []
             for theta, w, vecs in zip(grid.thetas.tolist(), grid.eigvals, grid.eigvecs):
-                for i, _ in line_roots_from_eigs(w, _entry_scale(pencil)):
+                for i, _ in line_roots_from_eigs(w, _entry_scale(f1, f2)):
                     gap = min((abs(w[i] - w[j]) for j in (i - 1, i + 1) if 0 <= j < len(w)),
                               default=math.inf)
                     singular = bool(gap <= EIG_GAP_RTOL * np.abs(w).max())

@@ -269,6 +269,11 @@ class TestBoundary:
         with pytest.raises(ValueError):
             boundary_F(split(fixture_matrix("disk")), 2)
 
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_grid_check_is_the_shared_one(self, N):
+        with pytest.raises(ValueError, match="need at least 3 support directions"):
+            boundary_F(split(fixture_matrix("disk")), N)
+
 
 FIXTURE_NAMES = ("disk", "cubic_cusp", "cross_star", "nested_ovals", "polytope",
                  "cardioid_circle")
@@ -502,7 +507,7 @@ def _hyperbolicity_reference(curve: PencilCurve, trials: int = 24, seed: int = 2
     chain where the certificate is off or falls short."""
     rng = random.Random(seed)
     f1, f2 = curve.pencil.float_parts()
-    scale = _entry_scale(curve.pencil)
+    scale = _entry_scale(f1, f2)
     p, e = _chart_normal(curve.p)
     form = _integer_form(p)
     checks = []

@@ -763,15 +763,16 @@ class TestDualityInLinearMemory:
         assert _same_bits(_pairing_row_min(Y, W), (1.0 + Y @ W.T).min(axis=1))
 
     def test_one_bounded_ray(self):
-        # A = -c with c just above UNBOUNDED_CUT / cos(2 pi / 16): only theta = 0 is bounded
-        A = gmatrix([[F(-101, 10**14)]])
-        rep = duality_check(A, N=16)
-        assert (rep.boundary_count, rep.unbounded_count) == (1, 15)
-        grid = SpectralGrid(split(A), 32).every_other()
+        # one boundary sample takes gemv, in the reference too
+        grid = SpectralGrid(split(fixture_matrix("cubic_cusp")), 32).every_other()
         _, _, y1, y2 = _exit_points(grid)
-        Y = np.stack((y1, y2), axis=1)
-        row = (1.0 + Y @ _grid_hulls(grid).witnesses.T).min(axis=1)
-        assert rep.pairing_min == rep.complementary_worst == float(row[0])
+        W = _grid_hulls(grid).witnesses
+        for y in np.stack((y1, y2), axis=1):
+            assert _same_bits(_pairing_row_min(y[None], W), (1.0 + y[None] @ W.T).min(axis=1))
+        # A = -c, c = 1.01e-12: F(A) = {y : 1 - c*y1 >= 0}, so a ray is bounded iff
+        # cos(theta) > 0, 7 of 16; cos(+-pi/2) is roundoff, below UNBOUNDED_CUT
+        rep = duality_check(gmatrix([[F(-101, 10**14)]]), N=16)
+        assert (rep.boundary_count, rep.unbounded_count) == (7, 9)
 
     def test_coarse_hulls_from_the_shared_pass(self):
         for name, N, fine in _duality_grids():

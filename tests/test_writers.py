@@ -288,3 +288,9 @@ def test_render_and_duality_make_no_residual_solve(monkeypatch):
     assert calls == []
     _grid_boundary(SpectralGrid(split(A), 90))
     assert calls == [(90, 3, 3)]
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_render_grid_check_is_the_shared_one(N):
+    with pytest.raises(ValueError, match="need at least 3 support directions"):
+        render_figure(fixture_matrix("disk"), N=N, viewport=(-1.0, 1.0, -1.0, 1.0))

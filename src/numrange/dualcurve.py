@@ -114,30 +114,31 @@ def restricted_line_form(p: TriPoly) -> BinaryForm:
     """
     n = p.total_degree()
     coeffs: list[dict] = [dict() for _ in range(n + 1)]
-    for (ea, eb, ec), coef in p.terms.items():
+    for (ea, eb, ec), v in p.ints.items():
+        if ea % 2:
+            v = -v
         for j in range(ea + 1):
-            wpow = j + ec
             key = (n - ea, ea - j, j)
-            cc = coef * comb(ea, j) * (-1) ** ea
-            d = coeffs[wpow]
-            d[key] = d.get(key, Fraction(0)) + cc
-    return BinaryForm(n, tuple(TriPoly(XVARS, t) for t in coeffs))
+            d = coeffs[j + ec]
+            d[key] = d.get(key, 0) + v * comb(ea, j)
+    return BinaryForm(n, tuple(TriPoly._from_ints(XVARS, t, p.content) for t in coeffs))
 
 
 def _strip_var0_power(f: TriPoly) -> tuple[TriPoly, int]:
-    a = min(e[0] for e in f.terms)
+    a = min(e[0] for e in f.ints)
     if a == 0:
         return f, 0
-    return TriPoly(f.vars, {(e[0] - a, e[1], e[2]): c for e, c in f.terms.items()}), a
+    return TriPoly._of(f.vars, f.content, {(e[0] - a, e[1], e[2]): v for e, v in f.ints.items()}), a
 
 
 def sample_real_curve_points(p: TriPoly, count: int):
     """Up to `count` real points (1.0, y1, y2) of p = 0, found on rays from the origin.
 
-    Each sweep of 64 rays, theta = pi*(k + 1/2)/64 + 0.013*sweep (at most four),
-    restricts p to all its rays as one array summed in `sorted_terms` order,
-    takes the roots from one stacked companion eigensolve and polishes them by
-    four array Newton steps.  Real roots (|Im t| <= 1e-9*(1+|t|)) on the curve
+    Each sweep of R = max(64, ceil(count/n)) rays, n the chart degree of p (so
+    that one sweep can give count points), theta = pi*(k + 1/2)/R + 0.013*sweep
+    (at most four sweeps), restricts p to all its rays as one array summed in
+    `sorted_terms` order, takes the roots from one stacked companion
+    eigensolve and polishes them by four array Newton steps.  Real roots (|Im t| <= 1e-9*(1+|t|)) on the curve
     (|p| <= 1e-9*scale) and not near-singular (max|grad p| > 1e-8*scale) are
     kept in (angle, root) order.  `dual_curve_exact` samples p as normalized by
     `_chart_normal`, whose roots stay near 1 whatever the size of the entries.
@@ -146,10 +147,11 @@ def sample_real_curve_points(p: TriPoly, count: int):
     degrees = [b + c for (_, b, c), _ in terms]
     lo, hi, pts = min(degrees), max(degrees), []
     n = hi - lo
+    R = max(64, -(-count // n)) if n else 0
     for sweep in range(4 if n else 0):
-        theta = np.pi * (np.arange(64) + 0.5) / 64 + 0.013 * sweep
+        theta = np.pi * (np.arange(R) + 0.5) / R + 0.013 * sweep
         d1, d2 = np.cos(theta), np.sin(theta)
-        r = np.zeros((64, hi + 1))
+        r = np.zeros((R, hi + 1))
         for (_, b, c), coef in terms:
             r[:, b + c] += float(coef) * np.float_power(d1, b) * np.float_power(d2, c)
         # rays on which p keeps its degree, coefficients highest first and
@@ -280,7 +282,7 @@ def dual_of_linear(l: TriPoly) -> tuple[Fraction, Fraction, Fraction]:
     """Dual point (c0, c1, c2) of the line c0 y0 + c1 y1 + c2 y2 = 0."""
     if l.is_zero():
         raise ZeroPolynomialError("dual of the zero form")
-    if l.total_degree() != 1:
+    if l.total_degree() != 1 or not l.is_homogeneous():
         raise ValueError("dual_of_linear expects a homogeneous linear form")
     return (l.terms.get((1, 0, 0), Fraction(0)),
             l.terms.get((0, 1, 0), Fraction(0)),

@@ -1,7 +1,9 @@
 """Exact sparse trivariate polynomial arithmetic over big rationals.
 
-Everything here is exact: `TriPoly` coefficients are `fractions.Fraction`,
-exponents are triples of non-negative ints, and no operation ever rounds.
+Everything here is exact: a `TriPoly` is a rational content times a primitive
+integer polynomial, exponents are triples of non-negative ints, and no
+operation ever rounds.  Every stage below reads and writes that integer
+store; Fraction coefficients (`terms`) are a view for callers that ask.
 This module is the elimination engine behind the pencil determinant p(y) and
 the dual curve q(x): two determinants, binary-form resultants and
 discriminants on explicit Sylvester matrices, and GCDs for squarefree parts.
@@ -175,20 +177,52 @@ def _grlex(e: Expo):
     return (e[0] + e[1] + e[2], e)
 
 
-class TriPoly:
-    """Sparse trivariate polynomial; immutable after construction.
+def _three(vars) -> tuple:
+    vs = tuple(vars)
+    if len(vs) != 3:
+        raise ValueError("TriPoly needs exactly three variable names")
+    return vs
 
-    `terms` maps exponent triples to nonzero Fraction coefficients; int
-    coefficients are converted, any other type (GaussianRational included)
-    raises TypeError.
+
+def _split_content(ints: dict, scale: Fraction | int) -> tuple[Fraction | int, IntPoly]:
+    """(content, primitive) with scale * ints = content * primitive, the
+    primitive part's zeros dropped and its grlex lead positive."""
+    if not any(ints.values()):
+        return Fraction(0), {}
+    g = math.gcd(*ints.values())
+    if ints[max((e for e, v in ints.items() if v), key=_grlex)] < 0:
+        g = -g
+    return scale * g, {e: v // g for e, v in ints.items() if v}
+
+
+def _fill(f: "TriPoly", vars: tuple, content: Fraction, ints: IntPoly) -> None:
+    put = object.__setattr__
+    put(f, "vars", vars)
+    put(f, "content", content)
+    put(f, "ints", ints)
+    put(f, "_terms", None)
+    put(f, "_hash", None)
+    put(f, "_sorted", None)
+
+
+class TriPoly:
+    """Sparse trivariate polynomial over Q; immutable after construction.
+
+    The store is `content` times `ints`: `ints` maps exponent triples to the
+    nonzero int coefficients of a primitive polynomial (content 1) with a
+    positive grlex lead, and `content` is a nonzero Fraction; the zero
+    polynomial is Fraction(0) times {}.  The pair is unique, so `==` and the
+    hash read it, and `primitive`, `rational_content`, `-` and a scalar
+    multiple are O(1).  `terms`, the map from exponent triples to nonzero
+    Fraction coefficients, is a view built on first access.  The constructor
+    takes int or Fraction coefficients; any other type (GaussianRational
+    included) raises TypeError.
     """
 
-    __slots__ = ("vars", "terms", "_hash", "_sorted")
+    __slots__ = ("vars", "content", "ints", "_terms", "_hash", "_sorted")
 
     def __init__(self, vars: Sequence[str], terms: dict | None = None):
-        vs = tuple(vars)
-        if len(vs) != 3:
-            raise ValueError("TriPoly needs exactly three variable names")
+        vs = _three(vars)
         clean: dict[Expo, Fraction] = {}
         for e, c in (terms or {}).items():
             c = _frac(c)
@@ -198,13 +232,36 @@ class TriPoly:
             if min(e) < 0:
                 raise ValueError("negative exponent")
             clean[e] = c
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_sorted", None)
+        L = math.lcm(*(c.denominator for c in clean.values()))
+        _fill(self, vs, *_split_content(
+            {e: c.numerator * (L // c.denominator) for e, c in clean.items()}, Fraction(1, L)))
+
+    @classmethod
+    def _of(cls, vars: tuple, content: Fraction, ints: IntPoly) -> "TriPoly":
+        """content * ints for a store already in normal form (see the class)."""
+        f = object.__new__(cls)
+        _fill(f, vars, content, ints)
+        return f
+
+    @classmethod
+    def _from_ints(cls, vars: tuple, ints: dict, scale: Fraction) -> "TriPoly":
+        """scale * ints for any int terms (zeros are dropped)."""
+        return cls._of(vars, *_split_content(ints, scale))
 
     def __setattr__(self, *a):
         raise AttributeError("TriPoly is immutable")
+
+    @property
+    def terms(self) -> dict[Expo, Fraction]:
+        t = self._terms
+        if t is None:
+            t = self._term_view()
+            object.__setattr__(self, "_terms", t)
+        return t
+
+    def _term_view(self) -> dict[Expo, Fraction]:
+        c = self.content
+        return {e: c * v for e, v in self.ints.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -225,40 +282,35 @@ class TriPoly:
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0, 0) for e in self.terms)
+        return all(e == (0, 0, 0) for e in self.ints)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(e[0] + e[1] + e[2] for e in self.terms)
+        return max(map(sum, self.ints), default=-1)
 
     def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
+        return max((e[i] for e in self.ints), default=-1)
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {e[0] + e[1] + e[2] for e in self.terms}
-        return len(degs) == 1
+        return len(set(map(sum, self.ints))) <= 1
 
     def leading(self) -> tuple[Expo, Fraction]:
         """Leading (exponent, coefficient) under graded lex."""
-        if not self.terms:
+        if not self.ints:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        e = max(self.ints, key=_grlex)
+        return e, self.content * self.ints[e]
 
     def sorted_terms(self) -> tuple[tuple[Expo, Fraction], ...]:
         """(exponent, coefficient) pairs in descending graded lex order, the
-        order of `to_text`; sorted once per polynomial."""
+        order of `to_text`; built from the store once per polynomial."""
         items = self._sorted
         if items is None:
-            items = tuple(sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True))
+            c = self.content
+            items = tuple((e, c * v) for e, v in
+                          sorted(self.ints.items(), key=lambda t: _grlex(t[0]), reverse=True))
             object.__setattr__(self, "_sorted", items)
         return items
 
@@ -267,7 +319,7 @@ class TriPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms[(0, 0, 0)]
+        return self.content * self.ints[(0, 0, 0)]
 
     def _check_vars(self, other: "TriPoly"):
         if self.vars != other.vars:
@@ -280,18 +332,17 @@ class TriPoly:
         if not isinstance(other, TriPoly):
             other = TriPoly.constant(other, self.vars)
         self._check_vars(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = c
-            else:
-                v = v + c
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return TriPoly(self.vars, out)
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        a, b = self.content, other.content
+        L = math.lcm(a.denominator, b.denominator)
+        ka, kb = a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)
+        out = {e: ka * v for e, v in self.ints.items()}
+        for e, v in other.ints.items():
+            out[e] = out.get(e, 0) + kb * v
+        return TriPoly._from_ints(self.vars, out, Fraction(1, L))
 
     def __sub__(self, other):
         if not isinstance(other, TriPoly):
@@ -299,21 +350,23 @@ class TriPoly:
         return self + (-other)
 
     def __neg__(self):
-        return TriPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return TriPoly._of(self.vars, -self.content, self.ints)
 
     def __mul__(self, other):
         if not isinstance(other, TriPoly):
             other = _frac(other)
-            if not other:
+            if not other or not self.ints:
                 return TriPoly.zero(self.vars)
-            return TriPoly(self.vars, {e: c * other for e, c in self.terms.items()})
+            return TriPoly._of(self.vars, self.content * other, self.ints)
         self._check_vars(other)
-        f, g = self.terms, other.terms
-        if len(f) > len(g):
-            f, g = g, f
-        out: dict = {}
-        _addmul(out, f, g, False)
-        return TriPoly(self.vars, out)
+        if not self.ints or not other.ints:
+            return TriPoly.zero(self.vars)
+        # Gauss's lemma: a product of primitive polynomials is primitive, and
+        # its grlex lead is the product of the leads
+        B = self.total_degree() + other.total_degree() + 1
+        acc: dict = {}
+        _addmul(acc, _pack(self.ints, B, 1), _pack(other.ints, B, 1), False)
+        return TriPoly._of(self.vars, self.content * other.content, _unpack(_clean(acc), B))
 
     __rmul__ = __mul__
 
@@ -333,12 +386,13 @@ class TriPoly:
     def __eq__(self, other):
         if not isinstance(other, TriPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars and self.content == other.content
+                and self.ints == other.ints)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
+            h = hash((self.vars, self.content, frozenset(self.ints.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -346,13 +400,11 @@ class TriPoly:
 
     def partial(self, i: int) -> "TriPoly":
         out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            k = list(e)
-            k[i] -= 1
-            out[tuple(k)] = c * e[i]
-        return TriPoly(self.vars, out)
+        for e, v in self.ints.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = v * k
+        return TriPoly._from_ints(self.vars, out, self.content)
 
     def eval(self, point) -> Fraction | float | complex:
         """Evaluate at a 3-point; exact for Fraction coordinates."""
@@ -394,19 +446,17 @@ class TriPoly:
     def divexact(self, other: "TriPoly") -> "TriPoly":
         """Exact quotient self/other; raises ExactDivisionError otherwise.
 
-        With self = a*F and other = b*G for integer-primitive F and G, the
-        quotient is (a/b) * F/G, and F/G is integral whenever it exists
-        (Gauss's lemma), so the division itself runs on integers.
+        With self = a*F and other = b*G for the stores F and G, the quotient
+        is (a/b) * F/G, and F/G is primitive with a positive lead whenever it
+        exists (Gauss's lemma), so the division runs on the stores.
         """
         self._check_vars(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return TriPoly.zero(self.vars)
-        F, G = _int_terms(self), _int_terms(other)
-        e, k = next(iter(F)), next(iter(G))
-        ratio = self.terms[e] / F[e] / (other.terms[k] / G[k])
-        return TriPoly(self.vars, {m: c * ratio for m, c in _idivexact(F, G).items()})
+        return TriPoly._of(self.vars, self.content / other.content,
+                           _idivexact(self.ints, other.ints))
 
     def divides(self, other: "TriPoly") -> bool:
         try:
@@ -417,28 +467,22 @@ class TriPoly:
 
     def rational_content(self) -> Fraction:
         """Positive rational c with self/c integer-primitive; 0 for the zero polynomial."""
-        coeffs = self.terms.values()
-        return Fraction(math.gcd(*(c.numerator for c in coeffs)),
-                        math.lcm(*(c.denominator for c in coeffs)))
+        return abs(self.content)
 
     def primitive(self) -> "TriPoly":
         """Primitive form: integer coefficients, content 1, positive grlex lead."""
-        if self.is_zero():
+        if self.is_zero() or self.content == 1:
             return self
-        c = self.rational_content()
-        _, lead = self.leading()
-        if lead < 0:
-            c = -c
-        return TriPoly(self.vars, {e: v / c for e, v in self.terms.items()})
+        return TriPoly._of(self.vars, Fraction(1), self.ints)
 
     def with_vars(self, vars) -> "TriPoly":
-        return TriPoly(vars, dict(self.terms))
+        return TriPoly._of(_three(vars), self.content, self.ints)
 
     # -- text ------------------------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text: graded-lex descending terms, explicit * and ^."""
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -514,21 +558,34 @@ def parse_poly(text: str, vars: Sequence[str]) -> TriPoly:
 # -- determinants -------------------------------------------------------------
 
 
+def _pack(f: IntPoly, B: int, k: int) -> dict[int, int]:
+    """k*f with each exponent (a, b, c) packed into the int
+    (((a + b + c)*B + a)*B + b)*B + c, which orders as graded lex does.  Keys
+    add as exponents do while every sum of degrees stays below B."""
+    return {((e[0] + e[1] + e[2]) * B + e[0]) * B * B + e[1] * B + e[2]: k * v
+            for e, v in f.items()}
+
+
+def _exponents(key: int, B: int) -> Expo:
+    """The exponent triple of a `_pack` key."""
+    key, c = divmod(key, B)
+    key, b = divmod(key, B)
+    return key % B, b, c
+
+
+def _unpack(f: dict[int, int], B: int) -> IntPoly:
+    return {_exponents(key, B): v for key, v in f.items()}
+
+
 def _addmul(acc: dict, f: dict, g: dict, negate: bool) -> None:
-    """acc += (-f if negate else f) * g, on raw term dicts; zeros may remain."""
+    """acc += (-f if negate else f) * g, on packed term dicts; zeros may remain."""
+    get = acc.get
     for ef, cf in f.items():
         if negate:
             cf = -cf
-        a, b, c = ef
         for eg, cg in g.items():
-            k = (a + eg[0], b + eg[1], c + eg[2])
-            v = acc.get(k)
-            acc[k] = cf * cg if v is None else v + cf * cg
-
-
-def _cleared(p: TriPoly, L: int) -> IntPoly:
-    """The terms of L*p as ints; L is a multiple of every denominator of p."""
-    return {e: c.numerator * (L // c.denominator) for e, c in p.terms.items()}
+            k = ef + eg
+            acc[k] = get(k, 0) + cf * cg
 
 
 def det_poly_matrix(M: Sequence[Sequence[TriPoly]]) -> TriPoly:
@@ -540,9 +597,11 @@ def det_poly_matrix(M: Sequence[Sequence[TriPoly]]) -> TriPoly:
     entries are general polynomials in banded matrices, where a minor
     expansion that skips zeros beats evaluation and interpolation.
 
-    Each row is scaled once by the lcm of its denominators, so the expansion
-    runs on integer term dicts; the result is divided by the product of the
-    row scales at the end.  The expansion is Laplace's, along the rows, bottom
+    Each row is scaled once by the lcm of its entries' content denominators,
+    so the expansion runs on integer term dicts whose monomials are packed
+    into single ints (`_pack`): one int add per product of two terms.  The
+    result is unpacked and divided by the product of the row scales at the
+    end.  The expansion is Laplace's, along the rows, bottom
     up: the minors on the last k rows are kept in a dict keyed by their column
     bitmask, and each one is built from the minors on the last k-1 rows, so
     every minor is computed once (at most n*2^(n-1) products).  It never
@@ -561,14 +620,17 @@ def det_poly_matrix(M: Sequence[Sequence[TriPoly]]) -> TriPoly:
         for p in r:
             if p.vars != vars:
                 raise VariableMismatchError("matrix entries use different variable triples")
+    # every exponent of every minor is at most the sum of the rows' degrees
+    B = 1 + sum(max(0, *(p.total_degree() for p in row)) for row in rows)
     denom = 1
-    cleared = []  # row i as int term dicts, times its scale
+    packed = []  # row i as packed int term dicts, times its scale
     for row in rows:
-        L = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+        L = math.lcm(*(p.content.denominator for p in row))
         denom *= L
-        cleared.append([_cleared(a, L) for a in row])
-    minors = {1 << j: a for j, a in enumerate(cleared[-1]) if a}
-    for row in reversed(cleared[:-1]):
+        packed.append([_pack(p.ints, B, p.content.numerator * (L // p.content.denominator))
+                       for p in row])
+    minors = {1 << j: a for j, a in enumerate(packed[-1]) if a}
+    for row in reversed(packed[:-1]):
         sums: dict[int, dict] = {}
         for mask, c in minors.items():
             # sign of entry j in the expansion: parity of the columns of mask left of j
@@ -584,7 +646,7 @@ def det_poly_matrix(M: Sequence[Sequence[TriPoly]]) -> TriPoly:
             acc = _clean(acc)
             if acc:
                 minors[mask] = acc
-    return TriPoly(vars, {e: Fraction(c, denom) for e, c in minors.get((1 << n) - 1, {}).items()})
+    return TriPoly._from_ints(vars, _unpack(minors.get((1 << n) - 1, {}), B), Fraction(1, denom))
 
 
 # -- binary forms, resultants, discriminants -----------------------------------
@@ -683,18 +745,13 @@ def discriminant_binary(g: BinaryForm) -> TriPoly:
 
 # -- integer polynomial kernels -------------------------------------------------
 #
-# The gcd layer runs on plain term dicts {exponent: int}.  Denominators are
-# cleared once at the entry (`primitive`); by Gauss's lemma the gcd of two
-# primitive integer polynomials in Z[v] is their gcd in Q[v] up to a unit.
+# The gcd layer runs on plain term dicts {exponent: int}, the `ints` stores of
+# its operands; by Gauss's lemma the gcd of two primitive integer polynomials
+# in Z[v] is their gcd in Q[v] up to a unit.
 
 IntPoly = dict  # {Expo: int}, no zero values; {} is the zero polynomial
 
 _ONE: IntPoly = {(0, 0, 0): 1}
-
-
-def _int_terms(f: TriPoly) -> IntPoly:
-    """The coefficients of f.primitive() as ints."""
-    return {e: c.numerator for e, c in f.primitive().terms.items()}
 
 
 def _is_const(f: IntPoly) -> bool:
@@ -706,36 +763,34 @@ def _clean(acc: dict) -> IntPoly:
 
 
 def _idivexact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Exact quotient f/g in Z[v]; raises ExactDivisionError otherwise."""
-    glead = max(g, key=_grlex)
-    gc = g[glead]
-    rem = dict(f)
-    q: IntPoly = {}
+    """Exact quotient f/g in Z[v]; raises ExactDivisionError otherwise.  It
+    runs on packed keys (`_pack`), so the grlex lead of a remainder is its
+    largest key."""
+    B = 1 + max(0, *map(sum, f), *map(sum, g))
+    rem, G = _pack(f, B, 1), _pack(g, B, 1)
+    glead = max(G)
+    gc, gexp = G[glead], _exponents(glead, B)
+    q = {}
     while rem:
-        flead = max(rem, key=_grlex)
-        e = (flead[0] - glead[0], flead[1] - glead[1], flead[2] - glead[2])
+        flead = max(rem)
         qc, r = divmod(rem[flead], gc)
-        if r or min(e) < 0:
+        if r or any(a < b for a, b in zip(_exponents(flead, B), gexp)):
             raise ExactDivisionError("division is not exact")
+        e = flead - glead
         q[e] = qc
-        for eg, cg in g.items():
-            k = (e[0] + eg[0], e[1] + eg[1], e[2] + eg[2])
+        for eg, cg in G.items():
+            k = e + eg
             v = rem.get(k, 0) - qc * cg
             if v:
                 rem[k] = v
             else:
                 del rem[k]
-    return q
+    return _unpack(q, B)
 
 
 def _iprimitive(f: IntPoly) -> IntPoly:
     """f over its integer content, with a positive grlex lead."""
-    c = 0
-    for v in f.values():
-        c = math.gcd(c, v)
-    if f[max(f, key=_grlex)] < 0:
-        c = -c
-    return f if c == 1 else {e: v // c for e, v in f.items()}
+    return _split_content(f, 1)[1]
 
 
 def _shear(f: IntPoly, a: int, b: int) -> IntPoly:
@@ -1142,8 +1197,8 @@ def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
         return f.primitive()
     if f.is_constant() or g.is_constant():
         return TriPoly.constant(1, f.vars)
-    F, G = _int_terms(f), _int_terms(g)
-    return TriPoly(f.vars, _line_gcd([F, G], [F, G]))
+    F, G = f.ints, g.ints
+    return TriPoly._of(f.vars, Fraction(1), _line_gcd([F, G], [F, G]))
 
 
 def repeated_part(f: TriPoly) -> TriPoly:
@@ -1152,12 +1207,12 @@ def repeated_part(f: TriPoly) -> TriPoly:
     its derivative along the lines (`_line_gcd`)."""
     if f.is_zero():
         raise ZeroPolynomialError("repeated part of zero polynomial")
-    F = _int_terms(f)
+    F = f.ints
     if _is_const(F):
         return TriPoly.constant(1, f.vars)
     partials = [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in F.items() if e[i]}
                 for i in range(3)]
-    return TriPoly(f.vars, _line_gcd([F], [F] + [d for d in partials if d]))
+    return TriPoly._of(f.vars, Fraction(1), _line_gcd([F], [F] + [d for d in partials if d]))
 
 
 def gcd_squarefree(f: TriPoly) -> TriPoly:

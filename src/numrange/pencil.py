@@ -62,9 +62,10 @@ class PencilCurve:
     pencil: HermitianPencil
 
     def __post_init__(self):
-        if sum(c for (_, b, e), c in self.p.terms.items() if not b and not e) != 1:
+        p = self.p
+        if p.content * sum(v for (_, b, e), v in p.ints.items() if not b and not e) != 1:
             raise ValueError("pencil determinant must satisfy p(1,0,0) = 1")
-        if not self.p.is_homogeneous() or self.p.total_degree() != self.pencil.n:
+        if not p.is_homogeneous() or p.total_degree() != self.pencil.n:
             raise ValueError("pencil determinant must be homogeneous of degree n")
 
     @property
@@ -166,11 +167,15 @@ def pencil_det(pencil: HermitianPencil) -> PencilCurve:
     the denominators, p(y) = L^-n * det(L*y0*I + y1*C1 + y2*C2), so the
     coefficient of y0^a * y1^b * y2^c is that of det(y0*I + y1*C1 + y2*C2)
     over L^(b+c); `det_pencil` gives it from characteristic polynomials
-    modulo primes.
+    modulo primes.  p is stored as 1/L^n times the ints L^(n-b-c) times that
+    coefficient, with no Fraction per term.
     """
     L, _, _, re = _integer_pencil(pencil.A1, pencil.A2)
-    return PencilCurve(TriPoly(YVARS, {e: Fraction(c, L ** (e[1] + e[2])) for e, c in re.items()}),
-                       pencil)
+    n = pencil.n
+    Lk = [L ** k for k in range(n + 1)]
+    p = TriPoly._from_ints(YVARS, {e: c * Lk[n - e[1] - e[2]] for e, c in re.items()},
+                           Fraction(1, Lk[n]))
+    return PencilCurve(p, pencil)
 
 
 def _integer_pencil(A1, A2) -> tuple[int, tuple, tuple, dict]:
@@ -318,11 +323,11 @@ def boundary_csv(samples: CurveSampleSet) -> str:
 def _integer_form(p: TriPoly) -> tuple[int, list[list[tuple[int, int, int]]]]:
     """(L, by_degree): L*p has integer coefficients, and by_degree[k] lists
     (b, c, L*coefficient) for the terms y0**a * y1**b * y2**c with b + c = k."""
-    L = math.lcm(*(c.denominator for c in p.terms.values()))
+    num = p.content.numerator
     by_degree = [[] for _ in range(max(0, p.total_degree()) + 1)]
-    for (_, b, c), coef in p.terms.items():
-        by_degree[b + c].append((b, c, coef.numerator * (L // coef.denominator)))
-    return L, by_degree
+    for (_, b, c), v in p.ints.items():
+        by_degree[b + c].append((b, c, num * v))
+    return p.content.denominator, by_degree
 
 
 def _restriction(form, d1: Fraction, d2: Fraction) -> tuple[list[int], int, list[float]]:
@@ -416,8 +421,13 @@ def _chart_normal(f: TriPoly, k: int | None = None) -> tuple[TriPoly, int]:
     the largest |coefficient| of chart degree j = b + c and m the lowest, Fujiwara
     (1916) puts every nonzero root on a unit ray beyond 2**(e-1), e as below.
     """
-    bits = {key: abs(c.numerator).bit_length() - c.denominator.bit_length()
-            for key, c in f.terms.items()}
+    num, den = f.content.numerator, f.content.denominator
+    # bit length of numerator less that of denominator, per coefficient num*v/den
+    # in lowest terms (gcd(num, den) = 1, so it reduces by gcd(v, den))
+    bits = {}
+    for key, v in f.ints.items():
+        g = math.gcd(v, den)
+        bits[key] = abs(num * v // g).bit_length() - (den // g).bit_length()
     if k is None:
         m = min(b + c for _, b, c in bits)
         am = max(v for (_, b, c), v in bits.items() if b + c == m)
@@ -425,8 +435,10 @@ def _chart_normal(f: TriPoly, k: int | None = None) -> tuple[TriPoly, int]:
         k = round(e) if abs(e) > 32 else 0
     cap = max(v + k * (key[1] + key[2]) for key, v in bits.items()) - 512
     if k or cap > 0:
-        f = TriPoly(f.vars, {key: c * Fraction(2) ** (k * (key[1] + key[2]) - max(cap, 0))
-                             for key, c in f.terms.items()})
+        shift = {key: k * (key[1] + key[2]) - max(cap, 0) for key in bits}
+        m = min(shift.values())
+        f = TriPoly._from_ints(f.vars, {key: v << (shift[key] - m) for key, v in f.ints.items()},
+                               f.content * Fraction(2) ** m)
     return f, k
 
 
@@ -593,8 +605,8 @@ def lmi_polytope_vertices(factors: list[TriPoly]) -> LmiPolytope:
     """
     lines = []
     for f in factors:
-        if f.is_zero() or f.total_degree() != 1:
-            raise ValueError("factors must be nonzero linear forms")
+        if f.is_zero() or f.total_degree() != 1 or not f.is_homogeneous():
+            raise ValueError("factors must be nonzero homogeneous linear forms")
         c0 = f.terms.get((1, 0, 0), Fraction(0))
         c1 = f.terms.get((0, 1, 0), Fraction(0))
         c2 = f.terms.get((0, 0, 1), Fraction(0))

@@ -404,26 +404,31 @@ def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil, normal
     grid = SpectralGrid(pencil, N)
     _, wit = _support_grid(grid)
     scale = max(grid.scale, float(np.abs(wit).max()))
-    clusters = _witness_clusters(wit, 1e-8 * scale)
-    big = [c for c in clusters if len(c) >= 3]
-    if len(big) >= 3 and sum(len(c) for c in big) >= 0.9 * N:
-        verts = convex_hull([tuple(np.mean(wit[c], axis=0)) for c in big])
+    starts, lengths = _witness_clusters(wit, 1e-8 * scale)
+    big = lengths >= 3
+    if big.sum() >= 3 and lengths[big].sum() >= 0.9 * N:
+        runs = (wit.take(np.arange(i, i + k), axis=0, mode="wrap")
+                for i, k in zip(starts[big].tolist(), lengths[big].tolist()))
+        verts = convex_hull([tuple(np.mean(run, axis=0)) for run in runs])
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
-    if max(len(c) for c in clusters) <= 2:
+    if lengths.max() <= 2:
         return PolytopeVerdict(kind="smooth")
     return PolytopeVerdict(kind="mixed/unknown")
 
 
-def _witness_clusters(wit: np.ndarray, tol: float) -> list[np.ndarray]:
-    """The indices of the witnesses (one row each, in angle order) split into
-    runs of witnesses each within tol of the one before it; the last run
-    joins the first when the fan closes within tol."""
+def _witness_clusters(wit: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the runs of witnesses (one row each, in angle
+    order) each within tol of the one before it.  The last run joins the
+    first when the fan closes within tol: the joined run starts where the
+    last one did and wraps past the last witness."""
     step = np.diff(wit, axis=0)
-    breaks = np.flatnonzero(~(np.hypot(step[:, 0], step[:, 1]) <= tol)) + 1
-    clusters = np.split(np.arange(len(wit)), breaks)
-    if len(clusters) > 1 and np.hypot(*(wit[0] - wit[-1])) <= tol:
-        clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
-    return clusters
+    starts = np.flatnonzero(np.concatenate(([True], ~(np.hypot(step[:, 0], step[:, 1]) <= tol))))
+    lengths = np.diff(starts, append=len(wit))
+    if len(starts) > 1 and np.hypot(*(wit[0] - wit[-1])) <= tol:
+        starts[0] = starts[-1]
+        lengths[0] += lengths[-1]
+        starts, lengths = starts[:-1], lengths[:-1]
+    return starts, lengths
 
 
 def _certified_spectrum(A: GaussianRationalMatrix, eigs) -> list[GaussianRational] | None:

@@ -104,6 +104,108 @@ def reference_sturm(coeffs) -> tuple[int, int]:
     return _sign_changes(at_neg) - _sign_changes(at_pos), len(c) - len(chain[-1])
 
 
+# -- a Fraction-dict reference of TriPoly arithmetic ---------------------------
+#
+# Polynomials as {exponent triple: nonzero Fraction}, each operation term by
+# term, as TriPoly computed them before it kept one integer store.
+
+
+def _ref_clean(f: dict) -> dict:
+    return {e: c for e, c in f.items() if c}
+
+
+def _ref_lead(f: dict):
+    return max(f, key=lambda e: (sum(e), e))
+
+
+def reference_add(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + c
+    return _ref_clean(out)
+
+
+def reference_neg(f: dict) -> dict:
+    return {e: -c for e, c in f.items()}
+
+
+def reference_mul(f: dict, g: dict) -> dict:
+    out = {}
+    for ef, cf in f.items():
+        for eg, cg in g.items():
+            k = (ef[0] + eg[0], ef[1] + eg[1], ef[2] + eg[2])
+            out[k] = out.get(k, 0) + cf * cg
+    return _ref_clean(out)
+
+
+def reference_pow(f: dict, k: int) -> dict:
+    out = {(0, 0, 0): Fraction(1)}
+    for _ in range(k):
+        out = reference_mul(out, f)
+    return out
+
+
+def reference_partial(f: dict, i: int) -> dict:
+    out = {}
+    for e, c in f.items():
+        if e[i]:
+            k = list(e)
+            k[i] -= 1
+            out[tuple(k)] = c * e[i]
+    return out
+
+
+def reference_divexact(f: dict, g: dict) -> dict | None:
+    """f/g by division on grlex leads in Q[v]; None when a remainder is left."""
+    rem, q, glead = dict(f), {}, _ref_lead(g)
+    while rem:
+        flead = _ref_lead(rem)
+        e = tuple(a - b for a, b in zip(flead, glead))
+        if min(e) < 0:
+            return None
+        q[e] = rem[flead] / g[glead]
+        rem = reference_add(rem, reference_mul({e: -q[e]}, g))
+    return q
+
+
+def reference_content(f: dict) -> Fraction:
+    """The positive rational c with f/c integer and primitive; 0 for {}."""
+    return Fraction(math.gcd(*(c.numerator for c in f.values())),
+                    math.lcm(*(c.denominator for c in f.values())))
+
+
+def reference_primitive(f: dict) -> dict:
+    """f over its content, with a positive grlex lead."""
+    if not f:
+        return {}
+    c = reference_content(f)
+    if f[_ref_lead(f)] < 0:
+        c = -c
+    return {e: v / c for e, v in f.items()}
+
+
+def random_term_dicts(rng: random.Random, count: int) -> list[dict]:
+    """Seeded Fraction term dicts: the zero polynomial and constants, then
+    up to 8 terms of degree <= 4, with random signs (so negative grlex leads),
+    each scaled by 10^0 or 10^(+-100), or term by term by a mix of them."""
+    out = [{}, {(0, 0, 0): Fraction(-3, 7)}, {(0, 0, 0): Fraction(10) ** 100}]
+    while len(out) < count:
+        f = {}
+        for _ in range(rng.randint(1, 8)):
+            e = [rng.randint(0, 4) for _ in range(3)]
+            while sum(e) > 4:
+                e[rng.randrange(3)] = 0
+            f[tuple(e)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        mode = rng.randrange(4)
+        if mode < 3:
+            s = Fraction(10) ** (0, 100, -100)[mode]
+            f = {e: c * s for e, c in f.items()}
+        else:
+            f = {e: c * Fraction(10) ** rng.choice((0, 100, -100)) for e, c in f.items()}
+        out.append(_ref_clean(f))
+    return out
+
+
 # -- polygon checks on hulls (floats and Fractions alike) ----------------------
 
 

@@ -220,6 +220,34 @@ class TestDualCurveExact:
                 dual_curve_exact(p)
 
 
+class TestStoreWork:
+    """The exact dual runs on the integer stores: no stage builds a Fraction
+    view, and the validation samples a cubic in one sweep of rays."""
+
+    @pytest.mark.parametrize("name", ["cubic_cusp", "cross_star", "disk", "nested_ovals"])
+    def test_no_fraction_view_inside_dual_curve_exact(self, monkeypatch, name):
+        p = pencil_det(split(fixture_matrix(name))).p
+        views, real = [], TriPoly._term_view
+
+        def spy(f):
+            views.append(f)
+            return real(f)
+
+        monkeypatch.setattr(TriPoly, "_term_view", spy)
+        dc = dual_curve_exact(p)
+        assert views == []
+        assert dc.q == golden_poly(f"{name}_q.txt", XVARS)
+
+    def test_one_sweep_for_a_cubic(self, monkeypatch):
+        # 200 points of a generic cubic: 67 rays of 3 roots each, where 64
+        # rays (192 points) once took a second sweep
+        p = pencil_det(split(random_gaussian_matrix(3, random.Random(5)))).p
+        calls, real = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real(a))
+        assert len(sample_real_curve_points(p, 200)) == 200
+        assert calls == [(67, 3, 3)]
+
+
 class TestDualOfLinear:
     def test_examples(self):
         assert dual_of_linear(Y0 + 5 * Y1) == (F(1), F(5), F(0))
@@ -231,6 +259,12 @@ class TestDualOfLinear:
             dual_of_linear(Y0 * Y1)
         with pytest.raises(ValueError):
             dual_of_linear(TriPoly.zero(YVARS))
+
+    def test_rejects_a_constant_term(self):
+        # y1 + 2 is no line through the origin of the y space: reading its
+        # linear coefficients alone would give the dual point (0, 1, 0)
+        with pytest.raises(ValueError, match="homogeneous"):
+            dual_of_linear(parse_poly("y1 + 2", YVARS))
 
 
 class TestDualUnion:

@@ -32,7 +32,9 @@ from numrange.exactpoly import (
 from numrange.hermitian import GaussianRationalMatrix, _cleared_parts, charpoly, split
 from numrange.pencil import _sturm
 
-from conftest import XVARS, YVARS, fixture_matrix, random_tripoly
+from conftest import (XVARS, YVARS, fixture_matrix, random_term_dicts, random_tripoly,
+                      reference_add, reference_content, reference_divexact, reference_mul,
+                      reference_neg, reference_partial, reference_pow, reference_primitive)
 
 Y0 = TriPoly.variable(0, YVARS)
 Y1 = TriPoly.variable(1, YVARS)
@@ -79,6 +81,76 @@ class TestArithmetic:
             Y0 * GaussianRational.ONE
         with pytest.raises(TypeError):
             Y0 + GaussianRational.I
+
+
+class TestIntegerStore:
+    """The store, content times a primitive integer polynomial with a positive
+    grlex lead, against the Fraction-dict reference of conftest."""
+
+    DICTS = random_term_dicts(random.Random(20), 40)
+
+    def pairs(self):
+        rng = random.Random(21)
+        return [(rng.choice(self.DICTS), rng.choice(self.DICTS)) for _ in range(120)]
+
+    def test_store_is_the_normal_form(self):
+        for d in self.DICTS:
+            f = TriPoly(YVARS, d)
+            assert f.terms == d
+            if not d:
+                assert f.content == 0 and f.ints == {}
+                continue
+            lead = max(f.ints, key=lambda e: (sum(e), e))
+            assert math.gcd(*f.ints.values()) == 1 and f.ints[lead] > 0
+            assert {e: f.content * v for e, v in f.ints.items()} == d
+            assert f.rational_content() == reference_content(d) == abs(f.content)
+            assert f.primitive().terms == reference_primitive(d)
+            assert f.primitive().content == 1 and f.primitive().ints == f.ints
+
+    def test_arithmetic_matches_the_reference(self):
+        for d, h in self.pairs():
+            f, g = TriPoly(YVARS, d), TriPoly(YVARS, h)
+            assert (f + g).terms == reference_add(d, h)
+            assert (f - g).terms == reference_add(d, reference_neg(h))
+            assert (-f).terms == reference_neg(d)
+            assert (f * g).terms == reference_mul(d, h)
+            assert (f * Fraction(-5, 3)).terms == {e: c * Fraction(-5, 3) for e, c in d.items()}
+            assert (f * 0).is_zero() and (0 * f).terms == {}
+            for i in range(3):
+                assert f.partial(i).terms == reference_partial(d, i)
+        for d in self.DICTS[:12]:
+            for k in range(3):
+                assert (TriPoly(YVARS, d) ** k).terms == reference_pow(d, k)
+
+    def test_divexact_matches_the_reference(self):
+        for d, h in self.pairs():
+            f, g = TriPoly(YVARS, d), TriPoly(YVARS, h)
+            if not h:
+                with pytest.raises(ZeroDivisionError):
+                    f.divexact(g)
+                continue
+            assert (f * g).divexact(g).terms == reference_divexact(reference_mul(d, h), h) == d
+            want = reference_divexact(d, h)
+            if want is None:
+                with pytest.raises(ExactDivisionError):
+                    f.divexact(g)
+            else:
+                assert f.divexact(g).terms == want
+
+    def test_equality_and_hash_read_the_value(self):
+        for d, h in self.pairs():
+            f, g = TriPoly(YVARS, d), TriPoly(YVARS, h)
+            assert (f == g) == (d == h)
+            same = TriPoly(YVARS, dict(reversed(d.items())))
+            for other in (same, (f + g) - g, (f * 3) * Fraction(1, 3), f.primitive() * f.content):
+                assert other == f and hash(other) == hash(f)
+            assert f + 1 != f and f.with_vars(XVARS) != f
+
+    def test_text_round_trip(self):
+        for d in self.DICTS:
+            f = TriPoly(YVARS, d)
+            back = parse_poly(f.to_text(), YVARS)
+            assert back == f and back.terms == d and back.to_text() == f.to_text()
 
 
 class TestEval:
@@ -852,7 +924,7 @@ class TestLineCertificates:
         P = exactpoly._P
         for _ in range(10):
             f = random_tripoly(rng, max_deg=5, terms=8) + Y0 ** 5 + 2 * Y1 ** 5
-            F = exactpoly._int_terms(f)
+            F = f.ints
             for u0, u2 in ((0, 0), (3, -2), (-5, 0), (0, 7), (-1, -4), (10 ** 20, 1)):
                 expr = _to_sympy(f.primitive(), [u0, t, u2])
                 ref = [int(c) % P for c in reversed(sp.Poly(expr, t).all_coeffs())]
@@ -868,9 +940,17 @@ class TestLineCertificates:
 _ONE, _is_const = exactpoly._ONE, exactpoly._is_const
 
 
+def _addmul(acc, f, g, negate):
+    """acc += (-f if negate else f) * g on int term dicts; zeros may remain."""
+    for ef, cf in f.items():
+        for eg, cg in g.items():
+            k = (ef[0] + eg[0], ef[1] + eg[1], ef[2] + eg[2])
+            acc[k] = acc.get(k, 0) + (-cf if negate else cf) * cg
+
+
 def _imul(f, g):
     acc = {}
-    exactpoly._addmul(acc, f, g, False)
+    _addmul(acc, f, g, False)
     return exactpoly._clean(acc)
 
 
@@ -913,9 +993,9 @@ def _uni_prem(A, B):
         nxt = []
         for i in range(len(R) - 1):
             acc = {}
-            exactpoly._addmul(acc, R[i], lb, False)
+            _addmul(acc, R[i], lb, False)
             if i >= shift:
-                exactpoly._addmul(acc, lr, B[i - shift], True)
+                _addmul(acc, lr, B[i - shift], True)
             nxt.append(exactpoly._clean(acc))
         while nxt and not nxt[-1]:
             nxt.pop()
@@ -972,7 +1052,7 @@ def _igcd_reference(f, g):
 
 
 def _prs_gcd_reference(f: TriPoly, g: TriPoly) -> TriPoly:
-    return TriPoly(f.vars, _igcd_reference(exactpoly._int_terms(f), exactpoly._int_terms(g)))
+    return TriPoly(f.vars, _igcd_reference(f.ints, g.ints))
 
 
 def _prs_repeated_part_reference(f: TriPoly) -> TriPoly:

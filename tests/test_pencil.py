@@ -722,3 +722,10 @@ class TestLmiPolytope:
     def test_origin_line_rejected(self):
         with pytest.raises(ValueError):
             lmi_polytope_vertices([parse_poly("y1 + y2", YVARS)])
+
+    def test_constant_term_rejected(self):
+        # y0 + y1 + 7 is not a linear form; reading only its linear
+        # coefficients would cut out the same square as y0 + y1
+        facs = [parse_poly(s, YVARS) for s in ("y0 + y1 + 7", "y0 - y1", "y0 + y2", "y0 - y2")]
+        with pytest.raises(ValueError, match="homogeneous"):
+            lmi_polytope_vertices(facs)

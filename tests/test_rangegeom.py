@@ -331,7 +331,22 @@ class TestPolytopeDetect:
                     scan.append([i])
             if len(scan) > 1 and np.hypot(*(wit[0] - wit[scan[-1][-1]])) <= tol:
                 scan[0] = scan.pop() + scan[0]
-            assert [c.tolist() for c in _witness_clusters(wit, tol)] == scan
+            starts, lengths = _witness_clusters(wit, tol)
+            assert [[(i + j) % N for j in range(k)] for i, k in zip(starts, lengths)] == scan
+
+    def test_a_run_wraps_past_the_last_witness(self, monkeypatch):
+        # corners a, b, c with the fan of a split by index 0: witnesses 10, 11,
+        # 0, 1, 2 sit on a and form one run of 5, which starts at 10
+        a, b, c = (1.0, 0.0), (-0.5, 0.75), (-0.5, -0.75)
+        wit = np.array([a] * 3 + [b] * 4 + [c] * 3 + [a] * 2)
+        starts, lengths = _witness_clusters(wit, 1e-8)
+        assert starts.tolist() == [10, 3, 7] and lengths.tolist() == [5, 4, 3]
+        # the verdict needs the join: split, the runs of a (3 and 2) would
+        # leave 10 < 0.9 * 12 witnesses in runs of 3 or more
+        monkeypatch.setattr(rangegeom, "_support_grid", lambda grid: (None, wit))
+        A = fixture_matrix("cubic_cusp")
+        v = rangegeom._polytope_verdict(A, split(A), False, len(wit))
+        assert v.kind == "polytope" and sorted(v.vertices) == sorted([a, b, c])
 
     def test_normal_with_irrational_spectrum_falls_back_to_floats(self):
         A = gmatrix([[1, 1], [1, 0]])  # symmetric, eigenvalues (1 +- sqrt(5))/2

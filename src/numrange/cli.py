@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .craig import CraigDisagreementError, craig_verdict, verdict_line
@@ -109,7 +110,10 @@ def _parse_viewport(spec: str):
         parts = [float(v) for v in spec.split(",")]
     except ValueError:
         raise InputError(f"bad viewport {spec!r}") from None
-    if len(parts) != 4 or parts[0] >= parts[1] or parts[2] >= parts[3]:
+    # nan fails lo < hi; an infinite bound, or a width past the largest float,
+    # gives an infinite width, which scales every coordinate to nan
+    if len(parts) != 4 or not all(lo < hi and math.isfinite(hi - lo)
+                                  for lo, hi in (parts[:2], parts[2:])):
         raise InputError(f"bad viewport {spec!r}: need x1min,x1max,x2min,x2max")
     return tuple(parts)
 
@@ -210,13 +214,10 @@ def cmd_classify(args) -> int:
         comps = dual_union(curve.p, factors)
         wpts = [c for c in comps if not isinstance(c, DualCurve)]
         if wpts:
-            chart = []
-            for c0, c1, c2 in wpts:
-                if c0 == 0:
-                    chart.append("(inf)")
-                else:
-                    chart.append(f"({c1 / c0}, {c2 / c0})")
-            lines.append("w_vertices=" + "; ".join(chart))
+            # dual_union proved the factors multiply to p's squarefree part, and
+            # p(1, 0, 0) = det(I) = 1, so no linear factor has c0 = 0
+            lines.append("w_vertices=" + "; ".join(f"({c1 / c0}, {c2 / c0})"
+                                                   for c0, c1, c2 in wpts))
         if all(f.total_degree() == 1 for f in factors):
             poly = lmi_polytope_vertices(factors)
             lines.append("f_vertices=" + "; ".join(f"({v[0]}, {v[1]})" for v in poly.vertices))

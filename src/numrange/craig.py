@@ -13,13 +13,10 @@ segment from 1 to i inside the unit box.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exactpoly import GaussianRational
 from .hermitian import GaussianRationalMatrix, NonHermitianError, _int_matmul
 from .pencil import _check_grid, _entry_scale, _integer_pencil
 from .rangegeom import _outer_vertices
@@ -30,14 +27,9 @@ __all__ = [
     "craig_identity",
     "product_zero",
     "craig_verdict",
-    "planted_product_zero_pair",
-    "generic_hermitian_pair",
 ]
 
 RECT_TOL = 1e-6
-
-# rational (cos, sin) pairs from Pythagorean triples, for exact orthogonal rotations
-_TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29), (7, 24, 25), (9, 40, 41)]
 
 
 class CraigDisagreementError(ArithmeticError):
@@ -139,58 +131,3 @@ def verdict_line(v: CraigVerdict) -> str:
     return (f"identity={str(v.identity_holds).lower()} "
             f"product_zero={str(v.product_zero).lower()} "
             f"rectangle={rect}")
-
-
-# -- seeded instance generators ---------------------------------------------------
-
-
-def _rational_rotation(n: int, i: int, j: int, triple) -> GaussianRationalMatrix:
-    a, b, c = triple
-    cos, sin = Fraction(a, c), Fraction(b, c)
-    rows = [[GaussianRational.ONE if r == s else GaussianRational.ZERO
-             for s in range(n)] for r in range(n)]
-    rows[i][i] = GaussianRational.of(cos)
-    rows[j][j] = GaussianRational.of(cos)
-    rows[i][j] = GaussianRational.of(-sin)
-    rows[j][i] = GaussianRational.of(sin)
-    return GaussianRationalMatrix(rows)
-
-
-def _random_rational_orthogonal(n: int, rng: random.Random) -> GaussianRationalMatrix:
-    Q = GaussianRationalMatrix.identity(n)
-    for _ in range(max(2, n)):
-        i, j = rng.sample(range(n), 2)
-        Q = Q @ _rational_rotation(n, i, j, rng.choice(_TRIPLES))
-    return Q
-
-
-def planted_product_zero_pair(n: int, rng: random.Random):
-    """Hermitian pair with A1 A2 = 0 exactly: disjoint diagonal supports
-    conjugated by one rational orthogonal matrix."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    k = rng.randint(1, n - 1)
-    d1 = [Fraction(rng.randint(-5, 5)) for _ in range(k)] + [Fraction(0)] * (n - k)
-    d2 = [Fraction(0)] * k + [Fraction(rng.randint(-5, 5)) for _ in range(n - k)]
-    Q = _random_rational_orthogonal(n, rng)
-    Qt = Q.conj_transpose()
-    D1 = GaussianRationalMatrix.diagonal(d1)
-    D2 = GaussianRationalMatrix.diagonal(d2)
-    return Q @ D1 @ Qt, Q @ D2 @ Qt
-
-
-def generic_hermitian_pair(n: int, rng: random.Random, complex_entries: bool = False):
-    """Seeded Hermitian pair with no planted structure."""
-
-    def herm():
-        rows = [[GaussianRational.ZERO] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = GaussianRational.of(Fraction(rng.randint(-4, 4)))
-            for j in range(i + 1, n):
-                re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                im = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if complex_entries else Fraction(0)
-                rows[i][j] = GaussianRational(re, im)
-                rows[j][i] = GaussianRational(re, -im)
-        return GaussianRationalMatrix(rows)
-
-    return herm(), herm()

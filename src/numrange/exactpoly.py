@@ -314,13 +314,6 @@ class TriPoly:
             object.__setattr__(self, "_sorted", items)
         return items
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.content * self.ints[(0, 0, 0)]
-
     def _check_vars(self, other: "TriPoly"):
         if self.vars != other.vars:
             raise VariableMismatchError(
@@ -458,13 +451,6 @@ class TriPoly:
         return TriPoly._of(self.vars, self.content / other.content,
                            _idivexact(self.ints, other.ints))
 
-    def divides(self, other: "TriPoly") -> bool:
-        try:
-            other.divexact(self)
-            return True
-        except (ExactDivisionError, ZeroDivisionError):
-            return False
-
     def rational_content(self) -> Fraction:
         """Positive rational c with self/c integer-primitive; 0 for the zero polynomial."""
         return abs(self.content)
@@ -474,9 +460,6 @@ class TriPoly:
         if self.is_zero() or self.content == 1:
             return self
         return TriPoly._of(self.vars, Fraction(1), self.ints)
-
-    def with_vars(self, vars) -> "TriPoly":
-        return TriPoly._of(_three(vars), self.content, self.ints)
 
     # -- text ------------------------------------------------------------------
 
@@ -520,20 +503,14 @@ def parse_poly(text: str, vars: Sequence[str]) -> TriPoly:
         raise PolyParseError("empty polynomial text")
     if s == "0":
         return TriPoly.zero(vs)
-    # split into signed terms at top level
-    s = s.replace("- ", "-").replace("+ ", "+")
-    tokens = re.findall(r"[+-]?[^+-]+", s)
+    # with a sign before the first term, split into [sign, term, sign, term, ...];
+    # a doubled, dangling or lone sign leaves a blank term
+    pieces = [p.strip() for p in re.split(r"([+-])", s if s[0] in "+-" else "+" + s)][1:]
     terms: dict[Expo, Fraction] = {}
-    for tok in tokens:
-        tok = tok.strip()
+    for sgn, tok in zip(pieces[::2], pieces[1::2]):
         if not tok:
-            continue
-        sign = 1
-        if tok[0] == "+":
-            tok = tok[1:]
-        elif tok[0] == "-":
-            sign = -1
-            tok = tok[1:]
+            raise PolyParseError(f"sign {sgn!r} without a term in {s!r}")
+        sign = -1 if sgn == "-" else 1
         coef = Fraction(1)
         expo = [0, 0, 0]
         for factor in tok.split("*"):
@@ -541,7 +518,10 @@ def parse_poly(text: str, vars: Sequence[str]) -> TriPoly:
             if not factor:
                 raise PolyParseError(f"malformed term {tok!r}")
             if re.fullmatch(r"\d+(/\d+)?", factor):
-                coef *= Fraction(factor)
+                try:
+                    coef *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise PolyParseError(f"zero denominator in {tok!r}") from None
                 continue
             m = re.fullmatch(r"([A-Za-z_]\w*)(?:\^(\d+))?", factor)
             if not m:

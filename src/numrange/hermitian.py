@@ -161,11 +161,6 @@ class GaussianRationalMatrix:
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
 
-    def canonical_json(self) -> str:
-        ents = [[(e.re.as_integer_ratio(), e.im.as_integer_ratio()) for e in row]
-                for row in self.entries]
-        return json.dumps({"n": self.n, "entries": ents}, separators=(",", ":"))
-
     def __repr__(self):
         return f"GaussianRationalMatrix(n={self.n})"
 

@@ -155,10 +155,6 @@ class CurveSampleSet:
                              zip(self.theta.tolist(), pts, lam, index, self.singular.tolist())]
         return self._samples
 
-    def finite_points(self) -> list[tuple[float, float]]:
-        f = self.finite
-        return list(zip(self.x[f].tolist(), self.y[f].tolist()))
-
 
 def pencil_det(pencil: HermitianPencil) -> PencilCurve:
     """Exact det(y0*I + y1*A1 + y2*A2); its imaginary part must cancel exactly.

@@ -37,7 +37,6 @@ __all__ = [
     "convex_hull",
     "polygon_area",
     "hausdorff_outer_to_inner",
-    "polygon_support",
     "hulls_csv",
 ]
 
@@ -152,13 +151,6 @@ def _normal_fan(poly: np.ndarray) -> tuple[np.ndarray, int]:
     phi = np.arctan2(-e[:, 0], e[:, 1])
     r = int(np.argmin(phi))
     return np.maximum.accumulate(np.roll(phi, -r)), r
-
-
-def polygon_support(vertices, thetas) -> np.ndarray:
-    """Support function of the polygon at the given angles."""
-    V = np.asarray(vertices, dtype=float)
-    U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    return (U @ V.T).max(axis=1)
 
 
 # -- support function and hulls -------------------------------------------------

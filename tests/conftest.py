@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
+from numrange.exactpoly import ExactDivisionError, GaussianRational, TriPoly, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, load_matrix
 from numrange.rangegeom import _cross
 
@@ -63,6 +64,108 @@ def random_tripoly(rng: random.Random, vars=YVARS, max_deg: int = 3,
             e[rng.randrange(3)] = max(0, e[rng.randrange(3)] - 1)
         t[tuple(e)] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
     return TriPoly(vars, t)
+
+
+# -- seeded Craig pairs ------------------------------------------------------------
+
+# rational (cos, sin) pairs from Pythagorean triples, for exact orthogonal rotations
+_TRIPLES = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29), (7, 24, 25), (9, 40, 41)]
+
+
+def _rational_rotation(n: int, i: int, j: int, triple) -> GaussianRationalMatrix:
+    a, b, c = triple
+    cos, sin = Fraction(a, c), Fraction(b, c)
+    rows = [[GaussianRational.ONE if r == s else GaussianRational.ZERO
+             for s in range(n)] for r in range(n)]
+    rows[i][i] = GaussianRational.of(cos)
+    rows[j][j] = GaussianRational.of(cos)
+    rows[i][j] = GaussianRational.of(-sin)
+    rows[j][i] = GaussianRational.of(sin)
+    return GaussianRationalMatrix(rows)
+
+
+def _random_rational_orthogonal(n: int, rng: random.Random) -> GaussianRationalMatrix:
+    Q = GaussianRationalMatrix.identity(n)
+    for _ in range(max(2, n)):
+        i, j = rng.sample(range(n), 2)
+        Q = Q @ _rational_rotation(n, i, j, rng.choice(_TRIPLES))
+    return Q
+
+
+def planted_product_zero_pair(n: int, rng: random.Random):
+    """Hermitian pair with A1 A2 = 0 exactly: disjoint diagonal supports
+    conjugated by one rational orthogonal matrix."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    k = rng.randint(1, n - 1)
+    d1 = [Fraction(rng.randint(-5, 5)) for _ in range(k)] + [Fraction(0)] * (n - k)
+    d2 = [Fraction(0)] * k + [Fraction(rng.randint(-5, 5)) for _ in range(n - k)]
+    Q = _random_rational_orthogonal(n, rng)
+    Qt = Q.conj_transpose()
+    D1 = GaussianRationalMatrix.diagonal(d1)
+    D2 = GaussianRationalMatrix.diagonal(d2)
+    return Q @ D1 @ Qt, Q @ D2 @ Qt
+
+
+def generic_hermitian_pair(n: int, rng: random.Random, complex_entries: bool = False):
+    """Seeded Hermitian pair with no planted structure."""
+
+    def herm():
+        rows = [[GaussianRational.ZERO] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = GaussianRational.of(Fraction(rng.randint(-4, 4)))
+            for j in range(i + 1, n):
+                re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                im = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if complex_entries else Fraction(0)
+                rows[i][j] = GaussianRational(re, im)
+                rows[j][i] = GaussianRational(re, -im)
+        return GaussianRationalMatrix(rows)
+
+    return herm(), herm()
+
+
+# -- views of library objects that only tests read ------------------------------
+
+
+def constant_value(f: TriPoly) -> Fraction:
+    """The value of a constant polynomial (0 for the zero polynomial)."""
+    if not f.is_constant():
+        raise ValueError("not a constant polynomial")
+    return f.terms.get((0, 0, 0), Fraction(0))
+
+
+def with_vars(f: TriPoly, vars) -> TriPoly:
+    """The same coefficients over another variable triple."""
+    return TriPoly(vars, f.terms)
+
+
+def divides(f: TriPoly, g: TriPoly) -> bool:
+    """Does f divide g exactly?"""
+    try:
+        g.divexact(f)
+        return True
+    except (ExactDivisionError, ZeroDivisionError):
+        return False
+
+
+def finite_points(samples) -> list[tuple[float, float]]:
+    """The finite (x, y) points of a CurveSampleSet, read from its columns."""
+    f = samples.finite
+    return list(zip(samples.x[f].tolist(), samples.y[f].tolist()))
+
+
+def canonical_json(A: GaussianRationalMatrix) -> str:
+    """A matrix document with every part as [num, den] in lowest terms."""
+    ents = [[(e.re.as_integer_ratio(), e.im.as_integer_ratio()) for e in row]
+            for row in A.entries]
+    return json.dumps({"n": A.n, "entries": ents}, separators=(",", ":"))
+
+
+def polygon_support(vertices, thetas) -> np.ndarray:
+    """Support function of the polygon at the given angles."""
+    V = np.asarray(vertices, dtype=float)
+    U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    return (U @ V.T).max(axis=1)
 
 
 # -- the rational Sturm chain, the reference for pencil._sturm -------------------

@@ -12,12 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from numrange.cli import main as cli_main
-from numrange.craig import (
-    craig_identity,
-    generic_hermitian_pair,
-    planted_product_zero_pair,
-    product_zero,
-)
+from numrange.craig import craig_identity, product_zero
 from numrange.dualcurve import (
     XVARS,
     dual_curve_exact,
@@ -27,9 +22,17 @@ from numrange.dualcurve import (
 from numrange.exactpoly import TriPoly, parse_poly
 from numrange.hermitian import split
 from numrange.pencil import YVARS, hyperbolicity_check, lmi_polytope_vertices, pencil_det
-from numrange.rangegeom import duality_check, polygon_support, polytope_detect, range_hulls
+from numrange.rangegeom import duality_check, polytope_detect, range_hulls
 
-from conftest import FIXTURES, fixture_matrix, golden_poly, random_gaussian_matrix
+from conftest import (
+    FIXTURES,
+    fixture_matrix,
+    generic_hermitian_pair,
+    golden_poly,
+    planted_product_zero_pair,
+    polygon_support,
+    random_gaussian_matrix,
+)
 
 F = Fraction
 

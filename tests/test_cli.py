@@ -291,6 +291,17 @@ class TestRenderCommand:
         assert run("render", "--input", fx("disk.json"),
                    "--viewport", "1,0,0,1") == 2
 
+    @pytest.mark.parametrize("viewport", ["nan,1,-1,1", "-inf,inf,-1,1", "-1,1,-1,1e400",
+                                          "-1e308,1e308,-1,1"])
+    def test_non_finite_viewport_refused(self, tmp_path, capsys, viewport):
+        # each once drew an SVG of nan: nan passes both order checks, and an
+        # infinite bound or width scales every point to nan
+        out = tmp_path / "fig.svg"
+        assert run("render", "--input", fx("polytope.json"), "--grid", "16",
+                   f"--viewport={viewport}", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad viewport '{viewport}'")
+        assert not out.exists()
+
     def test_point_range_renders_marker(self, tmp_path):
         m = tmp_path / "id.json"
         m.write_text(json.dumps({"n": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
@@ -327,6 +338,16 @@ class TestInputErrors:
         src.write_text(json.dumps({"A1": bad, "A2": good} if pair else bad))
         assert run("craig", "--input", str(src)) == 2
         assert capsys.readouterr().err.startswith(f"error: {src}: ")
+
+    @pytest.mark.parametrize("line, message", [("y0 + 3/0*y1", "zero denominator in '3/0*y1'"),
+                                               ("y0 - -y1", "sign '-' without a term")])
+    def test_malformed_factor_names_its_line(self, tmp_path, capsys, line, message):
+        factors = tmp_path / "factors.txt"
+        factors.write_text(f"# one bad factor\n{line}\n")
+        for command in ("dual", "classify"):
+            assert run(command, "--input", fx("polytope.json"), "--factors", str(factors)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {factors}:2: {message}"), err
 
     def test_bad_flag_values(self):
         assert run("duality", "--input", fx("disk.json"), "--tol", "-1") == 2

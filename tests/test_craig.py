@@ -11,8 +11,6 @@ from numrange.craig import (
     CraigDisagreementError,
     craig_identity,
     craig_verdict,
-    generic_hermitian_pair,
-    planted_product_zero_pair,
     product_zero,
     verdict_line,
 )
@@ -20,6 +18,8 @@ from numrange.exactpoly import GaussianRational, TriPoly
 from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError, split
 from numrange.pencil import pencil_det
 from numrange.rangegeom import member_W, polytope_detect
+
+from conftest import generic_hermitian_pair, planted_product_zero_pair
 
 
 F = Fraction

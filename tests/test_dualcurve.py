@@ -33,7 +33,7 @@ from numrange.pencil import (
 )
 
 from conftest import (cardioid_circle_dual_residual, fixture_matrix, golden_poly,
-                      random_gaussian_matrix)
+                      random_gaussian_matrix, with_vars)
 
 F = Fraction
 Y0 = TriPoly.variable(0, YVARS)
@@ -407,11 +407,11 @@ class TestBiduality:
     def test_cubic_roundtrip(self):
         p = cubic_p()
         q = golden_poly("cubic_cusp_q.txt", XVARS)
-        pts = sample_real_curve_points(q.with_vars(YVARS), 60)
+        pts = sample_real_curve_points(with_vars(q, YVARS), 60)
         back = 0
         for x in pts:
             try:
-                dp = dual_point(q.with_vars(YVARS), x)
+                dp = dual_point(with_vars(q, YVARS), x)
             except SingularPointError:
                 continue
             val, scale = p.eval_with_scale(dp.raw)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,9 +33,10 @@ from numrange.exactpoly import (
 from numrange.hermitian import GaussianRationalMatrix, _cleared_parts, charpoly, split
 from numrange.pencil import _sturm
 
-from conftest import (XVARS, YVARS, fixture_matrix, random_term_dicts, random_tripoly,
-                      reference_add, reference_content, reference_divexact, reference_mul,
-                      reference_neg, reference_partial, reference_pow, reference_primitive)
+from conftest import (XVARS, YVARS, constant_value, divides, fixture_matrix, random_term_dicts,
+                      random_tripoly, reference_add, reference_content, reference_divexact,
+                      reference_mul, reference_neg, reference_partial, reference_pow,
+                      reference_primitive, with_vars)
 
 Y0 = TriPoly.variable(0, YVARS)
 Y1 = TriPoly.variable(1, YVARS)
@@ -144,7 +146,7 @@ class TestIntegerStore:
             same = TriPoly(YVARS, dict(reversed(d.items())))
             for other in (same, (f + g) - g, (f * 3) * Fraction(1, 3), f.primitive() * f.content):
                 assert other == f and hash(other) == hash(f)
-            assert f + 1 != f and f.with_vars(XVARS) != f
+            assert f + 1 != f and with_vars(f, XVARS) != f
 
     def test_text_round_trip(self):
         for d in self.DICTS:
@@ -620,7 +622,7 @@ class TestResultant:
             fz = sum(sp.Rational(c) * z ** (m - i) for i, c in enumerate(fc))
             gz = sum(sp.Rational(c) * z ** (n - i) for i, c in enumerate(gc))
             ref = sp.resultant(fz, gz, z)
-            got = mine.constant_value()
+            got = constant_value(mine)
             assert sp.Rational(got.numerator, got.denominator) == ref
 
     def test_zero_form_rejected(self):
@@ -639,7 +641,7 @@ class TestDiscriminant:
     def test_split_quadratic(self):
         one = TriPoly.constant(1, YVARS)
         form = BinaryForm(2, (one, TriPoly.zero(YVARS), -one))
-        assert discriminant_binary(form).constant_value() == 4
+        assert constant_value(discriminant_binary(form)) == 4
 
     def test_double_root(self):
         one = TriPoly.constant(1, YVARS)
@@ -680,7 +682,7 @@ class TestDiscriminant:
             d = rng.randint(2, 4)
             coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(d + 1)]
             coeffs[0] = coeffs[0] or Fraction(1)
-            mine = discriminant_binary(_scalar_form(YVARS, coeffs)).constant_value()
+            mine = constant_value(discriminant_binary(_scalar_form(YVARS, coeffs)))
             fz = sum(sp.Rational(c) * z ** (d - i) for i, c in enumerate(coeffs))
             assert sp.Rational(mine.numerator, mine.denominator) == sp.discriminant(fz, z)
 
@@ -700,7 +702,7 @@ class TestGcdSquarefree:
         p = (cubic * conic ** 3) * Fraction(1, 256)
         sf = gcd_squarefree(p)
         assert sf == (cubic * conic).primitive()
-        assert cubic.divides(sf) and conic.divides(sf)
+        assert divides(cubic, sf) and divides(conic, sf)
 
     def test_square_times_coprime(self):
         rng = random.Random(37)
@@ -776,6 +778,19 @@ class TestTextFormat:
             parse_poly("y0 + q7", YVARS)
         with pytest.raises(PolyParseError):
             parse_poly("", YVARS)
+
+    @pytest.mark.parametrize("text, message", [
+        ("y0 - -y1", "sign '-' without a term"),
+        ("y0 + - y1", "sign '+' without a term"),
+        ("y0 + y1 +", "sign '+' without a term"),
+        ("-", "sign '-' without a term"),
+        ("y0 + 3/0*y1", "zero denominator in '3/0*y1'"),
+    ])
+    def test_sign_without_term_or_zero_denominator(self, text, message):
+        # each sign needs a term after it; a sign was once skipped, so
+        # "y0 - -y1" read as y0 - y1 and "-" as 0
+        with pytest.raises(PolyParseError, match=re.escape(message)):
+            parse_poly(text, YVARS)
 
     def test_zero(self):
         assert TriPoly.zero(YVARS).to_text() == "0"
@@ -877,8 +892,8 @@ class TestLineCertificates:
         rng = random.Random(67)
         for _ in range(30):
             f, g = _rational_factor(rng), _rational_factor(rng)
-            assert f.primitive().divides(repeated_part(f * f * g))
-            assert f.primitive().divides(tri_gcd(f * f * g, f * (g + 1)))
+            assert divides(f.primitive(), repeated_part(f * f * g))
+            assert divides(f.primitive(), tri_gcd(f * f * g, f * (g + 1)))
 
     def test_squarefree_inputs_are_certified(self, monkeypatch):
         # one line decides: one restriction of f*g, or one each of f and g

@@ -9,7 +9,6 @@ from sympy.polys.matrices import DomainMatrix
 
 import numrange.pencil as pencil_module
 from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
-from numrange.craig import planted_product_zero_pair
 from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError, split
 from numrange.pencil import (
     YVARS,
@@ -35,8 +34,10 @@ from numrange.pencil import (
 )
 
 from conftest import (
+    finite_points,
     fixture_matrix,
     golden_poly,
+    planted_product_zero_pair,
     polygon_is_convex,
     random_gaussian_matrix,
     random_tripoly,
@@ -216,7 +217,7 @@ class TestRayExit:
 class TestBoundary:
     def test_disk_square_grid(self):
         samples = boundary_F(split(fixture_matrix("disk")), 4)
-        pts = samples.finite_points()
+        pts = finite_points(samples)
         assert np.allclose(pts, [(2, 0), (0, 2), (-2, 0), (0, -2)], atol=1e-12)
 
     def test_identity_half_plane(self):
@@ -231,23 +232,23 @@ class TestBoundary:
         curve = pencil_det(pencil)
         samples = boundary_F(pencil, 720)
         assert not samples.all_unbounded
-        for pt in samples.finite_points():
+        for pt in finite_points(samples):
             val, scale = curve.p.eval_with_scale((1.0, *pt))
             assert abs(val) <= 1e-7 * scale
 
     def test_polygon_convex(self):
         for name in ("cubic_cusp", "nested_ovals", "cross_star", "disk"):
             samples = boundary_F(split(fixture_matrix(name)), 240)
-            assert polygon_is_convex(samples.finite_points(), tol=1e-9)
+            assert polygon_is_convex(finite_points(samples), tol=1e-9)
 
     def test_refinement_moves_points_little(self):
         pencil = split(fixture_matrix("cubic_cusp"))
         coarse = boundary_F(pencil, 90)
         fine = boundary_F(pencil, 180)
-        tmax = max(math.hypot(*p) for p in coarse.finite_points())
+        tmax = max(math.hypot(*p) for p in finite_points(coarse))
         mesh = tmax * 2 * math.pi / 90
-        fine_pts = np.array(fine.finite_points())
-        for p in coarse.finite_points():
+        fine_pts = np.array(finite_points(fine))
+        for p in finite_points(coarse):
             d = np.hypot(fine_pts[:, 0] - p[0], fine_pts[:, 1] - p[1]).min()
             assert d <= mesh
 
@@ -307,7 +308,7 @@ class TestCurveSampleColumns:
             got = boundary_F(pencil, N)
             assert repr(got.samples) == repr(_boundary_reference(pencil, N)), N
             assert got.all_unbounded == (not any(s.point for s in got.samples))
-            assert got.finite_points() == [s.point for s in got.samples if s.point]
+            assert finite_points(got) == [s.point for s in got.samples if s.point]
 
     def test_list_round_trip(self):
         """A hand-made list: -0.0, NaN and inf coordinates, missing points and
@@ -327,7 +328,7 @@ class TestCurveSampleColumns:
                                             lambda_min=made.lambda_min,
                                             root_index=made.root_index, singular=made.singular)
         assert repr(rebuilt.samples) == repr(listed)
-        assert repr(rebuilt.finite_points()) == repr([s.point for s in listed[1:]])
+        assert repr(finite_points(rebuilt)) == repr([s.point for s in listed[1:]])
         assert boundary_csv(rebuilt) == boundary_csv(made) == (
             "theta,y1,y2,lambda_min\n-0,inf,inf,inf\n0.5,nan,-0,-1e-17\n"
             "1,1e+300,-inf,0\nnan,-0,1.5,nan\n")
@@ -340,7 +341,7 @@ class TestCurveSampleColumns:
         rebuilt = CurveSampleSet.of_columns("y0=1", made.theta, made.x, made.y, made.finite)
         assert rebuilt.samples == listed
         empty = CurveSampleSet("y0=1", [], all_unbounded=True)
-        assert len(empty) == 0 and empty.samples == [] and empty.finite_points() == []
+        assert len(empty) == 0 and empty.samples == [] and finite_points(empty) == []
         assert boundary_csv(empty) == "theta,y1,y2,lambda_min\n"
 
 

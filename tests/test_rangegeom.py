@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from numrange.craig import planted_product_zero_pair
 from numrange.exactpoly import GaussianRational
 from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, is_normal, split
 from numrange.pencil import (
@@ -35,7 +34,6 @@ from numrange.rangegeom import (
     hausdorff_outer_to_inner,
     member_W,
     polygon_area,
-    polygon_support,
     polytope_detect,
     range_hulls,
     support,
@@ -45,8 +43,10 @@ from numrange.rangegeom import (
 from conftest import (
     cardioid_circle_dual_residual,
     fixture_matrix,
+    planted_product_zero_pair,
     point_to_polygon_distance,
     polygon_is_convex,
+    polygon_support,
     random_gaussian_matrix,
 )
 

@@ -297,7 +297,13 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # exact answers and matrix files hold integers of any length, so the limit
+    # on int <-> str conversion (Python 3.10.7+ and 3.11+) is lifted while the
+    # command runs, and put back after it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         if not 0.0 < getattr(args, "tol", 1.0) < float("inf"):   # refuses nan too
             raise InputError(f"tolerance must be positive and finite (got {args.tol})")
         if getattr(args, "grid", 3) < 3:
@@ -306,6 +312,9 @@ def main(argv=None) -> int:
     except (InputError, PolyParseError, MatrixFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -10,11 +10,14 @@ singular points of p = 0; those carry multiplicity >= 2 while q itself comes
 out with multiplicity one, which is how they are split off (and kept for
 audit).
 
+The candidate q is certified exactly, with no float: for the squarefree part
+sf of p, q(grad sf) must vanish modulo sf restricted to a seeded line, in
+F_P[t] for two primes P (`exactpoly._gradient_certificate`), so the check
+holds at any size of the entries.
 The dual samples are the Rayleigh pairs (v*A1v, v*A2v) of the spectral grid's
-ray-root eigenvectors (Kippenhahn 1951) and read no p.  The validation of q
-and `dual_point` evaluate gradients of p on arrays through one chart
-evaluator, after an exact power-of-two rescaling of the chart variables
-(`_chart_normal`) that keeps the roots of huge or tiny entries near 1.
+ray-root eigenvectors (Kippenhahn 1951) and read no p.  `dual_point` and
+`sample_real_curve_points` evaluate gradients of p on float arrays through
+one chart evaluator.
 """
 
 from __future__ import annotations
@@ -29,12 +32,13 @@ from .exactpoly import (
     BinaryForm,
     TriPoly,
     ZeroPolynomialError,
+    _gradient_certificate,
     discriminant_binary,
     gcd_squarefree,
     repeated_part,
     tri_gcd,
 )
-from .pencil import CurveSampleSet, PencilCurve, SpectralGrid, _chart_normal
+from .pencil import CurveSampleSet, PencilCurve, SpectralGrid
 
 __all__ = [
     "DualCurve",
@@ -55,7 +59,6 @@ __all__ = [
 
 XVARS = ("x0", "x1", "x2")
 
-VANISH_RTOL = 1e-6
 EIG_GAP_RTOL = 1e-8
 ON_CURVE_RTOL = 1e-8
 
@@ -80,18 +83,16 @@ class ProductMismatchError(ValueError):
 class DualCurve:
     """Primitive defining polynomial of the dual curve plus an audit trail.
 
-    `validation_points` counts the gradient images q was checked on, and
-    `worst_residual` is the largest relative residual |q(x)| / scale among
-    them; it is None when validation was skipped because fewer than 8 real
-    curve points were found.
+    `validation_primes` are the moduli of the two draws on which q was
+    certified to vanish on the gradient images of the curve
+    (`dual_curve_exact`), and () for a q that was not certified.
     """
 
     q: TriPoly
     provenance: str                      # exact-elimination | factor-union | numeric-only
     extraneous: tuple[TriPoly, ...] = ()
     source_degree: int | None = None
-    validation_points: int = 0
-    worst_residual: float | None = None
+    validation_primes: tuple[int, ...] = ()
 
     @property
     def degree(self) -> int:
@@ -140,8 +141,8 @@ def sample_real_curve_points(p: TriPoly, count: int):
     `sorted_terms` order, takes the roots from one stacked companion
     eigensolve and polishes them by four array Newton steps.  Real roots (|Im t| <= 1e-9*(1+|t|)) on the curve
     (|p| <= 1e-9*scale) and not near-singular (max|grad p| > 1e-8*scale) are
-    kept in (angle, root) order.  `dual_curve_exact` samples p as normalized by
-    `_chart_normal`, whose roots stay near 1 whatever the size of the entries.
+    kept in (angle, root) order.  For huge or tiny entries, sample p as
+    normalized by `pencil._chart_normal`, whose roots stay near 1.
     """
     terms = p.sorted_terms()
     degrees = [b + c for (_, b, c), _ in terms]
@@ -211,9 +212,13 @@ def dual_point(p: TriPoly, y) -> DualPoint:
 def dual_curve_exact(p: TriPoly) -> DualCurve:
     """Exact dual curve of p = 0 by discriminant elimination.
 
-    p should be squarefree (repeated factors are stripped and audited); the
-    result is validated against gradient-image samples and the degree bound
-    deg q <= n(n-1).
+    p should be squarefree (repeated factors are stripped and audited).  The
+    candidate must meet the degree bound deg q <= n(n-1) and vanish on the
+    gradient images of the squarefree part sf, which is certified exactly
+    modulo two primes (`exactpoly._gradient_certificate`): q(grad sf) reduced
+    modulo sf restricted to a seeded line must be 0 on both draws.  A true q
+    always passes; a false one fails with probability at least 1 - 2^-40 for
+    n <= 7, and a failure is a proof that the candidate is not the dual.
     """
     if p.is_zero():
         raise ZeroPolynomialError("dual of the zero polynomial")
@@ -221,15 +226,29 @@ def dual_curve_exact(p: TriPoly) -> DualCurve:
         raise DegenerateDualError(
             "p does not depend on both chart variables; dualize factors directly "
             "(dual_of_linear / dual_union) or sample numerically")
-    audit: list[TriPoly] = []
     sf = gcd_squarefree(p)
     if sf.total_degree() == 1:
         raise DegenerateDualError(
             f"squarefree part {sf.to_text()} is linear; its dual is one point "
             "(dual_of_linear)")
-    if sf != p.primitive():
-        audit.append(p.primitive().divexact(sf).primitive())
+    audit = [] if sf == p.primitive() else [p.primitive().divexact(sf).primitive()]
     n = sf.total_degree()
+    q_cand, extraneous = _eliminate(sf)
+    if q_cand.total_degree() > n * (n - 1):
+        raise ReducibleCurveError("candidate dual exceeds the degree bound n(n-1)")
+    primes = _gradient_certificate(sf.ints, q_cand.ints)
+    if not primes:
+        raise ReducibleCurveError(
+            "dual candidate fails to vanish on the gradient images of the curve "
+            "(modulo a prime); if p is reducible, supply its factors")
+    return DualCurve(q=q_cand, provenance="exact-elimination",
+                     extraneous=tuple(audit + extraneous), source_degree=n,
+                     validation_primes=primes)
+
+
+def _eliminate(sf: TriPoly) -> tuple[TriPoly, list[TriPoly]]:
+    """(q, extraneous): the multiplicity-one part of the discriminant of the
+    squarefree sf's restricted line form, and the factors split off it."""
     g = restricted_line_form(sf)
     if g.coeffs[0].is_zero():
         raise DegenerateDualError(
@@ -240,8 +259,7 @@ def dual_curve_exact(p: TriPoly) -> DualCurve:
         raise ReducibleCurveError("discriminant vanished identically on squarefree input")
     D1, x0_power = _strip_var0_power(D)
     D1 = D1.primitive()
-    if x0_power:
-        audit.append(TriPoly(XVARS, {(x0_power, 0, 0): Fraction(1)}))
+    audit = [TriPoly(XVARS, {(x0_power, 0, 0): Fraction(1)})] if x0_power else []
     rep = repeated_part(D1)
     if rep.is_constant():
         q_cand = D1
@@ -255,27 +273,7 @@ def dual_curve_exact(p: TriPoly) -> DualCurve:
         raise ReducibleCurveError(
             "every discriminant factor is repeated; cannot isolate the dual curve "
             "(supply factors for reducible p)")
-    if q_cand.total_degree() > n * (n - 1):
-        raise ReducibleCurveError("candidate dual exceeds the degree bound n(n-1)")
-    # q of the normalized curve vanishes on its gradient images; q is homogeneous,
-    # so each image is scaled to max |x_i| = 1 before evaluating
-    sf_f, k = _chart_normal(sf)
-    samples = sample_real_curve_points(sf_f, 200)
-    checked, worst = 0, None
-    if len(samples) >= 8:
-        _, y1, y2 = np.array(samples).T
-        x, gnorm, _, _ = _gradient_images(sf_f, y1, y2)
-        x = x / gnorm
-        val, scale = _eval_chart(_chart_normal(q_cand, -k)[0], x[1], x[2], x[0])
-        ok = scale != 0.0
-        checked, worst = int(ok.sum()), float(np.max(np.abs(val[ok] / scale[ok]), initial=0.0))
-        if worst > VANISH_RTOL:
-            raise ReducibleCurveError(
-                f"dual candidate fails to vanish on gradient images "
-                f"(residual {worst:.2e}); if p is reducible, supply its factors")
-    return DualCurve(q=q_cand, provenance="exact-elimination",
-                     extraneous=tuple(audit), source_degree=n,
-                     validation_points=checked, worst_residual=worst)
+    return q_cand, audit
 
 
 def dual_of_linear(l: TriPoly) -> tuple[Fraction, Fraction, Fraction]:

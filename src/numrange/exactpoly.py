@@ -25,7 +25,13 @@ The GCD layer runs on integers, after clearing denominators once (Gauss's
 lemma).  `repeated_part` and `tri_gcd` take one path (`_line_gcd`): the gcd
 from its images on parallel lines modulo 61-bit primes, univariate gcds read
 off the terms, interpolated over the lines, combined by CRT and proven by
-exact trial division.  A first image of degree 0 proves the gcd is 1 at once.
+exact trial division.  A first image of degree 0 proves the gcd is 1 at once,
+and a lift far below the modulus is tried at once, so a gcd with small
+coefficients takes one prime.
+
+The dual curve's candidate q is certified on the primes and int64 kernel of
+`det_pencil` (`_gradient_certificate`): q(grad F) must vanish in F_P[t]
+modulo F restricted to a seeded line, for two primes P.
 
 Monomial order is graded lexicographic with var0 > var1 > var2 throughout,
 including the canonical text format.
@@ -36,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -793,6 +800,7 @@ def _shear(f: IntPoly, a: int, b: int) -> IntPoly:
 
 _P = (1 << 61) - 1  # a Mersenne prime, the first modulus of every computation
 _FIRST_NODE = 0  # the line images of `_line_gcd` run through nodes 0, 1, 2, ...
+_CERTIFICATE_SEED = 0  # `_gradient_certificate` draws its lines from random.Random(this)
 # Caches filled on demand; entries are replaced whole, so threads may share them.
 _INVERSES: dict[int, list[int]] = {}  # P -> [0, 1, 1/2, 1/3, ...] mod P
 _PRIME_BELOW: dict[int, int] = {}     # P -> the largest prime below P
@@ -951,9 +959,12 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
     k = deg C is C(u + t*w) / C_top(w), and gamma times it is the image of one
     integer polynomial gamma / C_top(w) * C.  The ops are sheared so that w is
     (0, 1, 0), and the images are interpolated (`_image_mod_p`) and combined
-    by CRT until the lift stops changing.  Sheared back and made primitive,
-    the candidate is proven by exact division: it divides every target,
-    hence C, and its degree, the lowest image degree, is no less than deg C.
+    by CRT modulo M, the product of the primes so far, until the lift stops
+    changing or every lifted coefficient c has 2*bits(c) + 2 < bits(M), so a
+    gcd with coefficients below 2^29 takes one prime.  Sheared back and made
+    primitive, the candidate is proven by exact division: it divides every
+    target, hence C, and its degree, the lowest image degree, is no less than
+    deg C.  A candidate whose division fails is dropped, and the CRT goes on.
 
     The loop terminates: for the fixed w, the unlucky nodes are the finitely
     many roots of a nonzero polynomial (a subresultant of the restrictions),
@@ -991,7 +1002,9 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
             y = x + M * ((img.get(e, 0) * g - x) * inv % P)  # nonzero mod M or P
             new[e] = y - M * P if 2 * y > M * P else y
         M *= P
-        if new == lift:
+        # exact division proves the lift; try it once the lift repeats, or once
+        # every coefficient is far below M, which a wrong lift seldom is
+        if new == lift or 2 * max(map(abs, new.values())).bit_length() + 2 < M.bit_length():
             C = _iprimitive(_shear(new, -a, -b))
             try:
                 for T in targets:
@@ -1000,6 +1013,97 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
             except ExactDivisionError:
                 pass
         lift = new
+
+
+def _gradient_certificate(F: IntPoly, Q: IntPoly) -> tuple[int, ...]:
+    """The two moduli P of passed draws if Q vanishes on the gradient images
+    of the curve F = 0, or () once a draw proves that it does not; F is a
+    primitive squarefree integer polynomial of degree n >= 1.
+
+    A draw takes the next prime P below 2^31 (`_primes(_PENCIL_PRIMES)`) that
+    leaves the top-degree part F_top of F nonzero, and a line y = a + t*b, a
+    and b in F_P^3 from a fixed seeded stream, and sets r(t) = F(a + t*b) mod
+    P, made monic; a line whose lead F_top(b) is 0 mod P (probability at most
+    n/P) is replaced by the next line.  It computes s = Q(G_0, G_1, G_2) in
+    F_P[t]/(r), G_i = dF/dy_i(a + t*b), and passes iff s = 0.  F and its
+    partials are evaluated at the nodes t = 0..n and interpolated through the
+    cached Vandermonde inverse; the multiplication matrices of G_0, G_1, G_2
+    are built once, and all monomials of each degree come from those of the
+    degree below by one batched product (`_dotmod`).  Both draws run as one
+    batch; every residue stays in int64 as in `det_pencil`.
+
+    A true Q is never refused.  If Q vanishes on the dual of every component
+    of F, then on each irreducible factor f of F the gradient of F is a
+    multiple of that of f, so f divides Q(grad F); F is squarefree, so F
+    divides Q(grad F) over Z (Gauss's lemma).  y -> a + t*b followed by
+    reduction mod r is a ring map Z[y] -> F_P[t]/(r) that sends F to 0 and
+    Q(grad F) to s, so s = 0 whenever the lead of r is nonzero mod P.
+
+    A false Q is accepted with probability at most ((N + 1)/P)^2 < 2^-40 for
+    n <= 7, where N = n^2 (n - 1)^2.  If F does not divide S = Q(grad F),
+    some irreducible factor f of F, of degree m, shares no component with S,
+    of degree at most deg Q * (n - 1) <= n(n - 1)^2 (`dual_curve_exact`
+    checks deg Q <= n(n - 1)), so by Bezout they meet in at most N points.
+    Modulo a prime that keeps f coprime to S (all but the finitely many that
+    divide a resultant of the two), a passing line meets f = 0, as f restricts
+    with degree m >= 1, only at points of S = 0, so it passes through one of
+    those N points.  A uniform pair (a, b) does so with probability at most
+    (N + 1)/P (Schwartz 1980; Zippel 1979), the 1 covering the redrawn lines
+    and a dependent pair; P > 2^30.9, and the two draws take independent
+    lines.  A nonzero s, in contrast, proves that Q is wrong.
+    """
+    n = max(map(sum, F))
+    polys = [F] + [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in F.items() if e[i]}
+                   for i in range(3)]
+    exps = np.array([e for H in polys for e in H], dtype=np.intp).T
+    owner = (np.repeat(np.arange(4), [len(H) for H in polys]) == np.arange(4)[:, None]).astype(np.int64)
+    top = [c for e, c in F.items() if sum(e) == n]
+    primes = list(itertools.islice((P for P in _primes(_PENCIL_PRIMES)
+                                    if any(c % P for c in top)), 2))
+    P = np.array(primes, dtype=np.int64)[:, None]
+    P3 = P[:, :, None]
+    W = np.array([_vandermonde_inverse(n + 1, prime) for prime in primes])
+    coefs = np.array([[c % prime for H in polys for c in H.values()] for prime in primes], dtype=np.int64)
+    rng = random.Random(_CERTIFICATE_SEED)
+    while True:
+        ab = np.array([[rng.randrange(prime) for _ in range(6)] for prime in primes], dtype=np.int64)
+        y = np.fmod(ab[:, :3, None] + ab[:, 3:, None] * np.arange(n + 1), P3)  # (draw, var, node)
+        pw = np.ones((2, 3, n + 1, n + 1), dtype=np.int64)  # pw[draw, var, k] = y^k
+        for k in range(1, n + 1):
+            pw[:, :, k] = np.fmod(pw[:, :, k - 1] * y, P3)
+        terms = coefs[:, :, None]
+        for v in range(3):
+            terms = np.fmod(terms * pw[:, v, exps[v]], P3)
+        values = np.fmod(owner @ terms, P3)  # F and its partials at the nodes
+        coeffs = _dotmod(W[:, None], values[:, :, None], P3)  # constant term first
+        lead = coeffs[:, 0, n]
+        if lead.all():
+            break
+    inv = np.array([pow(int(c), -1, prime) for c, prime in zip(lead, primes)], dtype=np.int64)[:, None]
+    r = np.fmod(coeffs[:, 0, :n] * inv, P)  # the monic r without its t^n
+    X, cols = coeffs[:, 1:, :n], []  # X = t^j * G mod r, for j = 0..n-1
+    for _ in range(n):
+        cols.append(X)
+        top = X[:, :, -1:]
+        X = np.concatenate((np.zeros_like(top), X[:, :, :-1]), axis=2)
+        X = np.fmod(X + P3 - np.fmod(top * r[:, None], P3), P3)
+    M = np.stack(cols, axis=3)[:, None]  # M[draw, 0, i] multiplies by G_i
+    # the monomials of degree d in the order (a + b, a), so (a, b, c) is row
+    # d(d+1)(d+2)/6 + (a+b)(a+b+1)/2 + a: each level is G_2 times the last,
+    # then G_1 times its c = 0 block and G_0 times its (d-1, 0, 0)
+    V = np.zeros((2, 1, n), dtype=np.int64)
+    V[:, 0, 0] = 1
+    levels = [V]
+    P4 = P3[:, :, None]
+    for d in range(1, max(map(sum, Q)) + 1):
+        GV = _dotmod(M, V[:, :, None, None], P4)  # GV[draw, row, i] = G_i * V[draw, row]
+        V = np.concatenate((GV[:, :, 2], GV[:, -d:, 1], GV[:, -1:, 0]), axis=1)
+        levels.append(V)
+    rows = [(a + b + c) * (a + b + c + 1) * (a + b + c + 2) // 6 + (a + b) * (a + b + 1) // 2 + a
+            for a, b, c in Q]
+    qc = np.array([[c % prime for c in Q.values()] for prime in primes], dtype=np.int64)
+    s = _dotmod(np.concatenate(levels, axis=1)[:, rows].transpose(0, 2, 1), qc[:, None], P)
+    return () if s.any() else tuple(primes)
 
 
 # -- pencil determinants modulo primes --------------------------------------------
@@ -1142,7 +1246,7 @@ def det_pencil(C1, C2=None) -> tuple[IntPoly, IntPoly]:
     if nodes > 1:  # the coefficient of j^c in e_k, at [prime, image, c, k]
         V = np.array([_vandermonde_inverse(nodes, Q) for Q in primes])
         cps = _dotmod(V[:, None, :, None, :], cps.transpose(0, 1, 3, 2)[:, :, None], P4)
-    ks, cs = zip(*((k, c) for k in range(n + 1) for c in range(min(k + 1, nodes))))  # Q_(n-k, k-c, c)
+    ks, cs = zip(*((k, c) for k in range(n + 1) for c in range(min(k + 1, nodes))))  # prime(n-k, k-c, c)
     img = cps[:, :, cs, ks]
     if images == 1:
         res = [img[:, 0]]

@@ -55,6 +55,18 @@ def random_gaussian_matrix(n: int, rng: random.Random,
     return GaussianRationalMatrix([[entry() for _ in range(n)] for _ in range(n)])
 
 
+def mixed_magnitude_matrix(n: int, rng: random.Random) -> GaussianRationalMatrix:
+    """An n x n matrix whose real and imaginary parts are each +-d * 10^k,
+    d in 1..9 and k in {-400, -200, 0, 200, 400}: far outside the float range,
+    and on both sides of it within one matrix."""
+    def part():
+        return rng.choice((-1, 1)) * rng.randint(1, 9) * Fraction(10) ** rng.choice(
+            (-400, -200, 0, 200, 400))
+
+    return GaussianRationalMatrix([[GaussianRational(part(), part()) for _ in range(n)]
+                                   for _ in range(n)])
+
+
 def random_tripoly(rng: random.Random, vars=YVARS, max_deg: int = 3,
                    terms: int = 4) -> TriPoly:
     t = {}

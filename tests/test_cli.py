@@ -1,5 +1,8 @@
 import json
 import math
+import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import numrange.pencil
 import numrange.rangegeom
 from numrange.cli import main
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, canonical_json, mixed_magnitude_matrix
 
 
 def run(*argv):
@@ -78,6 +81,33 @@ class TestDualCommand:
         code = run("dual", "--input", fx("polytope.json"))
         assert code == 2
         assert "factors" in capsys.readouterr().err
+
+
+class TestLongIntegers:
+    """Exact answers and matrix files hold integers of any length: `main` lifts
+    Python's limit on int <-> str conversion while a command runs."""
+
+    def test_dual_prints_a_q_of_over_4300_digits(self, tmp_path, capsys):
+        src, out = tmp_path / "a.json", tmp_path / "q.txt"
+        src.write_text(canonical_json(mixed_magnitude_matrix(3, random.Random(0))))
+        assert run("dual", "--input", str(src), "--out", str(out)) == 0
+        assert max(map(len, re.findall(r"\d+", out.read_text()))) > 4300
+        assert "error:" not in capsys.readouterr().err
+
+    def test_matrix_file_with_a_5000_digit_integer(self, tmp_path, capsys):
+        src = tmp_path / "a.json"
+        src.write_text('{"n": 1, "entries": [[[1' + "0" * 4999 + ', 1]]]}')
+        assert run("pencil", "--input", str(src)) == 0
+        assert capsys.readouterr().out == "y0 + 1" + "0" * 4999 + "*y1 + y2\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on int <-> str conversion before Python 3.10.7")
+    def test_limit_is_restored(self, tmp_path, capsys):
+        before = sys.get_int_max_str_digits()
+        assert run("pencil", "--input", fx("disk.json"), "--out", str(tmp_path / "p.txt")) == 0
+        assert sys.get_int_max_str_digits() == before
+        assert run("dual", "--input", fx("polytope.json")) == 2
+        assert sys.get_int_max_str_digits() == before
 
 
 class TestSampleCommands:

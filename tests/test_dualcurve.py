@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 
 from numrange.dualcurve import (
     EIG_GAP_RTOL,
-    VANISH_RTOL,
     XVARS,
     DegenerateDualError,
     ProductMismatchError,
+    ReducibleCurveError,
     SingularPointError,
     dual_curve_exact,
     dual_of_linear,
@@ -32,10 +33,12 @@ from numrange.pencil import (
     pencil_det,
 )
 
+import numrange.dualcurve as dualcurve
 from conftest import (cardioid_circle_dual_residual, fixture_matrix, golden_poly,
-                      random_gaussian_matrix, with_vars)
+                      mixed_magnitude_matrix, random_gaussian_matrix, with_vars)
 
 F = Fraction
+VANISH_RTOL = 1e-6  # |q| at a float dual sample, relative to its largest monomial
 Y0 = TriPoly.variable(0, YVARS)
 Y1 = TriPoly.variable(1, YVARS)
 Y2 = TriPoly.variable(2, YVARS)
@@ -162,7 +165,7 @@ class TestDualCurveExact:
         curve = pencil_det(split(random_gaussian_matrix(4, random.Random(1))))
         dc = dual_curve_exact(curve.p)
         assert 0 < dc.degree <= 12
-        assert dc.validation_points >= 8 and dc.worst_residual <= VANISH_RTOL
+        assert len(dc.validation_primes) == 2
         checked = 0
         for s in dual_sample(curve, 64).samples:
             if s.singular or s.point is None:
@@ -179,18 +182,18 @@ class TestDualCurveExact:
         dc = dual_curve_exact(pencil_det(split(A)).p)
         q = golden_poly("cubic_cusp_q.txt", XVARS)
         assert dc.q == TriPoly(XVARS, {e: c * s ** e[0] for e, c in q.terms.items()}).primitive()
-        assert dc.validation_points >= 8 and dc.worst_residual <= VANISH_RTOL
+        assert len(dc.validation_primes) == 2
 
     @pytest.mark.parametrize("name,power", [("cubic_cusp", -100), ("nested_ovals", -100),
                                             ("nested_ovals", 100)])
     def test_tiny_and_huge_entries(self, name, power):
-        # validation runs on p(y0, 2^k*y1, 2^k*y2), whose chart roots are near 1
+        # the certificate runs modulo primes, whatever the size of the entries
         s = F(10) ** power
         A = fixture_matrix(name).scale(GaussianRational.of(s))
         dc = dual_curve_exact(pencil_det(split(A)).p)
         q = golden_poly(f"{name}_q.txt", XVARS)
         assert dc.q == TriPoly(XVARS, {e: c * s ** e[0] for e, c in q.terms.items()}).primitive()
-        assert dc.validation_points >= 8 and dc.worst_residual <= VANISH_RTOL
+        assert len(dc.validation_primes) == 2
 
     def test_term_order_does_not_move_the_audit(self):
         mats = [fixture_matrix(name) for name in ("cubic_cusp", "nested_ovals", "cross_star")]
@@ -204,12 +207,11 @@ class TestDualCurveExact:
 
     def test_audit_trail(self):
         dc = dual_curve_exact(cubic_p())
-        assert dc.validation_points >= 8
-        assert 0.0 <= dc.worst_residual <= VANISH_RTOL
-        # no real points: validation is skipped, and says so
+        assert dc.validation_primes == (2 ** 31 - 1, 2 ** 31 - 19)
+        # no real points: the validation still runs, as it reads no point
         empty = dual_curve_exact(Y0 ** 2 + Y1 ** 2 + Y2 ** 2)
         assert empty.q == parse_poly("x0^2 + x1^2 + x2^2", XVARS)
-        assert empty.validation_points == 0 and empty.worst_residual is None
+        assert empty.validation_primes == dc.validation_primes
 
     def test_linear_squarefree_part_is_a_point(self):
         one_by_one = GaussianRationalMatrix([[GaussianRational.of(2, 3)]])
@@ -220,9 +222,91 @@ class TestDualCurveExact:
                 dual_curve_exact(p)
 
 
+PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)  # the two largest primes below 2^31
+GOLDEN_Q = ("cubic_cusp", "cross_star", "disk", "nested_ovals")
+
+
+class TestCertificate:
+    """q is certified modulo two primes: every true q passes, and each wrong
+    candidate, put in place of the elimination's, is refused."""
+
+    @staticmethod
+    def _certify(monkeypatch, p, q):
+        """dual_curve_exact(p) with q as the candidate of the elimination."""
+        monkeypatch.setattr(dualcurve, "_eliminate", lambda sf: (q, []))
+        return dual_curve_exact(p)
+
+    @staticmethod
+    def _true_duals():
+        """(p, q) for each fixture with an exact dual; cardioid_circle's q is the
+        product of its two components' duals."""
+        cases = [(pencil_det(split(fixture_matrix(name))).p, golden_poly(f"{name}_q.txt", XVARS))
+                 for name in GOLDEN_Q]
+        cardioid, circle = (golden_poly(f"cardioid_circle_dual_{part}.txt", XVARS)
+                            for part in ("cardioid", "circle"))
+        cases.append((pencil_det(split(fixture_matrix("cardioid_circle"))).p, cardioid * circle))
+        return cases
+
+    def test_true_q_is_accepted(self, monkeypatch):
+        for p, q in self._true_duals():
+            assert self._certify(monkeypatch, p, q).validation_primes == PRIMES
+
+    def test_generic_duals_are_accepted(self):
+        rng = random.Random(11)
+        for n in (3, 4, 5):
+            dc = dual_curve_exact(pencil_det(split(random_gaussian_matrix(n, rng))).p)
+            assert 0 < dc.degree <= n * (n - 1) and dc.validation_primes == PRIMES
+
+    def test_one_coefficient_raised_by_one(self, monkeypatch):
+        for p, q in self._true_duals():
+            assert q.content == 1
+            for e in q.ints:
+                wrong = q + TriPoly(XVARS, {e: 1})
+                with pytest.raises(ReducibleCurveError, match="fails to vanish"):
+                    self._certify(monkeypatch, p, wrong)
+
+    def test_swapped_variables(self, monkeypatch):
+        q = golden_poly("cubic_cusp_q.txt", XVARS)
+        swapped = TriPoly(XVARS, {(a, c, b): v for (a, b, c), v in q.terms.items()})
+        with pytest.raises(ReducibleCurveError, match="fails to vanish"):
+            self._certify(monkeypatch, cubic_p(), swapped)
+
+    def test_q_of_another_matrix(self, monkeypatch):
+        others = [dual_curve_exact(pencil_det(split(random_gaussian_matrix(3, random.Random(5)))).p).q]
+        others += [golden_poly(f"{name}_q.txt", XVARS) for name in GOLDEN_Q]
+        tried = 0
+        for name in GOLDEN_Q:
+            p = pencil_det(split(fixture_matrix(name))).p
+            n = p.total_degree()
+            for q in others:
+                if q != golden_poly(f"{name}_q.txt", XVARS) and q.total_degree() <= n * (n - 1):
+                    with pytest.raises(ReducibleCurveError, match="fails to vanish"):
+                        self._certify(monkeypatch, p, q)
+                    tried += 1
+        assert tried == 10
+
+    def test_union_without_the_circle(self, monkeypatch):
+        # p is the cardioid's cubic times the circle's conic cubed: the dual of
+        # the cardioid alone misses the conic's component
+        p = pencil_det(split(fixture_matrix("cardioid_circle"))).p
+        cardioid = golden_poly("cardioid_circle_dual_cardioid.txt", XVARS)
+        with pytest.raises(ReducibleCurveError, match="fails to vanish"):
+            self._certify(monkeypatch, p, cardioid)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_mixed_magnitudes(self, seed):
+        # parts from 10^-400 to 10^400 in one matrix; a float sweep of this curve
+        # overflows (seed 4) or finds no point (seed 5)
+        A = mixed_magnitude_matrix(3, random.Random(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dc = dual_curve_exact(pencil_det(split(A)).p)
+        assert dc.degree == 6 and dc.validation_primes == PRIMES
+
+
 class TestStoreWork:
     """The exact dual runs on the integer stores: no stage builds a Fraction
-    view, and the validation samples a cubic in one sweep of rays."""
+    view, and `sample_real_curve_points` samples a cubic in one sweep of rays."""
 
     @pytest.mark.parametrize("name", ["cubic_cusp", "cross_star", "disk", "nested_ovals"])
     def test_no_fraction_view_inside_dual_curve_exact(self, monkeypatch, name):
@@ -274,7 +358,7 @@ class TestDualUnion:
         conic = parse_poly("4*y0^2 - y1^2 - y2^2", YVARS)
         comps = dual_union(p, [cubic, conic])
         assert len(comps) == 2
-        assert all(c.validation_points >= 8 for c in comps)
+        assert all(len(c.validation_primes) == 2 for c in comps)
         assert comps[0].q == golden_poly("cardioid_circle_dual_cardioid.txt", XVARS)
         assert comps[1].q == golden_poly("cardioid_circle_dual_circle.txt", XVARS)
         assert all(c.provenance == "factor-union" for c in comps)

@@ -10,6 +10,7 @@ import sympy as sp
 from sympy.polys.domains import ZZ_I
 from sympy.polys.matrices import DomainMatrix
 
+import numrange.dualcurve as dualcurve
 import numrange.exactpoly as exactpoly
 from numrange.exactpoly import (
     BinaryForm,
@@ -31,7 +32,7 @@ from numrange.exactpoly import (
 )
 
 from numrange.hermitian import GaussianRationalMatrix, _cleared_parts, charpoly, split
-from numrange.pencil import _sturm
+from numrange.pencil import _sturm, pencil_det
 
 from conftest import (XVARS, YVARS, constant_value, divides, fixture_matrix, random_term_dicts,
                       random_tripoly, reference_add, reference_content, reference_divexact,
@@ -1147,37 +1148,78 @@ class TestLineImageInjection:
 
         monkeypatch.setattr(exactpoly, name, spy)
 
-    @pytest.mark.parametrize("first_node, degrees", [(1, [1, 1]), (2, [2, 2, 1, 1])])
+    @staticmethod
+    def _division_spy(monkeypatch, log):
+        """Record (divisor, exact) of every `_idivexact` call."""
+        real = exactpoly._idivexact
+
+        def spy(f, g):
+            try:
+                out = real(f, g)
+            except ExactDivisionError:
+                log.append((g, False))
+                raise
+            log.append((g, True))
+            return out
+
+        monkeypatch.setattr(exactpoly, "_idivexact", spy)
+
+    @pytest.mark.parametrize("first_node, degrees", [(1, [1]), (2, [2, 2, 1])])
     def test_unlucky_nodes(self, monkeypatch, first_node, degrees):
         # on the line (1, t, x) of direction w = (0, 1, 0) the root t = -1 of
         # (y0 + y1)^2 meets the root of y1 - y2 + s*y0 at the node x = s - 1,
         # so the nodes 2..7 all give the unlucky image (t + 1)^2.  From node 1,
-        # the lucky first image makes them skipped.  From node 2, the first two
-        # primes agree on the wrong candidate (y0 + y1)^2, which fails its
-        # division, and the third prime's nodes 8, 9 give the true degree 1.
+        # the lucky first image makes them skipped, and its small lift is
+        # proven at once.  From node 2, the first prime gives the wrong
+        # candidate (y0 + y1)^2, which fails its division, the second prime
+        # repeats it and fails again, and the third prime's nodes 8, 9 give
+        # the true degree 1.
         f = (Y0 + Y1) ** 2
         for s in range(3, 9):
             f = f * (Y1 - Y2 + s * Y0)
-        images = []
+        images, divisions = [], []
         self._spy(monkeypatch, "_image_mod_p", images)
+        self._division_spy(monkeypatch, divisions)
         monkeypatch.setattr(exactpoly, "_FIRST_NODE", first_node)
         assert repeated_part(f) == Y0 + Y1
         assert [k for _, (_, k) in images] == degrees
+        failed = [g for g, exact in divisions if not exact]
+        assert failed == [((Y0 + Y1) ** 2).ints] * (2 if first_node == 2 else 0)
         g = (Y0 + Y1) * (Y1 - Y2 + 3 * Y0) * (Y1 - Y2 + 4 * Y0)
         assert tri_gcd(f, g) == g
 
     def test_unlucky_prime_is_skipped(self, monkeypatch):
         # modulo q the factor y1 + y2 + q*y0 is y1 + y2, so every image has
-        # degree 2; after the first prime has shown degree 1, q is skipped
-        q = 1000003
+        # degree 2; after the first prime has shown degree 1, q is skipped.
+        # The lift c*y0 + c^2*y1 of the repeated part has a 62-bit coefficient,
+        # so the first prime's lift is not proven and q is reached; two more
+        # primes make it repeat
+        q, c = 1000003, 2 ** 31 + 11
         real = exactpoly._primes
         monkeypatch.setattr(exactpoly, "_primes",
                             lambda: itertools.chain([exactpoly._P, q], itertools.islice(real(), 1, None)))
         images = []
         self._spy(monkeypatch, "_image_mod_p", images)
-        f = (Y0 + Y1) ** 2 * (Y1 + Y2) * (Y1 + Y2 + q * Y0)
-        assert repeated_part(f) == Y0 + Y1
-        assert [(args[1] == q, k) for args, (_, k) in images] == [(False, 1), (True, 2), (False, 1)]
+        f = (Y0 + c * Y1) ** 2 * (Y1 + Y2) * (Y1 + Y2 + q * Y0)
+        assert repeated_part(f) == Y0 + c * Y1
+        assert [(args[1] == q, k) for args, (_, k) in images] == [
+            (False, 1), (True, 2), (False, 1), (False, 1)]
+
+    def test_small_gcds_take_one_prime(self, monkeypatch):
+        # the repeated part of nested_ovals' discriminant and its gcd with the
+        # rest have 1-bit coefficients, so each is proven on the first prime,
+        # where a repeated lift took a second 61-bit prime
+        p = pencil_det(split(fixture_matrix("nested_ovals"))).p
+        D1 = dualcurve._strip_var0_power(
+            discriminant_binary(dualcurve.restricted_line_form(gcd_squarefree(p))))[0].primitive()
+        images = []
+        self._spy(monkeypatch, "_image_mod_p", images)
+        rep = repeated_part(D1)
+        assert rep.total_degree() == 2
+        assert [args[1] for args, _ in images] == [exactpoly._P]
+        images.clear()
+        assert tri_gcd(D1.divexact(rep).primitive(), rep) == rep
+        assert [args[1] for args, _ in images] == [exactpoly._P]
 
     def test_primes_dividing_gamma_and_small_primes(self, monkeypatch):
         # gamma = f_top(0, 1, 0) is a multiple of q, so the first prime is

@@ -195,7 +195,7 @@ def cmd_classify(args) -> int:
     curve = pencil_det(pencil)
     hyp = hyperbolicity_check(curve, trials=16)
     normal = is_normal(A)
-    verdict = _polytope_verdict(A, pencil, normal, N=args.grid)
+    verdict = _polytope_verdict(A, pencil, curve.p if normal else None, N=args.grid)
     lines = [
         f"n={A.n}",
         f"hermitian={str(A.is_hermitian()).lower()}",

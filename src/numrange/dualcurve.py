@@ -89,7 +89,7 @@ class DualCurve:
     """
 
     q: TriPoly
-    provenance: str                      # exact-elimination | factor-union | numeric-only
+    provenance: str                      # exact-elimination | factor-union
     extraneous: tuple[TriPoly, ...] = ()
     source_degree: int | None = None
     validation_primes: tuple[int, ...] = ()

@@ -10,12 +10,13 @@ discriminants on explicit Sylvester matrices, and GCDs for squarefree parts.
 `GaussianRational` is the scalar type of the matrix layer, never a
 polynomial coefficient.
 
-The two determinants serve two shapes of matrix.  A pencil y0*I + y1*C1 +
-y2*C2 of Gaussian integer matrices (`det_pencil`, behind `pencil_det` and
-`charpoly`) is read off the characteristic polynomials of C1 + j*C2 modulo
-primes below 2^31 (with i -> sqrt(-1) mod P), all taken in one batched,
-division-free Berkowitz pass on int64 arrays, interpolated over j and
-combined by CRT under a proven coefficient bound.
+The two determinants serve two shapes of matrix.  A Hermitian pencil y0*I +
+y1*C1 + y2*C2 of Gaussian integer matrices (`det_pencil`, behind `pencil_det`
+and `charpoly`, which is p(t, -1, -i)), whose determinant is real, is read
+off the characteristic polynomials of C1 + j*C2 modulo primes below 2^31
+(with i -> sqrt(-1) mod P), all taken in one batched, division-free
+Berkowitz pass on int64 arrays, interpolated over j and combined by CRT
+under a proven coefficient bound.
 A Sylvester matrix, banded
 with general polynomial entries, takes a division-free minor expansion over
 the integers that skips zero entries (`det_poly_matrix`), which beats
@@ -964,7 +965,8 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
     gcd with coefficients below 2^29 takes one prime.  Sheared back and made
     primitive, the candidate is proven by exact division: it divides every
     target, hence C, and its degree, the lowest image degree, is no less than
-    deg C.  A candidate whose division fails is dropped, and the CRT goes on.
+    deg C.  A candidate whose division fails is dropped, and the CRT goes on;
+    a later lift that repeats it is not divided again.
 
     The loop terminates: for the fixed w, the unlucky nodes are the finitely
     many roots of a nonzero polynomial (a subresultant of the restrictions),
@@ -984,7 +986,7 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
     homogeneous = all(len(T) == len(H) for T, H in zip(tops, ops))
     ops = [_shear(H, a, b) for H in ops]  # now w = (0, 1, 0)
     nodes = itertools.count(_FIRST_NODE)
-    k, lift, M = None, {}, 1
+    k, lift, M, failed = None, {}, 1, None
     for P in _primes():
         if any(v % P == 0 for v in vals):
             continue
@@ -1004,14 +1006,15 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
         M *= P
         # exact division proves the lift; try it once the lift repeats, or once
         # every coefficient is far below M, which a wrong lift seldom is
-        if new == lift or 2 * max(map(abs, new.values())).bit_length() + 2 < M.bit_length():
+        if new != failed and (new == lift or
+                              2 * max(map(abs, new.values())).bit_length() + 2 < M.bit_length()):
             C = _iprimitive(_shear(new, -a, -b))
             try:
                 for T in targets:
                     _idivexact(T, C)
                 return C
             except ExactDivisionError:
-                pass
+                failed = new
         lift = new
 
 
@@ -1170,50 +1173,46 @@ def _charpolys_mod(H: np.ndarray, P: np.ndarray) -> np.ndarray:
     return p
 
 
-def det_pencil(C1, C2=None) -> tuple[IntPoly, IntPoly]:
-    """(Re Q, Im Q) as int term dicts over (y0, y1, y2), for the pencil
-    determinant Q = det(y0*I + y1*C1 + y2*C2) of Gaussian integer matrices.
+def det_pencil(C1, C2) -> IntPoly:
+    """The int terms {(a, b, c): v} over (y0, y1, y2) of the real determinant
+    Q = det(y0*I + y1*C1 + y2*C2) of a Hermitian pencil of Gaussian integer
+    matrices.
 
-    Each matrix is a pair (re, im) of n x n int rows, lists or tuples; C2 =
-    None is the zero matrix.  Because y0 enters only as y0*I, Q(y0, t, j*t) = sum_k
-    e_k(C1 + j*C2) * y0^(n-k) * t^k, with e_k the sum of the principal
-    k-minors: the degree-k part of Q, a polynomial of degree <= k in j, is
-    fixed by e_k(C1 + j*C2) at the nodes j = 0..n (at j = 0 alone when
-    C2 = 0).  All primes are picked up front, C1 and C2 are reduced once per
-    prime, the e_k of every (prime, image of i, node) matrix come from one
+    Each matrix is a pair (re, im) of n x n int rows, lists or tuples, with re
+    symmetric and im antisymmetric; the caller checks that (`pencil_det` and
+    `charpoly` pass Hermitian parts only).  Q is real at every real y, so its
+    coefficients are integers.  Because y0 enters only as y0*I,
+    Q(y0, t, j*t) = sum_k e_k(C1 + j*C2) * y0^(n-k) * t^k, with e_k the sum of
+    the principal k-minors: the degree-k part of Q, a polynomial of degree
+    <= k in j, is fixed by e_k(C1 + j*C2) at the nodes j = 0..n (at j = 0
+    alone when C2 = 0).  All primes are picked up front, C1 and C2 are reduced
+    once per prime, the e_k of every (prime, node) matrix come from one
     batched Berkowitz pass (`_charpolys_mod`), and a cached Vandermonde
-    inverse per (nodes, prime) interpolates them over j.  A complex pencil
-    takes only primes P = 1 (mod 4) and is mapped to F_P by i -> s, s^2 =
-    -1, which gives Re Q + s*Im Q.  A Hermitian pencil (C1 and C2 Hermitian)
-    needs no more: its determinant is real at every real y, so Im Q = 0.  Any
-    other complex pencil is also mapped by i -> -s, and the two images give
-    both parts.  The primes are combined by CRT in the symmetric range.
+    inverse per (nodes, prime) interpolates them over j.  A pencil with a
+    nonzero imaginary part takes only primes P = 1 (mod 4) and is mapped to
+    F_P by i -> s, s^2 = -1, which gives Re Q + s*Im Q = Q.  The primes are
+    combined by CRT in the symmetric range.
 
     The result is exact.  With ||z|| = |Re z| + |Im z| summed over the
     coefficients of a polynomial over Z[i], a submultiplicative norm, every
-    coefficient of Q has both parts at most ||Q|| <= perm(||M_ij||) <=
-    prod_i sum_j ||M_ij|| = B, M_ij = [i = j]*y0 + C1_ij*y1 + C2_ij*y2 the
-    entries of the pencil, since the permanent of a non-negative matrix is at
-    most the product of its row sums.  The primes below 2^31, largest first,
-    are taken until their product exceeds 2B, never fewer, so the symmetric
-    residues are the coefficients.  Every prime is good: the reduction
-    Z[i] -> F_P is a ring map that commutes with the determinant, and P > n
-    keeps the nodes j distinct.
+    coefficient of Q is at most ||Q|| <= perm(||M_ij||) <= prod_i sum_j
+    ||M_ij|| = B, M_ij = [i = j]*y0 + C1_ij*y1 + C2_ij*y2 the entries of the
+    pencil, since the permanent of a non-negative matrix is at most the
+    product of its row sums.  The primes below 2^31, largest first, are taken
+    until their product exceeds 2B, never fewer, so the symmetric residues are
+    the coefficients.  Every prime is good: the reduction Z[i] -> F_P is a
+    ring map that commutes with the determinant, and P > n keeps the nodes j
+    distinct.
 
     No int64 arithmetic overflows.  Residues lie in [0, P), P < 2^31, so a
     product of two is below 2^62; every such product is reduced mod P before
     it enters a sum (here and in `_dotmod`), and a sum of fewer than 2^32
     residues stays below 2^63.  A node times a residue is below n * 2^31.
     """
-    r1, i1 = C1
+    (r1, i1), (r2, i2) = C1, C2
     n = len(r1)
-    zero = [[0] * n for _ in range(n)]
-    r2, i2 = (zero, zero) if C2 is None else C2
     nodes = n + 1 if any(map(any, (*r2, *i2))) else 1
     real = not any(map(any, (*i1, *i2)))
-    hermitian = all(list(map(tuple, R)) == list(zip(*R))
-                    and list(map(tuple, I)) == [tuple(-x for x in c) for c in zip(*I)]
-                    for R, I in ((r1, i1), (r2, i2)))
     bound = 2 * math.prod(1 + sum(abs(a) + abs(b) + abs(c) + abs(d) for a, b, c, d in zip(*rows))
                           for rows in zip(r1, i1, r2, i2))
     primes, M = [], 1
@@ -1223,47 +1222,30 @@ def det_pencil(C1, C2=None) -> tuple[IntPoly, IntPoly]:
             M *= Q
             if M > bound:
                 break
-    parts = [r1, r2] if real else [r1, r2, i1, i2]
-    if nodes == 1:
-        del parts[1::2]  # C2 = 0
     P = np.array(primes, dtype=np.int64)
-    P4 = P[:, None, None, None]
+    P3, P4 = P[:, None, None], P[:, None, None, None]
+    parts = [r1, r2] if real else [r1, r2, i1, i2]
     X = np.array(parts, dtype=object) % P.astype(object)[:, None, None, None]
     X = X.astype(np.int64)  # (prime, part, row, column)
-    if real:
-        E = X[:, None]  # (prime, image of i, C1 or C2, row, column)
-    else:
-        h = len(parts) // 2
+    if not real:  # C1, C2 mod P with i -> s
         s = np.array([_sqrt_minus_one(Q) for Q in primes], dtype=np.int64)[:, None, None, None]
-        E = np.stack([np.fmod(X[:, :h] + np.fmod(X[:, h:] * root, P4), P4)
-                      for root in ((s,) if hermitian else (s, P4 - s))], axis=1)
-    images = E.shape[1]
-    H = E[:, :, None, 0]
+        X = np.fmod(X[:, :2] + np.fmod(X[:, 2:] * s, P4), P4)
+    H = X[:, :1]
     if nodes > 1:  # C1 + j*C2 at j = 0..n
-        H = np.fmod(H + np.arange(nodes)[:, None, None] * E[:, :, None, 1], P4[..., None])
-    cps = _charpolys_mod(H.reshape(-1, n, n), np.repeat(P, images * nodes))
-    cps = cps.reshape(len(primes), images, nodes, n + 1)  # e_k(C1 + j*C2) at [prime, image, j, k]
-    if nodes > 1:  # the coefficient of j^c in e_k, at [prime, image, c, k]
+        H = np.fmod(H + np.arange(nodes)[:, None, None] * X[:, 1:], P4)
+    cps = _charpolys_mod(H.reshape(-1, n, n), np.repeat(P, nodes))
+    cps = cps.reshape(len(primes), nodes, n + 1)  # e_k(C1 + j*C2) at [prime, j, k]
+    if nodes > 1:  # the coefficient of j^c in e_k, at [prime, c, k]
         V = np.array([_vandermonde_inverse(nodes, Q) for Q in primes])
-        cps = _dotmod(V[:, None, :, None, :], cps.transpose(0, 1, 3, 2)[:, :, None], P4)
+        cps = _dotmod(V[:, :, None, :], cps.transpose(0, 2, 1)[:, None], P3)
     ks, cs = zip(*((k, c) for k in range(n + 1) for c in range(min(k + 1, nodes))))  # prime(n-k, k-c, c)
-    img = cps[:, :, cs, ks]
-    if images == 1:
-        res = [img[:, 0]]
-    else:  # Re = (a + b) / 2, Im = (a - b) / (2s), as 1/s = -s
-        Pv = P[:, None]
-        half = (Pv + 1) // 2
-        a, b = img[:, 0], img[:, 1]
-        res = [np.fmod(np.fmod(a + b, Pv) * half, Pv),
-               np.fmod(np.fmod(np.fmod(a - b + Pv, Pv) * half, Pv) * (Pv - s[:, :, 0, 0]), Pv)]
     weights = [M // Q * pow(M // Q, -1, Q) for Q in primes]  # CRT: x = sum(x_Q * weight_Q) mod M
-    out = ({}, {})
-    for part, terms in zip(res, out):
-        for k, c, col in zip(ks, cs, part.T.tolist()):
-            v = sum(map(operator.mul, col, weights)) % M
-            v = v - M if 2 * v > M else v
-            if v:
-                terms[(n - k, k - c, c)] = v
+    out = {}
+    for k, c, col in zip(ks, cs, cps[:, cs, ks].T.tolist()):
+        v = sum(map(operator.mul, col, weights)) % M
+        v = v - M if 2 * v > M else v
+        if v:
+            out[(n - k, k - c, c)] = v
     return out
 
 

@@ -3,9 +3,10 @@
 A matrix over Q(i) is kept in one canonical integer store: its size n, the
 least common denominator L > 0 of its entry parts and the int rows `re` and
 `im` with A = (re + i*im)/L, so `==` and `hash` read the store.  The
-structural predicates (Hermitian, normal, the split A = A1 + i*A2) and the
-exact consumers (`charpoly`, the pencil determinant) work on these integers;
-`entries`, the rows of `GaussianRational` entries, is built on first access.
+structural predicates (Hermitian, normal, the split A = A1 + i*A2) and
+`charpoly`, which reads the pencil determinant of the split, work on these
+integers; `entries`, the rows of `GaussianRational` entries, is built on
+first access.
 The float view `to_complex` rounds each part correctly, as float(Fraction)
 does; the angle-grid eigensolves that read it live in `pencil`.
 """
@@ -300,19 +301,22 @@ def rank_one_value(A: GaussianRationalMatrix, w) -> tuple[float, float]:
 
 
 def charpoly(A: GaussianRationalMatrix) -> list[GaussianRational]:
-    """Exact characteristic polynomial det(t*I - A).
+    """Exact characteristic polynomial det(t*I - A) = p(t, -1, -i), p(y) =
+    det(y0*I + y1*A1 + y2*A2) the pencil determinant of split(A) (Kippenhahn 1951).
 
     Returns coefficients [c_0, ..., c_n] with c_n = 1, ascending powers of t.
-    With C = L*A cleared to Gaussian integers, det(t*I - A) is
-    L^-n * det(L*t*I - C), and det(y0*I - y1*C) comes from `det_pencil`, which
-    takes characteristic polynomials modulo primes: c_k is its y0^k *
-    y1^(n-k) coefficient over L^(n-k).
+    With C1 = L*A1 and C2 = L*A2 cleared to Gaussian integers, `det_pencil`
+    gives the int terms Q of det(y0*I + y1*C1 + y2*C2), and p's coefficient of
+    y0^k * y1^b * y2^c is Q's over L^(b+c).  So c_k is the sum over
+    b + c = n - k of Q's times (-1)^b * (-i)^c = (-1)^(n-k) * i^c, over L^(n-k).
     """
-    L, n = A.L, A.n
-    det_re, det_im = det_pencil(tuple([[-x for x in row] for row in part] for part in (A.re, A.im)))
-    return [GaussianRational(Fraction(det_re.get((k, n - k, 0), 0), L ** (n - k)),
-                             Fraction(det_im.get((k, n - k, 0), 0), L ** (n - k)))
-            for k in range(n + 1)]
+    pencil, n = split(A), A.n
+    L = math.lcm(pencil.A1.L, pencil.A2.L)
+    parts = [[0, 0] for _ in range(n + 1)]  # (re, im) of L^(n-k) * c_k
+    for (k, b, c), v in det_pencil(_cleared_parts(pencil.A1, L), _cleared_parts(pencil.A2, L)).items():
+        parts[k][c % 2] += -v if (b + c + c // 2) % 2 else v  # i^c = (-1)^(c//2) * i^(c%2)
+    return [GaussianRational(Fraction(re, L ** (n - k)), Fraction(im, L ** (n - k)))
+            for k, (re, im) in enumerate(parts)]
 
 
 # -- matrix file format --------------------------------------------------------

@@ -45,7 +45,6 @@ __all__ = [
     "HyperbolicityReport",
     "LmiPolytope",
     "lmi_polytope_vertices",
-    "line_roots_from_eigs",
 ]
 
 YVARS = ("y0", "y1", "y2")
@@ -157,33 +156,34 @@ class CurveSampleSet:
 
 
 def pencil_det(pencil: HermitianPencil) -> PencilCurve:
-    """Exact det(y0*I + y1*A1 + y2*A2); its imaginary part must cancel exactly.
+    """Exact det(y0*I + y1*A1 + y2*A2), a real polynomial.
 
     With C1 = L*A1 and C2 = L*A2 cleared to Gaussian integers by the lcm L of
     the denominators, p(y) = L^-n * det(L*y0*I + y1*C1 + y2*C2), so the
     coefficient of y0^a * y1^b * y2^c is that of det(y0*I + y1*C1 + y2*C2)
     over L^(b+c); `det_pencil` gives it from characteristic polynomials
     modulo primes.  p is stored as 1/L^n times the ints L^(n-b-c) times that
-    coefficient, with no Fraction per term.
+    coefficient, with no Fraction per term.  `det_pencil` takes Hermitian
+    pencils only, so a pencil built around HermitianPencil's own check raises
+    NonHermitianError here.
     """
-    L, _, _, re = _integer_pencil(pencil.A1, pencil.A2)
+    if not (pencil.A1.is_hermitian() and pencil.A2.is_hermitian()):
+        raise NonHermitianError("pencil is not Hermitian")
+    L, _, _, Q = _integer_pencil(pencil.A1, pencil.A2)
     n = pencil.n
     Lk = [L ** k for k in range(n + 1)]
-    p = TriPoly._from_ints(YVARS, {e: c * Lk[n - e[1] - e[2]] for e, c in re.items()},
+    p = TriPoly._from_ints(YVARS, {e: c * Lk[n - e[1] - e[2]] for e, c in Q.items()},
                            Fraction(1, Lk[n]))
     return PencilCurve(p, pencil)
 
 
 def _integer_pencil(A1, A2) -> tuple[int, tuple, tuple, dict]:
     """(L, C1, C2, Q): the joint denominator lcm L, the `_cleared_parts` Cj of
-    L*Aj, and the int terms {(a, b, c): v} of the real Q = det(y0*I + y1*C1 + y2*C2)."""
+    L*Aj, and the int terms {(a, b, c): v} of the real Q = det(y0*I + y1*C1 + y2*C2),
+    for Hermitian A1 and A2."""
     L = math.lcm(A1.L, A2.L)
     C1, C2 = _cleared_parts(A1, L), _cleared_parts(A2, L)
-    re, im = det_pencil(C1, C2)
-    if im:
-        raise NonHermitianError(
-            "pencil determinant has a nonzero imaginary residue; pencil is not Hermitian")
-    return L, C1, C2, re
+    return L, C1, C2, det_pencil(C1, C2)
 
 
 def _check_grid(N: int) -> None:
@@ -238,8 +238,8 @@ class SpectralGrid:
     def line_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every real root of p(1, t*cos_k, t*sin_k) over the grid, as arrays.
 
-        Returns (k, index, t) in (angle, eigenvalue index) order: the roots
-        of `line_roots_from_eigs` for every row at once.
+        Returns (k, index, t) in (angle, eigenvalue index) order: t = -1/lambda
+        for every eigenvalue lambda in the ray-root mask (`_root_eigs`).
         """
         k, idx = np.nonzero(_root_eigs(self.eigvals, self.scale))
         return k, idx, -1.0 / self.eigvals[k, idx]
@@ -409,11 +409,11 @@ def _sturm(N: list[int]) -> tuple[int, int]:
     return neg - pos, len(c) - len(chain[-1])
 
 
-def _chart_normal(f: TriPoly, k: int | None = None) -> tuple[TriPoly, int]:
+def _chart_normal(f: TriPoly) -> tuple[TriPoly, int]:
     """(f(y0, 2**k*y1, 2**k*y2) with its largest coefficient scaled by a power of
     two to at most 2**512, k): exact, and its dual is that of f normalized with
-    -k.  The default k brings the real chart roots near 1, or is 0 while they lie
-    within about 2**32 of it, so that ordinary inputs keep their floats.  With A_j
+    -k.  k brings the real chart roots near 1, or is 0 while they lie within
+    about 2**32 of it, so that ordinary inputs keep their floats.  With A_j
     the largest |coefficient| of chart degree j = b + c and m the lowest, Fujiwara
     (1916) puts every nonzero root on a unit ray beyond 2**(e-1), e as below.
     """
@@ -424,11 +424,10 @@ def _chart_normal(f: TriPoly, k: int | None = None) -> tuple[TriPoly, int]:
     for key, v in f.ints.items():
         g = math.gcd(v, den)
         bits[key] = abs(num * v // g).bit_length() - (den // g).bit_length()
-    if k is None:
-        m = min(b + c for _, b, c in bits)
-        am = max(v for (_, b, c), v in bits.items() if b + c == m)
-        e = min(((am - v) / (b + c - m) for (_, b, c), v in bits.items() if b + c > m), default=0.0)
-        k = round(e) if abs(e) > 32 else 0
+    m = min(b + c for _, b, c in bits)
+    am = max(v for (_, b, c), v in bits.items() if b + c == m)
+    e = min(((am - v) / (b + c - m) for (_, b, c), v in bits.items() if b + c > m), default=0.0)
+    k = round(e) if abs(e) > 32 else 0
     cap = max(v + k * (key[1] + key[2]) for key, v in bits.items()) - 512
     if k or cap > 0:
         shift = {key: k * (key[1] + key[2]) - max(cap, 0) for key in bits}
@@ -436,13 +435,6 @@ def _chart_normal(f: TriPoly, k: int | None = None) -> tuple[TriPoly, int]:
         f = TriPoly._from_ints(f.vars, {key: v << (shift[key] - m) for key, v in f.ints.items()},
                                f.content * Fraction(2) ** m)
     return f, k
-
-
-def line_roots_from_eigs(eigs: np.ndarray, scale: float = 1.0) -> list[tuple[int, float]]:
-    """Real roots t = -1/lambda of det(I + t*H), tagged by eigenvalue index;
-    `scale` is the pencil's `_entry_scale`."""
-    roots = np.flatnonzero(_root_eigs(eigs, scale)).tolist()
-    return [(idx, -1.0 / float(eigs[idx])) for idx in roots]
 
 
 def _entry_scale(f1: np.ndarray, f2: np.ndarray) -> float:
@@ -504,14 +496,14 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
     dirs = list(itertools.islice(filter(any, draws), trials))
     f1, f2 = curve.pencil.float_parts()
     eigs = np.linalg.eigvalsh(np.array([float(d1) * f1 + float(d2) * f2 for d1, d2 in dirs]))
-    scale = _entry_scale(f1, f2)
+    roots = _root_eigs(eigs, _entry_scale(f1, f2))
     # exact restrictions of p(y0, 2**e*y1, 2**e*y2): roots t/2**e near 1, float coefficients
     p, e = _chart_normal(curve.p)
     form = _integer_form(p)
     restrictions = [_restriction(form, d1, d2) for d1, d2 in dirs]
     checks = []
-    for d, (N, w, coeffs), line_eigs in zip(dirs, restrictions, eigs):
-        t = np.ldexp([r for _, r in line_roots_from_eigs(line_eigs, scale)], -e)
+    for d, (N, w, coeffs), line_eigs, mask in zip(dirs, restrictions, eigs, roots):
+        t = np.ldexp(-1.0 / line_eigs[mask], -e)
         if _sign_certificate(N, w, t.tolist()):
             distinct = deg_sf = len(N) - 1
         else:

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactpoly import GaussianRational
-from .hermitian import GaussianRationalMatrix, HermitianPencil, charpoly, is_normal, split
-from .pencil import SpectralGrid, _check_grid, _entry_scale, _exit_points
+from .exactpoly import GaussianRational, TriPoly
+from .hermitian import GaussianRationalMatrix, HermitianPencil, is_normal, split
+from .pencil import SpectralGrid, _check_grid, _entry_scale, _exit_points, pencil_det
 
 __all__ = [
     "SupportSample",
@@ -367,22 +367,23 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
     """Detect polytopic numerical ranges.
 
     Normal matrices: W(A) is the convex hull of the spectrum; eigenvalues are
-    exact when they are Gaussian rational (certified against charpoly(A)),
-    numeric otherwise.  Non-normal matrices: best-effort witness clustering;
-    "mixed/unknown" is a legal verdict.
+    exact when they are Gaussian rational (certified against the pencil
+    determinant p), numeric otherwise.  Non-normal matrices: best-effort
+    witness clustering; "mixed/unknown" is a legal verdict.
     """
     _check_grid(N)
-    return _polytope_verdict(A, split(A), is_normal(A), N)
+    pencil = split(A)
+    return _polytope_verdict(A, pencil, pencil_det(pencil).p if is_normal(A) else None, N)
 
 
-def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil, normal: bool,
+def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil, p: TriPoly | None,
                       N: int) -> PolytopeVerdict:
     """`polytope_detect` for a caller that has split A (pencil = split(A)) and
-    knows normal = is_normal(A)."""
-    if normal:
+    passes p = pencil_det(pencil).p for a normal A, None for any other."""
+    if p is not None:
         M = A.to_complex()
         eigs = np.linalg.eigvals(M)
-        exact = _certified_spectrum(A, eigs)
+        exact = _certified_spectrum(A, p, eigs)
         if exact is not None:
             verts = convex_hull([(z.re, z.im) for z in exact])
             return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=True)
@@ -423,35 +424,32 @@ def _witness_clusters(wit: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     return starts, lengths
 
 
-def _certified_spectrum(A: GaussianRationalMatrix, eigs) -> list[GaussianRational] | None:
-    """The eigenvalues of A as exact Gaussian rationals, or None.
+def _certified_spectrum(A: GaussianRationalMatrix, p: TriPoly, eigs) -> list[GaussianRational] | None:
+    """The eigenvalues of a normal A as exact Gaussian rationals, or None.
 
-    If D*A has Gaussian-integer entries, every Gaussian-rational eigenvalue
-    of A is z/D with z a Gaussian integer (Z[i] is integrally closed).  So is
-    it when D clears the denominators of charpoly(A), and then also for the
-    gcd of two such D.  The float eigenvalues are rounded to that lattice
-    and accepted only if prod (t - z_j/D) equals charpoly(A) coefficient by
-    coefficient.
+    A1 and A2 of a normal A are diagonal in one unitary basis, so its pencil
+    determinant p(y) = det(y0*I + y1*A1 + y2*A2) is the product of the linear
+    forms y0 + a_j*y1 + b_j*y2 over its eigenvalues a_j + i*b_j, and p(t, -1, -i)
+    = det(t*I - A).  If D clears the denominators of A, or those of every
+    coefficient of the monic det(t*I - A), then D*z is a Gaussian integer for
+    every Gaussian-rational eigenvalue z (Z[i] is integrally closed), and so
+    it is for the gcd of two such D.  The denominator of p's content clears
+    every coefficient of p, hence of det(t*I - A).  The float eigenvalues are
+    rounded to that lattice and accepted only if the product of their linear
+    forms equals p; at y = (t, -1, -i) it is prod (t - z_j) = det(t*I - A).
     """
-    chi = charpoly(A)
-    D = math.gcd(A.L, _denominator(chi))
-
-    def lattice(x: float) -> Fraction:
-        return Fraction(round(Fraction(x) * D), D)
-
-    roots = [GaussianRational(lattice(z.real), lattice(z.imag)) for z in eigs]
-    prod = [GaussianRational.ONE]            # ascending coefficients
-    for r in roots:
-        shifted = [GaussianRational.ZERO] + prod
-        for i, c in enumerate(prod):
-            shifted[i] = shifted[i] - r * c
-        prod = shifted
-    return roots if prod == chi else None
-
-
-def _denominator(values) -> int:
-    """The least D with D*z a Gaussian integer for every z in values."""
-    return math.lcm(*(d for z in values for d in (z.re.denominator, z.im.denominator)))
+    D = math.gcd(A.L, p.content.denominator)
+    roots = [(round(Fraction(z.real) * D), round(Fraction(z.imag) * D)) for z in eigs]
+    prod = {(0, 0, 0): 1}  # D^n times the product of the forms, on ints
+    for a, b in roots:
+        out = {}
+        for (e0, e1, e2), v in prod.items():
+            for e, c in (((e0 + 1, e1, e2), D), ((e0, e1 + 1, e2), a), ((e0, e1, e2 + 1), b)):
+                out[e] = out.get(e, 0) + c * v
+        prod = out
+    if TriPoly._from_ints(p.vars, prod, Fraction(1, D ** len(roots))) != p:
+        return None
+    return [GaussianRational(Fraction(a, D), Fraction(b, D)) for a, b in roots]
 
 
 def _dedupe(zs, scale: float, tol: float = 1e-9):

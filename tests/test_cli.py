@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import numrange.cli
+import numrange.exactpoly
+import numrange.hermitian
 import numrange.pencil
 import numrange.rangegeom
 from numrange.cli import main
@@ -273,9 +275,9 @@ class TestClassifyCommand:
         seen = []
         real = numrange.cli._polytope_verdict
 
-        def spy(A, pencil, normal, N):
+        def spy(A, pencil, p, N):
             seen.append(N)
-            return real(A, pencil, normal, N=N)
+            return real(A, pencil, p, N=N)
 
         monkeypatch.setattr(numrange.cli, "_polytope_verdict", spy)
         assert run("classify", "--input", fx("disk.json"), "--grid", "48") == 0
@@ -292,6 +294,18 @@ class TestClassifyCommand:
         assert run("classify", "--input", fx(f"{name}.json")) == 0
         assert sorted(calls) == ["is_normal", "split"]
         assert f"normal={str(name == 'polytope').lower()}" in capsys.readouterr().out
+
+    def test_normal_matrix_takes_one_pencil_determinant(self, monkeypatch, capsys):
+        # the exact spectrum of a normal matrix is certified against the p
+        # that classify has already computed, with no characteristic polynomial
+        calls = []
+        real = numrange.exactpoly.det_pencil
+        for module in (numrange.pencil, numrange.hermitian):
+            monkeypatch.setattr(module, "det_pencil", lambda *args: calls.append(1) or real(*args))
+        assert run("classify", "--input", fx("polytope.json"),
+                   "--factors", fx("polytope_factors.txt")) == 0
+        assert "vertices_exact=true" in capsys.readouterr().out
+        assert calls == [1]
 
 
 class TestRenderCommand:

@@ -29,7 +29,7 @@ from numrange.pencil import (
     CurveSample,
     SpectralGrid,
     _entry_scale,
-    line_roots_from_eigs,
+    _root_eigs,
     pencil_det,
 )
 
@@ -455,7 +455,7 @@ class TestDualSample:
             grid = SpectralGrid(pencil, N)
             want = []
             for theta, w, vecs in zip(grid.thetas.tolist(), grid.eigvals, grid.eigvecs):
-                for i, _ in line_roots_from_eigs(w, _entry_scale(f1, f2)):
+                for i in np.flatnonzero(_root_eigs(w, _entry_scale(f1, f2))).tolist():
                     gap = min((abs(w[i] - w[j]) for j in (i - 1, i + 1) if 0 <= j < len(w)),
                               default=math.inf)
                     singular = bool(gap <= EIG_GAP_RTOL * np.abs(w).max())

@@ -256,8 +256,8 @@ class TestDeterminant:
 
 
 class TestDetPencil:
-    """det(y0*I + y1*C1 + y2*C2) from characteristic polynomials modulo primes,
-    against the cofactor expansion of its real and imaginary parts, exact
+    """det(y0*I + y1*C1 + y2*C2) of Hermitian pencils from characteristic
+    polynomials modulo primes, against the cofactor expansion, exact
     characteristic polynomials and the Hessenberg reduction."""
 
     @staticmethod
@@ -269,29 +269,32 @@ class TestDetPencil:
         return part(True), part(complex_entries)
 
     def test_gaussian_coefficients(self):
-        # det(y0*I + y1*[[0, i], [i, 0]]) = y0^2 + y1^2
-        C1 = ([[0, 0], [0, 0]], [[0, 1], [1, 0]])
-        assert det_pencil(C1) == _int_dicts(Y0 ** 2 + Y1 ** 2, TriPoly.zero(YVARS))
+        # det(y0*I + y1*[[0, i], [-i, 0]] + y2*[[0, 1], [1, 0]]) = y0^2 - y1^2 - y2^2
+        C1, C2 = ([[0, 0], [0, 0]], [[0, 1], [-1, 0]]), ([[0, 1], [1, 0]], [[0, 0], [0, 0]])
+        assert det_pencil(C1, C2) == {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1}
+        # det(y0*I + y1*[[1, 2 + i], [2 - i, -1]]) = y0^2 - 6*y1^2
+        C1 = ([[1, 2], [2, -1]], [[0, 1], [-1, 0]])
+        assert det_pencil(C1, _zero_pair(2)) == {(2, 0, 0): 1, (0, 2, 0): -6}
         assert charpoly(GaussianRationalMatrix([[0, GaussianRational.I], [GaussianRational.I, 0]])) == [
             GaussianRational.ONE, GaussianRational.ZERO, GaussianRational.ONE]
-        # det(y0*I + y1*[[0, i], [0, 0]] + y2*[[0, 0], [1, 0]]) = y0^2 - i*y1*y2
-        C1, C2 = ([[0, 0], [0, 0]], [[0, 1], [0, 0]]), ([[0, 0], [1, 0]], [[0, 0], [0, 0]])
-        assert det_pencil(C1, C2) == _int_dicts(Y0 ** 2, -Y1 * Y2)
 
     def test_matches_pair_reference(self):
         rng = random.Random(11)
         cases = []
         for n in range(1, 7):
             for complex_entries in (False, True):
-                C1, C2 = (self._random_pair(rng, n, complex_entries) for _ in range(2))
-                cases += [(C1, C2), (C1, None)]
+                C1, C2 = _hermitian(*(self._random_pair(rng, n, complex_entries) for _ in range(2)))
+                cases += [(C1, C2), (C1, _zero_pair(n))]
                 if n >= 2:
                     for change in (lambda M: [[0] * n] + M[1:],                 # zero row
                                    lambda M: M[:-1] + [M[0]],                   # repeated row
                                    lambda M: M[:-1] + [[3 * e for e in M[0]]]):  # proportional row
-                        cases.append(tuple(tuple(change(M) for M in C) for C in (C1, C2)))
+                        # the change on the rows and then the columns is E*C*E^T, E real:
+                        # Hermitian again
+                        cases.append(tuple(tuple(_transpose(change(_transpose(change(M)))) for M in C)
+                                           for C in (C1, C2)))
         for C1, C2 in cases:
-            assert det_pencil(C1, C2) == _int_dicts(*_det_pair_reference(*_pencil_matrix(C1, C2)))
+            assert det_pencil(C1, C2) == _cofactor_reference(C1, C2)
 
     def test_charpoly_with_coprime_denominators_and_extreme_entries(self):
         rng = random.Random(17)
@@ -310,56 +313,54 @@ class TestDetPencil:
                                                         ref_im.terms.get((k, 0, 0), Fraction(0)))
                                        for k in range(n + 1)]
 
-    @pytest.mark.parametrize("kind", ["real", "hermitian", "complex"])
+    @pytest.mark.parametrize("kind", ["real", "hermitian"])
     def test_crt_over_many_small_primes(self, monkeypatch, kind):
-        # the primes from just above n on: many CRT steps; on a complex pencil
-        # every prime 3 mod 4 is skipped, and only a non-Hermitian one is
-        # mapped to F_P twice
+        # the primes from just above n on: many CRT steps; a complex pencil
+        # skips every prime 3 mod 4 and maps i to one root of -1 mod P
         n = 6
         rng = random.Random(29)
-        C1, C2 = (self._random_pair(rng, n, kind != "real", top=40) for _ in range(2))
-        if kind == "hermitian":
-            C1, C2 = _hermitian(C1, C2)
+        C1, C2 = _hermitian(*(self._random_pair(rng, n, kind != "real", top=40) for _ in range(2)))
         expected = det_pencil(C1, C2)
         small = [q for q in range(n + 1, 3000) if all(q % d for d in range(2, int(q ** 0.5) + 1))]
         real = exactpoly._primes
         monkeypatch.setattr(exactpoly, "_primes", lambda below: itertools.chain(small, real(below)))
         used = self._spy_moduli(monkeypatch)
-        assert det_pencil(C1, C2) == expected == _int_dicts(*_det_pair_reference(*_pencil_matrix(C1, C2)))
+        assert det_pencil(C1, C2) == expected == _cofactor_reference(C1, C2)
         primes = sorted(set(used))
         assert len(primes) > 5 and all(P in small for P in primes)
         if kind == "real":
             assert primes[0] == 7 and any(P % 4 == 3 for P in primes)
         else:
             assert all(P % 4 == 1 for P in primes)
-            assert used.count(primes[0]) == (n + 1) * (1 if kind == "hermitian" else 2)
-        assert bool(expected[1]) == (kind == "complex")
+            assert used.count(primes[0]) == n + 1
 
     def test_stops_only_at_the_bound(self, monkeypatch):
-        # C1 = c*[[1, 1], [-1, -1]] is nilpotent, so det(y0*I + y1*C1) = y0^2:
-        # the lift is right after the first prime, but the primes go on until
-        # their product exceeds the bound
+        # C1 = c*[[1, 1], [1, 1]] has rank one, so det(y0*I + y1*C1) = y0^2 +
+        # 2c*y0*y1: the lift is right once the product of the primes exceeds
+        # 4c, but the primes go on until it exceeds the bound 2*(1 + 2c)^2
         c = 10 ** 40
-        C1 = ([[c, c], [-c, -c]], [[0, 0], [0, 0]])
+        C1 = ([[c, c], [c, c]], [[0, 0], [0, 0]])
         used = self._spy_moduli(monkeypatch)
-        assert det_pencil(C1) == _int_dicts(Y0 ** 2, TriPoly.zero(YVARS))
+        assert det_pencil(C1, _zero_pair(2)) == {(2, 0, 0): 1, (1, 1, 0): 2 * c}
         bound = 2 * (1 + 2 * c) ** 2
         assert math.prod(used) > bound >= math.prod(used[:-1])
 
     def test_tuple_rows_take_one_image_of_i(self, monkeypatch):
         # nested_ovals is a complex Hermitian pencil, so each prime maps i to
         # one root s of -1 at the n + 1 nodes, whether the rows are lists or
-        # tuples; with C2 = None too
+        # tuples; with C2 = 0 at one node
         pencil = split(fixture_matrix("nested_ovals"))
         L = math.lcm(pencil.A1.L, pencil.A2.L)
         lists = [_cleared_parts(A, L) for A in (pencil.A1, pencil.A2)]
         tuples = [tuple(tuple(map(tuple, part)) for part in C) for C in lists]
+        zero = _zero_pair(pencil.n)
         assert any(map(any, lists[0][1] + lists[1][1]))
-        expected = det_pencil(*lists), det_pencil(lists[0])
+        expected = det_pencil(*lists), det_pencil(lists[0], zero)
         used = self._spy_moduli(monkeypatch)
         for pencils, want, nodes in ((lists, expected[0], pencil.n + 1),
                                      (tuples, expected[0], pencil.n + 1),
-                                     (lists[:1], expected[1], 1), (tuples[:1], expected[1], 1)):
+                                     ((lists[0], zero), expected[1], 1),
+                                     ((tuples[0], zero), expected[1], 1)):
             used.clear()
             assert det_pencil(*pencils) == want
             assert used and all(used.count(P) == nodes for P in used), (type(pencils[0][0]), nodes)
@@ -391,65 +392,74 @@ class TestDetPencil:
         assert e.tolist() == [[1, Q - n] + [0] * (n - 1)]
 
     def test_differential_up_to_n12(self):
-        # real, Hermitian, non-Hermitian complex and C2 = None pencils with
-        # entries up to 10^40, against exact characteristic polynomials over
-        # Z[i] (sympy) interpolated over the rationals, and for n <= 6 against
-        # the cofactor expansion too
+        # real symmetric, complex Hermitian and C2 = 0 pencils with entries up
+        # to 10^40, against exact characteristic polynomials over Z[i] (sympy)
+        # interpolated over the rationals, and for n <= 6 against the
+        # cofactor expansion too
         for n, C1, C2 in _differential_pencils():
             got = det_pencil(C1, C2)
             assert got == _det_pencil_reference(C1, C2)
             if n <= 6:
-                assert got == _int_dicts(*_det_pair_reference(*_pencil_matrix(C1, C2)))
+                assert got == _cofactor_reference(C1, C2)
 
     def test_all_minus_one_at_n12(self):
         # C1 = -J has residue P - 1 in every entry modulo every prime:
-        # det(y0*I - y1*J) = y0^11 * (y0 - 12*y1)
+        # det(y0*I - y1*J) = y0^11 * (y0 - 12*y1), and with C2 = -J,
+        # det(y0*I - (y1 + y2)*J) = y0^11 * (y0 - 12*y1 - 12*y2)
         n = 12
         C1 = ([[-1] * n for _ in range(n)], [[0] * n for _ in range(n)])
-        assert det_pencil(C1) == ({(12, 0, 0): 1, (11, 1, 0): -12}, {})
-        C1i = (C1[1], C1[0])  # -i*J: det(y0*I - i*y1*J) = y0^11 * (y0 - 12*i*y1)
-        assert det_pencil(C1i) == ({(12, 0, 0): 1}, {(11, 1, 0): -12})
+        assert det_pencil(C1, _zero_pair(n)) == {(12, 0, 0): 1, (11, 1, 0): -12}
+        assert det_pencil(C1, C1) == {(12, 0, 0): 1, (11, 1, 0): -12, (11, 0, 1): -12}
         assert det_pencil(C1, C1) == _det_pencil_reference(C1, C1)
 
 
-def _hermitian(C1, C2):
-    """The Hermitian parts C + C^H of two Gaussian integer matrices."""
+def _zero_pair(n: int):
+    """(re, im) of the n x n zero matrix."""
+    zero = [[0] * n for _ in range(n)]
+    return zero, zero
+
+
+def _transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
+def _hermitian(*Cs):
+    """The Hermitian parts C + C^H of Gaussian integer matrices."""
     return tuple(([[a + b for a, b in zip(r, c)] for r, c in zip(re, zip(*re))],
-                  [[a - b for a, b in zip(r, c)] for r, c in zip(im, zip(*im))]) for re, im in (C1, C2))
+                  [[a - b for a, b in zip(r, c)] for r, c in zip(im, zip(*im))]) for re, im in Cs)
 
 
 def _differential_pencils():
-    """(n, C1, C2) for n = 1..12: one real, Hermitian, non-Hermitian complex
-    and C2 = None pencil each, entries up to 10^40 with some zeros."""
+    """(n, C1, C2) for n = 1..12: one real symmetric, complex Hermitian and
+    C2 = 0 pencil each, entries up to 10^40 with some zeros."""
     rng = random.Random(41)
     for n in range(1, 13):
         top = (5, 10 ** 12, 10 ** 40)[n % 3]
         pair = TestDetPencil._random_pair
-        yield n, pair(rng, n, False, top), pair(rng, n, False, top)
+        yield (n, *_hermitian(pair(rng, n, False, top), pair(rng, n, False, top)))
         yield (n, *_hermitian(pair(rng, n, True, top), pair(rng, n, True, top)))
-        yield n, pair(rng, n, True, top), pair(rng, n, True, top)
-        yield n, pair(rng, n, n % 2 == 0, top), None
+        yield n, *_hermitian(pair(rng, n, n % 2 == 0, top)), _zero_pair(n)
 
 
-def _det_pencil_reference(C1, C2=None):
-    """(Re, Im) term dicts of det(y0*I + y1*C1 + y2*C2) by another route: e_k
-    of C1 + j*C2 at j = 0..n from sympy's exact characteristic polynomials
-    over Z[i], interpolated over j by exact integer divided differences."""
+def _det_pencil_reference(C1, C2):
+    """The int terms of det(y0*I + y1*C1 + y2*C2) by another route: e_k of
+    C1 + j*C2 at j = 0..n from sympy's exact characteristic polynomials over
+    Z[i], interpolated over j by exact integer divided differences; the
+    imaginary parts must vanish."""
     n = len(C1[0])
-    zero = [[0] * n for _ in range(n)]
-    (r1, i1), (r2, i2) = C1, C2 or (zero, zero)
+    (r1, i1), (r2, i2) = C1, C2
     # det(x*I + C) = det(x*I - (-C)): the x^(n-k) coefficient is e_k(C)
     values = [DomainMatrix([[-ZZ_I(r1[a][b] + j * r2[a][b], i1[a][b] + j * i2[a][b]) for b in range(n)]
                             for a in range(n)], (n, n), ZZ_I).charpoly()
-              for j in range(n + 1 if C2 else 1)]
-    out = ({}, {})
+              for j in range(n + 1 if any(map(any, (*r2, *i2))) else 1)]
+    out = {}
     for k in range(n + 1):
-        for part, terms in zip(("x", "y"), out):
-            coeffs = _interpolate_int([int(getattr(v[k], part)) for v in values])
-            assert not any(coeffs[k + 1:])
-            for c, v in enumerate(coeffs):
-                if v:
-                    terms[(n - k, k - c, c)] = v
+        assert not any(_interpolate_int([int(v[k].y) for v in values]))
+        coeffs = _interpolate_int([int(v[k].x) for v in values])
+        assert not any(coeffs[k + 1:])
+        for c, v in enumerate(coeffs):
+            if v:
+                out[(n - k, k - c, c)] = v
     return out
 
 
@@ -515,21 +525,23 @@ def _charpoly_mod_p(H: list[list[int]], P: int) -> list[int]:
     return polys[n]
 
 
-def _int_dicts(re: TriPoly, im: TriPoly):
-    """The term dicts of two integer polynomials, with int coefficients."""
-    return tuple({e: int(c) for e, c in f.terms.items()} for f in (re, im))
-
-
 def _pencil_matrix(C1, C2):
-    """(real, imaginary) TriPoly matrices of y0*I + y1*C1 + y2*C2; C2 = None is zero."""
+    """(real, imaginary) TriPoly matrices of y0*I + y1*C1 + y2*C2."""
     n = len(C1[0])
-    zero = [[0] * n for _ in range(n)]
-    (r1, i1), (r2, i2) = C1, C2 or (zero, zero)
+    (r1, i1), (r2, i2) = C1, C2
     re = [[TriPoly(YVARS, {(1, 0, 0): int(i == j), (0, 1, 0): r1[i][j], (0, 0, 1): r2[i][j]})
            for j in range(n)] for i in range(n)]
     im = [[TriPoly(YVARS, {(0, 1, 0): i1[i][j], (0, 0, 1): i2[i][j]}) for j in range(n)]
           for i in range(n)]
     return re, im
+
+
+def _cofactor_reference(C1, C2):
+    """The int terms of det(y0*I + y1*C1 + y2*C2) by cofactor expansion; the
+    imaginary part must vanish."""
+    re, im = _det_pair_reference(*_pencil_matrix(C1, C2))
+    assert im.is_zero()
+    return {e: int(c) for e, c in re.terms.items()}
 
 
 def _det_cofactor_reference(M):
@@ -1172,8 +1184,8 @@ class TestLineImageInjection:
         # the lucky first image makes them skipped, and its small lift is
         # proven at once.  From node 2, the first prime gives the wrong
         # candidate (y0 + y1)^2, which fails its division, the second prime
-        # repeats it and fails again, and the third prime's nodes 8, 9 give
-        # the true degree 1.
+        # repeats it and is not divided again, and the third prime's nodes
+        # 8, 9 give the true degree 1.
         f = (Y0 + Y1) ** 2
         for s in range(3, 9):
             f = f * (Y1 - Y2 + s * Y0)
@@ -1184,7 +1196,7 @@ class TestLineImageInjection:
         assert repeated_part(f) == Y0 + Y1
         assert [k for _, (_, k) in images] == degrees
         failed = [g for g, exact in divisions if not exact]
-        assert failed == [((Y0 + Y1) ** 2).ints] * (2 if first_node == 2 else 0)
+        assert failed == [((Y0 + Y1) ** 2).ints] * (first_node == 2)
         g = (Y0 + Y1) * (Y1 - Y2 + 3 * Y0) * (Y1 - Y2 + 4 * Y0)
         assert tri_gcd(f, g) == g
 

@@ -21,6 +21,7 @@ from numrange.pencil import (
     _entry_scale,
     _integer_form,
     _restriction,
+    _root_eigs,
     _sign_certificate,
     _sturm,
     boundary_F,
@@ -30,7 +31,6 @@ from numrange.pencil import (
     lmi_polytope_vertices,
     pencil_det,
     ray_exit,
-    line_roots_from_eigs,
 )
 
 from conftest import (
@@ -415,7 +415,7 @@ class TestSpectralGrid:
         for k, eigs in enumerate(grid.eigvals.tolist()):
             scale = max(1.0, max(abs(lam) for lam in eigs))
             roots = [(i, -1.0 / lam) for i, lam in enumerate(eigs) if abs(lam) > 1e-14 * scale]
-            assert line_roots_from_eigs(grid.eigvals[k]) == roots
+            assert np.flatnonzero(_root_eigs(grid.eigvals[k], grid.scale)).tolist() == [i for i, _ in roots]
             want += [(k, i, t) for i, t in roots]
         k, idx, t = grid.line_roots()
         assert list(zip(k.tolist(), idx.tolist(), t.tolist())) == want
@@ -521,7 +521,7 @@ def _hyperbolicity_reference(curve: PencilCurve, trials: int = 24, seed: int = 2
         N, w, _ = _restriction(form, d1, d2)
         coeffs = _restrict_reference(p, d1, d2)
         eigs = np.linalg.eigvalsh(float(d1) * f1 + float(d2) * f2)
-        t = np.ldexp([r for _, r in line_roots_from_eigs(eigs, scale)], -e)
+        t = np.ldexp(-1.0 / eigs[_root_eigs(eigs, scale)], -e)
         if certificate and _sign_certificate(N, w, t.tolist()):
             distinct = deg_sf = len(N) - 1
         else:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,13 +9,13 @@ import numpy as np
 import pytest
 
 from numrange.exactpoly import GaussianRational
-from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, is_normal, split
+from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, charpoly, is_normal, split
 from numrange.pencil import (
     CurveSample,
     CurveSampleSet,
     SpectralGrid,
     _exit_points,
-    line_roots_from_eigs,
+    _root_eigs,
     pencil_det,
 )
 from numrange.dualcurve import dual_sample
@@ -259,6 +260,30 @@ def _rotation(n, i, j, a, b, c):
     return gmatrix(rows)
 
 
+def _hull_vertices(points: set) -> set:
+    """The points of a finite set of exact points that are vertices of its
+    convex hull: neither on a segment between two others nor in a triangle of
+    three others (Caratheodory), by exact orientation signs."""
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def on_segment(z, a, b):
+        return (orient(a, b, z) == 0 and min(a[0], b[0]) <= z[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= z[1] <= max(a[1], b[1]))
+
+    def in_triangle(z, a, b, c):
+        return orient(a, b, c) != 0 and all(orient(*e, z) * orient(a, b, c) >= 0
+                                            for e in ((a, b), (b, c), (c, a)))
+
+    out = set()
+    for z in points:
+        rest = points - {z}
+        if not (any(on_segment(z, a, b) for a, b in itertools.combinations(rest, 2))
+                or any(in_triangle(z, *t) for t in itertools.combinations(rest, 3))):
+            out.add(z)
+    return out
+
+
 def _conjugated(diag):
     """Q D Q^T for a fixed rational orthogonal Q: normal, with the spectrum of D."""
     n = len(diag)
@@ -290,6 +315,33 @@ class TestPolytopeDetect:
         v = polytope_detect(A)
         assert v.kind == "polytope" and v.exact
         assert set(v.vertices) == {(z.re, z.im) for z in (a, b, c)}
+
+    def test_seeded_conjugated_normal_sweep(self):
+        # Q D Q^T with fractional and repeated Gaussian-rational eigenvalues,
+        # n = 1..5: the spectrum is certified exactly, its hull vertices are
+        # the planted ones, and charpoly(A) = prod (t - z_j)
+        rng = random.Random(71)
+        dens = (1, 2, 3, 4, 5, 6, 7)
+        for n in range(1, 6):
+            for _ in range(6):
+                spectrum = []
+                for _ in range(n):
+                    if spectrum and rng.random() < 0.3:
+                        spectrum.append(rng.choice(spectrum))
+                    else:
+                        spectrum.append(GaussianRational(F(rng.randint(-9, 9), rng.choice(dens)),
+                                                         F(rng.randint(-9, 9), rng.choice(dens))))
+                A = _conjugated(spectrum)
+                assert is_normal(A)
+                v = polytope_detect(A)
+                assert v.kind == "polytope" and v.exact, spectrum
+                assert set(v.vertices) == _hull_vertices({(z.re, z.im) for z in spectrum})
+                want = [GaussianRational.ONE]  # ascending coefficients of prod (t - z)
+                for z in spectrum:
+                    want = [(want[i - 1] if i else GaussianRational.ZERO)
+                            - (z * want[i] if i < len(want) else GaussianRational.ZERO)
+                            for i in range(len(want) + 1)]
+                assert charpoly(A) == want
 
     def test_denominators_past_float_precision_stay_numeric(self):
         q = 2**61 - 1
@@ -345,7 +397,7 @@ class TestPolytopeDetect:
         # leave 10 < 0.9 * 12 witnesses in runs of 3 or more
         monkeypatch.setattr(rangegeom, "_support_grid", lambda grid: (None, wit))
         A = fixture_matrix("cubic_cusp")
-        v = rangegeom._polytope_verdict(A, split(A), False, len(wit))
+        v = rangegeom._polytope_verdict(A, split(A), None, len(wit))
         assert v.kind == "polytope" and sorted(v.vertices) == sorted([a, b, c])
 
     def test_normal_with_irrational_spectrum_falls_back_to_floats(self):
@@ -486,7 +538,8 @@ def _dual_sample_reference(curve, N):
     samples = []
     for th, d1, d2, eigs in zip(grid.thetas.tolist(), grid.cos.tolist(), grid.sin.tolist(),
                                 grid.eigvals):
-        for idx, t in line_roots_from_eigs(eigs):
+        for idx in np.flatnonzero(_root_eigs(eigs, grid.scale)).tolist():
+            t = -1.0 / float(eigs[idx])
             pairs = [g.eval_with_scale((1.0, t * d1, t * d2)) for g in grads]
             x = tuple(v for v, _ in pairs)
             gscale = max(s for _, s in pairs)

@@ -5,8 +5,8 @@ integer polynomial, exponents are triples of non-negative ints, and no
 operation ever rounds.  Every stage below reads and writes that integer
 store; Fraction coefficients (`terms`) are a view for callers that ask.
 This module is the elimination engine behind the pencil determinant p(y) and
-the dual curve q(x): two determinants, binary-form resultants and
-discriminants on explicit Sylvester matrices, and GCDs for squarefree parts.
+the dual curve q(x): two determinants, binary-form resultants on Sylvester
+matrices and discriminants on Bezout matrices, and GCDs for squarefree parts.
 `GaussianRational` is the scalar type of the matrix layer, never a
 polynomial coefficient.
 
@@ -17,10 +17,12 @@ off the characteristic polynomials of C1 + j*C2 modulo primes below 2^31
 (with i -> sqrt(-1) mod P), all taken in one batched, division-free
 Berkowitz pass on int64 arrays, interpolated over j and combined by CRT
 under a proven coefficient bound.
-A Sylvester matrix, banded
-with general polynomial entries, takes a division-free minor expansion over
-the integers that skips zero entries (`det_poly_matrix`), which beats
-evaluation and interpolation on a grid of points there.
+A matrix of general polynomial entries, the banded Sylvester matrix of
+`resultant` or the (d-1)x(d-1) Bezout matrix of the two partials of a form of
+degree d in `discriminant_binary`, takes one division-free minor expansion
+over the integers that skips zero entries (`_minor_expansion`, behind
+`det_poly_matrix`), which beats evaluation and interpolation on a grid of
+points there.
 
 The GCD layer runs on integers, after clearing denominators once (Gauss's
 lemma).  `repeated_part` and `tri_gcd` take one path (`_line_gcd`): the gcd
@@ -576,25 +578,51 @@ def _addmul(acc: dict, f: dict, g: dict, negate: bool) -> None:
             acc[k] = get(k, 0) + cf * cg
 
 
+def _minor_expansion(rows: list[list[dict]]) -> dict:
+    """Determinant of a square matrix of packed integer term dicts (`_pack`,
+    {} for a zero entry), as a packed term dict.
+
+    Laplace's expansion along the rows, bottom up: the minors on the last k
+    rows are kept in a dict keyed by their column bitmask, and each one is
+    built from the minors on the last k-1 rows, so every minor is computed
+    once (at most n*2^(n-1) products).  It never divides, and it skips zero
+    entries and zero minors.
+    """
+    minors = {1 << j: a for j, a in enumerate(rows[-1]) if a}
+    for row in reversed(rows[:-1]):
+        sums: dict[int, dict] = {}
+        for mask, c in minors.items():
+            # sign of entry j in the expansion: parity of the columns of mask left of j
+            negate = False
+            for j, a in enumerate(row):
+                bit = 1 << j
+                if mask & bit:
+                    negate = not negate
+                elif a:
+                    _addmul(sums.setdefault(mask | bit, {}), a, c, negate)
+        minors = {}
+        for mask, acc in sums.items():
+            acc = _clean(acc)
+            if acc:
+                minors[mask] = acc
+    return minors.get((1 << len(rows)) - 1, {})
+
+
 def det_poly_matrix(M: Sequence[Sequence[TriPoly]]) -> TriPoly:
     """Exact determinant of a square matrix of TriPoly over one variable triple.
 
-    This is the determinant of the Sylvester matrices behind `resultant` and
-    `discriminant_binary`; pencils take `det_pencil`, which reads the
-    determinant off characteristic polynomials modulo primes.  Here the
-    entries are general polynomials in banded matrices, where a minor
-    expansion that skips zeros beats evaluation and interpolation.
+    This is the determinant of the Sylvester matrices behind `resultant`;
+    `discriminant_binary` takes the same expansion (`_minor_expansion`) on a
+    Bezout matrix, and pencils take `det_pencil`, which reads the determinant
+    off characteristic polynomials modulo primes.  Here the entries are
+    general polynomials in sparse or banded matrices, where a minor expansion
+    that skips zeros beats evaluation and interpolation.
 
     Each row is scaled once by the lcm of its entries' content denominators,
     so the expansion runs on integer term dicts whose monomials are packed
     into single ints (`_pack`): one int add per product of two terms.  The
     result is unpacked and divided by the product of the row scales at the
-    end.  The expansion is Laplace's, along the rows, bottom
-    up: the minors on the last k rows are kept in a dict keyed by their column
-    bitmask, and each one is built from the minors on the last k-1 rows, so
-    every minor is computed once (at most n*2^(n-1) products).  It never
-    divides, and it skips zero entries and zero minors, which the banded
-    Sylvester matrices are full of.
+    end.
     """
     rows = [list(r) for r in M]
     n = len(rows)
@@ -617,24 +645,7 @@ def det_poly_matrix(M: Sequence[Sequence[TriPoly]]) -> TriPoly:
         denom *= L
         packed.append([_pack(p.ints, B, p.content.numerator * (L // p.content.denominator))
                        for p in row])
-    minors = {1 << j: a for j, a in enumerate(packed[-1]) if a}
-    for row in reversed(packed[:-1]):
-        sums: dict[int, dict] = {}
-        for mask, c in minors.items():
-            # sign of entry j in the expansion: parity of the columns of mask left of j
-            negate = False
-            for j, a in enumerate(row):
-                bit = 1 << j
-                if mask & bit:
-                    negate = not negate
-                elif a:
-                    _addmul(sums.setdefault(mask | bit, {}), a, c, negate)
-        minors = {}
-        for mask, acc in sums.items():
-            acc = _clean(acc)
-            if acc:
-                minors[mask] = acc
-    return TriPoly._from_ints(vars, _unpack(minors.get((1 << n) - 1, {}), B), Fraction(1, denom))
+    return TriPoly._from_ints(vars, _unpack(_minor_expansion(packed), B), Fraction(1, denom))
 
 
 # -- binary forms, resultants, discriminants -----------------------------------
@@ -646,7 +657,7 @@ class BinaryForm:
 
     coeffs[i] is the TriPoly coefficient of z^(d-i) * w^i; leading and/or
     trailing entries may be zero polynomials (the formal degree is what the
-    Sylvester construction uses).
+    Sylvester and Bezout constructions use).
     """
 
     degree: int
@@ -711,10 +722,22 @@ def discriminant_binary(g: BinaryForm) -> TriPoly:
     """Discriminant of a binary form: (-1)^(d(d-1)/2) * res(g, dg/dz) / lc.
 
     Vanishes exactly when g has a repeated linear factor; this is the
-    tangency detector used in dual-curve elimination.  The division by lc is
-    done on the Sylvester matrix, not on the resultant: subtracting d times
-    row 0 from the first dg/dz row leaves (lc, 0, ..., 0) in column 0, so
-    res(g, dg/dz) = lc * (the minor without row 0 and column 0).
+    tangency detector used in dual-curve elimination.  It is computed as
+
+        disc(g) = det Bez(g_z, g_w) / ((-1)^(d+1) * d^(d-2)),
+
+    where g_z, g_w are the partials of g, read at t = z/w as polynomials
+    f, h in t of formal degree d - 1 (constant term first), and Bez(f, h) is
+    their (d-1)x(d-1) Bezout matrix, B_ij = sum_k (f_{j+k+1} h_{i-k} -
+    f_{i-k} h_{j+k+1}), k = 0..min(i, d-2-j).  Both steps are identities in
+    the coefficients: d^(d-2) * disc(g) = +-res(g_z, g_w), and the resultant
+    of two forms of one degree is the determinant of their Bezout matrix
+    (Gelfand, Kapranov & Zelevinsky, "Discriminants, Resultants and
+    Multidimensional Determinants", 1994, ch. 12).  So it holds for every
+    form, zero inner coefficients included, and equals the Sylvester formula
+    above term for term at half the matrix size.  The entries are built on
+    packed integer term dicts (`_pack`) after clearing the coefficients by
+    one lcm L, and L^(2d-2) is divided out after `_minor_expansion`.
     """
     if g.is_zero():
         raise ZeroPolynomialError("discriminant of the zero form")
@@ -722,13 +745,23 @@ def discriminant_binary(g: BinaryForm) -> TriPoly:
         raise ValueError("discriminant needs degree >= 2")
     if g.coeffs[0].is_zero():
         raise ZeroPolynomialError("leading coefficient vanishes; discriminant normalization undefined")
-    d = g.degree
-    M = _sylvester(g, g.derivative_z())
-    M[d - 1] = [a - d * b for a, b in zip(M[d - 1], M[0])]
-    q = det_poly_matrix([row[1:] for row in M[1:]])
-    if (d * (d - 1) // 2) % 2:
-        q = -q
-    return q
+    d, m = g.degree, g.degree - 1
+    L = math.lcm(*(c.content.denominator for c in g.coeffs))
+    # the determinant has degree at most 2*m times the largest coefficient degree
+    B = 1 + 2 * m * max(c.total_degree() for c in g.coeffs)
+    C = [_pack(c.ints, B, c.content.numerator * (L // c.content.denominator)) for c in g.coeffs]
+    f = [{e: (k + 1) * v for e, v in C[m - k].items()} for k in range(d)]  # g_z(t, 1)
+    h = [{e: (d - k) * v for e, v in C[d - k].items()} for k in range(d)]  # g_w(t, 1)
+    bez: list[list[dict]] = [[{}] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            acc: dict = {}
+            for k in range(min(i, m - 1 - j) + 1):
+                _addmul(acc, f[j + k + 1], h[i - k], False)
+                _addmul(acc, f[i - k], h[j + k + 1], True)
+            bez[i][j] = bez[j][i] = _clean(acc)  # a Bezout matrix is symmetric
+    scale = Fraction(-1 if d % 2 == 0 else 1, d ** (d - 2) * L ** (2 * m))
+    return TriPoly._from_ints(g.vars, _unpack(_minor_expansion(bez), B), scale)
 
 
 # -- integer polynomial kernels -------------------------------------------------

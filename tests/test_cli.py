@@ -13,8 +13,9 @@ import numrange.hermitian
 import numrange.pencil
 import numrange.rangegeom
 from numrange.cli import main
+from numrange.hermitian import load_matrix
 
-from conftest import FIXTURES, GOLDEN, canonical_json, mixed_magnitude_matrix
+from conftest import FIXTURES, GOLDEN, canonical_json, mixed_magnitude_matrix, random_gaussian_matrix
 
 
 def run(*argv):
@@ -54,6 +55,15 @@ class TestDualCommand:
         out = tmp_path / "q.txt"
         assert run("dual", "--input", fx("cubic_cusp.json"), "--out", str(out)) == 0
         assert out.read_text() == (GOLDEN / "cubic_cusp_q.txt").read_text()
+
+    def test_generic5(self, tmp_path):
+        # fixtures/generic5.json is random_gaussian_matrix(5, random.Random(5));
+        # its q (degree 20) was recorded on the Sylvester discriminant
+        A = load_matrix(FIXTURES / "generic5.json")
+        assert canonical_json(A) == canonical_json(random_gaussian_matrix(5, random.Random(5)))
+        out = tmp_path / "q.txt"
+        assert run("dual", "--input", fx("generic5.json"), "--out", str(out)) == 0
+        assert out.read_text() == (GOLDEN / "generic5_q.txt").read_text()
 
     def test_factor_union(self, tmp_path):
         out = tmp_path / "q.txt"

@@ -161,6 +161,19 @@ class TestDualCurveExact:
         with pytest.raises(DegenerateDualError):
             dual_curve_exact((Y0 + Y1) * Y2)     # y2 divides p
 
+    def test_chart_variable_dividing_p_is_refused(self):
+        p = parse_poly("y2*y0^2 - y2*y1^2 - y2^3", YVARS)
+        with pytest.raises(DegenerateDualError, match=r"^restricted form loses its leading "
+                           r"coefficient \(a chart variable divides p\); supply factors$"):
+            dual_curve_exact(p)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_generic_frontier(self, n):
+        # the ROADMAP's generic draws; the Bezout discriminant keeps them to
+        # about 0.2 s (n = 6) and 1.3 s (n = 7) on a 2-vCPU host
+        dc = dual_curve_exact(pencil_det(split(random_gaussian_matrix(n, random.Random(1)))).p)
+        assert dc.degree == n * (n - 1) and dc.validation_primes
+
     def test_generic_quartic(self):
         curve = pencil_det(split(random_gaussian_matrix(4, random.Random(1))))
         dc = dual_curve_exact(curve.p)

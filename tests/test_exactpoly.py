@@ -34,10 +34,10 @@ from numrange.exactpoly import (
 from numrange.hermitian import GaussianRationalMatrix, _cleared_parts, charpoly, split
 from numrange.pencil import _sturm, pencil_det
 
-from conftest import (XVARS, YVARS, constant_value, divides, fixture_matrix, random_term_dicts,
-                      random_tripoly, reference_add, reference_content, reference_divexact,
-                      reference_mul, reference_neg, reference_partial, reference_pow,
-                      reference_primitive, with_vars)
+from conftest import (FIXTURES, XVARS, YVARS, constant_value, divides, fixture_matrix,
+                      random_gaussian_matrix, random_term_dicts, random_tripoly, reference_add,
+                      reference_content, reference_divexact, reference_mul, reference_neg,
+                      reference_partial, reference_pow, reference_primitive, with_vars)
 
 Y0 = TriPoly.variable(0, YVARS)
 Y1 = TriPoly.variable(1, YVARS)
@@ -675,6 +675,13 @@ class TestDiscriminant:
                 simple = [Fraction(1), -(r + s), r * s]
                 assert not discriminant_binary(_scalar_form(YVARS, simple)).is_zero()
 
+    @staticmethod
+    def _sylvester_discriminant(g):
+        """The Sylvester formula, on `resultant`, which keeps the Sylvester matrix."""
+        d = g.degree
+        ref = resultant(g, g.derivative_z()).divexact(g.coeffs[0])
+        return -ref if (d * (d - 1) // 2) % 2 else ref
+
     def test_matches_resultant_over_leading_coefficient(self):
         rng = random.Random(37)
         for d in range(2, 7):
@@ -683,10 +690,19 @@ class TestDiscriminant:
                 while coeffs[0].is_zero():
                     coeffs[0] = random_tripoly(rng, max_deg=1, terms=2)
                 g = BinaryForm(d, tuple(coeffs))
-                ref = resultant(g, g.derivative_z()).divexact(coeffs[0])
-                if (d * (d - 1) // 2) % 2:
-                    ref = -ref
-                assert discriminant_binary(g) == ref
+                assert discriminant_binary(g) == self._sylvester_discriminant(g)
+        # and forms with zero inner coefficients
+        rng = random.Random(43)
+        z = TriPoly.zero(YVARS)
+        for d in range(2, 7):
+            for _ in range(4):
+                coeffs = [random_tripoly(rng, max_deg=2, terms=3) for _ in range(d + 1)]
+                while coeffs[0].is_zero():
+                    coeffs[0] = random_tripoly(rng, max_deg=2, terms=3)
+                for i in rng.sample(range(1, d + 1), rng.randint(1, d)):
+                    coeffs[i] = z
+                g = BinaryForm(d, tuple(coeffs))
+                assert discriminant_binary(g) == self._sylvester_discriminant(g)
 
     def test_matches_sympy(self):
         rng = random.Random(31)
@@ -698,6 +714,41 @@ class TestDiscriminant:
             mine = constant_value(discriminant_binary(_scalar_form(YVARS, coeffs)))
             fz = sum(sp.Rational(c) * z ** (d - i) for i, c in enumerate(coeffs))
             assert sp.Rational(mine.numerator, mine.denominator) == sp.discriminant(fz, z)
+
+    def test_refusals(self):
+        z, one = TriPoly.zero(YVARS), TriPoly.constant(1, YVARS)
+        with pytest.raises(ZeroPolynomialError, match="^discriminant of the zero form$"):
+            discriminant_binary(BinaryForm(2, (z, z, z)))
+        with pytest.raises(ValueError, match="^discriminant needs degree >= 2$"):
+            discriminant_binary(BinaryForm(1, (one, Y1)))
+        with pytest.raises(ZeroPolynomialError, match="^leading coefficient vanishes; "
+                           "discriminant normalization undefined$"):
+            discriminant_binary(BinaryForm(3, (z, Y0, Y1, Y2)))
+
+    def test_restricted_line_forms_match_sylvester(self):
+        # the forms the dual curve eliminates: the fixtures' squarefree parts,
+        # both components of cardioid_circle, and seeded generic n = 2..5
+        ps = [gcd_squarefree(pencil_det(split(fixture_matrix(name))).p)
+              for name in ("cubic_cusp", "cross_star", "nested_ovals", "polytope")]
+        ps += [parse_poly(line, YVARS) for line in
+               (FIXTURES / "cardioid_circle_factors.txt").read_text().splitlines()]
+        rng = random.Random(41)
+        ps += [pencil_det(split(random_gaussian_matrix(n, rng))).p for n in (2, 3, 4, 5)]
+        assert len(ps) == 10
+        for p in ps:
+            g = dualcurve.restricted_line_form(p)
+            D = discriminant_binary(g)
+            assert not D.is_zero()
+            assert D.vars == XVARS and D.total_degree() == 2 * g.degree * (g.degree - 1)
+            assert D == self._sylvester_discriminant(g)
+
+    def test_matches_sympy_on_a_restricted_line_form(self):
+        # coefficients that are polynomials in x0, x1, x2: cubic_cusp's form at w = 1
+        g = dualcurve.restricted_line_form(pencil_det(split(fixture_matrix("cubic_cusp"))).p)
+        xs, z = sp.symbols("x0 x1 x2"), sp.symbols("z")
+        gz = sum(_to_sympy(c, xs) * z ** (g.degree - i) for i, c in enumerate(g.coeffs))
+        ref = sp.discriminant(gz, z)
+        assert sp.expand(_to_sympy(discriminant_binary(g), xs) - ref) == 0
 
 
 class TestGcdSquarefree:

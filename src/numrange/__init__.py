@@ -39,7 +39,6 @@ from .dualcurve import (
     DualCurve,
     dual_curve_exact,
     dual_of_linear,
-    dual_point,
     dual_sample,
     dual_union,
 )

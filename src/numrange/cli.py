@@ -159,9 +159,12 @@ def cmd_dual(args) -> int:
 
 def cmd_sample_w(args) -> int:
     grid = SpectralGrid(split(_load_matrix(args.input)), args.grid)
+    # both texts are built before either is written, so a refused --curve
+    # leaves no hull CSV behind
+    curve = dual_sample_csv(_grid_dual_sample(grid)) if args.curve else None
     _write(hulls_csv(_grid_hulls(grid)), args.out)
-    if args.curve:
-        _write(dual_sample_csv(_grid_dual_sample(grid)), args.curve)
+    if curve is not None:
+        _write(curve, args.curve)
     return OK
 
 

@@ -15,9 +15,7 @@ sf of p, q(grad sf) must vanish modulo sf restricted to a seeded line, in
 F_P[t] for two primes P (`exactpoly._gradient_certificate`), so the check
 holds at any size of the entries.
 The dual samples are the Rayleigh pairs (v*A1v, v*A2v) of the spectral grid's
-ray-root eigenvectors (Kippenhahn 1951) and read no p.  `dual_point` and
-`sample_real_curve_points` evaluate gradients of p on float arrays through
-one chart evaluator.
+ray-root eigenvectors (Kippenhahn 1951) and read no p.
 """
 
 from __future__ import annotations
@@ -42,29 +40,20 @@ from .pencil import CurveSampleSet, PencilCurve, SpectralGrid
 
 __all__ = [
     "DualCurve",
-    "DualPoint",
-    "SingularPointError",
     "DegenerateDualError",
     "ReducibleCurveError",
     "ProductMismatchError",
-    "dual_point",
     "dual_curve_exact",
     "dual_of_linear",
     "dual_union",
     "dual_sample",
     "dual_sample_csv",
     "restricted_line_form",
-    "sample_real_curve_points",
 ]
 
 XVARS = ("x0", "x1", "x2")
 
 EIG_GAP_RTOL = 1e-8
-ON_CURVE_RTOL = 1e-8
-
-
-class SingularPointError(ValueError):
-    """The gradient vanishes: no tangent, the dual map is undefined here."""
 
 
 class DegenerateDualError(ValueError):
@@ -99,13 +88,6 @@ class DualCurve:
         return self.q.total_degree()
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    raw: tuple          # gradient, un-normalized (Fractions when exact)
-    chart: tuple[float, float] | None   # (x1/x0, x2/x0) when |x0| is usable
-    exact: bool
-
-
 def restricted_line_form(p: TriPoly) -> BinaryForm:
     """Binary form g(z,w) = x0^n * p(-(x1 z + x2 w)/x0, z, w).
 
@@ -130,83 +112,6 @@ def _strip_var0_power(f: TriPoly) -> tuple[TriPoly, int]:
     if a == 0:
         return f, 0
     return TriPoly._of(f.vars, f.content, {(e[0] - a, e[1], e[2]): v for e, v in f.ints.items()}), a
-
-
-def sample_real_curve_points(p: TriPoly, count: int):
-    """Up to `count` real points (1.0, y1, y2) of p = 0, found on rays from the origin.
-
-    Each sweep of R = max(64, ceil(count/n)) rays, n the chart degree of p (so
-    that one sweep can give count points), theta = pi*(k + 1/2)/R + 0.013*sweep
-    (at most four sweeps), restricts p to all its rays as one array summed in
-    `sorted_terms` order, takes the roots from one stacked companion
-    eigensolve and polishes them by four array Newton steps.  Real roots (|Im t| <= 1e-9*(1+|t|)) on the curve
-    (|p| <= 1e-9*scale) and not near-singular (max|grad p| > 1e-8*scale) are
-    kept in (angle, root) order.  For huge or tiny entries, sample p as
-    normalized by `pencil._chart_normal`, whose roots stay near 1.
-    """
-    terms = p.sorted_terms()
-    degrees = [b + c for (_, b, c), _ in terms]
-    lo, hi, pts = min(degrees), max(degrees), []
-    n = hi - lo
-    R = max(64, -(-count // n)) if n else 0
-    for sweep in range(4 if n else 0):
-        theta = np.pi * (np.arange(R) + 0.5) / R + 0.013 * sweep
-        d1, d2 = np.cos(theta), np.sin(theta)
-        r = np.zeros((R, hi + 1))
-        for (_, b, c), coef in terms:
-            r[:, b + c] += float(coef) * np.float_power(d1, b) * np.float_power(d2, c)
-        # rays on which p keeps its degree, coefficients highest first and
-        # without the roots t = 0 (p's scale is 0 there)
-        rays = np.flatnonzero(np.abs(r[:, hi]) >= 1e-300)
-        c = r[rays, lo:][:, ::-1]
-        comp = np.zeros((len(rays), n, n))
-        comp[:, 0] = -c[:, 1:] / c[:, :1]
-        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        roots = np.linalg.eigvals(comp)
-        row, col = np.nonzero(np.abs(roots.imag) <= 1e-9 * (1 + np.abs(roots)))
-        t, c, rays = roots.real[row, col], c[row], rays[row]
-        for _ in range(4):
-            val, dval = c[:, 0], 0.0
-            for j in range(1, n + 1):
-                val, dval = val * t + c[:, j], dval * t + val
-            t = t - np.divide(val, dval, out=np.zeros_like(t), where=dval != 0.0)
-        y1, y2 = t * d1[rays], t * d2[rays]
-        val, scale = _eval_chart(p, y1, y2)
-        on = np.flatnonzero((scale != 0.0) & (np.abs(val) <= 1e-9 * scale))
-        _, gnorm, gscale, _ = _gradient_images(p, y1[on], y2[on])
-        keep = on[gnorm > 1e-8 * gscale]
-        pts += zip([1.0] * len(keep), y1[keep].tolist(), y2[keep].tolist())
-        if len(pts) >= count:
-            break
-    return pts[:count]
-
-
-def dual_point(p: TriPoly, y) -> DualPoint:
-    """Gradient image x = grad p(y) of a smooth point y on p = 0."""
-    exact = all(isinstance(v, (int, Fraction)) for v in y)
-    if exact:
-        y = tuple(Fraction(v) for v in y)
-        val = p.eval(y)
-        if val != 0:
-            fval, scale = p.eval_with_scale(tuple(float(v) for v in y))
-            if scale == 0.0 or abs(fval) > ON_CURVE_RTOL * scale:
-                raise ValueError(f"point is not on the curve: p(y) = {val}")
-        grad = tuple(p.partial(i).eval(y) for i in range(3))
-        if not any(grad):
-            raise SingularPointError(f"zero gradient at {y}; singular point of the curve")
-        x = np.array([float(g) for g in grad])
-    else:
-        yf = tuple(float(v) for v in y)
-        val, scale = p.eval_with_scale(yf)
-        if scale == 0.0 or abs(val) > ON_CURVE_RTOL * scale:
-            raise ValueError(f"point is not on the curve (relative residual {abs(val)/max(scale,1e-300):.2e})")
-        x, _, _, singular = _gradient_images(p, yf[1], yf[2], yf[0])
-        if singular:
-            raise SingularPointError(f"zero gradient at {y}; singular point of the curve")
-        grad = tuple(x.tolist())
-    chart = abs(x[0]) > 1e-12 * np.abs(x).max()
-    return DualPoint(raw=grad, chart=tuple((x[1:] / x[0]).tolist()) if chart else None,
-                     exact=exact)
 
 
 def dual_curve_exact(p: TriPoly) -> DualCurve:
@@ -345,39 +250,6 @@ def _grid_dual_sample(grid: SpectralGrid) -> CurveSampleSet:
               for f in grid.pencil.float_parts())
     return CurveSampleSet.of_columns("x0=1", grid.thetas[k], x1, x2, ~singular,
                                      root_index=idx, singular=singular)
-
-
-def _gradient_images(f: TriPoly, y1, y2, y0=1.0):
-    """(x, gnorm, gscale, singular): gradient images x = grad f(y0, y1, y2) over
-    float arrays, max |x_i|, the largest monomial magnitude of the partials,
-    and where gnorm <= 1e-10*gscale."""
-    powers = _powers((y0, y1, y2), f)
-    x, scales = zip(*(_eval_chart(f.partial(i), y1, y2, y0, powers) for i in range(3)))
-    x = np.array(x)
-    gnorm, gscale = np.abs(x).max(axis=0), np.maximum.reduce(scales)
-    return x, gnorm, gscale, (gscale == 0.0) | (gnorm <= 1e-10 * gscale)
-
-
-def _powers(y, f: TriPoly) -> list[list]:
-    """Power tables: powers[i][e] = np.float_power(y[i], e) for every exponent
-    e of variable i in f; its partials need no higher power."""
-    return [[np.float_power(v, e) for e in range(f.degree_in(i) + 1)]
-            for i, v in enumerate(y)]
-
-
-def _eval_chart(f: TriPoly, y1, y2, y0=1.0, powers=None):
-    """`f.eval_with_scale((y0, y1, y2))` over float arrays, bitwise: the terms are
-    multiplied and added in its order, `sorted_terms`, and `np.float_power`,
-    unlike `np.power`, rounds as the scalar `**` does.  `powers` are the
-    `_powers` tables of the point, shared by the polynomials evaluated there."""
-    p0, p1, p2 = _powers((y0, y1, y2), f) if powers is None else powers
-    total = np.zeros_like(y1)
-    scale = np.zeros_like(y1)
-    for (a, b, c), coef in f.sorted_terms():
-        v = float(coef) * p0[a] * p1[b] * p2[c]
-        total = total + v
-        scale = np.maximum(scale, np.abs(v))
-    return total, scale
 
 
 def dual_sample_csv(samples: CurveSampleSet) -> str:

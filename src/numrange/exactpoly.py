@@ -427,23 +427,6 @@ class TriPoly:
             return Fraction(0) if exact else 0.0
         return total
 
-    def eval_with_scale(self, point) -> tuple[float, float]:
-        """(value, largest monomial magnitude) at a float point.
-
-        The scale anchors relative vanishing tests: |f(x)| / scale is the
-        meaningful residual for points produced by numeric sampling.  Terms
-        are summed in `sorted_terms` order, so equal polynomials give equal
-        floats however they were built.
-        """
-        p0, p1, p2 = (float(x) for x in point)
-        total = 0.0
-        scale = 0.0
-        for (a, b, c), coef in self.sorted_terms():
-            v = float(coef) * (p0 ** a) * (p1 ** b) * (p2 ** c)
-            total += v
-            scale = max(scale, abs(v))
-        return total, scale
-
     # -- exact division / normalization ---------------------------------------
 
     def divexact(self, other: "TriPoly") -> "TriPoly":
@@ -679,13 +662,6 @@ class BinaryForm:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
-
-    def derivative_z(self) -> "BinaryForm":
-        """Partial derivative with respect to the leading variable z."""
-        if self.degree == 0:
-            return BinaryForm(0, (TriPoly.zero(self.vars),))
-        d = self.degree
-        return BinaryForm(d - 1, tuple((d - i) * self.coeffs[i] for i in range(d)))
 
 
 def _sylvester(f: BinaryForm, g: BinaryForm) -> list[list[TriPoly]]:

@@ -42,7 +42,7 @@ def cardioid_circle_dual_residual(x1: float, x2: float) -> float:
     duals of cardioid_circle's two components, the cardioid and the circle."""
     qs = [golden_poly(f"cardioid_circle_dual_{part}.txt", ("x0", "x1", "x2"))
           for part in ("cardioid", "circle")]
-    return min(abs(v) / s for v, s in (q.eval_with_scale((1.0, x1, x2)) for q in qs))
+    return min(abs(v) / s for v, s in (eval_with_scale(q, (1.0, x1, x2)) for q in qs))
 
 
 def random_gaussian_matrix(n: int, rng: random.Random,
@@ -144,6 +144,23 @@ def constant_value(f: TriPoly) -> Fraction:
     if not f.is_constant():
         raise ValueError("not a constant polynomial")
     return f.terms.get((0, 0, 0), Fraction(0))
+
+
+def eval_with_scale(f: TriPoly, point) -> tuple[float, float]:
+    """(value, largest monomial magnitude) of f at a float point.
+
+    |f(x)| / scale is the relative residual of a numeric sample.  Terms are
+    summed in `sorted_terms` order, so equal polynomials give equal floats
+    however they were built.
+    """
+    p0, p1, p2 = (float(x) for x in point)
+    total = 0.0
+    scale = 0.0
+    for (a, b, c), coef in f.sorted_terms():
+        v = float(coef) * (p0 ** a) * (p1 ** b) * (p2 ** c)
+        total += v
+        scale = max(scale, abs(v))
+    return total, scale
 
 
 def with_vars(f: TriPoly, vars) -> TriPoly:

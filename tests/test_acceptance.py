@@ -13,12 +13,7 @@ import numpy as np
 
 from numrange.cli import main as cli_main
 from numrange.craig import craig_identity, product_zero
-from numrange.dualcurve import (
-    XVARS,
-    dual_curve_exact,
-    dual_union,
-    sample_real_curve_points,
-)
+from numrange.dualcurve import XVARS, dual_curve_exact, dual_sample, dual_union
 from numrange.exactpoly import TriPoly, parse_poly
 from numrange.hermitian import split
 from numrange.pencil import YVARS, hyperbolicity_check, lmi_polytope_vertices, pencil_det
@@ -26,6 +21,7 @@ from numrange.rangegeom import duality_check, polytope_detect, range_hulls
 
 from conftest import (
     FIXTURES,
+    eval_with_scale,
     fixture_matrix,
     generic_hermitian_pair,
     golden_poly,
@@ -35,6 +31,31 @@ from conftest import (
 )
 
 F = Fraction
+CONIC = parse_poly("4*y0^2 - y1^2 - y2^2", YVARS)  # cardioid_circle's circle
+
+
+def grid_dual_residuals(curve, q, N=120):
+    """(count, worst |q| / scale) over the non-singular dual samples of the
+    curve's N-angle grid."""
+    samples = dual_sample(curve, N)
+    keep = ~samples.singular
+    worst = 0.0
+    for x1, x2 in zip(samples.x[keep].tolist(), samples.y[keep].tolist()):
+        val, scale = eval_with_scale(q, (1.0, x1, x2))
+        worst = max(worst, abs(val) / scale)
+    return int(keep.sum()), worst
+
+
+def conic_gradient_images():
+    """grad CONIC at 200 rational points (1 + s^2, 2(1 - s^2), 4s) of the conic,
+    s = k/7 for k = -100..99."""
+    images = []
+    for k in range(-100, 100):
+        s = F(k, 7)
+        y = (1 + s * s, 2 * (1 - s * s), 4 * s)
+        assert CONIC.eval(y) == 0
+        images.append(tuple(CONIC.partial(i).eval(y) for i in range(3)))
+    return images
 
 
 def criterion(label):
@@ -112,23 +133,21 @@ def test_cross_star_degree12():
 def test_cardioid_circle_union():
     curve = pencil_det(split(fixture_matrix("cardioid_circle")))
     cubic = parse_poly("4*y0^3 - 3*y0*y1^2 - 3*y0*y2^2 + y1^3 + y1*y2^2", YVARS)
-    conic = parse_poly("4*y0^2 - y1^2 - y2^2", YVARS)
     # exact division: p = (1/256) * cubic * conic^3
-    rest = curve.p.divexact(cubic).divexact(conic).divexact(conic).divexact(conic)
+    rest = curve.p.divexact(cubic).divexact(CONIC).divexact(CONIC).divexact(CONIC)
     assert rest == TriPoly.constant(F(1, 256), YVARS)
-    comps = dual_union(curve.p, [cubic, conic])
+    comps = dual_union(curve.p, [cubic, CONIC])
     assert len(comps) == 2
     circle = parse_poly("x0^2 - 4*x1^2 - 4*x2^2", XVARS)
     assert comps[1].q == circle.primitive()
-    # the quartic dual of the cubic, validated by gradient-image vanishing
+    # the conic enters p cubed, so the grid flags every circle sample singular:
+    # the circle vanishes exactly on the conic's gradient images instead
+    assert all(comps[1].q.eval(x) == 0 for x in conic_gradient_images())
+    # the quartic dual of the cubic vanishes on every non-singular dual sample
     cardioid = comps[0].q
     assert cardioid.total_degree() == 4
-    worst = 0.0
-    for y in sample_real_curve_points(cubic, 200):
-        x = tuple(cubic.partial(i).eval_with_scale(y)[0] for i in range(3))
-        val, scale = cardioid.eval_with_scale(x)
-        worst = max(worst, abs(val) / scale)
-    assert worst <= 1e-6
+    count, worst = grid_dual_residuals(curve, cardioid)
+    assert count >= 200 and worst <= 1e-6
     assert cardioid == golden_poly("cardioid_circle_dual_cardioid.txt", XVARS)
 
 
@@ -188,23 +207,20 @@ def test_duality_suite():
 
 @criterion("08 dual-vanishing-200")
 def test_dual_vanishing():
+    # q vanishes on the non-singular dual samples of each fixture's grid: the
+    # Rayleigh pairs of the ray-root eigenvectors, which read no p
     cases = []
     for name in ("cubic_cusp", "nested_ovals", "cross_star", "disk"):
-        p = pencil_det(split(fixture_matrix(name))).p
-        cases.append((p, dual_curve_exact(p).q))
-    cubic = parse_poly("4*y0^3 - 3*y0*y1^2 - 3*y0*y2^2 + y1^3 + y1*y2^2", YVARS)
-    conic = parse_poly("4*y0^2 - y1^2 - y2^2", YVARS)
-    cases.append((cubic, golden_poly("cardioid_circle_dual_cardioid.txt", XVARS)))
-    cases.append((conic, golden_poly("cardioid_circle_dual_circle.txt", XVARS)))
-    for p, q in cases:
-        pts = sample_real_curve_points(p, 200)
-        assert len(pts) >= 200
-        worst = 0.0
-        for y in pts:
-            x = tuple(p.partial(i).eval_with_scale(y)[0] for i in range(3))
-            val, scale = q.eval_with_scale(x)
-            worst = max(worst, abs(val) / scale)
-        assert worst <= 1e-6, (q.to_text()[:40], worst)
+        curve = pencil_det(split(fixture_matrix(name)))
+        cases.append((curve, dual_curve_exact(curve.p).q))
+    cases.append((pencil_det(split(fixture_matrix("cardioid_circle"))),
+                  golden_poly("cardioid_circle_dual_cardioid.txt", XVARS)))
+    for curve, q in cases:
+        count, worst = grid_dual_residuals(curve, q)
+        assert count >= 200 and worst <= 1e-6, (q.to_text()[:40], count, worst)
+    # every circle sample is singular (the conic enters p cubed): exactly instead
+    circle = golden_poly("cardioid_circle_dual_circle.txt", XVARS)
+    assert all(circle.eval(x) == 0 for x in conic_gradient_images())
 
 
 @criterion("09 disk-oracle")

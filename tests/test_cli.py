@@ -176,6 +176,16 @@ class TestSampleCommands:
                    "--out", str(tmp_path / "w.csv"), "--curve", str(tmp_path / "q.csv")) == 2
         assert "need at least 8 rays" in capsys.readouterr().err
 
+    def test_refused_curve_writes_no_hulls(self, tmp_path, capsys):
+        hulls, curve = tmp_path / "w.csv", tmp_path / "c.csv"
+        assert run("sample-w", "--input", fx("disk.json"), "--grid", "5",
+                   "--curve", str(curve), "--out", str(hulls)) == 2
+        assert not hulls.exists() and not curve.exists()
+        assert "need at least 8 rays" in capsys.readouterr().err
+        assert run("sample-w", "--input", fx("disk.json"), "--grid", "5",
+                   "--curve", str(curve)) == 2
+        assert capsys.readouterr().out == "" and not curve.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

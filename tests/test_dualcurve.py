@@ -12,14 +12,11 @@ from numrange.dualcurve import (
     DegenerateDualError,
     ProductMismatchError,
     ReducibleCurveError,
-    SingularPointError,
     dual_curve_exact,
     dual_of_linear,
-    dual_point,
     dual_sample,
     dual_sample_csv,
     dual_union,
-    sample_real_curve_points,
     _grid_dual_sample,
 )
 from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
@@ -34,8 +31,8 @@ from numrange.pencil import (
 )
 
 import numrange.dualcurve as dualcurve
-from conftest import (cardioid_circle_dual_residual, fixture_matrix, golden_poly,
-                      mixed_magnitude_matrix, random_gaussian_matrix, with_vars)
+from conftest import (cardioid_circle_dual_residual, eval_with_scale, fixture_matrix,
+                      golden_poly, mixed_magnitude_matrix, random_gaussian_matrix)
 
 F = Fraction
 VANISH_RTOL = 1e-6  # |q| at a float dual sample, relative to its largest monomial
@@ -50,39 +47,37 @@ def cubic_p():
     return pencil_det(split(fixture_matrix("cubic_cusp"))).p
 
 
+def gradient(p: TriPoly, y) -> tuple:
+    """grad p(y), exact at a rational point."""
+    return tuple(p.partial(i).eval(y) for i in range(3))
+
+
 class TestDualPoint:
+    """The dual point of a curve point y is grad p(y), exactly."""
+
     def test_conic_gradient(self):
-        dp = dual_point(DISK_CONIC, (F(1), F(2), F(0)))
-        assert dp.exact
-        assert dp.raw == (F(2), F(-1), F(0))
-        assert np.allclose(dp.chart, (-0.5, 0.0))
+        y = (F(1), F(2), F(0))
+        assert DISK_CONIC.eval(y) == 0
+        x = gradient(DISK_CONIC, y)
+        assert x == (F(2), F(-1), F(0))
+        assert (x[1] / x[0], x[2] / x[0]) == (F(-1, 2), 0)
 
     def test_linear_constant_gradient(self):
         l = Y0 + 5 * Y1
-        dp = dual_point(l, (F(1), F(-1, 5), F(7)))
-        assert dp.raw == (F(1), F(5), F(0))
+        assert gradient(l, (F(1), F(-1, 5), F(7))) == (F(1), F(5), F(0))
 
     def test_cubic_point_lands_on_dual(self):
         p = cubic_p()
         q = golden_poly("cubic_cusp_q.txt", XVARS)
-        dp = dual_point(p, (F(1), F(1), F(0)))
-        assert q.eval(dp.raw) == 0  # exact root membership
+        y = (F(1), F(1), F(0))
+        assert p.eval(y) == 0
+        assert q.eval(gradient(p, y)) == 0  # exact root membership
 
     def test_singular_point_reported(self):
-        with pytest.raises(SingularPointError):
-            dual_point(cubic_p(), (F(1), F(-1), F(0)))
-
-    def test_off_curve_rejected(self):
-        with pytest.raises(ValueError):
-            dual_point(cubic_p(), (F(1), F(2), F(3)))
-
-    def test_float_points(self):
-        p = DISK_CONIC
-        th = 0.7
-        y = (1.0, 2 * math.cos(th), 2 * math.sin(th))
-        dp = dual_point(p, y)
-        assert not dp.exact
-        assert abs(math.hypot(*dp.chart) - 0.5) < 1e-12
+        # the node of the cubic: no tangent, the gradient vanishes
+        p, y = cubic_p(), (F(1), F(-1), F(0))
+        assert p.eval(y) == 0
+        assert gradient(p, y) == (0, 0, 0)
 
 
 class TestDualCurveExact:
@@ -183,7 +178,7 @@ class TestDualCurveExact:
         for s in dual_sample(curve, 64).samples:
             if s.singular or s.point is None:
                 continue
-            val, scale = dc.q.eval_with_scale((1.0, *s.point))
+            val, scale = eval_with_scale(dc.q, (1.0, *s.point))
             assert abs(val) <= VANISH_RTOL * scale
             checked += 1
         assert checked >= 64
@@ -215,7 +210,6 @@ class TestDualCurveExact:
         for A in mats:
             p = pencil_det(split(A)).p
             flipped = TriPoly(YVARS, dict(reversed(p.terms.items())))
-            assert sample_real_curve_points(flipped, 200) == sample_real_curve_points(p, 200)
             assert dual_curve_exact(flipped) == dual_curve_exact(p)
 
     def test_audit_trail(self):
@@ -319,7 +313,7 @@ class TestCertificate:
 
 class TestStoreWork:
     """The exact dual runs on the integer stores: no stage builds a Fraction
-    view, and `sample_real_curve_points` samples a cubic in one sweep of rays."""
+    view."""
 
     @pytest.mark.parametrize("name", ["cubic_cusp", "cross_star", "disk", "nested_ovals"])
     def test_no_fraction_view_inside_dual_curve_exact(self, monkeypatch, name):
@@ -334,15 +328,6 @@ class TestStoreWork:
         dc = dual_curve_exact(p)
         assert views == []
         assert dc.q == golden_poly(f"{name}_q.txt", XVARS)
-
-    def test_one_sweep_for_a_cubic(self, monkeypatch):
-        # 200 points of a generic cubic: 67 rays of 3 roots each, where 64
-        # rays (192 points) once took a second sweep
-        p = pencil_det(split(random_gaussian_matrix(3, random.Random(5)))).p
-        calls, real = [], np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or real(a))
-        assert len(sample_real_curve_points(p, 200)) == 200
-        assert calls == [(67, 3, 3)]
 
 
 class TestDualOfLinear:
@@ -417,7 +402,7 @@ class TestDualSample:
         for s in samples.samples:
             if s.singular or s.point is None:
                 continue
-            val, scale = q.eval_with_scale((1.0, *s.point))
+            val, scale = eval_with_scale(q, (1.0, *s.point))
             assert abs(val) <= 1e-6 * scale
             checked += 1
         assert checked >= 100
@@ -431,7 +416,7 @@ class TestDualSample:
         for s in samples.samples:
             if s.singular or s.point is None:
                 continue
-            val, scale = q.eval_with_scale((1.0, *s.point))
+            val, scale = eval_with_scale(q, (1.0, *s.point))
             assert abs(val) <= 1e-6 * scale
 
     def test_deterministic_ordering(self):
@@ -502,16 +487,18 @@ class TestDualSample:
 
 class TestBiduality:
     def test_cubic_roundtrip(self):
-        p = cubic_p()
+        # the dual of the dual is the curve: at each non-singular Rayleigh pair
+        # x, grad q(x) is parallel to the ray root y = (1, t*cos_k, t*sin_k)
+        # whose eigenvector gave x
         q = golden_poly("cubic_cusp_q.txt", XVARS)
-        pts = sample_real_curve_points(with_vars(q, YVARS), 60)
+        grid = SpectralGrid(split(fixture_matrix("cubic_cusp")), 60)
+        k, _, t = grid.line_roots()
+        samples = _grid_dual_sample(grid)
         back = 0
-        for x in pts:
-            try:
-                dp = dual_point(with_vars(q, YVARS), x)
-            except SingularPointError:
-                continue
-            val, scale = p.eval_with_scale(dp.raw)
-            assert abs(val) <= 1e-6 * scale
+        for j in np.flatnonzero(~samples.singular).tolist():
+            x = (1.0, samples.x[j], samples.y[j])
+            g = np.array([eval_with_scale(q.partial(i), x)[0] for i in range(3)])
+            y = np.array([1.0, t[j] * grid.cos[k[j]], t[j] * grid.sin[k[j]]])
+            assert np.linalg.norm(np.cross(g, y)) <= 1e-6 * np.linalg.norm(g) * np.linalg.norm(y)
             back += 1
-        assert back >= 30
+        assert back >= 170

@@ -34,10 +34,11 @@ from numrange.exactpoly import (
 from numrange.hermitian import GaussianRationalMatrix, _cleared_parts, charpoly, split
 from numrange.pencil import _sturm, pencil_det
 
-from conftest import (FIXTURES, XVARS, YVARS, constant_value, divides, fixture_matrix,
-                      random_gaussian_matrix, random_term_dicts, random_tripoly, reference_add,
-                      reference_content, reference_divexact, reference_mul, reference_neg,
-                      reference_partial, reference_pow, reference_primitive, with_vars)
+from conftest import (FIXTURES, XVARS, YVARS, constant_value, divides, eval_with_scale,
+                      fixture_matrix, random_gaussian_matrix, random_term_dicts, random_tripoly,
+                      reference_add, reference_content, reference_divexact, reference_mul,
+                      reference_neg, reference_partial, reference_pow, reference_primitive,
+                      with_vars)
 
 Y0 = TriPoly.variable(0, YVARS)
 Y1 = TriPoly.variable(1, YVARS)
@@ -169,7 +170,7 @@ class TestEval:
         assert CUBIC.eval((Fraction(1), Fraction(0), Fraction(0))) == 1
 
     def test_eval_with_scale(self):
-        val, scale = CUBIC.eval_with_scale((1.0, 1.0, 0.0))
+        val, scale = eval_with_scale(CUBIC, (1.0, 1.0, 0.0))
         assert abs(val) <= 1e-12 * scale
 
     def test_eval_with_scale_ignores_construction_order(self):
@@ -181,7 +182,7 @@ class TestEval:
             g = TriPoly(YVARS, dict(items))
             assert f == g and g.sorted_terms() == f.sorted_terms()
             pt = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
-            assert g.eval_with_scale(pt) == f.eval_with_scale(pt)
+            assert eval_with_scale(g, pt) == eval_with_scale(f, pt)
 
 
 class TestDeterminant:
@@ -679,7 +680,8 @@ class TestDiscriminant:
     def _sylvester_discriminant(g):
         """The Sylvester formula, on `resultant`, which keeps the Sylvester matrix."""
         d = g.degree
-        ref = resultant(g, g.derivative_z()).divexact(g.coeffs[0])
+        g_z = BinaryForm(d - 1, tuple((d - i) * g.coeffs[i] for i in range(d)))
+        ref = resultant(g, g_z).divexact(g.coeffs[0])
         return -ref if (d * (d - 1) // 2) % 2 else ref
 
     def test_matches_resultant_over_leading_coefficient(self):

@@ -34,6 +34,7 @@ from numrange.pencil import (
 )
 
 from conftest import (
+    eval_with_scale,
     finite_points,
     fixture_matrix,
     golden_poly,
@@ -118,7 +119,7 @@ class TestPencilDet:
             for _ in range(8):
                 y1, y2 = rng.uniform(-1, 1), rng.uniform(-1, 1)
                 det = float(np.linalg.det(np.eye(n) + y1 * f1 + y2 * f2).real)
-                val, scale = p.eval_with_scale((1.0, y1, y2))
+                val, scale = eval_with_scale(p, (1.0, y1, y2))
                 assert abs(val - det) <= 1e-9 * max(scale, abs(det))
 
     def test_non_hermitian_part_is_refused(self):
@@ -159,7 +160,7 @@ class TestPencilDet:
                 y1, y2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
                 Fm = np.eye(pencil.n) + y1 * f1 + y2 * f2
                 prod = float(np.prod(np.linalg.eigvalsh(Fm)))
-                val, scale = curve.p.eval_with_scale((1.0, y1, y2))
+                val, scale = eval_with_scale(curve.p, (1.0, y1, y2))
                 assert abs(val - prod) <= 1e-8 * max(scale, abs(prod), 1e-12)
 
 
@@ -183,7 +184,7 @@ class TestRayExit:
         exit_ = ray_exit(pencil, (1.0, 0.0))
         assert exit_.bounded and abs(exit_.t_exit - 1.0) < 1e-12
         assert np.allclose(exit_.point, (1.0, 0.0))
-        val, scale = curve.p.eval_with_scale((1.0, *exit_.point))
+        val, scale = eval_with_scale(curve.p, (1.0, *exit_.point))
         assert abs(val) <= 1e-8 * scale
 
     def test_identity_unbounded_north(self):
@@ -233,7 +234,7 @@ class TestBoundary:
         samples = boundary_F(pencil, 720)
         assert not samples.all_unbounded
         for pt in finite_points(samples):
-            val, scale = curve.p.eval_with_scale((1.0, *pt))
+            val, scale = eval_with_scale(curve.p, (1.0, *pt))
             assert abs(val) <= 1e-7 * scale
 
     def test_polygon_convex(self):

@@ -43,6 +43,7 @@ from numrange.rangegeom import (
 
 from conftest import (
     cardioid_circle_dual_residual,
+    eval_with_scale,
     fixture_matrix,
     planted_product_zero_pair,
     point_to_polygon_distance,
@@ -238,7 +239,7 @@ class TestDuality:
             for th in np.linspace(0, 2 * math.pi, 40, endpoint=False):
                 s = support(A, th)
                 y = (-s.h, math.cos(th), math.sin(th))
-                val, scale = curve.p.eval_with_scale(y)
+                val, scale = eval_with_scale(curve.p, y)
                 assert abs(val) <= 1e-6 * scale
 
     def test_dual_sample_cloud_matches_outer_hull(self):
@@ -540,7 +541,7 @@ def _dual_sample_reference(curve, N):
                                 grid.eigvals):
         for idx in np.flatnonzero(_root_eigs(eigs, grid.scale)).tolist():
             t = -1.0 / float(eigs[idx])
-            pairs = [g.eval_with_scale((1.0, t * d1, t * d2)) for g in grads]
+            pairs = [eval_with_scale(g, (1.0, t * d1, t * d2)) for g in grads]
             x = tuple(v for v, _ in pairs)
             gscale = max(s for _, s in pairs)
             gnorm = max(abs(v) for v in x)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 check failure (duality violation, non-real line
 roots, craig disagreement), 2 input error (unparseable files, bad flags,
-missing viewport for an unbounded set).
+missing viewport for an unbounded set) or an eigensolver that did not converge.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import functools
 import json
 import math
 import sys
+
+import numpy as np
 
 from .craig import CraigDisagreementError, craig_verdict, verdict_line
 from .dualcurve import (
@@ -312,6 +314,9 @@ def main(argv=None) -> int:
         if getattr(args, "grid", 3) < 3:
             raise InputError(f"grid must be at least 3 (got {args.grid})")
         return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except np.linalg.LinAlgError:   # a ValueError too, but not the input's fault
+        print("error: the eigensolver did not converge on this input", file=sys.stderr)
+        return INPUT_ERROR
     except (InputError, PolyParseError, MatrixFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

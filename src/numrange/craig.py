@@ -8,7 +8,10 @@ The axis-aligned rectangle over the two spectra is the bounding box of
 W(A1 + i A2) for every pair: W projects onto the axes as W(A1) and W(A2).
 When the criterion holds, A = A1 + i A2 is normal and W(A) is the convex hull
 of its eigenvalues, which lie on the two axes: for A = diag(1, i), W(A) is the
-segment from 1 to i inside the unit box.
+segment from 1 to i inside the unit box.  The verdict cross-checks the rectangle
+against W's support function on a fan of angles.  On an even fan only the angles
+below pi are solved; H(theta + pi) = -H(theta) gives the rest, lambda_max there
+being -lambda_min at theta (Kippenhahn 1951).
 """
 
 from __future__ import annotations
@@ -87,8 +90,11 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     Both predicates read one integer clearing of the pair.  When the criterion holds
     the rectangle spans the spectra of A1 and A2, checked to within rect_tol*s (s the
     pair's `_entry_scale`) against the box of the points where neighbouring supporting
-    lines x . u_k = lambda_max(cos_k*A1 + sin_k*A2) meet, theta_k = 2*pi*k/N (one
-    eigvalsh; `_outer_vertices`).
+    lines x . u_k = lambda_max(cos_k*A1 + sin_k*A2) meet, theta_k = 2*pi*k/N
+    (`_outer_vertices`).  One eigvalsh solves the fan, in real arithmetic when A1 and
+    A2 are real.  On an even N it solves only theta_k < pi and reads the support value
+    at theta_k + pi, along -u_k, as -lambda_min(cos_k*A1 + sin_k*A2); an odd N solves
+    every angle.
     """
     if not 0.0 < rect_tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite (got {rect_tol})")
@@ -108,9 +114,15 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     lo1, hi1 = float(w1[0]), float(w1[-1])
     lo2, hi2 = float(w2[0]), float(w2[-1])
     rect = ((lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2))
-    thetas = np.arange(N) * (2.0 * np.pi) / N
+    if not (f1.imag.any() or f2.imag.any()):
+        f1, f2 = f1.real, f2.real     # a real pair takes the real symmetric solver
+    rows = N if N % 2 else N // 2     # an odd fan has no antipodal angles
+    thetas = np.arange(rows) * (2.0 * np.pi) / N
     cos, sin = np.cos(thetas), np.sin(thetas)
-    h = np.linalg.eigvalsh(cos[:, None, None] * f1 + sin[:, None, None] * f2)[:, -1]
+    w = np.linalg.eigvalsh(cos[:, None, None] * f1 + sin[:, None, None] * f2)
+    h = w[:, -1]
+    if rows < N:   # H(theta + pi) = -H(theta): lambda_max there is -lambda_min here
+        cos, sin, h = np.r_[cos, -cos], np.r_[sin, -sin], np.r_[h, -w[:, 0]]
     V = _outer_vertices(cos, sin, h)
     worst = float(np.abs(np.r_[V.min(axis=0) - (lo1, lo2), V.max(axis=0) - (hi1, hi2)]).max())
     if worst > rect_tol * _entry_scale(f1, f2):

@@ -413,6 +413,17 @@ class TestInputErrors:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {factors}:2: {message}"), err
 
+    def test_solver_failure_is_refused_in_own_words(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError subclasses ValueError; its text is not shown as an input error
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        out = tmp_path / "w.csv"
+        assert run("sample-w", "--input", fx("disk.json"), "--grid", "16", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: the eigensolver did not converge on this input\n"
+        assert not out.exists()
+
     def test_bad_flag_values(self):
         assert run("duality", "--input", fx("disk.json"), "--tol", "-1") == 2
         assert run("sample-f", "--input", fx("disk.json"), "--grid", "2") == 2

@@ -19,7 +19,7 @@ from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermi
 from numrange.pencil import pencil_det
 from numrange.rangegeom import member_W, polytope_detect
 
-from conftest import generic_hermitian_pair, planted_product_zero_pair
+from conftest import generic_hermitian_pair, planted_product_zero_pair, reference_craig_outcome
 
 
 F = Fraction
@@ -161,8 +161,9 @@ class TestVerdict:
         assert built == [] and checks == [A1, A2]
 
     def test_planted_verdict_solves_no_eigenvectors_and_no_hull(self, monkeypatch):
-        # the cross-check reads lambda_max on the fan from eigvalsh and the box
-        # of the half-plane vertices; p and its Fractions are never built
+        # the cross-check reads lambda_max on half the fan and -lambda_min on its
+        # reflection from one eigvalsh, and the box of the half-plane vertices;
+        # p and its Fractions are never built
         A1, A2 = planted_product_zero_pair(5, random.Random(503))
 
         def forbidden(*args, **kwargs):
@@ -190,6 +191,93 @@ class TestVerdict:
         assert v.identity_holds and v.product_zero
         w1 = np.linalg.eigvalsh(A1.to_complex())
         assert abs(v.rectangle[0][0] - w1[0]) < 1e-12
+
+
+def _unit_twist(A1, A2, rng):
+    """(U A1 U*, U A2 U*) for a diagonal U of Gaussian rationals of modulus 1: a
+    complex Hermitian pair with the spectra and the product zero-ness of (A1, A2)."""
+    units = (GaussianRational(F(3, 5), F(4, 5)), GaussianRational(F(5, 13), F(-12, 13)),
+             GaussianRational(F(0), F(1)), GaussianRational.ONE)
+    U = GaussianRationalMatrix.diagonal([rng.choice(units) for _ in range(A1.n)])
+    Ut = U.conj_transpose()
+    return U @ A1 @ Ut, U @ A2 @ Ut
+
+
+def _spy_eigvalsh(monkeypatch, edit=None):
+    """Record each array that np.linalg.eigvalsh solves; `edit` may change the
+    eigenvalues of a batched solve before they are returned."""
+    solved, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a):
+        solved.append(a)
+        w = eigvalsh(a)
+        if edit is not None and a.ndim == 3:
+            edit(w)
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return solved
+
+
+class TestHalfFan:
+    # H(theta + pi) = -H(theta): an even fan solves its angles below pi and
+    # reads lambda_max at theta + pi as -lambda_min at theta
+
+    @pytest.mark.parametrize("N, rows", [(16, 8), (720, 360), (45, 45), (721, 721)])
+    def test_even_fan_solves_half_its_angles_and_odd_fan_all(self, monkeypatch, N, rows):
+        A1, A2 = planted_product_zero_pair(5, random.Random(503))
+        solved = _spy_eigvalsh(monkeypatch)
+        assert craig_verdict(A1, A2, N=N).identity_holds
+        fans = [a for a in solved if a.ndim == 3]
+        assert [(a.shape, a.dtype) for a in fans] == [((rows, 5, 5), np.float64)]
+        # the printed rectangle still comes from the complex parts
+        assert [a.dtype for a in solved if a.ndim == 2] == [np.complex128] * 2
+
+    def test_complex_pair_solves_in_complex_arithmetic(self, monkeypatch):
+        i = GaussianRational(F(0), F(1))
+        z, one = GaussianRational.ZERO, GaussianRational.ONE
+        A1 = diag(1, 0, 0)
+        A2 = GaussianRationalMatrix([[z, z, z], [z, one, i], [z, -i, one]])
+        solved = _spy_eigvalsh(monkeypatch)
+        v = craig_verdict(A1, A2, N=16)
+        assert verdict_line(v) == "identity=true product_zero=true rectangle=0,1,0,2"
+        assert [(a.shape, a.dtype) for a in solved if a.ndim == 3] == [((8, 3, 3), np.complex128)]
+
+    @staticmethod
+    def _lower_first_min(w):
+        w[0, 0] -= 1.0
+
+    @pytest.mark.parametrize("N", [16, 720])
+    def test_reflected_support_value_is_checked(self, monkeypatch, N):
+        # lowering lambda_min of the row at theta = 0 moves only the support
+        # value along -u_0 (theta = pi), which the rectangle's left edge must meet
+        A1, A2 = planted_product_zero_pair(5, random.Random(503))
+        assert craig_verdict(A1, A2, N=N).identity_holds
+        _spy_eigvalsh(monkeypatch, self._lower_first_min)
+        with pytest.raises(CraigDisagreementError, match="rectangle disagrees"):
+            craig_verdict(A1, A2, N=N)
+
+    @pytest.mark.parametrize("N", [45, 721])
+    def test_odd_fan_reads_no_lambda_min(self, monkeypatch, N):
+        # no angle of an odd fan has its antipode on the fan
+        A1, A2 = planted_product_zero_pair(5, random.Random(503))
+        _spy_eigvalsh(monkeypatch, self._lower_first_min)
+        assert craig_verdict(A1, A2, N=N).identity_holds
+
+    def test_outcomes_match_the_full_fan_reference(self):
+        # the verdict line, or the disagreement message (N = 3, 45, 90 and 721
+        # fail the check on some planted pairs), of planted real and complex
+        # pairs and of generic pairs
+        rng = random.Random(541)
+        for n in range(2, 9):
+            planted = planted_product_zero_pair(n, rng)
+            for A1, A2 in (planted, _unit_twist(*planted, rng), generic_hermitian_pair(n, rng)):
+                for N in (3, 4, 16, 45, 90, 720, 721):
+                    try:
+                        got = verdict_line(craig_verdict(A1, A2, N=N))
+                    except CraigDisagreementError as exc:
+                        got = str(exc)
+                    assert got == reference_craig_outcome(A1, A2, N), (n, N)
 
 
 class TestEquivalence:

@@ -9,9 +9,10 @@ W(A1 + i A2) for every pair: W projects onto the axes as W(A1) and W(A2).
 When the criterion holds, A = A1 + i A2 is normal and W(A) is the convex hull
 of its eigenvalues, which lie on the two axes: for A = diag(1, i), W(A) is the
 segment from 1 to i inside the unit box.  The verdict cross-checks the rectangle
-against W's support function on a fan of angles.  On an even fan only the angles
-below pi are solved; H(theta + pi) = -H(theta) gives the rest, lambda_max there
-being -lambda_min at theta (Kippenhahn 1951).
+against W's support function on a fan of angles that holds the four axis
+directions.  On an even fan only the angles below pi are solved;
+H(theta + pi) = -H(theta) gives the rest, lambda_max there being -lambda_min at
+theta (Kippenhahn 1951).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 RECT_TOL = 1e-6
+_AXES = np.array([(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])  # (cos, sin) at pi/2, pi and 3*pi/2
 
 
 class CraigDisagreementError(ArithmeticError):
@@ -91,10 +93,13 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     the rectangle spans the spectra of A1 and A2, checked to within rect_tol*s (s the
     pair's `_entry_scale`) against the box of the points where neighbouring supporting
     lines x . u_k = lambda_max(cos_k*A1 + sin_k*A2) meet, theta_k = 2*pi*k/N
-    (`_outer_vertices`).  One eigvalsh solves the fan, in real arithmetic when A1 and
-    A2 are real.  On an even N it solves only theta_k < pi and reads the support value
-    at theta_k + pi, along -u_k, as -lambda_min(cos_k*A1 + sin_k*A2); an odd N solves
-    every angle.
+    (`_outer_vertices`).  When N is not a multiple of 4 the fan also takes the axis
+    directions it lacks, pi/2, pi and 3*pi/2 (pi/2 and 3*pi/2 for an even N), with
+    exact unit vectors: without them the box of the outer polygon overshoots the
+    rectangle by up to a few percent.  One eigvalsh solves the fan, in real arithmetic
+    when A1 and A2 are real.  On an even N it solves only the angles below pi and reads
+    the support value at theta + pi, along -u, as -lambda_min(cos*A1 + sin*A2); an odd
+    N solves every angle.
     """
     if not 0.0 < rect_tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite (got {rect_tol})")
@@ -119,6 +124,10 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
     rows = N if N % 2 else N // 2     # an odd fan has no antipodal angles
     thetas = np.arange(rows) * (2.0 * np.pi) / N
     cos, sin = np.cos(thetas), np.sin(thetas)
+    if N % 4:   # the axis directions the fan lacks, as exact unit vectors
+        axes = _AXES[:1] if rows < N else _AXES
+        at = np.searchsorted(thetas, np.pi / 2 * np.arange(1, len(axes) + 1))
+        cos, sin = np.insert(cos, at, axes[:, 0]), np.insert(sin, at, axes[:, 1])
     w = np.linalg.eigvalsh(cos[:, None, None] * f1 + sin[:, None, None] * f2)
     h = w[:, -1]
     if rows < N:   # H(theta + pi) = -H(theta): lambda_max there is -lambda_min here

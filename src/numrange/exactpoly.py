@@ -13,10 +13,12 @@ polynomial coefficient.
 The two determinants serve two shapes of matrix.  A Hermitian pencil y0*I +
 y1*C1 + y2*C2 of Gaussian integer matrices (`det_pencil`, behind `pencil_det`
 and `charpoly`, which is p(t, -1, -i)), whose determinant is real, is read
-off the characteristic polynomials of C1 + j*C2 modulo primes below 2^31
-(with i -> sqrt(-1) mod P), all taken in one batched, division-free
-Berkowitz pass on int64 arrays, interpolated over j and combined by CRT
-under a proven coefficient bound.
+off the characteristic polynomials of C1 + j*C2 modulo primes below 2^k,
+k = (63 - bit length of n + 1) // 2 (with i -> sqrt(-1) mod P), all taken in
+one batched, division-free Berkowitz pass on int64 arrays, interpolated over j
+and combined by CRT under a proven coefficient bound.  (n + 1) * (P - 1)^2 <
+2^63, so every dot product of n + 1 terms or fewer sums in int64 and is
+reduced once.
 A matrix of general polynomial entries, the banded Sylvester matrix of
 `resultant` or the (d-1)x(d-1) Bezout matrix of the two partials of a form of
 degree d in `discriminant_binary`, takes one division-free minor expansion
@@ -32,9 +34,10 @@ exact trial division.  A first image of degree 0 proves the gcd is 1 at once,
 and a lift far below the modulus is tried at once, so a gcd with small
 coefficients takes one prime.
 
-The dual curve's candidate q is certified on the primes and int64 kernel of
-`det_pencil` (`_gradient_certificate`): q(grad F) must vanish in F_P[t]
-modulo F restricted to a seeded line, for two primes P.
+The dual curve's candidate q is certified in int64 modulo primes below 2^31,
+each product of residues reduced before it is summed (`_gradient_certificate`):
+q(grad F) must vanish in F_P[t] modulo F restricted to a seeded line, for two
+primes P.
 
 Monomial order is graded lexicographic with var0 > var1 > var2 throughout,
 including the canonical text format.
@@ -816,7 +819,7 @@ _INVERSES: dict[int, list[int]] = {}  # P -> [0, 1, 1/2, 1/3, ...] mod P
 _PRIME_BELOW: dict[int, int] = {}     # P -> the largest prime below P
 _SQRT_M1: dict[int, int] = {}         # P = 1 mod 4 -> a square root of -1 mod P
 _VANDERMONDE: dict[tuple[int, int], np.ndarray] = {}  # (m, P) -> [j^d]^-1 mod P, j, d < m
-_PENCIL_PRIMES = 1 << 31  # `det_pencil` takes the primes below this, so products fit int64
+_CERTIFICATE_PRIMES = 1 << 31  # `_gradient_certificate` takes the primes below this
 
 
 def _inverses(P: int, n: int) -> list[int]:
@@ -1032,7 +1035,7 @@ def _gradient_certificate(F: IntPoly, Q: IntPoly) -> tuple[int, ...]:
     of the curve F = 0, or () once a draw proves that it does not; F is a
     primitive squarefree integer polynomial of degree n >= 1.
 
-    A draw takes the next prime P below 2^31 (`_primes(_PENCIL_PRIMES)`) that
+    A draw takes the next prime P below 2^31 (`_primes(_CERTIFICATE_PRIMES)`) that
     leaves the top-degree part F_top of F nonzero, and a line y = a + t*b, a
     and b in F_P^3 from a fixed seeded stream, and sets r(t) = F(a + t*b) mod
     P, made monic; a line whose lead F_top(b) is 0 mod P (probability at most
@@ -1042,7 +1045,7 @@ def _gradient_certificate(F: IntPoly, Q: IntPoly) -> tuple[int, ...]:
     cached Vandermonde inverse; the multiplication matrices of G_0, G_1, G_2
     are built once, and all monomials of each degree come from those of the
     degree below by one batched product (`_dotmod`).  Both draws run as one
-    batch; every residue stays in int64 as in `det_pencil`.
+    batch in int64.
 
     A true Q is never refused.  If Q vanishes on the dual of every component
     of F, then on each irreducible factor f of F the gradient of F is a
@@ -1070,7 +1073,7 @@ def _gradient_certificate(F: IntPoly, Q: IntPoly) -> tuple[int, ...]:
     exps = np.array([e for H in polys for e in H], dtype=np.intp).T
     owner = (np.repeat(np.arange(4), [len(H) for H in polys]) == np.arange(4)[:, None]).astype(np.int64)
     top = [c for e, c in F.items() if sum(e) == n]
-    primes = list(itertools.islice((P for P in _primes(_PENCIL_PRIMES)
+    primes = list(itertools.islice((P for P in _primes(_CERTIFICATE_PRIMES)
                                     if any(c % P for c in top)), 2))
     P = np.array(primes, dtype=np.int64)[:, None]
     P3 = P[:, :, None]
@@ -1150,10 +1153,23 @@ def _dotmod(a, b, P):
     return np.fmod(np.add.reduce(np.fmod(a * b, P[..., None]), axis=-1), P)
 
 
+def _pencil_primes_below(n: int) -> int:
+    """2^k, k = (63 - bit_length(n + 1)) // 2: `det_pencil` of an n x n pencil
+    takes its primes below this, so n + 1 products of residues sum in int64."""
+    return 1 << (63 - (n + 1).bit_length()) // 2
+
+
+def _matvec_mod(M, v, P):
+    """(M @ v) mod P for batches of int64 matrices M, vectors v on the last
+    axis and moduli P shaped like the result: one int64 sum of products per
+    row, then one reduction.  The caller bounds each sum below 2^63."""
+    return np.fmod((M @ v[..., None])[..., 0], P)
+
+
 def _charpolys_mod(H: np.ndarray, P: np.ndarray) -> np.ndarray:
     """E[b, k] = e_k(H[b]) mod P[b], the sum of the principal k-minors, so
     that det(x*I + H[b]) = sum_k E[b, k] * x^(n-k), for a batch H of n x n
-    int64 matrices with entries in [0, P[b]), P[b] < 2^31.
+    int64 matrices with entries in [0, P[b]), n * (P[b] - 1)^2 < 2^63.
 
     Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) runs
     on the whole batch at once.  With A the leading r x r block, R and C the
@@ -1161,6 +1177,8 @@ def _charpolys_mod(H: np.ndarray, P: np.ndarray) -> np.ndarray:
     det(x*I + H_(r+1)) are the product of the lower-triangular Toeplitz
     matrix with first column (1, a, -R C, R A C, -R A^2 C, ...) and those of
     det(x*I + A).  No pivot and no inverse is taken, so no modulus is bad.
+    Every dot product has at most n terms, residues in [0, P), so it sums in
+    int64 before its one reduction (`_matvec_mod`).
     """
     b, n = H.shape[:2]
     Pv = P[:, None]
@@ -1171,14 +1189,14 @@ def _charpolys_mod(H: np.ndarray, P: np.ndarray) -> np.ndarray:
         K = np.empty((b, r, r), dtype=np.int64)  # K[:, k] = A^k C for k < r
         K[:, 0] = H[:, :r, r]
         for k in range(1, r):
-            K[:, k] = _dotmod(H[:, :r, :r], K[:, None, k - 1], Pv)
+            K[:, k] = _matvec_mod(H[:, :r, :r], K[:, k - 1], Pv)
         t = np.zeros((b, 2 * r + 2), dtype=np.int64)  # r zeros, then the Toeplitz column
         t[:, r], t[:, r + 1] = 1, H[:, r, r]
-        u = _dotmod(H[:, None, r, :r], K, Pv)  # R A^k C
+        u = _matvec_mod(K, H[:, r, :r], Pv)  # R A^k C
         t[:, r + 2:] = u
         t[:, r + 2::2] = np.fmod(Pv - u[:, ::2], Pv)
         # p <- (t * p)[:r + 2]: window i of t against p reversed
-        p = _dotmod(t[:, windows[:r + 2, :r + 1]], p[:, None, ::-1], Pv)
+        p = _matvec_mod(t[:, windows[:r + 2, :r + 1]], p[:, ::-1], Pv)
     return p
 
 
@@ -1207,16 +1225,22 @@ def det_pencil(C1, C2) -> IntPoly:
     coefficient of Q is at most ||Q|| <= perm(||M_ij||) <= prod_i sum_j
     ||M_ij|| = B, M_ij = [i = j]*y0 + C1_ij*y1 + C2_ij*y2 the entries of the
     pencil, since the permanent of a non-negative matrix is at most the
-    product of its row sums.  The primes below 2^31, largest first, are taken
+    product of its row sums.  The primes below 2^k, k = (63 - b) // 2 with b
+    the bit length of n + 1 (`_pencil_primes_below`), largest first, are taken
     until their product exceeds 2B, never fewer, so the symmetric residues are
     the coefficients.  Every prime is good: the reduction Z[i] -> F_P is a
     ring map that commutes with the determinant, and P > n keeps the nodes j
-    distinct.
+    distinct (the primes taken lie just below 2^k, and k >= 22 for n <= 2^17).
 
-    No int64 arithmetic overflows.  Residues lie in [0, P), P < 2^31, so a
-    product of two is below 2^62; every such product is reduced mod P before
-    it enters a sum (here and in `_dotmod`), and a sum of fewer than 2^32
-    residues stays below 2^63.  A node times a residue is below n * 2^31.
+    No int64 arithmetic overflows, for every n.  Residues lie in [0, P), so a
+    product of two is at most (P - 1)^2 < 2^(2k), and n + 1 < 2^b, so a sum of
+    at most n + 1 such products is below 2^(2k + b) <= 2^63.  Every dot
+    product here sums that few: the Berkowitz steps of `_charpolys_mod` at
+    most n, and the Vandermonde interpolation over the nodes n + 1.  Each is
+    therefore one int64 sum of products and one reduction mod P.  The other
+    sums are a residue plus a residue times s, below P^2, or plus a residue
+    times a node j <= n, below (n + 1) * P.  This gives k = 30 for n <= 6, 29
+    for n <= 30 and 28 for n <= 62.
     """
     (r1, i1), (r2, i2) = C1, C2
     n = len(r1)
@@ -1225,7 +1249,7 @@ def det_pencil(C1, C2) -> IntPoly:
     bound = 2 * math.prod(1 + sum(abs(a) + abs(b) + abs(c) + abs(d) for a, b, c, d in zip(*rows))
                           for rows in zip(r1, i1, r2, i2))
     primes, M = [], 1
-    for Q in _primes(_PENCIL_PRIMES):
+    for Q in _primes(_pencil_primes_below(n)):
         if real or Q % 4 == 1:
             primes.append(Q)
             M *= Q
@@ -1238,7 +1262,7 @@ def det_pencil(C1, C2) -> IntPoly:
     X = X.astype(np.int64)  # (prime, part, row, column)
     if not real:  # C1, C2 mod P with i -> s
         s = np.array([_sqrt_minus_one(Q) for Q in primes], dtype=np.int64)[:, None, None, None]
-        X = np.fmod(X[:, :2] + np.fmod(X[:, 2:] * s, P4), P4)
+        X = np.fmod(X[:, :2] + X[:, 2:] * s, P4)
     H = X[:, :1]
     if nodes > 1:  # C1 + j*C2 at j = 0..n
         H = np.fmod(H + np.arange(nodes)[:, None, None] * X[:, 1:], P4)
@@ -1246,7 +1270,7 @@ def det_pencil(C1, C2) -> IntPoly:
     cps = cps.reshape(len(primes), nodes, n + 1)  # e_k(C1 + j*C2) at [prime, j, k]
     if nodes > 1:  # the coefficient of j^c in e_k, at [prime, c, k]
         V = np.array([_vandermonde_inverse(nodes, Q) for Q in primes])
-        cps = _dotmod(V[:, :, None, :], cps.transpose(0, 2, 1)[:, None], P3)
+        cps = np.fmod(V @ cps, P3)
     ks, cs = zip(*((k, c) for k in range(n + 1) for c in range(min(k + 1, nodes))))  # prime(n-k, k-c, c)
     weights = [M // Q * pow(M // Q, -1, Q) for Q in primes]  # CRT: x = sum(x_Q * weight_Q) mod M
     out = {}

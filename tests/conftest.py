@@ -244,7 +244,9 @@ def reference_sturm(coeffs) -> tuple[int, int]:
 def reference_craig_outcome(A1, A2, N: int, rect_tol: float = RECT_TOL) -> str:
     """The `craig` verdict line, or the CraigDisagreementError message, with the
     rectangle checked against lambda_max of the complex H_k on every angle of the
-    fan, theta_k = 2*pi*k/N, as `craig_verdict` did before it solved half the fan."""
+    fan, theta_k = 2*pi*k/N, as `craig_verdict` did before it solved half the fan,
+    and on each axis direction q*pi/2 that is not a fan angle (4 does not divide
+    q*N), with its exact unit vector."""
     if not craig_identity(A1, A2):
         return "identity=false product_zero=false rectangle=none"
     f1, f2 = A1.to_complex(), A2.to_complex()
@@ -252,6 +254,10 @@ def reference_craig_outcome(A1, A2, N: int, rect_tol: float = RECT_TOL) -> str:
     lo1, hi1, lo2, hi2 = float(w1[0]), float(w1[-1]), float(w2[0]), float(w2[-1])
     thetas = np.arange(N) * (2.0 * np.pi) / N
     cos, sin = np.cos(thetas), np.sin(thetas)
+    axes = [q for q in (1, 2, 3) if q * N % 4]
+    at = np.searchsorted(thetas, [q * np.pi / 2 for q in axes])
+    cos = np.insert(cos, at, [(0.0, -1.0, 0.0)[q - 1] for q in axes])
+    sin = np.insert(sin, at, [(1.0, 0.0, -1.0)[q - 1] for q in axes])
     h = np.linalg.eigvalsh(cos[:, None, None] * f1 + sin[:, None, None] * f2)[:, -1]
     V = _outer_vertices(cos, sin, h)
     worst = float(np.abs(np.r_[V.min(axis=0) - (lo1, lo2), V.max(axis=0) - (hi1, hi2)]).max())

@@ -240,6 +240,16 @@ class TestCraigCommand:
         assert capsys.readouterr().out.strip() == \
             "identity=false product_zero=false rectangle=none"
 
+    def test_rotated_pair_passes_on_every_grid(self, capsys):
+        # a planted pair with A1 A2 = 0 exactly, on fans with and without axis
+        # directions of their own
+        outs = []
+        for grid in ("720", "45", "90", "91", "721"):
+            assert run("craig", "--input", fx("craig_pair_rotated.json"), "--grid", grid) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("identity=true product_zero=true rectangle=-4,")
+        assert outs == outs[:1] * 5
+
     def test_single_matrix_splits(self, capsys):
         assert run("craig", "--input", fx("disk.json")) == 0
         out = capsys.readouterr().out

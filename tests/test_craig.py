@@ -223,7 +223,8 @@ class TestHalfFan:
     # H(theta + pi) = -H(theta): an even fan solves its angles below pi and
     # reads lambda_max at theta + pi as -lambda_min at theta
 
-    @pytest.mark.parametrize("N, rows", [(16, 8), (720, 360), (45, 45), (721, 721)])
+    # N = 2 (mod 4) adds pi/2 to the solved half, odd N adds pi/2, pi, 3*pi/2
+    @pytest.mark.parametrize("N, rows", [(16, 8), (720, 360), (90, 46), (45, 48), (721, 724)])
     def test_even_fan_solves_half_its_angles_and_odd_fan_all(self, monkeypatch, N, rows):
         A1, A2 = planted_product_zero_pair(5, random.Random(503))
         solved = _spy_eigvalsh(monkeypatch)
@@ -247,7 +248,7 @@ class TestHalfFan:
     def _lower_first_min(w):
         w[0, 0] -= 1.0
 
-    @pytest.mark.parametrize("N", [16, 720])
+    @pytest.mark.parametrize("N", [16, 90, 720])
     def test_reflected_support_value_is_checked(self, monkeypatch, N):
         # lowering lambda_min of the row at theta = 0 moves only the support
         # value along -u_0 (theta = pi), which the rectangle's left edge must meet
@@ -264,10 +265,32 @@ class TestHalfFan:
         _spy_eigvalsh(monkeypatch, self._lower_first_min)
         assert craig_verdict(A1, A2, N=N).identity_holds
 
+    @pytest.mark.parametrize("N, axes", [(90, [(0, 1)]), (45, [(0, 1), (-1, 0), (0, -1)])])
+    def test_missing_axis_directions_are_solved_exactly(self, monkeypatch, N, axes):
+        # each added row is cos*A1 + sin*A2 with cos, sin in {0, +-1}: exactly
+        # +-A1 or +-A2, in angle order between the fan's neighbours
+        A1, A2 = planted_product_zero_pair(5, random.Random(509))
+        solved = _spy_eigvalsh(monkeypatch)
+        assert craig_verdict(A1, A2, N=N).identity_holds
+        (fan,) = [a for a in solved if a.ndim == 3]
+        f1, f2 = A1.to_complex().real, A2.to_complex().real
+        for q, (c, s) in enumerate(axes, start=1):
+            k = N * q // 4 + q  # fan angles below q*pi/2, then the q - 1 axes before it
+            assert np.array_equal(fan[k], c * f1 + s * f2), (N, q)
+
+    def test_planted_pairs_pass_at_every_grid(self):
+        # the rectangle check of a planted pair (A1 A2 = 0 exactly) passes at
+        # every N, also where the fan has no axis direction of its own
+        for n in range(3, 7):
+            for seed in range(500, 540):
+                A1, A2 = planted_product_zero_pair(n, random.Random(seed))
+                want = verdict_line(craig_verdict(A1, A2))
+                for N in (45, 88, 90, 91, 721):
+                    assert verdict_line(craig_verdict(A1, A2, N=N)) == want, (n, seed, N)
+
     def test_outcomes_match_the_full_fan_reference(self):
-        # the verdict line, or the disagreement message (N = 3, 45, 90 and 721
-        # fail the check on some planted pairs), of planted real and complex
-        # pairs and of generic pairs
+        # the verdict line, or the disagreement message, of planted real and
+        # complex pairs and of generic pairs
         rng = random.Random(541)
         for n in range(2, 9):
             planted = planted_product_zero_pair(n, rng)

@@ -374,23 +374,37 @@ class TestDetPencil:
         monkeypatch.setattr(exactpoly, "_charpolys_mod", lambda H, P: used.extend(P.tolist()) or kernel(H, P))
         return used
 
+    def test_primes_lie_below_the_row_bound(self, monkeypatch):
+        # n = 6 takes the largest primes below 2^30 and n = 7 those below
+        # 2^29; C1 = C2 = -J has residue P - 1 in every entry
+        used = self._spy_moduli(monkeypatch)
+        for n, below in ((6, 2 ** 30), (7, 2 ** 29)):
+            C1 = ([[-1] * n for _ in range(n)], [[0] * n for _ in range(n)])
+            used.clear()
+            assert det_pencil(C1, C1) == _det_pencil_reference(C1, C1)
+            assert max(used) == sp.prevprime(below)
+
     def test_kernel_matches_hessenberg_reference(self):
-        # every modulus of one batch, small and near 2^31, against Hessenberg
-        # reductions one matrix at a time; all entries P - 1 is the largest
-        # product the int64 bound has to take
+        # every modulus of one batch, small and at the bound det_pencil takes
+        # for n, against Hessenberg reductions one matrix at a time; all
+        # entries P - 1 is the largest dot product the kernel sums in int64,
+        # across the bound's steps at n = 6 -> 7 and n = 30 -> 31
         rng = random.Random(37)
-        for n in range(1, 13):
-            P = [13, 8191, 1000003, 2 ** 31 - 1, 2147483629, 2147483629]
+        for n in range(1, 32):
+            below = exactpoly._pencil_primes_below(n)
+            assert below == 2 ** (30 if n <= 6 else 29 if n <= 30 else 28)
+            top = sp.prevprime(below)
+            assert (n + 1) * (top - 1) ** 2 < 2 ** 63
+            P = [13, 8191, 1000003, top, top]
             H = [[[rng.randrange(Q) for _ in range(n)] for _ in range(n)] for Q in P[:-1]]
-            H.append([[P[-1] - 1] * n for _ in range(n)])
+            H.append([[top - 1] * n for _ in range(n)])
             got = exactpoly._charpolys_mod(np.array(H, dtype=np.int64), np.array(P, dtype=np.int64))
             for M, Q, e in zip(H, P, got.tolist()):
                 # det(x*I + M) = det(x*I - (-M))
-                assert e == _charpoly_mod_p([[-x % Q for x in row] for row in M], Q)[::-1]
-        # det(x*I - J), J all ones, is x^(n-1) * (x - n)
-        n, Q = 12, 2 ** 31 - 1
-        e = exactpoly._charpolys_mod(np.full((1, n, n), Q - 1, dtype=np.int64), np.array([Q]))
-        assert e.tolist() == [[1, Q - n] + [0] * (n - 1)]
+                assert e == _charpoly_mod_p([[-x % Q for x in row] for row in M], Q)[::-1], (n, Q)
+            # det(x*I - J), J all ones, is x^(n-1) * (x - n)
+            e = exactpoly._charpolys_mod(np.full((1, n, n), top - 1, dtype=np.int64), np.array([top]))
+            assert e.tolist() == [[1, top - n] + [0] * (n - 1)]
 
     def test_differential_up_to_n12(self):
         # real symmetric, complex Hermitian and C2 = 0 pencils with entries up

@@ -186,7 +186,7 @@ def cmd_duality(args) -> int:
 def cmd_craig(args) -> int:
     A1, A2 = _load_pair(args.input)
     try:
-        v = craig_verdict(A1, A2, N=args.grid, rect_tol=args.tol)
+        v = craig_verdict(A1, A2, rect_tol=args.tol)
     except CraigDisagreementError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, grid=720, tol=True)
 
     p = sub.add_parser("craig", help="craig factorization verdict")
-    common(p, grid=720, tol=True)
+    common(p, tol=True)
 
     p = sub.add_parser("classify", help="structure report: normality, hyperbolicity, shape")
     common(p, grid=360)

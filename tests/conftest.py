@@ -8,11 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from numrange.craig import RECT_TOL, craig_identity
 from numrange.exactpoly import ExactDivisionError, GaussianRational, TriPoly, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, load_matrix
-from numrange.pencil import _entry_scale
-from numrange.rangegeom import _cross, _outer_vertices
+from numrange.rangegeom import _cross
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -236,35 +234,6 @@ def reference_sturm(coeffs) -> tuple[int, int]:
     at_pos = [p[-1] for p in chain]
     at_neg = [p[-1] if len(p) % 2 else -p[-1] for p in chain]
     return _sign_changes(at_neg) - _sign_changes(at_pos), len(c) - len(chain[-1])
-
-
-# -- the full-fan Craig cross-check, the reference for craig.craig_verdict ------
-
-
-def reference_craig_outcome(A1, A2, N: int, rect_tol: float = RECT_TOL) -> str:
-    """The `craig` verdict line, or the CraigDisagreementError message, with the
-    rectangle checked against lambda_max of the complex H_k on every angle of the
-    fan, theta_k = 2*pi*k/N, as `craig_verdict` did before it solved half the fan,
-    and on each axis direction q*pi/2 that is not a fan angle (4 does not divide
-    q*N), with its exact unit vector."""
-    if not craig_identity(A1, A2):
-        return "identity=false product_zero=false rectangle=none"
-    f1, f2 = A1.to_complex(), A2.to_complex()
-    w1, w2 = map(np.linalg.eigvalsh, (f1, f2))
-    lo1, hi1, lo2, hi2 = float(w1[0]), float(w1[-1]), float(w2[0]), float(w2[-1])
-    thetas = np.arange(N) * (2.0 * np.pi) / N
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    axes = [q for q in (1, 2, 3) if q * N % 4]
-    at = np.searchsorted(thetas, [q * np.pi / 2 for q in axes])
-    cos = np.insert(cos, at, [(0.0, -1.0, 0.0)[q - 1] for q in axes])
-    sin = np.insert(sin, at, [(1.0, 0.0, -1.0)[q - 1] for q in axes])
-    h = np.linalg.eigvalsh(cos[:, None, None] * f1 + sin[:, None, None] * f2)[:, -1]
-    V = _outer_vertices(cos, sin, h)
-    worst = float(np.abs(np.r_[V.min(axis=0) - (lo1, lo2), V.max(axis=0) - (hi1, hi2)]).max())
-    if worst > rect_tol * _entry_scale(f1, f2):
-        return f"rectangle disagrees with the bounding box of sampled W(A) by {worst:.2e}"
-    return (f"identity=true product_zero=true "
-            f"rectangle={lo1:.12g},{hi1:.12g},{lo2:.12g},{hi2:.12g}")
 
 
 # -- a Fraction-dict reference of TriPoly arithmetic ---------------------------

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 import numrange.craig
 import numrange.pencil
 import numrange.rangegeom
 from numrange.craig import (
+    RECT_TOL,
     CraigDisagreementError,
     craig_identity,
     craig_verdict,
@@ -16,10 +18,10 @@ from numrange.craig import (
 )
 from numrange.exactpoly import GaussianRational, TriPoly
 from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError, split
-from numrange.pencil import pencil_det
+from numrange.pencil import _entry_scale, pencil_det
 from numrange.rangegeom import member_W, polytope_detect
 
-from conftest import generic_hermitian_pair, planted_product_zero_pair, reference_craig_outcome
+from conftest import _random_rational_orthogonal, generic_hermitian_pair, planted_product_zero_pair
 
 
 F = Fraction
@@ -99,18 +101,6 @@ class TestVerdict:
         assert v.rectangle == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
         assert verdict_line(v) == "identity=true product_zero=true rectangle=0,1,0,1"
 
-    def test_needs_three_support_directions(self):
-        with pytest.raises(ValueError, match="need at least 3 support directions"):
-            craig_verdict(diag(1, 0), diag(0, 1), N=2)
-
-    @pytest.mark.parametrize("N", [0, 1, 2])
-    @pytest.mark.parametrize("planted", [True, False])
-    def test_grid_is_checked_before_either_branch(self, N, planted):
-        # the overlapping pair has no rectangle, so it never reaches the grid
-        pair = (diag(1, 0), diag(0, 1)) if planted else (diag(1, 1), diag(1, 1))
-        with pytest.raises(ValueError, match="need at least 3 support directions"):
-            craig_verdict(*pair, N=N)
-
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0])
     @pytest.mark.parametrize("planted", [True, False])
     def test_refuses_a_tolerance_that_is_not_positive_and_finite(self, tol, planted):
@@ -157,13 +147,13 @@ class TestVerdict:
         is_hermitian = GaussianRationalMatrix.is_hermitian
         monkeypatch.setattr(GaussianRationalMatrix, "is_hermitian",
                             lambda self: checks.append(self) or is_hermitian(self))
-        assert craig_verdict(A1, A2, N=48).identity_holds == planted
+        assert craig_verdict(A1, A2).identity_holds == planted
         assert built == [] and checks == [A1, A2]
 
     def test_planted_verdict_solves_no_eigenvectors_and_no_hull(self, monkeypatch):
-        # the cross-check reads lambda_max on half the fan and -lambda_min on its
-        # reflection from one eigvalsh, and the box of the half-plane vertices;
-        # p and its Fractions are never built
+        # the rectangle comes from one eigvalsh of each of A1 and A2, and its
+        # certificate from p's own factors; no batched solve, no eigenvectors,
+        # no hull, and p and its Fractions are never built
         A1, A2 = planted_product_zero_pair(5, random.Random(503))
 
         def forbidden(*args, **kwargs):
@@ -174,15 +164,23 @@ class TestVerdict:
             for name in ("pencil_det", "_cycle_hull", "convex_hull"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
+        solved = _spy_eigvalsh(monkeypatch)
         assert craig_verdict(A1, A2).identity_holds
+        assert [a.shape for a in solved] == [(5, 5), (5, 5)]
 
     def test_cross_check_failure_path(self):
-        A1, A2 = planted_product_zero_pair(5, random.Random(509))
-        assert craig_verdict(A1, A2).identity_holds
+        # the extreme eigenvalues of A1 are (1 +- sqrt(5))/2, which no float
+        # meets within 1e-300; an integer spectrum may be met exactly
+        z, one = GaussianRational.ZERO, GaussianRational.ONE
+        A1 = GaussianRationalMatrix([[one, one, z], [one, z, z], [z, z, z]])
+        A2 = diag(0, 0, 1)
+        v = craig_verdict(A1, A2)
+        assert verdict_line(v) == (
+            "identity=true product_zero=true rectangle=-0.61803398875,1.61803398875,0,1")
         with pytest.raises(CraigDisagreementError) as info:
             craig_verdict(A1, A2, rect_tol=1e-300)
-        assert str(info.value).startswith(
-            "rectangle disagrees with the bounding box of sampled W(A) by")
+        assert str(info.value) == ("rectangle side lo1=-0.61803398875 is not within "
+                                   "1.00e-300 of the least eigenvalue of A1")
 
     def test_rotated_planted_pair_cross_check(self):
         rng = random.Random(509)
@@ -204,35 +202,110 @@ def _unit_twist(A1, A2, rng):
 
 
 def _spy_eigvalsh(monkeypatch, edit=None):
-    """Record each array that np.linalg.eigvalsh solves; `edit` may change the
-    eigenvalues of a batched solve before they are returned."""
+    """Record each array that np.linalg.eigvalsh solves; `edit(k, w)` may change the
+    eigenvalues w of the k-th solve before they are returned."""
     solved, eigvalsh = [], np.linalg.eigvalsh
 
     def spy(a):
         solved.append(a)
         w = eigvalsh(a)
-        if edit is not None and a.ndim == 3:
-            edit(w)
+        if edit is not None:
+            edit(len(solved), w)
         return w
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     return solved
 
 
-class TestHalfFan:
-    # H(theta + pi) = -H(theta): an even fan solves its angles below pi and
-    # reads lambda_max at theta + pi as -lambda_min at theta
+def _generic_block_pair(n, rng):
+    """Q (G1 + 0) Q*, Q (0 + G2) Q* for generic complex Hermitian blocks G1, G2 and a
+    rational orthogonal Q: A1 A2 = 0, with irrational extreme eigenvalues."""
+    k, z = rng.randint(1, n - 1), GaussianRational.ZERO
+    G1 = generic_hermitian_pair(k, rng, complex_entries=True)[0].entries
+    G2 = generic_hermitian_pair(n - k, rng, complex_entries=True)[0].entries
+    A1 = GaussianRationalMatrix([list(r) + [z] * (n - k) for r in G1] + [[z] * n] * (n - k))
+    A2 = GaussianRationalMatrix([[z] * n] * k + [[z] * k + list(r) for r in G2])
+    Q = _random_rational_orthogonal(n, rng)
+    Qt = Q.conj_transpose()
+    return Q @ A1 @ Qt, Q @ A2 @ Qt
 
-    # N = 2 (mod 4) adds pi/2 to the solved half, odd N adds pi/2, pi, 3*pi/2
-    @pytest.mark.parametrize("N, rows", [(16, 8), (720, 360), (90, 46), (45, 48), (721, 724)])
-    def test_even_fan_solves_half_its_angles_and_odd_fan_all(self, monkeypatch, N, rows):
+
+def _exact_extremes(A):
+    """The least and the greatest eigenvalue of the Hermitian A: sympy's exact real
+    roots of its characteristic polynomial."""
+    M = sp.Matrix(A.n, A.n, lambda i, j: sp.Rational(A.re[i][j], A.L)
+                  + sp.I * sp.Rational(A.im[i][j], A.L))
+    x = sp.Symbol("x")
+    roots = sp.real_roots(sp.Poly(sp.expand(M.charpoly(x).as_expr()), x, domain=sp.QQ))
+    return roots[0], roots[-1]
+
+
+class TestHalfFan:
+    # the rectangle is the support function of W(A) on the four axis directions
+    # 0, pi/2, pi, 3*pi/2; H(theta + pi) = -H(theta), so one eigvalsh and one
+    # chi_j(t) = det(t*I - L*A_j) give the sides along +-u_j: lambda_max and
+    # -lambda_min, each certified by Descartes counts within rect_tol*s of the
+    # exact extreme eigenvalue
+
+    def test_outcomes_match_the_full_fan_reference(self):
+        # the reference: sympy's exact extreme eigenvalues of A1 and A2, the exact
+        # support values on all four directions
+        rng = random.Random(541)
+        for n in range(2, 6):
+            planted = planted_product_zero_pair(n, rng)
+            for A1, A2 in (planted, _unit_twist(*planted, rng), _generic_block_pair(n, rng)):
+                v = craig_verdict(A1, A2)
+                (lo1, lo2), _, (hi1, hi2), _ = v.rectangle
+                s = _entry_scale(A1.to_complex(), A2.to_complex())
+                for A, sides in ((A1, (lo1, hi1)), (A2, (lo2, hi2))):
+                    for side, exact in zip(sides, _exact_extremes(A)):
+                        if exact == 0:   # printed as an exact, positive zero
+                            assert (side, np.copysign(1.0, side)) == (0.0, 1.0), n
+                        else:
+                            assert abs(sp.Float(side, 30) - exact.evalf(30)) <= RECT_TOL * s, n
+            A1, A2 = generic_hermitian_pair(n, rng, complex_entries=n % 2 == 0)
+            assert craig_verdict(A1, A2).rectangle is None
+
+    def test_planted_pairs_pass(self):
+        # every planted pair (A1 A2 = 0 exactly, both singular) is certified,
+        # and each spectrum holds 0
+        for n in range(3, 7):
+            for seed in range(500, 540):
+                A1, A2 = planted_product_zero_pair(n, random.Random(seed))
+                (lo1, lo2), _, (hi1, hi2), _ = craig_verdict(A1, A2).rectangle
+                assert lo1 <= 0 <= hi1 and lo2 <= 0 <= hi2, (n, seed)
+
+    @pytest.mark.parametrize("step", [-10, 10])
+    @pytest.mark.parametrize("side", ["lo1", "hi1", "lo2", "hi2"])
+    def test_a_moved_side_is_refused(self, monkeypatch, side, step):
+        # hi1 and lo2 of the rotated pair are exact zeros, lo1 and hi2 are -4 and 4
+        A1, A2 = planted_product_zero_pair(5, random.Random(509))
+        assert verdict_line(craig_verdict(A1, A2)).endswith("rectangle=-4,0,0,4")
+        j, at = int(side[-1]), 0 if side.startswith("lo") else -1
+
+        def move(k, w):
+            if k == j:
+                w[at] += step * RECT_TOL * _entry_scale(A1.to_complex(), A2.to_complex())
+
+        _spy_eigvalsh(monkeypatch, move)
+        with pytest.raises(CraigDisagreementError, match=f"^rectangle side {side}="):
+            craig_verdict(A1, A2)
+
+    @pytest.mark.parametrize("units", [16, 90, 720])
+    def test_reflected_support_value_is_checked(self, monkeypatch, units):
+        # lowering lambda_min of A1 moves only the support value along -u_1
+        # (theta = pi), read from the same solve and the same chi_1 as lambda_max
         A1, A2 = planted_product_zero_pair(5, random.Random(503))
-        solved = _spy_eigvalsh(monkeypatch)
-        assert craig_verdict(A1, A2, N=N).identity_holds
-        fans = [a for a in solved if a.ndim == 3]
-        assert [(a.shape, a.dtype) for a in fans] == [((rows, 5, 5), np.float64)]
-        # the printed rectangle still comes from the complex parts
-        assert [a.dtype for a in solved if a.ndim == 2] == [np.complex128] * 2
+        assert craig_verdict(A1, A2).identity_holds
+        s = _entry_scale(A1.to_complex(), A2.to_complex())
+
+        def lower_first_min(k, w):
+            if k == 1:
+                w[0] -= units * RECT_TOL * s
+
+        _spy_eigvalsh(monkeypatch, lower_first_min)
+        with pytest.raises(CraigDisagreementError, match="^rectangle side lo1="):
+            craig_verdict(A1, A2)
 
     def test_complex_pair_solves_in_complex_arithmetic(self, monkeypatch):
         i = GaussianRational(F(0), F(1))
@@ -240,67 +313,9 @@ class TestHalfFan:
         A1 = diag(1, 0, 0)
         A2 = GaussianRationalMatrix([[z, z, z], [z, one, i], [z, -i, one]])
         solved = _spy_eigvalsh(monkeypatch)
-        v = craig_verdict(A1, A2, N=16)
+        v = craig_verdict(A1, A2)
         assert verdict_line(v) == "identity=true product_zero=true rectangle=0,1,0,2"
-        assert [(a.shape, a.dtype) for a in solved if a.ndim == 3] == [((8, 3, 3), np.complex128)]
-
-    @staticmethod
-    def _lower_first_min(w):
-        w[0, 0] -= 1.0
-
-    @pytest.mark.parametrize("N", [16, 90, 720])
-    def test_reflected_support_value_is_checked(self, monkeypatch, N):
-        # lowering lambda_min of the row at theta = 0 moves only the support
-        # value along -u_0 (theta = pi), which the rectangle's left edge must meet
-        A1, A2 = planted_product_zero_pair(5, random.Random(503))
-        assert craig_verdict(A1, A2, N=N).identity_holds
-        _spy_eigvalsh(monkeypatch, self._lower_first_min)
-        with pytest.raises(CraigDisagreementError, match="rectangle disagrees"):
-            craig_verdict(A1, A2, N=N)
-
-    @pytest.mark.parametrize("N", [45, 721])
-    def test_odd_fan_reads_no_lambda_min(self, monkeypatch, N):
-        # no angle of an odd fan has its antipode on the fan
-        A1, A2 = planted_product_zero_pair(5, random.Random(503))
-        _spy_eigvalsh(monkeypatch, self._lower_first_min)
-        assert craig_verdict(A1, A2, N=N).identity_holds
-
-    @pytest.mark.parametrize("N, axes", [(90, [(0, 1)]), (45, [(0, 1), (-1, 0), (0, -1)])])
-    def test_missing_axis_directions_are_solved_exactly(self, monkeypatch, N, axes):
-        # each added row is cos*A1 + sin*A2 with cos, sin in {0, +-1}: exactly
-        # +-A1 or +-A2, in angle order between the fan's neighbours
-        A1, A2 = planted_product_zero_pair(5, random.Random(509))
-        solved = _spy_eigvalsh(monkeypatch)
-        assert craig_verdict(A1, A2, N=N).identity_holds
-        (fan,) = [a for a in solved if a.ndim == 3]
-        f1, f2 = A1.to_complex().real, A2.to_complex().real
-        for q, (c, s) in enumerate(axes, start=1):
-            k = N * q // 4 + q  # fan angles below q*pi/2, then the q - 1 axes before it
-            assert np.array_equal(fan[k], c * f1 + s * f2), (N, q)
-
-    def test_planted_pairs_pass_at_every_grid(self):
-        # the rectangle check of a planted pair (A1 A2 = 0 exactly) passes at
-        # every N, also where the fan has no axis direction of its own
-        for n in range(3, 7):
-            for seed in range(500, 540):
-                A1, A2 = planted_product_zero_pair(n, random.Random(seed))
-                want = verdict_line(craig_verdict(A1, A2))
-                for N in (45, 88, 90, 91, 721):
-                    assert verdict_line(craig_verdict(A1, A2, N=N)) == want, (n, seed, N)
-
-    def test_outcomes_match_the_full_fan_reference(self):
-        # the verdict line, or the disagreement message, of planted real and
-        # complex pairs and of generic pairs
-        rng = random.Random(541)
-        for n in range(2, 9):
-            planted = planted_product_zero_pair(n, rng)
-            for A1, A2 in (planted, _unit_twist(*planted, rng), generic_hermitian_pair(n, rng)):
-                for N in (3, 4, 16, 45, 90, 720, 721):
-                    try:
-                        got = verdict_line(craig_verdict(A1, A2, N=N))
-                    except CraigDisagreementError as exc:
-                        got = str(exc)
-                    assert got == reference_craig_outcome(A1, A2, N), (n, N)
+        assert [(a.shape, a.dtype) for a in solved] == [((3, 3), np.complex128)] * 2
 
 
 class TestEquivalence:

@@ -83,10 +83,10 @@ class TestScaleSweep:
 
     @pytest.mark.parametrize("name", ["craig_pair_diag", "craig_pair_overlap"])
     def test_craig_follows_the_scale(self, tmp_path, capsys, name):
-        want = _cli(capsys, "craig", "--input", _write(tmp_path, name, 0), *GRID)
+        want = _cli(capsys, "craig", "--input", _write(tmp_path, name, 0))
         identity = want[1].split()[0]
         for k in POWERS:
-            code, out = _cli(capsys, "craig", "--input", _write(tmp_path, name, k), *GRID)
+            code, out = _cli(capsys, "craig", "--input", _write(tmp_path, name, k))
             assert (code, out.split()[:1]) == (want[0], [identity]), k
 
     @pytest.mark.parametrize("k", POWERS)

@@ -23,12 +23,12 @@ from .hermitian import (
     GaussianRationalMatrix,
     HermitianPencil,
     is_normal,
-    rank_one_value,
     split,
 )
 from .pencil import (
     PencilCurve,
     RayExit,
+    SpectralGrid,
     boundary_F,
     hyperbolicity_check,
     lmi_member,
@@ -44,13 +44,11 @@ from .dualcurve import (
 )
 from .rangegeom import (
     RangeHulls,
-    SupportSample,
     duality_check,
     member_W,
     polytope_detect,
     range_hulls,
     support,
-    translate_scale_law,
 )
 from .craig import (
     CraigVerdict,

@@ -19,7 +19,7 @@ from .craig import CraigDisagreementError, craig_verdict, verdict_line
 from .dualcurve import (
     DualCurve,
     dual_curve_exact,
-    _grid_dual_sample,
+    dual_sample,
     dual_sample_csv,
     dual_union,
 )
@@ -40,7 +40,7 @@ from .pencil import (
     lmi_polytope_vertices,
     pencil_det,
 )
-from .rangegeom import _grid_hulls, _polytope_verdict, duality_check, hulls_csv
+from .rangegeom import _polytope_verdict, duality_check, hulls_csv, range_hulls
 from .render import ViewportRequiredError, render_figure
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
@@ -163,17 +163,16 @@ def cmd_sample_w(args) -> int:
     grid = SpectralGrid(split(_load_matrix(args.input)), args.grid)
     # both texts are built before either is written, so a refused --curve
     # leaves no hull CSV behind
-    curve = dual_sample_csv(_grid_dual_sample(grid)) if args.curve else None
-    _write(hulls_csv(_grid_hulls(grid)), args.out)
+    curve = dual_sample_csv(dual_sample(grid)) if args.curve else None
+    _write(hulls_csv(range_hulls(grid)), args.out)
     if curve is not None:
         _write(curve, args.curve)
     return OK
 
 
 def cmd_sample_f(args) -> int:
-    pencil = split(_load_matrix(args.input))
-    samples = boundary_F(pencil, args.grid)
-    _write(boundary_csv(samples), args.out)
+    grid = SpectralGrid(split(_load_matrix(args.input)), args.grid)
+    _write(boundary_csv(boundary_F(grid)), args.out)
     return OK
 
 

@@ -48,7 +48,6 @@ class CraigVerdict:
     identity_holds: bool
     product_zero: bool
     rectangle: tuple | None          # 4 CCW vertices, each side certified, when the criterion holds
-    eigen_pairs: tuple | None        # (spectrum of A1, spectrum of A2)
 
 
 def _check_pair(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix):
@@ -157,17 +156,14 @@ def craig_verdict(A1: GaussianRationalMatrix, A2: GaussianRationalMatrix,
         raise CraigDisagreementError(
             f"identity={ident} but product_zero={prod}; exact arithmetic is broken")
     if not ident:
-        return CraigVerdict(identity_holds=False, product_zero=False,
-                            rectangle=None, eigen_pairs=None)
+        return CraigVerdict(identity_holds=False, product_zero=False, rectangle=None)
     f1, f2 = A1.to_complex(), A2.to_complex()
     w1, w2 = map(np.linalg.eigvalsh, (f1, f2))
     tol = Fraction(rect_tol) * Fraction(_entry_scale(f1, f2))
     (lo1, hi1), (lo2, hi2) = (_certified_sides(j, r, A1.n, L, w, tol)
                               for j, r, w in zip((1, 2), factors, (w1, w2)))
     rect = ((lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2))
-    return CraigVerdict(identity_holds=True, product_zero=True,
-                        rectangle=rect, eigen_pairs=(tuple(map(float, w1)),
-                                                     tuple(map(float, w2))))
+    return CraigVerdict(identity_holds=True, product_zero=True, rectangle=rect)
 
 
 def verdict_line(v: CraigVerdict) -> str:

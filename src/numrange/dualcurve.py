@@ -36,7 +36,7 @@ from .exactpoly import (
     repeated_part,
     tri_gcd,
 )
-from .pencil import CurveSampleSet, PencilCurve, SpectralGrid
+from .pencil import CurveSampleSet, SpectralGrid
 
 __all__ = [
     "DualCurve",
@@ -227,16 +227,12 @@ def dual_union(p: TriPoly, factors: list[TriPoly]):
     return out
 
 
-def dual_sample(curve: PencilCurve, N: int) -> CurveSampleSet:
-    """Numeric samples of the dual curve on an N-angle `SpectralGrid`: each real
-    ray root with unit eigenvector v maps to the Rayleigh pair (v*A1v, v*A2v),
+def dual_sample(grid: SpectralGrid) -> CurveSampleSet:
+    """Numeric samples of the dual curve on the grid, of at least 8 rays: each
+    real ray root with unit eigenvector v maps to the Rayleigh pair (v*A1v, v*A2v),
     since grad p is proportional to (v*v, v*A1v, v*A2v) there (Jacobi).  A root
     whose eigenvalue is within EIG_GAP_RTOL*max|lambda| of a row neighbour is
     flagged singular, without a point.  Order: (angle index, root index)."""
-    return _grid_dual_sample(SpectralGrid(curve.pencil, N))
-
-
-def _grid_dual_sample(grid: SpectralGrid) -> CurveSampleSet:
     if len(grid.thetas) < 8:
         raise ValueError("need at least 8 rays")
     k, idx, _ = grid.line_roots()

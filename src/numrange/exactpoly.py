@@ -11,8 +11,8 @@ matrices and discriminants on Bezout matrices, and GCDs for squarefree parts.
 polynomial coefficient.
 
 The two determinants serve two shapes of matrix.  A Hermitian pencil y0*I +
-y1*C1 + y2*C2 of Gaussian integer matrices (`det_pencil`, behind `pencil_det`
-and `charpoly`, which is p(t, -1, -i)), whose determinant is real, is read
+y1*C1 + y2*C2 of Gaussian integer matrices (`det_pencil`, behind
+`pencil_det`), whose determinant is real, is read
 off the characteristic polynomials of C1 + j*C2 modulo primes below 2^k,
 k = (63 - bit length of n + 1) // 2 (with i -> sqrt(-1) mod P), all taken in
 one batched, division-free Berkowitz pass on int64 arrays, interpolated over j
@@ -1206,8 +1206,8 @@ def det_pencil(C1, C2) -> IntPoly:
     matrices.
 
     Each matrix is a pair (re, im) of n x n int rows, lists or tuples, with re
-    symmetric and im antisymmetric; the caller checks that (`pencil_det` and
-    `charpoly` pass Hermitian parts only).  Q is real at every real y, so its
+    symmetric and im antisymmetric; the caller checks that (`pencil_det`
+    passes Hermitian parts only).  Q is real at every real y, so its
     coefficients are integers.  Because y0 enters only as y0*I,
     Q(y0, t, j*t) = sum_k e_k(C1 + j*C2) * y0^(n-k) * t^k, with e_k the sum of
     the principal k-minors: the degree-k part of Q, a polynomial of degree

@@ -3,10 +3,9 @@
 A matrix over Q(i) is kept in one canonical integer store: its size n, the
 least common denominator L > 0 of its entry parts and the int rows `re` and
 `im` with A = (re + i*im)/L, so `==` and `hash` read the store.  The
-structural predicates (Hermitian, normal, the split A = A1 + i*A2) and
-`charpoly`, which reads the pencil determinant of the split, work on these
-integers; `entries`, the rows of `GaussianRational` entries, is built on
-first access.
+structural predicates (Hermitian, normal, the split A = A1 + i*A2) work on
+these integers; `entries`, the rows of `GaussianRational` entries, is built
+on first access.
 The float view `to_complex` rounds each part correctly, as float(Fraction)
 does; the angle-grid eigensolves that read it live in `pencil`.
 """
@@ -23,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exactpoly import GaussianRational, det_pencil
+from .exactpoly import GaussianRational
 
 __all__ = [
     "GaussianRationalMatrix",
@@ -33,8 +32,6 @@ __all__ = [
     "FloatRangeError",
     "split",
     "is_normal",
-    "rank_one_value",
-    "charpoly",
     "matrix_from_json",
     "load_matrix",
 ]
@@ -283,40 +280,6 @@ def is_normal(A: GaussianRationalMatrix) -> bool:
     re, im = A.re, A.im
     star = ([list(col) for col in zip(*re)], [[-x for x in col] for col in zip(*im)])
     return _int_matmul(star, (re, im)) == _int_matmul((re, im), star)
-
-
-def rank_one_value(A: GaussianRationalMatrix, w) -> tuple[float, float]:
-    """The point (w* A1 w, w* A2 w) of W(A) for a unit vector w.
-
-    Read off w* A w = w* A1 w + i * w* A2 w, with both Hermitian forms real.
-    """
-    w = np.asarray(w, dtype=np.complex128).reshape(-1)
-    if w.shape[0] != A.n:
-        raise ValueError("vector length does not match matrix size")
-    nrm = np.linalg.norm(w)
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValueError(f"w is not a unit vector (||w|| = {nrm!r})")
-    z = w.conj() @ A.to_complex() @ w
-    return float(z.real), float(z.imag)
-
-
-def charpoly(A: GaussianRationalMatrix) -> list[GaussianRational]:
-    """Exact characteristic polynomial det(t*I - A) = p(t, -1, -i), p(y) =
-    det(y0*I + y1*A1 + y2*A2) the pencil determinant of split(A) (Kippenhahn 1951).
-
-    Returns coefficients [c_0, ..., c_n] with c_n = 1, ascending powers of t.
-    With C1 = L*A1 and C2 = L*A2 cleared to Gaussian integers, `det_pencil`
-    gives the int terms Q of det(y0*I + y1*C1 + y2*C2), and p's coefficient of
-    y0^k * y1^b * y2^c is Q's over L^(b+c).  So c_k is the sum over
-    b + c = n - k of Q's times (-1)^b * (-i)^c = (-1)^(n-k) * i^c, over L^(n-k).
-    """
-    pencil, n = split(A), A.n
-    L = math.lcm(pencil.A1.L, pencil.A2.L)
-    parts = [[0, 0] for _ in range(n + 1)]  # (re, im) of L^(n-k) * c_k
-    for (k, b, c), v in det_pencil(_cleared_parts(pencil.A1, L), _cleared_parts(pencil.A2, L)).items():
-        parts[k][c % 2] += -v if (b + c + c // 2) % 2 else v  # i^c = (-1)^(c//2) * i^(c%2)
-    return [GaussianRational(Fraction(re, L ** (n - k)), Fraction(im, L ** (n - k)))
-            for k, (re, im) in enumerate(parts)]
 
 
 # -- matrix file format --------------------------------------------------------

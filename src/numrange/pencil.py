@@ -36,6 +36,7 @@ __all__ = [
     "RayExit",
     "CurveSample",
     "CurveSampleSet",
+    "SpectralGrid",
     "pencil_det",
     "lmi_member",
     "ray_exit",
@@ -186,28 +187,25 @@ def _integer_pencil(A1, A2) -> tuple[int, tuple, tuple, dict]:
     return L, C1, C2, det_pencil(C1, C2)
 
 
-def _check_grid(N: int) -> None:
-    if N < 3:
-        raise ValueError("need at least 3 support directions")
-
-
 class SpectralGrid:
     """Eigenpairs of H_k = cos_k*A1 + sin_k*A2, ascending, from one batched eigh;
     the eigenvectors give W(A)'s witnesses and the points of q = 0.  `scale` is
     the pencil's `_entry_scale`, the unit of every tolerance on the grid's values.
 
-    SpectralGrid(pencil, N) is the uniform fan theta_k = 2*pi*k/N; `at` takes
-    arbitrary angles (and, optionally, their exact unit directions).  Every
-    angle is solved, odd N and even N alike; on an even grid row k + N/2 is
-    the reflection of row k up to roundoff (cos and sin negated, eigenvalues
-    negated in reverse order, eigenvector columns reversed), but not bit for
-    bit, and the printed hull vertices of a polytopal W(A) depend on those
-    bits.
+    SpectralGrid(pencil, N) is the uniform fan theta_k = 2*pi*k/N, N >= 3; `at`
+    takes arbitrary angles (and, optionally, their exact unit directions), one
+    direction as `at(pencil, [theta])`.  Every angle is solved, odd N and even
+    N alike; on an even grid row k + N/2 is the reflection of row k up to
+    roundoff (cos and sin negated, eigenvalues negated in reverse order,
+    eigenvector columns reversed), but not bit for bit, and the printed hull
+    vertices of a polytopal W(A) depend on those bits.
     """
 
     __slots__ = ("pencil", "scale", "thetas", "cos", "sin", "eigvals", "eigvecs")
 
     def __init__(self, pencil: HermitianPencil, N: int):
+        if N < 3:
+            raise ValueError("need at least 3 support directions")
         thetas = np.arange(N) * (2.0 * math.pi) / N   # 2*pi*k/N bit for bit
         self._solve(pencil, thetas, np.cos(thetas), np.sin(thetas))
 
@@ -288,15 +286,9 @@ def ray_exit(pencil: HermitianPencil, direction: tuple[float, float]) -> RayExit
     return RayExit((d1, d2), float(t[0]), (float(y1[0]), float(y2[0])), float(lam[0]))
 
 
-def boundary_F(pencil: HermitianPencil, N: int) -> CurveSampleSet:
-    """Polygonal boundary of F(A): N ray exits at equally spaced angles."""
-    _check_grid(N)
-    return _grid_boundary(SpectralGrid(pencil, N))
-
-
-def _grid_boundary(grid: SpectralGrid) -> CurveSampleSet:
-    """The boundary samples of F(A) on the grid's rays, with the residual
-    lambda_min at every exit; unbounded rays hold inf."""
+def boundary_F(grid: SpectralGrid) -> CurveSampleSet:
+    """Polygonal boundary of F(A): the exits of the grid's rays, with the
+    residual lambda_min at every exit; unbounded rays hold inf."""
     k, _, y1, y2 = _exit_points(grid)
     N = len(grid.thetas)
     finite = np.zeros(N, dtype=bool)

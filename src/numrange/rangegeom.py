@@ -21,10 +21,9 @@ import numpy as np
 
 from .exactpoly import GaussianRational, TriPoly
 from .hermitian import GaussianRationalMatrix, HermitianPencil, is_normal, split
-from .pencil import SpectralGrid, _check_grid, _entry_scale, _exit_points, pencil_det
+from .pencil import SpectralGrid, _entry_scale, _exit_points, pencil_det
 
 __all__ = [
-    "SupportSample",
     "RangeHulls",
     "DualityReport",
     "PolytopeVerdict",
@@ -33,15 +32,17 @@ __all__ = [
     "member_W",
     "duality_check",
     "polytope_detect",
-    "translate_scale_law",
     "convex_hull",
     "polygon_area",
     "hausdorff_outer_to_inner",
     "hulls_csv",
 ]
 
-MEMBER_TOL = 1e-7   # times s, the pencil's `_entry_scale`
-GAP_FLOOR = 1e-10   # times max(s, max|witness|): inner/outer coincide to roundoff
+MEMBER_TOL = 1e-7        # times s, the pencil's `_entry_scale`
+GAP_FLOOR = 1e-10        # times max(s, max|witness|): inner/outer coincide to roundoff
+DEGENERATE_AREA = 1e-12  # times max(s, max|witness|)**2: the outer hull has no area
+CLUSTER_TOL = 1e-8       # times max(s, max|witness|): witnesses of one polytope corner
+DEDUPE_TOL = 1e-9        # times s + |z|: float eigenvalues of a normal A that are one
 
 
 # -- polygon utilities (work on floats and on exact Fractions alike) -----------
@@ -156,13 +157,6 @@ def _normal_fan(poly: np.ndarray) -> tuple[np.ndarray, int]:
 # -- support function and hulls -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportSample:
-    theta: float
-    h: float
-    witness: tuple[float, float]
-
-
 @dataclass
 class RangeHulls:
     """Bounds of W(A) on an N-angle fan: the CCW hulls and the witnesses as
@@ -175,18 +169,10 @@ class RangeHulls:
     support_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def support(A: GaussianRationalMatrix, theta: float) -> SupportSample:
-    """Support of W(A) in direction theta, with a rank-one witness point.
-
-    A one-angle spectral grid: h is lambda_max of cos*A1 + sin*A2 and the
-    witness is the W(A) point of its top eigenvector.
-    """
-    h, wit = _support_grid(SpectralGrid.at(split(A), [theta]))
-    return SupportSample(theta=theta, h=float(h[0]), witness=(float(wit[0, 0]), float(wit[0, 1])))
-
-
-def _support_grid(grid: SpectralGrid):
-    """Support values and rank-one witnesses over the grid's angles."""
+def support(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(h, witnesses): the support values of W(A) over the grid's angles, h_k =
+    lambda_max(H_k), and their rank-one witnesses, the (N, 2) array of the W(A)
+    points (v*A1v, v*A2v) of the top eigenvectors v."""
     f1, f2 = grid.pencil.float_parts()
     top = grid.eigvecs[:, :, -1]
     x1 = np.einsum("bi,ij,bj->b", top.conj(), f1, top).real
@@ -215,14 +201,9 @@ def _outer_vertices(cos: np.ndarray, sin: np.ndarray, h: np.ndarray) -> np.ndarr
     return np.stack([(h * sin_n - h_n * sin) / det, (cos * h_n - cos_n * h) / det], axis=1)
 
 
-def range_hulls(A: GaussianRationalMatrix, N: int) -> RangeHulls:
+def range_hulls(grid: SpectralGrid) -> RangeHulls:
     """Inner (witness hull) and outer (half-plane) polygonal bounds for W(A)."""
-    _check_grid(N)
-    return _grid_hulls(SpectralGrid(split(A), N))
-
-
-def _grid_hulls(grid: SpectralGrid) -> RangeHulls:
-    return _hulls_of(grid, *_support_grid(grid))
+    return _hulls_of(grid, *support(grid))
 
 
 def _hulls_of(grid: SpectralGrid, h: np.ndarray, wit: np.ndarray) -> RangeHulls:
@@ -230,7 +211,7 @@ def _hulls_of(grid: SpectralGrid, h: np.ndarray, wit: np.ndarray) -> RangeHulls:
     inner = _cycle_hull(wit)
     outer = _outer_polygon(grid.cos, grid.sin, h)
     scale = max(grid.scale, float(np.abs(wit).max()))
-    degenerate = polygon_area(outer) <= 1e-12 * scale * scale
+    degenerate = polygon_area(outer) <= DEGENERATE_AREA * scale * scale
     return RangeHulls(inner=inner, outer=outer, N=len(h), degenerate=degenerate,
                       witnesses=wit, support_values=h)
 
@@ -257,7 +238,6 @@ def member_W(A: GaussianRationalMatrix, x, N: int = 720,
     The margin is min over angles of h(theta) - x . u(theta), refined on a
     fine fan around the grid minimum; x is in W(A) when it is >= -tol*s.
     """
-    _check_grid(N)
     x1, x2 = float(x[0]), float(x[1])
     grid = SpectralGrid(split(A), N)
     g = grid.eigvals[:, -1] - x1 * grid.cos - x2 * grid.sin
@@ -324,7 +304,7 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     fine = SpectralGrid(split(A), 2 * N)
     grid = fine.every_other()
     k, _, y1, y2 = _exit_points(grid)
-    h, wit = _support_grid(fine)          # one Rayleigh pass; the N-grid is rows [::2]
+    h, wit = support(fine)                # one Rayleigh pass; the N-grid is rows [::2]
     hulls1 = _hulls_of(grid, h[::2], wit[::2])
     hulls2 = _hulls_of(fine, h, wit)
     gap1 = hausdorff_outer_to_inner(hulls1.outer, hulls1.inner)
@@ -371,7 +351,6 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
     determinant p), numeric otherwise.  Non-normal matrices: best-effort
     witness clustering; "mixed/unknown" is a legal verdict.
     """
-    _check_grid(N)
     pencil = split(A)
     return _polytope_verdict(A, pencil, pencil_det(pencil).p if is_normal(A) else None, N)
 
@@ -395,9 +374,9 @@ def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil, p: Tri
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
 
     grid = SpectralGrid(pencil, N)
-    _, wit = _support_grid(grid)
+    _, wit = support(grid)
     scale = max(grid.scale, float(np.abs(wit).max()))
-    starts, lengths = _witness_clusters(wit, 1e-8 * scale)
+    starts, lengths = _witness_clusters(wit, CLUSTER_TOL * scale)
     big = lengths >= 3
     if big.sum() >= 3 and lengths[big].sum() >= 0.9 * N:
         runs = (wit.take(np.arange(i, i + k), axis=0, mode="wrap")
@@ -452,32 +431,10 @@ def _certified_spectrum(A: GaussianRationalMatrix, p: TriPoly, eigs) -> list[Gau
     return [GaussianRational(Fraction(a, D), Fraction(b, D)) for a, b in roots]
 
 
-def _dedupe(zs, scale: float, tol: float = 1e-9):
-    """The values zs without those within tol*(scale + |z|) of an earlier kept one."""
+def _dedupe(zs, scale: float):
+    """The values zs without those within DEDUPE_TOL*(scale + |z|) of an earlier kept one."""
     out = []
     for z in zs:
-        if not any(abs(z - w) <= tol * (scale + abs(z)) for w in out):
+        if not any(abs(z - w) <= DEDUPE_TOL * (scale + abs(z)) for w in out):
             out.append(z)
     return out
-
-
-# -- sanity law -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TranslateScaleReport:
-    c: Fraction
-    max_deviation: float
-    ok: bool
-
-
-def translate_scale_law(A: GaussianRationalMatrix, c, N: int = 360,
-                        tol: float = 1e-9) -> TranslateScaleReport:
-    """Check h_{A+cI}(theta) = h_A(theta) + c*cos(theta) on the grid, to within
-    tol*s, s the larger `_entry_scale` of A and A + cI."""
-    _check_grid(N)
-    c = Fraction(c)
-    shifted = A + GaussianRationalMatrix.identity(A.n).scale(GaussianRational.of(c))
-    grid, grid_c = SpectralGrid(split(A), N), SpectralGrid(split(shifted), N)
-    dev = float(np.abs(grid_c.eigvals[:, -1] - grid.eigvals[:, -1] - float(c) * grid.cos).max())
-    return TranslateScaleReport(c, dev, ok=dev <= tol * max(grid.scale, grid_c.scale))

@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from .dualcurve import _grid_dual_sample
+from .dualcurve import dual_sample
 from .hermitian import GaussianRationalMatrix, split
-from .pencil import SpectralGrid, _check_grid, _exit_points
+from .pencil import SpectralGrid, _exit_points
 from .rangegeom import _outer_polygon
 
 __all__ = ["ViewportRequiredError", "render_figure"]
@@ -136,7 +136,7 @@ def _primal_branches(grid: SpectralGrid) -> np.ndarray:
 def _dual_branches(grid: SpectralGrid) -> list[np.ndarray]:
     """The dual samples of each root index in angle order, NaN where a
     sample has no chart point."""
-    samp = _grid_dual_sample(grid)
+    samp = dual_sample(grid)
     P = np.stack((samp.x, samp.y), axis=1)
     return [P[samp.root_index == i] for i in range(grid.pencil.n)]
 
@@ -150,7 +150,6 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     needs `viewport` (x1min, x1max, x2min, x2max), which then frames both
     panels; without it each panel frames its own set.
     """
-    _check_grid(N)
     pencil = split(A)
     grid = SpectralGrid(pencil, N)
     k, _, y1, y2 = _exit_points(grid)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from numrange.exactpoly import ExactDivisionError, GaussianRational, TriPoly, parse_poly
-from numrange.hermitian import GaussianRationalMatrix, load_matrix
-from numrange.rangegeom import _cross
+from numrange.hermitian import GaussianRationalMatrix, load_matrix, split
+from numrange.pencil import SpectralGrid, pencil_det
+from numrange.rangegeom import _cross, support
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -486,6 +487,27 @@ def reference_charpoly(A) -> list[GaussianRational]:
         c[n - k] = (-tr[0] // k, -tr[1] // k)
     return [GaussianRational(Fraction(a, L ** (n - k)), Fraction(b, L ** (n - k)))
             for k, (a, b) in enumerate(c)]
+
+
+def charpoly_from_p(A) -> list[GaussianRational]:
+    """Ascending coefficients of det(t*I - A) = p(t, -1, -i), read off the pencil
+    determinant p of split(A) (Kippenhahn 1951): the term v*y0^k*y1^b*y2^c adds
+    v*(-1)^b*(-i)^c = v*(-1)^(b+c)*i^c to the coefficient of t^k."""
+    p = pencil_det(split(A)).p
+    parts = [[Fraction(0), Fraction(0)] for _ in range(A.n + 1)]
+    for (k, b, c), v in p.terms.items():
+        parts[k][c % 2] += -v if (b + c + c // 2) % 2 else v   # i^c = (-1)^(c//2) * i^(c%2)
+    return [GaussianRational(re, im) for re, im in parts]
+
+
+def support_shift_deviation(A, c, N: int = 360) -> tuple[float, float]:
+    """(max |h_{A+cI} - h_A - c*cos|, the larger grid scale) over an N-angle fan: the
+    translate law of the support function, W(A + cI) = W(A) + c."""
+    c = Fraction(c)
+    shifted = A + GaussianRationalMatrix.identity(A.n).scale(GaussianRational.of(c))
+    grid, grid_c = SpectralGrid(split(A), N), SpectralGrid(split(shifted), N)
+    dev = float(np.abs(support(grid_c)[0] - support(grid)[0] - float(c) * grid.cos).max())
+    return dev, max(grid.scale, grid_c.scale)
 
 
 def matrix_document(rows, rng: random.Random) -> dict:

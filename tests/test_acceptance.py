@@ -16,7 +16,8 @@ from numrange.craig import craig_identity, product_zero
 from numrange.dualcurve import XVARS, dual_curve_exact, dual_sample, dual_union
 from numrange.exactpoly import TriPoly, parse_poly
 from numrange.hermitian import split
-from numrange.pencil import YVARS, hyperbolicity_check, lmi_polytope_vertices, pencil_det
+from numrange.pencil import (YVARS, SpectralGrid, hyperbolicity_check, lmi_polytope_vertices,
+                             pencil_det)
 from numrange.rangegeom import duality_check, polytope_detect, range_hulls
 
 from conftest import (
@@ -37,7 +38,7 @@ CONIC = parse_poly("4*y0^2 - y1^2 - y2^2", YVARS)  # cardioid_circle's circle
 def grid_dual_residuals(curve, q, N=120):
     """(count, worst |q| / scale) over the non-singular dual samples of the
     curve's N-angle grid."""
-    samples = dual_sample(curve, N)
+    samples = dual_sample(SpectralGrid(curve.pencil, N))
     keep = ~samples.singular
     worst = 0.0
     for x1, x2 in zip(samples.x[keep].tolist(), samples.y[keep].tolist()):
@@ -226,7 +227,7 @@ def test_dual_vanishing():
 @criterion("09 disk-oracle")
 def test_disk_oracle():
     A = fixture_matrix("disk")
-    hulls = range_hulls(A, 720)
+    hulls = range_hulls(SpectralGrid(split(A), 720))
     th = np.linspace(0, 2 * np.pi, 2880, endpoint=False)
     # Hausdorff distance to the radius-1/2 disk = sup |support - 1/2|
     assert np.abs(polygon_support(hulls.outer, th) - 0.5).max() <= 1e-3

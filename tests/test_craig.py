@@ -122,15 +122,13 @@ class TestVerdict:
     def test_negative_case_has_no_rectangle(self):
         v = craig_verdict(diag(1, 1), diag(1, 1))
         assert not v.identity_holds and not v.product_zero
-        assert v.rectangle is None and v.eigen_pairs is None
+        assert v.rectangle is None
         assert verdict_line(v) == "identity=false product_zero=false rectangle=none"
 
     def test_spectra_rectangle(self):
         v = craig_verdict(diag(2, 0, 0), diag(0, -1, 3))
         (lo1, lo2), _, (hi1, hi2), _ = v.rectangle
         assert (lo1, hi1, lo2, hi2) == (0.0, 2.0, -1.0, 3.0)
-        assert v.eigen_pairs[0] == (0.0, 0.0, 2.0)
-        assert v.eigen_pairs[1] == (-1.0, 0.0, 3.0)
 
     @pytest.mark.parametrize("planted", [True, False])
     def test_one_pencil_per_verdict(self, monkeypatch, planted):

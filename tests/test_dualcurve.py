@@ -17,7 +17,6 @@ from numrange.dualcurve import (
     dual_sample,
     dual_sample_csv,
     dual_union,
-    _grid_dual_sample,
 )
 from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, split
@@ -175,7 +174,7 @@ class TestDualCurveExact:
         assert 0 < dc.degree <= 12
         assert len(dc.validation_primes) == 2
         checked = 0
-        for s in dual_sample(curve, 64).samples:
+        for s in dual_sample(SpectralGrid(curve.pencil, 64)).samples:
             if s.singular or s.point is None:
                 continue
             val, scale = eval_with_scale(dc.q, (1.0, *s.point))
@@ -385,19 +384,21 @@ class TestDualUnion:
             dual_union(p, [(Y0 + Y1) * (Y0 + Y2), Y0 + Y2])
 
 
+def _samples(A, N):
+    return dual_sample(SpectralGrid(split(A), N))
+
+
 class TestDualSample:
     def test_disk_half_radius_circle(self):
-        curve = pencil_det(split(fixture_matrix("disk")))
-        samples = dual_sample(curve, 16)
+        samples = _samples(fixture_matrix("disk"), 16)
         pts = [s.point for s in samples.samples if s.point is not None]
         assert len(pts) >= 16
         for x1, x2 in pts:
             assert abs(math.hypot(x1, x2) - 0.5) < 1e-9
 
     def test_cubic_samples_satisfy_exact_dual(self):
-        curve = pencil_det(split(fixture_matrix("cubic_cusp")))
         q = golden_poly("cubic_cusp_q.txt", XVARS)
-        samples = dual_sample(curve, 64)
+        samples = _samples(fixture_matrix("cubic_cusp"), 64)
         checked = 0
         for s in samples.samples:
             if s.singular or s.point is None:
@@ -408,9 +409,8 @@ class TestDualSample:
         assert checked >= 100
 
     def test_nested_ovals_branches(self):
-        curve = pencil_det(split(fixture_matrix("nested_ovals")))
         q = golden_poly("nested_ovals_q.txt", XVARS)
-        samples = dual_sample(curve, 90)
+        samples = _samples(fixture_matrix("nested_ovals"), 90)
         indices = {s.root_index for s in samples.samples}
         assert indices == {0, 1, 2, 3}
         for s in samples.samples:
@@ -420,18 +420,17 @@ class TestDualSample:
             assert abs(val) <= 1e-6 * scale
 
     def test_deterministic_ordering(self):
-        curve = pencil_det(split(fixture_matrix("disk")))
-        a = dual_sample_csv(dual_sample(curve, 16))
-        b = dual_sample_csv(dual_sample(curve, 16))
+        A = fixture_matrix("disk")
+        a = dual_sample_csv(_samples(A, 16))
+        b = dual_sample_csv(_samples(A, 16))
         assert a == b
-        keys = [(s.theta, s.root_index) for s in dual_sample(curve, 16).samples]
+        keys = [(s.theta, s.root_index) for s in _samples(A, 16).samples]
         assert keys == sorted(keys)
 
     def test_huge_entries_scale_the_samples(self):
         # entries times 10^100 scale W(A), hence every chart point, by 10^100
-        base = dual_sample(pencil_det(split(fixture_matrix("nested_ovals"))), 90)
-        A = fixture_matrix("nested_ovals").scale(GaussianRational.of(10 ** 100))
-        huge = dual_sample(pencil_det(split(A)), 90)
+        base = _samples(fixture_matrix("nested_ovals"), 90)
+        huge = _samples(fixture_matrix("nested_ovals").scale(GaussianRational.of(10 ** 100)), 90)
         assert len(huge.samples) == len(base.samples)
         for a, b in zip(base.samples, huge.samples):
             assert (a.theta, a.root_index, a.singular) == (b.theta, b.root_index, b.singular)
@@ -462,7 +461,7 @@ class TestDualSample:
                         float(np.einsum("i,ij,j->", v.conj(), f, v).real) for f in (f1, f2))
                     want.append(CurveSample(theta=theta, point=pt, root_index=i,
                                             singular=singular))
-            got = _grid_dual_sample(grid)
+            got = dual_sample(grid)
             assert repr(got.samples) == repr(want), N
             assert (name == "tiny") == all(s.point is not None for s in want), N
 
@@ -470,7 +469,7 @@ class TestDualSample:
         # p is the cubic times the conic cubed; on the rays next to the x-axis the
         # roots of eigenvalue index 0, 4 and 8 lie clear of the conic's triple
         # eigenvalue, and their samples are smooth points on a golden dual
-        samples = dual_sample(pencil_det(split(fixture_matrix("cardioid_circle"))), 1440)
+        samples = _samples(fixture_matrix("cardioid_circle"), 1440)
         k = np.rint(samples.theta * 1440 / (2 * math.pi)).astype(int)
         rows = np.flatnonzero(np.isin(k, (1, 719, 721, 1439))
                               & np.isin(samples.root_index, (0, 4, 8)))
@@ -480,9 +479,9 @@ class TestDualSample:
             assert cardioid_circle_dual_residual(samples.x[j], samples.y[j]) <= 1e-12
 
     def test_point_budget(self):
-        curve = pencil_det(split(fixture_matrix("cross_star")))
-        samples = dual_sample(curve, 32)
-        assert len(samples.samples) <= 32 * curve.pencil.n
+        A = fixture_matrix("cross_star")
+        samples = _samples(A, 32)
+        assert len(samples.samples) <= 32 * A.n
 
 
 class TestBiduality:
@@ -493,7 +492,7 @@ class TestBiduality:
         q = golden_poly("cubic_cusp_q.txt", XVARS)
         grid = SpectralGrid(split(fixture_matrix("cubic_cusp")), 60)
         k, _, t = grid.line_roots()
-        samples = _grid_dual_sample(grid)
+        samples = dual_sample(grid)
         back = 0
         for j in np.flatnonzero(~samples.singular).tolist():
             x = (1.0, samples.x[j], samples.y[j])

@@ -31,11 +31,11 @@ from numrange.exactpoly import (
     tri_gcd,
 )
 
-from numrange.hermitian import GaussianRationalMatrix, _cleared_parts, charpoly, split
+from numrange.hermitian import GaussianRationalMatrix, _cleared_parts, split
 from numrange.pencil import _sturm, pencil_det
 
-from conftest import (FIXTURES, XVARS, YVARS, constant_value, divides, eval_with_scale,
-                      fixture_matrix, random_gaussian_matrix, random_term_dicts, random_tripoly,
+from conftest import (FIXTURES, XVARS, YVARS, charpoly_from_p, constant_value, divides,
+                      eval_with_scale, fixture_matrix, random_gaussian_matrix, random_term_dicts, random_tripoly,
                       reference_add, reference_content, reference_divexact, reference_mul,
                       reference_neg, reference_partial, reference_pow, reference_primitive,
                       with_vars)
@@ -276,7 +276,7 @@ class TestDetPencil:
         # det(y0*I + y1*[[1, 2 + i], [2 - i, -1]]) = y0^2 - 6*y1^2
         C1 = ([[1, 2], [2, -1]], [[0, 1], [-1, 0]])
         assert det_pencil(C1, _zero_pair(2)) == {(2, 0, 0): 1, (0, 2, 0): -6}
-        assert charpoly(GaussianRationalMatrix([[0, GaussianRational.I], [GaussianRational.I, 0]])) == [
+        assert charpoly_from_p(GaussianRationalMatrix([[0, GaussianRational.I], [GaussianRational.I, 0]])) == [
             GaussianRational.ONE, GaussianRational.ZERO, GaussianRational.ONE]
 
     def test_matches_pair_reference(self):
@@ -310,9 +310,10 @@ class TestDetPencil:
                       for i, row in enumerate(A.entries)]
                 im = [[TriPoly.constant(-e.im, YVARS) for e in row] for row in A.entries]
                 ref_re, ref_im = _det_pair_reference(re, im)
-                assert charpoly(A) == [GaussianRational(ref_re.terms.get((k, 0, 0), Fraction(0)),
-                                                        ref_im.terms.get((k, 0, 0), Fraction(0)))
-                                       for k in range(n + 1)]
+                # det(t*I - A) read off p(t, -1, -i)
+                assert charpoly_from_p(A) == [
+                    GaussianRational(ref_re.terms.get((k, 0, 0), Fraction(0)),
+                                     ref_im.terms.get((k, 0, 0), Fraction(0))) for k in range(n + 1)]
 
     @pytest.mark.parametrize("kind", ["real", "hermitian"])
     def test_crt_over_many_small_primes(self, monkeypatch, kind):

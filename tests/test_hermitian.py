@@ -18,15 +18,14 @@ from numrange.hermitian import (
     NonHermitianError,
     _cleared_parts,
     _int_matmul,
-    charpoly,
     is_normal,
     matrix_from_json,
-    rank_one_value,
     split,
 )
 
 from conftest import (
     canonical_json,
+    charpoly_from_p,
     fixture_matrix,
     matrix_document,
     random_gaussian_matrix,
@@ -199,51 +198,36 @@ class TestIntMatmul:
 
 
 class TestRankOneValue:
-    def test_identity(self):
-        rng = np.random.default_rng(5)
-        w = rng.normal(size=4) + 1j * rng.normal(size=4)
-        w /= np.linalg.norm(w)
-        x = rank_one_value(GaussianRationalMatrix.identity(4), w)
-        assert np.allclose(x, (1.0, 0.0), atol=1e-12)
-
-    def test_basis_vector_picks_diagonal(self):
-        x = rank_one_value(fixture_matrix("cubic_cusp"), [0.0, 1.0, 0.0])
-        assert np.allclose(x, (1.0, 0.0), atol=1e-14)
-
-    def test_nilpotent_mixed_vector(self):
-        w = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        x = rank_one_value(NILPOTENT, w)
-        assert np.allclose(x, (0.5, 0.0), atol=1e-14)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            rank_one_value(NILPOTENT, [1.0, 1.0])
-
     def test_inside_outer_hull(self):
         # the outer polygon is the intersection of the supporting half-planes,
-        # so membership is the vectorized constraint x . u(theta) <= h(theta)
+        # so membership of the rank-one values w*Aw = (w*A1w, w*A2w) of unit
+        # vectors w is the vectorized constraint x . u(theta) <= h(theta)
+        from numrange.pencil import SpectralGrid
         from numrange.rangegeom import range_hulls
 
         rng = np.random.default_rng(11)
         for name in ("cubic_cusp", "disk"):
             A = fixture_matrix(name)
-            hulls = range_hulls(A, 360)
+            hulls = range_hulls(SpectralGrid(split(A), 360))
             thetas = np.array([2 * np.pi * k / 360 for k in range(360)])
             U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
             h = np.array(hulls.support_values)
             W = rng.normal(size=(10_000, A.n)) + 1j * rng.normal(size=(10_000, A.n))
             W /= np.linalg.norm(W, axis=1, keepdims=True)
-            pts = np.array([rank_one_value(A, w) for w in W])
+            z = np.einsum("bi,ij,bj->b", W.conj(), A.to_complex(), W)
+            pts = np.stack([z.real, z.imag], axis=1)
             assert (pts @ U.T <= h[None, :] + 1e-8).all()
 
 
 class TestCharpoly:
+    """det(t*I - A) read off the pencil determinant of split(A) as p(t, -1, -i)."""
+
     def test_matches_eigenvalues(self):
         rng = random.Random(109)
         for _ in range(6):
             n = rng.randint(2, 5)
             A = random_gaussian_matrix(n, rng)
-            coeffs = charpoly(A)
+            coeffs = charpoly_from_p(A)
             assert coeffs[-1] == GaussianRational.ONE
             # evaluate at the float eigenvalues of A
             z = np.linalg.eigvals(A.to_complex())
@@ -262,9 +246,8 @@ class TestCharpoly:
             ref = [sp.expand(c) for c in M.charpoly(t).all_coeffs()[::-1]]
             got = [sp.Rational(c.re.numerator, c.re.denominator)
                    + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
-                   for c in charpoly(A)]
+                   for c in charpoly_from_p(A)]
             assert got == ref
-            assert all(isinstance(c, GaussianRational) for c in charpoly(A))
 
 
 MALFORMED = [
@@ -424,7 +407,7 @@ class TestIntakeAgainstFractionReference:
             assert _cleared_parts(A, L) == (re, im)
             assert _cleared_parts(A, 6 * L) == tuple([[6 * x for x in row] for row in p]
                                                      for p in (re, im))
-            assert charpoly(A) == reference_charpoly(rows)
+            assert charpoly_from_p(A) == reference_charpoly(rows)
             seen |= {("float range error", isinstance(ref, str)), ("hermitian", hermitian),
                      ("normal", normal)}
             for part in (x for row in doc["entries"] for e in row for x in e):

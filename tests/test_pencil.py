@@ -52,6 +52,10 @@ def _rat(x: Fraction) -> sp.Rational:
     return sp.Rational(x.numerator, x.denominator)
 
 
+def _boundary(pencil, N):
+    return boundary_F(SpectralGrid(pencil, N))
+
+
 class TestPencilDet:
     def test_cubic_fixture_exact(self):
         curve = pencil_det(split(fixture_matrix("cubic_cusp")))
@@ -217,12 +221,12 @@ class TestRayExit:
 
 class TestBoundary:
     def test_disk_square_grid(self):
-        samples = boundary_F(split(fixture_matrix("disk")), 4)
+        samples = _boundary(split(fixture_matrix("disk")), 4)
         pts = finite_points(samples)
         assert np.allclose(pts, [(2, 0), (0, 2), (-2, 0), (0, -2)], atol=1e-12)
 
     def test_identity_half_plane(self):
-        samples = boundary_F(split(GaussianRationalMatrix.identity(2)), 4)
+        samples = _boundary(split(GaussianRationalMatrix.identity(2)), 4)
         finite = [s for s in samples.samples if s.point is not None]
         assert len(finite) == 1
         assert abs(finite[0].theta - math.pi) < 1e-12
@@ -231,7 +235,7 @@ class TestBoundary:
     def test_nested_ovals_points_on_curve(self):
         pencil = split(fixture_matrix("nested_ovals"))
         curve = pencil_det(pencil)
-        samples = boundary_F(pencil, 720)
+        samples = _boundary(pencil, 720)
         assert not samples.all_unbounded
         for pt in finite_points(samples):
             val, scale = eval_with_scale(curve.p, (1.0, *pt))
@@ -239,13 +243,13 @@ class TestBoundary:
 
     def test_polygon_convex(self):
         for name in ("cubic_cusp", "nested_ovals", "cross_star", "disk"):
-            samples = boundary_F(split(fixture_matrix(name)), 240)
+            samples = _boundary(split(fixture_matrix(name)), 240)
             assert polygon_is_convex(finite_points(samples), tol=1e-9)
 
     def test_refinement_moves_points_little(self):
         pencil = split(fixture_matrix("cubic_cusp"))
-        coarse = boundary_F(pencil, 90)
-        fine = boundary_F(pencil, 180)
+        coarse = _boundary(pencil, 90)
+        fine = _boundary(pencil, 180)
         tmax = max(math.hypot(*p) for p in finite_points(coarse))
         mesh = tmax * 2 * math.pi / 90
         fine_pts = np.array(finite_points(fine))
@@ -254,13 +258,13 @@ class TestBoundary:
             assert d <= mesh
 
     def test_degenerate_all_unbounded(self):
-        samples = boundary_F(split(GaussianRationalMatrix.zero(3)), 8)
+        samples = _boundary(split(GaussianRationalMatrix.zero(3)), 8)
         assert samples.all_unbounded and len(samples.samples) == 8
         assert all(s.point is None and s.lambda_min is None for s in samples.samples)
         assert [s.theta for s in samples.samples] == [2 * math.pi * k / 8 for k in range(8)]
 
     def test_csv_format(self):
-        samples = boundary_F(split(GaussianRationalMatrix.identity(2)), 4)
+        samples = _boundary(split(GaussianRationalMatrix.identity(2)), 4)
         text = boundary_csv(samples)
         lines = text.strip().split("\n")
         assert lines[0] == "theta,y1,y2,lambda_min"
@@ -269,12 +273,14 @@ class TestBoundary:
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
-            boundary_F(split(fixture_matrix("disk")), 2)
+            SpectralGrid(split(fixture_matrix("disk")), 2)
 
     @pytest.mark.parametrize("N", [0, 1, 2])
     def test_grid_check_is_the_shared_one(self, N):
+        # the one check on a grid size, in SpectralGrid.__init__; `at` takes any angles
         with pytest.raises(ValueError, match="need at least 3 support directions"):
-            boundary_F(split(fixture_matrix("disk")), N)
+            SpectralGrid(split(fixture_matrix("disk")), N)
+        assert len(SpectralGrid.at(split(fixture_matrix("disk")), [0.5] * N).eigvals) == N
 
 
 FIXTURE_NAMES = ("disk", "cubic_cusp", "cross_star", "nested_ovals", "polytope",
@@ -306,7 +312,7 @@ class TestCurveSampleColumns:
              "zero": GaussianRationalMatrix.zero(2)}.get(name) or fixture_matrix(name)
         pencil = split(A)
         for N in (16, 90, 720):
-            got = boundary_F(pencil, N)
+            got = _boundary(pencil, N)
             assert repr(got.samples) == repr(_boundary_reference(pencil, N)), N
             assert got.all_unbounded == (not any(s.point for s in got.samples))
             assert finite_points(got) == [s.point for s in got.samples if s.point]
@@ -397,7 +403,7 @@ class TestSpectralGrid:
     def test_ray_exit_is_the_boundary_sample(self, name):
         pencil = split(fixture_matrix(name))
         N = 72
-        for k, s in enumerate(boundary_F(pencil, N).samples):
+        for k, s in enumerate(_boundary(pencil, N).samples):
             theta = 2.0 * math.pi * k / N
             exit_ = ray_exit(pencil, (math.cos(theta), math.sin(theta)))
             assert s.theta == theta

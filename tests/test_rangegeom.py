@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from numrange.exactpoly import GaussianRational
-from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, charpoly, is_normal, split
+from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, is_normal, split
 from numrange.pencil import (
     CurveSample,
     CurveSampleSet,
@@ -23,12 +23,10 @@ import numrange.rangegeom as rangegeom
 from numrange.rangegeom import (
     _cross,
     _cycle_hull,
-    _grid_hulls,
     _hulls_of,
     _outer_polygon,
     _outer_vertices,
     _pairing_row_min,
-    _support_grid,
     _witness_clusters,
     convex_hull,
     duality_check,
@@ -38,11 +36,11 @@ from numrange.rangegeom import (
     polytope_detect,
     range_hulls,
     support,
-    translate_scale_law,
 )
 
 from conftest import (
     cardioid_circle_dual_residual,
+    charpoly_from_p,
     eval_with_scale,
     fixture_matrix,
     planted_product_zero_pair,
@@ -50,6 +48,7 @@ from conftest import (
     polygon_is_convex,
     polygon_support,
     random_gaussian_matrix,
+    support_shift_deviation,
 )
 
 F = Fraction
@@ -70,55 +69,66 @@ def _hausdorff_vs_polygon(poly_a, poly_b, n_angles=2048):
     return float(np.abs(polygon_support(poly_a, th) - polygon_support(poly_b, th)).max())
 
 
+def _support_at(A, thetas):
+    """(h, witnesses) of W(A) at the given angles, from one `SpectralGrid.at`."""
+    return support(SpectralGrid.at(split(A), thetas))
+
+
+def _hulls(A, N):
+    return range_hulls(SpectralGrid(split(A), N))
+
+
 class TestSupport:
     def test_cubic_theta_zero(self):
-        s = support(fixture_matrix("cubic_cusp"), 0.0)
-        assert abs(s.h - 1.0) < 1e-12
-        assert abs(s.witness[0] - 1.0) < 1e-9
+        h, wit = _support_at(fixture_matrix("cubic_cusp"), [0.0])
+        assert abs(h[0] - 1.0) < 1e-12
+        assert abs(wit[0, 0] - 1.0) < 1e-9
 
     def test_identity(self):
         A = GaussianRationalMatrix.identity(3)
         for th in (0.0, 1.0, 2.5):
-            s = support(A, th)
-            assert abs(s.h - math.cos(th)) < 1e-12
-            assert np.allclose(s.witness, (1.0, 0.0), atol=1e-12)
+            h, wit = _support_at(A, [th])
+            assert abs(h[0] - math.cos(th)) < 1e-12
+            assert np.allclose(wit[0], (1.0, 0.0), atol=1e-12)
 
     def test_disk_constant_half(self):
-        A = fixture_matrix("disk")
-        for th in np.linspace(0, 2 * math.pi, 9):
-            assert abs(support(A, th).h - 0.5) < 1e-12
+        h, _ = _support_at(fixture_matrix("disk"), np.linspace(0, 2 * math.pi, 9))
+        assert np.abs(h - 0.5).max() < 1e-12
 
     def test_matches_the_hull_grid(self):
+        # a one-angle solve gives the bits of the batched one
         N = 48
         for name in ("disk", "cubic_cusp", "cross_star", "nested_ovals", "polytope"):
             A = fixture_matrix(name)
-            hulls = range_hulls(A, N)
+            hulls = _hulls(A, N)
             for k in range(N):
-                s = support(A, 2.0 * math.pi * k / N)
-                assert s.h == hulls.support_values[k]
-                assert s.witness == tuple(hulls.witnesses[k].tolist())
+                h, wit = _support_at(A, [2.0 * math.pi * k / N])
+                assert h[0] == hulls.support_values[k]
+                assert wit[0].tolist() == hulls.witnesses[k].tolist()
 
 
+# every public function that takes a grid size N reaches the one check, in
+# SpectralGrid.__init__, before any work
 _GRID_CALLS = {
-    "range_hulls": lambda A, N: range_hulls(A, N),
+    "range_hulls": lambda A, N: _hulls(A, N),
     "member_W": lambda A, N: member_W(A, (0, 0), N=N),
     "polytope_detect": lambda A, N: polytope_detect(A, N=N),
-    "translate_scale_law": lambda A, N: translate_scale_law(A, 1, N=N),
 }
 
 
 class TestRangeHulls:
+    # polytope is normal with an exact spectrum, where polytope_detect reads
+    # no grid and so no N
     @pytest.mark.parametrize("N", [0, 1, 2])
-    @pytest.mark.parametrize("name", ["disk", "polytope"])
-    @pytest.mark.parametrize("call", list(_GRID_CALLS))
+    @pytest.mark.parametrize("call, name", [(call, name) for call in _GRID_CALLS
+                                            for name in ("disk", "polytope")
+                                            if (call, name) != ("polytope_detect", "polytope")])
     def test_grid_size_is_checked_first(self, call, name, N):
-        # polytope is normal with an exact spectrum, where polytope_detect
-        # reads no grid; the check runs before any work all the same
         with pytest.raises(ValueError, match="need at least 3 support directions"):
             _GRID_CALLS[call](fixture_matrix(name), N)
 
     def test_disk_hausdorff(self):
-        hulls = range_hulls(fixture_matrix("disk"), 360)
+        hulls = _hulls(fixture_matrix("disk"), 360)
         th = np.linspace(0, 2 * np.pi, 1440, endpoint=False)
         # support function of the radius-1/2 disk is identically 1/2
         assert np.abs(polygon_support(hulls.outer, th) - 0.5).max() < 1e-3
@@ -127,7 +137,7 @@ class TestRangeHulls:
     def test_hermitian_segment(self):
         A = gmatrix([[2, 1], [1, -1]])  # real symmetric: W = [lmin, lmax] x {0}
         w = np.linalg.eigvalsh(A.to_complex())
-        hulls = range_hulls(A, 240)
+        hulls = _hulls(A, 240)
         assert hulls.degenerate
         for x, y in np.concatenate((hulls.inner, hulls.outer)).tolist():
             assert abs(y) < 1e-8
@@ -136,7 +146,7 @@ class TestRangeHulls:
         assert abs(min(xs) - w[0]) < 1e-8 and abs(max(xs) - w[-1]) < 1e-8
 
     def test_polytope_quadrilateral(self):
-        hulls = range_hulls(fixture_matrix("polytope"), 720)
+        hulls = _hulls(fixture_matrix("polytope"), 720)
         quad = [(3.0, 0.0), (4.0, -1.0), (5.0, 0.0), (4.0, 1.0)]
         assert _hausdorff_vs_polygon(hulls.outer, quad) < 1e-6
         assert _hausdorff_vs_polygon(hulls.inner, quad) < 1e-6
@@ -146,7 +156,7 @@ class TestRangeHulls:
         mats = [fixture_matrix(n) for n in ("cubic_cusp", "nested_ovals", "disk")]
         mats += [random_gaussian_matrix(rng.randint(2, 6), rng) for _ in range(10)]
         for A in mats:
-            hulls = range_hulls(A, 180)
+            hulls = _hulls(A, 180)
             assert polygon_is_convex(hulls.outer, tol=1e-9)
             assert polygon_is_convex(hulls.inner, tol=1e-9)
             for v in hulls.inner:
@@ -219,8 +229,8 @@ class TestDuality:
 
     def test_one_rayleigh_pass_for_both_levels(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(rangegeom, "_support_grid",
-                            lambda grid: calls.append(len(grid.thetas)) or _support_grid(grid))
+        monkeypatch.setattr(rangegeom, "support",
+                            lambda grid: calls.append(len(grid.thetas)) or support(grid))
         duality_check(fixture_matrix("cubic_cusp"), N=90)
         assert calls == [180]
 
@@ -236,18 +246,17 @@ class TestDuality:
         for name in ("cubic_cusp", "nested_ovals", "polytope"):
             A = fixture_matrix(name)
             curve = pencil_det(split(A))
-            for th in np.linspace(0, 2 * math.pi, 40, endpoint=False):
-                s = support(A, th)
-                y = (-s.h, math.cos(th), math.sin(th))
+            thetas = np.linspace(0, 2 * math.pi, 40, endpoint=False)
+            for th, h in zip(thetas.tolist(), _support_at(A, thetas)[0].tolist()):
+                y = (-h, math.cos(th), math.sin(th))
                 val, scale = eval_with_scale(curve.p, y)
                 assert abs(val) <= 1e-6 * scale
 
     def test_dual_sample_cloud_matches_outer_hull(self):
         for name in ("disk", "cubic_cusp"):
-            A = fixture_matrix(name)
-            curve = pencil_det(split(A))
-            hulls = range_hulls(A, 1024)
-            cloud = [s.point for s in dual_sample(curve, 1024).samples
+            grid = SpectralGrid(split(fixture_matrix(name)), 1024)
+            hulls = range_hulls(grid)
+            cloud = [s.point for s in dual_sample(grid).samples
                      if s.point is not None and not s.singular]
             hull_cloud = convex_hull(cloud)
             assert _hausdorff_vs_polygon(hulls.outer, hull_cloud) <= 2e-3
@@ -320,7 +329,7 @@ class TestPolytopeDetect:
     def test_seeded_conjugated_normal_sweep(self):
         # Q D Q^T with fractional and repeated Gaussian-rational eigenvalues,
         # n = 1..5: the spectrum is certified exactly, its hull vertices are
-        # the planted ones, and charpoly(A) = prod (t - z_j)
+        # the planted ones, and p(t, -1, -i) = det(t*I - A) = prod (t - z_j)
         rng = random.Random(71)
         dens = (1, 2, 3, 4, 5, 6, 7)
         for n in range(1, 6):
@@ -342,7 +351,7 @@ class TestPolytopeDetect:
                     want = [(want[i - 1] if i else GaussianRational.ZERO)
                             - (z * want[i] if i < len(want) else GaussianRational.ZERO)
                             for i in range(len(want) + 1)]
-                assert charpoly(A) == want
+                assert charpoly_from_p(A) == want
 
     def test_denominators_past_float_precision_stay_numeric(self):
         q = 2**61 - 1
@@ -396,7 +405,7 @@ class TestPolytopeDetect:
         assert starts.tolist() == [10, 3, 7] and lengths.tolist() == [5, 4, 3]
         # the verdict needs the join: split, the runs of a (3 and 2) would
         # leave 10 < 0.9 * 12 witnesses in runs of 3 or more
-        monkeypatch.setattr(rangegeom, "_support_grid", lambda grid: (None, wit))
+        monkeypatch.setattr(rangegeom, "support", lambda grid: (None, wit))
         A = fixture_matrix("cubic_cusp")
         v = rangegeom._polytope_verdict(A, split(A), None, len(wit))
         assert v.kind == "polytope" and sorted(v.vertices) == sorted([a, b, c])
@@ -417,22 +426,21 @@ class TestPolytopeDetect:
 
 
 class TestTranslateScale:
+    """h_{A+cI}(theta) = h_A(theta) + c*cos(theta) on the grid."""
+
     def test_identity_shift(self):
-        A = GaussianRationalMatrix.identity(2)
-        rep = translate_scale_law(A, 2)
-        assert rep.ok and rep.max_deviation <= 1e-9
+        dev, scale = support_shift_deviation(GaussianRationalMatrix.identity(2), 2)
+        assert dev <= 1e-9 * scale
 
     def test_cubic_shift(self):
         A = fixture_matrix("cubic_cusp")
-        rep = translate_scale_law(A, 1)
-        assert rep.ok
-        s0 = support(A, 0.0).h
+        dev, scale = support_shift_deviation(A, 1)
+        assert dev <= 1e-9 * scale
         shifted = A + GaussianRationalMatrix.identity(3)
-        assert abs(support(shifted, 0.0).h - (s0 + 1.0)) < 1e-9
+        assert abs(_support_at(shifted, [0.0])[0][0] - (_support_at(A, [0.0])[0][0] + 1.0)) < 1e-9
 
     def test_zero_shift_identical(self):
-        rep = translate_scale_law(fixture_matrix("disk"), 0)
-        assert rep.ok and rep.max_deviation == 0.0
+        assert support_shift_deviation(fixture_matrix("disk"), 0)[0] == 0.0
 
 
 class TestHullHelpers:
@@ -492,7 +500,7 @@ class TestHullHelpers:
 
         pencil = split(fixture_matrix(name))
         for N in (16, 90, 720):
-            hulls = _grid_hulls(SpectralGrid(pencil, N))
+            hulls = range_hulls(SpectralGrid(pencil, N))
             scale = max(1.0, float(np.abs(hulls.witnesses).max()))
             assert hulls.degenerate == (loop_area(hulls.outer) <= 1e-12 * scale * scale), N
             assert abs(polygon_area(hulls.outer) - loop_area(hulls.outer)) <= (
@@ -560,7 +568,7 @@ def _rows(V):
 
 def _grid_polygons(A, N):
     grid = SpectralGrid(split(A), N)
-    h, wit = _support_grid(grid)
+    h, wit = support(grid)
     inner = convex_hull([tuple(map(float, p)) for p in wit])
     return grid, h, inner, max(1.0, float(np.abs(wit).max()))
 
@@ -627,7 +635,7 @@ class TestLinearKernelsAgainstReferences:
         for pencil in pencils:
             for N in (3, 4, 16, 45, 90, 91, 720, 1440):
                 grid = SpectralGrid(pencil, N)
-                h = _support_grid(grid)[0]
+                h = support(grid)[0]
                 V = _outer_vertices(grid.cos, grid.sin, h)
                 P = np.array(_outer_polygon(grid.cos, grid.sin, h))
                 scale = max(1.0, float(np.abs(V).max()))
@@ -643,7 +651,7 @@ class TestLinearKernelsAgainstReferences:
         point lies on a golden dual."""
         curve = pencil_det(split(fixture_matrix(name)))
         for N in (16, 90, 720):
-            got, want = dual_sample(curve, N), _dual_sample_reference(curve, N)
+            got, want = dual_sample(SpectralGrid(curve.pencil, N)), _dual_sample_reference(curve, N)
             for col in ("theta", "root_index", "singular", "finite"):
                 assert getattr(got, col).tolist() == getattr(want, col).tolist(), (col, N)
             assert np.isnan(got.x).tolist() == np.isnan(want.x).tolist(), N
@@ -684,12 +692,12 @@ def _hull_inputs():
 
 
 class TestCycleHull:
-    """`_cycle_hull` and `_grid_hulls` equal the `convex_hull` reference."""
+    """`_cycle_hull` and `range_hulls` equal the `convex_hull` reference."""
 
     @staticmethod
     def _check(grid):
-        h, wit = _support_grid(grid)
-        hulls = _grid_hulls(grid)
+        h, wit = support(grid)
+        hulls = range_hulls(grid)
         witnesses = [tuple(map(float, p)) for p in wit]
         assert _rows(hulls.witnesses) == witnesses
         assert hulls.support_values.tolist() == [float(v) for v in h]
@@ -815,9 +823,9 @@ class TestDualityInLinearMemory:
             if not k.size:
                 continue
             Y = np.stack((y1, y2), axis=1)
-            W = _grid_hulls(grid).witnesses
+            W = range_hulls(grid).witnesses
             reference = (1.0 + Y @ W.T).min(axis=1)
-            assert _same_bits(_pairing_row_min(Y, _support_grid(fine)[1][::2]), reference), (name, N)
+            assert _same_bits(_pairing_row_min(Y, support(fine)[1][::2]), reference), (name, N)
             ks.add((name, N, k.size))
         assert ("polytope", 1440, 833) in ks
 
@@ -827,7 +835,7 @@ class TestDualityInLinearMemory:
         fine = SpectralGrid(split(fixture_matrix("polytope")), 2880)
         k, _, y1, y2 = _exit_points(fine.every_other())
         Y = np.stack((y1, y2), axis=1)[:K]
-        W = _support_grid(fine)[1][::2]
+        W = support(fine)[1][::2]
         assert len(Y) == K
         assert _same_bits(_pairing_row_min(Y, W), (1.0 + Y @ W.T).min(axis=1))
 
@@ -835,7 +843,7 @@ class TestDualityInLinearMemory:
         # one boundary sample takes gemv, in the reference too
         grid = SpectralGrid(split(fixture_matrix("cubic_cusp")), 32).every_other()
         _, _, y1, y2 = _exit_points(grid)
-        W = _grid_hulls(grid).witnesses
+        W = range_hulls(grid).witnesses
         for y in np.stack((y1, y2), axis=1):
             assert _same_bits(_pairing_row_min(y[None], W), (1.0 + y[None] @ W.T).min(axis=1))
         # A = -c, c = 1.01e-12: F(A) = {y : 1 - c*y1 >= 0}, so a ray is bounded iff
@@ -845,8 +853,8 @@ class TestDualityInLinearMemory:
 
     def test_coarse_hulls_from_the_shared_pass(self):
         for name, N, fine in _duality_grids():
-            h, wit = _support_grid(fine)
-            shared, alone = _hulls_of(fine.every_other(), h[::2], wit[::2]), _grid_hulls(fine.every_other())
+            h, wit = support(fine)
+            shared, alone = _hulls_of(fine.every_other(), h[::2], wit[::2]), range_hulls(fine.every_other())
             for f in dataclasses.fields(alone):
                 a, b = getattr(shared, f.name), getattr(alone, f.name)
                 assert np.array_equal(a, b) and _same_bits(a, b), (name, N, f.name)

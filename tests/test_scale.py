@@ -14,11 +14,11 @@ import pytest
 
 from numrange.cli import main
 from numrange.exactpoly import GaussianRational
-from numrange.hermitian import GaussianRationalMatrix, matrix_from_json
-from numrange.pencil import _entry_scale
-from numrange.rangegeom import member_W, polytope_detect, range_hulls, translate_scale_law
+from numrange.hermitian import GaussianRationalMatrix, matrix_from_json, split
+from numrange.pencil import SpectralGrid, _entry_scale
+from numrange.rangegeom import member_W, polytope_detect, range_hulls
 
-from conftest import FIXTURES
+from conftest import FIXTURES, support_shift_deviation
 
 POWERS = (-100, -20, -13, -12, 20, 100)
 NAMES = ("cardioid_circle", "cross_star", "cubic_cusp", "disk", "nested_ovals", "polytope")
@@ -97,10 +97,14 @@ class TestScaleSweep:
                           ((0.0, 0.55), False)):
             assert member_W(disk, (x[0] * float(c), x[1] * float(c)), N=90) is inside, x
         for name in NAMES:
-            assert range_hulls(_matrix(name, k), 64).degenerate == \
-                range_hulls(_matrix(name, 0), 64).degenerate, name
-        assert translate_scale_law(disk, c, N=64).ok
+            assert _hulls(name, k).degenerate == _hulls(name, 0).degenerate, name
+        dev, scale = support_shift_deviation(disk, c, N=64)
+        assert dev <= 1e-9 * scale
         assert len(polytope_detect(_hermitian_pair(c)).vertices) == 2
+
+
+def _hulls(name: str, k: int):
+    return range_hulls(SpectralGrid(split(_matrix(name, k)), 64))
 
 
 def _hermitian_pair(c: Fraction) -> GaussianRationalMatrix:
@@ -161,8 +165,8 @@ class TestScaledFailures:
                                    [(1 - 5**0.5) / 2 * 1e-13, (1 + 5**0.5) / 2 * 1e-13])
 
     def test_tiny_disk_is_not_degenerate(self):
-        assert not range_hulls(_matrix("disk", -13), 64).degenerate
+        assert not _hulls("disk", -13).degenerate
 
     def test_huge_disk_translate_scale_law(self):
-        report = translate_scale_law(_matrix("disk", 20), 10**20)
-        assert report.ok and report.max_deviation <= 1e-9 * 2.0**66
+        dev, scale = support_shift_deviation(_matrix("disk", 20), 10**20)
+        assert dev <= 1e-9 * scale and dev <= 1e-9 * 2.0**66

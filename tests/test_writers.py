@@ -13,17 +13,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from numrange.dualcurve import _grid_dual_sample, dual_sample_csv
+from numrange.dualcurve import dual_sample, dual_sample_csv
 from numrange.exactpoly import GaussianRational
 from numrange.hermitian import split
 from numrange.pencil import (
     CurveSample,
     CurveSampleSet,
     SpectralGrid,
-    _grid_boundary,
+    boundary_F,
     boundary_csv,
 )
-from numrange.rangegeom import RangeHulls, _grid_hulls, hulls_csv
+from numrange.rangegeom import RangeHulls, hulls_csv, range_hulls
 import numrange.render as render
 from numrange.rangegeom import duality_check
 from numrange.render import (
@@ -126,7 +126,7 @@ def _primal_branches_reference(grid):
 
 def _dual_branches_reference(grid):
     branches = [[] for _ in range(grid.pencil.n)]
-    for s in _grid_dual_sample(grid).samples:
+    for s in dual_sample(grid).samples:
         branches[s.root_index].append(s.point)
     return branches
 
@@ -153,11 +153,11 @@ def test_csv_writers_match_the_per_row_references(label, A):
     pencil = split(A)
     for N in GRIDS:
         grid = SpectralGrid(pencil, N)
-        hulls = _grid_hulls(grid)
+        hulls = range_hulls(grid)
         assert hulls_csv(hulls) == _hulls_csv_reference(hulls), N
-        boundary = _grid_boundary(grid)
+        boundary = boundary_F(grid)
         assert boundary_csv(boundary) == _boundary_csv_reference(boundary), N
-        dual = _grid_dual_sample(grid)
+        dual = dual_sample(grid)
         assert dual_sample_csv(dual) == _dual_sample_csv_reference(dual), N
 
 
@@ -200,7 +200,7 @@ def test_special_values():
         "kind,vertex_index,x1,x2\ninner,0,-0,0\ninner,1,1e+100,1e-100\n")
     empty = RangeHulls(inner=[], outer=[], N=3)
     assert hulls_csv(empty) == _hulls_csv_reference(empty)
-    # the arrays `_grid_hulls` stores, one of them with no rows
+    # the arrays `range_hulls` stores, one of them with no rows
     arrays = RangeHulls(inner=np.array([(-0.0, 0.0), (big, -tiny), (-big, tiny)]),
                         outer=np.empty((0, 2)), N=3)
     assert hulls_csv(arrays) == _hulls_csv_reference(arrays) == (
@@ -286,7 +286,7 @@ def test_render_and_duality_make_no_residual_solve(monkeypatch):
     render_figure(A, N=90, viewport=(-1.0, 1.0, -1.0, 1.0))
     assert duality_check(A, N=90).boundary_count == 90
     assert calls == []
-    _grid_boundary(SpectralGrid(split(A), 90))
+    boundary_F(SpectralGrid(split(A), 90))
     assert calls == [(90, 3, 3)]
 
 

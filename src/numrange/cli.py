@@ -276,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-f", help="boundary CSV for F(A)")
     common(p, grid=720)
 
-    p = sub.add_parser("duality", help="verify the W/F pairing; exit 1 on violation")
+    p = sub.add_parser("duality", help="verify the W/F pairing on an even grid; exit 1 on violation",
+                       description="Verify the W/F pairing.  --grid must be even: complementary "
+                                   "pairs sit at antipodal angles, which an odd grid lacks.")
     common(p, grid=720, tol=True)
 
     p = sub.add_parser("craig", help="craig factorization verdict")

@@ -30,7 +30,9 @@ from .exactpoly import (
     BinaryForm,
     TriPoly,
     ZeroPolynomialError,
+    _cofactors,
     _gradient_certificate,
+    _squarefree_split,
     discriminant_binary,
     gcd_squarefree,
     repeated_part,
@@ -127,16 +129,25 @@ def dual_curve_exact(p: TriPoly) -> DualCurve:
     """
     if p.is_zero():
         raise ZeroPolynomialError("dual of the zero polynomial")
+    _require_chart_variables(p)
+    rep, sf = _squarefree_split(p)   # p.primitive() = rep * sf
+    return _dual_of_squarefree(sf, [] if rep.is_constant() else [rep])
+
+
+def _require_chart_variables(p: TriPoly) -> None:
     if p.degree_in(1) < 1 or p.degree_in(2) < 1:
         raise DegenerateDualError(
             "p does not depend on both chart variables; dualize factors directly "
             "(dual_of_linear / dual_union) or sample numerically")
-    sf = gcd_squarefree(p)
+
+
+def _dual_of_squarefree(sf: TriPoly, audit: list[TriPoly]) -> DualCurve:
+    """`dual_curve_exact` of a primitive squarefree sf that depends on both
+    chart variables, with `audit` the factors already split off p."""
     if sf.total_degree() == 1:
         raise DegenerateDualError(
             f"squarefree part {sf.to_text()} is linear; its dual is one point "
             "(dual_of_linear)")
-    audit = [] if sf == p.primitive() else [p.primitive().divexact(sf).primitive()]
     n = sf.total_degree()
     q_cand, extraneous = _eliminate(sf)
     if q_cand.total_degree() > n * (n - 1):
@@ -165,13 +176,9 @@ def _eliminate(sf: TriPoly) -> tuple[TriPoly, list[TriPoly]]:
     D1, x0_power = _strip_var0_power(D)
     D1 = D1.primitive()
     audit = [TriPoly(XVARS, {(x0_power, 0, 0): Fraction(1)})] if x0_power else []
-    rep = repeated_part(D1)
-    if rep.is_constant():
-        q_cand = D1
-    else:
-        S = D1.divexact(rep).primitive()
-        mult2 = tri_gcd(S, rep)
-        q_cand = S.divexact(mult2).primitive()
+    rep, q_cand = _squarefree_split(D1)   # D1 = rep * q_cand
+    if not rep.is_constant() and not q_cand.is_constant():
+        mult2, q_cand, _ = _cofactors(q_cand, rep)
         if not mult2.is_constant():
             audit.append(mult2)
     if q_cand.is_constant():
@@ -197,7 +204,8 @@ def dual_union(p: TriPoly, factors: list[TriPoly]):
 
     The factors must be squarefree, pairwise coprime, and multiply to the
     squarefree part of p (checked by exact division).  Degree-1 factors
-    dualize to points, higher degrees to curves.
+    dualize to points, higher degrees to curves; a factor proven squarefree
+    here is its own squarefree part and is not proven so again.
     """
     if not factors:
         raise ValueError("no factors supplied")
@@ -223,7 +231,8 @@ def dual_union(p: TriPoly, factors: list[TriPoly]):
         if f.total_degree() == 1:
             out.append(dual_of_linear(f))
         else:
-            out.append(replace(dual_curve_exact(f), provenance="factor-union"))
+            _require_chart_variables(f)
+            out.append(replace(_dual_of_squarefree(f.primitive(), []), provenance="factor-union"))
     return out
 
 

@@ -30,14 +30,21 @@ The GCD layer runs on integers, after clearing denominators once (Gauss's
 lemma).  `repeated_part` and `tri_gcd` take one path (`_line_gcd`): the gcd
 from its images on parallel lines modulo 61-bit primes, univariate gcds read
 off the terms, interpolated over the lines, combined by CRT and proven by
-exact trial division.  A first image of degree 0 proves the gcd is 1 at once,
-and a lift far below the modulus is tried at once, so a gcd with small
-coefficients takes one prime.
+exact trial division, whose quotients are returned with the gcd: the
+squarefree part f / gcd(f, grad f) and the cofactors of a gcd need no second
+division.  A first image of degree 0 proves the gcd is 1 at once, and a lift
+far below the modulus is tried at once, so a gcd with small coefficients
+takes one prime.
 
-The dual curve's candidate q is certified in int64 modulo primes below 2^31,
-each product of residues reduced before it is summed (`_gradient_certificate`):
-q(grad F) must vanish in F_P[t] modulo F restricted to a seeded line, for two
-primes P.
+The dual curve's candidate q is certified in int64 modulo primes below 2^31
+(`_gradient_certificate`): q(grad F) must vanish in F_P[t] modulo F
+restricted to a seeded line, for two primes P.  It takes the route of
+`det_pencil`, evaluation and interpolation: F and its partials are evaluated
+on the line at the nodes t = 0..m-1, m - 1 >= deg q * (deg F - 1), q at their
+values, and q(grad F) is interpolated through the cached inverse Vandermonde
+matrix of the nodes (built in O(m^2)) and reduced modulo the monic
+restriction of F; each int64 product of residues is reduced before it is
+summed.
 
 Monomial order is graded lexicographic with var0 > var1 > var2 throughout,
 including the canonical text format.
@@ -463,8 +470,12 @@ class TriPoly:
         """Canonical text: graded-lex descending terms, explicit * and ^."""
         if not self.ints:
             return "0"
+        c = self.content
+        scale = c.numerator if c.denominator == 1 else c  # int content: no Fraction per term
+        terms = ((e, scale * v) for e, v in
+                 sorted(self.ints.items(), key=lambda t: _grlex(t[0]), reverse=True))
         parts = []
-        for e, c in self.sorted_terms():
+        for e, c in terms:
             mono = []
             for name, k in zip(self.vars, e):
                 if k == 1:
@@ -952,12 +963,14 @@ def _image_mod_p(ops: list[IntPoly], P: int, nodes, homogeneous: bool) -> tuple[
     return {(i, j, l): c for (j, l, i), c in img.items()}, k
 
 
-def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
-    """The gcd C of `targets` from images on lines modulo primes (Brown 1971;
-    von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6), primitive
-    with a positive grlex lead.  The image on a line is the monic gcd mod P of
-    the restrictions of ops (F, G), for gcd(F, G), or of op F and its
-    t-derivative, for the repeated part gcd(F, dF/dv0, dF/dv1, dF/dv2).
+def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> tuple[IntPoly, list[IntPoly]]:
+    """(C, [T / C for T in targets]): the gcd C of `targets` from images on
+    lines modulo primes (Brown 1971; von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, ch. 6), primitive with a positive grlex lead, and the
+    quotients of its division proof (the targets themselves when C = 1).
+    The image on a line is the monic gcd mod P of the restrictions of ops
+    (F, G), for gcd(F, G), or of op F and its t-derivative, for the repeated
+    part gcd(F, dF/dv0, dF/dv1, dF/dv2).
 
     The lines share one direction w = (a, 1, b): the first (a, b) in {0..d}^2,
     d the sum of the ops' degrees, where no op's top-degree part vanishes (a
@@ -1004,7 +1017,7 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
             continue
         img, kp = _image_mod_p(ops, P, nodes, homogeneous)
         if kp == 0:
-            return _ONE
+            return _ONE, list(targets)
         if k is not None and kp > k:
             continue
         if kp != k:
@@ -1022,9 +1035,7 @@ def _line_gcd(ops: list[IntPoly], targets: list[IntPoly]) -> IntPoly:
                               2 * max(map(abs, new.values())).bit_length() + 2 < M.bit_length()):
             C = _iprimitive(_shear(new, -a, -b))
             try:
-                for T in targets:
-                    _idivexact(T, C)
-                return C
+                return C, [_idivexact(T, C) for T in targets]
             except ExactDivisionError:
                 failed = new
         lift = new
@@ -1040,12 +1051,17 @@ def _gradient_certificate(F: IntPoly, Q: IntPoly) -> tuple[int, ...]:
     and b in F_P^3 from a fixed seeded stream, and sets r(t) = F(a + t*b) mod
     P, made monic; a line whose lead F_top(b) is 0 mod P (probability at most
     n/P) is replaced by the next line.  It computes s = Q(G_0, G_1, G_2) in
-    F_P[t]/(r), G_i = dF/dy_i(a + t*b), and passes iff s = 0.  F and its
-    partials are evaluated at the nodes t = 0..n and interpolated through the
-    cached Vandermonde inverse; the multiplication matrices of G_0, G_1, G_2
-    are built once, and all monomials of each degree come from those of the
-    degree below by one batched product (`_dotmod`).  Both draws run as one
-    batch in int64.
+    F_P[t]/(r), G_i = dF/dy_i(a + t*b), and passes iff s = 0.
+
+    The route is evaluation and interpolation.  S(t) = Q(G_0, G_1, G_2) has
+    degree at most deg Q * (n - 1), so with m = max(deg Q * (n - 1), n) + 1
+    F and its partials are evaluated at the nodes t = 0..m-1 in one batched
+    int64 pass; r is interpolated from F's first n + 1 node values, Q is
+    evaluated at the node values of the G_i through power tables, S is
+    interpolated through the cached Vandermonde inverse of size m, and s is
+    the remainder of S modulo the monic r.  Both draws run as one int64
+    batch, where every product of two residues, below 2^62, is reduced
+    before it is summed (`_dotmod`); the remainder runs on Python ints.
 
     A true Q is never refused.  If Q vanishes on the dual of every component
     of F, then on each irreducible factor f of F the gradient of F is a
@@ -1067,7 +1083,8 @@ def _gradient_certificate(F: IntPoly, Q: IntPoly) -> tuple[int, ...]:
     and a dependent pair; P > 2^30.9, and the two draws take independent
     lines.  A nonzero s, in contrast, proves that Q is wrong.
     """
-    n = max(map(sum, F))
+    n, dq = max(map(sum, F)), max(map(sum, Q))
+    m = max(dq * (n - 1), n) + 1  # the nodes that fix S(t) and r(t)
     polys = [F] + [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in F.items() if e[i]}
                    for i in range(3)]
     exps = np.array([e for H in polys for e in H], dtype=np.intp).T
@@ -1082,43 +1099,46 @@ def _gradient_certificate(F: IntPoly, Q: IntPoly) -> tuple[int, ...]:
     rng = random.Random(_CERTIFICATE_SEED)
     while True:
         ab = np.array([[rng.randrange(prime) for _ in range(6)] for prime in primes], dtype=np.int64)
-        y = np.fmod(ab[:, :3, None] + ab[:, 3:, None] * np.arange(n + 1), P3)  # (draw, var, node)
-        pw = np.ones((2, 3, n + 1, n + 1), dtype=np.int64)  # pw[draw, var, k] = y^k
-        for k in range(1, n + 1):
-            pw[:, :, k] = np.fmod(pw[:, :, k - 1] * y, P3)
-        terms = coefs[:, :, None]
-        for v in range(3):
-            terms = np.fmod(terms * pw[:, v, exps[v]], P3)
-        values = np.fmod(owner @ terms, P3)  # F and its partials at the nodes
-        coeffs = _dotmod(W[:, None], values[:, :, None], P3)  # constant term first
-        lead = coeffs[:, 0, n]
-        if lead.all():
+        y = np.fmod(ab[:, :3, None] + ab[:, 3:, None] * np.arange(m), P3)  # (draw, var, node)
+        values = np.fmod(owner @ _monomials_mod(coefs, exps, _power_table(y, n, P3), P3), P3)
+        r = _dotmod(W, values[:, :1, :n + 1], P)  # F(a + t*b), constant term first
+        if r[:, n].all():
             break
-    inv = np.array([pow(int(c), -1, prime) for c, prime in zip(lead, primes)], dtype=np.int64)[:, None]
-    r = np.fmod(coeffs[:, 0, :n] * inv, P)  # the monic r without its t^n
-    X, cols = coeffs[:, 1:, :n], []  # X = t^j * G mod r, for j = 0..n-1
-    for _ in range(n):
-        cols.append(X)
-        top = X[:, :, -1:]
-        X = np.concatenate((np.zeros_like(top), X[:, :, :-1]), axis=2)
-        X = np.fmod(X + P3 - np.fmod(top * r[:, None], P3), P3)
-    M = np.stack(cols, axis=3)[:, None]  # M[draw, 0, i] multiplies by G_i
-    # the monomials of degree d in the order (a + b, a), so (a, b, c) is row
-    # d(d+1)(d+2)/6 + (a+b)(a+b+1)/2 + a: each level is G_2 times the last,
-    # then G_1 times its c = 0 block and G_0 times its (d-1, 0, 0)
-    V = np.zeros((2, 1, n), dtype=np.int64)
-    V[:, 0, 0] = 1
-    levels = [V]
-    P4 = P3[:, :, None]
-    for d in range(1, max(map(sum, Q)) + 1):
-        GV = _dotmod(M, V[:, :, None, None], P4)  # GV[draw, row, i] = G_i * V[draw, row]
-        V = np.concatenate((GV[:, :, 2], GV[:, -d:, 1], GV[:, -1:, 0]), axis=1)
-        levels.append(V)
-    rows = [(a + b + c) * (a + b + c + 1) * (a + b + c + 2) // 6 + (a + b) * (a + b + 1) // 2 + a
-            for a, b, c in Q]
+    qexps = np.array(list(Q), dtype=np.intp).T
     qc = np.array([[c % prime for c in Q.values()] for prime in primes], dtype=np.int64)
-    s = _dotmod(np.concatenate(levels, axis=1)[:, rows].transpose(0, 2, 1), qc[:, None], P)
-    return () if s.any() else tuple(primes)
+    G = _power_table(values[:, 1:], dq, P3)
+    S = np.fmod(_monomials_mod(qc, qexps, G, P3).sum(axis=1), P)  # Q(G) at the nodes
+    W = np.array([_vandermonde_inverse(m, prime) for prime in primes])
+    S = _dotmod(W, S[:, None], P)  # constant term first
+    for s, rp, prime in zip(S.tolist(), r.tolist(), primes):  # s <- S mod the monic r
+        inv = -pow(rp[n], -1, prime)
+        rp = [c * inv % prime for c in rp[:n]]  # t^n = rp(t) mod r
+        for k in range(m - 1, n - 1, -1):  # each entry gains at most n products, unreduced
+            c = s[k] % prime
+            if c:
+                for i, v in enumerate(rp, k - n):
+                    s[i] += c * v
+        if any(x % prime for x in s[:n]):
+            return ()
+    return tuple(primes)
+
+
+def _power_table(x: np.ndarray, d: int, P3: np.ndarray) -> np.ndarray:
+    """[draw, var, k, node] = x[draw, var, node]^k mod P, k = 0..d."""
+    pw = np.ones(x.shape[:2] + (d + 1,) + x.shape[2:], dtype=np.int64)
+    for k in range(1, d + 1):
+        pw[:, :, k] = np.fmod(pw[:, :, k - 1] * x, P3)
+    return pw
+
+
+def _monomials_mod(coefs: np.ndarray, exps: np.ndarray, pw: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """[draw, ..., node] = coefs[draw, ...] times the monomial exps[:, ...] at
+    the node, mod P (shaped like the result), from the power table `pw` of
+    the three variables."""
+    terms = coefs[..., None]
+    for v in range(3):
+        terms = np.fmod(terms * pw[:, v, exps[v]], P)
+    return terms
 
 
 # -- pencil determinants modulo primes --------------------------------------------
@@ -1137,11 +1157,29 @@ def _sqrt_minus_one(P: int) -> int:
 def _vandermonde_inverse(m: int, P: int) -> np.ndarray:
     """The inverse mod P >= m of the Vandermonde matrix [j^d] of the nodes
     j = 0..m-1 (row j, column d): its column j holds the coefficients of the
-    polynomial of degree < m that is 1 at node j and 0 at the others."""
+    polynomial of degree < m that is 1 at node j and 0 at the others.
+
+    That polynomial is M(t) / (t - j) over M'(j) = (-1)^(m-1-j) j! (m-1-j)!,
+    M(t) = (t - 0)(t - 1)...(t - (m-1)), and synthetic division by every
+    t - j at once builds all the quotients in O(m^2) (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, ch. 5).  Every int64 product is a
+    residue times a node, below m * P, or of two residues, below P^2 < 2^63.
+    """
     W = _VANDERMONDE.get((m, P))
     if W is None:
-        units = ([int(i == j) for i in range(m)] for j in range(m))
-        W = np.array([_interpolate(range(m), e, P) for e in units], dtype=np.int64).T
+        M = np.zeros(m + 1, dtype=np.int64)  # M(t), constant term first
+        M[0] = 1
+        for k in range(m):  # M <- M * (t - k)
+            M[1:] = (M[:-1] - k * M[1:]) % P
+            M[0] = -k * M[0] % P
+        j = np.arange(m, dtype=np.int64)
+        W = np.empty((m, m), dtype=np.int64)  # W[d, j]: coefficient of t^d in M / (t - j)
+        W[m - 1] = 1
+        for d in range(m - 1, 0, -1):
+            W[d - 1] = (M[d] + j * W[d]) % P
+        fact = list(itertools.accumulate(range(1, m), lambda a, b: a * b % P, initial=1))
+        den = [(-1) ** (m - 1 - i) * fact[i] * fact[m - 1 - i] for i in range(m)]
+        W = W * np.array([pow(x, -1, P) for x in den], dtype=np.int64) % P
         _VANDERMONDE[(m, P)] = W
     return W
 
@@ -1296,8 +1334,16 @@ def tri_gcd(f: TriPoly, g: TriPoly) -> TriPoly:
         return f.primitive()
     if f.is_constant() or g.is_constant():
         return TriPoly.constant(1, f.vars)
+    return _cofactors(f, g)[0]
+
+
+def _cofactors(f: TriPoly, g: TriPoly) -> tuple[TriPoly, TriPoly, TriPoly]:
+    """(c, f/c, g/c) for nonconstant f and g of one variable triple, c =
+    tri_gcd(f, g) and the quotients primitive: all three from `_line_gcd`,
+    whose division proof computes the quotients."""
     F, G = f.ints, g.ints
-    return TriPoly._of(f.vars, Fraction(1), _line_gcd([F, G], [F, G]))
+    c, quotients = _line_gcd([F, G], [F, G])
+    return tuple(TriPoly._of(f.vars, Fraction(1), h) for h in (c, *quotients))
 
 
 def repeated_part(f: TriPoly) -> TriPoly:
@@ -1306,19 +1352,24 @@ def repeated_part(f: TriPoly) -> TriPoly:
     its derivative along the lines (`_line_gcd`)."""
     if f.is_zero():
         raise ZeroPolynomialError("repeated part of zero polynomial")
-    F = f.ints
-    if _is_const(F):
-        return TriPoly.constant(1, f.vars)
-    partials = [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in F.items() if e[i]}
-                for i in range(3)]
-    return TriPoly._of(f.vars, Fraction(1), _line_gcd([F], [F] + [d for d in partials if d]))
+    return _squarefree_split(f)[0]
 
 
 def gcd_squarefree(f: TriPoly) -> TriPoly:
     """Squarefree part of f, primitive-normalized."""
     if f.is_zero():
         raise ZeroPolynomialError("squarefree part of zero polynomial")
-    rep = repeated_part(f)
-    if rep.is_constant():
-        return f.primitive()
-    return f.divexact(rep).primitive()
+    return _squarefree_split(f)[1]
+
+
+def _squarefree_split(f: TriPoly) -> tuple[TriPoly, TriPoly]:
+    """(repeated_part(f), gcd_squarefree(f)) for a nonzero f, so that their
+    product is f.primitive(): the squarefree part is the quotient f/rep that
+    the division proof of `_line_gcd` computes."""
+    F = f.ints
+    if _is_const(F):
+        return TriPoly.constant(1, f.vars), f.primitive()
+    partials = [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in F.items() if e[i]}
+                for i in range(3)]
+    rep, (sf, *_) = _line_gcd([F], [F] + [d for d in partials if d])
+    return TriPoly._of(f.vars, Fraction(1), rep), TriPoly._of(f.vars, Fraction(1), sf)

@@ -5,7 +5,7 @@ rank-one witnesses (eigenvectors realizing the support), the outer hull is
 the intersection of the supporting half-planes.  The pairing
 1 + x1*y1 + x2*y2 >= 0 between W(A) points and F(A) points is the duality
 being verified; complementary pairs sit at antipodal angles of the shared
-grid (use an even grid size for exact pairing).  There H(theta + pi) =
+grid, so `duality_check` takes an even grid size only.  There H(theta + pi) =
 -H(theta), so one eigenpair serves both: the complementary witness of the F(A)
 boundary sample k, the top eigenvector of row k + N/2, is the bottom
 eigenvector of the solve that places the sample.
@@ -296,9 +296,13 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     (c) the inner/outer Hausdorff gap shrinks when the grid doubles, unless
         both gaps are roundoff: at most GAP_FLOOR * max(s, max|witness|).
     One 2N-grid solve and one Rayleigh pass serve both levels; (a) and (b) take O(N) memory.
+    N must be even: an odd grid has no antipodal angles, so the complementary
+    witness of a boundary sample is not on it and (b) would fail on any input.
     """
     if N < 16:
         raise ValueError("need N >= 16")
+    if N % 2:
+        raise ValueError(f"duality needs an even grid, with antipodal angles (got {N})")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite (got {tol})")
     fine = SpectralGrid(split(A), 2 * N)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from numrange import exactpoly
 from numrange.exactpoly import ExactDivisionError, GaussianRational, TriPoly, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, load_matrix, split
 from numrange.pencil import SpectralGrid, pencil_det
@@ -548,3 +550,71 @@ def random_intake_entries(n: int, rng: random.Random, kind: str) -> list[list[Ga
             row = rows[rng.randrange(n)][rng.randrange(n)]
             row[rng.randrange(2)] = (big if kind == "huge" else 1 / big) * rng.choice((-1, 1))
     return [[GaussianRational(*e) for e in row] for row in rows]
+
+
+def reference_vandermonde_inverse(m: int, P: int) -> np.ndarray:
+    """The inverse mod P of the Vandermonde matrix [j^d], j, d < m, built
+    column by column through Newton interpolation of the unit vectors
+    (`exactpoly._interpolate`), O(m^3)."""
+    units = ([int(i == j) for i in range(m)] for j in range(m))
+    return np.array([exactpoly._interpolate(range(m), e, P) for e in units], dtype=np.int64).T
+
+
+def reference_gradient_certificate(F: dict, Q: dict) -> tuple[int, ...]:
+    """`exactpoly._gradient_certificate` by multiplication matrices: the same
+    primes, seeded lines and redraw rule, but s = Q(G_0, G_1, G_2) mod r is
+    built from the n x n matrices of multiplication by G_i in F_P[t]/(r),
+    every monomial of degree d from those of degree d - 1."""
+    dotmod = exactpoly._dotmod
+    n = max(map(sum, F))
+    polys = [F] + [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in F.items() if e[i]}
+                   for i in range(3)]
+    exps = np.array([e for H in polys for e in H], dtype=np.intp).T
+    owner = (np.repeat(np.arange(4), [len(H) for H in polys]) == np.arange(4)[:, None]).astype(np.int64)
+    top = [c for e, c in F.items() if sum(e) == n]
+    primes = list(itertools.islice((P for P in exactpoly._primes(exactpoly._CERTIFICATE_PRIMES)
+                                    if any(c % P for c in top)), 2))
+    P = np.array(primes, dtype=np.int64)[:, None]
+    P3 = P[:, :, None]
+    W = np.array([reference_vandermonde_inverse(n + 1, prime) for prime in primes])
+    coefs = np.array([[c % prime for H in polys for c in H.values()] for prime in primes], dtype=np.int64)
+    rng = random.Random(exactpoly._CERTIFICATE_SEED)
+    while True:
+        ab = np.array([[rng.randrange(prime) for _ in range(6)] for prime in primes], dtype=np.int64)
+        y = np.fmod(ab[:, :3, None] + ab[:, 3:, None] * np.arange(n + 1), P3)  # (draw, var, node)
+        pw = np.ones((2, 3, n + 1, n + 1), dtype=np.int64)  # pw[draw, var, k] = y^k
+        for k in range(1, n + 1):
+            pw[:, :, k] = np.fmod(pw[:, :, k - 1] * y, P3)
+        terms = coefs[:, :, None]
+        for v in range(3):
+            terms = np.fmod(terms * pw[:, v, exps[v]], P3)
+        values = np.fmod(owner @ terms, P3)  # F and its partials at the nodes
+        coeffs = dotmod(W[:, None], values[:, :, None], P3)  # constant term first
+        lead = coeffs[:, 0, n]
+        if lead.all():
+            break
+    inv = np.array([pow(int(c), -1, prime) for c, prime in zip(lead, primes)], dtype=np.int64)[:, None]
+    r = np.fmod(coeffs[:, 0, :n] * inv, P)  # the monic r without its t^n
+    X, cols = coeffs[:, 1:, :n], []  # X = t^j * G mod r, for j = 0..n-1
+    for _ in range(n):
+        cols.append(X)
+        top = X[:, :, -1:]
+        X = np.concatenate((np.zeros_like(top), X[:, :, :-1]), axis=2)
+        X = np.fmod(X + P3 - np.fmod(top * r[:, None], P3), P3)
+    M = np.stack(cols, axis=3)[:, None]  # M[draw, 0, i] multiplies by G_i
+    # the monomials of degree d in the order (a + b, a), so (a, b, c) is row
+    # d(d+1)(d+2)/6 + (a+b)(a+b+1)/2 + a: each level is G_2 times the last,
+    # then G_1 times its c = 0 block and G_0 times its (d-1, 0, 0)
+    V = np.zeros((2, 1, n), dtype=np.int64)
+    V[:, 0, 0] = 1
+    levels = [V]
+    P4 = P3[:, :, None]
+    for d in range(1, max(map(sum, Q)) + 1):
+        GV = dotmod(M, V[:, :, None, None], P4)  # GV[draw, row, i] = G_i * V[draw, row]
+        V = np.concatenate((GV[:, :, 2], GV[:, -d:, 1], GV[:, -1:, 0]), axis=1)
+        levels.append(V)
+    rows = [(a + b + c) * (a + b + c + 1) * (a + b + c + 2) // 6 + (a + b) * (a + b + 1) // 2 + a
+            for a, b, c in Q]
+    qc = np.array([[c % prime for c in Q.values()] for prime in primes], dtype=np.int64)
+    s = dotmod(np.concatenate(levels, axis=1)[:, rows].transpose(0, 2, 1), qc[:, None], P)
+    return () if s.any() else tuple(primes)

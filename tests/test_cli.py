@@ -203,6 +203,16 @@ class TestDualityCommand:
                    "--out", str(out)) == 0
         assert "ok=true" in out.read_text()
 
+    def test_odd_grid_is_refused(self, tmp_path, capsys):
+        # grid 361 once printed complementary_ok=false with exit 1 on correct code
+        out = tmp_path / "report.txt"
+        assert run("duality", "--input", fx("disk.json"), "--grid", "361", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: duality needs an even grid, with antipodal angles (got 361)\n"
+        assert run("duality", "--input", fx("disk.json"), "--grid", "360", "--out", str(out)) == 0
+        assert "complementary_ok=true" in out.read_text()
+
 
 class TestZeroMatrix:
     """F(0) is the whole plane: every ray is an unbounded boundary row."""

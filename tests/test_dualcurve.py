@@ -18,7 +18,7 @@ from numrange.dualcurve import (
     dual_sample_csv,
     dual_union,
 )
-from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
+from numrange.exactpoly import GaussianRational, TriPoly, ZeroPolynomialError, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, split
 from numrange.pencil import (
     YVARS,
@@ -30,6 +30,7 @@ from numrange.pencil import (
 )
 
 import numrange.dualcurve as dualcurve
+import numrange.exactpoly as exactpoly
 from conftest import (cardioid_circle_dual_residual, eval_with_scale, fixture_matrix,
                       golden_poly, mixed_magnitude_matrix, random_gaussian_matrix)
 
@@ -314,6 +315,36 @@ class TestStoreWork:
     """The exact dual runs on the integer stores: no stage builds a Fraction
     view."""
 
+    @pytest.mark.parametrize("name", ["cubic_cusp", "nested_ovals", "cardioid_circle"])
+    def test_every_division_is_a_gcd_proof(self, monkeypatch, name):
+        # the squarefree parts, the audit factor p/sf and the quotients of the
+        # discriminant are the quotients of the gcds' own division proofs
+        outside, depth = [], [0]
+        line_gcd, idivexact = exactpoly._line_gcd, exactpoly._idivexact
+
+        def gcd(*args):
+            depth[0] += 1
+            try:
+                return line_gcd(*args)
+            finally:
+                depth[0] -= 1
+
+        def division(f, g):
+            if not depth[0]:
+                outside.append(g)
+            return idivexact(f, g)
+
+        monkeypatch.setattr(exactpoly, "_line_gcd", gcd)
+        monkeypatch.setattr(exactpoly, "_idivexact", division)
+        p = pencil_det(split(fixture_matrix(name))).p
+        dc = dual_curve_exact(p)
+        assert outside == []
+        if name != "cardioid_circle":
+            assert dc.q == golden_poly(f"{name}_q.txt", XVARS)
+        else:  # p = cubic * conic^3: the audit keeps conic^2, which is p / sf
+            conic = parse_poly("4*y0^2 - y1^2 - y2^2", YVARS)
+            assert dc.extraneous[0] == conic ** 2
+
     @pytest.mark.parametrize("name", ["cubic_cusp", "cross_star", "disk", "nested_ovals"])
     def test_no_fraction_view_inside_dual_curve_exact(self, monkeypatch, name):
         p = pencil_det(split(fixture_matrix(name))).p
@@ -359,6 +390,43 @@ class TestDualUnion:
         assert comps[0].q == golden_poly("cardioid_circle_dual_cardioid.txt", XVARS)
         assert comps[1].q == golden_poly("cardioid_circle_dual_circle.txt", XVARS)
         assert all(c.provenance == "factor-union" for c in comps)
+
+    def test_each_factor_is_proven_squarefree_once(self, monkeypatch):
+        proofs = []
+        line_gcd = exactpoly._line_gcd
+
+        def spy(ops, targets):
+            if len(ops) == 1:
+                proofs.append(ops[0])
+            return line_gcd(ops, targets)
+
+        monkeypatch.setattr(exactpoly, "_line_gcd", spy)
+        p = pencil_det(split(fixture_matrix("cardioid_circle"))).p
+        cubic = parse_poly("4*y0^3 - 3*y0*y1^2 - 3*y0*y2^2 + y1^3 + y1*y2^2", YVARS)
+        conic = parse_poly("4*y0^2 - y1^2 - y2^2", YVARS)
+        comps = dual_union(p, [cubic, conic])
+        assert comps[1].q == golden_poly("cardioid_circle_dual_circle.txt", XVARS)
+        assert [proofs.count(f.ints) for f in (cubic, conic)] == [1, 1]
+
+    def test_refusals_keep_their_types_and_messages(self):
+        # a factor of degree >= 2 is not proven squarefree twice, but meets the
+        # same refusals as before: it must depend on both chart variables, a
+        # zero factor and a line off the origin are refused
+        f1, f2 = parse_poly("y0^2 - y1^2 - y0*y1", YVARS), parse_poly("y0 + y2", YVARS)
+        with pytest.raises(DegenerateDualError) as exc:
+            dual_union(f1 * f2, [f1, f2])
+        assert type(exc.value) is DegenerateDualError
+        assert str(exc.value) == ("p does not depend on both chart variables; dualize factors "
+                                  "directly (dual_of_linear / dual_union) or sample numerically")
+        with pytest.raises(DegenerateDualError, match="^p does not depend on both chart"):
+            dual_union(DISK_CONIC * f1, [DISK_CONIC, f1])
+        with pytest.raises(ZeroPolynomialError, match="^zero factor$"):
+            dual_union(f2, [TriPoly.zero(YVARS)])
+        line = parse_poly("y1 + 2", YVARS)
+        with pytest.raises(ValueError) as exc:
+            dual_union(line * DISK_CONIC, [DISK_CONIC, line])
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "dual_of_linear expects a homogeneous linear form"
 
     def test_four_point_polytope(self):
         p = pencil_det(split(fixture_matrix("polytope"))).p

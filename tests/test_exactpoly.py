@@ -35,10 +35,11 @@ from numrange.hermitian import GaussianRationalMatrix, _cleared_parts, split
 from numrange.pencil import _sturm, pencil_det
 
 from conftest import (FIXTURES, XVARS, YVARS, charpoly_from_p, constant_value, divides,
-                      eval_with_scale, fixture_matrix, random_gaussian_matrix, random_term_dicts, random_tripoly,
-                      reference_add, reference_content, reference_divexact, reference_mul,
+                      eval_with_scale, fixture_matrix, golden_poly, random_gaussian_matrix,
+                      random_term_dicts, random_tripoly, reference_add, reference_content,
+                      reference_divexact, reference_gradient_certificate, reference_mul,
                       reference_neg, reference_partial, reference_pow, reference_primitive,
-                      with_vars)
+                      reference_vandermonde_inverse, with_vars)
 
 Y0 = TriPoly.variable(0, YVARS)
 Y1 = TriPoly.variable(1, YVARS)
@@ -877,6 +878,20 @@ class TestTextFormat:
         assert TriPoly.zero(YVARS).to_text() == "0"
         assert parse_poly("0", YVARS).is_zero()
 
+    def test_integer_content_prints_the_store(self):
+        # an integer content is printed as content * store, with no Fraction
+        # per term, byte for byte as the text of the Fraction terms
+        rng = random.Random(53)
+        big = 10 ** 40 + 7
+        for k in range(40):
+            f = random_tripoly(rng) * rng.choice([1, -1, 3, -12, big, -big])
+            if k % 4 == 0:
+                f = f * Fraction(1, rng.randint(2, 9))
+            text = f.to_text()
+            assert f._sorted is None or f.content.denominator != 1
+            assert text == _text_of_sorted_terms(f)
+        assert (-(Y0 - 2 * Y1 ** 2) * 3).to_text() == "6*y1^2 - 3*y0"
+
 
 class TestSturm:
     def test_all_real_cubic(self):
@@ -957,6 +972,16 @@ def _normal_to(b) -> TriPoly:
 def _lines(log):
     """The (u0, u2) of each logged `_restrict_mod_p(F, u0, u2, P)` call."""
     return [args[1:3] for args, _ in log]
+
+
+def _text_of_sorted_terms(f: TriPoly) -> str:
+    """The canonical text built from the Fraction terms of `sorted_terms`."""
+    parts = []
+    for e, c in f.sorted_terms():
+        mono = "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(f.vars, e) if k)
+        body = (mono if abs(c) == 1 else f"{abs(c)}*{mono}") if mono else str(abs(c))
+        parts.append((("-" if c < 0 else "") if not parts else ("- " if c < 0 else "+ ")) + body)
+    return " ".join(parts) or "0"
 
 
 class TestLineCertificates:
@@ -1321,3 +1346,128 @@ class TestLineImageInjection:
         for _ in range(3):
             a, b = _rational_factor(rng), _rational_factor(rng)
             assert repeated_part(a ** 2 * b) == _prs_repeated_part_reference(a ** 2 * b)
+
+
+# the largest det_pencil prime of a 6 x 6 pencil, whose interpolation shares the cache
+PENCIL_PRIME = next(exactpoly._primes(exactpoly._pencil_primes_below(6)))
+
+
+class TestEvaluationKernels:
+    """The certificate by evaluation at nodes and the O(m^2) Vandermonde
+    inverse against the constructions they replaced (conftest)."""
+
+    @pytest.mark.parametrize("P", [2 ** 31 - 1, 2 ** 31 - 19, PENCIL_PRIME])
+    def test_vandermonde_inverse_matches_newton_columns(self, monkeypatch, P):
+        monkeypatch.setattr(exactpoly, "_VANDERMONDE", {})
+        for m in (1, 2, 3, 13, 37, 57):
+            W = exactpoly._vandermonde_inverse(m, P)
+            assert W.dtype == np.int64
+            assert np.array_equal(W, reference_vandermonde_inverse(m, P))
+
+    @pytest.mark.parametrize("m", [151, 253])
+    def test_vandermonde_inverse_at_certificate_sizes(self, monkeypatch, m):
+        # m = 151 and 253 are the node counts of the generic n = 6 and 7 duals;
+        # every column, evaluated at every node by Horner's rule, is a unit
+        # vector, so V W = I mod P
+        monkeypatch.setattr(exactpoly, "_VANDERMONDE", {})
+        P = 2 ** 31 - 1
+        W = exactpoly._vandermonde_inverse(m, P)
+        j = np.arange(m, dtype=np.int64)[:, None]
+        VW = np.zeros((m, m), dtype=np.int64)
+        for d in range(m - 1, -1, -1):
+            VW = (VW * j + W[d]) % P
+        assert np.array_equal(VW, np.eye(m, dtype=np.int64))
+
+    @staticmethod
+    def _candidates(q: TriPoly, rng) -> list[TriPoly]:
+        """q, q times x0 (both true), one coefficient + 1, an extra monomial
+        of q's degree where one is missing, and q + 1 (not homogeneous)."""
+        d = q.total_degree()
+        out = [q, q * TriPoly.variable(0, XVARS), q + TriPoly(XVARS, {rng.choice(sorted(q.ints)): 1}),
+               q + TriPoly.constant(1, XVARS)]
+        missing = [e for e in itertools.product(range(d + 1), repeat=3)
+                   if sum(e) == d and e not in q.ints]
+        if missing:
+            out.append(q + TriPoly(XVARS, {rng.choice(missing): rng.randint(1, 9)}))
+        return out
+
+    def test_certificate_matches_multiplication_matrices(self):
+        rng = random.Random(29)
+        cases = [(pencil_det(split(fixture_matrix(name))).p, name) for name in
+                 ("cubic_cusp", "cross_star", "disk", "nested_ovals", "cardioid_circle")]
+        cases += [(pencil_det(split(random_gaussian_matrix(n, rng))).p, n)
+                  for n in (2, 2, 3, 3, 4, 4, 5, 6)]
+        passed = refused = 0
+        for p, label in cases:
+            sf, q = gcd_squarefree(p), dualcurve.dual_curve_exact(p).q
+            for k, cand in enumerate(self._candidates(q, rng)):
+                got = exactpoly._gradient_certificate(sf.ints, cand.ints)
+                assert got == reference_gradient_certificate(sf.ints, cand.ints), (label, k)
+                assert bool(got) == (k < 2), (label, k)
+                passed, refused = passed + bool(got), refused + (not got)
+        assert (passed, refused) == (26, 30)
+
+    def test_redrawn_line_matches(self, monkeypatch):
+        # the first draw of each prime takes the direction b = 0, where F_top
+        # vanishes, so both certificates redraw the line and go on alike
+        class ZeroFirstDirection(random.Random):
+            draws = 0
+
+            def randrange(self, *args):
+                ZeroFirstDirection.draws += 1
+                if ZeroFirstDirection.draws <= 12 and (ZeroFirstDirection.draws - 1) % 6 >= 3:
+                    return 0
+                return super().randrange(*args)
+
+        p = pencil_det(split(fixture_matrix("nested_ovals"))).p
+        q = golden_poly("nested_ovals_q.txt", XVARS)
+        F = gcd_squarefree(p).ints
+        wrong = (q + TriPoly(XVARS, {(0, 4, 0): 1})).ints
+        monkeypatch.setattr(exactpoly.random, "Random", ZeroFirstDirection)
+        for Q, want in ((q.ints, (2 ** 31 - 1, 2 ** 31 - 19)), (wrong, ())):
+            ZeroFirstDirection.draws = 0
+            assert exactpoly._gradient_certificate(F, Q) == want
+            assert ZeroFirstDirection.draws == 24
+            ZeroFirstDirection.draws = 0
+            assert reference_gradient_certificate(F, Q) == want
+
+    def test_squarefree_parts_without_the_dual(self):
+        # a false candidate of another curve, and a wrong split of a reducible one
+        cusp = pencil_det(split(fixture_matrix("cubic_cusp"))).p
+        for name in ("cross_star", "disk", "nested_ovals"):
+            q = golden_poly(f"{name}_q.txt", XVARS)
+            got = exactpoly._gradient_certificate(cusp.ints, q.ints)
+            assert got == reference_gradient_certificate(cusp.ints, q.ints) == ()
+
+
+class TestDivisionProofQuotients:
+    """`_line_gcd` returns the quotients its division proof computes."""
+
+    def test_quotients_multiply_back(self):
+        rng = random.Random(89)
+        for _ in range(8):
+            a, b, c = (_rational_factor(rng) for _ in range(3))
+            for ops, targets in (([F := (a * a * b).ints], [F, (a * b).ints]),
+                                 ([F, G := (a * c).ints], [F, G])):
+                C, quotients = exactpoly._line_gcd(ops, targets)
+                g = TriPoly._of(YVARS, Fraction(1), C)
+                for T, Q in zip(targets, quotients):
+                    assert g * TriPoly._of(YVARS, Fraction(1), Q) == TriPoly._of(YVARS, Fraction(1), T)
+
+    def test_gcd_one_returns_the_targets(self):
+        f, g = (Y0 + 2 * Y1 + Y2).ints, (Y1 ** 2 - Y0 * Y2).ints
+        C, quotients = exactpoly._line_gcd([f, g], [f, g])
+        assert C == {(0, 0, 0): 1}
+        assert quotients[0] is f and quotients[1] is g
+
+    def test_squarefree_split(self):
+        rng = random.Random(101)
+        for _ in range(6):
+            a, b = _rational_factor(rng), _rational_factor(rng)
+            f = a ** 2 * b * Fraction(-7, 3)
+            rep, sf = exactpoly._squarefree_split(f)
+            assert rep == repeated_part(f) == a.primitive()
+            assert sf == gcd_squarefree(f) == (a * b).primitive()
+            assert rep * sf == f.primitive()
+        one = TriPoly.constant(Fraction(5, 2), YVARS)
+        assert exactpoly._squarefree_split(one) == (TriPoly.constant(1, YVARS),) * 2

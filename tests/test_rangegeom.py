@@ -227,6 +227,13 @@ class TestDuality:
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             duality_check(fixture_matrix("disk"), N=16, tol=tol)
 
+    @pytest.mark.parametrize("N", [17, 361])
+    def test_refuses_an_odd_grid(self, N):
+        # an odd grid has no antipodal angles, so no witness on it is the
+        # complementary one of a boundary sample
+        with pytest.raises(ValueError, match=rf"^duality needs an even grid, with antipodal angles \(got {N}\)$"):
+            duality_check(fixture_matrix("disk"), N=N)
+
     def test_one_rayleigh_pass_for_both_levels(self, monkeypatch):
         calls = []
         monkeypatch.setattr(rangegeom, "support",

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .craig import CraigDisagreementError, craig_verdict, verdict_line
+from .craig import RECT_TOL, CraigDisagreementError, craig_verdict, verdict_line
 from .dualcurve import (
     DualCurve,
     dual_curve_exact,
@@ -40,7 +40,7 @@ from .pencil import (
     lmi_polytope_vertices,
     pencil_det,
 )
-from .rangegeom import _polytope_verdict, duality_check, hulls_csv, range_hulls
+from .rangegeom import PAIRING_TOL, _polytope_verdict, duality_check, hulls_csv, range_hulls
 from .render import ViewportRequiredError, render_figure
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
@@ -249,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact primal/dual geometry of the numerical range")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=None, tol=False):
-        """--input and --out; --grid (default `grid`) and --tol where the command reads them."""
+    def common(p, grid=None, tol=None):
+        """--input and --out; --grid and --tol, with these defaults, where the command reads them."""
         p.add_argument("--input", required=True, help="matrix JSON file")
         p.add_argument("--out", default=None, help="output file (stdout if omitted)")
         if grid:
             p.add_argument("--grid", type=int, default=grid, help="angle grid size")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-6, help="tolerance for checks")
+            p.add_argument("--tol", type=float, default=tol, help="tolerance for checks")
 
     p = sub.add_parser("decompose", help="print the Hermitian splitting A1, A2")
     common(p)
@@ -279,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duality", help="verify the W/F pairing on an even grid; exit 1 on violation",
                        description="Verify the W/F pairing.  --grid must be even: complementary "
                                    "pairs sit at antipodal angles, which an odd grid lacks.")
-    common(p, grid=720, tol=True)
+    common(p, grid=720, tol=PAIRING_TOL)
 
     p = sub.add_parser("craig", help="craig factorization verdict")
-    common(p, tol=True)
+    common(p, tol=RECT_TOL)
 
     p = sub.add_parser("classify", help="structure report: normality, hyperbolicity, shape")
     common(p, grid=360)

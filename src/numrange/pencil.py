@@ -52,6 +52,8 @@ YVARS = ("y0", "y1", "y2")
 
 BOUNDARY_TOL = 1e-9          # |lambda_min| window declaring a point "on" the boundary
 UNBOUNDED_CUT = 1e-12        # lambda_min above -cut*scale counts as non-negative
+ROOT_CUT = 1e-14             # |lambda| above cut*max(scale, row max |lambda|) gives a real root
+UNIT_TOL = 1e-12             # |norm - 1| allowed of a ray direction
 
 
 @dataclass(frozen=True)
@@ -198,16 +200,18 @@ class SpectralGrid:
     N alike; on an even grid row k + N/2 is the reflection of row k up to
     roundoff (cos and sin negated, eigenvalues negated in reverse order,
     eigenvector columns reversed), but not bit for bit, and the printed hull
-    vertices of a polytopal W(A) depend on those bits.
+    vertices of a polytopal W(A) depend on those bits: they keep or drop
+    near-coincident corner points by them, so the grids that print hulls
+    solve every angle until those roundoff clouds are merged.  `classify`'s
+    polytope verdict prints no hull and takes the reflection instead:
+    `rangegeom._fan_witnesses` solves only the rows k < N/2 of an even fan,
+    with `at` on the first half of the arrays this constructor builds.
     """
 
     __slots__ = ("pencil", "scale", "thetas", "cos", "sin", "eigvals", "eigvecs")
 
     def __init__(self, pencil: HermitianPencil, N: int):
-        if N < 3:
-            raise ValueError("need at least 3 support directions")
-        thetas = np.arange(N) * (2.0 * math.pi) / N   # 2*pi*k/N bit for bit
-        self._solve(pencil, thetas, np.cos(thetas), np.sin(thetas))
+        self._solve(pencil, *_uniform_fan(N))
 
     @classmethod
     def at(cls, pencil: HermitianPencil, thetas, cos=None, sin=None) -> "SpectralGrid":
@@ -243,6 +247,14 @@ class SpectralGrid:
         return k, idx, -1.0 / self.eigvals[k, idx]
 
 
+def _uniform_fan(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(thetas, cos, sin) of the fan theta_k = 2*pi*k/N, N >= 3, as `SpectralGrid(pencil, N)` solves it."""
+    if N < 3:
+        raise ValueError("need at least 3 support directions")
+    thetas = np.arange(N) * (2.0 * math.pi) / N   # 2*pi*k/N bit for bit
+    return thetas, np.cos(thetas), np.sin(thetas)
+
+
 def _exit_points(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(k, t, y1, y2): the rays k of the grid that leave F(A), and where.
 
@@ -276,7 +288,7 @@ def ray_exit(pencil: HermitianPencil, direction: tuple[float, float]) -> RayExit
     """Exit of the ray t*(d1,d2), t >= 0, from F(A)."""
     d1, d2 = float(direction[0]), float(direction[1])
     nrm = math.hypot(d1, d2)
-    if abs(nrm - 1.0) > 1e-12:
+    if abs(nrm - 1.0) > UNIT_TOL:
         raise ValueError(f"direction must be a unit vector (got norm {nrm!r})")
     grid = SpectralGrid.at(pencil, [math.atan2(d2, d1)], [d1], [d2])
     k, t, y1, y2 = _exit_points(grid)
@@ -441,9 +453,9 @@ def _entry_scale(f1: np.ndarray, f2: np.ndarray) -> float:
 
 def _root_eigs(w: np.ndarray, scale: float) -> np.ndarray:
     """Mask of the eigenvalues (last axis) that give a real root:
-    |lambda| > 1e-14 * max(scale, max |lambda|), scale the pencil's `_entry_scale`."""
+    |lambda| > ROOT_CUT * max(scale, max |lambda|), scale the pencil's `_entry_scale`."""
     w = np.abs(w)
-    return w > 1e-14 * np.maximum(scale, w.max(axis=-1, keepdims=True, initial=0.0))
+    return w > ROOT_CUT * np.maximum(scale, w.max(axis=-1, keepdims=True, initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .exactpoly import GaussianRational, TriPoly
 from .hermitian import GaussianRationalMatrix, HermitianPencil, is_normal, split
-from .pencil import SpectralGrid, _entry_scale, _exit_points, pencil_det
+from .pencil import SpectralGrid, _entry_scale, _exit_points, _uniform_fan, pencil_det
 
 __all__ = [
     "RangeHulls",
@@ -43,6 +43,7 @@ GAP_FLOOR = 1e-10        # times max(s, max|witness|): inner/outer coincide to r
 DEGENERATE_AREA = 1e-12  # times max(s, max|witness|)**2: the outer hull has no area
 CLUSTER_TOL = 1e-8       # times max(s, max|witness|): witnesses of one polytope corner
 DEDUPE_TOL = 1e-9        # times s + |z|: float eigenvalues of a normal A that are one
+PAIRING_TOL = 1e-6       # dimensionless: the pairing 1 + x.y of `duality_check` and `duality --tol`
 
 
 # -- polygon utilities (work on floats and on exact Fractions alike) -----------
@@ -173,11 +174,15 @@ def support(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     """(h, witnesses): the support values of W(A) over the grid's angles, h_k =
     lambda_max(H_k), and their rank-one witnesses, the (N, 2) array of the W(A)
     points (v*A1v, v*A2v) of the top eigenvectors v."""
-    f1, f2 = grid.pencil.float_parts()
-    top = grid.eigvecs[:, :, -1]
-    x1 = np.einsum("bi,ij,bj->b", top.conj(), f1, top).real
-    x2 = np.einsum("bi,ij,bj->b", top.conj(), f2, top).real
-    return grid.eigvals[:, -1], np.stack([x1, x2], axis=1)
+    return grid.eigvals[:, -1], _rayleigh(grid.pencil, grid.eigvecs[:, :, -1])
+
+
+def _rayleigh(pencil: HermitianPencil, V: np.ndarray) -> np.ndarray:
+    """The W(A) points (v*A1v, v*A2v) of the unit rows v of V, an (m, 2) array."""
+    f1, f2 = pencil.float_parts()
+    x1 = np.einsum("bi,ij,bj->b", V.conj(), f1, V).real
+    x2 = np.einsum("bi,ij,bj->b", V.conj(), f2, V).real
+    return np.stack([x1, x2], axis=1)
 
 
 def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
@@ -288,7 +293,7 @@ class DualityReport:
 
 
 def duality_check(A: GaussianRationalMatrix, N: int = 720,
-                  tol: float = 1e-6) -> DualityReport:
+                  tol: float = PAIRING_TOL) -> DualityReport:
     """Verify the W(A)/F(A) pairing on matched angle grids.
 
     (a) 1 + x.y >= -tol for every witness x and boundary sample y;
@@ -353,7 +358,10 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
     Normal matrices: W(A) is the convex hull of the spectrum; eigenvalues are
     exact when they are Gaussian rational (certified against the pencil
     determinant p), numeric otherwise.  Non-normal matrices: best-effort
-    witness clustering; "mixed/unknown" is a legal verdict.
+    clustering of the witnesses of an N-angle fan; "mixed/unknown" is a legal
+    verdict.  An even fan solves only its angles below pi (`_fan_witnesses`),
+    as `classify` does; the grids that print hulls solve every angle (see
+    `SpectralGrid`).
     """
     pencil = split(A)
     return _polytope_verdict(A, pencil, pencil_det(pencil).p if is_normal(A) else None, N)
@@ -362,7 +370,12 @@ def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
 def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil, p: TriPoly | None,
                       N: int) -> PolytopeVerdict:
     """`polytope_detect` for a caller that has split A (pencil = split(A)) and
-    passes p = pencil_det(pencil).p for a normal A, None for any other."""
+    passes p = pencil_det(pencil).p for a normal A, None for any other.
+
+    The non-normal branch is `classify`'s, and the one grid reader that
+    solves half an even fan (`_fan_witnesses`): it prints no hull, while the
+    hulls that the other commands print hang on the last bits of every row.
+    """
     if p is not None:
         M = A.to_complex()
         eigs = np.linalg.eigvals(M)
@@ -377,15 +390,39 @@ def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil, p: Tri
         verts = convex_hull([(float(z.real), float(z.imag)) for z in eigs])
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
 
-    grid = SpectralGrid(pencil, N)
-    _, wit = support(grid)
-    scale = max(grid.scale, float(np.abs(wit).max()))
-    starts, lengths = _witness_clusters(wit, CLUSTER_TOL * scale)
+    return _witness_verdict(_fan_witnesses(pencil, N), _entry_scale(*pencil.float_parts()))
+
+
+def _fan_witnesses(pencil: HermitianPencil, N: int) -> np.ndarray:
+    """The W(A) witnesses of the uniform N-angle fan, an (N, 2) array in angle order.
+
+    H(theta + pi) = -H(theta), so the top eigenvector at theta + pi is the
+    bottom one at theta (Kippenhahn 1951): an even fan solves only its rows
+    k < N/2, on the first half of the arrays of `SpectralGrid(pencil, N)`, so
+    those rows are the full grid's, and the witnesses of rows k + N/2 are the
+    Rayleigh pairs of their bottom eigenvectors.  An odd fan has no antipodal
+    rows and solves every angle.
+    """
+    if N % 2:
+        return support(SpectralGrid(pencil, N))[1]
+    half = N // 2
+    grid = SpectralGrid.at(pencil, *(a[:half] for a in _uniform_fan(N)))
+    return np.concatenate((support(grid)[1], _rayleigh(pencil, grid.eigvecs[:, :, 0])))
+
+
+def _witness_verdict(wit: np.ndarray, scale: float) -> PolytopeVerdict:
+    """The verdict on a non-normal A from the witnesses of its N-angle fan,
+    (N, 2) in angle order, and its pencil's entry scale: "polytope" when runs
+    of three or more witnesses, at least three of them, hold 0.9*N of the
+    witnesses (the vertices are their means), "smooth" when no run is longer
+    than two, "mixed/unknown" otherwise."""
+    N = len(wit)
+    starts, lengths = _witness_clusters(wit, CLUSTER_TOL * max(scale, float(np.abs(wit).max())))
     big = lengths >= 3
     if big.sum() >= 3 and lengths[big].sum() >= 0.9 * N:
         runs = (wit.take(np.arange(i, i + k), axis=0, mode="wrap")
                 for i, k in zip(starts[big].tolist(), lengths[big].tolist()))
-        verts = convex_hull([tuple(np.mean(run, axis=0)) for run in runs])
+        verts = convex_hull([tuple(run.mean(axis=0).tolist()) for run in runs])
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
     if lengths.max() <= 2:
         return PolytopeVerdict(kind="smooth")

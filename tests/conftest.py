@@ -13,7 +13,14 @@ from numrange import exactpoly
 from numrange.exactpoly import ExactDivisionError, GaussianRational, TriPoly, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, load_matrix, split
 from numrange.pencil import SpectralGrid, pencil_det
-from numrange.rangegeom import _cross, support
+from numrange.rangegeom import (
+    CLUSTER_TOL,
+    PolytopeVerdict,
+    _cross,
+    _witness_clusters,
+    convex_hull,
+    support,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -46,6 +53,18 @@ def cardioid_circle_dual_residual(x1: float, x2: float) -> float:
     qs = [golden_poly(f"cardioid_circle_dual_{part}.txt", ("x0", "x1", "x2"))
           for part in ("cardioid", "circle")]
     return min(abs(v) / s for v, s in (eval_with_scale(q, (1.0, x1, x2)) for q in qs))
+
+
+def planted_polytope_matrix() -> GaussianRationalMatrix:
+    """diag(1, i, -1) plus the block [[i/3, 1/5], [0, i/3]]: non-normal, and
+    W(A) is the triangle (-1, 0), (1, 0), (0, 1), since W of the block is the
+    disk of radius 1/10 about i/3, which lies inside it."""
+    c = GaussianRational(Fraction(0), Fraction(1, 3))
+    A = GaussianRationalMatrix.diagonal(
+        [GaussianRational.ONE, GaussianRational.I, -GaussianRational.ONE, c, c])
+    rows = [list(row) for row in A.entries]
+    rows[3][4] = GaussianRational(Fraction(1, 5), Fraction(0))
+    return GaussianRationalMatrix(rows)
 
 
 def random_gaussian_matrix(n: int, rng: random.Random,
@@ -550,6 +569,25 @@ def random_intake_entries(n: int, rng: random.Random, kind: str) -> list[list[Ga
             row = rows[rng.randrange(n)][rng.randrange(n)]
             row[rng.randrange(2)] = (big if kind == "huge" else 1 / big) * rng.choice((-1, 1))
     return [[GaussianRational(*e) for e in row] for row in rows]
+
+
+def reference_polytope_verdict(A: GaussianRationalMatrix, N: int) -> PolytopeVerdict:
+    """The verdict of `rangegeom._polytope_verdict` on a non-normal A with
+    every angle of the N-fan solved: the support witnesses of one
+    `SpectralGrid(split(A), N)`, clustered and judged by the same rules."""
+    grid = SpectralGrid(split(A), N)
+    _, wit = support(grid)
+    scale = max(grid.scale, float(np.abs(wit).max()))
+    starts, lengths = _witness_clusters(wit, CLUSTER_TOL * scale)
+    big = lengths >= 3
+    if big.sum() >= 3 and lengths[big].sum() >= 0.9 * N:
+        runs = (wit.take(np.arange(i, i + k), axis=0, mode="wrap")
+                for i, k in zip(starts[big].tolist(), lengths[big].tolist()))
+        verts = convex_hull([tuple(np.mean(run, axis=0)) for run in runs])
+        return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
+    if lengths.max() <= 2:
+        return PolytopeVerdict(kind="smooth")
+    return PolytopeVerdict(kind="mixed/unknown")
 
 
 def reference_vandermonde_inverse(m: int, P: int) -> np.ndarray:

@@ -15,7 +15,8 @@ import numrange.rangegeom
 from numrange.cli import main
 from numrange.hermitian import load_matrix
 
-from conftest import FIXTURES, GOLDEN, canonical_json, mixed_magnitude_matrix, random_gaussian_matrix
+from conftest import (FIXTURES, GOLDEN, canonical_json, mixed_magnitude_matrix,
+                      planted_polytope_matrix, random_gaussian_matrix)
 
 
 def run(*argv):
@@ -320,6 +321,27 @@ class TestClassifyCommand:
         assert run("classify", "--input", fx("disk.json"), "--grid", "48") == 0
         assert run("classify", "--input", fx("disk.json")) == 0
         assert seen == [48, 360]
+
+    def test_polytope_verdict_solves_half_an_even_fan(self, tmp_path, monkeypatch, capsys):
+        # H(theta + pi) = -H(theta): the default 360-angle fan solves its 180
+        # angles below pi in one eigh, an odd fan solves every angle
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        src = tmp_path / "planted.json"
+        src.write_text(canonical_json(planted_polytope_matrix()))
+        for grid, solved in ((None, 180), ("361", 361)):
+            calls.clear()
+            assert run("classify", "--input", str(src), *(["--grid", grid] if grid else [])) == 0
+            assert calls == [(solved, 5, 5)]
+            lines = capsys.readouterr().out.splitlines()
+            assert "shape=polytope" in lines
+            assert "vertices=(-1.0, 0.0); (1.0, 0.0); (0.0, 1.0)" in lines
 
     @pytest.mark.parametrize("name", ["disk", "polytope"])
     def test_splits_once_and_tests_normality_once(self, monkeypatch, capsys, name):

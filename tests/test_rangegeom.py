@@ -43,11 +43,13 @@ from conftest import (
     charpoly_from_p,
     eval_with_scale,
     fixture_matrix,
+    planted_polytope_matrix,
     planted_product_zero_pair,
     point_to_polygon_distance,
     polygon_is_convex,
     polygon_support,
     random_gaussian_matrix,
+    reference_polytope_verdict,
     support_shift_deviation,
 )
 
@@ -301,6 +303,21 @@ def _hull_vertices(points: set) -> set:
     return out
 
 
+def _corners_and_disk(n: int, rng: random.Random) -> GaussianRationalMatrix:
+    """diag(z_1, ..., z_{n-2}) plus the block [[c, r], [0, c]], whose W is the
+    disk of radius r/2 about c: W(A) is a polygon when the disk lies inside
+    the corners' hull, and has a curved arc when it pokes out."""
+    def point(den):
+        return G(F(rng.randint(-6, 6), den), F(rng.randint(-6, 6), den))
+
+    c = point(6)
+    rows = [[G(0)] * n for _ in range(n)]
+    for i, z in enumerate([point(rng.randint(1, 3)) for _ in range(n - 2)] + [c, c]):
+        rows[i][i] = z
+    rows[n - 2][n - 1] = G(F(rng.randint(1, 9), 5))
+    return GaussianRationalMatrix(rows)
+
+
 def _conjugated(diag):
     """Q D Q^T for a fixed rational orthogonal Q: normal, with the spectrum of D."""
     n = len(diag)
@@ -403,7 +420,7 @@ class TestPolytopeDetect:
             starts, lengths = _witness_clusters(wit, tol)
             assert [[(i + j) % N for j in range(k)] for i, k in zip(starts, lengths)] == scan
 
-    def test_a_run_wraps_past_the_last_witness(self, monkeypatch):
+    def test_a_run_wraps_past_the_last_witness(self):
         # corners a, b, c with the fan of a split by index 0: witnesses 10, 11,
         # 0, 1, 2 sit on a and form one run of 5, which starts at 10
         a, b, c = (1.0, 0.0), (-0.5, 0.75), (-0.5, -0.75)
@@ -412,10 +429,37 @@ class TestPolytopeDetect:
         assert starts.tolist() == [10, 3, 7] and lengths.tolist() == [5, 4, 3]
         # the verdict needs the join: split, the runs of a (3 and 2) would
         # leave 10 < 0.9 * 12 witnesses in runs of 3 or more
-        monkeypatch.setattr(rangegeom, "support", lambda grid: (None, wit))
-        A = fixture_matrix("cubic_cusp")
-        v = rangegeom._polytope_verdict(A, split(A), None, len(wit))
+        v = rangegeom._witness_verdict(wit, 1.0)
         assert v.kind == "polytope" and sorted(v.vertices) == sorted([a, b, c])
+
+    def test_half_fan_matches_the_full_fan(self):
+        # an even fan solves its angles below pi and reflects the rest: on
+        # seeded non-normal draws, generic ones and corners plus a disk, the
+        # verdict is the full fan's, on even and odd fans alike
+        rng = random.Random(83)
+        kinds = set()
+        for n in range(2, 9):
+            for trial in range(4):
+                A = random_gaussian_matrix(n, rng) if trial % 2 else _corners_and_disk(n, rng)
+                assert not is_normal(A)
+                for N in (4, 48, 90, 360, 361, 720):
+                    got, want = polytope_detect(A, N), reference_polytope_verdict(A, N)
+                    assert got.kind == want.kind, (n, trial, N)
+                    kinds.add(got.kind)
+                    if want.vertices is None:
+                        assert got.vertices is None
+                        continue
+                    assert all(type(x) is float for v in got.vertices for x in v)
+                    assert np.abs(np.subtract(got.vertices, want.vertices)).max() <= 1e-12
+        assert kinds == {"polytope", "smooth", "mixed/unknown"}
+
+    @pytest.mark.parametrize("N", [48, 49, 90, 91, 360, 361, 720, 721])
+    def test_planted_non_normal_polytope(self, N):
+        # W of the 2x2 block is a disk inside the triangle of diag(1, i, -1)
+        v = polytope_detect(planted_polytope_matrix(), N)
+        assert v.kind == "polytope" and not v.exact
+        assert v.vertices == ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        assert all(type(x) is float for vertex in v.vertices for x in vertex)
 
     def test_normal_with_irrational_spectrum_falls_back_to_floats(self):
         A = gmatrix([[1, 1], [1, 0]])  # symmetric, eigenvalues (1 +- sqrt(5))/2

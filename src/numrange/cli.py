@@ -18,6 +18,7 @@ import numpy as np
 from .craig import RECT_TOL, CraigDisagreementError, craig_verdict, verdict_line
 from .dualcurve import (
     DualCurve,
+    _refuse_product_of_forms,
     dual_curve_exact,
     dual_sample,
     dual_sample_csv,
@@ -25,6 +26,7 @@ from .dualcurve import (
 )
 from .exactpoly import PolyParseError, TriPoly, parse_poly
 from .hermitian import (
+    FloatRangeError,
     GaussianRationalMatrix,
     MatrixFormatError,
     is_normal,
@@ -40,7 +42,14 @@ from .pencil import (
     lmi_polytope_vertices,
     pencil_det,
 )
-from .rangegeom import PAIRING_TOL, _polytope_verdict, duality_check, hulls_csv, range_hulls
+from .rangegeom import (
+    PAIRING_TOL,
+    _certified_spectrum,
+    _polytope_verdict,
+    duality_check,
+    hulls_csv,
+    range_hulls,
+)
 from .render import ViewportRequiredError, render_figure
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
@@ -140,7 +149,8 @@ def cmd_pencil(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    curve = pencil_det(split(_load_matrix(args.input)))
+    A = _load_matrix(args.input)
+    curve = pencil_det(split(A))
     if args.factors:
         factors = _load_factors(args.factors)
         comps = dual_union(curve.p, factors)
@@ -152,11 +162,28 @@ def cmd_dual(args) -> int:
                 lines.append("point " + ",".join(str(c) for c in comp))
         _write("\n".join(lines) + "\n", args.out)
         return OK
+    spectrum = _product_spectrum(A, curve.p)
+    if spectrum is not None:
+        _refuse_product_of_forms(curve.p, spectrum)
     dc = dual_curve_exact(curve.p)
     for extra in dc.extraneous:
         print(f"note: removed extraneous factor {extra.to_text()}", file=sys.stderr)
     _write(dc.q.to_text() + "\n", args.out)
     return OK
+
+
+def _product_spectrum(A: GaussianRationalMatrix, p: TriPoly):
+    """The spectrum of A as exact Gaussian rationals z_j when A is normal and p
+    is proven to be the product of the forms y0 + Re(z_j)*y1 + Im(z_j)*y2,
+    else None.  An A beyond the float range, or whose float eigenvalues are
+    not finite, takes the full elimination."""
+    if not is_normal(A):
+        return None
+    try:
+        eigs = np.linalg.eigvals(A.to_complex())
+    except (FloatRangeError, np.linalg.LinAlgError):
+        return None
+    return _certified_spectrum(A, p, eigs) if np.isfinite(eigs).all() else None
 
 
 def cmd_sample_w(args) -> int:

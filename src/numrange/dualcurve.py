@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
+from typing import NoReturn
 
 import numpy as np
 
@@ -126,6 +127,10 @@ def dual_curve_exact(p: TriPoly) -> DualCurve:
     modulo sf restricted to a seeded line must be 0 on both draws.  A true q
     always passes; a false one fails with probability at least 1 - 2^-40 for
     n <= 7, and a failure is a proof that the candidate is not the dual.
+    A product of linear forms takes this full path too, as p alone carries no
+    cheap proof that it is one; `numrange dual` refuses the pencil
+    determinant of a normal A with a certified spectrum before it
+    (`_refuse_product_of_forms`).
     """
     if p.is_zero():
         raise ZeroPolynomialError("dual of the zero polynomial")
@@ -145,9 +150,7 @@ def _dual_of_squarefree(sf: TriPoly, audit: list[TriPoly]) -> DualCurve:
     """`dual_curve_exact` of a primitive squarefree sf that depends on both
     chart variables, with `audit` the factors already split off p."""
     if sf.total_degree() == 1:
-        raise DegenerateDualError(
-            f"squarefree part {sf.to_text()} is linear; its dual is one point "
-            "(dual_of_linear)")
+        raise _linear_part_error(sf)
     n = sf.total_degree()
     q_cand, extraneous = _eliminate(sf)
     if q_cand.total_degree() > n * (n - 1):
@@ -182,10 +185,44 @@ def _eliminate(sf: TriPoly) -> tuple[TriPoly, list[TriPoly]]:
         if not mult2.is_constant():
             audit.append(mult2)
     if q_cand.is_constant():
-        raise ReducibleCurveError(
-            "every discriminant factor is repeated; cannot isolate the dual curve "
-            "(supply factors for reducible p)")
+        raise _repeated_discriminant_error()
     return q_cand, audit
+
+
+def _linear_part_error(sf: TriPoly) -> DegenerateDualError:
+    return DegenerateDualError(
+        f"squarefree part {sf.to_text()} is linear; its dual is one point "
+        "(dual_of_linear)")
+
+
+def _repeated_discriminant_error() -> ReducibleCurveError:
+    return ReducibleCurveError(
+        "every discriminant factor is repeated; cannot isolate the dual curve "
+        "(supply factors for reducible p)")
+
+
+def _refuse_product_of_forms(p: TriPoly, points) -> NoReturn:
+    """Raise what `dual_curve_exact(p)` raises for a p proven equal to the
+    product of the forms y0 + a*y1 + b*y2 over the Gaussian rationals a + i*b
+    in `points` (the pencil determinant of a normal A, over its spectrum,
+    certified by `rangegeom._certified_spectrum`), with no elimination.
+
+    After `_require_chart_variables`, one distinct form is the squarefree part,
+    which is linear.  Two or more distinct forms l_j restrict, with
+    x0*y0 = -(x1*z + x2*w), to x0*l_j = (a_j*x0 - x1)*z + (b_j*x0 - x2)*w, whose
+    pairwise determinants are x0*R_ij with R_ij = (a_i*b_j - a_j*b_i)*x0 +
+    (b_i - b_j)*x1 + (a_j - a_i)*x2, the dual line of the point l_i = l_j = 0.
+    So the discriminant is c*x0^k * prod_{i<j} R_ij^2, and no R_ij is a power of
+    x0, as distinct forms differ in a_j or b_j: every factor left after x0 is
+    repeated, and the elimination refuses.
+    """
+    _require_chart_variables(p)
+    forms = {(z.re, z.im) for z in points}
+    if len(forms) > 1:
+        raise _repeated_discriminant_error()
+    (a, b), = forms
+    form = TriPoly(p.vars, {(1, 0, 0): 1, (0, 1, 0): a, (0, 0, 1): b})
+    raise _linear_part_error(form.primitive())
 
 
 def dual_of_linear(l: TriPoly) -> tuple[Fraction, Fraction, Fraction]:
@@ -205,7 +242,10 @@ def dual_union(p: TriPoly, factors: list[TriPoly]):
     The factors must be squarefree, pairwise coprime, and multiply to the
     squarefree part of p (checked by exact division).  Degree-1 factors
     dualize to points, higher degrees to curves; a factor proven squarefree
-    here is its own squarefree part and is not proven so again.
+    here is its own squarefree part and is not proven so again.  A factor of
+    degree 1 is irreducible, so squarefree, and two of them are coprime
+    exactly when they are not proportional, that is when their primitive
+    parts (which fix the sign) differ: neither takes a gcd.
     """
     if not factors:
         raise ValueError("no factors supplied")
@@ -216,12 +256,13 @@ def dual_union(p: TriPoly, factors: list[TriPoly]):
             raise ZeroPolynomialError("zero factor")
         if f.vars != p.vars:
             raise ValueError("factors must use the variable triple of p")
-        if not repeated_part(f).is_constant():
+        if f.total_degree() > 1 and not repeated_part(f).is_constant():
             raise ValueError(f"factor {f.to_text()} is not squarefree")
         prod = prod * f
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if not tri_gcd(factors[i], factors[j]).is_constant():
+    for i, f in enumerate(factors):
+        for g in factors[i + 1:]:
+            if (f.primitive() == g.primitive() if f.total_degree() == g.total_degree() == 1
+                    else not tri_gcd(f, g).is_constant()):
                 raise ValueError("factors are not pairwise coprime")
     if prod.primitive() != sf:
         raise ProductMismatchError(

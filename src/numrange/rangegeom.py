@@ -457,6 +457,10 @@ def _certified_spectrum(A: GaussianRationalMatrix, p: TriPoly, eigs) -> list[Gau
     every coefficient of p, hence of det(t*I - A).  The float eigenvalues are
     rounded to that lattice and accepted only if the product of their linear
     forms equals p; at y = (t, -1, -i) it is prod (t - z_j) = det(t*I - A).
+    That exact check is a proof for any A; normality only makes the rounding
+    succeed.  Its callers are `_polytope_verdict` (classify's exact vertices)
+    and `cli.cmd_dual`, which refuses a proven product of linear forms before
+    any elimination (`dualcurve._refuse_product_of_forms`).
     """
     D = math.gcd(A.L, p.content.denominator)
     roots = [(round(Fraction(z.real) * D), round(Fraction(z.imag) * D)) for z in eigs]

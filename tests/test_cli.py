@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import numrange.cli
+import numrange.dualcurve
 import numrange.exactpoly
 import numrange.hermitian
 import numrange.pencil
@@ -43,6 +44,29 @@ class TestPencilCommand:
         run("pencil", "--input", fx("nested_ovals.json"), "--out", str(a))
         run("pencil", "--input", fx("nested_ovals.json"), "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def _diag(*zs):
+    """Matrix-file entries of diag(zs), each z an (re, im) pair of JSON parts."""
+    return [[list(z) if i == j else [0, 0] for j in range(len(zs))] for i, z in enumerate(zs)]
+
+
+def _matrix_file(tmp_path, entries) -> str:
+    """A fixture's path for a name, else a matrix file of the entries."""
+    if isinstance(entries, str):
+        return fx(entries)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"n": len(entries), "entries": entries}))
+    return str(path)
+
+
+REPEATED = ("every discriminant factor is repeated; cannot isolate the dual curve "
+            "(supply factors for reducible p)")
+NO_CHART = ("p does not depend on both chart variables; dualize factors directly "
+            "(dual_of_linear / dual_union) or sample numerically")
+LINEAR = "squarefree part {} is linear; its dual is one point (dual_of_linear)"
+NOT_COPRIME = "factors are not pairwise coprime"
+POLYTOPE_FACTORS = (FIXTURES / "polytope_factors.txt").read_text().splitlines()
 
 
 class TestDualCommand:
@@ -94,6 +118,71 @@ class TestDualCommand:
         code = run("dual", "--input", fx("polytope.json"))
         assert code == 2
         assert "factors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries, err", [
+        # p is a product of two or more distinct linear forms
+        (_diag((1, 0), (0, 2)), REPEATED),
+        (_diag((1, 0), (0, 1), (-1, 0)), REPEATED),
+        (_diag((1, 1), (2, 2), (3, 3)), REPEATED),
+        (_diag((1, 1), (1, 1), (2, 0)), REPEATED),
+        (_diag(([1, 3], 1), ([2, 3], 1)), REPEATED),
+        ("polytope.json", REPEATED),
+        # a Hermitian A, or one line repeated
+        (_diag((1, 0), (2, 0)), NO_CHART),
+        (_diag((2, 0), (2, 0)), NO_CHART),
+        (_diag((3, 0)), NO_CHART),
+        (_diag((0, 1), (0, 1)), NO_CHART),
+        # one distinct form, printed primitive
+        (_diag((3, 2)), LINEAR.format("y0 + 3*y1 + 2*y2")),
+        (_diag((3, 2), (3, 2)), LINEAR.format("y0 + 3*y1 + 2*y2")),
+        (_diag(([1, 3], [2, 5])), LINEAR.format("15*y0 + 5*y1 + 6*y2")),
+        (_diag(([-1, 2], -1)), LINEAR.format("2*y0 - y1 - 2*y2")),
+        # (1+i)*[[1, 1], [1, 0]] is normal, with eigenvalues (1+i)(1 +- sqrt 5)/2
+        ([[[1, 1], [1, 1]], [[1, 1], [0, 0]]], REPEATED),
+        # parts beyond the float range take the elimination, and so does
+        # (1+i)*17e307*[[1, 1], [1, -1]], whose float eigenvalues are nan
+        (_diag((10 ** 400, 0), (0, 10 ** 400)), REPEATED),
+        (_diag(([1, 10 ** 400], 0), (0, [1, 10 ** 400])), REPEATED),
+        ([[[17 * 10 ** 307] * 2] * 2, [[17 * 10 ** 307] * 2, [-17 * 10 ** 307] * 2]], REPEATED),
+    ])
+    def test_refusals_of_normal_matrices(self, tmp_path, capsys, entries, err):
+        # the bytes recorded before products of linear forms were refused
+        # ahead of the elimination
+        assert run("dual", "--input", _matrix_file(tmp_path, entries)) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("entries, eliminates", [
+        ("polytope.json", False),
+        (_diag((1, 0), (0, 1), (-1, 0)), False),
+        ([[[1, 1], [1, 1]], [[1, 1], [0, 0]]], True),
+        ("cubic_cusp.json", True),
+    ])
+    def test_certified_products_skip_the_discriminant(self, tmp_path, monkeypatch, entries,
+                                                      eliminates):
+        calls = []
+        real = numrange.dualcurve.discriminant_binary
+        monkeypatch.setattr(numrange.dualcurve, "discriminant_binary",
+                            lambda g: calls.append(1) or real(g))
+        run("dual", "--input", _matrix_file(tmp_path, entries), "--out", str(tmp_path / "q.txt"))
+        assert calls == ([1] if eliminates else [])
+
+    @pytest.mark.parametrize("factors, code, out, err", [
+        (POLYTOPE_FACTORS + ["2*y0 + 10*y1"], 2, "", NOT_COPRIME),
+        (POLYTOPE_FACTORS + ["y0 + 5*y1"], 2, "", NOT_COPRIME),
+        (POLYTOPE_FACTORS + ["-y0 - 5*y1"], 2, "", NOT_COPRIME),
+        (POLYTOPE_FACTORS[:3], 2, "", "product of factors does not match the squarefree part of p"),
+        (POLYTOPE_FACTORS[:3] + ["y0^2 + 10*y0*y1 + 25*y1^2"], 2, "",
+         "factor y0^2 + 10*y0*y1 + 25*y1^2 is not squarefree"),
+        (POLYTOPE_FACTORS[:3] + ["y0^2 + 8*y0*y1 + 15*y1^2"], 2, "", NOT_COPRIME),
+        (["2*y0 + 10*y1"] + POLYTOPE_FACTORS[1:], 0,
+         "point 2,10,0\npoint 1,3,0\npoint 1,4,1\npoint 1,4,-1\n", None),
+    ])
+    def test_linear_factors(self, tmp_path, capsys, factors, code, out, err):
+        # the bytes recorded before degree-1 factors were decided with no gcd
+        path = tmp_path / "f.txt"
+        path.write_text("\n".join(factors) + "\n")
+        assert run("dual", "--input", fx("polytope.json"), "--factors", str(path)) == code
+        assert capsys.readouterr() == (out, f"error: {err}\n" if err else "")
 
 
 class TestLongIntegers:

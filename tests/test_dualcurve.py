@@ -451,6 +451,50 @@ class TestDualUnion:
         with pytest.raises(ValueError):
             dual_union(p, [(Y0 + Y1) * (Y0 + Y2), Y0 + Y2])
 
+    def test_linear_factors_take_no_gcd(self, monkeypatch):
+        # a degree-1 factor is squarefree, and two are coprime unless proportional:
+        # only the squarefree part of p is left to a gcd
+        calls = []
+        line_gcd = exactpoly._line_gcd
+        monkeypatch.setattr(exactpoly, "_line_gcd",
+                            lambda ops, targets: calls.append(1) or line_gcd(ops, targets))
+        p = pencil_det(split(fixture_matrix("polytope"))).p
+        facs = [parse_poly(s, YVARS) for s in
+                ("y0 + 5*y1", "y0 + 3*y1", "y0 + 4*y1 + y2", "y0 + 4*y1 - y2")]
+        assert dual_union(p, facs)[0] == (F(1), F(5), F(0))
+        assert len(calls) == 1
+        for twin in (F(2) * facs[0], -facs[0], facs[0]):
+            with pytest.raises(ValueError, match="^factors are not pairwise coprime$"):
+                dual_union(p, facs + [twin])
+
+
+class TestRefuseProductOfForms:
+    def test_raises_what_the_elimination_raises(self):
+        # p = prod (y0 + a*y1 + b*y2) over seeded Gaussian rationals a + i*b, with
+        # repeats, and with all a or all b zero now and then: each of the three
+        # refusals is met
+        rng = random.Random(36)
+        pool = [F(k, d) for k in range(-3, 4) for d in (1, 2, 3)]
+        seen = set()
+        for _ in range(40):
+            points = [GaussianRational(rng.choice(pool), rng.choice(pool))
+                      for _ in range(rng.randint(1, 3))]
+            points += rng.sample(points, rng.randint(0, len(points)))
+            zero = rng.randrange(8)
+            if zero < 2:
+                points = [GaussianRational(*((0, z.im) if zero == 0 else (z.re, 0)))
+                          for z in points]
+            p = TriPoly.constant(1, YVARS)
+            for z in points:
+                p = p * TriPoly(YVARS, {(1, 0, 0): 1, (0, 1, 0): z.re, (0, 0, 1): z.im})
+            with pytest.raises(ValueError) as want:
+                dual_curve_exact(p)
+            with pytest.raises(ValueError) as got:
+                dualcurve._refuse_product_of_forms(p, points)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+            seen.add(str(want.value).split()[0])
+        assert seen == {"p", "squarefree", "every"}
+
 
 def _samples(A, N):
     return dual_sample(SpectralGrid(split(A), N))

@@ -45,9 +45,9 @@ from .pencil import (
 from .rangegeom import (
     PAIRING_TOL,
     _certified_spectrum,
-    _polytope_verdict,
     duality_check,
     hulls_csv,
+    polytope_detect,
     range_hulls,
 )
 from .render import ViewportRequiredError, render_figure
@@ -149,8 +149,7 @@ def cmd_pencil(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    A = _load_matrix(args.input)
-    curve = pencil_det(split(A))
+    curve = pencil_det(split(_load_matrix(args.input)))
     if args.factors:
         factors = _load_factors(args.factors)
         comps = dual_union(curve.p, factors)
@@ -162,28 +161,17 @@ def cmd_dual(args) -> int:
                 lines.append("point " + ",".join(str(c) for c in comp))
         _write("\n".join(lines) + "\n", args.out)
         return OK
-    spectrum = _product_spectrum(A, curve.p)
-    if spectrum is not None:
-        _refuse_product_of_forms(curve.p, spectrum)
+    try:
+        spectrum = _certified_spectrum(curve)
+    except (FloatRangeError, np.linalg.LinAlgError):   # the elimination needs no float
+        spectrum = None
+    if spectrum is not None and spectrum[1] is not None:
+        _refuse_product_of_forms(curve.p, spectrum[1])
     dc = dual_curve_exact(curve.p)
     for extra in dc.extraneous:
         print(f"note: removed extraneous factor {extra.to_text()}", file=sys.stderr)
     _write(dc.q.to_text() + "\n", args.out)
     return OK
-
-
-def _product_spectrum(A: GaussianRationalMatrix, p: TriPoly):
-    """The spectrum of A as exact Gaussian rationals z_j when A is normal and p
-    is proven to be the product of the forms y0 + Re(z_j)*y1 + Im(z_j)*y2,
-    else None.  An A beyond the float range, or whose float eigenvalues are
-    not finite, takes the full elimination."""
-    if not is_normal(A):
-        return None
-    try:
-        eigs = np.linalg.eigvals(A.to_complex())
-    except (FloatRangeError, np.linalg.LinAlgError):
-        return None
-    return _certified_spectrum(A, p, eigs) if np.isfinite(eigs).all() else None
 
 
 def cmd_sample_w(args) -> int:
@@ -222,15 +210,13 @@ def cmd_craig(args) -> int:
 
 def cmd_classify(args) -> int:
     A = _load_matrix(args.input)
-    pencil = split(A)
-    curve = pencil_det(pencil)
+    curve = pencil_det(split(A))
     hyp = hyperbolicity_check(curve, trials=16)
-    normal = is_normal(A)
-    verdict = _polytope_verdict(A, pencil, curve.p if normal else None, N=args.grid)
+    verdict = polytope_detect(curve, N=args.grid)
     lines = [
         f"n={A.n}",
         f"hermitian={str(A.is_hermitian()).lower()}",
-        f"normal={str(normal).lower()}",
+        f"normal={str(curve.pencil.normal).lower()}",
         f"pencil_degree={curve.degree}",
         f"hyperbolic={str(hyp.ok).lower()}",
         f"max_eig_residual={hyp.max_eig_residual:.3e}",

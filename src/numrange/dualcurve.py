@@ -39,7 +39,7 @@ from .exactpoly import (
     repeated_part,
     tri_gcd,
 )
-from .pencil import CurveSampleSet, SpectralGrid
+from .pencil import CurveSampleSet, SpectralGrid, _rayleigh
 
 __all__ = [
     "DualCurve",
@@ -291,9 +291,8 @@ def dual_sample(grid: SpectralGrid) -> CurveSampleSet:
     close = np.diff(w, axis=1) <= EIG_GAP_RTOL * np.abs(w).max(axis=1, keepdims=True)
     edge = np.zeros((len(w), 1), dtype=bool)
     singular = (np.hstack((edge, close)) | np.hstack((close, edge)))[k, idx]
-    v = grid.eigvecs[k, :, idx]
-    x1, x2 = (np.where(singular, np.nan, np.einsum("bi,ij,bj->b", v.conj(), f, v).real)
-              for f in grid.pencil.float_parts())
+    x1, x2 = (np.where(singular, np.nan, x)
+              for x in _rayleigh(grid.pencil, grid.eigvecs[k, :, idx]).T)
     return CurveSampleSet.of_columns("x0=1", grid.thetas[k], x1, x2, ~singular,
                                      root_index=idx, singular=singular)
 

@@ -316,13 +316,6 @@ class TriPoly:
     def is_homogeneous(self) -> bool:
         return len(set(map(sum, self.ints))) <= 1
 
-    def leading(self) -> tuple[Expo, Fraction]:
-        """Leading (exponent, coefficient) under graded lex."""
-        if not self.ints:
-            raise ZeroPolynomialError("zero polynomial has no leading term")
-        e = max(self.ints, key=_grlex)
-        return e, self.content * self.ints[e]
-
     def sorted_terms(self) -> tuple[tuple[Expo, Fraction], ...]:
         """(exponent, coefficient) pairs in descending graded lex order, the
         order of `to_text`; built from the store once per polynomial."""

@@ -245,6 +245,14 @@ class HermitianPencil:
             f.flags.writeable = False
         return parts
 
+    @cached_property
+    def normal(self) -> bool:
+        """Is A = A1 + i*A2 normal?  A*A - AA* = 2i*(A1*A2 - A2*A1), so exactly
+        when A1 and A2 commute; decided once per pencil, on the integer stores,
+        which scale both products by the same L1*L2."""
+        X, Y = (self.A1.re, self.A1.im), (self.A2.re, self.A2.im)
+        return _int_matmul(X, Y) == _int_matmul(Y, X)
+
 
 def split(A: GaussianRationalMatrix) -> HermitianPencil:
     """Hermitian splitting A = A1 + i*A2 with A1 = (A+A*)/2, A2 = (A-A*)/(2i).
@@ -276,10 +284,8 @@ def _int_matmul(A, B) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def is_normal(A: GaussianRationalMatrix) -> bool:
-    """Exact test A* A == A A*, on integers: L*A in place of A scales both by L^2."""
-    re, im = A.re, A.im
-    star = ([list(col) for col in zip(*re)], [[-x for x in col] for col in zip(*im)])
-    return _int_matmul(star, (re, im)) == _int_matmul((re, im), star)
+    """Exact test A* A == A A*, as `HermitianPencil.normal` of split(A)."""
+    return split(A).normal
 
 
 # -- matrix file format --------------------------------------------------------

@@ -247,6 +247,16 @@ class SpectralGrid:
         return k, idx, -1.0 / self.eigvals[k, idx]
 
 
+def _rayleigh(pencil: HermitianPencil, V: np.ndarray) -> np.ndarray:
+    """The W(A) points (v*A1v, v*A2v) of the unit rows v of V, an (m, 2) array:
+    the witnesses of the grid's top eigenvectors and the dual samples of its
+    ray-root eigenvectors."""
+    f1, f2 = pencil.float_parts()
+    x1 = np.einsum("bi,ij,bj->b", V.conj(), f1, V).real
+    x2 = np.einsum("bi,ij,bj->b", V.conj(), f2, V).real
+    return np.stack([x1, x2], axis=1)
+
+
 def _uniform_fan(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(thetas, cos, sin) of the fan theta_k = 2*pi*k/N, N >= 3, as `SpectralGrid(pencil, N)` solves it."""
     if N < 3:

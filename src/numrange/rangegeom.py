@@ -14,14 +14,15 @@ eigenvector of the solve that places the sample.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .exactpoly import GaussianRational, TriPoly
-from .hermitian import GaussianRationalMatrix, HermitianPencil, is_normal, split
-from .pencil import SpectralGrid, _entry_scale, _exit_points, _uniform_fan, pencil_det
+from .hermitian import FloatRangeError, GaussianRationalMatrix, HermitianPencil, split
+from .pencil import PencilCurve, SpectralGrid, _entry_scale, _exit_points, _rayleigh, _uniform_fan
 
 __all__ = [
     "RangeHulls",
@@ -175,14 +176,6 @@ def support(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     lambda_max(H_k), and their rank-one witnesses, the (N, 2) array of the W(A)
     points (v*A1v, v*A2v) of the top eigenvectors v."""
     return grid.eigvals[:, -1], _rayleigh(grid.pencil, grid.eigvecs[:, :, -1])
-
-
-def _rayleigh(pencil: HermitianPencil, V: np.ndarray) -> np.ndarray:
-    """The W(A) points (v*A1v, v*A2v) of the unit rows v of V, an (m, 2) array."""
-    f1, f2 = pencil.float_parts()
-    x1 = np.einsum("bi,ij,bj->b", V.conj(), f1, V).real
-    x2 = np.einsum("bi,ij,bj->b", V.conj(), f2, V).real
-    return np.stack([x1, x2], axis=1)
 
 
 def _outer_polygon(cos: np.ndarray, sin: np.ndarray, h: np.ndarray):
@@ -352,45 +345,32 @@ class PolytopeVerdict:
     exact: bool = False
 
 
-def polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
-    """Detect polytopic numerical ranges.
+def polytope_detect(curve: PencilCurve, N: int = 360) -> PolytopeVerdict:
+    """Detect polytopic numerical ranges from the pencil curve of A, pencil_det(split(A)).
 
     Normal matrices: W(A) is the convex hull of the spectrum; eigenvalues are
-    exact when they are Gaussian rational (certified against the pencil
-    determinant p), numeric otherwise.  Non-normal matrices: best-effort
-    clustering of the witnesses of an N-angle fan; "mixed/unknown" is a legal
-    verdict.  An even fan solves only its angles below pi (`_fan_witnesses`),
-    as `classify` does; the grids that print hulls solve every angle (see
+    exact when they are Gaussian rational (certified against p by
+    `_certified_spectrum`, which raises FloatRangeError when they are not
+    finite), numeric otherwise.  Non-normal matrices: best-effort clustering
+    of the witnesses of an N-angle fan; "mixed/unknown" is a legal verdict.
+    An even fan solves only its angles below pi (`_fan_witnesses`), as the
+    verdict prints no hull; the grids that print hulls solve every angle (see
     `SpectralGrid`).
     """
-    pencil = split(A)
-    return _polytope_verdict(A, pencil, pencil_det(pencil).p if is_normal(A) else None, N)
-
-
-def _polytope_verdict(A: GaussianRationalMatrix, pencil: HermitianPencil, p: TriPoly | None,
-                      N: int) -> PolytopeVerdict:
-    """`polytope_detect` for a caller that has split A (pencil = split(A)) and
-    passes p = pencil_det(pencil).p for a normal A, None for any other.
-
-    The non-normal branch is `classify`'s, and the one grid reader that
-    solves half an even fan (`_fan_witnesses`): it prints no hull, while the
-    hulls that the other commands print hang on the last bits of every row.
-    """
-    if p is not None:
-        M = A.to_complex()
-        eigs = np.linalg.eigvals(M)
-        exact = _certified_spectrum(A, p, eigs)
-        if exact is not None:
-            verts = convex_hull([(z.re, z.im) for z in exact])
-            return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=True)
-        if A.is_hermitian():
-            # a real spectrum: W(A) is a segment of the real axis, with no eigvals noise off it
-            eigs = np.linalg.eigvalsh(M)
-        eigs = _dedupe(eigs, _entry_scale(*pencil.float_parts()))
-        verts = convex_hull([(float(z.real), float(z.imag)) for z in eigs])
-        return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
-
-    return _witness_verdict(_fan_witnesses(pencil, N), _entry_scale(*pencil.float_parts()))
+    pencil = curve.pencil
+    spectrum = _certified_spectrum(curve)
+    if spectrum is None:
+        return _witness_verdict(_fan_witnesses(pencil, N), _entry_scale(*pencil.float_parts()))
+    eigs, exact = spectrum
+    if exact is not None:
+        verts = convex_hull([(z.re, z.im) for z in exact])
+        return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=True)
+    if pencil.A2.is_zero():
+        # A = A1 is Hermitian: W(A) is a segment of the real axis, with no eigvals noise off it
+        eigs = np.linalg.eigvalsh(pencil.float_parts()[0])
+    eigs = _dedupe(eigs, _entry_scale(*pencil.float_parts()))
+    verts = convex_hull([(float(z.real), float(z.imag)) for z in eigs])
+    return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
 
 
 def _fan_witnesses(pencil: HermitianPencil, N: int) -> np.ndarray:
@@ -444,8 +424,14 @@ def _witness_clusters(wit: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     return starts, lengths
 
 
-def _certified_spectrum(A: GaussianRationalMatrix, p: TriPoly, eigs) -> list[GaussianRational] | None:
-    """The eigenvalues of a normal A as exact Gaussian rationals, or None.
+def _certified_spectrum(curve: PencilCurve) -> tuple[np.ndarray, list[GaussianRational] | None] | None:
+    """None for a pencil whose A = A1 + i*A2 is not normal, else (eigs, exact):
+    the float eigenvalues of A, and the Gaussian rationals they round to when
+    those are proven to be its spectrum, else None.  FloatRangeError when A
+    is beyond the float range or eigs are not finite, LinAlgError when the
+    eigensolver fails.  Its callers are `polytope_detect` (classify's
+    vertices) and `cli.cmd_dual`, which refuses a proven product of linear
+    forms before any elimination (`dualcurve._refuse_product_of_forms`).
 
     A1 and A2 of a normal A are diagonal in one unitary basis, so its pencil
     determinant p(y) = det(y0*I + y1*A1 + y2*A2) is the product of the linear
@@ -458,10 +444,16 @@ def _certified_spectrum(A: GaussianRationalMatrix, p: TriPoly, eigs) -> list[Gau
     rounded to that lattice and accepted only if the product of their linear
     forms equals p; at y = (t, -1, -i) it is prod (t - z_j) = det(t*I - A).
     That exact check is a proof for any A; normality only makes the rounding
-    succeed.  Its callers are `_polytope_verdict` (classify's exact vertices)
-    and `cli.cmd_dual`, which refuses a proven product of linear forms before
-    any elimination (`dualcurve._refuse_product_of_forms`).
+    succeed.
     """
+    pencil, p = curve.pencil, curve.p
+    if not pencil.normal:
+        return None
+    A = pencil.A1 + pencil.A2.scale(GaussianRational.I)   # A's own store, so its floats
+    eigs = np.linalg.eigvals(A.to_complex())
+    if not np.isfinite(eigs).all():
+        raise FloatRangeError("the float eigenvalues of A are not finite: its entries are too "
+                              f"close to the largest float, {sys.float_info.max:.3g}")
     D = math.gcd(A.L, p.content.denominator)
     roots = [(round(Fraction(z.real) * D), round(Fraction(z.imag) * D)) for z in eigs]
     prod = {(0, 0, 0): 1}  # D^n times the product of the forms, on ints
@@ -472,8 +464,8 @@ def _certified_spectrum(A: GaussianRationalMatrix, p: TriPoly, eigs) -> list[Gau
                 out[e] = out.get(e, 0) + c * v
         prod = out
     if TriPoly._from_ints(p.vars, prod, Fraction(1, D ** len(roots))) != p:
-        return None
-    return [GaussianRational(Fraction(a, D), Fraction(b, D)) for a, b in roots]
+        return eigs, None
+    return eigs, [GaussianRational(Fraction(a, D), Fraction(b, D)) for a, b in roots]
 
 
 def _dedupe(zs, scale: float):

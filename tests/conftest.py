@@ -12,9 +12,10 @@ import pytest
 from numrange import exactpoly
 from numrange.exactpoly import ExactDivisionError, GaussianRational, TriPoly, parse_poly
 from numrange.hermitian import GaussianRationalMatrix, load_matrix, split
-from numrange.pencil import SpectralGrid, pencil_det
+from numrange.pencil import SpectralGrid, _entry_scale, _uniform_fan, pencil_det
 from numrange.rangegeom import (
     CLUSTER_TOL,
+    DEDUPE_TOL,
     PolytopeVerdict,
     _cross,
     _witness_clusters,
@@ -572,18 +573,63 @@ def random_intake_entries(n: int, rng: random.Random, kind: str) -> list[list[Ga
 
 
 def reference_polytope_verdict(A: GaussianRationalMatrix, N: int) -> PolytopeVerdict:
-    """The verdict of `rangegeom._polytope_verdict` on a non-normal A with
+    """The verdict of `rangegeom.polytope_detect` on a non-normal A with
     every angle of the N-fan solved: the support witnesses of one
     `SpectralGrid(split(A), N)`, clustered and judged by the same rules."""
     grid = SpectralGrid(split(A), N)
-    _, wit = support(grid)
-    scale = max(grid.scale, float(np.abs(wit).max()))
-    starts, lengths = _witness_clusters(wit, CLUSTER_TOL * scale)
+    return _witness_verdict_of(support(grid)[1], grid.scale)
+
+
+def earlier_polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
+    """`rangegeom.polytope_detect(A, N)` as it read before it took the pencil
+    curve: normality by A*A == AA*, then the float spectrum certified against
+    p, or the witnesses of the N-fan, half of it solved when N is even."""
+    pencil = split(A)
+    f1, f2 = pencil.float_parts()
+    scale = _entry_scale(f1, f2)
+    star = reference_conj_transpose(A.entries)
+    if reference_matmul(star, A.entries) != reference_matmul(A.entries, star):
+        if N % 2:
+            wit = support(SpectralGrid(pencil, N))[1]
+        else:
+            grid = SpectralGrid.at(pencil, *(a[:N // 2] for a in _uniform_fan(N)))
+            V = grid.eigvecs[:, :, 0]
+            low = np.stack([np.einsum("bi,ij,bj->b", V.conj(), f, V).real for f in (f1, f2)], axis=1)
+            wit = np.concatenate((support(grid)[1], low))
+        return _witness_verdict_of(wit, scale)
+    p = pencil_det(pencil).p
+    M = A.to_complex()
+    eigs = np.linalg.eigvals(M)
+    D = math.gcd(A.L, p.content.denominator)
+    roots = [(round(Fraction(z.real) * D), round(Fraction(z.imag) * D)) for z in eigs]
+    prod = TriPoly.constant(1, p.vars)
+    for a, b in roots:
+        prod = prod * TriPoly(p.vars, {(1, 0, 0): 1, (0, 1, 0): Fraction(a, D),
+                                       (0, 0, 1): Fraction(b, D)})
+    if prod == p:
+        verts = convex_hull([(Fraction(a, D), Fraction(b, D)) for a, b in roots])
+        return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=True)
+    if A.is_hermitian():
+        eigs = np.linalg.eigvalsh(M)
+    kept = []
+    for z in eigs:
+        if not any(abs(z - w) <= DEDUPE_TOL * (scale + abs(z)) for w in kept):
+            kept.append(z)
+    verts = convex_hull([(float(z.real), float(z.imag)) for z in kept])
+    return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
+
+
+def _witness_verdict_of(wit: np.ndarray, scale: float) -> PolytopeVerdict:
+    """The verdict on the witnesses of an N-fan, (N, 2) in angle order, and the
+    pencil's entry scale: runs of three or more that hold 0.9*N of them make a
+    polytope of their means, runs of at most two a smooth range."""
+    N = len(wit)
+    starts, lengths = _witness_clusters(wit, CLUSTER_TOL * max(scale, float(np.abs(wit).max())))
     big = lengths >= 3
     if big.sum() >= 3 and lengths[big].sum() >= 0.9 * N:
         runs = (wit.take(np.arange(i, i + k), axis=0, mode="wrap")
                 for i, k in zip(starts[big].tolist(), lengths[big].tolist()))
-        verts = convex_hull([tuple(np.mean(run, axis=0)) for run in runs])
+        verts = convex_hull([tuple(run.mean(axis=0).tolist()) for run in runs])
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
     if lengths.max() <= 2:
         return PolytopeVerdict(kind="smooth")

@@ -162,7 +162,7 @@ def test_polytope_vertices():
     for f in factors:
         rest = rest.divexact(f)
     assert rest == TriPoly.constant(F(1), YVARS)
-    verdict = polytope_detect(fixture_matrix("polytope"))
+    verdict = polytope_detect(pencil_det(split(fixture_matrix("polytope"))))
     assert verdict.kind == "polytope" and verdict.exact
     assert set(verdict.vertices) == {(F(5), F(0)), (F(3), F(0)), (F(4), F(1)), (F(4), F(-1))}
     poly = lmi_polytope_vertices(factors)

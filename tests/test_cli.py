@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -66,6 +67,14 @@ NO_CHART = ("p does not depend on both chart variables; dualize factors directly
             "(dual_of_linear / dual_union) or sample numerically")
 LINEAR = "squarefree part {} is linear; its dual is one point (dual_of_linear)"
 NOT_COPRIME = "factors are not pairwise coprime"
+NON_FINITE = ("the float eigenvalues of A are not finite: its entries are too close to the "
+              "largest float, 1.8e+308")
+# normal matrices whose float eigenvalues are not finite: (1+i)*17e307*[[1, 1], [1, -1]]
+# (nan) and 10^308*[[i, 1], [-1, i]] (inf)
+OVERFLOWING = [
+    [[[17 * 10 ** 307] * 2] * 2, [[17 * 10 ** 307] * 2, [-17 * 10 ** 307] * 2]],
+    [[[0, 10 ** 308], [10 ** 308, 0]], [[-10 ** 308, 0], [0, 10 ** 308]]],
+]
 POLYTOPE_FACTORS = (FIXTURES / "polytope_factors.txt").read_text().splitlines()
 
 
@@ -139,11 +148,12 @@ class TestDualCommand:
         (_diag(([-1, 2], -1)), LINEAR.format("2*y0 - y1 - 2*y2")),
         # (1+i)*[[1, 1], [1, 0]] is normal, with eigenvalues (1+i)(1 +- sqrt 5)/2
         ([[[1, 1], [1, 1]], [[1, 1], [0, 0]]], REPEATED),
-        # parts beyond the float range take the elimination, and so does
-        # (1+i)*17e307*[[1, 1], [1, -1]], whose float eigenvalues are nan
+        # parts beyond the float range take the elimination, and so do the
+        # OVERFLOWING matrices, whose float eigenvalues are not finite
         (_diag((10 ** 400, 0), (0, 10 ** 400)), REPEATED),
         (_diag(([1, 10 ** 400], 0), (0, [1, 10 ** 400])), REPEATED),
-        ([[[17 * 10 ** 307] * 2] * 2, [[17 * 10 ** 307] * 2, [-17 * 10 ** 307] * 2]], REPEATED),
+        (OVERFLOWING[0], REPEATED),
+        (OVERFLOWING[1], NO_CHART),
     ])
     def test_refusals_of_normal_matrices(self, tmp_path, capsys, entries, err):
         # the bytes recorded before products of linear forms were refused
@@ -400,13 +410,13 @@ class TestClassifyCommand:
 
     def test_grid_reaches_polytope_detect(self, monkeypatch):
         seen = []
-        real = numrange.cli._polytope_verdict
+        real = numrange.cli.polytope_detect
 
-        def spy(A, pencil, p, N):
+        def spy(curve, N):
             seen.append(N)
-            return real(A, pencil, p, N=N)
+            return real(curve, N=N)
 
-        monkeypatch.setattr(numrange.cli, "_polytope_verdict", spy)
+        monkeypatch.setattr(numrange.cli, "polytope_detect", spy)
         assert run("classify", "--input", fx("disk.json"), "--grid", "48") == 0
         assert run("classify", "--input", fx("disk.json")) == 0
         assert seen == [48, 360]
@@ -434,14 +444,29 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("name", ["disk", "polytope"])
     def test_splits_once_and_tests_normality_once(self, monkeypatch, capsys, name):
+        # the non-normal disk and the normal polytope: each exact and float
+        # step of the verdict runs once, the float spectrum only when A is normal
         calls = []
-        for module in (numrange.cli, numrange.rangegeom):
-            for fn in ("split", "is_normal"):
-                real = getattr(module, fn)
-                monkeypatch.setattr(module, fn, lambda A, real=real, fn=fn: calls.append(fn) or real(A))
+        # the exact normality product runs where the pencil's cached property is computed
+        Pencil = numrange.hermitian.HermitianPencil
+        real_normal = Pencil.normal.func
+        normal = functools.cached_property(lambda pencil: calls.append("normal") or real_normal(pencil))
+        normal.__set_name__(Pencil, "normal")
+        monkeypatch.setattr(Pencil, "normal", normal)
+        for module, fn in ((numrange.cli, "split"), (numrange.cli, "pencil_det"),
+                           (np.linalg, "eigvals")):
+            real = getattr(module, fn)
+            monkeypatch.setattr(module, fn, lambda *a, real=real, fn=fn: calls.append(fn) or real(*a))
         assert run("classify", "--input", fx(f"{name}.json")) == 0
-        assert sorted(calls) == ["is_normal", "split"]
+        assert sorted(calls) == ["eigvals"] * (name == "polytope") + ["normal", "pencil_det", "split"]
         assert f"normal={str(name == 'polytope').lower()}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("entries", OVERFLOWING)
+    def test_non_finite_eigenvalues_are_refused(self, tmp_path, capsys, entries):
+        # dual takes the exact elimination on these (TestDualCommand)
+        with np.errstate(over="ignore", invalid="ignore"):   # hyperbolicity's float lines overflow
+            assert run("classify", "--input", _matrix_file(tmp_path, entries)) == 2
+        assert capsys.readouterr() == ("", f"error: {NON_FINITE}\n")
 
     def test_normal_matrix_takes_one_pencil_determinant(self, monkeypatch, capsys):
         # the exact spectrum of a normal matrix is certified against the p

@@ -116,7 +116,7 @@ class TestVerdict:
         assert (pencil.A1, pencil.A2) == (diag(1, 0), diag(0, 1))
         assert verdict_line(craig_verdict(pencil.A1, pencil.A2)).endswith("rectangle=0,1,0,1")
         assert member_W(A, (0.5, 0.5)) and not member_W(A, (0.9, 0.9))
-        v = polytope_detect(A)
+        v = polytope_detect(pencil_det(split(A)))
         assert (v.kind, v.exact, v.vertices) == ("polytope", True, ((F(0), F(1)), (F(1), F(0))))
 
     def test_negative_case_has_no_rectangle(self):

@@ -41,6 +41,7 @@ from numrange.rangegeom import (
 from conftest import (
     cardioid_circle_dual_residual,
     charpoly_from_p,
+    earlier_polytope_detect,
     eval_with_scale,
     fixture_matrix,
     planted_polytope_matrix,
@@ -80,6 +81,10 @@ def _hulls(A, N):
     return range_hulls(SpectralGrid(split(A), N))
 
 
+def _detect(A, N=360):
+    return polytope_detect(pencil_det(split(A)), N)
+
+
 class TestSupport:
     def test_cubic_theta_zero(self):
         h, wit = _support_at(fixture_matrix("cubic_cusp"), [0.0])
@@ -114,7 +119,7 @@ class TestSupport:
 _GRID_CALLS = {
     "range_hulls": lambda A, N: _hulls(A, N),
     "member_W": lambda A, N: member_W(A, (0, 0), N=N),
-    "polytope_detect": lambda A, N: polytope_detect(A, N=N),
+    "polytope_detect": _detect,
 }
 
 
@@ -320,23 +325,28 @@ def _corners_and_disk(n: int, rng: random.Random) -> GaussianRationalMatrix:
 
 def _conjugated(diag):
     """Q D Q^T for a fixed rational orthogonal Q: normal, with the spectrum of D."""
-    n = len(diag)
+    return _rotated(GaussianRationalMatrix.diagonal(diag))
+
+
+def _rotated(M):
+    """Q M Q^T for a fixed rational orthogonal Q, with the spectrum of M."""
+    n = M.n
     Q = GaussianRationalMatrix.identity(n)
     for i, triple in zip(range(n - 1), [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25)]):
         Q = Q @ _rotation(n, i, i + 1, *triple)
-    return Q @ GaussianRationalMatrix.diagonal(diag) @ Q.conj_transpose()
+    return Q @ M @ Q.conj_transpose()
 
 
 class TestPolytopeDetect:
     def test_polytope_fixture_exact(self):
-        v = polytope_detect(fixture_matrix("polytope"))
+        v = _detect(fixture_matrix("polytope"))
         assert v.kind == "polytope" and v.exact
         assert set(v.vertices) == {(F(5), F(0)), (F(3), F(0)), (F(4), F(1)), (F(4), F(-1))}
 
     def test_normal_diagonal_triangle(self):
         A = GaussianRationalMatrix.diagonal(
             [GaussianRational.ONE, GaussianRational.I, -GaussianRational.ONE])
-        v = polytope_detect(A)
+        v = _detect(A)
         assert v.kind == "polytope" and v.exact
         assert set(v.vertices) == {(F(1), F(0)), (F(0), F(1)), (F(-1), F(0))}
 
@@ -346,7 +356,7 @@ class TestPolytopeDetect:
         c = GaussianRational(F(5, 6), F(-2, 7))
         A = _conjugated([a, b, a, c])
         assert is_normal(A) and any(A[i, j] for i in range(4) for j in range(4) if i != j)
-        v = polytope_detect(A)
+        v = _detect(A)
         assert v.kind == "polytope" and v.exact
         assert set(v.vertices) == {(z.re, z.im) for z in (a, b, c)}
 
@@ -367,7 +377,7 @@ class TestPolytopeDetect:
                                                          F(rng.randint(-9, 9), rng.choice(dens))))
                 A = _conjugated(spectrum)
                 assert is_normal(A)
-                v = polytope_detect(A)
+                v = _detect(A)
                 assert v.kind == "polytope" and v.exact, spectrum
                 assert set(v.vertices) == _hull_vertices({(z.re, z.im) for z in spectrum})
                 want = [GaussianRational.ONE]  # ascending coefficients of prod (t - z)
@@ -384,13 +394,13 @@ class TestPolytopeDetect:
         c = GaussianRational(F(1, 5), F(-1))
         A = _conjugated([a, b, c])
         assert is_normal(A)
-        v = polytope_detect(A)
+        v = _detect(A)
         assert v.kind == "polytope" and not v.exact
         want = sorted((float(z.re), float(z.im)) for z in (a, b, c))
         assert np.allclose(sorted(v.vertices), want, atol=1e-9)
 
     def test_disk_smooth(self):
-        v = polytope_detect(fixture_matrix("disk"))
+        v = _detect(fixture_matrix("disk"))
         assert v.kind == "smooth" and v.vertices is None
 
     def test_witness_clusters_match_the_scan(self):
@@ -443,7 +453,7 @@ class TestPolytopeDetect:
                 A = random_gaussian_matrix(n, rng) if trial % 2 else _corners_and_disk(n, rng)
                 assert not is_normal(A)
                 for N in (4, 48, 90, 360, 361, 720):
-                    got, want = polytope_detect(A, N), reference_polytope_verdict(A, N)
+                    got, want = _detect(A, N), reference_polytope_verdict(A, N)
                     assert got.kind == want.kind, (n, trial, N)
                     kinds.add(got.kind)
                     if want.vertices is None:
@@ -456,14 +466,47 @@ class TestPolytopeDetect:
     @pytest.mark.parametrize("N", [48, 49, 90, 91, 360, 361, 720, 721])
     def test_planted_non_normal_polytope(self, N):
         # W of the 2x2 block is a disk inside the triangle of diag(1, i, -1)
-        v = polytope_detect(planted_polytope_matrix(), N)
+        v = _detect(planted_polytope_matrix(), N)
         assert v.kind == "polytope" and not v.exact
         assert v.vertices == ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
         assert all(type(x) is float for vertex in v.vertices for x in vertex)
 
+    def test_matches_the_earlier_verdict(self):
+        # the verdict on the pencil curve is the one that was read off A, bit
+        # for bit: the fixtures, the planted polytope, seeded rotations of
+        # Gaussian-rational diagonals (exact), of c times a symmetric matrix
+        # (irrational spectra, floats), Hermitian segments, and corners with a
+        # disk, of every non-normal verdict
+        rng = random.Random(97)
+
+        def entry():
+            return GaussianRational(F(rng.randint(-9, 9), rng.randint(1, 7)),
+                                    F(rng.randint(-9, 9), rng.randint(1, 7)))
+
+        cases = [fixture_matrix(name) for name in FIXTURE_NAMES + ("generic5",)]
+        cases += [planted_polytope_matrix(), gmatrix([[2, 0, 0], [0, 0, 1], [0, 0, 0]])]
+        cases += [_corners_and_disk(n, rng) for n in (3, 4, 5) for _ in range(2)]
+        for n in range(1, 6):
+            for _ in range(2):
+                cases.append(_conjugated([entry() for _ in range(n)]))
+                B = random_gaussian_matrix(n, rng, complex_entries=False)
+                cases.append(_rotated((B + B.conj_transpose()).scale(entry())))
+                B = random_gaussian_matrix(n, rng)
+                cases.append(B + B.conj_transpose())
+        seen = set()
+        for A in cases:
+            curve = pencil_det(split(A))
+            for N in (16, 90, 360, 361):
+                got = polytope_detect(curve, N)
+                assert got == earlier_polytope_detect(A, N), (A, N)
+                seen.add((got.kind, got.exact, is_normal(A), A.is_hermitian()))
+        assert seen >= {("polytope", True, True, False), ("polytope", False, True, False),
+                        ("polytope", False, True, True), ("polytope", False, False, False),
+                        ("smooth", False, False, False), ("mixed/unknown", False, False, False)}
+
     def test_normal_with_irrational_spectrum_falls_back_to_floats(self):
         A = gmatrix([[1, 1], [1, 0]])  # symmetric, eigenvalues (1 +- sqrt(5))/2
-        v = polytope_detect(A)
+        v = _detect(A)
         assert v.kind == "polytope" and not v.exact
         xs = sorted(x for x, _ in v.vertices)
         assert abs(xs[0] - (1 - math.sqrt(5)) / 2) < 1e-9
@@ -472,7 +515,7 @@ class TestPolytopeDetect:
     def test_cone_shape_is_mixed(self):
         # conv({2} U disk): one corner fan, flat bridges, and a curved arc
         A = gmatrix([[2, 0, 0], [0, 0, 1], [0, 0, 0]])
-        v = polytope_detect(A)
+        v = _detect(A)
         assert v.kind == "mixed/unknown"
 
 

@@ -18,8 +18,7 @@ from conftest import FIXTURES
 MODULES = (exactpoly, hermitian, pencil, dualcurve, rangegeom, craig, render)
 
 # the membership oracles and Craig's two predicates of the paper, the general
-# polynomial determinant behind resultant, the file reader of the library, and
-# polytope detection, which classify reaches through its split-once twin
+# polynomial determinant behind resultant, and the file reader of the library
 UNREACHED = {
     "craig.craig_identity",
     "craig.product_zero",
@@ -29,7 +28,6 @@ UNREACHED = {
     "pencil.lmi_member",
     "pencil.ray_exit",
     "rangegeom.member_W",
-    "rangegeom.polytope_detect",
 }
 
 MATRICES = ("cardioid_circle", "cross_star", "cubic_cusp", "disk", "generic5", "nested_ovals",

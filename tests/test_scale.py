@@ -15,7 +15,7 @@ import pytest
 from numrange.cli import main
 from numrange.exactpoly import GaussianRational
 from numrange.hermitian import GaussianRationalMatrix, matrix_from_json, split
-from numrange.pencil import SpectralGrid, _entry_scale
+from numrange.pencil import SpectralGrid, _entry_scale, pencil_det
 from numrange.rangegeom import member_W, polytope_detect, range_hulls
 
 from conftest import FIXTURES, support_shift_deviation
@@ -100,7 +100,7 @@ class TestScaleSweep:
             assert _hulls(name, k).degenerate == _hulls(name, 0).degenerate, name
         dev, scale = support_shift_deviation(disk, c, N=64)
         assert dev <= 1e-9 * scale
-        assert len(polytope_detect(_hermitian_pair(c)).vertices) == 2
+        assert len(polytope_detect(pencil_det(split(_hermitian_pair(c)))).vertices) == 2
 
 
 def _hulls(name: str, k: int):
@@ -159,7 +159,7 @@ class TestScaledFailures:
         assert member_W(disk, (0.4e-12, 0.0))
 
     def test_tiny_hermitian_segment_keeps_both_ends(self):
-        v = polytope_detect(_hermitian_pair(Fraction(1, 10**13)))
+        v = polytope_detect(pencil_det(split(_hermitian_pair(Fraction(1, 10**13)))))
         assert v.kind == "polytope" and not v.exact and len(v.vertices) == 2
         np.testing.assert_allclose(sorted(x for x, _ in v.vertices),
                                    [(1 - 5**0.5) / 2 * 1e-13, (1 + 5**0.5) / 2 * 1e-13])

@@ -36,6 +36,7 @@ from .hermitian import (
 from .pencil import (
     YVARS,
     SpectralGrid,
+    _uniform_fan,
     boundary_F,
     boundary_csv,
     hyperbolicity_check,
@@ -175,7 +176,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_sample_w(args) -> int:
-    grid = SpectralGrid(split(_load_matrix(args.input)), args.grid)
+    # the printed hulls solve every angle (see SpectralGrid)
+    grid = SpectralGrid.at(split(_load_matrix(args.input)), *_uniform_fan(args.grid))
     # both texts are built before either is written, so a refused --curve
     # leaves no hull CSV behind
     curve = dual_sample_csv(dual_sample(grid)) if args.curve else None

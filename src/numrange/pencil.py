@@ -196,22 +196,33 @@ class SpectralGrid:
 
     SpectralGrid(pencil, N) is the uniform fan theta_k = 2*pi*k/N, N >= 3; `at`
     takes arbitrary angles (and, optionally, their exact unit directions), one
-    direction as `at(pencil, [theta])`.  Every angle is solved, odd N and even
-    N alike; on an even grid row k + N/2 is the reflection of row k up to
-    roundoff (cos and sin negated, eigenvalues negated in reverse order,
-    eigenvector columns reversed), but not bit for bit, and the printed hull
-    vertices of a polytopal W(A) depend on those bits: they keep or drop
-    near-coincident corner points by them, so the grids that print hulls
-    solve every angle until those roundoff clouds are merged.  `classify`'s
-    polytope verdict prints no hull and takes the reflection instead:
-    `rangegeom._fan_witnesses` solves only the rows k < N/2 of an even fan,
-    with `at` on the first half of the arrays this constructor builds.
+    direction as `at(pencil, [theta])`.  Since H(theta + pi) = -H(theta)
+    (Kippenhahn 1951), an even N solves only the rows k < N/2 and fills row
+    k + N/2 with their reflection: eigenvalues negated in reverse order,
+    eigenvector columns reversed, while thetas, cos and sin stay those of
+    `_uniform_fan(N)`.  An odd N has no antipodal rows and solves every angle.
+    The reflected rows equal a solve at their own angles only up to roundoff,
+    and the printed hull vertices of a polytopal W(A) depend on those bits:
+    they keep or drop near-coincident corner points by them.  So the commands
+    that print a hull or an outer polygon, `sample-w` and `render`, solve
+    every angle, with `at(pencil, *_uniform_fan(N))`, until those roundoff
+    clouds are merged; `sample-f`, `duality`, `member_W` and `classify` take
+    the reflection.
     """
 
     __slots__ = ("pencil", "scale", "thetas", "cos", "sin", "eigvals", "eigvecs")
 
     def __init__(self, pencil: HermitianPencil, N: int):
-        self._solve(pencil, *_uniform_fan(N))
+        thetas, cos, sin = _uniform_fan(N)
+        if N % 2:
+            self._solve(pencil, thetas, cos, sin)
+            return
+        m = N // 2
+        self._solve(pencil, thetas[:m], cos[:m], sin[:m])
+        w, V = self.eigvals, self.eigvecs
+        self.thetas, self.cos, self.sin = thetas, cos, sin
+        self.eigvals = np.concatenate((w, -w[:, ::-1]))
+        self.eigvecs = np.concatenate((V, V[:, :, ::-1]))
 
     @classmethod
     def at(cls, pencil: HermitianPencil, thetas, cos=None, sin=None) -> "SpectralGrid":
@@ -230,7 +241,8 @@ class SpectralGrid:
             cos[:, None, None] * f1 + sin[:, None, None] * f2)
 
     def every_other(self) -> "SpectralGrid":
-        """The N-grid contained in this 2N-grid, without a second solve."""
+        """The N-grid contained in this 2N-grid, without a second solve: bit for
+        bit SpectralGrid(pencil, N) when N is even."""
         sub = SpectralGrid.__new__(SpectralGrid)
         sub.pencil, sub.scale = self.pencil, self.scale
         for name in ("thetas", "cos", "sin", "eigvals", "eigvecs"):
@@ -509,15 +521,23 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
               Fraction(rng.randint(-20, 20), rng.randint(1, 9))) for _ in itertools.count())
     dirs = list(itertools.islice(filter(any, draws), trials))
     f1, f2 = curve.pencil.float_parts()
+    s = _entry_scale(f1, f2)
+    # |d1|, |d2| <= 20, so the trial matrices and their eigenvalues stay below 64*n*m, m the
+    # largest |real or imaginary part| of f1 and f2 (a modulus may pass the largest float);
+    # past 2**1023 they are solved on 2**-shift*f1 and 2**-shift*f2, shift even, an exact scaling
+    m = float(np.abs(np.stack((f1.real, f1.imag, f2.real, f2.imag))).max())
+    shift = max(0, 2 * math.ceil((math.log2(64 * curve.pencil.n) + math.log2(m) - 1023) / 2)) if m else 0
+    if shift:
+        f1, f2, s = f1 * 2.0 ** -shift, f2 * 2.0 ** -shift, math.ldexp(s, -shift)
     eigs = np.linalg.eigvalsh(np.array([float(d1) * f1 + float(d2) * f2 for d1, d2 in dirs]))
-    roots = _root_eigs(eigs, _entry_scale(f1, f2))
+    roots = _root_eigs(eigs, s)
     # exact restrictions of p(y0, 2**e*y1, 2**e*y2): roots t/2**e near 1, float coefficients
     p, e = _chart_normal(curve.p)
     form = _integer_form(p)
     restrictions = [_restriction(form, d1, d2) for d1, d2 in dirs]
     checks = []
     for d, (N, w, coeffs), line_eigs, mask in zip(dirs, restrictions, eigs, roots):
-        t = np.ldexp(-1.0 / line_eigs[mask], -e)
+        t = np.ldexp(-1.0 / line_eigs[mask], -e - shift)
         if _sign_certificate(N, w, t.tolist()):
             distinct = deg_sf = len(N) - 1
         else:

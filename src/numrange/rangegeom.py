@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exactpoly import GaussianRational, TriPoly
-from .hermitian import FloatRangeError, GaussianRationalMatrix, HermitianPencil, split
-from .pencil import PencilCurve, SpectralGrid, _entry_scale, _exit_points, _rayleigh, _uniform_fan
+from .hermitian import FloatRangeError, GaussianRationalMatrix, split
+from .pencil import PencilCurve, SpectralGrid, _entry_scale, _exit_points, _rayleigh
 
 __all__ = [
     "RangeHulls",
@@ -293,7 +293,9 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     (b) every boundary sample has a complementary witness with pairing <= tol;
     (c) the inner/outer Hausdorff gap shrinks when the grid doubles, unless
         both gaps are roundoff: at most GAP_FLOOR * max(s, max|witness|).
-    One 2N-grid solve and one Rayleigh pass serve both levels; (a) and (b) take O(N) memory.
+    One 2N grid serves both levels, from one eigh of its N angles below pi
+    (`SpectralGrid` reflects the rest), and one Rayleigh pass; (a) and (b)
+    take O(N) memory.
     N must be even: an odd grid has no antipodal angles, so the complementary
     witness of a boundary sample is not on it and (b) would fail on any input.
     """
@@ -352,15 +354,15 @@ def polytope_detect(curve: PencilCurve, N: int = 360) -> PolytopeVerdict:
     exact when they are Gaussian rational (certified against p by
     `_certified_spectrum`, which raises FloatRangeError when they are not
     finite), numeric otherwise.  Non-normal matrices: best-effort clustering
-    of the witnesses of an N-angle fan; "mixed/unknown" is a legal verdict.
-    An even fan solves only its angles below pi (`_fan_witnesses`), as the
-    verdict prints no hull; the grids that print hulls solve every angle (see
-    `SpectralGrid`).
+    of the witnesses of `SpectralGrid(pencil, N)`, whose even fan solves
+    only its angles below pi, as the verdict prints no hull; "mixed/unknown"
+    is a legal verdict.
     """
     pencil = curve.pencil
     spectrum = _certified_spectrum(curve)
     if spectrum is None:
-        return _witness_verdict(_fan_witnesses(pencil, N), _entry_scale(*pencil.float_parts()))
+        grid = SpectralGrid(pencil, N)
+        return _witness_verdict(support(grid)[1], grid.scale)
     eigs, exact = spectrum
     if exact is not None:
         verts = convex_hull([(z.re, z.im) for z in exact])
@@ -371,23 +373,6 @@ def polytope_detect(curve: PencilCurve, N: int = 360) -> PolytopeVerdict:
     eigs = _dedupe(eigs, _entry_scale(*pencil.float_parts()))
     verts = convex_hull([(float(z.real), float(z.imag)) for z in eigs])
     return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
-
-
-def _fan_witnesses(pencil: HermitianPencil, N: int) -> np.ndarray:
-    """The W(A) witnesses of the uniform N-angle fan, an (N, 2) array in angle order.
-
-    H(theta + pi) = -H(theta), so the top eigenvector at theta + pi is the
-    bottom one at theta (Kippenhahn 1951): an even fan solves only its rows
-    k < N/2, on the first half of the arrays of `SpectralGrid(pencil, N)`, so
-    those rows are the full grid's, and the witnesses of rows k + N/2 are the
-    Rayleigh pairs of their bottom eigenvectors.  An odd fan has no antipodal
-    rows and solves every angle.
-    """
-    if N % 2:
-        return support(SpectralGrid(pencil, N))[1]
-    half = N // 2
-    grid = SpectralGrid.at(pencil, *(a[:half] for a in _uniform_fan(N)))
-    return np.concatenate((support(grid)[1], _rayleigh(pencil, grid.eigvecs[:, :, 0])))
 
 
 def _witness_verdict(wit: np.ndarray, scale: float) -> PolytopeVerdict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dualcurve import dual_sample
 from .hermitian import GaussianRationalMatrix, split
-from .pencil import SpectralGrid, _exit_points
+from .pencil import SpectralGrid, _exit_points, _uniform_fan
 from .rangegeom import _outer_polygon
 
 __all__ = ["ViewportRequiredError", "render_figure"]
@@ -151,7 +151,8 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     panels; without it each panel frames its own set.
     """
     pencil = split(A)
-    grid = SpectralGrid(pencil, N)
+    # the outer polygon solves every angle (see SpectralGrid)
+    grid = SpectralGrid.at(pencil, *_uniform_fan(N))
     k, _, y1, y2 = _exit_points(grid)
     f_pts = np.stack((y1, y2), axis=1)
     unbounded = len(k) < N
@@ -162,7 +163,7 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     left_view = viewport if viewport is not None else _bbox(f_pts)
     right_view = viewport if viewport is not None else _bbox(outer)
     # both curves are traced on at least 360 rays
-    curve_grid = grid if N >= 360 else SpectralGrid(pencil, 360)
+    curve_grid = grid if N >= 360 else SpectralGrid.at(pencil, *_uniform_fan(360))
 
     size, pad = 420.0, 30.0
     width, height = 2 * size + 3 * pad, size + 2 * pad

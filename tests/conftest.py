@@ -575,8 +575,8 @@ def random_intake_entries(n: int, rng: random.Random, kind: str) -> list[list[Ga
 def reference_polytope_verdict(A: GaussianRationalMatrix, N: int) -> PolytopeVerdict:
     """The verdict of `rangegeom.polytope_detect` on a non-normal A with
     every angle of the N-fan solved: the support witnesses of one
-    `SpectralGrid(split(A), N)`, clustered and judged by the same rules."""
-    grid = SpectralGrid(split(A), N)
+    `SpectralGrid.at` on the whole fan, clustered and judged by the same rules."""
+    grid = SpectralGrid.at(split(A), *_uniform_fan(N))
     return _witness_verdict_of(support(grid)[1], grid.scale)
 
 

@@ -70,10 +70,12 @@ NOT_COPRIME = "factors are not pairwise coprime"
 NON_FINITE = ("the float eigenvalues of A are not finite: its entries are too close to the "
               "largest float, 1.8e+308")
 # normal matrices whose float eigenvalues are not finite: (1+i)*17e307*[[1, 1], [1, -1]]
-# (nan) and 10^308*[[i, 1], [-1, i]] (inf)
+# (nan), 10^308*[[i, 1], [-1, i]] (inf) and the Hermitian [[0, z], [conj(z), 0]] with
+# z = (1+i)*17e307, whose entries' moduli pass the largest float
 OVERFLOWING = [
     [[[17 * 10 ** 307] * 2] * 2, [[17 * 10 ** 307] * 2, [-17 * 10 ** 307] * 2]],
     [[[0, 10 ** 308], [10 ** 308, 0]], [[-10 ** 308, 0], [0, 10 ** 308]]],
+    [[[0, 0], [17 * 10 ** 307] * 2], [[17 * 10 ** 307, -17 * 10 ** 307], [0, 0]]],
 ]
 POLYTOPE_FACTORS = (FIXTURES / "polytope_factors.txt").read_text().splitlines()
 
@@ -296,6 +298,34 @@ class TestSampleCommands:
         assert outs[0] == outs[1]
 
 
+class TestEighShapes:
+    """The batches of every eigh a grid command runs on cubic_cusp (3x3): an
+    even fan solves its angles below pi and reflects the rest, an odd fan
+    solves every angle, and render, which prints an outer polygon, solves
+    every angle of an even fan too (sample-w and classify: TestSampleCommands
+    and TestClassifyCommand)."""
+
+    @pytest.mark.parametrize("command, grid, shapes", [
+        ("sample-f", "720", [(360, 3, 3)]),
+        ("sample-f", "91", [(91, 3, 3)]),
+        ("duality", "720", [(720, 3, 3)]),   # one solve of the 1440 grid
+        ("render", "720", [(720, 3, 3)]),
+        ("render", "90", [(90, 3, 3), (360, 3, 3)]),   # the curves take 360 rays
+    ])
+    def test_solve_shapes(self, tmp_path, monkeypatch, command, grid, shapes):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        assert run(command, "--input", fx("cubic_cusp.json"), "--grid", grid,
+                   "--out", str(tmp_path / "out")) == 0
+        assert calls == shapes
+
+
 class TestDualityCommand:
     def test_passes_on_fixture(self, tmp_path):
         out = tmp_path / "report.txt"
@@ -464,9 +494,25 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("entries", OVERFLOWING)
     def test_non_finite_eigenvalues_are_refused(self, tmp_path, capsys, entries):
         # dual takes the exact elimination on these (TestDualCommand)
-        with np.errstate(over="ignore", invalid="ignore"):   # hyperbolicity's float lines overflow
-            assert run("classify", "--input", _matrix_file(tmp_path, entries)) == 2
+        assert run("classify", "--input", _matrix_file(tmp_path, entries)) == 2
         assert capsys.readouterr() == ("", f"error: {NON_FINITE}\n")
+
+    @pytest.mark.parametrize("c", [[1, 0], [0, 1]])
+    def test_non_normal_near_the_largest_float(self, tmp_path, capsys, c):
+        # c*10^307*[[1, 1], [0, 1]] for c = 1 and i: the trial line (1, 19)
+        # of the hyperbolicity check reaches 1.9*10^308 on i*10^307, so the
+        # trial lines of both are solved on the pencil scaled by a power of
+        # two, with no overflow warning, and the report is the unscaled one
+        one = [10 ** 307 * x for x in c]
+        assert run("classify", "--input", _matrix_file(tmp_path, [[one, one], [[0, 0], one]])) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        residual = [float(line.split("=")[1]) for line in lines if line.startswith("max_eig_residual=")]
+        assert [line for line in lines if not line.startswith("max_eig_residual=")] == [
+            "n=2", "hermitian=false", "normal=false", "pencil_degree=2", "hyperbolic=true",
+            "shape=smooth"]
+        assert len(residual) == 1 and residual[0] <= 1e-9
+        assert err == ""
 
     def test_normal_matrix_takes_one_pencil_determinant(self, monkeypatch, capsys):
         # the exact spectrum of a normal matrix is certified against the p

@@ -20,10 +20,12 @@ from numrange.pencil import (
     _chart_normal,
     _entry_scale,
     _integer_form,
+    _rayleigh,
     _restriction,
     _root_eigs,
     _sign_certificate,
     _sturm,
+    _uniform_fan,
     boundary_F,
     boundary_csv,
     hyperbolicity_check,
@@ -364,10 +366,11 @@ class TestSpectralGrid:
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES + ("generic",))
     def test_antipodal_rows_are_reflections(self, name):
-        """H(theta + pi) = -H(theta): on an even grid row k + N/2 is row k
-        reflected (cos and sin negated, eigenvalues negated in reverse order,
-        the top eigenvector the bottom one) up to roundoff; every row, also
-        on odd grids, is the solve at its own angle."""
+        """H(theta + pi) = -H(theta): an even grid solves its rows k < N/2, bit
+        for bit `at` on the first half of the fan, and fills row k + N/2 with
+        row k reflected (eigenvalues negated in reverse order, eigenvector
+        columns reversed), which a solve at the row's own angle matches up to
+        roundoff; an odd grid is bit for bit the solve at every angle."""
         if name == "generic":
             rng = random.Random(1978)
             pencils = [split(random_gaussian_matrix(n, rng)) for n in range(2, 9)]
@@ -377,30 +380,37 @@ class TestSpectralGrid:
             f1, f2 = pencil.float_parts()
             for N in (16, 90, 720, 45, 91):
                 grid = SpectralGrid(pencil, N)
-                assert grid.thetas.tolist() == [2.0 * math.pi * k / N for k in range(N)]
-                solved = SpectralGrid.at(pencil, grid.thetas)
-                for attr in ("cos", "sin", "eigvals", "eigvecs"):
-                    assert getattr(grid, attr).tobytes() == getattr(solved, attr).tobytes()
+                fan = _uniform_fan(N)
+                assert fan[0].tolist() == [2.0 * math.pi * k / N for k in range(N)]
+                for attr, want in zip(("thetas", "cos", "sin"), fan):
+                    assert getattr(grid, attr).tobytes() == want.tobytes()
+                m = N if N % 2 else N // 2
+                solved = SpectralGrid.at(pencil, *(a[:m] for a in fan))
+                assert grid.eigvals[:m].tobytes() == solved.eigvals.tobytes()
+                assert grid.eigvecs[:m].tobytes() == solved.eigvecs.tobytes()
                 if N % 2:
                     continue
-                m, w = N // 2, grid.eigvals
-                scale = max(1.0, float(np.abs(w).max()))
-                assert np.abs(grid.cos[m:] + grid.cos[:m]).max() <= 4e-15
-                assert np.abs(grid.sin[m:] + grid.sin[:m]).max() <= 4e-15
-                assert np.abs(w[m:] + w[:m, ::-1]).max() <= 1e-13 * scale
-                top, bottom = grid.eigvecs[m:, :, -1], grid.eigvecs[:m, :, 0]
-                x_top, x_bottom = (np.stack([np.einsum("bi,ij,bj->b", v.conj(), f, v).real
-                                             for f in (f1, f2)], axis=1) for v in (top, bottom))
-                h = w[m:, -1]
-                simple = np.minimum(w[:m, 1] - w[:m, 0], w[m:, -1] - w[m:, -2]) > 1e-8 * scale
-                assert np.hypot(*(x_top - x_bottom)[simple].T).max(initial=0.0) <= 1e-13 * scale
+                assert grid.eigvals[m:].tobytes() == (-solved.eigvals[:, ::-1]).tobytes()
+                assert grid.eigvecs[m:].tobytes() == solved.eigvecs[:, :, ::-1].tobytes()
+                # the reflected rows against a solve at their own angles
+                full = SpectralGrid.at(pencil, *fan)
+                w, V = full.eigvals[m:], grid.eigvecs[m:]
+                scale = max(1.0, float(np.abs(full.eigvals).max()))
+                assert np.abs(grid.eigvals[m:] - w).max() <= 1e-13 * scale
+                H = grid.cos[m:, None, None] * f1 + grid.sin[m:, None, None] * f2
+                assert np.abs(H @ V - V * grid.eigvals[m:, None, :]).max() <= 1e-12 * scale
+                x_grid, x_full = (_rayleigh(pencil, g.eigvecs[m:, :, -1]) for g in (grid, full))
+                simple = w[:, -1] - w[:, -2] > 1e-8 * scale
+                assert np.hypot(*(x_grid - x_full)[simple].T).max(initial=0.0) <= 1e-13 * scale
                 # a multiple top eigenvalue: both witnesses lie on the supporting line
-                for x in (x_top, x_bottom):
-                    on_line = x[:, 0] * grid.cos[m:] + x[:, 1] * grid.sin[m:] - h
+                for x in (x_grid, x_full):
+                    on_line = x[:, 0] * grid.cos[m:] + x[:, 1] * grid.sin[m:] - w[:, -1]
                     assert np.abs(on_line[~simple]).max(initial=0.0) <= 1e-12 * scale
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_ray_exit_is_the_boundary_sample(self, name):
+        # a one-angle solve gives the bits of the rows k < N/2 that the grid
+        # solves; the reflected rows k >= N/2 agree with it up to roundoff
         pencil = split(fixture_matrix(name))
         N = 72
         for k, s in enumerate(_boundary(pencil, N).samples):
@@ -409,9 +419,12 @@ class TestSpectralGrid:
             assert s.theta == theta
             if s.point is None:
                 assert not exit_.bounded
-            else:
+            elif k < N // 2:
                 assert exit_.point == s.point
                 assert exit_.lambda_min_at_exit == s.lambda_min
+            else:
+                assert math.dist(exit_.point, s.point) <= 1e-12 * max(1.0, math.hypot(*s.point))
+                assert abs(exit_.lambda_min_at_exit - s.lambda_min) <= 1e-12
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES + ("zero_eigenvalue",))
     def test_line_roots_are_the_per_angle_roots(self, name):

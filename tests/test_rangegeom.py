@@ -16,6 +16,7 @@ from numrange.pencil import (
     SpectralGrid,
     _exit_points,
     _root_eigs,
+    _uniform_fan,
     pencil_det,
 )
 from numrange.dualcurve import dual_sample
@@ -78,7 +79,8 @@ def _support_at(A, thetas):
 
 
 def _hulls(A, N):
-    return range_hulls(SpectralGrid(split(A), N))
+    """The hulls that `sample-w` prints, from a solve at every angle of the fan."""
+    return range_hulls(SpectralGrid.at(split(A), *_uniform_fan(N)))
 
 
 def _detect(A, N=360):
@@ -192,6 +194,29 @@ class TestMemberW:
         for A in mats:
             for lam in np.linalg.eigvals(A.to_complex()):
                 assert member_W(A, (lam.real, lam.imag), N=360)
+
+
+    def test_answers_of_the_grid_solved_at_every_angle(self, monkeypatch):
+        # the reflected rows of the even fan move the margin by roundoff only:
+        # on W(A)'s vertices and boundary (the polytope's corners, the hull
+        # vertices of a coarse fan), inside and outside, member_W answers as
+        # it does on the grid solved at every angle
+        cases = [(fixture_matrix("polytope"), x) for x in ((3, 0), (4, -1), (5, 0), (4, 1))]
+        for name in FIXTURE_NAMES:
+            A = fixture_matrix(name)
+            hulls = _hulls(A, 8)
+            c = hulls.inner.mean(axis=0)
+            cases += [(A, x) for v in hulls.inner for x in (v, c + 0.5 * (v - c))]
+            cases += [(A, x) for v in hulls.outer for x in (v, c + 1.05 * (v - c))]
+        got = [member_W(A, x) for A, x in cases]
+
+        class FullSolve(SpectralGrid):
+            def __init__(self, pencil, N):
+                self._solve(pencil, *_uniform_fan(N))
+
+        monkeypatch.setattr(rangegeom, "SpectralGrid", FullSolve)
+        assert got == [member_W(A, x) for A, x in cases]
+        assert 0 < sum(got) < len(got)
 
 
 class TestDuality:

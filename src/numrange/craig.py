@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hermitian import GaussianRationalMatrix, NonHermitianError, _int_matmul
-from .pencil import _entry_scale, _integer_pencil
+from .hermitian import GaussianRationalMatrix, NonHermitianError, _entry_scale, _int_matmul
+from .pencil import _integer_pencil
 
 __all__ = [
     "CraigVerdict",

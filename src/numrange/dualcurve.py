@@ -292,7 +292,7 @@ def dual_sample(grid: SpectralGrid) -> CurveSampleSet:
     edge = np.zeros((len(w), 1), dtype=bool)
     singular = (np.hstack((edge, close)) | np.hstack((close, edge)))[k, idx]
     x1, x2 = (np.where(singular, np.nan, x)
-              for x in _rayleigh(grid.pencil, grid.eigvecs[k, :, idx]).T)
+              for x in _rayleigh(grid.pencil, grid.eigvecs[k, :, idx]).T * grid.pencil.unit)
     return CurveSampleSet.of_columns("x0=1", grid.thetas[k], x1, x2, ~singular,
                                      root_index=idx, singular=singular)
 

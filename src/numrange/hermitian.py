@@ -7,7 +7,7 @@ structural predicates (Hermitian, normal, the split A = A1 + i*A2) work on
 these integers; `entries`, the rows of `GaussianRational` entries, is built
 on first access.
 The float view `to_complex` rounds each part correctly, as float(Fraction)
-does; the angle-grid eigensolves that read it live in `pencil`.
+does; the angle-grid eigensolves of `pencil` read it over the pencil's `unit`.
 """
 
 from __future__ import annotations
@@ -235,15 +235,22 @@ class HermitianPencil:
         return self.A1.n
 
     def float_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only complex128 views of (A1, A2), converted once per pencil."""
-        return self._float_parts
+        """Read-only complex128 views of (A1/s, A2/s), s = `unit`, converted once per pencil."""
+        return self._float_view[:2]
+
+    @property
+    def unit(self) -> float:
+        """s = `_entry_scale`, a power of two: the numeric layers solve on A/s exactly."""
+        return self._float_view[2]
 
     @cached_property
-    def _float_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        parts = self.A1.to_complex(), self.A2.to_complex()
-        for f in parts:
+    def _float_view(self) -> tuple[np.ndarray, np.ndarray, float]:
+        f1, f2 = self.A1.to_complex(), self.A2.to_complex()
+        s = _entry_scale(f1, f2)
+        for f in (f1, f2):
+            f /= s
             f.flags.writeable = False
-        return parts
+        return f1, f2, s
 
     @cached_property
     def normal(self) -> bool:
@@ -252,6 +259,15 @@ class HermitianPencil:
         which scale both products by the same L1*L2."""
         X, Y = (self.A1.re, self.A1.im), (self.A2.re, self.A2.im)
         return _int_matmul(X, Y) == _int_matmul(Y, X)
+
+
+def _entry_scale(f1: np.ndarray, f2: np.ndarray) -> float:
+    """s, the unit of the numeric layers: the largest |real or imaginary part| of f1, f2 (a
+    modulus may overflow) rounded down to 2**k, or 1 while |k| <= 32, so ordinary pencils keep
+    their floats bit for bit."""
+    m = max(float(np.abs(part).max()) for f in (f1, f2) for part in (f.real, f.imag))
+    k = math.frexp(m)[1] - 1
+    return math.ldexp(1.0, k) if abs(k) > 32 else 1.0
 
 
 def split(A: GaussianRationalMatrix) -> HermitianPencil:

@@ -15,7 +15,8 @@ eigenvectors v the tangent lines there, the points (v*A1v, v*A2v) of q = 0.
 Since H(theta + pi) = -H(theta), lambda_max(theta + pi) = -lambda_min(theta)
 (Kippenhahn 1951): the complementary W(A) witness of boundary sample k, the
 top eigenvector of row k + N/2 on an even grid, is the bottom eigenvector of
-the solve that places the sample.
+the solve that places the sample.  The grid solves on A/s, s the power of two
+`HermitianPencil.unit`, so every threshold is a constant.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactpoly import TriPoly, det_pencil
-from .hermitian import HermitianPencil, NonHermitianError, _cleared_parts
+from .hermitian import FloatRangeError, HermitianPencil, NonHermitianError, _cleared_parts
 
 __all__ = [
     "PencilCurve",
@@ -51,8 +52,8 @@ __all__ = [
 YVARS = ("y0", "y1", "y2")
 
 BOUNDARY_TOL = 1e-9          # |lambda_min| window declaring a point "on" the boundary
-UNBOUNDED_CUT = 1e-12        # lambda_min above -cut*scale counts as non-negative
-ROOT_CUT = 1e-14             # |lambda| above cut*max(scale, row max |lambda|) gives a real root
+UNBOUNDED_CUT = 1e-12        # lambda_min above -cut*max(1, row max |lambda|) counts as non-negative
+ROOT_CUT = 1e-14             # |lambda| above cut*max(1, row max |lambda|) gives a real root
 UNIT_TOL = 1e-12             # |norm - 1| allowed of a ray direction
 
 
@@ -190,9 +191,9 @@ def _integer_pencil(A1, A2) -> tuple[int, tuple, tuple, dict]:
 
 
 class SpectralGrid:
-    """Eigenpairs of H_k = cos_k*A1 + sin_k*A2, ascending, from one batched eigh;
-    the eigenvectors give W(A)'s witnesses and the points of q = 0.  `scale` is
-    the pencil's `_entry_scale`, the unit of every tolerance on the grid's values.
+    """Eigenpairs of H_k/s = (cos_k*A1 + sin_k*A2)/s, s the pencil's `unit`, ascending,
+    from one batched eigh; the eigenvectors give W(A)'s witnesses and the points
+    of q = 0.  FloatRangeError when s*max|lambda| passes the largest float.
 
     SpectralGrid(pencil, N) is the uniform fan theta_k = 2*pi*k/N, N >= 3; `at`
     takes arbitrary angles (and, optionally, their exact unit directions), one
@@ -210,7 +211,7 @@ class SpectralGrid:
     the reflection.
     """
 
-    __slots__ = ("pencil", "scale", "thetas", "cos", "sin", "eigvals", "eigvecs")
+    __slots__ = ("pencil", "thetas", "cos", "sin", "eigvals", "eigvecs")
 
     def __init__(self, pencil: HermitianPencil, N: int):
         thetas, cos, sin = _uniform_fan(N)
@@ -235,16 +236,18 @@ class SpectralGrid:
 
     def _solve(self, pencil, thetas, cos, sin):
         f1, f2 = pencil.float_parts()
-        self.pencil, self.scale = pencil, _entry_scale(f1, f2)
-        self.thetas, self.cos, self.sin = thetas, cos, sin
+        self.pencil, self.thetas, self.cos, self.sin = pencil, thetas, cos, sin
         self.eigvals, self.eigvecs = np.linalg.eigh(
             cos[:, None, None] * f1 + sin[:, None, None] * f2)
+        if not math.isfinite(pencil.unit * float(np.abs(self.eigvals).max(initial=0.0))):
+            raise FloatRangeError("the eigenvalues of cos(theta)*A1 + sin(theta)*A2 pass the largest "
+                                  f"float, {np.finfo(float).max:.3g}: the entries of A are too close to it")
 
     def every_other(self) -> "SpectralGrid":
         """The N-grid contained in this 2N-grid, without a second solve: bit for
         bit SpectralGrid(pencil, N) when N is even."""
         sub = SpectralGrid.__new__(SpectralGrid)
-        sub.pencil, sub.scale = self.pencil, self.scale
+        sub.pencil = self.pencil
         for name in ("thetas", "cos", "sin", "eigvals", "eigvecs"):
             setattr(sub, name, getattr(self, name)[::2])
         return sub
@@ -252,17 +255,17 @@ class SpectralGrid:
     def line_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every real root of p(1, t*cos_k, t*sin_k) over the grid, as arrays.
 
-        Returns (k, index, t) in (angle, eigenvalue index) order: t = -1/lambda
-        for every eigenvalue lambda in the ray-root mask (`_root_eigs`).
+        Returns (k, index, t) in (angle, eigenvalue index) order: t = -1/(s*lambda)
+        for every lambda in the ray-root mask (`_root_eigs`), s the pencil's unit.
         """
-        k, idx = np.nonzero(_root_eigs(self.eigvals, self.scale))
-        return k, idx, -1.0 / self.eigvals[k, idx]
+        k, idx = np.nonzero(_root_eigs(self.eigvals))
+        return k, idx, -1.0 / self.eigvals[k, idx] / self.pencil.unit
 
 
 def _rayleigh(pencil: HermitianPencil, V: np.ndarray) -> np.ndarray:
-    """The W(A) points (v*A1v, v*A2v) of the unit rows v of V, an (m, 2) array:
-    the witnesses of the grid's top eigenvectors and the dual samples of its
-    ray-root eigenvectors."""
+    """The W(A) points (v*A1v, v*A2v)/s of the unit rows v of V, an (m, 2) array
+    in the pencil's unit s: the witnesses of the grid's top eigenvectors and
+    the dual samples of its ray-root eigenvectors."""
     f1, f2 = pencil.float_parts()
     x1 = np.einsum("bi,ij,bj->b", V.conj(), f1, V).real
     x2 = np.einsum("bi,ij,bj->b", V.conj(), f2, V).real
@@ -278,22 +281,21 @@ def _uniform_fan(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _exit_points(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(k, t, y1, y2): the rays k of the grid that leave F(A), and where.
+    """(k, t, y1, y2): the rays k of the grid that leave F(A), and where, t and y times the unit s.
 
-    The ray leaves F(A) at t = -1/lambda_min(H_k), at the point (y1, y2) =
-    t*(cos_k, sin_k); lambda_min above -UNBOUNDED_CUT*max(s, the row's max |lambda|),
-    s the grid's `scale`, never reaches zero, and that ray is unbounded.
+    On the eigenvalues of H_k/s the ray leaves at t = -1/lambda_min, at (y1, y2) =
+    t*(cos_k, sin_k); lambda_min above -UNBOUNDED_CUT*max(1, the row's max |lambda|)
+    never reaches zero, and that ray is unbounded.
     """
     w = grid.eigvals
     lam_min = w[:, 0]
-    scale = np.maximum(grid.scale, np.abs(w).max(axis=1))
-    k = np.flatnonzero(lam_min < -UNBOUNDED_CUT * scale)
+    k = np.flatnonzero(lam_min < -UNBOUNDED_CUT * np.maximum(1.0, np.abs(w).max(axis=1)))
     t = -1.0 / lam_min[k]
     return k, t, t * grid.cos[k], t * grid.sin[k]
 
 
 def _exit_residuals(pencil: HermitianPencil, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """lambda_min(F(1, y1, y2)) at every exit point, from one batched solve."""
+    """lambda_min(F(1, y/s)) at every point y of `_exit_points`, from one batched solve."""
     f1, f2 = pencil.float_parts()
     Fs = np.eye(pencil.n) + y1[:, None, None] * f1 + y2[:, None, None] * f2
     return np.linalg.eigvalsh(Fs)[:, 0]
@@ -302,7 +304,7 @@ def _exit_residuals(pencil: HermitianPencil, y1: np.ndarray, y2: np.ndarray) -> 
 def lmi_member(pencil: HermitianPencil, y: tuple[float, float],
                tol: float = BOUNDARY_TOL) -> bool:
     """Membership y in F(A): lambda_min(F(1, y1, y2)) >= -tol."""
-    y1, y2 = np.array([float(y[0])]), np.array([float(y[1])])
+    y1, y2 = np.array([float(y[0])]) * pencil.unit, np.array([float(y[1])]) * pencil.unit
     return bool(_exit_residuals(pencil, y1, y2)[0] >= -tol)
 
 
@@ -316,19 +318,19 @@ def ray_exit(pencil: HermitianPencil, direction: tuple[float, float]) -> RayExit
     k, t, y1, y2 = _exit_points(grid)
     if not k.size:
         return RayExit((d1, d2), math.inf, None, None)
-    lam = _exit_residuals(pencil, y1, y2)
-    return RayExit((d1, d2), float(t[0]), (float(y1[0]), float(y2[0])), float(lam[0]))
+    lam, s = _exit_residuals(pencil, y1, y2), pencil.unit
+    return RayExit((d1, d2), float(t[0]) / s, (float(y1[0]) / s, float(y2[0]) / s), float(lam[0]))
 
 
 def boundary_F(grid: SpectralGrid) -> CurveSampleSet:
     """Polygonal boundary of F(A): the exits of the grid's rays, with the
     residual lambda_min at every exit; unbounded rays hold inf."""
     k, _, y1, y2 = _exit_points(grid)
-    N = len(grid.thetas)
+    N, s = len(grid.thetas), grid.pencil.unit
     finite = np.zeros(N, dtype=bool)
     finite[k] = True
     x, y, lam = np.full(N, math.inf), np.full(N, math.inf), np.full(N, math.inf)
-    x[k], y[k], lam[k] = y1, y2, _exit_residuals(grid.pencil, y1, y2)
+    x[k], y[k], lam[k] = y1 / s, y2 / s, _exit_residuals(grid.pencil, y1, y2)
     return CurveSampleSet.of_columns("y0=1", grid.thetas, x, y, finite,
                                      all_unbounded=not k.size, lambda_min=lam)
 
@@ -463,21 +465,11 @@ def _chart_normal(f: TriPoly) -> tuple[TriPoly, int]:
     return f, k
 
 
-def _entry_scale(f1: np.ndarray, f2: np.ndarray) -> float:
-    """s, the unit of every tolerance in the units of A (W(cA) = c*W(A)): the
-    largest |entry| of the float parts f1, f2 of A1 and A2 rounded down to a power
-    of two 2**k, or 1 while |k| <= 32 (as in `_chart_normal`), so that ordinary
-    pencils keep their floats bit for bit."""
-    m = max(float(np.abs(f1).max()), float(np.abs(f2).max()))
-    k = math.frexp(m)[1] - 1 if m else 0
-    return math.ldexp(1.0, k) if abs(k) > 32 else 1.0
-
-
-def _root_eigs(w: np.ndarray, scale: float) -> np.ndarray:
-    """Mask of the eigenvalues (last axis) that give a real root:
-    |lambda| > ROOT_CUT * max(scale, max |lambda|), scale the pencil's `_entry_scale`."""
+def _root_eigs(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues (last axis) of the normalised pencil that give a
+    real root: |lambda| > ROOT_CUT * max(1, max |lambda|)."""
     w = np.abs(w)
-    return w > ROOT_CUT * np.maximum(scale, w.max(axis=-1, keepdims=True, initial=0.0))
+    return w > ROOT_CUT * np.maximum(1.0, w.max(axis=-1, keepdims=True, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -520,24 +512,16 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
     draws = ((Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
               Fraction(rng.randint(-20, 20), rng.randint(1, 9))) for _ in itertools.count())
     dirs = list(itertools.islice(filter(any, draws), trials))
-    f1, f2 = curve.pencil.float_parts()
-    s = _entry_scale(f1, f2)
-    # |d1|, |d2| <= 20, so the trial matrices and their eigenvalues stay below 64*n*m, m the
-    # largest |real or imaginary part| of f1 and f2 (a modulus may pass the largest float);
-    # past 2**1023 they are solved on 2**-shift*f1 and 2**-shift*f2, shift even, an exact scaling
-    m = float(np.abs(np.stack((f1.real, f1.imag, f2.real, f2.imag))).max())
-    shift = max(0, 2 * math.ceil((math.log2(64 * curve.pencil.n) + math.log2(m) - 1023) / 2)) if m else 0
-    if shift:
-        f1, f2, s = f1 * 2.0 ** -shift, f2 * 2.0 ** -shift, math.ldexp(s, -shift)
+    f1, f2 = curve.pencil.float_parts()   # over the unit, with |d| <= 20, no trial line overflows
     eigs = np.linalg.eigvalsh(np.array([float(d1) * f1 + float(d2) * f2 for d1, d2 in dirs]))
-    roots = _root_eigs(eigs, s)
+    roots = _root_eigs(eigs)
     # exact restrictions of p(y0, 2**e*y1, 2**e*y2): roots t/2**e near 1, float coefficients
-    p, e = _chart_normal(curve.p)
+    p, e, j = *_chart_normal(curve.p), math.frexp(curve.pencil.unit)[1] - 1   # 2**j = the unit
     form = _integer_form(p)
     restrictions = [_restriction(form, d1, d2) for d1, d2 in dirs]
     checks = []
     for d, (N, w, coeffs), line_eigs, mask in zip(dirs, restrictions, eigs, roots):
-        t = np.ldexp(-1.0 / line_eigs[mask], -e - shift)
+        t = np.ldexp(-1.0 / line_eigs[mask], -e - j)
         if _sign_certificate(N, w, t.tolist()):
             distinct = deg_sf = len(N) - 1
         else:

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .exactpoly import GaussianRational, TriPoly
 from .hermitian import FloatRangeError, GaussianRationalMatrix, split
-from .pencil import PencilCurve, SpectralGrid, _entry_scale, _exit_points, _rayleigh
+from .pencil import PencilCurve, SpectralGrid, _exit_points, _rayleigh
 
 __all__ = [
     "RangeHulls",
@@ -39,11 +39,11 @@ __all__ = [
     "hulls_csv",
 ]
 
-MEMBER_TOL = 1e-7        # times s, the pencil's `_entry_scale`
-GAP_FLOOR = 1e-10        # times max(s, max|witness|): inner/outer coincide to roundoff
-DEGENERATE_AREA = 1e-12  # times max(s, max|witness|)**2: the outer hull has no area
-CLUSTER_TOL = 1e-8       # times max(s, max|witness|): witnesses of one polytope corner
-DEDUPE_TOL = 1e-9        # times s + |z|: float eigenvalues of a normal A that are one
+MEMBER_TOL = 1e-7        # the support margin of `member_W`, like all below on values over the unit s
+GAP_FLOOR = 1e-10        # times max(1, max|witness|): inner/outer coincide to roundoff
+DEGENERATE_AREA = 1e-12  # times max(1, max|witness|)**2: the outer hull has no area
+CLUSTER_TOL = 1e-8       # times max(1, max|witness|): witnesses of one polytope corner
+DEDUPE_TOL = 1e-9        # times 1 + |z|: float eigenvalues of a normal A that are one
 PAIRING_TOL = 1e-6       # dimensionless: the pairing 1 + x.y of `duality_check` and `duality --tol`
 
 
@@ -175,6 +175,11 @@ def support(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     """(h, witnesses): the support values of W(A) over the grid's angles, h_k =
     lambda_max(H_k), and their rank-one witnesses, the (N, 2) array of the W(A)
     points (v*A1v, v*A2v) of the top eigenvectors v."""
+    return tuple(a * grid.pencil.unit for a in _support(grid))
+
+
+def _support(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """`support` over the pencil's unit s."""
     return grid.eigvals[:, -1], _rayleigh(grid.pencil, grid.eigvecs[:, :, -1])
 
 
@@ -201,17 +206,17 @@ def _outer_vertices(cos: np.ndarray, sin: np.ndarray, h: np.ndarray) -> np.ndarr
 
 def range_hulls(grid: SpectralGrid) -> RangeHulls:
     """Inner (witness hull) and outer (half-plane) polygonal bounds for W(A)."""
-    return _hulls_of(grid, *support(grid))
+    return _hulls_of(grid, *_support(grid), grid.pencil.unit)
 
 
-def _hulls_of(grid: SpectralGrid, h: np.ndarray, wit: np.ndarray) -> RangeHulls:
-    """The hulls of the grid from its support values h and witnesses wit."""
+def _hulls_of(grid: SpectralGrid, h: np.ndarray, wit: np.ndarray, s: float = 1.0) -> RangeHulls:
+    """The hulls of the grid from its support values h and witnesses wit in the unit, times s."""
     inner = _cycle_hull(wit)
     outer = _outer_polygon(grid.cos, grid.sin, h)
-    scale = max(grid.scale, float(np.abs(wit).max()))
+    scale = max(1.0, float(np.abs(wit).max()))
     degenerate = polygon_area(outer) <= DEGENERATE_AREA * scale * scale
-    return RangeHulls(inner=inner, outer=outer, N=len(h), degenerate=degenerate,
-                      witnesses=wit, support_values=h)
+    return RangeHulls(inner=inner * s, outer=outer * s, N=len(h), degenerate=degenerate,
+                      witnesses=wit * s, support_values=h * s)
 
 
 def hulls_csv(hulls: RangeHulls) -> str:
@@ -234,16 +239,16 @@ def member_W(A: GaussianRationalMatrix, x, N: int = 720,
     """Membership via the support oracle, with one refinement pass.
 
     The margin is min over angles of h(theta) - x . u(theta), refined on a
-    fine fan around the grid minimum; x is in W(A) when it is >= -tol*s.
+    fine fan around the grid minimum; x is in W(A) when it is >= -tol*s, s the pencil's unit.
     """
-    x1, x2 = float(x[0]), float(x[1])
     grid = SpectralGrid(split(A), N)
+    x1, x2 = float(x[0]) / grid.pencil.unit, float(x[1]) / grid.pencil.unit
     g = grid.eigvals[:, -1] - x1 * grid.cos - x2 * grid.sin
     k = int(np.argmin(g))
     mesh = 2.0 * math.pi / N
     local = SpectralGrid.at(grid.pencil, grid.thetas[k] + np.linspace(-mesh, mesh, 65))
     gl = local.eigvals[:, -1] - x1 * local.cos - x2 * local.sin
-    return float(min(g.min(), gl.min())) >= -tol * grid.scale
+    return float(min(g.min(), gl.min())) >= -tol
 
 
 # -- duality --------------------------------------------------------------------
@@ -292,7 +297,7 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     (a) 1 + x.y >= -tol for every witness x and boundary sample y;
     (b) every boundary sample has a complementary witness with pairing <= tol;
     (c) the inner/outer Hausdorff gap shrinks when the grid doubles, unless
-        both gaps are roundoff: at most GAP_FLOOR * max(s, max|witness|).
+        both gaps are roundoff: at most GAP_FLOOR * max(1, max|witness|) over s.
     One 2N grid serves both levels, from one eigh of its N angles below pi
     (`SpectralGrid` reflects the rest), and one Rayleigh pass; (a) and (b)
     take O(N) memory.
@@ -308,12 +313,12 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
     fine = SpectralGrid(split(A), 2 * N)
     grid = fine.every_other()
     k, _, y1, y2 = _exit_points(grid)
-    h, wit = support(fine)                # one Rayleigh pass; the N-grid is rows [::2]
+    h, wit = _support(fine)               # one Rayleigh pass; the N-grid is rows [::2]
     hulls1 = _hulls_of(grid, h[::2], wit[::2])
     hulls2 = _hulls_of(fine, h, wit)
     gap1 = hausdorff_outer_to_inner(hulls1.outer, hulls1.inner)
     gap2 = hausdorff_outer_to_inner(hulls2.outer, hulls2.inner)
-    floor = GAP_FLOOR * max(grid.scale, float(np.abs(hulls1.witnesses).max()))
+    floor = GAP_FLOOR * max(1.0, float(np.abs(hulls1.witnesses).max()))
     decreased = gap2 < gap1 or (gap1 <= floor and gap2 <= floor)
     row_min = (_pairing_row_min(np.stack((y1, y2), axis=1), hulls1.witnesses)
                if k.size else np.zeros(1))   # no bounded ray: both report 0
@@ -322,7 +327,7 @@ def duality_check(A: GaussianRationalMatrix, N: int = 720,
         N=N, tol=tol,
         pairing_min=pairing_min,
         complementary_worst=complementary_worst,
-        gap_at_N=gap1, gap_at_2N=gap2, gap_decreased=decreased,
+        gap_at_N=gap1 * fine.pencil.unit, gap_at_2N=gap2 * fine.pencil.unit, gap_decreased=decreased,
         boundary_count=k.size, unbounded_count=N - k.size,
         pairing_ok=pairing_min >= -tol,
         complementary_ok=complementary_worst <= tol,
@@ -358,31 +363,29 @@ def polytope_detect(curve: PencilCurve, N: int = 360) -> PolytopeVerdict:
     only its angles below pi, as the verdict prints no hull; "mixed/unknown"
     is a legal verdict.
     """
-    pencil = curve.pencil
+    pencil, s = curve.pencil, curve.pencil.unit
     spectrum = _certified_spectrum(curve)
     if spectrum is None:
-        grid = SpectralGrid(pencil, N)
-        return _witness_verdict(support(grid)[1], grid.scale)
-    eigs, exact = spectrum
-    if exact is not None:
-        verts = convex_hull([(z.re, z.im) for z in exact])
+        v = _witness_verdict(_support(SpectralGrid(pencil, N))[1])
+    elif spectrum[1] is not None:
+        verts = convex_hull([(z.re, z.im) for z in spectrum[1]])
         return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=True)
-    if pencil.A2.is_zero():
+    else:
         # A = A1 is Hermitian: W(A) is a segment of the real axis, with no eigvals noise off it
-        eigs = np.linalg.eigvalsh(pencil.float_parts()[0])
-    eigs = _dedupe(eigs, _entry_scale(*pencil.float_parts()))
-    verts = convex_hull([(float(z.real), float(z.imag)) for z in eigs])
-    return PolytopeVerdict(kind="polytope", vertices=tuple(verts), exact=False)
+        eigs = np.linalg.eigvalsh(pencil.float_parts()[0]) if pencil.A2.is_zero() else spectrum[0] / s
+        verts = convex_hull([(float(z.real), float(z.imag)) for z in _dedupe(eigs)])
+        v = PolytopeVerdict(kind="polytope", vertices=tuple(verts))
+    return replace(v, vertices=v.vertices and tuple((x * s, y * s) for x, y in v.vertices))
 
 
-def _witness_verdict(wit: np.ndarray, scale: float) -> PolytopeVerdict:
-    """The verdict on a non-normal A from the witnesses of its N-angle fan,
-    (N, 2) in angle order, and its pencil's entry scale: "polytope" when runs
+def _witness_verdict(wit: np.ndarray) -> PolytopeVerdict:
+    """The verdict on a non-normal A from the witnesses of its N-angle fan, (N, 2)
+    in angle order, in the pencil's unit as are the vertices: "polytope" when runs
     of three or more witnesses, at least three of them, hold 0.9*N of the
     witnesses (the vertices are their means), "smooth" when no run is longer
     than two, "mixed/unknown" otherwise."""
     N = len(wit)
-    starts, lengths = _witness_clusters(wit, CLUSTER_TOL * max(scale, float(np.abs(wit).max())))
+    starts, lengths = _witness_clusters(wit, CLUSTER_TOL * max(1.0, float(np.abs(wit).max())))
     big = lengths >= 3
     if big.sum() >= 3 and lengths[big].sum() >= 0.9 * N:
         runs = (wit.take(np.arange(i, i + k), axis=0, mode="wrap")
@@ -453,10 +456,10 @@ def _certified_spectrum(curve: PencilCurve) -> tuple[np.ndarray, list[GaussianRa
     return eigs, [GaussianRational(Fraction(a, D), Fraction(b, D)) for a, b in roots]
 
 
-def _dedupe(zs, scale: float):
-    """The values zs without those within DEDUPE_TOL*(scale + |z|) of an earlier kept one."""
+def _dedupe(zs):
+    """The values zs (in the pencil's unit) without those within DEDUPE_TOL*(1 + |z|) of a kept one."""
     out = []
     for z in zs:
-        if not any(abs(z - w) <= DEDUPE_TOL * (scale + abs(z)) for w in out):
+        if not any(abs(z - w) <= DEDUPE_TOL * (1.0 + abs(z)) for w in out):
             out.append(z)
     return out

@@ -154,12 +154,12 @@ def render_figure(A: GaussianRationalMatrix, N: int = 720,
     # the outer polygon solves every angle (see SpectralGrid)
     grid = SpectralGrid.at(pencil, *_uniform_fan(N))
     k, _, y1, y2 = _exit_points(grid)
-    f_pts = np.stack((y1, y2), axis=1)
+    f_pts = np.stack((y1, y2), axis=1) / pencil.unit
     unbounded = len(k) < N
     if unbounded and viewport is None:
         raise ViewportRequiredError(
             "F(A) is unbounded; pass an explicit viewport x1min,x1max,x2min,x2max")
-    outer = _outer_polygon(grid.cos, grid.sin, grid.eigvals[:, -1])
+    outer = _outer_polygon(grid.cos, grid.sin, grid.eigvals[:, -1]) * pencil.unit
     left_view = viewport if viewport is not None else _bbox(f_pts)
     right_view = viewport if viewport is not None else _bbox(outer)
     # both curves are traced on at least 360 rays

@@ -11,8 +11,8 @@ import pytest
 
 from numrange import exactpoly
 from numrange.exactpoly import ExactDivisionError, GaussianRational, TriPoly, parse_poly
-from numrange.hermitian import GaussianRationalMatrix, load_matrix, split
-from numrange.pencil import SpectralGrid, _entry_scale, _uniform_fan, pencil_det
+from numrange.hermitian import GaussianRationalMatrix, _entry_scale, load_matrix, split
+from numrange.pencil import SpectralGrid, _uniform_fan, pencil_det
 from numrange.rangegeom import (
     CLUSTER_TOL,
     DEDUPE_TOL,
@@ -523,13 +523,13 @@ def charpoly_from_p(A) -> list[GaussianRational]:
 
 
 def support_shift_deviation(A, c, N: int = 360) -> tuple[float, float]:
-    """(max |h_{A+cI} - h_A - c*cos|, the larger grid scale) over an N-angle fan: the
+    """(max |h_{A+cI} - h_A - c*cos|, the larger pencil unit) over an N-angle fan: the
     translate law of the support function, W(A + cI) = W(A) + c."""
     c = Fraction(c)
     shifted = A + GaussianRationalMatrix.identity(A.n).scale(GaussianRational.of(c))
     grid, grid_c = SpectralGrid(split(A), N), SpectralGrid(split(shifted), N)
     dev = float(np.abs(support(grid_c)[0] - support(grid)[0] - float(c) * grid.cos).max())
-    return dev, max(grid.scale, grid_c.scale)
+    return dev, max(grid.pencil.unit, grid_c.pencil.unit)
 
 
 def matrix_document(rows, rng: random.Random) -> dict:
@@ -577,7 +577,7 @@ def reference_polytope_verdict(A: GaussianRationalMatrix, N: int) -> PolytopeVer
     every angle of the N-fan solved: the support witnesses of one
     `SpectralGrid.at` on the whole fan, clustered and judged by the same rules."""
     grid = SpectralGrid.at(split(A), *_uniform_fan(N))
-    return _witness_verdict_of(support(grid)[1], grid.scale)
+    return _witness_verdict_of(support(grid)[1], grid.pencil.unit)
 
 
 def earlier_polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> PolytopeVerdict:
@@ -585,7 +585,7 @@ def earlier_polytope_detect(A: GaussianRationalMatrix, N: int = 360) -> Polytope
     curve: normality by A*A == AA*, then the float spectrum certified against
     p, or the witnesses of the N-fan, half of it solved when N is even."""
     pencil = split(A)
-    f1, f2 = pencil.float_parts()
+    f1, f2 = pencil.A1.to_complex(), pencil.A2.to_complex()
     scale = _entry_scale(f1, f2)
     star = reference_conj_transpose(A.entries)
     if reference_matmul(star, A.entries) != reference_matmul(A.entries, star):

@@ -69,6 +69,8 @@ LINEAR = "squarefree part {} is linear; its dual is one point (dual_of_linear)"
 NOT_COPRIME = "factors are not pairwise coprime"
 NON_FINITE = ("the float eigenvalues of A are not finite: its entries are too close to the "
               "largest float, 1.8e+308")
+GRID_NON_FINITE = ("the eigenvalues of cos(theta)*A1 + sin(theta)*A2 pass the largest float, "
+                   "1.8e+308: the entries of A are too close to it")
 # normal matrices whose float eigenvalues are not finite: (1+i)*17e307*[[1, 1], [1, -1]]
 # (nan), 10^308*[[i, 1], [-1, i]] (inf) and the Hermitian [[0, z], [conj(z), 0]] with
 # z = (1+i)*17e307, whose entries' moduli pass the largest float
@@ -500,9 +502,9 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("c", [[1, 0], [0, 1]])
     def test_non_normal_near_the_largest_float(self, tmp_path, capsys, c):
         # c*10^307*[[1, 1], [0, 1]] for c = 1 and i: the trial line (1, 19)
-        # of the hyperbolicity check reaches 1.9*10^308 on i*10^307, so the
-        # trial lines of both are solved on the pencil scaled by a power of
-        # two, with no overflow warning, and the report is the unscaled one
+        # of the hyperbolicity check reaches 1.9*10^308 on i*10^307 in the
+        # units of A, so the trial lines are solved on the pencil divided by
+        # its unit, a power of two, with no overflow warning
         one = [10 ** 307 * x for x in c]
         assert run("classify", "--input", _matrix_file(tmp_path, [[one, one], [[0, 0], one]])) == 0
         out, err = capsys.readouterr()
@@ -678,6 +680,16 @@ class TestExtremeEntries:
                      ["craig"]):
             code = run(argv[0], "--input", src, "--out", out, *argv[1:])
             assert code == run(argv[0], "--input", fx(f"{name}.json"), "--out", out, *argv[1:]), argv
+
+    @pytest.mark.parametrize("argv", [("sample-f", "--grid", "8"), ("sample-w", "--grid", "16"),
+                                      ("duality", "--grid", "16"),
+                                      ("render", "--grid", "16", "--viewport=-1,1,-1,1")])
+    def test_grid_beyond_the_largest_float_is_refused(self, tmp_path, capsys, argv):
+        # the Hermitian [[0, z], [conj(z), 0]], z = (1+i)*17e307, has the
+        # eigenvalues +-|z| beyond the largest float: one error line, no
+        # warning (an unbounded ray, a row of inf or exit 1 before)
+        assert run(argv[0], "--input", _matrix_file(tmp_path, OVERFLOWING[2]), *argv[1:]) == 2
+        assert capsys.readouterr() == ("", f"error: {GRID_NON_FINITE}\n")
 
     def test_tiny_entries_keep_every_curve_sample(self, tmp_path, capsys):
         # the ray roots of a pencil scaled by 10**-100 are the unscaled ones

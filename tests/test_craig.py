@@ -17,8 +17,9 @@ from numrange.craig import (
     verdict_line,
 )
 from numrange.exactpoly import GaussianRational, TriPoly
-from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError, split
-from numrange.pencil import _entry_scale, pencil_det
+from numrange.hermitian import (GaussianRationalMatrix, HermitianPencil, NonHermitianError,
+                                _entry_scale, split)
+from numrange.pencil import pencil_det
 from numrange.rangegeom import member_W, polytope_detect
 
 from conftest import _random_rational_orthogonal, generic_hermitian_pair, planted_product_zero_pair

@@ -136,9 +136,20 @@ class TestSplit:
         pencil = split(fixture_matrix("cubic_cusp"))
         f1, f2 = pencil.float_parts()
         assert pencil.float_parts()[0] is f1 and pencil.float_parts()[1] is f2
-        assert np.array_equal(f1, pencil.A1.to_complex())
+        assert np.array_equal(f1, pencil.A1.to_complex()) and pencil.unit == 1.0
         with pytest.raises(ValueError):
             f1[0, 0] = 5.0
+
+    @pytest.mark.parametrize("power", [-300, -100, 100, 300])
+    def test_float_parts_are_the_parts_over_the_unit(self, power):
+        # one division by the power of two s = unit, exact: the largest part lies in [1, 2)
+        pencil = split(fixture_matrix("cubic_cusp").scale(G(Fraction(10) ** power)))
+        s = pencil.unit
+        assert math.frexp(s)[0] == 0.5 and abs(math.log10(s) - power) < 1
+        for f, part in zip(pencil.float_parts(), (pencil.A1, pencil.A2)):
+            assert np.array_equal(f * s, part.to_complex())
+        m = max(float(np.abs(x).max()) for f in pencil.float_parts() for x in (f.real, f.imag))
+        assert 1.0 <= m < 2.0
 
 
 class TestNormal:

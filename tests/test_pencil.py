@@ -9,7 +9,8 @@ from sympy.polys.matrices import DomainMatrix
 
 import numrange.pencil as pencil_module
 from numrange.exactpoly import GaussianRational, TriPoly, parse_poly
-from numrange.hermitian import GaussianRationalMatrix, HermitianPencil, NonHermitianError, split
+from numrange.hermitian import (GaussianRationalMatrix, HermitianPencil, NonHermitianError,
+                                _entry_scale, split)
 from numrange.pencil import (
     YVARS,
     CurveSample,
@@ -18,7 +19,6 @@ from numrange.pencil import (
     PencilCurve,
     SpectralGrid,
     _chart_normal,
-    _entry_scale,
     _integer_form,
     _rayleigh,
     _restriction,
@@ -121,7 +121,7 @@ class TestPencilDet:
         for n in (10, 12):
             pencil = split(random_gaussian_matrix(n, rng))
             p = pencil_det(pencil).p
-            f1, f2 = pencil.float_parts()
+            f1, f2 = pencil.A1.to_complex(), pencil.A2.to_complex()
             for _ in range(8):
                 y1, y2 = rng.uniform(-1, 1), rng.uniform(-1, 1)
                 det = float(np.linalg.det(np.eye(n) + y1 * f1 + y2 * f2).real)
@@ -161,7 +161,7 @@ class TestPencilDet:
         for name in ("cubic_cusp", "nested_ovals", "cross_star", "disk"):
             pencil = split(fixture_matrix(name))
             curve = pencil_det(pencil)
-            f1, f2 = pencil.float_parts()
+            f1, f2 = pencil.A1.to_complex(), pencil.A2.to_complex()
             for _ in range(100):
                 y1, y2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
                 Fm = np.eye(pencil.n) + y1 * f1 + y2 * f2
@@ -293,11 +293,11 @@ def _boundary_reference(pencil, N):
     """The boundary samples one ray at a time: lambda_min of H(theta), its exit,
     and the residual lambda_min of F(1, exit) from a solve of its own."""
     grid = SpectralGrid(pencil, N)
-    f1, f2 = pencil.float_parts()
+    f1, f2, unit = pencil.A1.to_complex(), pencil.A2.to_complex(), pencil.unit
     samples = []
     for th, c, s, eigs in zip(grid.thetas.tolist(), grid.cos.tolist(), grid.sin.tolist(),
-                              grid.eigvals.tolist()):
-        if eigs[0] < -1e-12 * max(1.0, max(abs(lam) for lam in eigs)):
+                              (grid.eigvals * unit).tolist()):
+        if eigs[0] < -1e-12 * max(unit, max(abs(lam) for lam in eigs)):
             t = -1.0 / eigs[0]
             point = (t * c, t * s)
             lam = float(np.linalg.eigvalsh(np.eye(pencil.n) + point[0] * f1 + point[1] * f2)[0])
@@ -434,8 +434,9 @@ class TestSpectralGrid:
         want = []
         for k, eigs in enumerate(grid.eigvals.tolist()):
             scale = max(1.0, max(abs(lam) for lam in eigs))
-            roots = [(i, -1.0 / lam) for i, lam in enumerate(eigs) if abs(lam) > 1e-14 * scale]
-            assert np.flatnonzero(_root_eigs(grid.eigvals[k], grid.scale)).tolist() == [i for i, _ in roots]
+            roots = [(i, -1.0 / lam / grid.pencil.unit) for i, lam in enumerate(eigs)
+                     if abs(lam) > 1e-14 * scale]
+            assert np.flatnonzero(_root_eigs(grid.eigvals[k])).tolist() == [i for i, _ in roots]
             want += [(k, i, t) for i, t in roots]
         k, idx, t = grid.line_roots()
         assert list(zip(k.tolist(), idx.tolist(), t.tolist())) == want
@@ -527,7 +528,7 @@ def _hyperbolicity_reference(curve: PencilCurve, trials: int = 24, seed: int = 2
     restriction substituted term by term in Fractions, and the rational Sturm
     chain where the certificate is off or falls short."""
     rng = random.Random(seed)
-    f1, f2 = curve.pencil.float_parts()
+    f1, f2 = curve.pencil.A1.to_complex(), curve.pencil.A2.to_complex()
     scale = _entry_scale(f1, f2)
     p, e = _chart_normal(curve.p)
     form = _integer_form(p)
@@ -541,7 +542,8 @@ def _hyperbolicity_reference(curve: PencilCurve, trials: int = 24, seed: int = 2
         N, w, _ = _restriction(form, d1, d2)
         coeffs = _restrict_reference(p, d1, d2)
         eigs = np.linalg.eigvalsh(float(d1) * f1 + float(d2) * f2)
-        t = np.ldexp(-1.0 / eigs[_root_eigs(eigs, scale)], -e)
+        root = np.abs(eigs) > 1e-14 * max(scale, np.abs(eigs).max())
+        t = np.ldexp(-1.0 / eigs[root], -e)
         if certificate and _sign_certificate(N, w, t.tolist()):
             distinct = deg_sf = len(N) - 1
         else:

@@ -268,8 +268,9 @@ class TestDuality:
 
     def test_one_rayleigh_pass_for_both_levels(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(rangegeom, "support",
-                            lambda grid: calls.append(len(grid.thetas)) or support(grid))
+        real = rangegeom._support
+        monkeypatch.setattr(rangegeom, "_support",
+                            lambda grid: calls.append(len(grid.thetas)) or real(grid))
         duality_check(fixture_matrix("cubic_cusp"), N=90)
         assert calls == [180]
 
@@ -464,7 +465,7 @@ class TestPolytopeDetect:
         assert starts.tolist() == [10, 3, 7] and lengths.tolist() == [5, 4, 3]
         # the verdict needs the join: split, the runs of a (3 and 2) would
         # leave 10 < 0.9 * 12 witnesses in runs of 3 or more
-        v = rangegeom._witness_verdict(wit, 1.0)
+        v = rangegeom._witness_verdict(wit)
         assert v.kind == "polytope" and sorted(v.vertices) == sorted([a, b, c])
 
     def test_half_fan_matches_the_full_fan(self):
@@ -666,8 +667,8 @@ def _dual_sample_reference(curve, N):
     samples = []
     for th, d1, d2, eigs in zip(grid.thetas.tolist(), grid.cos.tolist(), grid.sin.tolist(),
                                 grid.eigvals):
-        for idx in np.flatnonzero(_root_eigs(eigs, grid.scale)).tolist():
-            t = -1.0 / float(eigs[idx])
+        for idx in np.flatnonzero(_root_eigs(eigs)).tolist():
+            t = -1.0 / float(eigs[idx]) / grid.pencil.unit
             pairs = [eval_with_scale(g, (1.0, t * d1, t * d2)) for g in grads]
             x = tuple(v for v, _ in pairs)
             gscale = max(s for _, s in pairs)

@@ -18,7 +18,8 @@ from conftest import FIXTURES
 MODULES = (exactpoly, hermitian, pencil, dualcurve, rangegeom, craig, render)
 
 # the membership oracles and Craig's two predicates of the paper, the general
-# polynomial determinant behind resultant, and the file reader of the library
+# polynomial determinant behind resultant, the file reader of the library, and
+# the support function in the units of A (the commands read it in the pencil's unit)
 UNREACHED = {
     "craig.craig_identity",
     "craig.product_zero",
@@ -28,6 +29,7 @@ UNREACHED = {
     "pencil.lmi_member",
     "pencil.ray_exit",
     "rangegeom.member_W",
+    "rangegeom.support",
 }
 
 MATRICES = ("cardioid_circle", "cross_star", "cubic_cusp", "disk", "generic5", "nested_ovals",

@@ -1,9 +1,10 @@
 """Answers that follow a rescaling of A.
 
 W(cA) = c*W(A), F(cA) = F(A)/c, and Craig's criterion A1*A2 = 0 does not see
-c.  Every tolerance on a quantity in the units of A is relative to s, the
-pencil's entry scale (`pencil._entry_scale`), so each answer below at
-A*10**k is the answer at A.
+c.  The numeric layers solve on A/s, s the pencil's entry scale (its `unit`,
+`hermitian._entry_scale`), and every tolerance there is a constant, so each
+answer below at A*10**k is the answer at A, up to the edges of the float
+range.
 """
 
 import json
@@ -13,14 +14,15 @@ import numpy as np
 import pytest
 
 from numrange.cli import main
+from numrange.dualcurve import dual_sample
 from numrange.exactpoly import GaussianRational
-from numrange.hermitian import GaussianRationalMatrix, matrix_from_json, split
-from numrange.pencil import SpectralGrid, _entry_scale, pencil_det
-from numrange.rangegeom import member_W, polytope_detect, range_hulls
+from numrange.hermitian import GaussianRationalMatrix, _entry_scale, matrix_from_json, split
+from numrange.pencil import SpectralGrid, boundary_F, pencil_det
+from numrange.rangegeom import duality_check, member_W, polytope_detect, range_hulls
 
 from conftest import FIXTURES, support_shift_deviation
 
-POWERS = (-100, -20, -13, -12, 20, 100)
+POWERS = (-300, -200, -160, -100, -20, -13, -12, 20, 100, 160, 200, 300)
 NAMES = ("cardioid_circle", "cross_star", "cubic_cusp", "disk", "nested_ovals", "polytope")
 GRID = ("--grid", "64")
 
@@ -107,6 +109,10 @@ def _hulls(name: str, k: int):
     return range_hulls(SpectralGrid(split(_matrix(name, k)), 64))
 
 
+def _two_power(name: str, k: int) -> GaussianRationalMatrix:
+    return _matrix(name, 0).scale(GaussianRational.of(Fraction(2) ** k))
+
+
 def _hermitian_pair(c: Fraction) -> GaussianRationalMatrix:
     """c*[[1, 1], [1, 0]]: Hermitian, with the irrational eigenvalues c*(1 +- sqrt 5)/2."""
     g = GaussianRational.of
@@ -119,6 +125,39 @@ class TestEntryScale:
             assert _entry_scale(np.array([[m]]), np.zeros((1, 1))) == 1.0
         assert _entry_scale(np.zeros((1, 1)), np.array([[3 * 2.0**40]])) == 2.0**41
         assert _entry_scale(np.array([[-1e-13j]]), np.zeros((1, 1))) == 2.0**-44
+
+    def test_reads_parts_not_moduli(self):
+        # |1.7e308*(1+i)| passes the largest float; its parts do not
+        assert _entry_scale(np.array([[1.7e308 * (1 + 1j)]]), np.zeros((1, 1))) == 2.0**1023
+
+
+class TestPowerOfTwoLaw:
+    """2**k*A and 2**40*A have one normalised pencil, so every numeric product
+    of 2**k*A is that of 2**40*A times 2**(k - 40), bit for bit (divided, for
+    F(A)); dimensionless values are equal."""
+
+    @pytest.mark.parametrize("k", [-1000, -530, -100, 100, 530, 1000])
+    def test_products_follow_the_power(self, k):
+        c = 2.0 ** (k - 40)
+        for name in NAMES:
+            (A, grid), (B, base) = ((M, SpectralGrid(split(M), 64)) for M in
+                                    (_two_power(name, k), _two_power(name, 40)))
+            got, want = range_hulls(grid), range_hulls(base)
+            for attr in ("inner", "outer", "witnesses", "support_values"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr) * c), (name, attr)
+            assert got.degenerate == want.degenerate
+            got, want = boundary_F(grid), boundary_F(base)
+            assert np.array_equal(got.finite, want.finite), name
+            assert np.array_equal(got.x, want.x / c) and np.array_equal(got.y, want.y / c), name
+            assert np.array_equal(got.lambda_min, want.lambda_min), name
+            got, want = dual_sample(grid), dual_sample(base)
+            for attr in ("root_index", "singular", "finite"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), (name, attr)
+            assert np.array_equal(got.x, want.x * c, equal_nan=True), name
+            assert np.array_equal(got.y, want.y * c, equal_nan=True), name
+            got, want = duality_check(A, N=16), duality_check(B, N=16)
+            assert (got.gap_at_N, got.gap_at_2N) == (want.gap_at_N * c, want.gap_at_2N * c), name
+            assert vars(got) == vars(want) | {"gap_at_N": got.gap_at_N, "gap_at_2N": got.gap_at_2N}
 
 
 class TestScaledFailures:
@@ -166,6 +205,19 @@ class TestScaledFailures:
 
     def test_tiny_disk_is_not_degenerate(self):
         assert not _hulls("disk", -13).degenerate
+
+    def test_mixed_magnitudes_hull_without_overflow(self, tmp_path, capsys):
+        # diag(10^200, 1, i): W(A) is the triangle (0, 1), (1, 0), (10^200, 0),
+        # whose outer polygon overflowed when it was built in the units of A
+        src = tmp_path / "mixed.json"
+        src.write_text(json.dumps({"n": 3, "entries": [
+            [[10 ** 200, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [0, 1]]]}))
+        code, csv = _cli(capsys, "sample-w", "--input", str(src), "--grid", "16")
+        inner = [row for row in csv.splitlines() if row.startswith("inner,")]
+        assert code == 0 and inner == ["inner,0,0,1", "inner,1,1,0", "inner,2,1e+200,0"]
+        assert len([row for row in csv.splitlines() if row.startswith("outer,")]) >= 3
+        code, text = _cli(capsys, "duality", "--input", str(src), "--grid", "16")
+        assert code == 0 and _report(text)["ok"] == "true"
 
     def test_huge_disk_translate_scale_law(self):
         dev, scale = support_shift_deviation(_matrix("disk", 20), 10**20)

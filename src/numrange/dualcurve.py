@@ -39,7 +39,7 @@ from .exactpoly import (
     repeated_part,
     tri_gcd,
 )
-from .pencil import CurveSampleSet, SpectralGrid, _rayleigh
+from .pencil import CurveSampleSet, SpectralGrid, _rayleigh, _root_eigs
 
 __all__ = [
     "DualCurve",
@@ -285,8 +285,8 @@ def dual_sample(grid: SpectralGrid) -> CurveSampleSet:
     flagged singular, without a point.  Order: (angle index, root index)."""
     if len(grid.thetas) < 8:
         raise ValueError("need at least 8 rays")
-    k, idx, _ = grid.line_roots()
     w = grid.eigvals
+    k, idx = np.nonzero(_root_eigs(w))   # the ray roots; their t, -1/(s*lambda), is not read
     # close[:, i]: eigenvalues i and i + 1 of a row are within the gap tolerance
     close = np.diff(w, axis=1) <= EIG_GAP_RTOL * np.abs(w).max(axis=1, keepdims=True)
     edge = np.zeros((len(w), 1), dtype=bool)

@@ -405,12 +405,7 @@ class TriPoly:
     # -- calculus / evaluation ----------------------------------------------
 
     def partial(self, i: int) -> "TriPoly":
-        out = {}
-        for e, v in self.ints.items():
-            k = e[i]
-            if k:
-                out[e[:i] + (k - 1,) + e[i + 1:]] = v * k
-        return TriPoly._from_ints(self.vars, out, self.content)
+        return TriPoly._from_ints(self.vars, _partial(self.ints, i), self.content)
 
     def eval(self, point) -> Fraction | float | complex:
         """Evaluate at a 3-point; exact for Fraction coordinates."""
@@ -762,6 +757,11 @@ def _is_const(f: IntPoly) -> bool:
     return len(f) == 1 and (0, 0, 0) in f
 
 
+def _partial(f: IntPoly, i: int) -> IntPoly:
+    """The derivative of f in variable i, in f's term order."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in f.items() if e[i]}
+
+
 def _clean(acc: dict) -> IntPoly:
     return {e: c for e, c in acc.items() if c}
 
@@ -1078,8 +1078,7 @@ def _gradient_certificate(F: IntPoly, Q: IntPoly) -> tuple[int, ...]:
     """
     n, dq = max(map(sum, F)), max(map(sum, Q))
     m = max(dq * (n - 1), n) + 1  # the nodes that fix S(t) and r(t)
-    polys = [F] + [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in F.items() if e[i]}
-                   for i in range(3)]
+    polys = [F] + [_partial(F, i) for i in range(3)]
     exps = np.array([e for H in polys for e in H], dtype=np.intp).T
     owner = (np.repeat(np.arange(4), [len(H) for H in polys]) == np.arange(4)[:, None]).astype(np.int64)
     top = [c for e, c in F.items() if sum(e) == n]
@@ -1362,7 +1361,6 @@ def _squarefree_split(f: TriPoly) -> tuple[TriPoly, TriPoly]:
     F = f.ints
     if _is_const(F):
         return TriPoly.constant(1, f.vars), f.primitive()
-    partials = [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in F.items() if e[i]}
-                for i in range(3)]
+    partials = (_partial(F, i) for i in range(3))
     rep, (sf, *_) = _line_gcd([F], [F] + [d for d in partials if d])
     return TriPoly._of(f.vars, Fraction(1), rep), TriPoly._of(f.vars, Fraction(1), sf)

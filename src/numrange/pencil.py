@@ -255,11 +255,14 @@ class SpectralGrid:
     def line_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every real root of p(1, t*cos_k, t*sin_k) over the grid, as arrays.
 
-        Returns (k, index, t) in (angle, eigenvalue index) order: t = -1/(s*lambda)
-        for every lambda in the ray-root mask (`_root_eigs`), s the pencil's unit.
+        Returns (k, index, t) in (angle, eigenvalue index) order: t = -1/(s*lambda), s
+        the pencil's unit, for every lambda in the ray-root mask (`_root_eigs`) but
+        those whose t passes the largest float (s tiny): a root there has no point.
         """
         k, idx = np.nonzero(_root_eigs(self.eigvals))
-        return k, idx, -1.0 / self.eigvals[k, idx] / self.pencil.unit
+        t, s = -1.0 / self.eigvals[k, idx], self.pencil.unit
+        ok = np.abs(t) <= float(np.finfo(float).max) * s   # inf, not an overflow, when s > 1
+        return k[ok], idx[ok], t[ok] / s
 
 
 def _rayleigh(pencil: HermitianPencil, V: np.ndarray) -> np.ndarray:
@@ -354,22 +357,24 @@ def _integer_form(p: TriPoly) -> tuple[int, list[list[tuple[int, int, int]]]]:
     return p.content.denominator, by_degree
 
 
-def _restriction(form, d1: Fraction, d2: Fraction) -> tuple[list[int], int, list[float]]:
-    """(N, w, coeffs) for the p of form = `_integer_form(p)` on the line (d1, d2).
+def _restriction(form, d1: Fraction, d2: Fraction, s: Fraction) -> tuple[list[int], int, list[float]]:
+    """(N, w, coeffs) for p(1, t*d1/s, t*d2/s), p of form = `_integer_form(p)`.
 
-    With d1 = a1/b1 and d2 = a2/b2, coefficient k of p(1, t*d1, t*d2) is
-    N[k] / (L * w**k) for the integers N[k] = sum L*coef * (a1*b2)**b * (a2*b1)**c
-    and w = b1*b2 > 0; coeffs holds those quotients correctly rounded to floats
-    (int / int is, as `float(Fraction)` is).  Top zeros are dropped.
+    With d1 = a1/b1, d2 = a2/b2 and s = g/h, coefficient k is N[k] / (L * w**k)
+    for the integers N[k] = sum L*coef * (a1*b2*h)**b * (a2*b1*h)**c and w = b1*b2*g > 0;
+    coeffs holds those quotients over 2**c correctly rounded to floats (int / int is,
+    as `float(Fraction)` is), c >= 0 the least that keeps them below about 2**1001:
+    0 within the bound of `hyperbolicity_check`.  Top zeros are dropped.
     """
     L, by_degree = form
-    u, v = d1.numerator * d2.denominator, d2.numerator * d1.denominator
-    w = d1.denominator * d2.denominator
+    u, v = d1.numerator * d2.denominator * s.denominator, d2.numerator * d1.denominator * s.denominator
+    w = d1.denominator * d2.denominator * s.numerator
     upow, vpow = [u**i for i in range(len(by_degree))], [v**i for i in range(len(by_degree))]
     N = [sum(C * upow[b] * vpow[c] for b, c, C in terms) for terms in by_degree]
     while len(N) > 1 and not N[-1]:
         N.pop()
-    return N, w, [n / (L * w ** k) for k, n in enumerate(N)]
+    c = max(0, max(n.bit_length() - (L * w ** k).bit_length() for k, n in enumerate(N)) - 1000)
+    return N, w, [n / (L * w ** k << c) for k, n in enumerate(N)]
 
 
 def _sign_certificate(N: list[int], w: int, roots: list[float]) -> bool:
@@ -437,34 +442,6 @@ def _sturm(N: list[int]) -> tuple[int, int]:
     return neg - pos, len(c) - len(chain[-1])
 
 
-def _chart_normal(f: TriPoly) -> tuple[TriPoly, int]:
-    """(f(y0, 2**k*y1, 2**k*y2) with its largest coefficient scaled by a power of
-    two to at most 2**512, k): exact, and its dual is that of f normalized with
-    -k.  k brings the real chart roots near 1, or is 0 while they lie within
-    about 2**32 of it, so that ordinary inputs keep their floats.  With A_j
-    the largest |coefficient| of chart degree j = b + c and m the lowest, Fujiwara
-    (1916) puts every nonzero root on a unit ray beyond 2**(e-1), e as below.
-    """
-    num, den = f.content.numerator, f.content.denominator
-    # bit length of numerator less that of denominator, per coefficient num*v/den
-    # in lowest terms (gcd(num, den) = 1, so it reduces by gcd(v, den))
-    bits = {}
-    for key, v in f.ints.items():
-        g = math.gcd(v, den)
-        bits[key] = abs(num * v // g).bit_length() - (den // g).bit_length()
-    m = min(b + c for _, b, c in bits)
-    am = max(v for (_, b, c), v in bits.items() if b + c == m)
-    e = min(((am - v) / (b + c - m) for (_, b, c), v in bits.items() if b + c > m), default=0.0)
-    k = round(e) if abs(e) > 32 else 0
-    cap = max(v + k * (key[1] + key[2]) for key, v in bits.items()) - 512
-    if k or cap > 0:
-        shift = {key: k * (key[1] + key[2]) - max(cap, 0) for key in bits}
-        m = min(shift.values())
-        f = TriPoly._from_ints(f.vars, {key: v << (shift[key] - m) for key, v in f.ints.items()},
-                               f.content * Fraction(2) ** m)
-    return f, k
-
-
 def _root_eigs(w: np.ndarray) -> np.ndarray:
     """Mask of the eigenvalues (last axis) of the normalised pencil that give a
     real root: |lambda| > ROOT_CUT * max(1, max |lambda|)."""
@@ -505,6 +482,15 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
     relative residual of the float restriction at the predicted roots, the
     max_eig_residual that `classify` prints.  One batched eigvalsh predicts the
     roots of all lines; no other root solve runs.
+
+    Both halves read p in the pencil's unit s = `HermitianPencil.unit`: line d
+    restricts p(y0, y1/s, y2/s), whose roots are t = -1/lambda for the eigenvalues
+    lambda of (d1*A1 + d2*A2)/s and whose coefficient k is their k-th elementary
+    symmetric function: 1, the residual's floor, for k = 0.  The parts of A/s lie
+    below M = 2**33 (M = 2 once s != 1) and |d| <= 20, so by Hadamard coefficient k
+    is below C(n, k)*(sqrt(k)*40*sqrt(2)*M)**k, a float for n <= 24 (n <= 100 once
+    s != 1).  Past that bound `_restriction` divides the floats by one power of two:
+    the verdict stands, but t**k may underflow and the residual lose digits.
     """
     if trials < 1:
         raise ValueError("need at least one trial line")
@@ -512,25 +498,21 @@ def hyperbolicity_check(curve: PencilCurve, trials: int = 24,
     draws = ((Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
               Fraction(rng.randint(-20, 20), rng.randint(1, 9))) for _ in itertools.count())
     dirs = list(itertools.islice(filter(any, draws), trials))
-    f1, f2 = curve.pencil.float_parts()   # over the unit, with |d| <= 20, no trial line overflows
+    f1, f2 = curve.pencil.float_parts()
     eigs = np.linalg.eigvalsh(np.array([float(d1) * f1 + float(d2) * f2 for d1, d2 in dirs]))
-    roots = _root_eigs(eigs)
-    # exact restrictions of p(y0, 2**e*y1, 2**e*y2): roots t/2**e near 1, float coefficients
-    p, e, j = *_chart_normal(curve.p), math.frexp(curve.pencil.unit)[1] - 1   # 2**j = the unit
-    form = _integer_form(p)
-    restrictions = [_restriction(form, d1, d2) for d1, d2 in dirs]
+    form, s = _integer_form(curve.p), Fraction(curve.pencil.unit)
     checks = []
-    for d, (N, w, coeffs), line_eigs, mask in zip(dirs, restrictions, eigs, roots):
-        t = np.ldexp(-1.0 / line_eigs[mask], -e - j)
+    for (d1, d2), line_eigs, mask in zip(dirs, eigs, _root_eigs(eigs)):
+        N, w, coeffs = _restriction(form, d1, d2, s)
+        t = -1.0 / line_eigs[mask]
         if _sign_certificate(N, w, t.tolist()):
             distinct = deg_sf = len(N) - 1
         else:
             distinct, deg_sf = _sturm(N)
         # eigenvalue cross-check
         terms = np.array([c * np.float_power(t, k) for k, c in enumerate(coeffs)])
-        resid = float(np.max(np.abs(np.add.reduce(terms))
-                             / np.maximum(np.abs(terms).max(axis=0), 1e-300), initial=0.0))
-        checks.append(LineCheck(d, len(coeffs) - 1, distinct, deg_sf, distinct == deg_sf,
+        resid = float(np.max(np.abs(np.add.reduce(terms)) / np.abs(terms).max(axis=0), initial=0.0))
+        checks.append(LineCheck((d1, d2), len(coeffs) - 1, distinct, deg_sf, distinct == deg_sf,
                                 eig_residual_max=resid))
     return HyperbolicityReport(checks)
 
@@ -563,10 +545,7 @@ def _line_is_facet(i: int, lines) -> bool:
     if c1 == 0 and c2 == 0:
         return False
     # base point on the line and a direction along it
-    if c1:
-        p0 = (-c0 / c1, Fraction(0))
-    else:
-        p0 = (Fraction(0), -c0 / c2)
+    p0 = (-c0 / c1, Fraction(0)) if c1 else (Fraction(0), -c0 / c2)
     d = (-c2, c1)
     lo, hi = None, None  # None = unbounded on that side
     for j, (b0, b1, b2) in enumerate(lines):
@@ -580,26 +559,17 @@ def _line_is_facet(i: int, lines) -> bool:
             continue
         bound = -alpha / beta
         if beta > 0:
-            if lo is None or bound > lo:
-                lo = bound
+            lo = bound if lo is None else max(lo, bound)
         else:
-            if hi is None or bound < hi:
-                hi = bound
-    if lo is not None and hi is not None and lo >= hi:
-        return False
-    return True
+            hi = bound if hi is None else min(hi, bound)
+    return lo is None or hi is None or lo < hi
 
 
 def _recession_nontrivial(lines) -> bool:
     """Is there a direction d != 0 with all linear parts non-negative along d?"""
     normals = [(c1, c2) for _, c1, c2 in lines if c1 or c2]
-    if not normals:
-        return True
-    for n1, n2 in normals:
-        for d in ((-n2, n1), (n2, -n1)):
-            if all(a * d[0] + b * d[1] >= 0 for a, b in normals):
-                return True
-    return False
+    return not normals or any(all(a * d1 + b * d2 >= 0 for a, b in normals)
+                              for n1, n2 in normals for d1, d2 in ((-n2, n1), (n2, -n1)))
 
 
 def lmi_polytope_vertices(factors: list[TriPoly]) -> LmiPolytope:

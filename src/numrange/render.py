@@ -28,8 +28,29 @@ class ViewportRequiredError(ValueError):
     """F(A) is unbounded and no clipping viewport was given."""
 
 
+CLIP_SPANS = 1024.0   # polygons and dots are clipped this many view spans beyond the view
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
+
+
+def _clip(P: np.ndarray, box) -> np.ndarray:
+    """The part of the polygon P, an (m, 2) array, in box = (x0, x1, y0, y1), by
+    Sutherland-Hodgman: P itself when inside; each new vertex, on the box, mixes
+    an edge's two ends, so it is finite."""
+    for axis, bound, sign in ((0, box[0], 1.0), (0, box[1], -1.0), (1, box[2], 1.0), (1, box[3], -1.0)):
+        s = sign * (P[:, axis] / 4 - bound / 4)   # >= 0 inside; quartered, so no difference overflows
+        inside = s >= 0
+        if inside.all():
+            continue
+        s_prev, cross = np.roll(s, 1), inside != np.roll(inside, 1)
+        a = (s_prev[cross] / (s_prev[cross] - s[cross]))[:, None]
+        cut = P.copy()
+        cut[cross] = np.roll(P, 1, axis=0)[cross] * (1 - a) + P[cross] * a
+        cut[:, axis] = bound
+        P = np.stack((cut, P), axis=1)[np.stack((cross, inside), axis=1)]
+    return P
 
 
 class _Panel:
@@ -42,6 +63,8 @@ class _Panel:
         cx, cy = (vx0 + vx1) / 2, (vy0 + vy1) / 2
         self.view = (cx - span / 2, cx + span / 2, cy - span / 2, cy + span / 2)
         self.scale = size / span
+        pad = CLIP_SPANS * span   # a point in the box maps within CLIP_SPANS panel sizes
+        self.box = (self.view[0] - pad, self.view[1] + pad, self.view[2] - pad, self.view[3] + pad)
 
     def map(self, pts):
         """Pixel coordinates (x, y) of one point, or arrays of them for a list."""
@@ -55,6 +78,7 @@ class _Panel:
         return " ".join(["%.6f,%.6f"] * len(x)) % tuple(np.stack((x, y), axis=1).ravel().tolist())
 
     def polygon(self, pts, fill, stroke, width=1.0, dash=None):
+        pts = _clip(np.asarray(pts, dtype=float).reshape(-1, 2), self.box)
         if not len(pts):
             return ""
         coords = self.coords(pts)
@@ -70,6 +94,8 @@ class _Panel:
                 f'stroke-width="{_fmt(width)}"/>')
 
     def dot(self, pt, r, fill):
+        if not len(_clip(np.asarray(pt, dtype=float).reshape(1, 2), self.box)):
+            return ""
         px, py = self.map(pt)
         return f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(r)}" fill="{fill}"/>'
 

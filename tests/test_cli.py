@@ -714,6 +714,27 @@ class TestExtremeEntries:
                                        np.array(base[2:4], dtype=float) * 1e-100, rtol=1e-9,
                                        atol=floor)
 
+    @pytest.mark.parametrize("name, power", [("cubic_cusp", 308), ("disk", 308), ("cubic_cusp", -307)])
+    def test_render_near_the_largest_float_stays_finite(self, tmp_path, capsys, name, power):
+        # W(A) (or F(A), for the tiny cusp) is far larger than the viewport: its
+        # polygon is clipped to a box around the viewport before it is mapped
+        src, out = _scaled_fixture(tmp_path, name, power), tmp_path / "a.svg"
+        assert run("render", "--input", src, "--grid", "16", "--viewport=-1,1,-1,1",
+                   "--out", str(out)) == 0
+        svg = out.read_text()
+        assert capsys.readouterr().err == "" and "inf" not in svg and "nan" not in svg
+        assert svg.count("<polygon ") == 2
+
+    def test_tiny_entries_dual_samples_do_not_form_ray_roots(self, tmp_path, capsys):
+        # the ray roots t = -1/(s*lambda) of the cusp times 10**-307 pass the
+        # largest float; its dual samples, the Rayleigh pairs, read only the root mask
+        src, curve = _scaled_fixture(tmp_path, "cubic_cusp", -307), tmp_path / "q.csv"
+        assert run("sample-w", "--input", src, "--grid", "16", "--out", str(tmp_path / "w.csv"),
+                   "--curve", str(curve)) == 0
+        assert capsys.readouterr().err == ""
+        rows = curve.read_text().splitlines()[1:]
+        assert rows and all("inf" not in row for row in rows)
+
     @pytest.mark.parametrize("power", [400, -400])
     def test_beyond_float_range(self, tmp_path, capsys, power):
         # the exact subcommands answer; the numeric ones refuse, naming the entry

@@ -18,7 +18,6 @@ from numrange.pencil import (
     LineCheck,
     PencilCurve,
     SpectralGrid,
-    _chart_normal,
     _integer_form,
     _rayleigh,
     _restriction,
@@ -473,38 +472,64 @@ class TestHyperbolicity:
         assert report.ok
 
     def test_huge_entries(self):
-        # the exact line restrictions reach 10^400; the float cross-check scales them
+        # the coefficients of p reach 10^400; the line restrictions, in the
+        # pencil's unit, have constant term 1 and roots near 1
         A = fixture_matrix("nested_ovals").scale(GaussianRational.of(10 ** 100))
         report = hyperbolicity_check(pencil_det(split(A)), trials=16)
         assert report.ok
         assert report.max_eig_residual < 1e-8
 
+    def test_restrictions_past_the_largest_float(self):
+        # 2**32 times the Sylvester-Hadamard matrix of order 32, in unit s = 1: the
+        # top coefficient of a restriction passes the largest float, `_restriction`
+        # divides the floats by one power of two, and every line is certified
+        H = [[1]]
+        for _ in range(5):
+            H = [r + r for r in H] + [r + [-x for x in r] for r in H]
+        A = GaussianRationalMatrix([[GaussianRational.of(F(x * 2**32)) for x in r] for r in H])
+        curve = pencil_det(split(A))
+        assert curve.pencil.unit == 1.0
+        report = hyperbolicity_check(curve, trials=4)
+        assert report.ok and {l.degree for l in report.lines} == {32}
+
     def test_restrict_to_line_exact(self):
         curve = pencil_det(split(fixture_matrix("cubic_cusp")))
         form = _integer_form(curve.p)
-        N, w, coeffs = _restriction(form, F(1), F(0))
+        N, w, coeffs = _restriction(form, F(1), F(0), F(1))
         # p(1, t, 0) = (1-t)(1+t)^2
         assert _exact_coeffs(N, w, form[0]) == [F(1), F(1), F(-1), F(-1)]
         assert coeffs == [1.0, 1.0, -1.0, -1.0]
 
     def test_restrict_to_line_matches_term_by_term(self):
         rng = random.Random(4141)
-        polys = [pencil_det(split(fixture_matrix(n))).p for n in FIXTURE_NAMES]
-        polys += [random_tripoly(rng, max_deg=5, terms=8) for _ in range(20)] + [TriPoly(YVARS, {})]
-        # chart-normalized determinants of huge and tiny pencils: coefficients near 2**512
-        polys += [_chart_normal(pencil_det(split(fixture_matrix(n).scale(
-            GaussianRational.of(F(10) ** k)))).p)[0] for n in FIXTURE_NAMES for k in (100, -100)]
-        for p in polys:
+        cases = [(pencil_det(split(fixture_matrix(n))).p, F(1)) for n in FIXTURE_NAMES]
+        cases += [(random_tripoly(rng, max_deg=5, terms=8), F(1)) for _ in range(20)]
+        cases += [(TriPoly(YVARS, {}), F(1)), (random_tripoly(rng, max_deg=4, terms=6), F(1, 8))]
+        # determinants of huge and tiny pencils, restricted in their unit s: the
+        # coefficients of p reach 10**(100*n) or 10**(-100*n), a restriction's stay near 1
+        for n in FIXTURE_NAMES:
+            for k in (100, -100):
+                pencil = split(fixture_matrix(n).scale(GaussianRational.of(F(10) ** k)))
+                cases.append((pencil_det(pencil).p, F(pencil.unit)))
+        for p, s in cases:
             form = _integer_form(p)
             dirs = [(F(0), F(0)), (F(0), F(-3, 7)), (F(5, 2), F(0)), (F(-4, 9), F(-7, 3))]
             dirs += [(F(rng.randint(-20, 20), rng.randint(1, 9)),
                       F(rng.randint(-20, 20), rng.randint(1, 9))) for _ in range(8)]
             for d1, d2 in dirs:
-                N, w, coeffs = _restriction(form, d1, d2)
+                N, w, coeffs = _restriction(form, d1, d2, s)
                 exact = _exact_coeffs(N, w, form[0])
-                assert exact == _restrict_reference(p, d1, d2)
+                assert exact == _restrict_reference(p, d1 / s, d2 / s)
                 # the floats are float(Fraction) bit for bit
                 assert list(map(float.hex, coeffs)) == [float(c).hex() for c in exact]
+
+    def test_restriction_past_the_float_range_keeps_the_term_ratios(self):
+        # p = (1 + 2**600*y1)**2: the coefficients 1, 2**601 and 2**1200 of the
+        # restriction on (1, 0) share the divisor 2**(1200 - 1000)
+        y0, y1 = TriPoly.variable(0, YVARS), TriPoly.variable(1, YVARS)
+        N, w, coeffs = _restriction(_integer_form((y0 + 2**600 * y1) ** 2), F(1), F(0), F(1))
+        assert (N, w) == ([1, 2**601, 2**1200], 1)
+        assert coeffs == [2.0**-200, 2.0**401, 2.0**1000]
 
 
 def _exact_coeffs(N: list[int], w: int, L: int) -> list[Fraction]:
@@ -524,14 +549,14 @@ def _restrict_reference(p: TriPoly, d1: Fraction, d2: Fraction) -> list[Fraction
 
 def _hyperbolicity_reference(curve: PencilCurve, trials: int = 24, seed: int = 20259,
                              certificate: bool = True):
-    """`hyperbolicity_check`'s lines one at a time: one eigvalsh per line, the
-    restriction substituted term by term in Fractions, and the rational Sturm
-    chain where the certificate is off or falls short."""
+    """`hyperbolicity_check`'s lines one at a time in the pencil's unit s: one
+    eigvalsh per line on A/s, the restriction p(1, t*d1/s, t*d2/s) substituted
+    term by term in Fractions, and the rational Sturm chain where the
+    certificate is off or falls short."""
     rng = random.Random(seed)
     f1, f2 = curve.pencil.A1.to_complex(), curve.pencil.A2.to_complex()
-    scale = _entry_scale(f1, f2)
-    p, e = _chart_normal(curve.p)
-    form = _integer_form(p)
+    s = _entry_scale(f1, f2)
+    f1, f2 = f1 / s, f2 / s
     checks = []
     for _ in range(trials):
         while True:
@@ -539,18 +564,18 @@ def _hyperbolicity_reference(curve: PencilCurve, trials: int = 24, seed: int = 2
             d2 = F(rng.randint(-20, 20), rng.randint(1, 9))
             if d1 or d2:
                 break
-        N, w, _ = _restriction(form, d1, d2)
-        coeffs = _restrict_reference(p, d1, d2)
+        coeffs = _restrict_reference(curve.p, d1 / F(s), d2 / F(s))
         eigs = np.linalg.eigvalsh(float(d1) * f1 + float(d2) * f2)
-        root = np.abs(eigs) > 1e-14 * max(scale, np.abs(eigs).max())
-        t = np.ldexp(-1.0 / eigs[root], -e)
-        if certificate and _sign_certificate(N, w, t.tolist()):
-            distinct = deg_sf = len(N) - 1
+        root = np.abs(eigs) > 1e-14 * max(1.0, np.abs(eigs).max())
+        t = -1.0 / eigs[root]
+        # the integers of a positive multiple of the restriction, whose signs are its own
+        den = math.lcm(*(c.denominator for c in coeffs))
+        if certificate and _sign_certificate([int(c * den) for c in coeffs], 1, t.tolist()):
+            distinct = deg_sf = len(coeffs) - 1
         else:
             distinct, deg_sf = reference_sturm(coeffs)
         terms = np.array([float(c) * np.float_power(t, k) for k, c in enumerate(coeffs)])
-        resid = float(np.max(np.abs(np.add.reduce(terms))
-                             / np.maximum(np.abs(terms).max(axis=0), 1e-300), initial=0.0))
+        resid = float(np.max(np.abs(np.add.reduce(terms)) / np.abs(terms).max(axis=0), initial=0.0))
         checks.append(LineCheck(
             direction=(d1, d2), degree=len(coeffs) - 1,
             distinct_real_roots=distinct, distinct_roots_expected=deg_sf,

@@ -17,7 +17,7 @@ from numrange.cli import main
 from numrange.dualcurve import dual_sample
 from numrange.exactpoly import GaussianRational
 from numrange.hermitian import GaussianRationalMatrix, _entry_scale, matrix_from_json, split
-from numrange.pencil import SpectralGrid, boundary_F, pencil_det
+from numrange.pencil import SpectralGrid, boundary_F, hyperbolicity_check, pencil_det
 from numrange.rangegeom import duality_check, member_W, polytope_detect, range_hulls
 
 from conftest import FIXTURES, support_shift_deviation
@@ -134,7 +134,8 @@ class TestEntryScale:
 class TestPowerOfTwoLaw:
     """2**k*A and 2**40*A have one normalised pencil, so every numeric product
     of 2**k*A is that of 2**40*A times 2**(k - 40), bit for bit (divided, for
-    F(A)); dimensionless values are equal."""
+    F(A)); dimensionless values, such as the line checks of the real-zero
+    certificate, are equal."""
 
     @pytest.mark.parametrize("k", [-1000, -530, -100, 100, 530, 1000])
     def test_products_follow_the_power(self, k):
@@ -158,6 +159,9 @@ class TestPowerOfTwoLaw:
             got, want = duality_check(A, N=16), duality_check(B, N=16)
             assert (got.gap_at_N, got.gap_at_2N) == (want.gap_at_N * c, want.gap_at_2N * c), name
             assert vars(got) == vars(want) | {"gap_at_N": got.gap_at_N, "gap_at_2N": got.gap_at_2N}
+            # the line checks restrict p in the unit of the pencil, residual bits included
+            got, want = (hyperbolicity_check(pencil_det(g.pencil), trials=16) for g in (grid, base))
+            assert got.lines == want.lines, name
 
 
 class TestScaledFailures:

@@ -29,6 +29,7 @@ from numrange.rangegeom import duality_check
 from numrange.render import (
     ViewportRequiredError,
     _branch_segments,
+    _clip,
     _dual_branches,
     _fmt,
     _Panel,
@@ -221,6 +222,21 @@ def test_panel_coordinates():
         panel = _Panel(*rng.uniform(0, 100, 2), 420.0, tuple(np.sort(rng.normal(size=4))[[0, 3, 1, 2]]))
         pts = [tuple(p) for p in rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(50, 2))]
         assert panel.coords(pts) == _coords_reference(panel, pts)
+
+
+def test_clip_keeps_the_part_inside_the_box():
+    box = (-1.0, 1.0, -1.0, 1.0)
+    inside = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+    assert _clip(inside, box) is inside
+    # a triangle around the box that reaches the largest float: the box itself
+    huge = np.array([[-1e308, -1e308], [1.7e308, -1e308], [0.0, 1.7e308]])
+    assert _clip(huge, box).tolist() == [[-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]]
+    # a corner beyond x = 1: the vertices inside stay, in order, and two new ones lie on x = 1
+    got = _clip(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 0.75]]), box)
+    np.testing.assert_allclose(got, [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.0, 0.75]], rtol=1e-15)
+    assert got[1:3, 0].tolist() == [1.0, 1.0]
+    for outside in ([[2.0, 0.0]], [[5.0, 5.0], [6.0, 5.0], [6.0, 6.0]]):
+        assert _clip(np.array(outside), box).shape == (0, 2)
 
 
 # None: the bounding boxes; the unit box; a box that cuts every curve
